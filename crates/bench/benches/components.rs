@@ -2,8 +2,6 @@
 //!
 //! * `collector/*` — the runtime hot path (§5's "200 LoC in DPDK" whose
 //!   cost is the §6.2 overhead) and the 2-byte/packet codec.
-//! * `ring/*` — the SPSC shared-memory ring between the hot path and the
-//!   dumper.
 //! * `simulator/*` — DES throughput (packets simulated per second).
 //! * `traffic/*` — workload synthesis rate.
 //! * `matching/*` — cross-NF IPID matching speed.
@@ -11,9 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use msc_bench::{fixture, packets};
-use msc_collector::{
-    decode_nf_log, encode_nf_log, Collector, CollectorConfig, PacketMeta, SpscRing,
-};
+use msc_collector::{decode_nf_log, encode_nf_log, Collector, CollectorConfig, PacketMeta};
 use msc_trace::{
     assemble, match_all, match_downstream, reconstruct, EdgeStreams, MatchConfig, PathTrie,
     ReconstructionConfig,
@@ -60,21 +56,6 @@ fn bench_collector(c: &mut Criterion) {
     let bytes = encode_nf_log(&log).expect("encodable");
     g.bench_function("decode_nf_log", |b| {
         b.iter(|| decode_nf_log(&bytes).expect("decodes"))
-    });
-    g.finish();
-}
-
-fn bench_ring(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ring");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("spsc_push_pop", |b| {
-        let ring: SpscRing<u64> = SpscRing::new(1024);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            ring.push(i).expect("never full in lockstep");
-            ring.pop().expect("just pushed")
-        });
     });
     g.finish();
 }
@@ -140,23 +121,20 @@ fn bench_reconstruct(c: &mut Criterion) {
     // building (counting-sort IPID index), per-NF matching, trace assembly
     // into the hop arena, and the PathTrie index over the finished arena.
     let fx = fixture(1_600_000.0, 10, 42);
-    let cfg = ReconstructionConfig {
-        threads: 1,
-        ..Default::default()
-    };
+    let cfg = ReconstructionConfig::default();
     let n = fx.recon.traces.len() as u64;
 
     let mut g = c.benchmark_group("reconstruct");
     g.sample_size(20);
     g.throughput(Throughput::Elements(n));
-    g.bench_function("full_1thread", |b| {
+    g.bench_function("full", |b| {
         b.iter(|| reconstruct(&fx.topology, &fx.out.bundle, &cfg));
     });
     g.bench_function("streams_build", |b| {
         b.iter(|| EdgeStreams::build(&fx.topology, &fx.out.bundle));
     });
     let streams = EdgeStreams::build(&fx.topology, &fx.out.bundle);
-    g.bench_function("match_all_1thread", |b| {
+    g.bench_function("match_all", |b| {
         b.iter(|| match_all(&streams, &fx.topology, &cfg));
     });
     let matches = match_all(&streams, &fx.topology, &cfg);
@@ -241,7 +219,6 @@ fn bench_diagnosis_components(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_collector,
-    bench_ring,
     bench_simulator,
     bench_traffic,
     bench_matching,

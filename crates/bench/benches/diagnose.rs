@@ -1,22 +1,19 @@
-//! Parallel-pipeline benchmark: 1-thread vs N-thread wall time for the
-//! offline path (trace reconstruction + victim diagnosis) on the paper's
-//! 16-NF deployment, with an injected interrupt so the diagnosis layer has
-//! real queue build-ups to walk.
+//! Offline-path benchmark: wall time of trace reconstruction + victim
+//! diagnosis on the paper's 16-NF deployment, with an injected interrupt so
+//! the diagnosis layer has real queue build-ups to walk.
 //!
 //! Runs standalone (`harness = false`): `cargo bench --bench diagnose`
 //! measures a full-size scenario and writes a trajectory entry to
 //! `results/BENCH_diagnose.json` at the workspace root; without `--bench`
 //! in the arguments it runs a quick smoke configuration and skips the file.
 //!
-//! Two correctness gates run before anything is timed:
-//! * the parallel pipeline merges shards in stable input order, so every
-//!   thread count must yield output identical to the sequential run;
-//! * the period-keyed step cache must be invisible — the cached pipeline's
-//!   diagnoses must be bit-identical to a cache-disabled run.
+//! One correctness gate runs before anything is timed: the period-keyed
+//! step cache must be invisible — the cached pipeline's diagnoses must be
+//! bit-identical to a cache-disabled run.
 //!
-//! The JSON records `baseline_diagnose_ms` (cache off, one thread) next to
-//! the cached timings plus the cache hit rate, so the perf trajectory
-//! stays comparable across PRs.
+//! The JSON records `baseline_diagnose_ms` (cache off) next to the cached
+//! timing plus the cache hit rate, so the perf trajectory stays comparable
+//! across PRs.
 
 use microscope::{CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope};
 use msc_trace::{
@@ -67,9 +64,8 @@ fn scenario(rate_pps: f64, millis: u64, seed: u64) -> Scenario {
     }
 }
 
-fn diagnosis_config(threads: usize, cache: bool) -> DiagnosisConfig {
+fn diagnosis_config(cache: bool) -> DiagnosisConfig {
     let mut dc = DiagnosisConfig {
-        threads,
         cache,
         ..Default::default()
     };
@@ -77,25 +73,24 @@ fn diagnosis_config(threads: usize, cache: bool) -> DiagnosisConfig {
     dc
 }
 
-fn run_reconstruct(sc: &Scenario, threads: usize) -> Reconstruction {
-    let cfg = ReconstructionConfig {
-        threads,
-        ..Default::default()
-    };
-    reconstruct(&sc.topology, &sc.out.bundle, &cfg)
+fn run_reconstruct(sc: &Scenario) -> Reconstruction {
+    reconstruct(
+        &sc.topology,
+        &sc.out.bundle,
+        &ReconstructionConfig::default(),
+    )
 }
 
 fn run_diagnose(
     sc: &Scenario,
     recon: &Reconstruction,
-    threads: usize,
     cache: bool,
 ) -> (Vec<Diagnosis>, CacheStats) {
     let timelines = Timelines::build(recon);
     let engine = Microscope::new(
         sc.topology.clone(),
         sc.peak_rates.clone(),
-        diagnosis_config(threads, cache),
+        diagnosis_config(cache),
     );
     engine.diagnose_all_stats(recon, &timelines)
 }
@@ -118,63 +113,36 @@ fn main() {
     } else {
         (1_000_000.0, 10, 42, 1)
     };
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let thread_counts: &[usize] = &[1, 2, 4];
-
-    eprintln!(
-        "scenario: paper 16-NF topology, {rate_pps:.0} pps for {millis} ms (seed {seed}), \
-         {cpus} CPU(s) available"
-    );
+    eprintln!("scenario: paper 16-NF topology, {rate_pps:.0} pps for {millis} ms (seed {seed})");
     let sc = scenario(rate_pps, millis, seed);
     eprintln!(
         "simulated {} source packets",
         sc.out.bundle.source_flows.len()
     );
 
-    // Correctness gates: every thread count must reproduce the sequential
-    // output exactly, and the step cache must not change a single bit of
-    // it, before any configuration is worth timing.
-    let seq_recon = run_reconstruct(&sc, 1);
-    let (seq_diag, seq_stats) = run_diagnose(&sc, &seq_recon, 1, true);
+    // Correctness gate: the step cache must not change a single bit of the
+    // output before either configuration is worth timing.
+    let seq_recon = run_reconstruct(&sc);
+    let (seq_diag, seq_stats) = run_diagnose(&sc, &seq_recon, true);
     assert!(!seq_diag.is_empty(), "scenario produced no victims");
-    let (nocache_diag, nocache_stats) = run_diagnose(&sc, &seq_recon, 1, false);
+    let (nocache_diag, nocache_stats) = run_diagnose(&sc, &seq_recon, false);
     assert_eq!(nocache_diag, seq_diag, "cache changed the diagnosis output");
     assert_eq!(nocache_stats, CacheStats::default());
-    for &t in thread_counts {
-        let r = run_reconstruct(&sc, t);
-        assert_eq!(
-            r.traces, seq_recon.traces,
-            "reconstruct diverged at {t} threads"
-        );
-        assert_eq!(
-            run_diagnose(&sc, &r, t, true).0,
-            seq_diag,
-            "diagnosis diverged at {t} threads"
-        );
-        assert_eq!(
-            run_diagnose(&sc, &r, t, false).0,
-            seq_diag,
-            "uncached diagnosis diverged at {t} threads"
-        );
-    }
     eprintln!(
-        "output identical across thread counts and cache on/off \
+        "output identical with the cache on and off \
          ({} traces, {} diagnoses, {:.1}% step-cache hit rate)",
         seq_recon.traces.len(),
         seq_diag.len(),
         seq_stats.hit_rate() * 100.0
     );
 
-    // The trajectory baseline: the unshared (cache-off) sequential path.
-    let baseline_s = time_best(reps, || run_diagnose(&sc, &seq_recon, 1, false));
+    // The trajectory baseline: the unshared (cache-off) path.
+    let baseline_s = time_best(reps, || run_diagnose(&sc, &seq_recon, false));
 
-    // Per-stage breakdown of the sequential reconstruction: min over reps
-    // of each stage, measured in a single staged pass so every stage sees
-    // the same inputs as the fused `reconstruct` call.
-    let cfg1 = ReconstructionConfig {
-        threads: 1,
-        ..Default::default()
-    };
+    // Per-stage breakdown of the reconstruction: min over reps of each
+    // stage, measured in a single staged pass so every stage sees the same
+    // inputs as the fused `reconstruct` call.
+    let cfg1 = ReconstructionConfig::default();
     let mut stage_s = [f64::INFINITY; 3];
     for _ in 0..reps {
         let t0 = Instant::now();
@@ -189,7 +157,7 @@ fn main() {
         stage_s[2] = stage_s[2].min((t3 - t2).as_secs_f64());
     }
     eprintln!(
-        "reconstruct stages (1 thread): streams {:.1} ms, matching {:.1} ms, \
+        "reconstruct stages: streams {:.1} ms, matching {:.1} ms, \
          assemble {:.1} ms (pre-rewrite baseline {BASELINE_RECONSTRUCT_MS:.1} ms)",
         stage_s[0] * 1e3,
         stage_s[1] * 1e3,
@@ -201,10 +169,10 @@ fn main() {
     // the galloping run lookups, occupancy in the radix-permutation /
     // prefix-sum / batched partition-point timeline construction, quantile
     // in the latency selection over the trace population, walk in the
-    // epoch-stamped credit-walk accumulations. Timed on the sequential
+    // epoch-stamped credit-walk accumulations. Timed on the same
     // reconstruction so the numbers decompose `reconstruct_ms`/
-    // `diagnose_ms` at threads=1.
-    let dc1 = diagnosis_config(1, true);
+    // `diagnose_ms`.
+    let dc1 = diagnosis_config(true);
     let timelines1 = Timelines::build(&seq_recon);
     let occupancy_kernel_s = time_best(reps, || Timelines::build(&seq_recon));
     let quantile_kernel_s = time_best(reps, || microscope::find_victims(&seq_recon, &dc1.victims));
@@ -212,7 +180,7 @@ fn main() {
     let walk_kernel_s = time_best(reps, || engine1.diagnose_all_stats(&seq_recon, &timelines1));
     let matching_kernel_s = stage_s[1];
     eprintln!(
-        "kernel stages (1 thread): matching {:.1} ms, occupancy {:.1} ms, \
+        "kernel stages: matching {:.1} ms, occupancy {:.1} ms, \
          quantile {:.1} ms, walk {:.1} ms",
         matching_kernel_s * 1e3,
         occupancy_kernel_s * 1e3,
@@ -220,77 +188,29 @@ fn main() {
         walk_kernel_s * 1e3
     );
 
-    // Interleave the repetitions across thread counts (round-robin rather
-    // than per-config blocks) so a slow system phase — page cache pressure,
-    // a noisy neighbour on shared hardware — penalises every configuration
-    // equally instead of skewing whichever block it landed in. Every thread
-    // count diagnoses the *same* reconstruction (outputs were asserted
-    // identical above): per-count reconstructions differ only in allocation
-    // layout, which skewed the diagnose comparison by a few percent.
-    // Requested counts that resolve to the same effective worker count
-    // (the `effective_threads` clamp — on a 1-CPU host all of them) run
-    // byte-identical code, so they are measured once and share the
-    // timing: re-measuring identical code can only add timer noise, which
-    // previously made an equal configuration look ~2% slower than 1 thread.
-    let canonical: Vec<usize> = thread_counts
-        .iter()
-        .map(|&t| {
-            thread_counts
-                .iter()
-                .position(|&u| nf_types::effective_threads(u) == nf_types::effective_threads(t))
-                .expect("t itself always matches")
-        })
-        .collect();
-    let mut recon_best = vec![f64::INFINITY; thread_counts.len()];
-    let mut diag_best = vec![f64::INFINITY; thread_counts.len()];
+    // Interleave the two timed calls so a slow system phase penalises both
+    // equally instead of skewing whichever block it landed in.
+    let mut recon_s = f64::INFINITY;
+    let mut diag_s = f64::INFINITY;
     for _ in 0..reps {
-        for (i, &t) in thread_counts.iter().enumerate() {
-            if canonical[i] != i {
-                continue;
-            }
-            let t0 = Instant::now();
-            std::hint::black_box(run_reconstruct(&sc, t));
-            recon_best[i] = recon_best[i].min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            std::hint::black_box(run_diagnose(&sc, &seq_recon, t, true));
-            diag_best[i] = diag_best[i].min(t0.elapsed().as_secs_f64());
-        }
+        let t0 = Instant::now();
+        std::hint::black_box(run_reconstruct(&sc));
+        recon_s = recon_s.min(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        std::hint::black_box(run_diagnose(&sc, &seq_recon, true));
+        diag_s = diag_s.min(t0.elapsed().as_secs_f64());
     }
-    for (i, &c) in canonical.iter().enumerate() {
-        recon_best[i] = recon_best[c];
-        diag_best[i] = diag_best[c];
-    }
-    let mut rows = Vec::new();
-    for (i, &t) in thread_counts.iter().enumerate() {
-        eprintln!(
-            "threads={t}: reconstruct {:.1} ms, diagnose {:.1} ms \
-             (uncached baseline {:.1} ms)",
-            recon_best[i] * 1e3,
-            diag_best[i] * 1e3,
-            baseline_s * 1e3
-        );
-        rows.push((t, recon_best[i], diag_best[i]));
-    }
+    eprintln!(
+        "reconstruct {:.1} ms, diagnose {:.1} ms (uncached baseline {:.1} ms)",
+        recon_s * 1e3,
+        diag_s * 1e3,
+        baseline_s * 1e3
+    );
 
-    let base = rows[0];
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|&(t, r, d)| {
-            format!(
-                "    {{\"threads\": {t}, \"reconstruct_ms\": {:.3}, \"diagnose_ms\": {:.3}, \
-                 \"speedup_reconstruct\": {:.3}, \"speedup_diagnose\": {:.3}}}",
-                r * 1e3,
-                d * 1e3,
-                base.1 / r,
-                base.2 / d
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"bench\": \"diagnose\",\n  \"scenario\": {{\"topology\": \"paper-16nf\", \
          \"rate_pps\": {rate_pps:.0}, \"millis\": {millis}, \"seed\": {seed}, \
          \"source_packets\": {}, \"victims\": {}}},\n  \
-         \"hardware\": {{\"available_parallelism\": {cpus}}},\n  \
          \"identical_output\": true,\n  \
          \"cache_hit_rate\": {:.4},\n  \"baseline_diagnose_ms\": {:.3},\n  \
          \"baseline_reconstruct_ms\": {BASELINE_RECONSTRUCT_MS:.3},\n  \
@@ -299,7 +219,7 @@ fn main() {
          \"kernel_stage_ms\": {{\"matching_kernel_ms\": {:.3}, \
          \"occupancy_kernel_ms\": {:.3}, \"quantile_kernel_ms\": {:.3}, \
          \"walk_kernel_ms\": {:.3}}},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
+         \"reconstruct_ms\": {:.3},\n  \"diagnose_ms\": {:.3}\n}}\n",
         sc.out.bundle.source_flows.len(),
         seq_diag.len(),
         seq_stats.hit_rate(),
@@ -311,7 +231,8 @@ fn main() {
         occupancy_kernel_s * 1e3,
         quantile_kernel_s * 1e3,
         walk_kernel_s * 1e3,
-        json_rows.join(",\n")
+        recon_s * 1e3,
+        diag_s * 1e3
     );
 
     if measure {

@@ -9,7 +9,7 @@
 //! worth skipping. Without `--bench` it runs a single smoke pass and
 //! skips the file.
 
-use msc_lint::{Baseline, FrontierManifest, HotpathManifest, Manifest};
+use msc_lint::{Baseline, FrontierManifest, HotpathManifest};
 use std::time::Instant;
 
 /// CI wall-clock budget for one full workspace pass.
@@ -23,7 +23,6 @@ fn main() {
     // dev; anchor on the crate's own manifest dir instead of cwd.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let baseline = Baseline::load(&root.join("lint-baseline.toml")).expect("baseline");
-    let manifest = Manifest::load(&root.join("concurrency-manifest.toml")).expect("manifest");
     let frontier = FrontierManifest::load(&root.join("frontier-manifest.toml")).expect("frontier");
     let hotpath = HotpathManifest::load(&root.join("hotpath-manifest.toml")).expect("hotpath");
 
@@ -36,8 +35,7 @@ fn main() {
     let mut graph_sccs = 0usize;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let run =
-            msc_lint::run(&root, &baseline, &manifest, &frontier, &hotpath).expect("lint run");
+        let run = msc_lint::run(&root, &baseline, &frontier, &hotpath).expect("lint run");
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1_000.0);
         graph_build_ms = graph_build_ms.min(run.graph_build_ms);
         files = run.files;

@@ -23,15 +23,10 @@ commands:
   record   --out DIR [--millis N] [--rate MPPS] [--seed S]
            [--interrupt NF:AT_MS:LEN_US]... [--skew] [--chunk-ms N]
   inspect  --bundle FILE
-  diagnose --topology FILE --bundle FILE [--quantile Q] [--threshold PKTS]
-           [--top N] [--skew] [--threads N] [--no-cache]
+  diagnose --topology FILE --bundle FILE [--quantile Q] [--top N] [--skew]
   stream   --topology FILE --bundle FILE [--chunk-ms N] [--quantile Q]
-           [--top N] [--skew] [--threads N] [--no-cache]
+           [--top N] [--skew]
   skew     --topology FILE --bundle FILE
-
---threads N: pipeline workers (0 = one per CPU, 1 = sequential; clamped to
-the available CPUs — asking for more only adds scheduling overhead). The
-output is bit-identical for any worker count.
 
 stream consumes the bundle incrementally (chunked .mscs files directly;
 whole-run .msc bundles are chunked in memory at --chunk-ms, default 50)
@@ -39,29 +34,38 @@ and prints the same report as diagnose — byte-identical without --skew.
 
 run `microscope <command>` with missing flags to see its specific errors.";
 
-/// A tiny flag parser: `--key value` pairs plus repeatable keys.
+/// A tiny flag parser: `--key value` pairs (repeatable) plus boolean
+/// switches, checked against the flags the subcommand defines.
 struct Flags {
     pairs: Vec<(String, String)>,
     switches: Vec<String>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut switches = Vec::new();
-        let mut it = args.iter().peekable();
+    /// Parses `args`, where `valued` flags take one value and `switches`
+    /// take none; any other flag is an error naming it.
+    fn parse(args: &[String], valued: &[&str], switches: &[&str]) -> Result<Flags, String> {
+        let mut f = Flags {
+            pairs: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter();
         while let Some(a) = it.next() {
             let key = a
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got {a:?}"))?;
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    pairs.push((key.to_string(), it.next().expect("peeked").clone()));
+            if switches.contains(&key) {
+                f.switches.push(key.to_string());
+            } else if valued.contains(&key) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => f.pairs.push((key.to_string(), v.clone())),
+                    _ => return Err(format!("--{key} needs a value")),
                 }
-                _ => switches.push(key.to_string()),
+            } else {
+                return Err(format!("unknown flag --{key}"));
             }
         }
-        Ok(Flags { pairs, switches })
+        Ok(f)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -110,7 +114,11 @@ fn load_bundle_arg(path: &str) -> Result<TraceBundle, String> {
 /// `microscope record` — simulate a run and write the operator-visible
 /// artifacts (deployment description + collector bundle).
 pub fn record(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        &["out", "millis", "rate", "seed", "interrupt", "chunk-ms"],
+        &["skew"],
+    )?;
     let out_dir = PathBuf::from(f.require("out")?);
     let millis: u64 = f.num("millis", 200)?;
     let rate: f64 = f.num("rate", 1.2)?;
@@ -195,7 +203,7 @@ pub fn record(args: &[String]) -> Result<(), String> {
 
 /// `microscope inspect` — bundle statistics.
 pub fn inspect(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &["bundle"], &[])?;
     let bundle = load_bundle_arg(f.require("bundle")?)?;
     println!("source packets : {}", bundle.source_flows.len());
     println!("nf logs        : {}", bundle.logs.len());
@@ -229,21 +237,13 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
 
 /// `microscope diagnose` — the full offline pipeline on saved artifacts.
 pub fn diagnose(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &["topology", "bundle", "quantile", "top"], &["skew"])?;
     let (topology, rates) = load_deployment(f.require("topology")?)?;
     let mut bundle = load_bundle_arg(f.require("bundle")?)?;
     let quantile: f64 = f.num("quantile", 0.99)?;
     let top: usize = f.num("top", 10)?;
-    // Worker threads for reconstruction and diagnosis: 0 = one per CPU,
-    // 1 = sequential; requests above the host's available CPUs are clamped
-    // (oversubscribing only slows the pipeline down). Output is identical
-    // either way (deterministic merge).
-    let threads: usize = f.num("threads", 1)?;
 
-    let mut recon_cfg = ReconstructionConfig {
-        threads,
-        ..Default::default()
-    };
+    let mut recon_cfg = ReconstructionConfig::default();
     if f.has("skew") {
         let offsets = estimate_offsets_refined(&topology, &bundle, &SkewConfig::default());
         println!("estimated clock offsets (ns): {offsets:?}\n");
@@ -254,30 +254,7 @@ pub fn diagnose(args: &[String]) -> Result<(), String> {
     let recon = reconstruct(&topology, &bundle, &recon_cfg);
     let timelines = Timelines::build(&recon);
 
-    if let Some(thr) = f.get("threshold") {
-        let _pkts: u64 = thr
-            .parse()
-            .map_err(|_| format!("bad --threshold {thr:?}"))?;
-        // Non-zero queuing threshold (§7) is exposed through the timelines;
-        // the diagnosis core currently anchors at zero-threshold periods.
-        eprintln!("note: --threshold is accepted for timeline queries; diagnosis uses 0");
-    }
-    let opts = ReportOpts {
-        quantile,
-        top,
-        threads,
-        cache: !f.has("no-cache"),
-    };
-    report_diagnosis(&topology, rates, &recon, &timelines, &opts)
-}
-
-/// Shared knobs for the diagnosis report printed by `diagnose` and
-/// `stream`.
-struct ReportOpts {
-    quantile: f64,
-    top: usize,
-    threads: usize,
-    cache: bool,
+    report_diagnosis(&topology, rates, &recon, &timelines, quantile, top)
 }
 
 /// The diagnosis half of the pipeline plus all the stdout both `diagnose`
@@ -289,14 +266,9 @@ fn report_diagnosis(
     rates: Vec<f64>,
     recon: &Reconstruction,
     timelines: &Timelines,
-    opts: &ReportOpts,
+    quantile: f64,
+    top: usize,
 ) -> Result<(), String> {
-    let ReportOpts {
-        quantile,
-        top,
-        threads,
-        cache,
-    } = *opts;
     println!(
         "reconstructed {} traces: {} delivered, {} dropped, {} unresolved, {} IPID ambiguities",
         recon.report.total,
@@ -306,19 +278,12 @@ fn report_diagnosis(
         recon.report.ambiguities
     );
 
-    let mut dc = DiagnosisConfig {
-        threads,
-        // Period-keyed memoization (on by default; `--no-cache` benchmarks
-        // the unshared path — the reported diagnoses are identical).
-        cache,
-        ..Default::default()
-    };
+    let mut dc = DiagnosisConfig::default();
     dc.victims.latency = LatencyThreshold::Quantile(quantile);
     dc.victims.max_victims = Some(5_000);
     let engine = Microscope::new(topology.clone(), rates, dc);
     let (diagnoses, cache_stats) = engine.diagnose_all_stats(recon, timelines);
-    // Cache statistics go to stderr: stdout is diffed by the determinism
-    // CI job, and hit/miss interleaving is timing-dependent under threads.
+    // Cache statistics go to stderr: stdout carries only the diagnosis.
     if cache_stats.hits + cache_stats.misses > 0 {
         eprintln!(
             "step cache: {} hits / {} misses ({:.1}% hit rate, {} periods)",
@@ -387,16 +352,16 @@ fn report_diagnosis(
 /// sequence of time chunks with O(window) reconstruction state, then print
 /// the same report as `diagnose` (byte-identical without `--skew`).
 pub fn stream(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        &["topology", "bundle", "chunk-ms", "quantile", "top"],
+        &["skew"],
+    )?;
     let (topology, rates) = load_deployment(f.require("topology")?)?;
     let path = f.require("bundle")?;
     let chunk_ms: u64 = f.num("chunk-ms", 50)?;
-    let opts = ReportOpts {
-        quantile: f.num("quantile", 0.99)?,
-        top: f.num("top", 10)?,
-        threads: f.num("threads", 1)?,
-        cache: !f.has("no-cache"),
-    };
+    let quantile: f64 = f.num("quantile", 0.99)?;
+    let top: usize = f.num("top", 10)?;
 
     let mut cfg = StreamConfig::default();
     if f.has("skew") {
@@ -440,12 +405,12 @@ pub fn stream(args: &[String]) -> Result<(), String> {
         eprintln!("note: {note}");
     }
     let (recon, timelines) = engine.finish();
-    report_diagnosis(&topology, rates, &recon, &timelines, &opts)
+    report_diagnosis(&topology, rates, &recon, &timelines, quantile, top)
 }
 
 /// `microscope skew` — clock-offset estimation only.
 pub fn skew(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &["topology", "bundle"], &[])?;
     let (topology, _) = load_deployment(f.require("topology")?)?;
     let bundle = load_bundle_arg(f.require("bundle")?)?;
     let offsets = estimate_offsets_refined(&topology, &bundle, &SkewConfig::default());
@@ -466,22 +431,52 @@ mod tests {
 
     #[test]
     fn flags_parser() {
-        let f = Flags::parse(&s(&[
-            "--out",
-            "dir",
-            "--skew",
-            "--interrupt",
-            "a:1:2",
-            "--interrupt",
-            "b:3:4",
-        ]))
+        let f = Flags::parse(
+            &s(&[
+                "--out",
+                "dir",
+                "--skew",
+                "--interrupt",
+                "a:1:2",
+                "--interrupt",
+                "b:3:4",
+            ]),
+            &["out", "interrupt"],
+            &["skew"],
+        )
         .unwrap();
         assert_eq!(f.get("out"), Some("dir"));
         assert!(f.has("skew"));
         assert_eq!(f.get_all("interrupt"), vec!["a:1:2", "b:3:4"]);
         assert!(f.require("missing").is_err());
         assert_eq!(f.num::<u64>("nope", 7).unwrap(), 7);
-        assert!(Flags::parse(&s(&["positional"])).is_err());
+        assert!(Flags::parse(&s(&["positional"]), &[], &[]).is_err());
+        // A valued flag at the end of the line is not a switch.
+        let err = Flags::parse(&s(&["--out"]), &["out"], &[]).err().unwrap();
+        assert!(err.contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn undefined_flags_are_errors_naming_the_flag() {
+        let files = ["--topology", "/nonexistent", "--bundle", "/nope"];
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let cases: [(Cmd, &[&str], &str); 4] = [
+            (diagnose, &["--threads", "4"], "--threads"),
+            (diagnose, &["--threshold", "3"], "--threshold"),
+            (diagnose, &["--no-cache"], "--no-cache"),
+            (stream, &["--bogus"], "--bogus"),
+        ];
+        for (cmd, extra, flag) in cases {
+            let err = cmd(&s(&[&files[..], extra].concat())).unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+            assert!(
+                !err.contains("/nonexistent"),
+                "{flag} must fail first: {err}"
+            );
+        }
+        for gone in ["--threads", "--no-cache", "--threshold"] {
+            assert!(!USAGE.contains(gone), "USAGE still lists {gone}");
+        }
     }
 
     #[test]
@@ -512,19 +507,6 @@ mod tests {
             &bundle,
             "--top",
             "3",
-        ]))
-        .unwrap();
-        // The parallel pipeline accepts any worker count and is bit-identical
-        // to sequential, so --threads must not change the exit status.
-        diagnose(&s(&[
-            "--topology",
-            &topo,
-            "--bundle",
-            &bundle,
-            "--top",
-            "3",
-            "--threads",
-            "4",
         ]))
         .unwrap();
     }

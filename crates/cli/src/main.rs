@@ -10,14 +10,12 @@
 //!     Print bundle statistics (packets, batches, bytes/packet, per NF).
 //!
 //! microscope diagnose --topology FILE --bundle FILE [--quantile Q]
-//!                     [--threshold PKTS] [--top N] [--skew] [--threads N]
+//!                     [--top N] [--skew]
 //!     Reconstruct traces, select tail victims, run the queue-based
 //!     diagnosis and print ranked culprits + aggregated causal patterns.
-//!     --threads N fans reconstruction and diagnosis out over N workers
-//!     (0 = one per CPU); the output is bit-identical at any thread count.
 //!
 //! microscope stream   --topology FILE --bundle FILE [--chunk-ms N]
-//!                     [--quantile Q] [--top N] [--skew] [--threads N]
+//!                     [--quantile Q] [--top N] [--skew]
 //!     Consume the bundle as a stream of time chunks (chunked .mscs files
 //!     directly, whole .msc bundles chunked in memory), reconstructing
 //!     with O(window) state, and print the same report as diagnose —

@@ -61,8 +61,7 @@ impl Default for CollectorConfig {
 /// Runtime data collector for a whole NF deployment.
 ///
 /// One instance serves every NF in the topology (the simulator is
-/// single-threaded; in the paper each NF has its own hook and ring — see
-/// [`crate::ring`] for that component).
+/// single-threaded; in the paper each NF has its own hook and ring).
 #[derive(Debug)]
 pub struct Collector {
     cfg: CollectorConfig,

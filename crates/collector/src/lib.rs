@@ -9,17 +9,18 @@
 //! footprint possible ([`encode`]) and what forces the offline
 //! reconstruction to disambiguate IPID collisions.
 //!
-//! To keep the hot path short, records are pushed into a lock-free SPSC ring
-//! ([`ring`]) drained by a standalone dumper thread — the paper's
-//! shared-memory + dumper design. The simulator charges the collector's
-//! per-packet cost to NF service time so the §6.2 overhead experiment is
+//! The paper pushes records into a shared-memory ring drained by a
+//! standalone dumper thread; the simulator is single-threaded, so here the
+//! hooks append to per-NF logs directly and the collector's per-packet cost
+//! is charged to NF service time so the §6.2 overhead experiment is
 //! meaningful ([`Collector::per_packet_overhead_ns`]).
+
+#![forbid(unsafe_code)]
 
 pub mod bundle_io;
 pub mod collector;
 pub mod encode;
 pub mod records;
-pub mod ring;
 
 pub use bundle_io::{
     chunk_bundle, concat_chunks, load_bundle, peek_format, read_bundle, save_bundle,
@@ -29,4 +30,3 @@ pub use bundle_io::{
 pub use collector::{Collector, CollectorConfig, NfLog, TraceBundle};
 pub use encode::{decode_nf_log, encode_nf_log, EncodeError};
 pub use records::{FlowRecord, PacketMeta, QueueRef, RxBatch, TxBatch, MAX_BATCH};
-pub use ring::{Dumper, SpscRing, SpscRingCore};

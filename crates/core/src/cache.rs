@@ -18,24 +18,16 @@
 //! Victim-dependent state — the blame `weight`, depth pruning and the
 //! per-victim `visited` cycle list — stays *outside* the cache in the
 //! recursion driver. Consequently a hit returns exactly the value a miss
-//! would have computed, and the hit/miss interleaving across worker
-//! threads cannot affect any diagnosis, only the counters.
-//!
-//! The concurrent core is generic over [`msc_model::prims::Prims`]:
-//! production uses the [`DiagnosisCache`] alias (real `std::sync`
-//! primitives), while `tests/model_cache.rs` instantiates
-//! [`DiagnosisCacheCore`] with `ModelPrims` and model-checks that shard
-//! insert/lookup races never surface a value under the wrong key (see
-//! DESIGN.md §7).
+//! would have computed. The map is only ever looked up by key, never
+//! iterated, so its hash order cannot reach any output either.
 
 use crate::local::LocalScores;
 use crate::propagation::UpstreamShare;
-use msc_model::prims::{Atomic, Ordering, Prims, SharedLock, StdPrims};
 use msc_trace::QueuingPeriod;
 use nf_types::{FiveTuple, Nanos, NfId};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::collections::hash_map::{Entry, HashMap};
+use std::rc::Rc;
 
 /// Cache key: `(nf, anchor timestamp, §7 start threshold)`. Anchors — not
 /// period starts — key the cache because `queuing_period(t)` is resolved
@@ -59,13 +51,11 @@ pub struct DiagnosisStep {
     /// Flows of the PreSet packets (culprit flows for local blame).
     pub preset_flows: Vec<(FiveTuple, f64)>,
     /// Lazy §4.2 upstream attribution of the period's PreSet.
-    pub shares: OnceLock<Vec<UpstreamShare>>,
+    pub shares: OnceCell<Vec<UpstreamShare>>,
 }
 
 impl DiagnosisStep {
-    /// The upstream shares, computing them on first use. Concurrent racers
-    /// may both run `make`, but it is a pure function of the step's key, so
-    /// whichever value wins is identical.
+    /// The upstream shares, computing them on first use.
     pub fn shares_or_init(&self, make: impl FnOnce() -> Vec<UpstreamShare>) -> &[UpstreamShare] {
         self.shares.get_or_init(make)
     }
@@ -76,8 +66,7 @@ impl DiagnosisStep {
 pub struct CacheStats {
     /// Step lookups answered from the cache.
     pub hits: u64,
-    /// Step lookups that computed a fresh entry. Under concurrent racing
-    /// misses on one key this may slightly overcount `entries`.
+    /// Step lookups that computed a fresh entry.
     pub misses: u64,
     /// Distinct entries resident at the end of the run.
     pub entries: u64,
@@ -95,94 +84,45 @@ impl CacheStats {
     }
 }
 
-/// The production cache: [`DiagnosisCacheCore`] over real `std::sync`
-/// primitives.
-pub type DiagnosisCache = DiagnosisCacheCore<StdPrims>;
-
-/// A sharded concurrent map from [`StepKey`] to immutable `Arc`ed
-/// [`DiagnosisStep`]s, shared read-mostly across the diagnosis workers.
+/// The step cache of one diagnosis run: a plain map from [`StepKey`] to
+/// its [`DiagnosisStep`], owned by [`crate::Microscope::diagnose_all_stats`]
+/// and dropped with it.
 ///
-/// Sharding keeps lock contention negligible (readers of different periods
-/// rarely collide), and entries are inserted with first-write-wins so a
-/// racing duplicate computation is dropped, never swapped in after another
-/// thread already observed the first value.
-pub struct DiagnosisCacheCore<P: Prims> {
-    shards: Vec<P::Lock<HashMap<StepKey, Arc<DiagnosisStep>>>>,
-    hits: P::AU64,
-    misses: P::AU64,
+/// Entries are `Rc`ed so the recursion driver can hold a step while it
+/// inserts the steps of upstream periods.
+#[derive(Default)]
+pub struct DiagnosisCache {
+    steps: HashMap<StepKey, Rc<DiagnosisStep>>,
+    hits: u64,
+    misses: u64,
 }
 
-const SHARDS: usize = 64;
-
-impl<P: Prims> DiagnosisCacheCore<P> {
-    /// An empty cache with the production shard count.
-    pub fn new() -> Self {
-        Self::with_shards(SHARDS)
-    }
-
-    /// An empty cache with `shards` shards. Model tests use a tiny shard
-    /// count to force key collisions into one lock; production always goes
-    /// through [`new`](Self::new).
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards > 0, "cache needs at least one shard");
-        Self {
-            shards: (0..shards)
-                .map(|_| {
-                    <P::Lock<HashMap<StepKey, Arc<DiagnosisStep>>> as SharedLock<_>>::new(
-                        HashMap::new(),
-                    )
-                })
-                .collect(),
-            hits: P::AU64::new(0),
-            misses: P::AU64::new(0),
+impl DiagnosisCache {
+    /// The step for `key`, computing it with `make` on a miss.
+    pub fn step(
+        &mut self,
+        key: StepKey,
+        make: impl FnOnce() -> DiagnosisStep,
+    ) -> Rc<DiagnosisStep> {
+        match self.steps.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                Rc::clone(e.get())
+            }
+            Entry::Vacant(e) => {
+                self.misses += 1;
+                Rc::clone(e.insert(Rc::new(make())))
+            }
         }
     }
 
-    fn shard(&self, key: &StepKey) -> &P::Lock<HashMap<StepKey, Arc<DiagnosisStep>>> {
-        // Cheap deterministic mix of the key fields; only shard balance
-        // depends on it, never output.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// The step for `key`, computing it with `make` on a miss. `make` runs
-    /// *outside* the shard lock, so a slow §4.1 walk never blocks readers
-    /// of other keys in the same shard.
-    pub fn step(&self, key: StepKey, make: impl FnOnce() -> DiagnosisStep) -> Arc<DiagnosisStep> {
-        let shard = self.shard(&key);
-        if let Some(step) = shard.read().get(&key) {
-            // ordering: statistics counter; nothing is published through it
-            // and only the eventual total is read.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(step);
-        }
-        // ordering: statistics counter, as above.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(make());
-        let mut w = shard.write();
-        // First insert wins: if another thread raced us here, keep its
-        // entry (the values are identical anyway; keeping the resident one
-        // means every Arc ever handed out aliases a single allocation).
-        Arc::clone(w.entry(key).or_insert(fresh))
-    }
-
-    /// Current statistics. Counters are `Relaxed`; exact under `threads=1`,
-    /// approximate (but close) under concurrency.
+    /// Current statistics.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            // ordering: statistics counters; totals only, no ordering role.
-            hits: self.hits.load(Ordering::Relaxed),
-            // ordering: as above.
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.read().len() as u64).sum(),
+            hits: self.hits,
+            misses: self.misses,
+            entries: self.steps.len() as u64,
         }
-    }
-}
-
-impl<P: Prims> Default for DiagnosisCacheCore<P> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -201,17 +141,17 @@ mod tests {
             },
             scores: LocalScores { si: 0.0, sp: 0.0 },
             preset_flows: Vec::new(),
-            shares: OnceLock::new(),
+            shares: OnceCell::new(),
         }
     }
 
     #[test]
     fn second_lookup_hits_and_shares_the_entry() {
-        let cache = DiagnosisCache::new();
+        let mut cache = DiagnosisCache::default();
         let key = (NfId(3), 1_000, 0);
         let a = cache.step(key, || dummy_step(7));
         let b = cache.step(key, || panic!("must not recompute on a hit"));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Rc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -219,21 +159,23 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_entries() {
-        let cache = DiagnosisCache::new();
-        let a = cache.step((NfId(0), 1, 0), || dummy_step(1));
-        let b = cache.step((NfId(0), 2, 0), || dummy_step(2));
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn single_shard_cache_keeps_keys_apart() {
-        let cache: DiagnosisCache = DiagnosisCacheCore::with_shards(1);
-        let a = cache.step((NfId(1), 10, 0), || dummy_step(10));
-        let b = cache.step((NfId(2), 20, 0), || dummy_step(20));
-        assert_eq!(a.qp.n_arrived, 10);
-        assert_eq!(b.qp.n_arrived, 20);
-        assert_eq!(cache.stats().entries, 2);
+        // Keys differing in one field each: NF, anchor, threshold.
+        let mut cache = DiagnosisCache::default();
+        let keys = [
+            (NfId(1), 10, 0),
+            (NfId(2), 10, 0),
+            (NfId(1), 20, 0),
+            (NfId(1), 10, 5),
+        ];
+        for (n, &key) in keys.iter().enumerate() {
+            cache.step(key, || dummy_step(n as u64));
+        }
+        for (n, &key) in keys.iter().enumerate() {
+            let step = cache.step(key, || panic!("must not recompute on a hit"));
+            assert_eq!(step.qp.n_arrived, n as u64, "value under the wrong key");
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (4, 4, 4));
     }
 
     #[test]
@@ -249,11 +191,11 @@ mod tests {
                 last_arrival: None,
             }]
         });
-        assert!(again.is_empty(), "OnceLock must keep the first value");
+        assert!(again.is_empty(), "the first value must be kept");
     }
 
     #[test]
     fn empty_stats_hit_rate_is_zero() {
-        assert_eq!(DiagnosisCache::new().stats().hit_rate(), 0.0);
+        assert_eq!(DiagnosisCache::default().stats().hit_rate(), 0.0);
     }
 }

@@ -4,10 +4,11 @@ use crate::cache::{CacheStats, DiagnosisCache, DiagnosisStep};
 use crate::index::DiagnosisIndex;
 use crate::local::local_scores;
 use crate::propagation::{attribute_upstream_indexed, UpstreamScratch};
-use crate::victim::{find_victims_with, Victim, VictimConfig};
+use crate::victim::{find_victims, Victim, VictimConfig};
 use msc_trace::{Reconstruction, Timelines};
 use nf_types::{FiveTuple, Interval, Nanos, NfId, NodeId, Topology};
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// How a culprit contributed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,15 +64,10 @@ pub struct DiagnosisConfig {
     pub max_depth: usize,
     /// Cap on distinct flows reported per culprit.
     pub max_flows_per_culprit: usize,
-    /// Workers for victim selection and per-victim diagnosis (`0` = auto,
-    /// `1` = sequential). Every victim's §4.1/§4.2 walk is independent and
-    /// results merge in victim order, so the output is bit-identical for
-    /// any worker count.
-    pub threads: usize,
     /// Memoize §4.1/§4.2 step results per `(nf, anchor, threshold)` across
     /// victims (see [`crate::cache`]). Cache entries are pure functions of
-    /// their key, so this never changes the output — disabling it exists
-    /// for benchmarking and for bit-identity tests.
+    /// their key, so this never changes the output — the uncached path is
+    /// the reference `tests/cache_identity.rs` compares against.
     pub cache: bool,
 }
 
@@ -82,7 +78,6 @@ impl Default for DiagnosisConfig {
             min_score: 0.02,
             max_depth: 16,
             max_flows_per_culprit: 64,
-            threads: 1,
             cache: true,
         }
     }
@@ -121,11 +116,7 @@ impl Microscope {
         &self.topology
     }
 
-    /// Finds and diagnoses all victims in a run.
-    ///
-    /// Both victim selection and the per-victim causal walks shard across
-    /// `cfg.threads` workers; results merge in victim order, so the output
-    /// is identical to a single-threaded run.
+    /// Finds and diagnoses all victims in a run, in victim order.
     pub fn diagnose_all(&self, recon: &Reconstruction, timelines: &Timelines) -> Vec<Diagnosis> {
         self.diagnose_all_stats(recon, timelines).0
     }
@@ -137,65 +128,44 @@ impl Microscope {
         recon: &Reconstruction,
         timelines: &Timelines,
     ) -> (Vec<Diagnosis>, CacheStats) {
-        let victims = find_victims_with(recon, &self.cfg.victims, self.cfg.threads);
+        let victims = find_victims(recon, &self.cfg.victims);
         let index = DiagnosisIndex::build(recon, timelines);
-        let cache = self.cfg.cache.then(DiagnosisCache::new);
-        // Contiguous victim shards instead of striping single victims:
-        // neighbouring victims mostly land in the same queuing periods, so
-        // a shard rides its predecessor's step-cache hits and reuses one
-        // scratch allocation for the whole run of victims. Shards merge in
-        // victim order, and every diagnosis is a pure function of its
-        // victim, so the output is identical for any worker count.
-        let chunks = nf_types::chunk_ranges(self.cfg.threads, victims.len());
-        let shards = nf_types::par_map(self.cfg.threads, &chunks, |_, r| {
-            let mut scratch = UpstreamScratch::default();
-            victims[r.clone()]
-                .iter()
-                .map(|&v| {
-                    self.diagnose_indexed(recon, timelines, &index, cache.as_ref(), &mut scratch, v)
-                })
-                .collect::<Vec<Diagnosis>>()
-        });
-        let diagnoses: Vec<Diagnosis> = shards.into_iter().flatten().collect();
+        // Neighbouring victims mostly land in the same queuing periods, so
+        // one cache and one scratch allocation serve the whole run.
+        let mut cache = self.cfg.cache.then(DiagnosisCache::default);
+        let mut scratch = UpstreamScratch::default();
+        let diagnoses = victims
+            .iter()
+            .map(|&v| {
+                self.diagnose_indexed(recon, timelines, &index, cache.as_mut(), &mut scratch, v)
+            })
+            .collect();
         let stats = cache.map(|c| c.stats()).unwrap_or_default();
         (diagnoses, stats)
     }
 
     /// Diagnoses one victim (uncached).
+    ///
+    /// Builds a fresh [`DiagnosisIndex`] per call; batch callers should use
+    /// [`Microscope::diagnose_all`], which builds it once per run.
     pub fn diagnose(
         &self,
         recon: &Reconstruction,
         timelines: &Timelines,
         victim: Victim,
     ) -> Diagnosis {
-        self.diagnose_with(recon, timelines, None, victim)
-    }
-
-    /// Diagnoses one victim, sharing per-period work through `cache` when
-    /// one is supplied. Cache entries are pure functions of their key, so
-    /// the result is identical either way.
-    ///
-    /// Builds a fresh [`DiagnosisIndex`] per call; batch callers should use
-    /// [`Microscope::diagnose_all`], which builds it once per run.
-    pub fn diagnose_with(
-        &self,
-        recon: &Reconstruction,
-        timelines: &Timelines,
-        cache: Option<&DiagnosisCache>,
-        victim: Victim,
-    ) -> Diagnosis {
         let index = DiagnosisIndex::build(recon, timelines);
         let mut scratch = UpstreamScratch::default();
-        self.diagnose_indexed(recon, timelines, &index, cache, &mut scratch, victim)
+        self.diagnose_indexed(recon, timelines, &index, None, &mut scratch, victim)
     }
 
-    /// The per-victim driver over a prebuilt index and per-worker scratch.
+    /// The per-victim driver over a prebuilt index and per-run scratch.
     fn diagnose_indexed(
         &self,
         recon: &Reconstruction,
         timelines: &Timelines,
         index: &DiagnosisIndex,
-        cache: Option<&DiagnosisCache>,
+        cache: Option<&mut DiagnosisCache>,
         scratch: &mut UpstreamScratch,
         victim: Victim,
     ) -> Diagnosis {
@@ -247,7 +217,7 @@ impl Microscope {
         recon: &Reconstruction,
         timelines: &Timelines,
         index: &DiagnosisIndex,
-        cache: Option<&DiagnosisCache>,
+        mut cache: Option<&mut DiagnosisCache>,
         scratch: &mut UpstreamScratch,
         nf: NfId,
         t: Nanos,
@@ -263,11 +233,11 @@ impl Microscope {
         // The whole §4.1 step — period extraction, local scores and the
         // period's culprit flows — is a pure function of (nf, t), so it is
         // shared across every victim that lands in this period.
-        let step = match cache {
+        let step = match cache.as_deref_mut() {
             Some(c) => c.step((nf, t, 0), || {
                 self.make_step(timelines, index, nf, t, scratch)
             }),
-            None => Arc::new(self.make_step(timelines, index, nf, t, scratch)),
+            None => Rc::new(self.make_step(timelines, index, nf, t, scratch)),
         };
         let qp = &step.qp;
         let preset_flows = &step.preset_flows;
@@ -344,8 +314,13 @@ impl Microscope {
                         NodeId::Source,
                         CulpritKind::SourceBurst,
                         s,
+                        // Under per-window skew offsets a source share's
+                        // first arrival can land after the period's end.
                         Interval::new(
-                            share.first_arrival.unwrap_or(qp.interval.start),
+                            share
+                                .first_arrival
+                                .unwrap_or(qp.interval.start)
+                                .min(qp.interval.end),
                             qp.interval.end,
                         ),
                         preset_flows,
@@ -379,7 +354,7 @@ impl Microscope {
                         recon,
                         timelines,
                         index,
-                        cache,
+                        cache.as_deref_mut(),
                         scratch,
                         up,
                         anchor,
@@ -413,7 +388,7 @@ impl Microscope {
             qp,
             scores,
             preset_flows,
-            shares: OnceLock::new(),
+            shares: OnceCell::new(),
         }
     }
 

@@ -37,7 +37,7 @@ pub mod report;
 pub mod streaming;
 pub mod victim;
 
-pub use cache::{CacheStats, DiagnosisCache, DiagnosisCacheCore, DiagnosisStep, StepKey};
+pub use cache::{CacheStats, DiagnosisCache, DiagnosisStep, StepKey};
 pub use diagnose::{Culprit, CulpritKind, Diagnosis, DiagnosisConfig, Microscope};
 pub use index::{DiagnosisIndex, NfColumns};
 pub use local::{local_scores, LocalScores};
@@ -48,6 +48,4 @@ pub use propagation::{
 };
 pub use report::{diagnoses_to_relations, rank_culprits, RankedCulprit};
 pub use streaming::{NfPeriodStats, PeriodTracker};
-pub use victim::{
-    find_victims, find_victims_with, LatencyThreshold, Victim, VictimConfig, VictimKind,
-};
+pub use victim::{find_victims, LatencyThreshold, Victim, VictimConfig, VictimKind};

@@ -85,8 +85,8 @@ pub fn credit_walk_into(
 }
 
 /// Reusable buffers for [`attribute_upstream_with`] and the PreSet flow
-/// histogram: one per worker thread keeps the per-victim hot loops
-/// allocation-free across victims.
+/// histogram: one per run keeps the per-victim hot loops allocation-free
+/// across victims.
 ///
 /// The `path_*` and `flow_*` families are epoch-stamped dense maps keyed by
 /// the interned path/flow ids of [`crate::index::DiagnosisIndex`]: bumping
@@ -168,9 +168,9 @@ pub fn attribute_upstream(
     )
 }
 
-/// [`attribute_upstream`] with caller-owned scratch buffers (one per worker
-/// thread), so diagnosing many victims allocates per distinct path group,
-/// not per packet.
+/// [`attribute_upstream`] with caller-owned scratch buffers (one per run),
+/// so diagnosing many victims allocates per distinct path group, not per
+/// packet.
 pub fn attribute_upstream_with(
     recon: &Reconstruction,
     timeline: &NfTimeline,

@@ -68,10 +68,8 @@ pub struct Victim {
 
 /// Per-NF delay statistics used for the abnormality test.
 ///
-/// Accumulates in exact integer arithmetic (`u128` sums) so that sharded
-/// accumulation merges associatively: the statistics — and therefore the
-/// victim set — are bit-identical no matter how many worker threads the
-/// traces were split across.
+/// Accumulates in exact integer arithmetic (`u128` sums), so the statistics
+/// — and therefore the victim set — do not depend on accumulation order.
 #[derive(Debug, Clone, Copy, Default)]
 struct DelayStats {
     n: u64,
@@ -84,12 +82,6 @@ impl DelayStats {
         self.n += 1;
         self.sum += v as u128;
         self.sum_sq += (v as u128) * (v as u128);
-    }
-
-    fn merge(&mut self, other: &DelayStats) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
     }
 
     fn mean(&self) -> f64 {
@@ -109,43 +101,17 @@ impl DelayStats {
     }
 }
 
-/// Selects victims from a reconstruction (sequential).
+/// Selects victims from a reconstruction, in trace order.
 ///
 /// High-latency packets yield one victim per NF hop whose local delay
 /// (send − arrival) exceeds that NF's `mean + abnormal_sigma·σ`; dropped
 /// packets yield a victim at the dropping NF.
 pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
-    find_victims_with(recon, cfg, 1)
-}
-
-/// [`find_victims`] sharded across `threads` workers (`0` = auto, `1` =
-/// sequential).
-///
-/// Each phase splits the traces into contiguous chunks and merges shard
-/// results in chunk order: latency lists concatenate back into trace
-/// order, delay statistics merge in exact integer arithmetic, and per-shard
-/// victim lists concatenate in trace order — so the returned victims are
-/// bit-identical to the sequential path for any worker count.
-pub fn find_victims_with(
-    recon: &Reconstruction,
-    cfg: &VictimConfig,
-    threads: usize,
-) -> Vec<Victim> {
-    let chunks = nf_types::chunk_ranges(threads, recon.traces.len());
-
     // Latency threshold.
     let threshold = match cfg.latency {
         LatencyThreshold::Absolute(ns) => ns,
         LatencyThreshold::Quantile(q) => {
-            let mut lats: Vec<Nanos> = nf_types::par_map(threads, &chunks, |_, r| {
-                recon.traces[r.clone()]
-                    .iter()
-                    .filter_map(|t| t.latency())
-                    .collect::<Vec<Nanos>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            let mut lats: Vec<Nanos> = recon.traces.iter().filter_map(|t| t.latency()).collect();
             if lats.is_empty() {
                 Nanos::MAX
             } else {
@@ -166,76 +132,57 @@ pub fn find_victims_with(
 
     // Per-NF delay statistics over all hops. Delays saturate at zero:
     // residual skew on corrected multi-server bundles can leave a send
-    // timestamp slightly before the arrival. The hops of a trace range are
-    // contiguous in the shared arena, so shards stream flat memory.
+    // timestamp slightly before the arrival.
     let max_nf = recon
         .hops
         .iter()
         .map(|h| h.nf.0)
         .max()
         .map_or(0, |m| m as usize + 1);
-    let shard_stats: Vec<Vec<DelayStats>> = nf_types::par_map(threads, &chunks, |_, r| {
-        let mut stats = vec![DelayStats::default(); max_nf];
-        for t in r.clone() {
-            for h in recon.hops_of(t) {
-                if let Some(sent) = h.sent_ts {
-                    stats[h.nf.0 as usize].push(sent.saturating_sub(h.arrival_ts));
-                }
-            }
-        }
-        stats
-    });
     let mut stats = vec![DelayStats::default(); max_nf];
-    for shard in &shard_stats {
-        for (s, sh) in stats.iter_mut().zip(shard) {
-            s.merge(sh);
+    for h in &recon.hops {
+        if let Some(sent) = h.sent_ts {
+            stats[h.nf.0 as usize].push(sent.saturating_sub(h.arrival_ts));
         }
     }
 
-    let mut victims: Vec<Victim> = nf_types::par_map(threads, &chunks, |_, r| {
-        let mut out = Vec::new();
-        for t_idx in r.clone() {
-            let tr = &recon.traces[t_idx];
-            match tr.outcome {
-                TraceOutcome::Delivered(_) => {
-                    let Some(lat) = tr.latency() else { continue };
-                    if lat < threshold {
-                        continue;
-                    }
-                    for (h_idx, h) in recon.hops_of(t_idx).iter().enumerate() {
-                        let Some(sent) = h.sent_ts else { continue };
-                        let s = &stats[h.nf.0 as usize];
-                        let delay = sent.saturating_sub(h.arrival_ts) as f64;
-                        if delay > s.mean() + cfg.abnormal_sigma * s.std() {
-                            out.push(Victim {
-                                trace: t_idx,
-                                nf: h.nf,
-                                hop: h_idx,
-                                arrival_ts: h.arrival_ts,
-                                observed_ts: sent,
-                                kind: VictimKind::HighLatency,
-                            });
-                        }
+    let mut victims: Vec<Victim> = Vec::new();
+    for (t_idx, tr) in recon.traces.iter().enumerate() {
+        match tr.outcome {
+            TraceOutcome::Delivered(_) => {
+                let Some(lat) = tr.latency() else { continue };
+                if lat < threshold {
+                    continue;
+                }
+                for (h_idx, h) in recon.hops_of(t_idx).iter().enumerate() {
+                    let Some(sent) = h.sent_ts else { continue };
+                    let s = &stats[h.nf.0 as usize];
+                    let delay = sent.saturating_sub(h.arrival_ts) as f64;
+                    if delay > s.mean() + cfg.abnormal_sigma * s.std() {
+                        victims.push(Victim {
+                            trace: t_idx,
+                            nf: h.nf,
+                            hop: h_idx,
+                            arrival_ts: h.arrival_ts,
+                            observed_ts: sent,
+                            kind: VictimKind::HighLatency,
+                        });
                     }
                 }
-                TraceOutcome::InferredDrop { nf, at } if cfg.include_drops => {
-                    out.push(Victim {
-                        trace: t_idx,
-                        nf,
-                        hop: tr.hop_count(),
-                        arrival_ts: at,
-                        observed_ts: at,
-                        kind: VictimKind::Drop,
-                    });
-                }
-                _ => {}
             }
+            TraceOutcome::InferredDrop { nf, at } if cfg.include_drops => {
+                victims.push(Victim {
+                    trace: t_idx,
+                    nf,
+                    hop: tr.hop_count(),
+                    arrival_ts: at,
+                    observed_ts: at,
+                    kind: VictimKind::Drop,
+                });
+            }
+            _ => {}
         }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    }
 
     if let Some(cap) = cfg.max_victims {
         if victims.len() > cap && cap > 0 {
@@ -437,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_selection_is_identical_to_sequential() {
+    fn mixed_selection_is_in_trace_order_and_repeats() {
         let traces: Vec<TestTrace> = (0..57u64)
             .map(|i| {
                 let t0 = i * 100_000;
@@ -465,12 +412,15 @@ mod tests {
             latency: LatencyThreshold::Quantile(0.8),
             ..Default::default()
         };
-        let sequential = find_victims(&recon, &cfg);
-        assert!(!sequential.is_empty());
-        for threads in [2, 3, 4, 8] {
-            let sharded = find_victims_with(&recon, &cfg, threads);
-            assert_eq!(sharded, sequential, "threads={threads}");
+        let victims = find_victims(&recon, &cfg);
+        for kind in [VictimKind::HighLatency, VictimKind::Drop] {
+            assert!(victims.iter().any(|v| v.kind == kind), "no {kind:?} victim");
         }
+        // Drops and latency victims interleave in (trace, hop) order.
+        assert!(victims
+            .windows(2)
+            .all(|w| (w[0].trace, w[0].hop) < (w[1].trace, w[1].hop)));
+        assert_eq!(find_victims(&recon, &cfg), victims);
     }
 
     #[test]

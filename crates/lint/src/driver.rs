@@ -7,7 +7,6 @@ use crate::frontier::{self, FrontierError, FrontierManifest};
 use crate::graph;
 use crate::hotpath::{HotpathError, HotpathManifest};
 use crate::lexer;
-use crate::manifest::{Manifest, ManifestError};
 use crate::parse;
 use crate::rules::{self, FileCtx, FileKind};
 use crate::wire;
@@ -25,7 +24,6 @@ const VENDORED_DIRS: &[&str] = &["compat", "target"];
 pub enum DriverError {
     Io(PathBuf, std::io::Error),
     Baseline(BaselineError),
-    Manifest(ManifestError),
     Frontier(FrontierError),
     Hotpath(HotpathError),
 }
@@ -35,7 +33,6 @@ impl std::fmt::Display for DriverError {
         match self {
             DriverError::Io(p, e) => write!(f, "{}: {e}", p.display()),
             DriverError::Baseline(e) => write!(f, "{e}"),
-            DriverError::Manifest(e) => write!(f, "{e}"),
             DriverError::Frontier(e) => write!(f, "{e}"),
             DriverError::Hotpath(e) => write!(f, "{e}"),
         }
@@ -47,12 +44,6 @@ impl std::error::Error for DriverError {}
 impl From<BaselineError> for DriverError {
     fn from(e: BaselineError) -> Self {
         DriverError::Baseline(e)
-    }
-}
-
-impl From<ManifestError> for DriverError {
-    fn from(e: ManifestError) -> Self {
-        DriverError::Manifest(e)
     }
 }
 
@@ -76,9 +67,6 @@ pub struct LintRun {
     /// Current R4 site counts per file (before baselining) — what
     /// `--write-baseline` persists.
     pub r4_counts: BTreeMap<String, usize>,
-    /// Modules currently using concurrency primitives (module key → file) —
-    /// what `--write-manifest` persists.
-    pub concurrency_modules: BTreeMap<String, String>,
     /// Growable frontier fields found in streaming scope (manifest key →
     /// file) — what `--write-frontier` scaffolds from.
     pub frontier_fields: BTreeMap<String, String>,
@@ -97,9 +85,9 @@ pub struct LintRun {
     pub files: usize,
 }
 
-/// The R7 module key of a workspace-relative `.rs` path: crate name plus
-/// the module path under `src/`, e.g. `crates/collector/src/ring.rs` →
-/// `collector::ring`. `lib.rs` / `main.rs` / `mod.rs` name their parent.
+/// The module key of a workspace-relative `.rs` path: crate name plus
+/// the module path under `src/`, e.g. `crates/trace/src/windowed.rs` →
+/// `trace::windowed`. `lib.rs` / `main.rs` / `mod.rs` name their parent.
 pub fn module_key(rel_path: &str, crate_name: &str) -> String {
     let mut segs: Vec<&str> = rel_path.split('/').collect();
     // Everything up to and including the `src` component is the crate root.
@@ -272,18 +260,17 @@ pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -
     rules::run_all(&ctx)
 }
 
-/// Runs the full workspace lint rooted at `root` against `baseline`,
-/// `manifest`, and `frontier`.
+/// Runs the full workspace lint rooted at `root` against `baseline` and the
+/// frontier and hotpath manifests.
 ///
-/// R1/R2/R3/R5/R6/R10 findings always gate. R4 sites are folded into
+/// R1/R2/R3/R5/R10 findings always gate. R4 sites are folded into
 /// per-file counts and compared against the baseline: a file over its
 /// allowance contributes one summary finding; a file *under* its allowance
 /// (or a baselined file that no longer exists) is stale drift, which also
-/// gates so the checked-in counts can only ratchet down explicitly. R7
-/// sites are folded into per-module presence and compared against the
-/// concurrency manifest the same two-sided way, and R9 growable fields
-/// against the frontier manifest likewise (unregistered growth gates,
-/// stale or unverifiable entries gate). R11 runs after the walk, once the
+/// gates so the checked-in counts can only ratchet down explicitly. R9
+/// growable fields are compared against the frontier manifest the same
+/// two-sided way (unregistered growth gates, stale or unverifiable entries
+/// gate). R11 runs after the walk, once the
 /// wire-format struct table spans every file in the collector/types
 /// crates. R12/R13/R14 run last, over the workspace call graph built from
 /// every library file (binaries are out of graph scope: a CLI may format
@@ -291,7 +278,6 @@ pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -
 pub fn run(
     root: &Path,
     baseline: &Baseline,
-    manifest: &Manifest,
     frontier_manifest: &FrontierManifest,
     hotpath_manifest: &HotpathManifest,
 ) -> Result<LintRun, DriverError> {
@@ -302,8 +288,6 @@ pub fn run(
     };
     run.findings.extend(r8_kernel_purity(root)?);
     let mut r4_lines: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-    // module key -> (file, first site line, site count)
-    let mut r7_modules: BTreeMap<String, (String, u32, usize)> = BTreeMap::new();
     // R11 needs the struct table from *all* wire-crate files, and R12–R14
     // need the call graph over *all* library files, before any check can
     // run — so every Lib file is parsed in the walk, stashed, and the
@@ -327,14 +311,7 @@ pub fn run(
                 run.findings.push(f);
             }
         }
-        let sites = rules::r7_concurrency_sites(&ctx);
         let key = module_key(&rel, &crate_name);
-        if let Some(&first) = sites.first() {
-            let entry = r7_modules
-                .entry(key.clone())
-                .or_insert_with(|| (rel.clone(), first, 0));
-            entry.2 += sites.len();
-        }
         let parsed = parse::parse(&ctx.lexed);
         // R9: streaming-scope files get the frontier check in-walk.
         if frontier::in_streaming_scope(&key) {
@@ -442,38 +419,6 @@ pub fn run(
         }
     }
 
-    // Manifest comparison (R7): every module using a concurrency primitive
-    // must be registered, and every registered module must still use one.
-    for (module, (file, first, count)) in &r7_modules {
-        run.concurrency_modules.insert(module.clone(), file.clone());
-        if !manifest.modules.contains_key(module) {
-            run.findings.push(Finding {
-                rule: RuleId::ConcurrencyManifest,
-                file: file.clone(),
-                line: *first,
-                message: format!(
-                    "module `{module}` uses atomics/unsafe at {count} site(s) but is \
-                     not registered in concurrency-manifest.toml; register it with a \
-                     reason and add msc-model interleaving tests (DESIGN.md \u{a7}7)"
-                ),
-            });
-        }
-    }
-    for module in manifest.modules.keys() {
-        if !r7_modules.contains_key(module) {
-            run.findings.push(Finding {
-                rule: RuleId::ConcurrencyManifest,
-                file: format!("concurrency-manifest.toml ({module})"),
-                line: 1,
-                message: format!(
-                    "stale manifest: `{module}` is registered but no longer uses any \
-                     concurrency primitive; run \
-                     `cargo run -p msc-lint -- --write-manifest` to drop it"
-                ),
-            });
-        }
-    }
-
     sort_findings(&mut run.findings);
     Ok(run)
 }
@@ -500,8 +445,8 @@ mod tests {
     #[test]
     fn module_keys_name_files_and_roots() {
         assert_eq!(
-            module_key("crates/collector/src/ring.rs", "collector"),
-            "collector::ring"
+            module_key("crates/trace/src/windowed.rs", "trace"),
+            "trace::windowed"
         );
         assert_eq!(module_key("crates/core/src/lib.rs", "core"), "core");
         assert_eq!(module_key("crates/cli/src/main.rs", "cli"), "cli");

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// The fourteen project invariants `msc-lint` enforces.
+/// The twelve project invariants `msc-lint` enforces (ids R6 and R7
+/// belonged to the retired concurrency rules and are not reused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// R1 — HashMap/HashSet iteration order must not reach output.
@@ -15,10 +16,6 @@ pub enum RuleId {
     PanicSurface,
     /// R5 — `unsafe` requires a `// SAFETY:` comment on the preceding line.
     UnsafeAudit,
-    /// R6 — `Ordering::Relaxed` requires a `// ordering:` justification.
-    OrderingJustification,
-    /// R7 — atomics and `unsafe` only in manifest-registered modules.
-    ConcurrencyManifest,
     /// R8 — `crates/kernels` stays dependency-free and `forbid(unsafe_code)`.
     KernelPurity,
     /// R9 — growable collections in streaming scope must be registered in
@@ -46,14 +43,12 @@ pub enum RuleId {
 impl RuleId {
     /// Every rule, in id order — the source of truth for `--explain`
     /// coverage and iteration in tests.
-    pub const ALL: [RuleId; 14] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::OrderSensitivity,
         RuleId::TimeArithmetic,
         RuleId::LossyCast,
         RuleId::PanicSurface,
         RuleId::UnsafeAudit,
-        RuleId::OrderingJustification,
-        RuleId::ConcurrencyManifest,
         RuleId::KernelPurity,
         RuleId::BoundedFrontier,
         RuleId::FloatDeterminism,
@@ -63,7 +58,7 @@ impl RuleId {
         RuleId::DeterminismTaint,
     ];
 
-    /// Short id used in output and tests ("R1".."R11").
+    /// Short id used in output and tests ("R1".."R14").
     pub fn id(self) -> &'static str {
         match self {
             RuleId::OrderSensitivity => "R1",
@@ -71,8 +66,6 @@ impl RuleId {
             RuleId::LossyCast => "R3",
             RuleId::PanicSurface => "R4",
             RuleId::UnsafeAudit => "R5",
-            RuleId::OrderingJustification => "R6",
-            RuleId::ConcurrencyManifest => "R7",
             RuleId::KernelPurity => "R8",
             RuleId::BoundedFrontier => "R9",
             RuleId::FloatDeterminism => "R10",
@@ -98,8 +91,6 @@ impl RuleId {
             RuleId::LossyCast => "lossy-cast",
             RuleId::PanicSurface => "panic-surface",
             RuleId::UnsafeAudit => "unsafe-audit",
-            RuleId::OrderingJustification => "ordering-justification",
-            RuleId::ConcurrencyManifest => "concurrency-manifest",
             RuleId::KernelPurity => "kernel-purity",
             RuleId::BoundedFrontier => "bounded-frontier",
             RuleId::FloatDeterminism => "float-determinism",
@@ -118,16 +109,13 @@ impl RuleId {
             RuleId::TimeArithmetic => Some("time-arith-ok"),
             RuleId::LossyCast => Some("lossy-cast-ok"),
             RuleId::WireParity => Some("wire-parity-ok"),
-            // R4 is governed by the baseline file, R5 by `// SAFETY:`,
-            // R6 by `// ordering:`, R7 by the concurrency manifest, R9 by
+            // R4 is governed by the baseline file, R5 by `// SAFETY:`, R9 by
             // the frontier manifest, R10 by `// float: canonical-order`,
             // R12 by the hotpath manifest plus `// alloc: amortized(..)`
             // at the allocation site, R14 by the R1/R10 source-site
             // suppressions — and R8/R13 have no escape hatch at all.
             RuleId::PanicSurface
             | RuleId::UnsafeAudit
-            | RuleId::OrderingJustification
-            | RuleId::ConcurrencyManifest
             | RuleId::KernelPurity
             | RuleId::BoundedFrontier
             | RuleId::FloatDeterminism
@@ -174,20 +162,6 @@ impl RuleId {
                  `// SAFETY:` comment on the preceding lines stating the \
                  invariant that makes it sound. The comment is the \
                  suppression — there is no other escape hatch."
-            }
-            RuleId::OrderingJustification => {
-                "R6 ordering-justification: `Ordering::Relaxed` needs a \
-                 `// ordering:` comment explaining why no synchronization \
-                 edge is required. Acquire/Release/SeqCst are exempt; the \
-                 msc-model crate is exempt (it implements orderings)."
-            }
-            RuleId::ConcurrencyManifest => {
-                "R7 concurrency-manifest: atomics and `unsafe` may appear \
-                 only in modules registered in concurrency-manifest.toml \
-                 with a one-line reason, so the concurrency surface is a \
-                 reviewable diff backed by msc-model interleaving tests. \
-                 Stale entries (registered modules with no concurrency use) \
-                 gate too. Regenerate with `--write-manifest`."
             }
             RuleId::KernelPurity => {
                 "R8 kernel-purity: crates/kernels must stay dependency-free \
@@ -391,6 +365,9 @@ mod tests {
             assert_eq!(RuleId::from_id(&rule.id().to_lowercase()), Some(rule));
         }
         assert_eq!(RuleId::from_id("R15"), None);
+        // The retired concurrency rules' ids stay unassigned.
+        assert_eq!(RuleId::from_id("R6"), None);
+        assert_eq!(RuleId::from_id("R7"), None);
         assert_eq!(RuleId::from_id(""), None);
     }
 

@@ -15,10 +15,6 @@
 //! * **R4 panic surface** — `unwrap`/`expect` in library code, ratcheted
 //!   down by `lint-baseline.toml`.
 //! * **R5 unsafe audit** — `unsafe` requires a `// SAFETY:` comment.
-//! * **R6 ordering justification** — `Ordering::Relaxed` requires a
-//!   `// ordering:` comment saying why no synchronization is needed.
-//! * **R7 concurrency manifest** — atomics and `unsafe` only in modules
-//!   registered (with a reason) in `concurrency-manifest.toml`.
 //! * **R8 kernel purity** — `crates/kernels` stays dependency-free and
 //!   `#![forbid(unsafe_code)]`.
 //! * **R9 bounded frontier** — growable collections on streaming-scope
@@ -42,7 +38,7 @@
 //! map for the item-aware rules ([`frontier`] R9, [`wire`] R11); [`graph`]
 //! builds the workspace-wide call graph for the interprocedural rules
 //! (R12–R14, rooted at the [`hotpath`] manifest); [`driver`] walks the
-//! workspace and applies the [`baseline`] and the three manifests.
+//! workspace and applies the [`baseline`] and the two manifests.
 //! See DESIGN.md "Determinism invariants and how msc-lint enforces them",
 //! §10 for the item-aware layer, and §11 for the call graph.
 
@@ -55,7 +51,6 @@ pub mod frontier;
 pub mod graph;
 pub mod hotpath;
 pub mod lexer;
-pub mod manifest;
 pub mod parse;
 pub mod rules;
 pub mod wire;
@@ -65,5 +60,4 @@ pub use driver::{lint_source, module_key, run, DriverError, LintRun};
 pub use findings::{sort_findings, to_json, Finding, RuleId};
 pub use frontier::{Bound, FrontierManifest};
 pub use hotpath::HotpathManifest;
-pub use manifest::Manifest;
 pub use rules::{FileCtx, FileKind};

@@ -1,13 +1,13 @@
 //! CLI driver: `cargo run -p msc-lint -- [--root DIR] [--baseline FILE]
-//! [--manifest FILE] [--frontier FILE] [--hotpath FILE]
-//! [--format text|json] [--json] [--write-baseline] [--write-manifest]
+//! [--frontier FILE] [--hotpath FILE]
+//! [--format text|json] [--json] [--write-baseline]
 //! [--write-frontier] [--write-hotpath] [--explain R<N>]`.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use msc_lint::{to_json, Baseline, Bound, FrontierManifest, HotpathManifest, Manifest, RuleId};
+use msc_lint::{to_json, Baseline, Bound, FrontierManifest, HotpathManifest, RuleId};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,13 +17,11 @@ msc-lint — workspace static analysis for determinism/saturation/panic invarian
 usage: cargo run -p msc-lint -- [options]
   --root DIR         workspace root to lint (default: .)
   --baseline FILE    R4 baseline file (default: <root>/lint-baseline.toml)
-  --manifest FILE    R7 concurrency manifest (default: <root>/concurrency-manifest.toml)
   --frontier FILE    R9 frontier manifest (default: <root>/frontier-manifest.toml)
   --hotpath FILE     R12/R13 hotpath manifest (default: <root>/hotpath-manifest.toml)
   --format text|json output format (default: text)
   --json             shorthand for --format json
   --write-baseline   record current R4 counts as the new baseline and exit
-  --write-manifest   record current concurrency modules into the manifest and exit
   --write-frontier   scaffold current frontier fields into the manifest and exit
   --write-hotpath    scaffold current `// hot:`-marked fns into the manifest and exit
   --explain R<N>     print one rule's doc and suppression syntax and exit";
@@ -31,12 +29,10 @@ usage: cargo run -p msc-lint -- [options]
 struct Args {
     root: PathBuf,
     baseline: Option<PathBuf>,
-    manifest: Option<PathBuf>,
     frontier: Option<PathBuf>,
     hotpath: Option<PathBuf>,
     format: Format,
     write_baseline: bool,
-    write_manifest: bool,
     write_frontier: bool,
     write_hotpath: bool,
     explain: Option<RuleId>,
@@ -52,12 +48,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         baseline: None,
-        manifest: None,
         frontier: None,
         hotpath: None,
         format: Format::Text,
         write_baseline: false,
-        write_manifest: false,
         write_frontier: false,
         write_hotpath: false,
         explain: None,
@@ -68,9 +62,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root wants a directory")?),
             "--baseline" => {
                 args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline wants a file")?));
-            }
-            "--manifest" => {
-                args.manifest = Some(PathBuf::from(it.next().ok_or("--manifest wants a file")?));
             }
             "--frontier" => {
                 args.frontier = Some(PathBuf::from(it.next().ok_or("--frontier wants a file")?));
@@ -87,7 +78,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--json" => args.format = Format::Json,
             "--write-baseline" => args.write_baseline = true,
-            "--write-manifest" => args.write_manifest = true,
             "--write-frontier" => args.write_frontier = true,
             "--write-hotpath" => args.write_hotpath = true,
             "--explain" => {
@@ -126,10 +116,6 @@ fn main() -> ExitCode {
         .baseline
         .clone()
         .unwrap_or_else(|| args.root.join("lint-baseline.toml"));
-    let manifest_path = args
-        .manifest
-        .clone()
-        .unwrap_or_else(|| args.root.join("concurrency-manifest.toml"));
     let frontier_path = args
         .frontier
         .clone()
@@ -141,13 +127,6 @@ fn main() -> ExitCode {
 
     let baseline = match Baseline::load(&baseline_path) {
         Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let manifest = match Manifest::load(&manifest_path) {
-        Ok(m) => m,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
@@ -167,7 +146,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let run = match msc_lint::run(&args.root, &baseline, &manifest, &frontier, &hotpath) {
+    let run = match msc_lint::run(&args.root, &baseline, &frontier, &hotpath) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -188,31 +167,6 @@ fn main() -> ExitCode {
             baseline_path.display(),
             new.total(),
             new.r4.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if args.write_manifest {
-        // Keep existing reasons; new modules get a placeholder the reviewer
-        // must replace (the parse rejects empty reasons, not placeholders —
-        // the diff is the gate).
-        let mut new = Manifest::default();
-        for module in run.concurrency_modules.keys() {
-            let reason = manifest
-                .modules
-                .get(module)
-                .cloned()
-                .unwrap_or_else(|| "TODO: justify this module's concurrency protocol".into());
-            new.modules.insert(module.clone(), reason);
-        }
-        if let Err(e) = std::fs::write(&manifest_path, new.render()) {
-            eprintln!("error: write {}: {e}", manifest_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote {} ({} registered concurrency module(s))",
-            manifest_path.display(),
-            new.modules.len()
         );
         return ExitCode::SUCCESS;
     }
@@ -277,13 +231,12 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "msc-lint: {} file(s), {} finding(s), R4 baseline {} site(s) in {} file(s), \
-                 R7 manifest {} module(s), R9 frontier {} field(s), R12 hotpath {} fn(s), \
+                 R9 frontier {} field(s), R12 hotpath {} fn(s), \
                  graph {} node(s) / {} edge(s) / {} scc(s) in {:.1} ms",
                 run.files,
                 run.findings.len(),
                 baseline.total(),
                 baseline.r4.len(),
-                manifest.modules.len(),
                 frontier.fields.len(),
                 hotpath.entries.len(),
                 run.graph_nodes,

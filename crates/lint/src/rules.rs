@@ -687,133 +687,8 @@ pub fn r5_unsafe_audit(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// The crate that *implements* the memory-model semantics: it interprets
-/// orderings rather than relying on them, so R6/R7 stop at its boundary.
-pub const MODEL_CRATE: &str = "model";
-
-/// Atomic / interior-mutability type names that mark a module as part of
-/// the concurrency surface (R7).
-const CONCURRENCY_TYPES: &[&str] = &[
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-    "AtomicPtr",
-    "UnsafeCell",
-];
-
-/// The five atomic memory orderings. `Ordering::<one of these>` is the
-/// signature of atomics code — `std::cmp::Ordering`'s variants
-/// (`Less`/`Equal`/`Greater`) never collide.
-const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// True when tokens at `i` spell `Ordering :: <variant>` for an atomic
-/// ordering variant; returns the variant index.
-fn atomic_ordering_at(toks: &[Tok], i: usize) -> Option<usize> {
-    if toks[i].kind != TokKind::Ident || toks[i].text != "Ordering" {
-        return None;
-    }
-    if toks.get(i + 1).map(|t| t.text.as_str()) != Some("::") {
-        return None;
-    }
-    let v = toks.get(i + 2)?;
-    if v.kind == TokKind::Ident && ATOMIC_ORDERINGS.contains(&v.text.as_str()) {
-        Some(i + 2)
-    } else {
-        None
-    }
-}
-
-/// True when `line` (or the contiguous comment block immediately above it)
-/// carries a comment containing `needle` — the R5/R6 justification scan.
-fn justified(ctx: &FileCtx, line: u32, needle: &str) -> bool {
-    if ctx.lexed.comment_on(line).contains(needle) {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 {
-        let c = ctx.lexed.comment_on(l - 1);
-        if c.is_empty() {
-            return false;
-        }
-        if c.contains(needle) {
-            return true;
-        }
-        l -= 1;
-    }
-    false
-}
-
-/// R6 — ordering justification: every `Ordering::Relaxed` must carry a
-/// `// ordering:` comment on the same line or in the contiguous comment
-/// block immediately above. Acquire/Release/AcqRel/SeqCst are exempt (they
-/// *are* the synchronization; `Relaxed` is the claim that none is needed,
-/// and that claim is what needs writing down). The model crate interprets
-/// orderings rather than relying on them, so it is out of scope.
-pub fn r6_ordering_justification(ctx: &FileCtx) -> Vec<Finding> {
-    if ctx.crate_name == MODEL_CRATE {
-        return Vec::new();
-    }
-    let toks = ctx.toks();
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let Some(v) = atomic_ordering_at(toks, i) else {
-            continue;
-        };
-        if toks[v].text != "Relaxed" || ctx.is_excluded(i) {
-            continue;
-        }
-        if justified(ctx, toks[v].line, "ordering:") {
-            continue;
-        }
-        out.push(Finding {
-            rule: RuleId::OrderingJustification,
-            file: ctx.path.clone(),
-            line: toks[v].line,
-            message: "`Ordering::Relaxed` without a `// ordering:` justification \
-                      comment; state why no synchronization is needed here"
-                .into(),
-        });
-    }
-    out
-}
-
-/// R7 raw sites — lines where this file uses a concurrency primitive: the
-/// `unsafe` keyword, an atomic / `UnsafeCell` type name, or an atomic
-/// memory ordering. The driver folds these into per-module presence and
-/// compares against the checked-in concurrency manifest; files in the
-/// model crate are the enforcement boundary and out of scope.
-pub fn r7_concurrency_sites(ctx: &FileCtx) -> Vec<u32> {
-    if ctx.crate_name == MODEL_CRATE {
-        return Vec::new();
-    }
-    let toks = ctx.toks();
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.is_excluded(i) {
-            continue;
-        }
-        let site = t.text == "unsafe"
-            || CONCURRENCY_TYPES.contains(&t.text.as_str())
-            || atomic_ordering_at(toks, i).is_some();
-        if site {
-            out.push(t.line);
-        }
-    }
-    out.dedup();
-    out
-}
-
 /// Runs every per-file rule (R4 sites are returned raw and baselined in the
-/// driver; R7 sites are collected separately via
-/// [`r7_concurrency_sites`] and folded against the manifest there).
+/// driver).
 pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(r1_order_sensitivity(ctx));
@@ -821,7 +696,6 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     out.extend(r3_lossy_cast(ctx));
     out.extend(r4_panic_sites(ctx));
     out.extend(r5_unsafe_audit(ctx));
-    out.extend(r6_ordering_justification(ctx));
     out.extend(r10_float_determinism(ctx));
     out
 }

@@ -4,9 +4,7 @@
 //! files are data, not compiled code — the driver's workspace walk never
 //! sees them (it only descends into `src/` trees).
 
-use msc_lint::{
-    lint_source, Baseline, FileKind, FrontierManifest, HotpathManifest, Manifest, RuleId,
-};
+use msc_lint::{lint_source, Baseline, FileKind, FrontierManifest, HotpathManifest, RuleId};
 
 /// Lints a fixture as if it lived in an output-producing library crate.
 fn lint_fixture(name: &str, source: &str) -> Vec<(RuleId, u32)> {
@@ -144,12 +142,10 @@ fn baseline_ratchet_round_trip() {
     )
     .expect("fixture lib.rs");
 
-    let none = Manifest::default();
     let exact = Baseline::parse("[r4]\n\"crates/core/src/lib.rs\" = 2\n").expect("baseline");
     let run = msc_lint::run(
         &root,
         &exact,
-        &none,
         &FrontierManifest::default(),
         &HotpathManifest::default(),
     )
@@ -166,7 +162,6 @@ fn baseline_ratchet_round_trip() {
     let run = msc_lint::run(
         &root,
         &tight,
-        &none,
         &FrontierManifest::default(),
         &HotpathManifest::default(),
     )
@@ -179,117 +174,12 @@ fn baseline_ratchet_round_trip() {
     let run = msc_lint::run(
         &root,
         &stale,
-        &none,
         &FrontierManifest::default(),
         &HotpathManifest::default(),
     )
     .expect("lint run");
     assert_eq!(run.findings.len(), 1);
     assert!(run.findings[0].message.contains("stale baseline"));
-
-    std::fs::remove_dir_all(&root).expect("fixture tmp cleanup");
-}
-
-#[test]
-fn r6_fixture_lines() {
-    let got = lint_fixture("r6_relaxed.rs", include_str!("fixtures/r6_relaxed.rs"));
-    // Only the unjustified Relaxed sites gate; same-line and block-above
-    // justifications pass, Acquire/Release/SeqCst are exempt, and the
-    // `#[cfg(test)]` module is out of scope.
-    assert_eq!(
-        got,
-        vec![
-            (RuleId::OrderingJustification, 12),
-            (RuleId::OrderingJustification, 24),
-        ]
-    );
-}
-
-#[test]
-fn r6_does_not_apply_to_the_model_crate() {
-    let got = lint_source(
-        "crates/model/src/exec.rs",
-        "model",
-        FileKind::Lib,
-        include_str!("fixtures/r6_relaxed.rs"),
-    );
-    assert!(got.iter().all(|f| f.rule != RuleId::OrderingJustification));
-}
-
-/// End-to-end R7 semantics through `msc_lint::run` on a materialized
-/// mini-workspace: a registered module passes, an unregistered one gates,
-/// and a registered module with no concurrency use is stale.
-#[test]
-fn concurrency_manifest_round_trip() {
-    let root = std::env::temp_dir().join(format!("msc-lint-manifest-{}", std::process::id()));
-    let src = root.join("crates/queue/src");
-    std::fs::create_dir_all(&src).expect("fixture tmp dir");
-    std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
-    // A module with atomics + unsafe, fully justified for R5/R6 so only R7
-    // is in play.
-    std::fs::write(
-        src.join("ring.rs"),
-        "use std::sync::atomic::{AtomicUsize, Ordering};\n\
-         pub struct R(AtomicUsize);\n\
-         impl R {\n\
-             pub fn get(&self) -> usize {\n\
-                 // ordering: test fixture counter, no publication.\n\
-                 self.0.load(Ordering::Relaxed)\n\
-             }\n\
-         }\n",
-    )
-    .expect("fixture ring.rs");
-    std::fs::write(src.join("lib.rs"), "pub mod ring;\n").expect("fixture lib.rs");
-
-    let baseline = Baseline::default();
-    let registered =
-        Manifest::parse("[modules]\n\"queue::ring\" = \"fixture ring\"\n").expect("manifest");
-    let run = msc_lint::run(
-        &root,
-        &baseline,
-        &registered,
-        &FrontierManifest::default(),
-        &HotpathManifest::default(),
-    )
-    .expect("lint run");
-    assert!(
-        run.findings.is_empty(),
-        "registered module must pass: {:?}",
-        run.findings
-    );
-    assert_eq!(
-        run.concurrency_modules.get("queue::ring"),
-        Some(&"crates/queue/src/ring.rs".to_string())
-    );
-
-    let empty = Manifest::default();
-    let run = msc_lint::run(
-        &root,
-        &baseline,
-        &empty,
-        &FrontierManifest::default(),
-        &HotpathManifest::default(),
-    )
-    .expect("lint run");
-    assert_eq!(run.findings.len(), 1);
-    assert_eq!(run.findings[0].rule, RuleId::ConcurrencyManifest);
-    assert!(run.findings[0].message.contains("not registered"));
-
-    let stale = Manifest::parse(
-        "[modules]\n\"queue::ring\" = \"fixture ring\"\n\"queue::gone\" = \"removed\"\n",
-    )
-    .expect("manifest");
-    let run = msc_lint::run(
-        &root,
-        &baseline,
-        &stale,
-        &FrontierManifest::default(),
-        &HotpathManifest::default(),
-    )
-    .expect("lint run");
-    assert_eq!(run.findings.len(), 1);
-    assert!(run.findings[0].message.contains("stale manifest"));
 
     std::fs::remove_dir_all(&root).expect("fixture tmp cleanup");
 }
@@ -302,10 +192,7 @@ fn lexer_edges_fixture_lines() {
     let got = lint_fixture("lexer_edges.rs", include_str!("fixtures/lexer_edges.rs"));
     assert_eq!(
         got,
-        vec![
-            (RuleId::UnsafeAudit, 22),
-            (RuleId::OrderingJustification, 30),
-        ]
+        vec![(RuleId::UnsafeAudit, 21), (RuleId::UnsafeAudit, 29),]
     );
 }
 
@@ -389,20 +276,13 @@ fn frontier_manifest_round_trip() {
     )
     .expect("fixture lib.rs");
     let baseline = Baseline::default();
-    let none = Manifest::default();
 
     let verified = FrontierManifest::parse(
         "[frontier]\n\"stream::Engine.buf\" = \"evict(evict_old): ring capped at 8\"\n",
     )
     .expect("frontier manifest");
-    let run = msc_lint::run(
-        &root,
-        &baseline,
-        &none,
-        &verified,
-        &HotpathManifest::default(),
-    )
-    .expect("lint run");
+    let run =
+        msc_lint::run(&root, &baseline, &verified, &HotpathManifest::default()).expect("lint run");
     assert!(
         run.findings.is_empty(),
         "verified evictor must pass: {:?}",
@@ -414,8 +294,8 @@ fn frontier_manifest_round_trip() {
     );
 
     let empty = FrontierManifest::default();
-    let run = msc_lint::run(&root, &baseline, &none, &empty, &HotpathManifest::default())
-        .expect("lint run");
+    let run =
+        msc_lint::run(&root, &baseline, &empty, &HotpathManifest::default()).expect("lint run");
     assert_eq!(run.findings.len(), 1);
     assert_eq!(run.findings[0].rule, RuleId::BoundedFrontier);
     assert!(run.findings[0].message.contains("not registered"));
@@ -426,8 +306,8 @@ fn frontier_manifest_round_trip() {
          \"stream::Gone.q\" = \"retained: removed long ago\"\n",
     )
     .expect("frontier manifest");
-    let run = msc_lint::run(&root, &baseline, &none, &gone, &HotpathManifest::default())
-        .expect("lint run");
+    let run =
+        msc_lint::run(&root, &baseline, &gone, &HotpathManifest::default()).expect("lint run");
     assert_eq!(run.findings.len(), 1);
     assert!(run.findings[0].message.contains("stale frontier manifest"));
     assert!(run.findings[0].message.contains("stream::Gone.q"));
@@ -436,14 +316,8 @@ fn frontier_manifest_round_trip() {
         "[frontier]\n\"stream::Engine.buf\" = \"evict(len): does not actually shrink\"\n",
     )
     .expect("frontier manifest");
-    let run = msc_lint::run(
-        &root,
-        &baseline,
-        &none,
-        &unverifiable,
-        &HotpathManifest::default(),
-    )
-    .expect("lint run");
+    let run = msc_lint::run(&root, &baseline, &unverifiable, &HotpathManifest::default())
+        .expect("lint run");
     assert_eq!(run.findings.len(), 1);
     assert!(run.findings[0]
         .message
@@ -471,7 +345,6 @@ fn findings_output_is_deterministic_and_sorted() {
     write_clean_kernels_crate(&root);
 
     let baseline = Baseline::default();
-    let manifest = Manifest::default();
     let frontier = FrontierManifest::default();
     let key = |run: &msc_lint::LintRun| -> Vec<(String, u32, &'static str)> {
         run.findings
@@ -480,8 +353,8 @@ fn findings_output_is_deterministic_and_sorted() {
             .collect()
     };
     let hotpath = HotpathManifest::default();
-    let first = msc_lint::run(&root, &baseline, &manifest, &frontier, &hotpath).expect("lint run");
-    let second = msc_lint::run(&root, &baseline, &manifest, &frontier, &hotpath).expect("lint run");
+    let first = msc_lint::run(&root, &baseline, &frontier, &hotpath).expect("lint run");
+    let second = msc_lint::run(&root, &baseline, &frontier, &hotpath).expect("lint run");
     assert_eq!(key(&first), key(&second));
     assert_eq!(first.findings.len(), 4); // 2 R2 sites × 2 crates
     let keys = key(&first);
@@ -539,7 +412,6 @@ fn hotpath_manifest_round_trip() {
     std::fs::write(src.join("lib.rs"), lib).expect("fixture lib.rs");
     std::fs::write(src.join("deep.rs"), deep).expect("fixture deep.rs");
     let baseline = Baseline::default();
-    let none = Manifest::default();
     let frontier = FrontierManifest::default();
 
     let registered = HotpathManifest::parse(
@@ -548,7 +420,7 @@ fn hotpath_manifest_round_trip() {
          \"gr::check\" = \"fixture check\"\n",
     )
     .expect("hotpath manifest");
-    let run = msc_lint::run(&root, &baseline, &none, &frontier, &registered).expect("lint run");
+    let run = msc_lint::run(&root, &baseline, &frontier, &registered).expect("lint run");
     let got: Vec<(RuleId, &str, u32)> = run
         .findings
         .iter()
@@ -585,14 +457,14 @@ fn hotpath_manifest_round_trip() {
         "// alloc: amortized(fixture caller-reserved)\n    out.push(1);",
     );
     std::fs::write(src.join("deep.rs"), waived).expect("fixture deep.rs");
-    let run = msc_lint::run(&root, &baseline, &none, &frontier, &registered).expect("lint run");
+    let run = msc_lint::run(&root, &baseline, &frontier, &registered).expect("lint run");
     assert_eq!(run.findings.len(), 1, "findings: {:?}", run.findings);
     assert_eq!(run.findings[0].rule, RuleId::PanicFreeKernels);
     std::fs::write(src.join("deep.rs"), deep).expect("fixture deep.rs");
 
     // Two-sided: marked fns missing from the manifest gate...
     let empty = HotpathManifest::default();
-    let run = msc_lint::run(&root, &baseline, &none, &frontier, &empty).expect("lint run");
+    let run = msc_lint::run(&root, &baseline, &frontier, &empty).expect("lint run");
     let unregistered: Vec<&msc_lint::Finding> = run
         .findings
         .iter()
@@ -609,7 +481,7 @@ fn hotpath_manifest_round_trip() {
          \"gr::gone\" = \"removed long ago\"\n",
     )
     .expect("hotpath manifest");
-    let run = msc_lint::run(&root, &baseline, &none, &frontier, &stale).expect("lint run");
+    let run = msc_lint::run(&root, &baseline, &frontier, &stale).expect("lint run");
     assert!(
         run.findings
             .iter()
@@ -701,7 +573,6 @@ fn graph_resolution_shadowing_imports_and_siblings() {
     let run = msc_lint::run(
         &root,
         &Baseline::default(),
-        &Manifest::default(),
         &FrontierManifest::default(),
         &hotpath,
     )
@@ -813,7 +684,6 @@ fn graph_resolution_trait_dispatch_and_field_types() {
     let run = msc_lint::run(
         &root,
         &Baseline::default(),
-        &Manifest::default(),
         &FrontierManifest::default(),
         &hotpath,
     )
@@ -881,7 +751,6 @@ fn graph_resolution_reexports() {
     let run = msc_lint::run(
         &root,
         &Baseline::default(),
-        &Manifest::default(),
         &FrontierManifest::default(),
         &hotpath,
     )
@@ -926,7 +795,6 @@ fn json_output_matches_text_findings() {
     let run = msc_lint::run(
         &root,
         &Baseline::default(),
-        &Manifest::default(),
         &FrontierManifest::default(),
         &HotpathManifest::default(),
     )
@@ -1017,7 +885,6 @@ fn determinism_taint_reaches_wire_sinks() {
     let run = msc_lint::run(
         &root,
         &Baseline::default(),
-        &Manifest::default(),
         &FrontierManifest::default(),
         &HotpathManifest::default(),
     )

@@ -1,31 +1,30 @@
 //! Lexer edge cases: raw strings, nested block comments, and `//` inside
 //! string literals must neither hide real sites nor fabricate phantom ones.
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// `unsafe` and `Ordering::Relaxed` inside a raw string are not code.
+/// `unsafe` and a fake justification inside a raw string are not code.
 pub fn raw_strings() -> &'static str {
-    r#"unsafe { Ordering::Relaxed } // ordering: fake"#
+    r#"unsafe { x.unwrap() } // SAFETY: fake"#
 }
 
 /// A `//` inside a string literal does not start a comment, so no
 /// justification text can be smuggled in through this URL.
 pub fn slashes_in_strings() -> String {
-    let url = "https://example.invalid/ordering:info";
+    let url = "https://example.invalid/SAFETY:info";
     url.to_string()
 }
 
 /* A nested /* block comment */ still hides everything inside it:
-   unsafe { } and Ordering::Relaxed never reach the token stream. */
+   unsafe { } and x.unwrap() never reach the token stream. */
 
 /// SAFETY-free unsafe after the edge cases: the lexer recovered and R5
 /// fires at exactly this declaration's line.
 pub unsafe fn no_safety_comment() {}
 
 /// After a multi-line raw string with hashes, tokens resume on the right
-/// line — this Relaxed has no justification and gates at its exact line.
-pub fn unjustified_after_edges(c: &AtomicU64) -> u64 {
+/// line — this unsafe has no justification and gates at its exact line.
+pub fn unjustified_after_edges(v: &[u64]) -> u64 {
     let marker = r##"multi
 line "# raw"##;
     let _ = marker;
-    c.load(Ordering::Relaxed)
+    unsafe { *v.get_unchecked(0) }
 }

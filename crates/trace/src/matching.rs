@@ -54,12 +54,6 @@ pub struct MatchConfig {
     /// Disable to ablate the order side channel (§5): IPID collisions are
     /// then broken by earliest send time alone, with no lookahead.
     pub use_order_channel: bool,
-    /// Workers for building the per-upstream-edge streams (`0` = auto,
-    /// `1` = sequential). The rx walk itself is inherently sequential (each
-    /// match advances a cursor the next read depends on), but the per-edge
-    /// index construction is independent per upstream. Results merge in
-    /// upstream order, so output is identical for any worker count.
-    pub threads: usize,
 }
 
 impl Default for MatchConfig {
@@ -69,7 +63,6 @@ impl Default for MatchConfig {
             lookahead: 48,
             negative_slack_ns: 0,
             use_order_channel: true,
-            threads: 1,
         }
     }
 }
@@ -344,9 +337,10 @@ pub fn match_downstream(
     );
     debug_assert_eq!(streams.upstreams(down), topology.upstream_nodes(down));
     let upstreams = streams.upstreams(down).to_vec();
-    let mut edges: Vec<EdgeStream> = nf_types::par_map(cfg.threads, &upstreams, |_, &node| {
-        EdgeStream::build(streams, node, down)
-    });
+    let mut edges: Vec<EdgeStream> = upstreams
+        .iter()
+        .map(|&node| EdgeStream::build(streams, node, down))
+        .collect();
     let mut stats = MatchStats::default();
     let mut rx_origin: Vec<Option<(NodeId, usize)>> = vec![None; rx.len()];
     let mut scratch = MatchScratch::default();

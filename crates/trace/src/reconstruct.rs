@@ -110,11 +110,6 @@ pub struct ReconstructionReport {
 pub struct ReconstructionConfig {
     /// Cross-NF matching parameters.
     pub matching: MatchConfig,
-    /// Workers for the per-NF matching fan-out (`0` = auto, `1` =
-    /// sequential). Every NF's matching is independent and results merge in
-    /// NF order, so the reconstruction is bit-identical for any worker
-    /// count.
-    pub threads: usize,
 }
 
 /// Interned upstream-path prefixes, shared by every trace.
@@ -300,35 +295,16 @@ impl Reconstruction {
     }
 }
 
-/// Stage 2 of [`reconstruct`]: matches every NF against its upstreams.
-///
-/// Independent per NF, so the fan-out is sharded into contiguous chunks
-/// ([`nf_types::chunk_ranges`], clamped to the host's CPUs — a single-CPU
-/// host runs strictly sequentially with no worker overhead); concatenating
-/// chunk results in order keeps the output bit-identical to the sequential
-/// path for any worker count. When the NF fan-out is active, the per-edge
-/// parallelism inside `match_downstream` is disabled rather than
-/// oversubscribing with nested worker pools.
+/// Stage 2 of [`reconstruct`]: matches every NF against its upstreams, in
+/// NF order.
 pub fn match_all(
     streams: &EdgeStreams,
     topology: &Topology,
     cfg: &ReconstructionConfig,
 ) -> Vec<EdgeMatch> {
-    let match_cfg = if nf_types::effective_threads(cfg.threads) > 1 {
-        MatchConfig {
-            threads: 1,
-            ..cfg.matching.clone()
-        }
-    } else {
-        cfg.matching.clone()
-    };
-    let chunks = nf_types::chunk_ranges(cfg.threads, topology.len());
-    let per_chunk: Vec<Vec<EdgeMatch>> = nf_types::par_map(cfg.threads, &chunks, |_, r| {
-        r.clone()
-            .map(|nf| match_downstream(streams, topology, NfId(nf as u16), &match_cfg))
-            .collect()
-    });
-    per_chunk.into_iter().flatten().collect()
+    (0..topology.len())
+        .map(|nf| match_downstream(streams, topology, NfId(nf as u16), &cfg.matching))
+        .collect()
 }
 
 /// Stages 3+4 of [`reconstruct`]: walks every source emission through the

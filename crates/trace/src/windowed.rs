@@ -1182,7 +1182,6 @@ mod tests {
             bundle,
             &ReconstructionConfig {
                 matching: cfg.clone(),
-                threads: 1,
             },
         );
         let off_tl = Timelines::build(&off);

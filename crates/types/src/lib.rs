@@ -14,7 +14,6 @@
 pub mod flow;
 pub mod nf;
 pub mod packet;
-pub mod par;
 pub mod time;
 pub mod topology;
 pub mod topology_text;
@@ -22,7 +21,6 @@ pub mod topology_text;
 pub use flow::{fmt_ip, parse_ip, FiveTuple, FlowAggregate, PortRange, Prefix, Proto, ProtoMatch};
 pub use nf::{NfId, NfKind, NodeId, SOURCE_NODE};
 pub use packet::{Ipid, Packet, PacketId};
-pub use par::{chunk_ranges, effective_threads, par_map};
 pub use time::{
     ns_per_packet_to_pps, pps_to_ns_per_packet, Interval, Nanos, TimeDelta, MICROS, MILLIS, SECONDS,
 };
