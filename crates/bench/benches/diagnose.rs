@@ -14,15 +14,25 @@
 //! The JSON records `baseline_diagnose_ms` (cache off) next to the cached
 //! timing plus the cache hit rate, so the perf trajectory stays comparable
 //! across PRs.
+//!
+//! A second, skewed scenario (the same deployment spread over ±2 ms
+//! clocks) times the clock-offset estimator against the implementation it
+//! replaced — the test-only oracle of `msc-trace`'s `skew_equivalence`
+//! suite, included here by path — in the same process on the same bundle.
+//! The two must return identical estimates or the bench fails.
 
 use microscope::{CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope};
 use msc_trace::{
-    assemble, match_all, reconstruct, EdgeStreams, Reconstruction, ReconstructionConfig, Timelines,
+    assemble, estimate_offsets_detailed, estimate_offsets_refined_detailed, match_all, reconstruct,
+    EdgeStreams, Reconstruction, ReconstructionConfig, SkewConfig, Timelines,
 };
 use nf_sim::{paper_nf_configs, Fault, SimConfig, SimOutput, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
 use nf_types::{paper_topology, Topology, MILLIS};
 use std::time::Instant;
+
+#[path = "../../trace/tests/skew_oracle/mod.rs"]
+mod skew_oracle;
 
 /// Sequential reconstruction wall time recorded before the flat-index /
 /// hop-arena rewrite (same scenario, same machine class). Kept as a
@@ -36,7 +46,9 @@ struct Scenario {
     out: SimOutput,
 }
 
-fn scenario(rate_pps: f64, millis: u64, seed: u64) -> Scenario {
+/// `skewed`: spread the NFs over "servers" with ±2 ms clock offsets (what
+/// `microscope record --skew` does).
+fn scenario(rate_pps: f64, millis: u64, seed: u64, skewed: bool) -> Scenario {
     let topology = paper_topology();
     let cfgs = paper_nf_configs(&topology);
     let peak_rates: Vec<f64> = cfgs.iter().map(|c| c.service.peak_rate_pps()).collect();
@@ -48,7 +60,13 @@ fn scenario(rate_pps: f64, millis: u64, seed: u64) -> Scenario {
         seed,
     );
     let packets = gen.generate(0, millis * MILLIS).finalize(0);
-    let mut sim = Simulation::new(topology.clone(), cfgs, SimConfig::default());
+    let mut sim_cfg = SimConfig::default();
+    if skewed {
+        sim_cfg.clock_offsets_ns = (0..topology.len() as i64)
+            .map(|i| (i % 5 - 2) * 1_000_000)
+            .collect();
+    }
+    let mut sim = Simulation::new(topology.clone(), cfgs, sim_cfg);
     // A 1 ms interrupt mid-run produces a burst of genuine victims.
     let nat2 = topology.by_name("nat2").expect("paper topology has nat2");
     sim.add_fault(Fault::Interrupt {
@@ -114,7 +132,7 @@ fn main() {
         (1_000_000.0, 10, 42, 1)
     };
     eprintln!("scenario: paper 16-NF topology, {rate_pps:.0} pps for {millis} ms (seed {seed})");
-    let sc = scenario(rate_pps, millis, seed);
+    let sc = scenario(rate_pps, millis, seed, false);
     eprintln!(
         "simulated {} source packets",
         sc.out.bundle.source_flows.len()
@@ -207,6 +225,47 @@ fn main() {
         baseline_s * 1e3
     );
 
+    // Clock-offset estimation on the skewed twin of the benchmark's
+    // `skew-120ms` shape. Gate first, then time both sides interleaved; the
+    // stage split uses only public calls, so `coarse` includes the one
+    // stream + index build and `refine` is the three passes' remainder.
+    let (skew_rate_pps, skew_millis) = if measure {
+        (700_000.0, 120)
+    } else {
+        (rate_pps, millis)
+    };
+    let skewed = scenario(skew_rate_pps, skew_millis, seed, true);
+    let (topo, bundle, skew_cfg) = (&skewed.topology, &skewed.out.bundle, SkewConfig::default());
+    let estimate = estimate_offsets_refined_detailed(topo, bundle, &skew_cfg);
+    assert_eq!(
+        estimate,
+        skew_oracle::estimate_offsets_refined_detailed(topo, bundle, &skew_cfg),
+        "the estimator and its oracle disagree"
+    );
+    let skew_reps = reps.min(5);
+    let mut skew_s = f64::INFINITY;
+    let mut skew_baseline_s = f64::INFINITY;
+    for _ in 0..skew_reps {
+        skew_s = skew_s.min(time_best(1, || {
+            estimate_offsets_refined_detailed(topo, bundle, &skew_cfg)
+        }));
+        skew_baseline_s = skew_baseline_s.min(time_best(1, || {
+            skew_oracle::estimate_offsets_refined_detailed(topo, bundle, &skew_cfg)
+        }));
+    }
+    let skew_streams_s = time_best(skew_reps, || EdgeStreams::build(topo, bundle));
+    let skew_coarse_s = time_best(skew_reps, || {
+        estimate_offsets_detailed(topo, bundle, &skew_cfg)
+    });
+    eprintln!(
+        "skew estimate {:.1} ms (streams {:.1} ms, streams + index + coarse {:.1} ms), \
+         oracle {:.1} ms, identical offsets",
+        skew_s * 1e3,
+        skew_streams_s * 1e3,
+        skew_coarse_s * 1e3,
+        skew_baseline_s * 1e3
+    );
+
     let json = format!(
         "{{\n  \"bench\": \"diagnose\",\n  \"scenario\": {{\"topology\": \"paper-16nf\", \
          \"rate_pps\": {rate_pps:.0}, \"millis\": {millis}, \"seed\": {seed}, \
@@ -219,7 +278,14 @@ fn main() {
          \"kernel_stage_ms\": {{\"matching_kernel_ms\": {:.3}, \
          \"occupancy_kernel_ms\": {:.3}, \"quantile_kernel_ms\": {:.3}, \
          \"walk_kernel_ms\": {:.3}}},\n  \
-         \"reconstruct_ms\": {:.3},\n  \"diagnose_ms\": {:.3}\n}}\n",
+         \"reconstruct_ms\": {:.3},\n  \"diagnose_ms\": {:.3},\n  \
+         \"skew_scenario\": {{\"rate_pps\": {skew_rate_pps:.0}, \"millis\": {skew_millis}, \
+         \"seed\": {seed}, \"clock_offsets_ms\": \"+-2\", \"source_packets\": {}}},\n  \
+         \"identical_offsets\": true,\n  \
+         \"baseline_skew_estimate_ms\": {:.3},\n  \
+         \"skew_stage_ms\": {{\"streams_build\": {:.3}, \"index_and_coarse\": {:.3}, \
+         \"refine\": {:.3}}},\n  \
+         \"skew_estimate_ms\": {:.3}\n}}\n",
         sc.out.bundle.source_flows.len(),
         seq_diag.len(),
         seq_stats.hit_rate(),
@@ -232,7 +298,13 @@ fn main() {
         quantile_kernel_s * 1e3,
         walk_kernel_s * 1e3,
         recon_s * 1e3,
-        diag_s * 1e3
+        diag_s * 1e3,
+        bundle.source_flows.len(),
+        skew_baseline_s * 1e3,
+        skew_streams_s * 1e3,
+        (skew_coarse_s - skew_streams_s) * 1e3,
+        (skew_s - skew_coarse_s) * 1e3,
+        skew_s * 1e3
     );
 
     if measure {

@@ -7,12 +7,14 @@ use msc_collector::{
 };
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
-    correct_bundle, estimate_offsets_refined, reconstruct, Reconstruction, ReconstructionConfig,
-    SkewConfig, Timelines,
+    correct_bundle, estimate_offsets_refined_detailed, reconstruct, Reconstruction,
+    ReconstructionConfig, SkewConfig, Timelines,
 };
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
-use nf_types::{emit_topology, paper_topology, parse_topology, NodeId, Topology, MICROS, MILLIS};
+use nf_types::{
+    emit_topology, paper_topology, parse_topology, NodeId, TimeDelta, Topology, MICROS, MILLIS,
+};
 use std::path::{Path, PathBuf};
 
 /// Top-level usage text.
@@ -235,6 +237,18 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Whole-run clock offsets for `diagnose --skew` and `skew`. An NF with no
+/// usable samples gets offset 0, which reads exactly like a synchronised
+/// clock — so each such fallback is named on stderr (stdout stays the
+/// report).
+fn estimate_offsets_noting_fallbacks(topology: &Topology, bundle: &TraceBundle) -> Vec<TimeDelta> {
+    let est = estimate_offsets_refined_detailed(topology, bundle, &SkewConfig::default());
+    for note in est.notes(topology) {
+        eprintln!("note: {note}");
+    }
+    est.offsets
+}
+
 /// `microscope diagnose` — the full offline pipeline on saved artifacts.
 pub fn diagnose(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle", "quantile", "top"], &["skew"])?;
@@ -245,7 +259,7 @@ pub fn diagnose(args: &[String]) -> Result<(), String> {
 
     let mut recon_cfg = ReconstructionConfig::default();
     if f.has("skew") {
-        let offsets = estimate_offsets_refined(&topology, &bundle, &SkewConfig::default());
+        let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
         println!("estimated clock offsets (ns): {offsets:?}\n");
         bundle = correct_bundle(&bundle, &offsets);
         recon_cfg.matching.negative_slack_ns = 20 * MICROS;
@@ -413,7 +427,7 @@ pub fn skew(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle"], &[])?;
     let (topology, _) = load_deployment(f.require("topology")?)?;
     let bundle = load_bundle_arg(f.require("bundle")?)?;
-    let offsets = estimate_offsets_refined(&topology, &bundle, &SkewConfig::default());
+    let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
     println!("{:>8} {:>16}", "nf", "offset_ns");
     for (nf, off) in topology.nfs().iter().zip(&offsets) {
         println!("{:>8} {:>16}", nf.name, off);

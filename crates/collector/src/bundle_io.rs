@@ -216,11 +216,14 @@ pub struct BundleChunk {
 ///
 /// Batches are assigned by their batch timestamp and source/flow records by
 /// their record timestamp; relative order within every log is preserved, so
-/// [`concat_chunks`] reproduces the input exactly. A `chunk_ns` of zero is
-/// treated as one chunk covering the whole run.
+/// [`concat_chunks`] reproduces the input exactly. Every boundary is a
+/// multiple of `chunk_ns`; numbering starts at the chunk holding the
+/// earliest record, so a run on clocks far from 0 (`record --skew` puts
+/// every clock at a 10 s epoch) is not preceded by hundreds of empty chunks.
+/// A `chunk_ns` of zero is treated as one chunk covering the whole run.
 pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
     let chunk_ns = chunk_ns.max(1);
-    let max_ts = bundle
+    let (min_ts, max_ts) = bundle
         .logs
         .iter()
         .flat_map(|l| {
@@ -230,13 +233,15 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
                 .chain(l.flows.iter().map(|f| f.ts))
         })
         .chain(bundle.source_flows.iter().map(|f| f.ts))
-        .max();
-    let n_chunks = match max_ts {
         // Empty run: one empty chunk keeps downstream loops uniform.
-        None => 1,
-        // lint: time-arith-ok(chunk count, not a timestamp; t/chunk_ns is far from u64::MAX)
-        Some(t) => (t / chunk_ns + 1) as usize,
-    };
+        .fold(None, |acc: Option<(Nanos, Nanos)>, t| {
+            Some(acc.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))))
+        })
+        .unwrap_or((0, 0));
+    // lint: time-arith-ok(chunk numbers, not timestamps; t/chunk_ns is far from u64::MAX)
+    let first = min_ts / chunk_ns;
+    // lint: time-arith-ok(chunk count: max_ts >= min_ts, so the difference is non-negative)
+    let n_chunks = (max_ts / chunk_ns - first + 1) as usize;
     let empty_logs = || -> Vec<NfLog> {
         bundle
             .logs
@@ -251,14 +256,15 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
     };
     let mut chunks: Vec<BundleChunk> = (1..=n_chunks as u64)
         .map(|i| BundleChunk {
-            until: i * chunk_ns,
+            until: (first + i) * chunk_ns,
             bundle: TraceBundle {
                 logs: empty_logs(),
                 source_flows: Vec::new(),
             },
         })
         .collect();
-    let slot = |ts: Nanos| ((ts / chunk_ns) as usize).min(n_chunks - 1);
+    // lint: time-arith-ok(chunk numbers: every ts >= min_ts, so ts/chunk_ns >= first)
+    let slot = |ts: Nanos| (ts / chunk_ns - first) as usize;
     for (i, log) in bundle.logs.iter().enumerate() {
         for b in &log.rx {
             chunks[slot(b.ts)].bundle.logs[i].rx.push(b.clone());
@@ -493,6 +499,43 @@ mod tests {
             }
             assert_eq!(concat_chunks(&chunks), bundle, "chunk_ns={chunk_ns}");
         }
+    }
+
+    /// Regression: chunks used to be numbered from t = 0, so a run on
+    /// epoch-shifted clocks (`record --skew`: every clock at 10 s) was
+    /// preceded by `epoch / chunk_ns` empty chunks — 200 of a 60 ms run's
+    /// 202 at 50 ms. Only the leading empties go: boundaries stay multiples
+    /// of `chunk_ns`, and a run starting in chunk 0 chunks as it always did.
+    #[test]
+    fn chunking_starts_at_the_first_record_not_at_zero() {
+        const EPOCH: Nanos = 10_000_000_000;
+        let base = sample_bundle();
+        let mut shifted = base.clone();
+        for log in &mut shifted.logs {
+            log.rx.iter_mut().for_each(|b| b.ts += EPOCH);
+            log.tx.iter_mut().for_each(|b| b.ts += EPOCH);
+            log.flows.iter_mut().for_each(|f| f.ts += EPOCH);
+        }
+        shifted.source_flows.iter_mut().for_each(|f| f.ts += EPOCH);
+
+        for chunk_ns in [5_000u64, 50_000] {
+            let chunks = chunk_bundle(&shifted, chunk_ns);
+            let plain = chunk_bundle(&base, chunk_ns);
+            // EPOCH is a multiple of both widths, so the shifted run tiles
+            // exactly like the unshifted one, `EPOCH / chunk_ns` chunks later.
+            assert_eq!(chunks.len(), plain.len(), "chunk_ns={chunk_ns}");
+            for (c, p) in chunks.iter().zip(&plain) {
+                assert_eq!(c.until, p.until + EPOCH);
+                assert_eq!(c.until % chunk_ns, 0);
+            }
+            assert!(
+                !chunks[0].bundle.source_flows.is_empty(),
+                "leading empty chunk"
+            );
+            assert_eq!(concat_chunks(&chunks), shifted, "chunk_ns={chunk_ns}");
+        }
+        // A run whose first record is in chunk 0 still starts at chunk 0.
+        assert_eq!(chunk_bundle(&base, 7_000)[0].until, 7_000);
     }
 
     #[test]

@@ -107,30 +107,75 @@ impl EdgeMatch {
     }
 }
 
-/// One upstream edge stream prepared for matching.
-///
-/// Positions with the same IPID form a contiguous, position-sorted *run* in
-/// `ipid_pos` (built by a counting sort over the 16-bit IPID space), so a
-/// candidate lookup is a bounded scan / `partition_point` over a flat slice
-/// — no hashing, no per-IPID `Vec`s.
+/// Stream positions grouped by IPID, built by a stable counting sort over
+/// the 16-bit IPID space: positions with the same IPID form a contiguous,
+/// position-ascending *run*, so a lookup is a bounded scan /
+/// `partition_point` over a flat slice — no hashing, no per-IPID `Vec`s.
+/// Shared by the matcher (one index per upstream edge) and the clock-skew
+/// estimator (one per NF rx stream).
+pub(crate) struct IpidRuns {
+    /// Run boundaries: the run for IPID `i` is
+    /// `pos[run_start[i]..run_start[i + 1]]`. A fixed-size boxed array so
+    /// `u16` IPID indexing needs no bounds check.
+    pub(crate) run_start: Box<[u32; IPID_SPACE + 1]>,
+    /// Stream positions grouped by IPID, ascending within each run.
+    pub(crate) pos: Vec<u32>,
+    /// Timestamp of each `pos` entry, copied inline so the check after a
+    /// run probe stays on the cache lines the probe just touched instead of
+    /// a scattered load from the stream.
+    pub(crate) ts: Vec<Nanos>,
+}
+
+impl IpidRuns {
+    /// Indexes a stream given as its `(ts, ipid)` entries in position order.
+    pub(crate) fn build(entries: impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone) -> Self {
+        let n = entries.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "stream of {n} positions must fit u32"
+        );
+        // The histogram→offsets step is the chunked prefix-sum kernel: 64K
+        // lanes per index add up across the per-edge / per-NF builds.
+        let mut run_start: Box<[u32; IPID_SPACE + 1]> = boxed_zeroed();
+        for (_, id) in entries.clone() {
+            run_start[id as usize + 1] += 1;
+        }
+        msc_kernels::inclusive_prefix_sum_u32_in_place(&mut run_start[..]);
+        // Stable scatter with the run starts themselves as write heads:
+        // afterwards slot `i` holds run `i`'s end, i.e. run `i + 1`'s
+        // start, so one shift restores the table without a second 256 KiB
+        // array.
+        let mut pos = vec![0u32; n];
+        let mut ts: Vec<Nanos> = vec![0; n];
+        for (p, (t, id)) in entries.enumerate() {
+            let h = &mut run_start[id as usize];
+            pos[*h as usize] = p as u32;
+            ts[*h as usize] = t;
+            *h += 1;
+        }
+        run_start.copy_within(..IPID_SPACE, 1);
+        run_start[0] = 0;
+        Self { run_start, pos, ts }
+    }
+
+    /// The index range of `ipid`'s run within `pos` / `ts`.
+    #[inline]
+    pub(crate) fn run_of(&self, ipid: Ipid) -> std::ops::Range<usize> {
+        self.run_start[ipid as usize] as usize..self.run_start[ipid as usize + 1] as usize
+    }
+}
+
 /// Sentinel in [`EdgeStream::matched`]: position not matched to any rx.
 const UNMATCHED: u32 = u32::MAX;
 
+/// One upstream edge stream prepared for matching.
 struct EdgeStream {
     node: NodeId,
     /// (send ts) per position.
     ts: Vec<Nanos>,
-    /// Positions grouped by IPID: the run for IPID `i` is
-    /// `ipid_pos[run_start[i]..run_start[i + 1]]`, ascending.
-    ipid_pos: Vec<u32>,
-    /// Send timestamp of each `ipid_pos` entry (`ts[ipid_pos[k]]` copied
-    /// inline so the window check after a run probe stays on the cache
-    /// lines the probe just touched instead of a scattered `ts` load).
-    run_ts: Vec<Nanos>,
-    /// Run boundaries. A fixed-size boxed array so `u16` IPID indexing
-    /// needs no bounds check.
-    run_start: Box<[u32; IPID_SPACE + 1]>,
-    /// Lazily-advancing per-IPID cursor: index into `ipid_pos` of the first
+    /// Positions and send timestamps grouped by IPID.
+    runs: IpidRuns,
+    /// Lazily-advancing per-IPID cursor: index into `runs.pos` of the first
     /// entry of that run not yet behind the committed `cursor`. Entries
     /// before it are consumed for good (the edge cursor never moves back),
     /// so each run entry is skipped at most once over the whole match.
@@ -153,62 +198,19 @@ fn boxed_zeroed<const N: usize>() -> Box<[u32; N]> {
 
 impl EdgeStream {
     fn build(streams: &EdgeStreams, node: NodeId, down: NfId) -> Self {
-        let positions = streams.edge_positions(node, down);
-        let n = positions.len();
-        assert!(
-            u32::try_from(n).is_ok(),
-            "edge stream of {n} positions must fit u32"
-        );
-        let mut ts: Vec<Nanos> = Vec::with_capacity(n);
-        let mut ipids: Vec<Ipid> = Vec::with_capacity(n);
-        match node {
-            NodeId::Source => {
-                for &idx in positions {
-                    let e = &streams.source[idx];
-                    ts.push(e.ts);
-                    ipids.push(e.ipid);
-                }
-            }
-            NodeId::Nf(u) => {
-                let tx = &streams.nfs[u.0 as usize].tx;
-                for &idx in positions {
-                    let e = &tx[idx];
-                    ts.push(e.ts);
-                    ipids.push(e.ipid);
-                }
-            }
-        }
-        // Counting sort by IPID (stable, so runs stay position-ascending).
-        // The histogram→offsets step is the chunked prefix-sum kernel: 64K
-        // lanes per edge add up across the per-NF edge builds.
-        let mut run_start: Box<[u32; IPID_SPACE + 1]> = boxed_zeroed();
-        for &id in &ipids {
-            run_start[id as usize + 1] += 1;
-        }
-        msc_kernels::inclusive_prefix_sum_u32_in_place(&mut run_start[..]);
-        let mut heads: Box<[u32; IPID_SPACE]> = boxed_zeroed();
-        heads.copy_from_slice(&run_start[..IPID_SPACE]);
-        let mut ipid_pos = vec![0u32; n];
-        let mut run_ts: Vec<Nanos> = vec![0; n];
-        for (pos, &id) in ipids.iter().enumerate() {
-            let h = &mut heads[id as usize];
-            ipid_pos[*h as usize] = pos as u32;
-            run_ts[*h as usize] = ts[pos];
-            *h += 1;
-        }
-        // The scatter left `heads` at each run's end; the cursors start at
-        // the run beginnings, which `run_start` still holds.
-        let mut ipid_cursor = heads;
-        ipid_cursor.copy_from_slice(&run_start[..IPID_SPACE]);
+        // One gather through the edge's position list; the index build's
+        // two passes then read the compact copies.
+        let (ts, ipids): (Vec<Nanos>, Vec<Ipid>) = streams.edge_entries(node, down).unzip();
+        let runs = IpidRuns::build(ts.iter().copied().zip(ipids.iter().copied()));
+        let mut ipid_cursor: Box<[u32; IPID_SPACE]> = boxed_zeroed();
+        ipid_cursor.copy_from_slice(&runs.run_start[..IPID_SPACE]);
         Self {
             node,
+            matched: vec![UNMATCHED; ts.len()],
             ts,
-            ipid_pos,
-            run_ts,
-            run_start,
+            runs,
             ipid_cursor,
             cursor: 0,
-            matched: vec![UNMATCHED; n],
         }
     }
 
@@ -217,17 +219,17 @@ impl EdgeStream {
     /// past consumed entries (amortized O(1) over a whole match).
     // hot: matcher per-read candidate scan
     fn candidate(&mut self, ipid: Ipid, read_ts: Nanos, cfg: &MatchConfig) -> Option<usize> {
-        let run_end = self.run_start[ipid as usize + 1];
+        let run_end = self.runs.run_start[ipid as usize + 1];
         let mut c = self.ipid_cursor[ipid as usize];
-        while c < run_end && (self.ipid_pos[c as usize] as usize) < self.cursor {
+        while c < run_end && (self.runs.pos[c as usize] as usize) < self.cursor {
             c += 1;
         }
         self.ipid_cursor[ipid as usize] = c;
         if c == run_end {
             return None;
         }
-        let pos = self.ipid_pos[c as usize] as usize;
-        window_ok(self.run_ts[c as usize], read_ts, cfg).then_some(pos)
+        let pos = self.runs.pos[c as usize] as usize;
+        window_ok(self.runs.ts[c as usize], read_ts, cfg).then_some(pos)
     }
 
     /// Same from a speculative `cursor >= self.cursor` (lookahead): the
@@ -249,10 +251,10 @@ impl EdgeStream {
         cfg: &MatchConfig,
     ) -> Option<(usize, Nanos)> {
         let lo = self.ipid_cursor[ipid as usize] as usize;
-        let run = &self.ipid_pos[lo..self.run_start[ipid as usize + 1] as usize];
+        let run = &self.runs.pos[lo..self.runs.run_start[ipid as usize + 1] as usize];
         let i = msc_kernels::gallop_lower_bound_u32(run, cursor as u32);
         let &pos = run.get(i)?;
-        let sent = self.run_ts[lo + i];
+        let sent = self.runs.ts[lo + i];
         window_ok(sent, read_ts, cfg).then_some((pos as usize, sent))
     }
 }

@@ -15,11 +15,18 @@
 //! near-empty ring). Offsets then propagate from the source (offset 0)
 //! through the DAG in topological order, averaging over parallel upstream
 //! estimates.
+//!
+//! One estimation call builds [`EdgeStreams`] once from the raw bundle and
+//! one counting-sort IPID index per NF rx stream ([`IpidRuns`], the
+//! matcher's index). The refinement passes never rewrite the bundle: the
+//! current per-NF offsets are applied as records are read, with exactly the
+//! [`correct_bundle`] arithmetic — which is monotone, so stream order, run
+//! order and every `partition_point` stay valid (DESIGN.md §4(b)).
 
+use crate::matching::IpidRuns;
 use crate::streams::EdgeStreams;
 use msc_collector::TraceBundle;
 use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
-use std::collections::HashMap;
 
 /// Configuration for the estimator.
 #[derive(Debug, Clone)]
@@ -40,58 +47,6 @@ impl Default for SkewConfig {
     }
 }
 
-/// Per-edge raw estimate of `offset(down) − offset(up)`.
-///
-/// Pairs the edge's send stream with the downstream read stream by greedy
-/// in-order IPID matching (both streams preserve the edge's relative packet
-/// order), then takes a low percentile of the read−send deltas. The greedy
-/// pairing occasionally grabs a same-IPID packet from *another* upstream
-/// (collisions), and every true pair carries a non-negative queueing delay;
-/// a percentile between those two failure modes is robust to both.
-fn edge_delta(
-    streams: &EdgeStreams,
-    up: NodeId,
-    down: NfId,
-    cfg: &SkewConfig,
-) -> Option<TimeDelta> {
-    let rx = &streams.nfs[down.0 as usize].rx;
-    // Per-IPID positions in the rx stream for O(log) in-order lookup.
-    let mut rx_by_ipid: HashMap<Ipid, Vec<usize>> = HashMap::new();
-    for (i, e) in rx.iter().enumerate() {
-        rx_by_ipid.entry(e.ipid).or_default().push(i);
-    }
-    // Pairs whose IPID recurs nearby in the rx stream are likely cross-edge
-    // collisions; skip them (we only need *some* clean samples).
-    const AMBIG_DIST: usize = 96;
-    let mut cursor = 0usize;
-    let mut deltas: Vec<TimeDelta> = Vec::new();
-    for pos in 0..streams.edge_len(up, down) {
-        let (tx_ts, ipid) = streams.edge_entry(up, down, pos);
-        let Some(positions) = rx_by_ipid.get(&ipid) else {
-            continue;
-        };
-        let i = positions.partition_point(|&p| p < cursor);
-        let Some(&rx_idx) = positions.get(i) else {
-            continue;
-        };
-        let prev_close = i > 0 && rx_idx.saturating_sub(positions[i - 1]) < AMBIG_DIST;
-        let next_close = positions
-            .get(i + 1)
-            .is_some_and(|&n| n - rx_idx < AMBIG_DIST);
-        cursor = rx_idx + 1;
-        if prev_close || next_close {
-            continue;
-        }
-        deltas.push(rx[rx_idx].ts as i64 - tx_ts as i64);
-    }
-    if deltas.len() < cfg.min_samples {
-        return None;
-    }
-    deltas.sort_unstable();
-    let idx = ((deltas.len() - 1) as f64 * cfg.percentile).round() as usize;
-    Some(deltas[idx])
-}
-
 /// Per-NF offsets plus per-NF availability: which estimates actually came
 /// from edge samples and which are the fallback value.
 ///
@@ -109,6 +64,307 @@ pub struct SkewEstimates {
     pub available: Vec<bool>,
 }
 
+impl SkewEstimates {
+    /// One report note per NF whose offset is the zero fallback rather than
+    /// an estimate, so a whole-run caller can say so instead of passing the
+    /// fallback off as a synchronised clock.
+    pub fn notes(&self, topology: &Topology) -> Vec<String> {
+        self.available
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| !a)
+            .map(|(i, _)| {
+                format!(
+                    "skew estimate unavailable for {}; assumed offset 0",
+                    topology.nf(NfId(i as u16)).name
+                )
+            })
+            .collect()
+    }
+}
+
+/// A record timestamp moved onto the source clock: the one definition of
+/// the rewrite [`correct_bundle`] applies and the estimator applies on read.
+/// Monotone in `ts`, so it preserves the order of any timestamp sequence.
+#[inline]
+fn on_source_clock(ts: Nanos, off: TimeDelta) -> Nanos {
+    (ts as i64).saturating_sub(off).max(0) as Nanos
+}
+
+/// One histogram bin of same-IPID (send, read) deltas: how many fell in
+/// it, and the smallest of them.
+#[derive(Clone, Copy)]
+struct Bin {
+    count: u32,
+    min: TimeDelta,
+}
+
+const EMPTY_BIN: Bin = Bin {
+    count: 0,
+    min: TimeDelta::MAX,
+};
+
+/// Everything one estimation call reads, built once from the raw bundle,
+/// plus the scratch buffers its scans write (so the scans never allocate).
+struct Estimator<'a> {
+    topology: &'a Topology,
+    cfg: &'a SkewConfig,
+    /// The raw bundle's streams; offsets are applied on read.
+    streams: EdgeStreams,
+    /// Per NF: its rx stream grouped by IPID, raw timestamps.
+    rx_runs: Vec<IpidRuns>,
+    /// Per NF: `rx_runs[nf].ts` on the current estimate's clock, refilled
+    /// at the start of every refinement pass.
+    rx_ts: Vec<Vec<Nanos>>,
+    /// Coarse-pass deltas of the edge being scanned.
+    deltas: Vec<TimeDelta>,
+    /// Refinement-pass histogram of the edge being scanned.
+    bins: Vec<Bin>,
+}
+
+impl<'a> Estimator<'a> {
+    fn new(topology: &'a Topology, bundle: &TraceBundle, cfg: &'a SkewConfig) -> Self {
+        let streams = EdgeStreams::build(topology, bundle);
+        let rx_runs: Vec<IpidRuns> = streams
+            .nfs
+            .iter()
+            .map(|s| IpidRuns::build(s.rx.iter().map(|e| (e.ts, e.ipid))))
+            .collect();
+        // Every pairing consumes a distinct read, so no edge yields more
+        // deltas than its downstream rx stream is long.
+        let longest_rx = streams.nfs.iter().map(|s| s.rx.len()).max().unwrap_or(0);
+        Self {
+            topology,
+            cfg,
+            rx_ts: vec![Vec::new(); rx_runs.len()],
+            rx_runs,
+            deltas: Vec::with_capacity(longest_rx),
+            bins: Vec::new(),
+            streams,
+        }
+    }
+
+    /// The coarse pass: per-edge percentile of greedy in-order pairings,
+    /// propagated from the source in topological order, averaging over
+    /// parallel upstream estimates.
+    fn coarse(&mut self) -> SkewEstimates {
+        let mut offsets: Vec<Option<TimeDelta>> = vec![None; self.topology.len()];
+        for &nf in self.topology.topo_order() {
+            let (mut sum, mut n) = (0i64, 0i64);
+            for up in self.topology.upstream_nodes(nf) {
+                let up_offset = match up {
+                    NodeId::Source => Some(0),
+                    NodeId::Nf(u) => offsets[u.0 as usize],
+                };
+                let delta = edge_delta(
+                    self.streams.edge_entries(up, nf),
+                    &self.rx_runs[nf.0 as usize],
+                    &mut self.deltas,
+                    self.cfg,
+                );
+                if let (Some(up_off), Some(delta)) = (up_offset, delta) {
+                    sum += up_off + delta;
+                    n += 1;
+                }
+            }
+            if n > 0 {
+                offsets[nf.0 as usize] = Some(sum / n);
+            }
+        }
+        SkewEstimates {
+            available: offsets.iter().map(Option::is_some).collect(),
+            offsets: offsets.into_iter().map(|o| o.unwrap_or(0)).collect(),
+        }
+    }
+
+    /// One refinement pass at `BIN_NS` histogram bins over a ±`SEARCH_NS`
+    /// window: cross-correlates every edge on the clocks `est` implies and
+    /// folds the residuals back into `est`.
+    fn refine<const BIN_NS: i64, const SEARCH_NS: i64>(&mut self, est: &mut SkewEstimates) {
+        for ((out, runs), &off) in self.rx_ts.iter_mut().zip(&self.rx_runs).zip(&est.offsets) {
+            out.clear();
+            out.extend(runs.ts.iter().map(|&t| on_source_clock(t, off)));
+        }
+        self.bins.clear();
+        self.bins
+            .resize((2 * SEARCH_NS / BIN_NS) as usize + 1, EMPTY_BIN);
+
+        let mut residual = vec![0i64; self.topology.len()];
+        for &nf in self.topology.topo_order() {
+            let (mut sum, mut n) = (0i64, 0i64);
+            for up in self.topology.upstream_nodes(nf) {
+                // `correct_bundle` rewrites NF logs only: source records
+                // stay as recorded.
+                let (up_off, up_res) = match up {
+                    NodeId::Source => (None, 0),
+                    NodeId::Nf(u) => (Some(est.offsets[u.0 as usize]), residual[u.0 as usize]),
+                };
+                let total = bin_pairs::<BIN_NS, SEARCH_NS>(
+                    self.streams.edge_entries(up, nf),
+                    up_off,
+                    &self.rx_runs[nf.0 as usize],
+                    &self.rx_ts[nf.0 as usize],
+                    &mut self.bins,
+                );
+                if total < self.cfg.min_samples {
+                    continue;
+                }
+                let lookback = (1_000_000 / BIN_NS).max(4) as usize;
+                if let Some(delta) = spike_low_edge(&self.bins, total, lookback) {
+                    sum += up_res + delta;
+                    n += 1;
+                }
+            }
+            if n > 0 {
+                residual[nf.0 as usize] = sum / n;
+                est.available[nf.0 as usize] = true;
+            }
+        }
+        for (e, r) in est.offsets.iter_mut().zip(&residual) {
+            *e += r;
+        }
+    }
+}
+
+/// Per-edge raw estimate of `offset(down) − offset(up)`.
+///
+/// Pairs the edge's send stream with the downstream read stream by greedy
+/// in-order IPID matching (both streams preserve the edge's relative packet
+/// order), then takes a low percentile of the read−send deltas. The greedy
+/// pairing occasionally grabs a same-IPID packet from *another* upstream
+/// (collisions), and every true pair carries a non-negative queueing delay;
+/// a percentile between those two failure modes is robust to both.
+fn edge_delta(
+    sends: impl Iterator<Item = (Nanos, Ipid)>,
+    rx: &IpidRuns,
+    deltas: &mut Vec<TimeDelta>,
+    cfg: &SkewConfig,
+) -> Option<TimeDelta> {
+    pair_in_order(sends, rx, deltas);
+    if deltas.is_empty() || deltas.len() < cfg.min_samples {
+        return None;
+    }
+    deltas.sort_unstable();
+    let idx = ((deltas.len() - 1) as f64 * cfg.percentile).round() as usize;
+    deltas.get(idx).copied()
+}
+
+/// The pairing walk of [`edge_delta`]: each send takes the first read of
+/// its IPID at or past the cursor. Fills `deltas` with the read−send deltas
+/// of the unambiguous pairs.
+// hot: coarse-pass in-order IPID pairing walk
+fn pair_in_order(
+    sends: impl Iterator<Item = (Nanos, Ipid)>,
+    rx: &IpidRuns,
+    deltas: &mut Vec<TimeDelta>,
+) {
+    // Pairs whose IPID recurs nearby in the rx stream are likely cross-edge
+    // collisions; skip them (we only need *some* clean samples).
+    const AMBIG_DIST: u32 = 96;
+    deltas.clear();
+    let mut cursor = 0u32;
+    for (tx_ts, ipid) in sends {
+        let run = rx.run_of(ipid);
+        let run_start = run.start;
+        let positions = &rx.pos[run];
+        let i = positions.partition_point(|&p| p < cursor);
+        let Some(&rx_idx) = positions.get(i) else {
+            continue;
+        };
+        let prev_close = i > 0 && rx_idx - positions[i - 1] < AMBIG_DIST;
+        let next_close = positions
+            .get(i + 1)
+            .is_some_and(|&n| n - rx_idx < AMBIG_DIST);
+        cursor = rx_idx + 1;
+        if prev_close || next_close {
+            continue;
+        }
+        // alloc: amortized(the per-call scratch is reserved for the longest rx stream, one delta per read at most)
+        deltas.push((rx.ts[run_start + i] as i64).wrapping_sub(tx_ts as i64));
+    }
+}
+
+/// The pair scan of one cross-correlation pass: every same-IPID (send,
+/// read) pair within ±`SEARCH_NS` votes for its time delta, binned straight
+/// into the dense `bins` (`2·SEARCH_NS/BIN_NS + 1` of them, bin `b`
+/// covering deltas from `b·BIN_NS − SEARCH_NS`). Sends are moved onto the
+/// source clock by `up_off` as they are read (`None`: source records, which
+/// carry it already); `rx_ts` is the downstream rx timestamps already on it,
+/// in `rx`'s run order. Returns the number of pairs binned.
+// hot: refinement-pass same-IPID pair scan
+fn bin_pairs<const BIN_NS: i64, const SEARCH_NS: i64>(
+    sends: impl Iterator<Item = (Nanos, Ipid)>,
+    up_off: Option<TimeDelta>,
+    rx: &IpidRuns,
+    rx_ts: &[Nanos],
+    bins: &mut [Bin],
+) -> usize {
+    bins.fill(EMPTY_BIN);
+    let mut total = 0usize;
+    for (ts, ipid) in sends {
+        let tx_ts = up_off.map_or(ts, |off| on_source_clock(ts, off)) as i64;
+        let Some(times) = rx_ts.get(rx.run_of(ipid)) else {
+            continue;
+        };
+        let lo = times.partition_point(|&t| (t as i64) < tx_ts.wrapping_sub(SEARCH_NS));
+        for &t in &times[lo..] {
+            let d = (t as i64).wrapping_sub(tx_ts);
+            if d > SEARCH_NS {
+                break;
+            }
+            // Below the window only if the rx stream is not time-ordered,
+            // which no collector produces: such a pair casts no vote.
+            let Some(bin) = bins.get_mut((d + SEARCH_NS).div_euclid(BIN_NS) as usize) else {
+                continue;
+            };
+            bin.count += 1;
+            bin.min = bin.min.min(d);
+            total += 1;
+        }
+    }
+    total
+}
+
+/// Locates the low edge of the coherent spike in one edge's histogram (see
+/// [`estimate_offsets_refined`]): `total` pairs were binned, `lookback` is
+/// how many bins below the peak the edge may sit.
+fn spike_low_edge(bins: &[Bin], total: usize, lookback: usize) -> Option<TimeDelta> {
+    let noise = total / (bins.len() - 1).max(1) + 1;
+    // Highest count wins; tied counts resolve to the highest bin.
+    let (peak, peak_n) = bins
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.count > 0)
+        .max_by_key(|&(i, b)| (b.count, i))
+        .map(|(i, b)| (i, b.count as usize))?;
+    if peak_n < 4 * noise {
+        return None; // no coherent spike — refuse rather than guess
+    }
+    // The spike's lower boundary is its steepest rise: queueing delay is
+    // non-negative, so the coherent mass starts abruptly at the residual.
+    // Clamp the scan to the contiguously populated run of bins ending at
+    // the peak: the coherent mass is contiguous by construction, so bins
+    // past the first gap belong to detached collision clusters — scanning
+    // into one used to pick its rise and drag the `min` below far under
+    // the true spike edge (and a peak at the minimum populated bin must
+    // simply scan itself).
+    let lo = peak.saturating_sub(lookback);
+    let run_lo = (lo..peak)
+        .rev()
+        .find(|&b| bins[b].count == 0)
+        .map_or(lo, |gap| gap + 1);
+    let rise = |b: usize| {
+        let below = if b == 0 { 0 } else { bins[b - 1].count };
+        bins[b].count as i64 - below as i64
+    };
+    let edge = (run_lo..=peak).max_by_key(|&b| rise(b)).unwrap_or(peak);
+    bins[edge..=peak]
+        .iter()
+        .filter(|b| b.count > 0)
+        .map(|b| b.min)
+        .min()
+}
+
 /// Estimates each NF's clock offset relative to the traffic source,
 /// reporting which NFs actually had usable edge samples.
 ///
@@ -119,29 +375,7 @@ pub fn estimate_offsets_detailed(
     bundle: &TraceBundle,
     cfg: &SkewConfig,
 ) -> SkewEstimates {
-    let streams = EdgeStreams::build(topology, bundle);
-    let mut offsets: Vec<Option<TimeDelta>> = vec![None; topology.len()];
-
-    for &nf in topology.topo_order() {
-        let mut estimates: Vec<TimeDelta> = Vec::new();
-        for up in topology.upstream_nodes(nf) {
-            let up_offset = match up {
-                NodeId::Source => Some(0),
-                NodeId::Nf(u) => offsets[u.0 as usize],
-            };
-            let (Some(up_off), Some(delta)) = (up_offset, edge_delta(&streams, up, nf, cfg)) else {
-                continue;
-            };
-            estimates.push(up_off + delta);
-        }
-        if !estimates.is_empty() {
-            offsets[nf.0 as usize] = Some(estimates.iter().sum::<i64>() / estimates.len() as i64);
-        }
-    }
-    SkewEstimates {
-        available: offsets.iter().map(Option::is_some).collect(),
-        offsets: offsets.into_iter().map(|o| o.unwrap_or(0)).collect(),
-    }
+    Estimator::new(topology, bundle, cfg).coarse()
 }
 
 /// Estimates each NF's clock offset relative to the traffic source.
@@ -260,122 +494,12 @@ pub fn estimate_offsets_refined_detailed(
     bundle: &TraceBundle,
     cfg: &SkewConfig,
 ) -> SkewEstimates {
-    let coarse = estimate_offsets_detailed(topology, bundle, cfg);
-    let mut est = coarse.offsets;
-    let mut available = coarse.available;
-
-    for (bin_ns, search_ns) in [
-        (100_000i64, 20_000_000i64),
-        (10_000, 2_000_000),
-        (1_000, 200_000),
-    ] {
-        let corrected = correct_bundle(bundle, &est);
-        let streams = EdgeStreams::build(topology, &corrected);
-        let mut residual = vec![0i64; topology.len()];
-        for &nf in topology.topo_order() {
-            let mut estimates: Vec<TimeDelta> = Vec::new();
-            for up in topology.upstream_nodes(nf) {
-                let Some(delta) = edge_residual(&streams, up, nf, bin_ns, search_ns, cfg) else {
-                    continue;
-                };
-                let up_res = match up {
-                    NodeId::Source => 0,
-                    NodeId::Nf(u) => residual[u.0 as usize],
-                };
-                estimates.push(up_res + delta);
-            }
-            if !estimates.is_empty() {
-                residual[nf.0 as usize] = estimates.iter().sum::<i64>() / estimates.len() as i64;
-                available[nf.0 as usize] = true;
-            }
-        }
-        for (e, r) in est.iter_mut().zip(&residual) {
-            *e += r;
-        }
-    }
-    SkewEstimates {
-        offsets: est,
-        available,
-    }
-}
-
-/// One cross-correlation residual estimate for an edge (see
-/// [`estimate_offsets_refined`]).
-fn edge_residual(
-    streams: &EdgeStreams,
-    up: NodeId,
-    down: NfId,
-    bin_ns: i64,
-    search_ns: i64,
-    cfg: &SkewConfig,
-) -> Option<TimeDelta> {
-    let rx = &streams.nfs[down.0 as usize].rx;
-    let mut rx_by_ipid: HashMap<Ipid, Vec<Nanos>> = HashMap::new();
-    for e in rx {
-        rx_by_ipid.entry(e.ipid).or_default().push(e.ts);
-    }
-    let mut deltas: Vec<TimeDelta> = Vec::new();
-    for pos in 0..streams.edge_len(up, down) {
-        let (tx_ts, ipid) = streams.edge_entry(up, down, pos);
-        let Some(times) = rx_by_ipid.get(&ipid) else {
-            continue;
-        };
-        // lint: time-arith-ok(search_ns is already i64; both sides of the comparison are signed deltas)
-        let lo = times.partition_point(|&t| (t as i64) < tx_ts as i64 - search_ns);
-        for &t in &times[lo..] {
-            let d = t as i64 - tx_ts as i64;
-            if d > search_ns {
-                break;
-            }
-            deltas.push(d);
-        }
-    }
-    if deltas.len() < cfg.min_samples {
-        return None;
-    }
-    let mut bins: HashMap<i64, usize> = HashMap::new();
-    for &d in &deltas {
-        *bins.entry(d.div_euclid(bin_ns)).or_default() += 1;
-    }
-    let n_bins = (2 * search_ns / bin_ns) as usize;
-    let noise = deltas.len() / n_bins.max(1) + 1;
-    // Max over the composite key (count, bin): equal counts are broken by
-    // the bin value, so the winner is independent of HashMap order.
-    // lint: order-insensitive(max over the total key (count, bin) — tied counts resolve to the largest bin)
-    let (&peak_bin, &peak_n) = bins.iter().max_by_key(|&(&b, &n)| (n, b))?;
-    if peak_n < 4 * noise {
-        return None; // no coherent spike — refuse rather than guess
-    }
-    // The spike's lower boundary is its steepest rise: queueing delay is
-    // non-negative, so the coherent mass starts abruptly at the residual.
-    // Clamp the scan to the contiguously populated run of bins ending at
-    // the peak: the coherent mass is contiguous by construction, so bins
-    // past the first gap belong to detached collision clusters — scanning
-    // into one used to pick its rise and drag the `min` below far under
-    // the true spike edge (and a peak at the minimum populated bin must
-    // simply scan itself).
-    let mut lo = peak_bin - (1_000_000 / bin_ns).max(4);
-    while lo < peak_bin && !bins.contains_key(&lo) {
-        lo += 1;
-    }
-    let mut run_lo = peak_bin;
-    while run_lo > lo && bins.contains_key(&(run_lo - 1)) {
-        run_lo -= 1;
-    }
-    let edge_bin = (run_lo..=peak_bin)
-        .max_by_key(|b| {
-            bins.get(b).copied().unwrap_or(0) as i64
-                - bins.get(&(b - 1)).copied().unwrap_or(0) as i64
-        })
-        .unwrap_or(peak_bin);
-    deltas
-        .iter()
-        .filter(|&&d| {
-            let b = d.div_euclid(bin_ns);
-            b >= edge_bin && b <= peak_bin
-        })
-        .min()
-        .copied()
+    let mut estimator = Estimator::new(topology, bundle, cfg);
+    let mut est = estimator.coarse();
+    estimator.refine::<100_000, 20_000_000>(&mut est);
+    estimator.refine::<10_000, 2_000_000>(&mut est);
+    estimator.refine::<1_000, 200_000>(&mut est);
+    est
 }
 
 /// Rewrites a bundle onto the source clock by subtracting the per-NF
@@ -384,15 +508,14 @@ pub fn correct_bundle(bundle: &TraceBundle, offsets: &[TimeDelta]) -> TraceBundl
     let mut out = bundle.clone();
     for log in &mut out.logs {
         let off = offsets.get(log.nf.0 as usize).copied().unwrap_or(0);
-        let fix = |ts: Nanos| -> Nanos { (ts as i64).saturating_sub(off).max(0) as Nanos };
         for b in &mut log.rx {
-            b.ts = fix(b.ts);
+            b.ts = on_source_clock(b.ts, off);
         }
         for b in &mut log.tx {
-            b.ts = fix(b.ts);
+            b.ts = on_source_clock(b.ts, off);
         }
         for f in &mut log.flows {
-            f.ts = fix(f.ts);
+            f.ts = on_source_clock(f.ts, off);
         }
     }
     out
@@ -523,6 +646,37 @@ mod tests {
         assert!((est.offsets[0] - 1_000_000).abs() < 5_000);
     }
 
+    /// Regression: whole-run callers used to get a bare offset vector in
+    /// which an NF that received no traffic read "offset 0" — the same as a
+    /// synchronised clock. The refined estimate must flag it and name it.
+    #[test]
+    fn refined_estimates_name_an_nf_that_received_no_traffic() {
+        let topo = chain();
+        let mut c = Collector::new(&topo, CollectorConfig::default());
+        for i in 0..200u16 {
+            let m = PacketMeta {
+                ipid: i,
+                flow: FiveTuple::new(1, 2, 1000 + i, 80, Proto::TCP),
+            };
+            let t = 1_000_000 + i as u64 * 10_000;
+            c.record_source(t, &m);
+            // nat1 (+1 ms clock) reads and drops everything: vpn1 is idle.
+            c.record_rx(NfId(0), t + 1_000 + 1_000_000, &[m]);
+        }
+        let est =
+            estimate_offsets_refined_detailed(&topo, &c.into_bundle(), &SkewConfig::default());
+        assert_eq!(est.available, vec![true, false]);
+        assert!((est.offsets[0] - 1_000_000).abs() <= 1_500, "{est:?}");
+        assert_eq!(est.offsets[1], 0);
+        assert_eq!(
+            est.notes(&topo),
+            vec!["skew estimate unavailable for vpn1; assumed offset 0".to_string()]
+        );
+        let full =
+            estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo), &SkewConfig::default());
+        assert!(full.notes(&topo).is_empty(), "{:?}", full.notes(&topo));
+    }
+
     /// Regression: a streaming window with a quiet edge used to reset that
     /// NF's offset to 0 (the silent `unwrap_or(0)` fallback), stepping its
     /// corrected clock by the full skew mid-run. The tracker must carry the
@@ -587,15 +741,18 @@ mod tests {
             c.record_rx(NfId(1), (ts as i64 + d) as u64, &[m]);
         }
         let streams = EdgeStreams::build(&topo, &c.into_bundle());
-        let got = edge_residual(
-            &streams,
-            NodeId::Nf(NfId(0)),
-            NfId(1),
-            1_000,
-            200_000,
-            &SkewConfig::default(),
-        )
-        .expect("spike is coherent enough to estimate");
+        let rx = IpidRuns::build(streams.nfs[1].rx.iter().map(|e| (e.ts, e.ipid)));
+        let mut bins = vec![EMPTY_BIN; 401];
+        let total = bin_pairs::<1_000, 200_000>(
+            streams.edge_entries(NodeId::Nf(NfId(0)), NfId(1)),
+            Some(0),
+            &rx,
+            &rx.ts,
+            &mut bins,
+        );
+        assert_eq!(total, deltas.len());
+        let got =
+            spike_low_edge(&bins, total, 1_000).expect("spike is coherent enough to estimate");
         assert!(
             (5_000..6_000).contains(&got),
             "edge residual {got} must sit at the spike's low edge, not the cluster"

@@ -278,6 +278,27 @@ impl EdgeStreams {
         }
     }
 
+    /// The `(ts, ipid)` of every packet sent on `(node, down)`, in edge
+    /// order (empty if the edge does not exist).
+    pub fn edge_entries(
+        &self,
+        node: NodeId,
+        down: NfId,
+    ) -> impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone + '_ {
+        self.edge_positions(node, down)
+            .iter()
+            .map(move |&idx| match node {
+                NodeId::Source => {
+                    let e = &self.source[idx];
+                    (e.ts, e.ipid)
+                }
+                NodeId::Nf(u) => {
+                    let e = &self.nfs[u.0 as usize].tx[idx];
+                    (e.ts, e.ipid)
+                }
+            })
+    }
+
     /// Number of packets sent on an edge.
     pub fn edge_len(&self, node: NodeId, down: NfId) -> usize {
         self.edge_positions(node, down).len()
