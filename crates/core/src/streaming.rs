@@ -9,8 +9,8 @@
 //!
 //! This is a monitoring proxy, not the diagnosis input: the final report
 //! still runs the exact period-keyed diagnosis (and its
-//! [`crate::DiagnosisCache`]) over the incrementally built timelines, so
-//! streamed diagnoses stay bit-identical to offline ones.
+//! [`crate::DiagnosisCache`]) over the timelines built when the stream
+//! finishes, so streamed diagnoses stay bit-identical to offline ones.
 
 use nf_types::{Nanos, NfId};
 

@@ -260,23 +260,7 @@ mod tests {
             report: Default::default(),
             paths,
             hop_path_ids,
-            streams: msc_trace::EdgeStreams::build(
-                &{
-                    let mut b = nf_types::Topology::builder();
-                    let a = b.add_nf(nf_types::NfKind::Nat, "nat1");
-                    b.add_entry(a);
-                    b.build().unwrap()
-                },
-                &msc_collector::TraceBundle {
-                    logs: vec![msc_collector::NfLog {
-                        nf: NfId(0),
-                        rx: vec![],
-                        tx: vec![],
-                        flows: vec![],
-                    }],
-                    source_flows: vec![],
-                },
-            ),
+            reads: vec![vec![]],
             rx_to_trace: vec![vec![]],
         }
     }

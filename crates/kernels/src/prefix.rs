@@ -12,8 +12,10 @@ const LANES_U64: usize = 8;
 
 /// In-place inclusive prefix sum: `xs[i] <- xs[0] + .. + xs[i]` (wrapping).
 ///
-/// Used by the matcher's counting-sort index (`run_start` over the 2^16
-/// IPID space) and anywhere a histogram becomes offsets.
+/// For turning a histogram into offsets. No caller in the pipeline since
+/// the IPID index stopped walking the 2^16 IPID space
+/// (`msc_trace::matching::IpidRuns` lays runs out in first-appearance
+/// order); kept with its twin and equivalence tests until the kernel audit.
 // hot: run-offset prefix sum
 pub fn inclusive_prefix_sum_u32_in_place(xs: &mut [u32]) {
     if crate::scalar_forced() {

@@ -173,7 +173,7 @@ impl RuleId {
                 "R9 bounded-frontier: every growable collection field \
                  (Vec/VecDeque/HashMap/HashSet/BTreeMap/BTreeSet/BinaryHeap) \
                  on a struct in streaming scope (msc-stream, trace::windowed, \
-                 core::streaming) must be registered in \
+                 trace::matching, core::streaming) must be registered in \
                  frontier-manifest.toml as `evict(fn): reason` (the named fn \
                  must reach a shrinking call — drain/retain/truncate/clear/\
                  pop_*/split_off/remove — on that field), `fixed: reason` \

@@ -29,7 +29,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Module-key prefixes that put a file in streaming scope for R9.
-pub const STREAMING_SCOPE: &[&str] = &["stream", "trace::windowed", "core::streaming"];
+pub const STREAMING_SCOPE: &[&str] = &[
+    "stream",
+    "trace::windowed",
+    // The windowed engine's send columns and their index live with the
+    // matcher step both reconstructors share.
+    "trace::matching",
+    "core::streaming",
+];
 
 /// Outermost field types R9 considers growable.
 pub const GROWABLE_TYPES: &[&str] = &[

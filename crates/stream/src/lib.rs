@@ -5,9 +5,10 @@
 //! stream of time-ordered [`msc_collector::BundleChunk`]s instead:
 //!
 //! * **Windowed reconstruction** — each chunk advances the watermark of a
-//!   [`msc_trace::WindowedReconstructor`], which matches, walks and commits
-//!   every trace the new watermark proves stable and evicts the consumed
-//!   frontier, so peak memory is bounded by the in-flight window rather
+//!   [`msc_trace::WindowedReconstructor`], which drives the offline matcher
+//!   over the chunk: decides every read the new watermark proves stable,
+//!   forwards the decided packets NF by NF and drops the consumed prefix of
+//!   every column, so peak memory is bounded by the in-flight window rather
 //!   than the run length.
 //! * **Rolling period tracking** — the per-read drain bit folds into a
 //!   [`microscope::PeriodTracker`] for live congestion stats.
@@ -16,12 +17,14 @@
 //!   corrects timestamps before ingestion, carrying the last-known offset
 //!   across quiet windows (and saying so in [`StreamEngine::skew_notes`]).
 //!
-//! With skew correction off (the default), the streamed reconstruction,
-//! timelines, and diagnoses are **bit-identical** to the offline pipeline
-//! on the concatenated bundle — the offline path stays the oracle, and the
-//! equivalence suite diffs the two. The only intentional difference is
-//! `Reconstruction::streams`, which streaming leaves empty (nothing
-//! downstream of timeline construction reads it). Skew mode is *not*
+//! Chunks must arrive in time order, each once: a chunk whose `until` does
+//! not exceed the previous one's, or that carries a record from before it,
+//! is refused with [`StreamError::OutOfOrderChunk`].
+//!
+//! With skew correction off (the default), the streamed [`Reconstruction`],
+//! timelines and diagnoses are **equal** to the offline pipeline's on the
+//! concatenated bundle — the offline path stays the oracle, and the
+//! equivalence suites compare the two whole. Skew mode is *not*
 //! bit-identical: offsets are estimated per window, not over the full run.
 
 #![forbid(unsafe_code)]
@@ -34,6 +37,12 @@ use msc_trace::{
 };
 use nf_types::{Nanos, Topology, MILLIS};
 
+/// With skew on, the watermark lags each chunk boundary by this guard so
+/// records whose *corrected* timestamps land below the boundary are still
+/// undecided when they arrive. It must cover the largest plausible clock
+/// offset magnitude (`record --skew` spreads ±2 ms).
+pub const SKEW_GUARD_NS: Nanos = 5 * MILLIS;
+
 /// Configuration for a [`StreamEngine`].
 #[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
@@ -43,16 +52,11 @@ pub struct StreamConfig {
     /// Enable per-window clock-offset estimation and correction. `None`
     /// (default) trusts the timestamps and keeps bit-identity.
     pub skew: Option<SkewConfig>,
-    /// With skew on, the watermark lags each chunk boundary by this guard
-    /// so records whose *corrected* timestamps land below the boundary are
-    /// still undecided when they arrive. Must cover the largest plausible
-    /// offset magnitude; 0 means use the 5 ms default.
-    pub skew_guard_ns: Nanos,
 }
 
 /// Everything the finished stream yields.
 pub struct StreamOutcome {
-    /// The reconstruction (identical to offline except `streams` is empty).
+    /// The reconstruction (identical to offline).
     pub recon: Reconstruction,
     /// Per-NF timelines (identical to offline).
     pub timelines: Timelines,
@@ -71,7 +75,6 @@ pub struct StreamEngine {
     recon: WindowedReconstructor,
     periods: PeriodTracker,
     skew: Option<SkewTracker>,
-    skew_guard_ns: Nanos,
     // Per-NF (rx, tx, flows) clamp floors: window-to-window jitter in the
     // skew estimate may shift a later chunk slightly below the previous
     // chunk's corrected timestamps, and the matcher's binary searches need
@@ -84,32 +87,22 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// An engine expecting chunks recorded on `topology`.
     pub fn new(topology: &Topology, cfg: StreamConfig) -> Self {
-        let guard = if cfg.skew_guard_ns == 0 {
-            5 * MILLIS
-        } else {
-            cfg.skew_guard_ns
-        };
         Self {
             topology: topology.clone(),
             recon: WindowedReconstructor::new(topology, cfg.matching),
             periods: PeriodTracker::new(topology.len()),
             skew: cfg.skew.map(|sc| SkewTracker::new(topology.len(), sc)),
-            skew_guard_ns: guard,
             skew_floors: vec![(0, 0, 0); topology.len()],
             chunks: 0,
             working_set_peak: 0,
         }
     }
 
-    /// Consumes one chunk: updates skew offsets (if enabled), feeds the
-    /// rolling period tracker, and advances the reconstruction watermark.
+    /// Consumes one chunk: checks it follows the previous one (on the raw
+    /// timestamps), updates skew offsets (if enabled), feeds the rolling
+    /// period tracker, and advances the reconstruction watermark.
     pub fn push_chunk(&mut self, chunk: &BundleChunk) -> Result<(), StreamError> {
-        if chunk.bundle.logs.len() != self.topology.len() {
-            return Err(StreamError::TopologyMismatch {
-                expected: self.topology.len(),
-                got: chunk.bundle.logs.len(),
-            });
-        }
+        self.recon.admit(&chunk.bundle, chunk.until)?;
         let has_records = !chunk.bundle.source_flows.is_empty()
             || chunk
                 .bundle
@@ -131,10 +124,10 @@ impl StreamEngine {
             // below the chunk boundary; lag the watermark so they are
             // still undecided when they arrive.
             self.recon
-                .ingest(&corrected, chunk.until.saturating_sub(self.skew_guard_ns))?;
+                .advance(&corrected, chunk.until.saturating_sub(SKEW_GUARD_NS))?;
         } else {
             self.track_reads(&chunk.bundle);
-            self.recon.ingest_chunk(chunk)?;
+            self.recon.advance(&chunk.bundle, chunk.until)?;
         }
         self.chunks += 1;
         self.working_set_peak = self.working_set_peak.max(self.recon.working_set());
@@ -179,7 +172,7 @@ impl StreamEngine {
         self.recon.report()
     }
 
-    /// Traces committed so far.
+    /// Traces whose outcome is final so far.
     pub fn committed(&self) -> usize {
         self.recon.committed()
     }
@@ -297,8 +290,7 @@ mod tests {
             assert!(engine.chunks() > 0);
             assert!(engine.committed() <= offline.traces.len());
             let out = engine.finish_and_diagnose(rates.clone(), dcfg());
-            assert_eq!(out.recon.traces, offline.traces, "chunk_ms={chunk_ms}");
-            assert_eq!(out.recon.report, offline.report, "chunk_ms={chunk_ms}");
+            assert_eq!(out.recon, offline, "chunk_ms={chunk_ms}");
             assert_eq!(out.timelines, off_tl, "chunk_ms={chunk_ms}");
             assert_eq!(out.diagnoses, off_diag, "chunk_ms={chunk_ms}");
             assert!(out.skew_notes.is_empty());
@@ -353,6 +345,40 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_chunks_are_refused_with_and_without_skew() {
+        let (topology, _, bundle) = paper_run(3, 12);
+        let chunks = chunk_bundle(&bundle, 4 * MILLIS);
+        for skew in [None, Some(SkewConfig::default())] {
+            let cfg = StreamConfig {
+                skew,
+                ..Default::default()
+            };
+            // Swapped: chunk 1 arrives after chunk 2 (checked on the raw
+            // timestamps, before any skew correction moves them).
+            let mut engine = StreamEngine::new(&topology, cfg.clone());
+            engine.push_chunk(&chunks[0]).expect("in order");
+            engine
+                .push_chunk(&chunks[2])
+                .expect("a gap is a larger window");
+            let err = engine.push_chunk(&chunks[1]).expect_err("late chunk");
+            assert!(
+                matches!(
+                    err,
+                    StreamError::OutOfOrderChunk { until, watermark, late: Some(_) }
+                        if until == chunks[1].until && watermark == chunks[2].until
+                ),
+                "{err}"
+            );
+            assert_eq!(engine.chunks(), 2, "a refused chunk is not counted");
+            // Replayed.
+            let mut engine = StreamEngine::new(&topology, cfg);
+            engine.push_chunk(&chunks[0]).expect("in order");
+            let err = engine.push_chunk(&chunks[0]).expect_err("duplicate chunk");
+            assert!(matches!(err, StreamError::OutOfOrderChunk { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn skew_mode_corrects_offsets_and_reports_fallbacks() {
         let topology = paper_topology();
         let cfgs = paper_nf_configs(&topology);
@@ -386,7 +412,6 @@ mod tests {
                 ..Default::default()
             },
             skew: Some(SkewConfig::default()),
-            ..Default::default()
         };
         let mut engine = StreamEngine::new(&topology, cfg);
         for chunk in chunk_bundle(&bundle, 10 * MILLIS) {

@@ -1,4 +1,4 @@
-//! Offline trace reconstruction (§5 of the paper).
+//! Trace reconstruction (§5 of the paper), whole-run and chunk by chunk.
 //!
 //! The collector's records are deliberately lossy: interior NFs identify
 //! packets only by their 16-bit IPID, so two packets with the same IPID can
@@ -16,6 +16,12 @@
 //!    is an order-preserving merge of its upstream send sequences with
 //!    dropped packets removed; matching is therefore an ordered alignment,
 //!    which is how the Fig. 9 ambiguity is resolved ([`matching`]).
+//!
+//! The per-rx matching decision exists once ([`matching`]) and is driven two
+//! ways: [`mod@reconstruct`] indexes a whole run and decides every read;
+//! [`windowed`] appends time-ordered chunks to the same columns, decides the
+//! reads its watermark proves stable and drops what it has consumed. Both
+//! return the same [`Reconstruction`] for the same records.
 //!
 //! On top of the per-packet traces, [`timeline`] builds what the diagnosis
 //! core actually consumes: per-NF arrival/read/send timelines and the
@@ -41,5 +47,5 @@ pub use skew::{
     estimate_offsets_refined_detailed, SkewConfig, SkewEstimates, SkewTracker,
 };
 pub use streams::{EdgeStreams, PacketRef, RxBatchInfo, RxEntry, SourceEntry, TxEntry};
-pub use timeline::{Arrival, ArrivalKind, NfTimeline, NfTimelineBuilder, QueuingPeriod, Timelines};
+pub use timeline::{Arrival, ArrivalKind, NfTimeline, QueuingPeriod, Timelines};
 pub use windowed::{StreamError, WindowedReconstructor};

@@ -20,7 +20,7 @@
 //! drops; sends never reached stay unresolved (in flight at the end of the
 //! run).
 
-use crate::streams::EdgeStreams;
+use crate::streams::{EdgeStreams, RxEntry};
 use nf_types::{Ipid, Nanos, NfId, NodeId, Topology};
 
 /// Size of the IPID value space (`Ipid` is `u16`): the per-edge index is a
@@ -107,17 +107,25 @@ impl EdgeMatch {
     }
 }
 
-/// Stream positions grouped by IPID, built by a stable counting sort over
-/// the 16-bit IPID space: positions with the same IPID form a contiguous,
-/// position-ascending *run*, so a lookup is a bounded scan /
-/// `partition_point` over a flat slice — no hashing, no per-IPID `Vec`s.
-/// Shared by the matcher (one index per upstream edge) and the clock-skew
-/// estimator (one per NF rx stream).
+/// One IPID's run in an [`IpidRuns`]: `pos[begin..end]`. Zeroed = no run.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Run {
+    begin: u32,
+    end: u32,
+}
+
+/// Stream positions grouped by IPID, built by a stable counting sort:
+/// positions with the same IPID form a contiguous, position-ascending
+/// *run*, so a lookup is a bounded scan / `partition_point` over a flat
+/// slice — no hashing, no per-IPID `Vec`s. Runs are laid out in order of
+/// first appearance, which needs no pass over the 2^16 IPID values: building
+/// costs two passes over the entries, whether they are a whole run's or one
+/// chunk's. Shared by the matcher (one index per upstream edge) and the
+/// clock-skew estimator (one per NF rx stream).
 pub(crate) struct IpidRuns {
-    /// Run boundaries: the run for IPID `i` is
-    /// `pos[run_start[i]..run_start[i + 1]]`. A fixed-size boxed array so
-    /// `u16` IPID indexing needs no bounds check.
-    pub(crate) run_start: Box<[u32; IPID_SPACE + 1]>,
+    /// Run boundaries per IPID. A fixed-size boxed array so `u16` IPID
+    /// indexing needs no bounds check; begin and end share a cache line.
+    run: Box<[Run; IPID_SPACE]>,
     /// Stream positions grouped by IPID, ascending within each run.
     pub(crate) pos: Vec<u32>,
     /// Timestamp of each `pos` entry, copied inline so the check after a
@@ -127,114 +135,221 @@ pub(crate) struct IpidRuns {
 }
 
 impl IpidRuns {
+    /// An index over no positions.
+    fn empty() -> Self {
+        let run = match vec![Run::default(); IPID_SPACE]
+            .into_boxed_slice()
+            .try_into()
+        {
+            Ok(b) => b,
+            // The vec is allocated with exactly IPID_SPACE elements.
+            Err(_) => unreachable!("boxed slice length mismatch"),
+        };
+        Self {
+            run,
+            pos: Vec::new(),
+            ts: Vec::new(),
+        }
+    }
+
     /// Indexes a stream given as its `(ts, ipid)` entries in position order.
     pub(crate) fn build(entries: impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone) -> Self {
+        let mut runs = Self::empty();
+        runs.fill(entries, 0);
+        runs
+    }
+
+    /// Fills an index whose run table is all zero: `entries` are the
+    /// stream's positions `first..first + entries.len()` in order.
+    fn fill(
+        &mut self,
+        entries: impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone,
+        first: usize,
+    ) {
         let n = entries.len();
         assert!(
-            u32::try_from(n).is_ok(),
-            "stream of {n} positions must fit u32"
+            u32::try_from(first + n).is_ok(),
+            "stream of {} positions must fit u32",
+            first + n
         );
-        // The histogram→offsets step is the chunked prefix-sum kernel: 64K
-        // lanes per index add up across the per-edge / per-NF builds.
-        let mut run_start: Box<[u32; IPID_SPACE + 1]> = boxed_zeroed();
+        // Histogram into `begin`, then one stable scatter that opens a run
+        // the first time its IPID shows up: `end` is the run's write head,
+        // zero exactly until its first entry lands (the head is then >= 1).
         for (_, id) in entries.clone() {
-            run_start[id as usize + 1] += 1;
+            self.run[id as usize].begin += 1;
         }
-        msc_kernels::inclusive_prefix_sum_u32_in_place(&mut run_start[..]);
-        // Stable scatter with the run starts themselves as write heads:
-        // afterwards slot `i` holds run `i`'s end, i.e. run `i + 1`'s
-        // start, so one shift restores the table without a second 256 KiB
-        // array.
-        let mut pos = vec![0u32; n];
-        let mut ts: Vec<Nanos> = vec![0; n];
+        self.pos.clear();
+        self.pos.resize(n, 0);
+        self.ts.clear();
+        self.ts.resize(n, 0);
+        let mut free = 0u32;
         for (p, (t, id)) in entries.enumerate() {
-            let h = &mut run_start[id as usize];
-            pos[*h as usize] = p as u32;
-            ts[*h as usize] = t;
-            *h += 1;
+            let run = &mut self.run[id as usize];
+            if run.end == 0 {
+                let len = run.begin;
+                (run.begin, run.end) = (free, free);
+                free += len;
+            }
+            self.pos[run.end as usize] = (first + p) as u32;
+            self.ts[run.end as usize] = t;
+            run.end += 1;
         }
-        run_start.copy_within(..IPID_SPACE, 1);
-        run_start[0] = 0;
-        Self { run_start, pos, ts }
+    }
+
+    /// Zeroes the runs of `ipids`: with every indexed IPID listed, the
+    /// table is ready for [`Self::fill`] again.
+    fn clear(&mut self, ipids: &[Ipid]) {
+        for &id in ipids {
+            self.run[id as usize] = Run::default();
+        }
     }
 
     /// The index range of `ipid`'s run within `pos` / `ts`.
     #[inline]
     pub(crate) fn run_of(&self, ipid: Ipid) -> std::ops::Range<usize> {
-        self.run_start[ipid as usize] as usize..self.run_start[ipid as usize + 1] as usize
+        let run = self.run[ipid as usize];
+        run.begin as usize..run.end as usize
     }
 }
 
 /// Sentinel in [`EdgeStream::matched`]: position not matched to any rx.
-const UNMATCHED: u32 = u32::MAX;
+pub(crate) const UNMATCHED: u32 = u32::MAX;
 
-/// One upstream edge stream prepared for matching.
-struct EdgeStream {
-    node: NodeId,
-    /// (send ts) per position.
+/// The sends of one upstream edge as flat columns indexed by edge position,
+/// plus the matcher's committed state on them. Offline the columns hold the
+/// whole run; the streaming reconstructor appends per chunk and drops the
+/// prefix it has consumed, so column index = position − `base`.
+#[derive(Default)]
+pub(crate) struct EdgeStream {
+    /// Position of the first retained column entry (0 offline).
+    pub(crate) base: usize,
+    /// Send timestamp per retained position.
     ts: Vec<Nanos>,
-    /// Positions and send timestamps grouped by IPID.
-    runs: IpidRuns,
-    /// Lazily-advancing per-IPID cursor: index into `runs.pos` of the first
-    /// entry of that run not yet behind the committed `cursor`. Entries
-    /// before it are consumed for good (the edge cursor never moves back),
-    /// so each run entry is skipped at most once over the whole match.
-    ipid_cursor: Box<[u32; IPID_SPACE]>,
-    /// Next unconsumed position.
-    cursor: usize,
-    /// Matched rx index per position ([`UNMATCHED`] = skipped or unreached).
-    matched: Vec<u32>,
-}
-
-/// Heap-allocates a zeroed fixed-size `u32` array directly (the IPID
-/// tables are 256 KiB — too big to build on the stack and move).
-fn boxed_zeroed<const N: usize>() -> Box<[u32; N]> {
-    match vec![0u32; N].into_boxed_slice().try_into() {
-        Ok(b) => b,
-        // The vec is allocated with exactly N elements.
-        Err(_) => unreachable!("boxed slice length mismatch"),
-    }
+    /// IPID per retained position.
+    ipid: Vec<Ipid>,
+    /// Matched rx index per retained position ([`UNMATCHED`] = skipped if
+    /// behind `cursor`, not reached yet otherwise).
+    pub(crate) matched: Vec<u32>,
+    /// Next unconsumed position: everything before it is decided.
+    pub(crate) cursor: usize,
 }
 
 impl EdgeStream {
-    fn build(streams: &EdgeStreams, node: NodeId, down: NfId) -> Self {
-        // One gather through the edge's position list; the index build's
-        // two passes then read the compact copies.
-        let (ts, ipids): (Vec<Nanos>, Vec<Ipid>) = streams.edge_entries(node, down).unzip();
-        let runs = IpidRuns::build(ts.iter().copied().zip(ipids.iter().copied()));
-        let mut ipid_cursor: Box<[u32; IPID_SPACE]> = boxed_zeroed();
-        ipid_cursor.copy_from_slice(&runs.run_start[..IPID_SPACE]);
+    /// Appends one send, returning its edge position.
+    pub(crate) fn push(&mut self, ts: Nanos, ipid: Ipid) -> usize {
+        self.ts.push(ts);
+        self.ipid.push(ipid);
+        self.matched.push(UNMATCHED);
+        self.base + self.matched.len() - 1
+    }
+
+    /// Appends a run of sends in edge order.
+    fn extend(&mut self, entries: impl ExactSizeIterator<Item = (Nanos, Ipid)>) {
+        let n = self.matched.len() + entries.len();
+        self.ts.reserve_exact(entries.len());
+        self.ipid.reserve_exact(entries.len());
+        for (ts, ipid) in entries {
+            self.ts.push(ts);
+            self.ipid.push(ipid);
+        }
+        self.matched.resize(n, UNMATCHED);
+    }
+
+    /// Send timestamp of a retained position.
+    pub(crate) fn ts_at(&self, pos: usize) -> Nanos {
+        self.ts[pos - self.base]
+    }
+
+    /// Drops the first `n` retained positions (all behind the cursor).
+    pub(crate) fn drop_prefix(&mut self, n: usize) {
+        debug_assert!(self.base + n <= self.cursor);
+        self.ts.drain(..n);
+        self.ipid.drain(..n);
+        self.matched.drain(..n);
+        self.base += n;
+    }
+
+    /// Bytes held by the columns.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ts.capacity() * size_of::<Nanos>()
+            + self.ipid.capacity() * size_of::<Ipid>()
+            + self.matched.capacity() * size_of::<u32>()
+    }
+}
+
+/// The per-IPID index over the undecided tail of one [`EdgeStream`]
+/// (positions `cursor..end` at build time). Holds positions, not column
+/// offsets, so it stays valid while the edge's consumed prefix is dropped;
+/// it goes stale only when sends are appended.
+///
+/// Each run's `begin` doubles as a lazily-advancing per-IPID cursor: the
+/// first entry of that run not yet behind the edge's committed `cursor`.
+/// Entries before it are consumed for good (the edge cursor never moves
+/// back), so each run entry is skipped at most once over the whole match.
+pub(crate) struct EdgeIndex {
+    /// Positions and send timestamps grouped by IPID.
+    runs: IpidRuns,
+    /// The IPIDs indexed, to clear exactly their runs on the next rebuild.
+    indexed: Vec<Ipid>,
+}
+
+impl EdgeIndex {
+    pub(crate) fn new() -> Self {
         Self {
-            node,
-            matched: vec![UNMATCHED; ts.len()],
-            ts,
-            runs,
-            ipid_cursor,
-            cursor: 0,
+            runs: IpidRuns::empty(),
+            indexed: Vec::new(),
         }
     }
 
-    /// First position `>= self.cursor` with `ipid`, sent at or before
-    /// `read_ts` and within the delay bound. Advances the per-IPID cursor
-    /// past consumed entries (amortized O(1) over a whole match).
+    /// Re-indexes `edge`'s undecided tail, reusing the tables: work
+    /// proportional to the old and the new tail, not to the IPID space.
+    pub(crate) fn rebuild(&mut self, edge: &EdgeStream) {
+        let from = edge.cursor - edge.base;
+        self.runs.clear(&self.indexed);
+        self.indexed.clear();
+        self.indexed.extend_from_slice(&edge.ipid[from..]);
+        let tail = edge.ts[from..].iter().copied();
+        self.runs
+            .fill(tail.zip(self.indexed.iter().copied()), edge.cursor);
+    }
+
+    /// Bytes held by the run arrays (the 512 KiB run table is fixed).
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.runs.ts.capacity() * size_of::<Nanos>()
+            + self.runs.pos.capacity() * size_of::<u32>()
+            + self.indexed.capacity() * size_of::<Ipid>()
+    }
+
+    /// First position `>= cursor` (the edge's committed cursor) with
+    /// `ipid`, sent at or before `read_ts` and within the delay bound.
+    /// Advances the per-IPID cursor past consumed entries (amortized O(1)
+    /// over a whole match). Returns the position and its send timestamp.
     // hot: matcher per-read candidate scan
-    fn candidate(&mut self, ipid: Ipid, read_ts: Nanos, cfg: &MatchConfig) -> Option<usize> {
-        let run_end = self.runs.run_start[ipid as usize + 1];
-        let mut c = self.ipid_cursor[ipid as usize];
-        while c < run_end && (self.runs.pos[c as usize] as usize) < self.cursor {
+    fn candidate(
+        &mut self,
+        cursor: usize,
+        ipid: Ipid,
+        read_ts: Nanos,
+        cfg: &MatchConfig,
+    ) -> Option<(usize, Nanos)> {
+        let run = &mut self.runs.run[ipid as usize];
+        let mut c = run.begin;
+        while c < run.end && (self.runs.pos[c as usize] as usize) < cursor {
             c += 1;
         }
-        self.ipid_cursor[ipid as usize] = c;
-        if c == run_end {
+        run.begin = c;
+        if c == run.end {
             return None;
         }
-        let pos = self.runs.pos[c as usize] as usize;
-        window_ok(self.runs.ts[c as usize], read_ts, cfg).then_some(pos)
+        let sent = self.runs.ts[c as usize];
+        window_ok(sent, read_ts, cfg).then_some((self.runs.pos[c as usize] as usize, sent))
     }
 
-    /// Same from a speculative `cursor >= self.cursor` (lookahead): the
-    /// first unconsumed run entry at or past `cursor`, window-checked.
-    /// Returns the position and its send timestamp.
+    /// Same from a speculative `cursor` at or past the committed one
+    /// (lookahead): the first unconsumed run entry at or past `cursor`,
+    /// window-checked.
     ///
     /// This is the single hottest lookup of the whole pipeline (once per
     /// edge per rx step of every lookahead playout). Speculative cursors
@@ -250,8 +365,8 @@ impl EdgeStream {
         read_ts: Nanos,
         cfg: &MatchConfig,
     ) -> Option<(usize, Nanos)> {
-        let lo = self.ipid_cursor[ipid as usize] as usize;
-        let run = &self.runs.pos[lo..self.runs.run_start[ipid as usize + 1] as usize];
+        let lo = self.runs.run[ipid as usize].begin as usize;
+        let run = &self.runs.pos[self.runs.run_of(ipid)];
         let i = msc_kernels::gallop_lower_bound_u32(run, cursor as u32);
         let &pos = run.get(i)?;
         let sent = self.runs.ts[lo + i];
@@ -267,17 +382,6 @@ fn window_ok(sent: Nanos, read_ts: Nanos, cfg: &MatchConfig) -> bool {
         && read_ts.saturating_sub(sent) <= cfg.delay_bound_ns
 }
 
-/// Reusable buffers for [`match_downstream`]: the per-rx candidate list and
-/// the speculative per-edge cursors used by lookahead. Kept across rx
-/// entries and ambiguity candidates so the hot loop never allocates.
-#[derive(Default)]
-struct MatchScratch {
-    /// (edge idx, pos) candidates for the current rx entry.
-    cands: Vec<(usize, usize)>,
-    /// Speculative per-edge cursors for one lookahead playout.
-    cursors: Vec<usize>,
-}
-
 /// Greedy alignment score used to break collisions: with the given per-edge
 /// cursors, how many of the next `depth` rx entries match greedily
 /// (earliest-send candidate, no nested ambiguity handling)?
@@ -291,25 +395,23 @@ struct MatchScratch {
 /// walk.
 // hot: ambiguity-playout inner walk
 fn lookahead_score(
-    edges: &[EdgeStream],
+    index: &[EdgeIndex],
     cursors: &mut [usize],
-    rx: &[crate::streams::RxEntry],
-    rx_from: usize,
+    rx: &[RxEntry],
     depth: usize,
     cfg: &MatchConfig,
     beat: usize,
 ) -> usize {
     let mut score = 0;
-    let take = depth.min(rx.len() - rx_from);
-    let mut remaining = take;
-    for r in rx[rx_from..].iter().take(depth) {
+    let mut remaining = depth.min(rx.len());
+    for r in rx.iter().take(depth) {
         if score + remaining <= beat {
             return score;
         }
         remaining -= 1;
         let mut best: Option<(Nanos, usize, usize)> = None; // (ts, edge, pos)
-        for (e_idx, e) in edges.iter().enumerate() {
-            if let Some((pos, sent)) = e.candidate_from(cursors[e_idx], r.ipid, r.ts, cfg) {
+        for (e_idx, ix) in index.iter().enumerate() {
+            if let Some((pos, sent)) = ix.candidate_from(cursors[e_idx], r.ipid, r.ts, cfg) {
                 let key = (sent, e_idx, pos);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -324,7 +426,122 @@ fn lookahead_score(
     score
 }
 
-/// Matches the rx stream of `down` against its upstream edge streams.
+/// The resumable matcher of one downstream NF: its upstream edge streams in
+/// slot order, the running tallies, and the buffers [`Self::decide`] reuses
+/// so the per-rx step never allocates. Both reconstructors drive it: offline
+/// appends the whole run and decides every rx entry in one go; the streaming
+/// one appends a chunk, decides the prefix its watermark proves stable and
+/// comes back with the next chunk.
+pub(crate) struct NfMatcher {
+    /// Upstream edges in slot order ([`Topology::upstream_nodes`] order).
+    pub(crate) edges: Vec<EdgeStream>,
+    pub(crate) stats: MatchStats,
+    /// (send ts, edge slot, pos) candidates for the current rx entry.
+    cands: Vec<(Nanos, usize, usize)>,
+    /// Speculative per-edge cursors for one lookahead playout.
+    cursors: Vec<usize>,
+}
+
+impl NfMatcher {
+    /// A matcher over `n_edges` empty upstream edges.
+    pub(crate) fn new(n_edges: usize) -> Self {
+        Self {
+            edges: (0..n_edges).map(|_| EdgeStream::default()).collect(),
+            stats: MatchStats::default(),
+            cands: Vec::with_capacity(n_edges),
+            cursors: Vec::with_capacity(n_edges),
+        }
+    }
+
+    /// Decides rx entry `rx[k]`, recorded under the flat rx index
+    /// `rx_base + k`: finds its candidate on every edge (`index[slot]` must
+    /// cover `edges[slot]`'s undecided tail), breaks a collision by playing
+    /// each choice forward over `rx[k + 1..]`, and commits the winner —
+    /// `matched`, the edge cursor, the tallies. Positions the cursor jumps
+    /// over stay [`UNMATCHED`] behind it: inferred drops. Returns the chosen
+    /// `(edge slot, position)`, `None` when no edge has an eligible send.
+    // hot: matcher per-rx decision
+    pub(crate) fn decide(
+        &mut self,
+        index: &mut [EdgeIndex],
+        rx: &[RxEntry],
+        k: usize,
+        rx_base: usize,
+        cfg: &MatchConfig,
+    ) -> Option<(usize, usize)> {
+        let r = rx[k];
+        let rest = &rx[k + 1..];
+        let index = &mut index[..self.edges.len()];
+        // One candidate per upstream edge at most.
+        self.cands.clear();
+        for (slot, (e, ix)) in self.edges.iter().zip(index.iter_mut()).enumerate() {
+            if let Some((pos, sent)) = ix.candidate(e.cursor, r.ipid, r.ts, cfg) {
+                // alloc: amortized(capacity is the edge count, reserved at construction)
+                self.cands.push((sent, slot, pos));
+            }
+        }
+        let chosen = match self.cands.len() {
+            0 => {
+                self.stats.unmatched_rx += 1;
+                return None;
+            }
+            1 => self.cands[0],
+            _ => {
+                self.stats.ambiguities += 1;
+                // Earliest send is the FIFO-plausible default...
+                self.cands.sort_unstable();
+                let default = self.cands[0];
+                if !cfg.use_order_channel {
+                    // Ablated: no lookahead, timing only.
+                    default
+                } else {
+                    // ...but let bounded lookahead overrule it (Fig. 9).
+                    let mut best = default;
+                    let mut best_score = None;
+                    // Playout scores never exceed the rx entries actually
+                    // available, so a candidate that aligns every one of
+                    // them cannot be strictly beaten — stop playing the
+                    // rest (they could at most tie, which never flips the
+                    // selection).
+                    let max_achievable = cfg.lookahead.min(rest.len());
+                    for &cand in &self.cands {
+                        if best_score == Some(max_achievable) {
+                            break;
+                        }
+                        self.cursors.clear();
+                        self.cursors.extend(self.edges.iter().map(|e| e.cursor));
+                        self.cursors[cand.1] = cand.2 + 1;
+                        let s = lookahead_score(
+                            index,
+                            &mut self.cursors,
+                            rest,
+                            cfg.lookahead,
+                            cfg,
+                            best_score.unwrap_or(0),
+                        );
+                        if best_score.is_none_or(|b| s > b) {
+                            best_score = Some(s);
+                            best = cand;
+                        }
+                    }
+                    if best != default {
+                        self.stats.ambiguity_flips += 1;
+                    }
+                    best
+                }
+            }
+        };
+        let (_, slot, pos) = chosen;
+        let e = &mut self.edges[slot];
+        e.matched[pos - e.base] = (rx_base + k) as u32;
+        e.cursor = pos + 1;
+        self.stats.matched += 1;
+        Some((slot, pos))
+    }
+}
+
+/// Matches the rx stream of `down` against its upstream edge streams:
+/// index everything, decide every rx entry, classify every edge position.
 pub fn match_downstream(
     streams: &EdgeStreams,
     topology: &Topology,
@@ -339,118 +556,33 @@ pub fn match_downstream(
     );
     debug_assert_eq!(streams.upstreams(down), topology.upstream_nodes(down));
     let upstreams = streams.upstreams(down).to_vec();
-    let mut edges: Vec<EdgeStream> = upstreams
-        .iter()
-        .map(|&node| EdgeStream::build(streams, node, down))
-        .collect();
-    let mut stats = MatchStats::default();
+    let mut m = NfMatcher::new(upstreams.len());
+    let mut index = Vec::with_capacity(upstreams.len());
+    for (e, &node) in m.edges.iter_mut().zip(&upstreams) {
+        // One gather through the edge's position list; the index build's
+        // two passes then read the compact columns.
+        e.extend(streams.edge_entries(node, down));
+        let mut ix = EdgeIndex::new();
+        ix.rebuild(e);
+        index.push(ix);
+    }
     let mut rx_origin: Vec<Option<(NodeId, usize)>> = vec![None; rx.len()];
-    let mut scratch = MatchScratch::default();
-
-    if let [e] = edges.as_mut_slice() {
-        // Single upstream edge (most NFs of a chain): ambiguity is
-        // impossible, so skip the candidate list and lookahead machinery.
-        for (r_idx, r) in rx.iter().enumerate() {
-            match e.candidate(r.ipid, r.ts, cfg) {
-                None => stats.unmatched_rx += 1,
-                Some(pos) => {
-                    rx_origin[r_idx] = Some((e.node, pos));
-                    e.matched[pos] = r_idx as u32;
-                    e.cursor = pos + 1;
-                    stats.matched += 1;
-                }
-            }
-        }
-        return finish(upstreams, &edges, rx_origin, stats);
+    for (k, origin) in rx_origin.iter_mut().enumerate() {
+        *origin = m
+            .decide(&mut index, rx, k, 0, cfg)
+            .map(|(slot, pos)| (upstreams[slot], pos));
     }
 
-    for (r_idx, r) in rx.iter().enumerate() {
-        // One candidate per upstream edge at most.
-        scratch.cands.clear();
-        for (e_idx, e) in edges.iter_mut().enumerate() {
-            if let Some(pos) = e.candidate(r.ipid, r.ts, cfg) {
-                scratch.cands.push((e_idx, pos));
-            }
-        }
-        let chosen = match scratch.cands.len() {
-            0 => {
-                stats.unmatched_rx += 1;
-                continue;
-            }
-            1 => scratch.cands[0],
-            _ => {
-                stats.ambiguities += 1;
-                // Earliest send is the FIFO-plausible default...
-                scratch.cands.sort_by_key(|&(e, p)| (edges[e].ts[p], e, p));
-                let default = scratch.cands[0];
-                if !cfg.use_order_channel {
-                    // Ablated: no lookahead, timing only.
-                    default
-                } else {
-                    // ...but let bounded lookahead overrule it (Fig. 9).
-                    let mut best = default;
-                    let mut best_score = None;
-                    // Playout scores never exceed the rx entries actually
-                    // available, so a candidate that aligns every one of
-                    // them cannot be strictly beaten — stop playing the
-                    // rest (they could at most tie, which never flips the
-                    // selection).
-                    let max_achievable = cfg.lookahead.min(rx.len() - (r_idx + 1));
-                    for &(e_idx, pos) in &scratch.cands {
-                        if best_score == Some(max_achievable) {
-                            break;
-                        }
-                        scratch.cursors.clear();
-                        scratch.cursors.extend(edges.iter().map(|e| e.cursor));
-                        scratch.cursors[e_idx] = pos + 1;
-                        let s = lookahead_score(
-                            &edges,
-                            &mut scratch.cursors,
-                            rx,
-                            r_idx + 1,
-                            cfg.lookahead,
-                            cfg,
-                            best_score.unwrap_or(0),
-                        );
-                        if best_score.is_none_or(|b| s > b) {
-                            best_score = Some(s);
-                            best = (e_idx, pos);
-                        }
-                    }
-                    if best != default {
-                        stats.ambiguity_flips += 1;
-                    }
-                    best
-                }
-            }
-        };
-        let (e_idx, pos) = chosen;
-        rx_origin[r_idx] = Some((edges[e_idx].node, pos));
-        edges[e_idx].matched[pos] = r_idx as u32;
-        edges[e_idx].cursor = pos + 1;
-        stats.matched += 1;
-    }
-
-    finish(upstreams, &edges, rx_origin, stats)
-}
-
-/// The shared tail of [`match_downstream`]: classify every edge position
-/// and assemble the result.
-fn finish(
-    upstreams: Vec<NodeId>,
-    edges: &[EdgeStream],
-    rx_origin: Vec<Option<(NodeId, usize)>>,
-    mut stats: MatchStats,
-) -> EdgeMatch {
     // Per-edge: positions behind the final cursor that never matched were
     // dropped (a later same-edge packet overtook them, impossible in FIFO);
     // positions at or past the cursor are unresolved. Slot order is the
-    // upstream build order, so stats accumulate exactly as before.
-    let mut edge_outcome: Vec<Vec<MatchOutcome>> = Vec::with_capacity(edges.len());
-    for e in edges {
+    // upstream build order.
+    let mut stats = m.stats;
+    let mut edge_outcome: Vec<Vec<MatchOutcome>> = Vec::with_capacity(m.edges.len());
+    for e in &m.edges {
         // Count the drops with a flat mask reduction over the consumed
         // prefix instead of a counter carried through the classify map —
-        // same predicate, exact integer count, so stats are unchanged.
+        // same predicate, exact integer count.
         stats.inferred_drops += msc_kernels::count_eq_u32(&e.matched[..e.cursor], UNMATCHED) as u64;
         let outcomes: Vec<MatchOutcome> = e
             .matched

@@ -1,7 +1,7 @@
 //! End-to-end trace assembly: source emissions → per-packet journeys.
 
 use crate::matching::{match_downstream, EdgeMatch, MatchConfig, MatchOutcome};
-use crate::streams::{EdgeStreams, PacketRef};
+use crate::streams::{EdgeStreams, PacketRef, RxBatchInfo};
 use msc_collector::TraceBundle;
 use nf_types::{FiveTuple, Nanos, NfId, NodeId, Topology};
 use std::collections::HashMap;
@@ -121,7 +121,7 @@ pub struct ReconstructionConfig {
 /// parent's path. A path is then a single `u32` — cheap to store per hop,
 /// cheap to hash as a group key, and expandable back to the node list when a
 /// group actually needs it.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PathTrie {
     /// `nodes[id] = (parent, last node)`; the root is its own parent.
     nodes: Vec<(u32, NodeId)>,
@@ -250,7 +250,9 @@ impl RxTraceRef {
 }
 
 /// The full reconstruction: traces plus indexes for the diagnosis layer.
-#[derive(Debug)]
+/// The offline and the streaming reconstructor return the same value for the
+/// same records.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Reconstruction {
     /// One trace per source emission, in emission order.
     pub traces: Vec<ReconstructedTrace>,
@@ -259,8 +261,9 @@ pub struct Reconstruction {
     pub hops: Vec<TraceHop>,
     /// Quality report.
     pub report: ReconstructionReport,
-    /// The flattened streams (timelines are built from these).
-    pub streams: EdgeStreams,
+    /// For every NF: its read batches in time order (the batch-size drain
+    /// signal the timelines are built from).
+    pub reads: Vec<Vec<RxBatchInfo>>,
     /// For every NF: rx flat index → packed (trace, hop) back-reference.
     pub rx_to_trace: Vec<Vec<RxTraceRef>>,
     /// Interned upstream-path prefixes (see [`PathTrie`]).
@@ -435,7 +438,7 @@ pub fn assemble(
         traces,
         hops,
         report,
-        streams,
+        reads: streams.nfs.into_iter().map(|s| s.rx_batches).collect(),
         rx_to_trace,
         paths,
         hop_path_ids,

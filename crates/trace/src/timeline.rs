@@ -268,166 +268,6 @@ impl NfTimeline {
     }
 }
 
-/// Incremental construction of one NF's [`NfTimeline`] for the streaming
-/// pipeline: reads are appended in time order as record chunks arrive, trace
-/// arrivals are staged as traces finalize, and [`Self::settle`] folds the
-/// staged arrivals into the flat indexes without re-sorting history.
-///
-/// The result of [`Self::finish`] is bit-identical to `NfTimeline::new` over
-/// the same data, provided arrivals are staged in the same order the offline
-/// builder pushes them (trace order, then hop order — which is exactly the
-/// streaming engine's commit order). That holds because a stable merge of
-/// two stably-sorted runs, with left precedence on timestamp ties, is the
-/// stable sort of their concatenation.
-#[derive(Debug)]
-pub struct NfTimelineBuilder {
-    nf: NfId,
-    /// Time-sorted arrivals folded in so far (stable in staging order).
-    arrivals: Vec<Arrival>,
-    /// Arrivals staged since the last [`Self::settle`].
-    staged: Vec<Arrival>,
-    reads: Vec<RxBatchInfo>,
-    arrival_ts: Vec<Nanos>,
-    read_ts: Vec<Nanos>,
-    read_prefix: Vec<u64>,
-    queued_prefix: Vec<u64>,
-    last_drained: Vec<Option<usize>>,
-    occ_after_read: Vec<u64>,
-    /// First read index whose occupancy entry is stale (new reads, or
-    /// arrivals staged at or before its timestamp).
-    occ_from: usize,
-}
-
-impl NfTimelineBuilder {
-    /// An empty timeline under construction.
-    pub fn new(nf: NfId) -> Self {
-        Self {
-            nf,
-            arrivals: Vec::new(),
-            staged: Vec::new(),
-            reads: Vec::new(),
-            arrival_ts: Vec::new(),
-            read_ts: Vec::new(),
-            read_prefix: vec![0],
-            queued_prefix: vec![0],
-            last_drained: Vec::new(),
-            occ_after_read: Vec::new(),
-            occ_from: 0,
-        }
-    }
-
-    /// Appends one read batch; batches must arrive in timestamp order (the
-    /// collector logs them that way).
-    pub fn push_read(&mut self, r: RxBatchInfo) {
-        let prev = self.last_drained.last().copied().flatten();
-        self.last_drained.push(if r.drained {
-            Some(self.reads.len())
-        } else {
-            prev
-        });
-        let total = self.read_prefix[self.reads.len()] + r.size as u64;
-        self.read_prefix.push(total);
-        self.read_ts.push(r.ts);
-        self.reads.push(r);
-    }
-
-    /// Stages one arrival. Arrivals may run backwards in time (in-flight
-    /// packets finalize late) but must be staged in offline push order.
-    pub fn push_arrival(&mut self, a: Arrival) {
-        self.staged.push(a);
-    }
-
-    /// Number of reads appended so far.
-    pub fn reads_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Bytes held by the builder's buffers (for working-set accounting).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.arrivals.capacity() + self.staged.capacity()) * size_of::<Arrival>()
-            + self.reads.capacity() * size_of::<RxBatchInfo>()
-            + (self.read_prefix.capacity()
-                + self.queued_prefix.capacity()
-                + self.occ_after_read.capacity()
-                // lint: time-arith-ok(byte-size accounting over buffer capacities)
-                + self.arrival_ts.capacity()
-                // lint: time-arith-ok(byte-size accounting over buffer capacities)
-                + self.read_ts.capacity())
-                * size_of::<u64>()
-            + self.last_drained.capacity() * size_of::<Option<usize>>()
-    }
-
-    /// Folds staged arrivals into the sorted run and brings every flat
-    /// index up to date. Cost is O(new + tail touched), not O(history).
-    pub fn settle(&mut self) {
-        if !self.staged.is_empty() {
-            self.staged.sort_by_key(|a| a.ts);
-            let min_ts = self.staged[0].ts;
-            // Everything at or before the earliest staged timestamp is
-            // untouched; ties stay left of the (later-staged) newcomers.
-            let keep = self.arrivals.partition_point(|a| a.ts <= min_ts);
-            let tail = self.arrivals.split_off(keep);
-            let staged = std::mem::take(&mut self.staged);
-            self.arrivals.reserve(tail.len() + staged.len());
-            let (mut ti, mut si) = (0usize, 0usize);
-            while ti < tail.len() && si < staged.len() {
-                if tail[ti].ts <= staged[si].ts {
-                    self.arrivals.push(tail[ti]);
-                    ti += 1;
-                } else {
-                    self.arrivals.push(staged[si]);
-                    si += 1;
-                }
-            }
-            self.arrivals.extend_from_slice(&tail[ti..]);
-            self.arrivals.extend_from_slice(&staged[si..]);
-
-            self.queued_prefix.truncate(keep + 1);
-            let mut q = self.queued_prefix[keep];
-            self.arrival_ts.truncate(keep);
-            for a in &self.arrivals[keep..] {
-                q += u64::from(a.kind == ArrivalKind::Queued);
-                self.queued_prefix.push(q);
-                self.arrival_ts.push(a.ts);
-            }
-            let invalid = msc_kernels::partition_point_lt_u64(&self.read_ts, min_ts);
-            self.occ_from = self.occ_from.min(invalid);
-        }
-        if self.occ_from < self.reads.len() {
-            self.occ_after_read.truncate(self.occ_from);
-            let mut ai = match self.occ_from {
-                0 => 0,
-                i => msc_kernels::partition_point_leq_u64(&self.arrival_ts, self.read_ts[i - 1]),
-            };
-            for i in self.occ_from..self.reads.len() {
-                while ai < self.arrivals.len() && self.arrivals[ai].ts <= self.reads[i].ts {
-                    ai += 1;
-                }
-                self.occ_after_read
-                    .push(self.queued_prefix[ai].saturating_sub(self.read_prefix[i + 1]));
-            }
-            self.occ_from = self.reads.len();
-        }
-    }
-
-    /// Finalises the timeline (settling any staged work first).
-    pub fn finish(mut self) -> NfTimeline {
-        self.settle();
-        NfTimeline {
-            nf: self.nf,
-            arrivals: self.arrivals,
-            reads: self.reads,
-            arrival_ts: self.arrival_ts,
-            read_ts: self.read_ts,
-            read_prefix: self.read_prefix,
-            queued_prefix: self.queued_prefix,
-            last_drained: self.last_drained,
-            occ_after_read: self.occ_after_read,
-        }
-    }
-}
-
 /// Timelines for every NF, built from a reconstruction.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Timelines {
@@ -438,7 +278,7 @@ pub struct Timelines {
 impl Timelines {
     /// Builds all timelines.
     pub fn build(recon: &Reconstruction) -> Self {
-        let n = recon.streams.nfs.len();
+        let n = recon.reads.len();
         // Counting pass first: exact per-NF capacities, so the scatter below
         // never reallocates (~200k arrivals across the fleet otherwise grow
         // each vector a dozen times).
@@ -474,9 +314,7 @@ impl Timelines {
         let nfs = arrivals
             .into_iter()
             .enumerate()
-            .map(|(i, a)| {
-                NfTimeline::new(NfId(i as u16), &a, recon.streams.nfs[i].rx_batches.clone())
-            })
+            .map(|(i, a)| NfTimeline::new(NfId(i as u16), &a, recon.reads[i].clone()))
             .collect();
         Self { nfs }
     }
@@ -717,91 +555,6 @@ mod tests {
                         "t={t} thr={thr} arrivals={arrivals:?} reads={reads:?}"
                     );
                 }
-            }
-        }
-    }
-
-    fn assert_timeline_eq(a: &NfTimeline, b: &NfTimeline, ctx: &str) {
-        assert_eq!(a.nf, b.nf, "{ctx}: nf");
-        assert_eq!(a.arrivals, b.arrivals, "{ctx}: arrivals");
-        assert_eq!(a.reads, b.reads, "{ctx}: reads");
-        assert_eq!(a.arrival_ts, b.arrival_ts, "{ctx}: arrival_ts");
-        assert_eq!(a.read_ts, b.read_ts, "{ctx}: read_ts");
-        assert_eq!(a.read_prefix, b.read_prefix, "{ctx}: read_prefix");
-        assert_eq!(a.queued_prefix, b.queued_prefix, "{ctx}: queued_prefix");
-        assert_eq!(a.last_drained, b.last_drained, "{ctx}: last_drained");
-        assert_eq!(a.occ_after_read, b.occ_after_read, "{ctx}: occ_after_read");
-    }
-
-    #[test]
-    fn incremental_builder_matches_batch_construction() {
-        // Random arrival/read sequences pushed through the builder in
-        // chunks — with arrivals landing out of time order and some staged
-        // behind already-appended reads, the way late-finalizing traces do —
-        // must reproduce `NfTimeline::new` index for index.
-        let mut state = 0x51ce_b00b_5151_c0deu64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for round in 0..40 {
-            let n_arr = (rng() % 80) as usize;
-            let n_reads = (rng() % 25) as usize;
-            // Offline push order: trace order. Timestamps are only loosely
-            // increasing so later pushes can predate earlier ones.
-            let arrivals: Vec<Arrival> = (0..n_arr)
-                .map(|i| Arrival {
-                    ts: (i as u64 * 50).saturating_sub(rng() % 400) + rng() % 300,
-                    trace: i,
-                    hop: 0,
-                    kind: if rng() % 5 == 0 {
-                        ArrivalKind::Dropped
-                    } else {
-                        ArrivalKind::Queued
-                    },
-                })
-                .collect();
-            let mut rts = 0u64;
-            let reads: Vec<RxBatchInfo> = (0..n_reads)
-                .map(|_| {
-                    rts += rng() % 900;
-                    RxBatchInfo {
-                        ts: rts,
-                        size: (rng() % 32 + 1) as usize,
-                        drained: rng() % 3 == 0,
-                    }
-                })
-                .collect();
-            let expected = NfTimeline::new(NfId(3), &arrivals, reads.clone());
-
-            for n_chunks in [1usize, 2, 5] {
-                let mut b = NfTimelineBuilder::new(NfId(3));
-                let (mut ai, mut ri) = (0usize, 0usize);
-                for c in 0..n_chunks {
-                    let a_to = if c + 1 == n_chunks {
-                        arrivals.len()
-                    } else {
-                        (arrivals.len() * (c + 1)) / n_chunks
-                    };
-                    let r_to = if c + 1 == n_chunks {
-                        reads.len()
-                    } else {
-                        (reads.len() * (c + 1)) / n_chunks
-                    };
-                    while ri < r_to {
-                        b.push_read(reads[ri]);
-                        ri += 1;
-                    }
-                    while ai < a_to {
-                        b.push_arrival(arrivals[ai]);
-                        ai += 1;
-                    }
-                    b.settle();
-                }
-                let got = b.finish();
-                assert_timeline_eq(&got, &expected, &format!("round {round} chunks {n_chunks}"));
             }
         }
     }

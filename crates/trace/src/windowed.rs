@@ -1,18 +1,36 @@
-//! Windowed trace reconstruction: the streaming counterpart of
-//! `EdgeStreams::build → match_all → assemble`.
+//! Windowed trace reconstruction: the streaming driver of the offline
+//! matcher.
 //!
 //! The offline pipeline needs the whole run in memory three times over
 //! (bundle, flattened streams, per-edge match tables). This module consumes
-//! the run as time-ordered chunks instead and keeps only a *frontier*:
-//! undecided rx entries, unconsumed sends, and walks of in-flight packets.
-//! Everything behind the frontier is evicted as soon as it is decided, so
-//! the reconstruction working set is O(window + in-flight), not O(run).
+//! the run as time-ordered chunks instead and keeps only a *frontier*: the
+//! rx entries, tx entries and sends whose fate is not final yet. Everything
+//! behind the frontier is dropped at the end of the chunk that settled it,
+//! so the reconstruction working set is O(window + in-flight), not O(run).
+//!
+//! There is no second matcher here. Each chunk is appended to the same
+//! position-indexed columns [`match_downstream`](crate::match_downstream)
+//! fills for a whole run; an NF's undecided edge tails are re-indexed and
+//! the rx prefix the watermark proves stable is decided by the shared
+//! `NfMatcher::decide`.
+//!
+//! `assemble`'s walk is turned inside out: instead of following one packet
+//! at a time through every NF, each NF *forwards* its rx entries in rx
+//! order. Forwarding rx entry `j` looks up which trace owns the send it
+//! matched, records the hop, and hands ownership on to the send of tx entry
+//! `j`. Per-edge FIFO makes every piece of state a flat column with a
+//! forward-only pointer: owners become known in edge-position order, rx/tx
+//! pairs are consumed in index order, and eviction is "drop the prefix
+//! behind the pointers" — no per-packet walk state, no keyed containers.
+//! An NF waits only for what it needs next (an upstream that has not
+//! forwarded yet, a tx entry that is not in yet), so a stalled NF holds back
+//! its own queue, not the run.
 //!
 //! ## Bit-identity
 //!
 //! The output must equal the offline reconstruction *exactly* — the offline
-//! path is the oracle the equivalence suite diffs against. Two observations
-//! make that possible:
+//! path is the oracle the equivalence suites diff against, as a whole
+//! [`Reconstruction`]. Two observations make that possible:
 //!
 //! 1. **Matching is per-NF local and prefix-monotone.** The matcher's
 //!    decision for rx entry `k` depends only on (a) sends within the timing
@@ -23,26 +41,21 @@
 //!    the decision may consult — so deciding now equals deciding with the
 //!    full run in hand. (Single-upstream NFs have no ambiguity and need no
 //!    lookahead margin.)
-//! 2. **Assembly order is recoverable.** Walks finalize out of emission
-//!    order, but traces are committed through a reorder buffer keyed by
-//!    source index, so the hop arena, path trie interning, `rx_to_trace`
-//!    and report counters are appended in exactly the offline order.
-//!
-//! What is *not* reproduced is `Reconstruction::streams`: the flattened
-//! full-run streams are the very thing streaming avoids holding, so the
-//! returned reconstruction carries empty streams and the per-NF timelines
-//! are built incrementally (`NfTimelineBuilder`) and returned alongside.
+//! 2. **A trace is a pure function of the decisions.** Hops are recorded
+//!    in forwarding order, each tagged with its trace; a trace's own hops
+//!    come out in path order. [`WindowedReconstructor::finish`] groups them
+//!    by trace with one stable counting sort — the offline arena — and then
+//!    runs the offline `PathTrie::index` and `Timelines::build` over it.
 
-use crate::matching::{MatchConfig, MatchStats};
+use crate::matching::{EdgeIndex, MatchConfig, NfMatcher, UNMATCHED};
 use crate::reconstruct::{
     PathTrie, ReconstructedTrace, Reconstruction, ReconstructionReport, RxTraceRef, TraceHop,
-    TraceOutcome, PATH_ROOT,
+    TraceOutcome,
 };
-use crate::streams::{EdgeStreams, RxBatchInfo};
-use crate::timeline::{Arrival, ArrivalKind, NfTimelineBuilder, Timelines};
-use msc_collector::{BundleChunk, NfLog, TraceBundle};
-use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use crate::streams::{RxBatchInfo, RxEntry};
+use crate::timeline::Timelines;
+use msc_collector::{BundleChunk, TraceBundle};
+use nf_types::{FiveTuple, Nanos, NfId, NodeId, Topology};
 use std::fmt;
 
 /// Errors from streaming ingestion.
@@ -60,6 +73,21 @@ pub enum StreamError {
         /// The entry NF.
         nf: NfId,
     },
+    /// A chunk arrived out of order or twice: its `until` does not exceed
+    /// the previous chunk boundary, or it carries a record from before that
+    /// boundary. Decisions behind the boundary are final, so the chunk is
+    /// refused instead of being matched against a frontier that has moved
+    /// on.
+    OutOfOrderChunk {
+        /// The refused chunk's boundary.
+        until: Nanos,
+        /// The boundary of the last chunk accepted.
+        watermark: Nanos,
+        /// The node whose log holds a record older than `watermark`, and
+        /// that record's timestamp; `None` when `until` itself is the
+        /// problem.
+        late: Option<(NodeId, Nanos)>,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -71,306 +99,124 @@ impl fmt::Display for StreamError {
             StreamError::MissingSourceEdge { nf } => {
                 write!(f, "entry NF {nf:?} has no source edge in the topology")
             }
+            StreamError::OutOfOrderChunk {
+                until,
+                watermark,
+                late: None,
+            } => write!(
+                f,
+                "out-of-order chunk: until {until} ns does not exceed the watermark {watermark} ns"
+            ),
+            StreamError::OutOfOrderChunk {
+                until,
+                watermark,
+                late: Some((node, ts)),
+            } => write!(
+                f,
+                "out-of-order chunk (until {until} ns): {node} has a record at {ts} ns, \
+                 before the watermark {watermark} ns"
+            ),
         }
     }
 }
 
 impl std::error::Error for StreamError {}
 
-/// What the matcher decided about one edge position.
-#[derive(Debug, Clone, Copy)]
-enum EdgeDecision {
-    /// Matched to the downstream rx entry `rx_idx`, read at `read_ts`.
-    Matched { rx_idx: usize, read_ts: Nanos },
-    /// Skipped behind a later same-edge match: dropped at the ring.
-    Dropped,
-}
+/// Owner of a send no trace passes through: sent from a tx slot whose rx
+/// entry was unmatched, or matched such a send itself.
+const NO_TRACE: u32 = u32::MAX;
 
-/// One upstream edge of a downstream NF, holding only unconsumed sends.
-///
-/// The offline matcher's per-IPID counting-sort index spans the whole run;
-/// here the same "first unconsumed position with this IPID" semantics come
-/// from per-IPID position deques that are evicted as the committed cursor
-/// advances — a recycled 16-bit IPID therefore can never alias a consumed
-/// send from an earlier window.
-#[derive(Debug, Default)]
-struct IncEdge {
-    /// Unconsumed sends `(ts, ipid)` from global position `base`.
-    entries: VecDeque<(Nanos, Ipid)>,
-    /// Global position of `entries.front()`.
-    base: usize,
-    /// Total sends ingested on this edge (next position to assign).
-    total: usize,
-    /// Committed cursor: next unconsumed global position.
-    cursor: usize,
-    /// Unconsumed global positions per IPID, ascending (all `>= cursor`).
-    by_ipid: HashMap<Ipid, VecDeque<usize>>,
-    /// Decisions not yet consumed by the owning packet's walk.
-    outcomes: HashMap<usize, EdgeDecision>,
-    /// Walks suspended on an undecided position (trace index; at most one
-    /// walk per position since each position is one upstream packet).
-    waiters: HashMap<usize, usize>,
-    /// Undecided positions whose upstream send was proven dead (no walk
-    /// will ever consume their decision); their eventual outcome is
-    /// swallowed — and a `Matched` one kills the downstream tx slot too.
-    ghosts: HashSet<usize>,
-}
-
-impl IncEdge {
-    /// Appends a send, returning its global edge position.
-    fn push(&mut self, ts: Nanos, ipid: Ipid) -> usize {
-        let pos = self.total;
-        self.total += 1;
-        self.entries.push_back((ts, ipid));
-        self.by_ipid.entry(ipid).or_default().push_back(pos);
-        pos
-    }
-
-    /// Send timestamp of an unconsumed position.
-    // hot: incremental matcher timestamp probe
-    fn ts_at(&self, pos: usize) -> Nanos {
-        self.entries[pos - self.base].0
-    }
-
-    /// Timing-channel check, identical to the offline matcher's.
-    // hot: incremental matcher window check
-    fn in_window(&self, pos: usize, read_ts: Nanos, cfg: &MatchConfig) -> Option<usize> {
-        let sent = self.ts_at(pos);
-        if sent <= read_ts.saturating_add(cfg.negative_slack_ns)
-            && read_ts.saturating_sub(sent) <= cfg.delay_bound_ns
-        {
-            Some(pos)
-        } else {
-            None
-        }
-    }
-
-    /// First unconsumed position with `ipid`, window-checked. A stale first
-    /// entry (outside the window) blocks, exactly as offline.
-    // hot: incremental matcher candidate scan
-    fn candidate(&self, ipid: Ipid, read_ts: Nanos, cfg: &MatchConfig) -> Option<usize> {
-        let &pos = self.by_ipid.get(&ipid)?.front()?;
-        self.in_window(pos, read_ts, cfg)
-    }
-
-    /// Same from a speculative cursor `>= self.cursor` (lookahead playout).
-    // hot: incremental batch candidate probe
-    fn candidate_from(
-        &self,
-        cursor: usize,
-        ipid: Ipid,
-        read_ts: Nanos,
-        cfg: &MatchConfig,
-    ) -> Option<usize> {
-        let run = self.by_ipid.get(&ipid)?;
-        let i = run.partition_point(|&p| p < cursor);
-        let &pos = run.get(i)?;
-        self.in_window(pos, read_ts, cfg)
-    }
-
-    /// Drops everything behind the committed cursor. Each evicted position
-    /// is removed from the front of its IPID deque (fronts are the lowest
-    /// unconsumed positions by construction).
-    fn evict(&mut self) {
-        while self.base < self.cursor {
-            let Some((_, ipid)) = self.entries.pop_front() else {
-                break;
-            };
-            if let Some(run) = self.by_ipid.get_mut(&ipid) {
-                run.pop_front();
-                if run.is_empty() {
-                    self.by_ipid.remove(&ipid);
-                }
-            }
-            self.base += 1;
-        }
-    }
-
-    /// Bytes held by the edge frontier (approximate, for accounting).
-    fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.entries.capacity() * size_of::<(Nanos, Ipid)>()
-            + self.by_ipid.len() * (size_of::<Ipid>() + size_of::<VecDeque<usize>>() + 16)
-            // lint: order-insensitive(commutative sum over capacities)
-            + self.by_ipid.values().map(|v| v.capacity() * 8).sum::<usize>()
-            + self.outcomes.len() * 48
-            + self.waiters.len() * 32
-            + self.ghosts.len() * 16
-    }
-}
-
-/// One undecided rx entry.
-#[derive(Debug, Clone, Copy)]
-struct RxPend {
-    ts: Nanos,
-    ipid: Ipid,
-}
-
-/// One unconsumed tx entry.
+/// One tx entry.
 #[derive(Debug, Clone, Copy)]
 struct TxSlot {
     ts: Nanos,
     to: Option<NfId>,
-    /// Position within its edge stream (or exit/orphan counter).
+    /// Position within its edge stream, or among this NF's exit sends;
+    /// unused for a send to a node that is not a topology edge.
     pos_within: usize,
-    consumed: bool,
 }
 
-/// Per-NF streaming state.
-#[derive(Debug)]
+/// What forwarding needs to know about one upstream edge beyond the
+/// matcher's columns.
+#[derive(Default)]
+struct EdgeOwners {
+    /// Owning trace ([`NO_TRACE`] = none) per retained position, known for
+    /// a prefix: the upstream forwards in tx order, which is edge order.
+    owner: Vec<u32>,
+    /// Every position before this one is decided and owned, and if it was
+    /// skipped, its trace has been told.
+    settled: usize,
+}
+
+/// Per-NF streaming state: flat columns indexed from `base`, consumed in
+/// index order.
 struct NfState {
-    /// Upstream edges in slot order (`Topology::upstream_nodes` order).
-    edges: Vec<IncEdge>,
-    /// Undecided rx entries (the matching frontier).
-    rx_pending: VecDeque<RxPend>,
-    /// Flat rx index of `rx_pending.front()`.
-    rx_decided: usize,
-    /// Total rx entries ingested.
-    rx_total: usize,
-    /// Unconsumed tx entries from flat index `tx_base`.
-    tx: VecDeque<TxSlot>,
-    tx_base: usize,
-    tx_total: usize,
-    /// Walks waiting for a tx entry not yet ingested: rx/tx index → trace.
-    tx_waiters: BTreeMap<usize, usize>,
-    /// Matched-rx indexes proven ownerless whose tx entry is not ingested
-    /// yet; the slot is dead on arrival.
-    dead_rx: BTreeSet<usize>,
-    /// Unconsumed exit flow records from exit position `flows_base`.
-    flows: VecDeque<FiveTuple>,
+    /// The shared matcher: upstream edge columns, cursors, tallies.
+    matcher: NfMatcher,
+    /// Per upstream edge, aligned with `matcher.edges`.
+    owners: Vec<EdgeOwners>,
+    /// Flat rx/tx index of the first retained `rx` / `origin` / `tx` entry:
+    /// the next pair to forward.
+    base: usize,
+    /// rx entries from `base`.
+    rx: Vec<RxEntry>,
+    /// Per decided rx entry from `base`: the `(edge slot, position)` it
+    /// matched.
+    origin: Vec<Option<(usize, usize)>>,
+    /// tx entries from `base`.
+    tx: Vec<TxSlot>,
+    /// Exit flow records from exit position `flows_base`.
+    flows: Vec<FiveTuple>,
     flows_base: usize,
     /// Exit sends seen so far (`to == None` position counter).
     exit_count: usize,
-    /// Per-target positions of sends to NFs that are not topology edges.
-    orphans: Vec<usize>,
     /// Whether exit-flow validation applies (topology exit).
     is_exit: bool,
-    stats: MatchStats,
 }
 
 impl NfState {
-    /// Evicts consumed tx fronts, releasing matching exit flow records.
-    fn evict_tx(&mut self) {
-        while let Some(front) = self.tx.front() {
-            if !front.consumed {
-                break;
-            }
-            let slot = self.tx.pop_front();
-            self.tx_base += 1;
-            if let Some(TxSlot { to: None, .. }) = slot {
-                if self.flows.pop_front().is_some() {
-                    self.flows_base += 1;
-                }
-            }
-        }
+    /// The trace owning the send an rx entry matched ([`NO_TRACE`] for an
+    /// unmatched entry) and when it was sent; `None` while the upstream has
+    /// not forwarded that far.
+    fn sender(&self, origin: Option<(usize, usize)>) -> Option<(u32, Nanos)> {
+        let Some((slot, pos)) = origin else {
+            return Some((NO_TRACE, 0));
+        };
+        let e = &self.matcher.edges[slot];
+        let owner = self.owners[slot].owner.get(pos - e.base)?;
+        Some((*owner, e.ts_at(pos)))
     }
-
-    /// The exit flow recorded for exit position `pw`, if present.
-    fn flow_at(&self, pw: usize) -> Option<FiveTuple> {
-        pw.checked_sub(self.flows_base)
-            .and_then(|i| self.flows.get(i))
-            .copied()
-    }
-}
-
-/// Where a suspended walk stands.
-#[derive(Debug, Clone, Copy)]
-enum WalkState {
-    /// Waiting on the match decision for edge position `pos` into `down`.
-    AtEdge {
-        down: NfId,
-        node: NodeId,
-        pos: usize,
-        arrival: Nanos,
-    },
-    /// Matched to rx entry `rx_idx` of `down`; needs the tx entry.
-    AtTx {
-        down: NfId,
-        rx_idx: usize,
-        read_ts: Nanos,
-        arrival: Nanos,
-    },
-}
-
-/// One in-flight packet's partially assembled trace.
-#[derive(Debug)]
-struct Walk {
-    trace: usize,
-    flow: FiveTuple,
-    emitted: Nanos,
-    hops: Vec<TraceHop>,
-    state: WalkState,
-}
-
-/// A trace whose walk finished, parked until its emission turn.
-#[derive(Debug)]
-struct Finished {
-    flow: FiveTuple,
-    emitted: Nanos,
-    hops: Vec<TraceHop>,
-    outcome: TraceOutcome,
-}
-
-/// Greedy lookahead alignment score over the undecided rx tail — the
-/// streaming twin of the offline `lookahead_score` (the tail here *is*
-/// `rx[r_idx + 1..]`, since the current entry was already popped).
-// hot: incremental ambiguity playout
-fn lookahead_score(
-    edges: &[IncEdge],
-    cursors: &mut [usize],
-    pending: &VecDeque<RxPend>,
-    depth: usize,
-    cfg: &MatchConfig,
-) -> usize {
-    let mut score = 0;
-    for r in pending.iter().take(depth) {
-        let mut best: Option<(Nanos, usize, usize)> = None; // (ts, edge, pos)
-        for (e_idx, e) in edges.iter().enumerate() {
-            if let Some(pos) = e.candidate_from(cursors[e_idx], r.ipid, r.ts, cfg) {
-                let key = (e.ts_at(pos), e_idx, pos);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        if let Some((_, e_idx, pos)) = best {
-            score += 1;
-            cursors[e_idx] = pos + 1;
-        }
-    }
-    score
 }
 
 /// The incremental reconstructor. Feed time-ordered chunks with
 /// [`Self::ingest`], then [`Self::finish`] for the reconstruction and
-/// timelines — bit-identical to the offline pipeline over the concatenated
-/// chunks (minus `Reconstruction::streams`, which stays empty).
-#[derive(Debug)]
+/// timelines — equal to the offline pipeline over the concatenated chunks.
 pub struct WindowedReconstructor {
     topo: Topology,
     cfg: MatchConfig,
     nfs: Vec<NfState>,
-    /// `upstreams[d]` in slot order; `out_slot[u][d]` = slot of NF `u` on
-    /// downstream `d`; `src_slot[d]` = slot of the source on `d`.
-    upstreams: Vec<Vec<NodeId>>,
+    /// `out_slot[u][d]` = slot of NF `u` on downstream `d`; `src_slot[d]` =
+    /// slot of the source on `d`.
     out_slot: Vec<Vec<Option<usize>>>,
     src_slot: Vec<Option<usize>>,
+    /// One edge index per upstream slot of the widest NF, rebuilt over an
+    /// NF's undecided edge tails whenever that NF has reads to decide.
+    index: Vec<EdgeIndex>,
+    /// Boundary of the last chunk admitted.
+    boundary: Option<Nanos>,
     /// Ingestion watermark: every record with `ts < watermark` is in.
     watermark: Nanos,
-    /// Walks suspended on an edge decision or a missing tx entry.
-    suspended: HashMap<usize, Walk>,
-    /// Finished traces awaiting their emission-order turn.
-    pending: BTreeMap<usize, Finished>,
-    next_commit: usize,
-    source_total: usize,
     // Retained (non-evictable) diagnosis substrate.
+    /// One per source emission; until `finish`, `hops` counts the trace's
+    /// hops recorded so far (`0..n`) and `outcome` is `Unresolved` unless
+    /// the trace has ended.
     traces: Vec<ReconstructedTrace>,
+    /// Hops in forwarding order, and the trace each belongs to.
     hops: Vec<TraceHop>,
+    hop_trace: Vec<u32>,
+    reads: Vec<Vec<RxBatchInfo>>,
     rx_to_trace: Vec<Vec<RxTraceRef>>,
-    paths: PathTrie,
-    hop_path_ids: Vec<u32>,
     report: ReconstructionReport,
-    timelines: Vec<NfTimelineBuilder>,
 }
 
 impl WindowedReconstructor {
@@ -393,47 +239,38 @@ impl WindowedReconstructor {
             .iter()
             .map(|ups| ups.iter().position(|&node| node == NodeId::Source))
             .collect();
-        let nfs = (0..n)
-            .map(|d| NfState {
-                edges: upstreams[d].iter().map(|_| IncEdge::default()).collect(),
-                rx_pending: VecDeque::new(),
-                rx_decided: 0,
-                rx_total: 0,
-                tx: VecDeque::new(),
-                tx_base: 0,
-                tx_total: 0,
-                tx_waiters: BTreeMap::new(),
-                dead_rx: BTreeSet::new(),
-                flows: VecDeque::new(),
+        let nfs = upstreams
+            .iter()
+            .enumerate()
+            .map(|(d, ups)| NfState {
+                matcher: NfMatcher::new(ups.len()),
+                owners: ups.iter().map(|_| EdgeOwners::default()).collect(),
+                base: 0,
+                rx: Vec::new(),
+                origin: Vec::new(),
+                tx: Vec::new(),
+                flows: Vec::new(),
                 flows_base: 0,
                 exit_count: 0,
-                orphans: vec![0; n],
                 is_exit: topology.exits().contains(&NfId(d as u16)),
-                stats: MatchStats::default(),
             })
             .collect();
-        let timelines = (0..n)
-            .map(|i| NfTimelineBuilder::new(NfId(i as u16)))
-            .collect();
+        let fan_in = upstreams.iter().map(Vec::len).max().unwrap_or(0);
         Self {
             topo: topology.clone(),
             cfg,
             nfs,
-            upstreams,
             out_slot,
             src_slot,
+            index: (0..fan_in).map(|_| EdgeIndex::new()).collect(),
+            boundary: None,
             watermark: 0,
-            suspended: HashMap::new(),
-            pending: BTreeMap::new(),
-            next_commit: 0,
-            source_total: 0,
             traces: Vec::new(),
             hops: Vec::new(),
+            hop_trace: Vec::new(),
+            reads: vec![Vec::new(); n],
             rx_to_trace: vec![Vec::new(); n],
-            paths: PathTrie::new(),
-            hop_path_ids: Vec::new(),
             report: ReconstructionReport::default(),
-            timelines,
         }
     }
 
@@ -442,28 +279,69 @@ impl WindowedReconstructor {
         self.ingest(&chunk.bundle, chunk.until)
     }
 
-    /// Ingests a record bundle whose timestamps all lie below `until` (and
-    /// at or above any previous `until`), then decides everything the new
+    /// Ingests a record bundle whose timestamps all lie below `until` and
+    /// at or above the previous `until`, then decides everything the new
     /// watermark proves stable.
     pub fn ingest(&mut self, bundle: &TraceBundle, until: Nanos) -> Result<(), StreamError> {
-        let n = self.nfs.len();
-        if bundle.logs.len() != n {
+        self.admit(bundle, until)?;
+        self.advance(bundle, until)
+    }
+
+    /// Checks that a chunk follows the ones before it — `until` exceeds the
+    /// previous boundary and no record is older than that boundary — and
+    /// makes `until` the new boundary. Per-node logs are time-ordered, so
+    /// the first record of each is its oldest: O(NFs).
+    pub fn admit(&mut self, bundle: &TraceBundle, until: Nanos) -> Result<(), StreamError> {
+        if bundle.logs.len() != self.nfs.len() {
             return Err(StreamError::TopologyMismatch {
-                expected: n,
+                expected: self.nfs.len(),
                 got: bundle.logs.len(),
             });
         }
-        // Phase 1: ingest every NF's records.
+        if let Some(watermark) = self.boundary {
+            let oldest = bundle.logs.iter().flat_map(|log| {
+                let first = [
+                    log.rx.first().map(|b| b.ts),
+                    log.tx.first().map(|b| b.ts),
+                    log.flows.first().map(|f| f.ts),
+                ];
+                first
+                    .into_iter()
+                    .flatten()
+                    .map(|ts| (NodeId::Nf(log.nf), ts))
+            });
+            let source = bundle.source_flows.first().map(|f| (NodeId::Source, f.ts));
+            let late = oldest.chain(source).find(|&(_, ts)| ts < watermark);
+            if until <= watermark || late.is_some() {
+                return Err(StreamError::OutOfOrderChunk {
+                    until,
+                    watermark,
+                    late,
+                });
+            }
+        }
+        self.boundary = Some(until);
+        Ok(())
+    }
+
+    /// Appends an admitted chunk's records — or a time-corrected copy of
+    /// them — raises the watermark to `watermark`, and decides, forwards
+    /// and evicts everything that proves stable.
+    pub fn advance(&mut self, bundle: &TraceBundle, watermark: Nanos) -> Result<(), StreamError> {
         for (i, log) in bundle.logs.iter().enumerate() {
             for b in &log.rx {
-                self.timelines[i].push_read(RxBatchInfo {
+                let batch = self.reads[i].len();
+                self.reads[i].push(RxBatchInfo {
                     ts: b.ts,
                     size: b.len(),
                     drained: b.drained_queue(),
                 });
                 for &ipid in &b.ipids {
-                    self.nfs[i].rx_pending.push_back(RxPend { ts: b.ts, ipid });
-                    self.nfs[i].rx_total += 1;
+                    self.nfs[i].rx.push(RxEntry {
+                        ts: b.ts,
+                        ipid,
+                        batch,
+                    });
                     self.rx_to_trace[i].push(RxTraceRef::NONE);
                 }
             }
@@ -471,562 +349,282 @@ impl WindowedReconstructor {
                 for &ipid in &b.ipids {
                     let pos_within = match b.to {
                         Some(d) => match self.out_slot[i][d.0 as usize] {
-                            Some(slot) => self.nfs[d.0 as usize].edges[slot].push(b.ts, ipid),
-                            None => {
-                                let c = &mut self.nfs[i].orphans[d.0 as usize];
-                                let pw = *c;
-                                *c += 1;
-                                pw
+                            Some(slot) => {
+                                self.nfs[d.0 as usize].matcher.edges[slot].push(b.ts, ipid)
                             }
+                            None => 0,
                         },
                         None => {
-                            let pw = self.nfs[i].exit_count;
                             self.nfs[i].exit_count += 1;
-                            pw
+                            self.nfs[i].exit_count - 1
                         }
                     };
-                    let st = &mut self.nfs[i];
-                    st.tx.push_back(TxSlot {
+                    self.nfs[i].tx.push(TxSlot {
                         ts: b.ts,
                         to: b.to,
                         pos_within,
-                        consumed: false,
                     });
-                    st.tx_total += 1;
                 }
             }
-            for f in &log.flows {
-                self.nfs[i].flows.push_back(f.flow);
-            }
+            self.nfs[i].flows.extend(log.flows.iter().map(|f| f.flow));
         }
-        // Phase 2: source emissions start new walks (they suspend on their
-        // entry edge until the matcher decides their position).
         for f in &bundle.source_flows {
             let entry = self.topo.entry_for(&f.flow);
             let Some(slot) = self.src_slot[entry.0 as usize] else {
                 return Err(StreamError::MissingSourceEdge { nf: entry });
             };
-            let pos = self.nfs[entry.0 as usize].edges[slot].push(f.ts, f.ipid);
-            let trace = self.source_total;
-            self.source_total += 1;
-            self.report.total += 1;
-            let walk = Walk {
-                trace,
+            // A source emission is a send whose owner is known at once.
+            assert!(
+                self.traces.len() < NO_TRACE as usize,
+                "trace indexes must fit u32"
+            );
+            let st = &mut self.nfs[entry.0 as usize];
+            st.matcher.edges[slot].push(f.ts, f.ipid);
+            // lint: lossy-cast-ok(guarded by the assert above)
+            st.owners[slot].owner.push(self.traces.len() as u32);
+            self.traces.push(ReconstructedTrace {
                 flow: f.flow,
-                emitted: f.ts,
-                hops: Vec::new(),
-                state: WalkState::AtEdge {
-                    down: entry,
-                    node: NodeId::Source,
-                    pos,
-                    arrival: f.ts,
-                },
-            };
-            self.run_walk(walk);
+                emitted_at: f.ts,
+                hops: 0..0,
+                outcome: TraceOutcome::Unresolved,
+            });
+            self.report.total += 1;
         }
-        // Phase 3: walks (and dead-slot markers) that were missing a tx
-        // entry can proceed now.
-        self.resume_tx_waiters();
-        self.drain_dead_rx();
-        // Phase 4: the watermark proves a prefix of each rx frontier stable.
-        self.watermark = self.watermark.max(until);
-        for i in 0..n {
-            self.decide_nf(i, false);
-        }
+        self.watermark = self.watermark.max(watermark);
+        self.settle(false);
         Ok(())
     }
 
-    /// Decides everything left, finalizes in-flight walks and returns the
-    /// reconstruction plus the incrementally-built timelines.
+    /// Decides and forwards everything left and returns the reconstruction
+    /// plus its timelines.
     pub fn finish(mut self) -> (Reconstruction, Timelines) {
-        let n = self.nfs.len();
-        // All records are in: decide the full rx frontier of every NF
-        // (identical to the offline matcher's main loop over the tail).
-        for i in 0..n {
-            self.decide_nf(i, true);
-        }
-        self.resume_tx_waiters();
-        // Whatever is still suspended can never resolve: positions at or
-        // past the final cursor are unresolved; a matched read with no tx
-        // entry gets its offline half-hop.
-        let mut rest: Vec<usize> = self.suspended.keys().copied().collect();
-        rest.sort_unstable();
-        for trace in rest {
-            let Some(mut walk) = self.suspended.remove(&trace) else {
-                continue;
-            };
-            match walk.state {
-                WalkState::AtEdge { .. } => self.finalize(walk, TraceOutcome::Unresolved),
-                WalkState::AtTx {
-                    down,
-                    rx_idx,
-                    read_ts,
-                    arrival,
-                } => {
-                    walk.hops.push(TraceHop {
-                        nf: down,
-                        arrival_ts: arrival,
-                        read_ts,
-                        sent_ts: None,
-                        rx_idx,
-                    });
-                    self.finalize(walk, TraceOutcome::Unresolved);
-                }
-            }
-        }
-        debug_assert_eq!(self.next_commit, self.source_total);
-        debug_assert!(self.pending.is_empty());
+        // All records are in: decide the full rx tail of every NF; what
+        // forwarding still finds undecided or unsent never resolves.
+        self.settle(true);
         for st in &self.nfs {
-            self.report.unmatched_rx += st.stats.unmatched_rx;
-            self.report.ambiguities += st.stats.ambiguities;
+            self.report.unmatched_rx += st.matcher.stats.unmatched_rx;
+            self.report.ambiguities += st.matcher.stats.ambiguities;
         }
-        let empty = TraceBundle {
-            logs: (0..n)
-                .map(|i| NfLog {
-                    nf: NfId(i as u16),
-                    rx: Vec::new(),
-                    tx: Vec::new(),
-                    flows: Vec::new(),
-                })
-                .collect(),
-            source_flows: Vec::new(),
-        };
-        let streams = EdgeStreams::build(&self.topo, &empty);
+        self.report.unresolved =
+            self.report.total - self.report.delivered - self.report.inferred_drops;
+        // Group the hops by trace, in emission order: a stable counting
+        // sort with each trace's hop range as its own write head.
+        let mut start = 0;
+        for tr in &mut self.traces {
+            let n = tr.hops.end;
+            tr.hops = start..start;
+            start += n;
+        }
+        let mut hops = self.hops.clone();
+        for (h, &t) in self.hops.iter().zip(&self.hop_trace) {
+            let head = &mut self.traces[t as usize].hops.end;
+            hops[*head as usize] = *h;
+            *head += 1;
+        }
+        drop((self.hops, self.hop_trace));
+        let (paths, hop_path_ids) = PathTrie::index(&self.traces, &hops);
         let recon = Reconstruction {
             traces: self.traces,
-            hops: self.hops,
+            hops,
             report: self.report,
-            streams,
+            reads: self.reads,
             rx_to_trace: self.rx_to_trace,
-            paths: self.paths,
-            hop_path_ids: self.hop_path_ids,
+            paths,
+            hop_path_ids,
         };
-        let timelines = Timelines {
-            nfs: self.timelines.into_iter().map(|b| b.finish()).collect(),
-        };
+        let timelines = Timelines::build(&recon);
         (recon, timelines)
     }
 
-    /// The reconstruction report so far (commit-order prefix of the run).
+    /// The reconstruction report so far (totals settle at [`Self::finish`]).
     pub fn report(&self) -> &ReconstructionReport {
         &self.report
     }
 
-    /// Traces committed so far.
+    /// Traces whose outcome is final so far (delivered or inferred dropped;
+    /// an unresolved fate is only known at [`Self::finish`]).
     pub fn committed(&self) -> usize {
-        self.next_commit
+        (self.report.delivered + self.report.inferred_drops) as usize
     }
 
-    /// Approximate bytes held by the *evictable* frontier: undecided rx,
-    /// unconsumed sends and tx slots, suspended walks, and the commit
-    /// reorder buffer. This is the quantity that must stay O(window); the
-    /// retained diagnosis substrate (traces, hop arena, timelines, path
-    /// trie) legitimately grows with the run.
+    /// Bytes held by the *evictable* frontier: the rx, tx and send columns
+    /// and the index over the undecided tails. This is the quantity that
+    /// must stay O(window); the retained diagnosis substrate (traces, hops,
+    /// reads, back-references) legitimately grows with the run, and the
+    /// index's IPID tables are a fixed 512 KiB per upstream slot of the
+    /// widest NF.
     pub fn working_set(&self) -> usize {
         use std::mem::size_of;
-        let mut bytes = 0usize;
+        let mut bytes = self.index.iter().map(EdgeIndex::bytes).sum::<usize>();
         for st in &self.nfs {
-            bytes += st.rx_pending.capacity() * size_of::<RxPend>();
-            bytes += st.tx.capacity() * size_of::<TxSlot>();
-            bytes += st.flows.capacity() * size_of::<FiveTuple>();
-            bytes += st.tx_waiters.len() * 48;
-            bytes += st.dead_rx.len() * 32;
-            bytes += st.edges.iter().map(IncEdge::approx_bytes).sum::<usize>();
-        }
-        // lint: order-insensitive(commutative sum over walk sizes)
-        for w in self.suspended.values() {
-            bytes += size_of::<Walk>() + w.hops.capacity() * size_of::<TraceHop>() + 48;
-        }
-        for f in self.pending.values() {
-            bytes += size_of::<Finished>() + f.hops.capacity() * size_of::<TraceHop>() + 48;
+            bytes += st.rx.capacity() * size_of::<RxEntry>()
+                + st.origin.capacity() * size_of::<Option<(usize, usize)>>()
+                + st.tx.capacity() * size_of::<TxSlot>()
+                + st.flows.capacity() * size_of::<FiveTuple>();
+            for (e, o) in st.matcher.edges.iter().zip(&st.owners) {
+                bytes += e.bytes() + o.owner.capacity() * size_of::<u32>();
+            }
         }
         bytes
     }
 
-    /// Resumes every walk whose missing tx entry has since been ingested.
-    fn resume_tx_waiters(&mut self) {
+    /// One round over the frontier: decide each NF's stable rx prefix (all
+    /// of it when `finishing`), forward upstream-first so ownership crosses
+    /// the whole DAG in one pass, drop what is behind the pointers.
+    fn settle(&mut self, finishing: bool) {
         for i in 0..self.nfs.len() {
-            loop {
-                let st = &mut self.nfs[i];
-                let Some((&rx_idx, &trace)) = st.tx_waiters.first_key_value() else {
-                    break;
-                };
-                if rx_idx >= st.tx_total {
-                    break;
-                }
-                st.tx_waiters.pop_first();
-                let Some(walk) = self.suspended.remove(&trace) else {
-                    continue;
-                };
-                self.run_walk(walk);
-            }
+            self.decide_nf(i, finishing);
+        }
+        for k in 0..self.nfs.len() {
+            let d = self.topo.topo_order()[k].0 as usize;
+            self.forward_nf(d, finishing);
+            self.settle_sends(d);
         }
     }
 
-    /// Decides the stable prefix of NF `i`'s rx frontier (all of it when
-    /// `finishing`). An rx entry is stable once the watermark exceeds the
-    /// read time (plus slack) of the last entry its decision may consult —
-    /// itself for a single-upstream NF, the `lookahead`-th successor when
-    /// IPID collisions can trigger playout.
+    /// Decides the stable prefix of NF `i`'s undecided rx entries (all of
+    /// them when `finishing`) with the shared matcher step. An rx entry is
+    /// stable once the watermark exceeds the read time (plus slack) of the
+    /// last entry its decision may consult — itself for a single-upstream
+    /// NF, the `lookahead`-th successor when IPID collisions can trigger
+    /// playout.
     fn decide_nf(&mut self, i: usize, finishing: bool) {
+        let st = &mut self.nfs[i];
+        let undecided = &st.rx[st.origin.len()..];
+        let stable = if finishing {
+            undecided.len()
+        } else {
+            let margin = match st.matcher.edges.len() {
+                0 | 1 => 0,
+                _ => self.cfg.lookahead,
+            };
+            let horizon = self.watermark;
+            let slack = self.cfg.negative_slack_ns;
+            undecided
+                .iter()
+                .skip(margin)
+                .take_while(|r| r.ts.saturating_add(slack) < horizon)
+                .count()
+        };
+        if stable == 0 {
+            return;
+        }
+        // Sends appended since the last round are not in the index yet, and
+        // the tables are shared between NFs: re-index this NF's undecided
+        // edge tails.
+        for (ix, e) in self.index.iter_mut().zip(&st.matcher.edges) {
+            ix.rebuild(e);
+        }
+        for _ in 0..stable {
+            let k = st.origin.len();
+            let chosen = st
+                .matcher
+                .decide(&mut self.index, &st.rx, k, st.base, &self.cfg);
+            st.origin.push(chosen);
+        }
+    }
+
+    /// Forwards NF `d`'s decided rx entries in rx order, as far as they can
+    /// go: entry `j` needs the owner of the send it matched (its upstream
+    /// must have forwarded that far) and tx entry `j`. Records the hop,
+    /// ends the trace at an exit, hands the owner on to the tx entry's send,
+    /// and drops the pairs it got through. When `finishing`, whatever is
+    /// missing never arrives: an unknown owner is no owner, a missing tx
+    /// entry ends the trace inside this NF.
+    fn forward_nf(&mut self, d: usize, finishing: bool) {
+        let mut n = 0;
         loop {
-            let st = &self.nfs[i];
-            let Some(front) = st.rx_pending.front() else {
+            let st = &self.nfs[d];
+            let Some(&origin) = st.origin.get(n) else {
                 break;
             };
-            if !finishing {
-                let stable = if st.edges.len() <= 1 {
-                    front.ts.saturating_add(self.cfg.negative_slack_ns) < self.watermark
-                } else {
-                    match st.rx_pending.get(self.cfg.lookahead) {
-                        Some(la) => {
-                            la.ts.saturating_add(self.cfg.negative_slack_ns) < self.watermark
-                        }
-                        None => false,
-                    }
-                };
-                if !stable {
-                    break;
-                }
+            let (sender, tx) = (st.sender(origin), st.tx.get(n).copied());
+            if !finishing && (sender.is_none() || tx.is_none()) {
+                break;
             }
-            self.decide_one(i);
-        }
-    }
-
-    /// Pops and decides the front rx entry of NF `i`, mirroring one
-    /// iteration of the offline matcher's rx loop, then resumes any walks
-    /// the decision unblocked.
-    fn decide_one(&mut self, i: usize) {
-        let mut resumes: Vec<(usize, EdgeDecision)> = Vec::new();
-        let mut dead: Vec<(usize, usize)> = Vec::new();
-        'decide: {
-            let st = &mut self.nfs[i];
-            let Some(r) = st.rx_pending.pop_front() else {
-                return;
-            };
-            let rx_idx = st.rx_decided;
-            st.rx_decided += 1;
-            let mut cands: Vec<(usize, usize)> = Vec::new();
-            for (e_idx, e) in st.edges.iter().enumerate() {
-                if let Some(pos) = e.candidate(r.ipid, r.ts, &self.cfg) {
-                    cands.push((e_idx, pos));
-                }
-            }
-            if cands.is_empty() {
-                st.stats.unmatched_rx += 1;
-                // No walk will ever consume this rx entry's tx slot.
-                dead.push((i, rx_idx));
-                break 'decide;
-            }
-            let chosen = if cands.len() == 1 {
-                cands[0]
-            } else {
-                st.stats.ambiguities += 1;
-                cands.sort_by_key(|&(e, p)| (st.edges[e].ts_at(p), e, p));
-                let default = cands[0];
-                if !self.cfg.use_order_channel {
-                    default
-                } else {
-                    let mut best = default;
-                    let mut best_score: Option<usize> = None;
-                    let mut cursors: Vec<usize> = Vec::with_capacity(st.edges.len());
-                    for &(e_idx, pos) in &cands {
-                        cursors.clear();
-                        cursors.extend(st.edges.iter().map(|e| e.cursor));
-                        cursors[e_idx] = pos + 1;
-                        let s = lookahead_score(
-                            &st.edges,
-                            &mut cursors,
-                            &st.rx_pending,
-                            self.cfg.lookahead,
-                            &self.cfg,
-                        );
-                        if best_score.is_none_or(|b| s > b) {
-                            best_score = Some(s);
-                            best = (e_idx, pos);
-                        }
-                    }
-                    if best != default {
-                        st.stats.ambiguity_flips += 1;
-                    }
-                    best
-                }
-            };
-            st.stats.matched += 1;
-            let (e_idx, pos) = chosen;
-            let skipped = pos - st.edges[e_idx].cursor;
-            st.stats.inferred_drops += skipped as u64;
-            let e = &mut st.edges[e_idx];
-            for q in e.cursor..pos {
-                if let Some(t) = e.waiters.remove(&q) {
-                    resumes.push((t, EdgeDecision::Dropped));
-                } else if !e.ghosts.remove(&q) {
-                    e.outcomes.insert(q, EdgeDecision::Dropped);
-                }
-            }
-            let dec = EdgeDecision::Matched {
-                rx_idx,
-                read_ts: r.ts,
-            };
-            if let Some(t) = e.waiters.remove(&pos) {
-                resumes.push((t, dec));
-            } else if e.ghosts.remove(&pos) {
-                // An ownerless send matched this rx: its tx slot is dead.
-                dead.push((i, rx_idx));
-            } else {
-                e.outcomes.insert(pos, dec);
-            }
-            e.cursor = pos + 1;
-            e.evict();
-        }
-        for (trace, dec) in resumes {
-            self.resume_edge(trace, dec);
-        }
-        self.mark_dead_slots(dead);
-    }
-
-    /// Consumes tx slots proven ownerless — their rx entry was unmatched,
-    /// or the send that would have carried a walk to them was itself dead —
-    /// so a dead slot can never block `evict_tx` for the rest of the run.
-    /// A dead slot's own send is ownerless in turn: its eventual match
-    /// decision is consumed by a ghost, cascading down the DAG.
-    fn mark_dead_slots(&mut self, mut work: Vec<(usize, usize)>) {
-        while let Some((d, j)) = work.pop() {
-            let st = &mut self.nfs[d];
-            if j >= st.tx_total {
-                st.dead_rx.insert(j);
-                continue;
-            }
-            let Some(slot) = j.checked_sub(st.tx_base).and_then(|k| st.tx.get_mut(k)) else {
-                continue;
-            };
-            if slot.consumed {
-                continue;
-            }
-            slot.consumed = true;
-            let (to, pw) = (slot.to, slot.pos_within);
-            st.evict_tx();
-            let Some(d2) = to else { continue };
-            let Some(slot_idx) = self.out_slot[d][d2.0 as usize] else {
-                continue; // orphan target: there is no edge stream to poison
-            };
-            let e = &mut self.nfs[d2.0 as usize].edges[slot_idx];
-            match e.outcomes.remove(&pw) {
-                Some(EdgeDecision::Matched { rx_idx, .. }) => {
-                    work.push((d2.0 as usize, rx_idx));
-                }
-                Some(EdgeDecision::Dropped) => {}
-                None => {
-                    if pw >= e.cursor {
-                        e.ghosts.insert(pw);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Applies dead-on-arrival markers whose tx entries have been ingested.
-    fn drain_dead_rx(&mut self) {
-        for i in 0..self.nfs.len() {
-            let st = &mut self.nfs[i];
-            let mut ready: Vec<(usize, usize)> = Vec::new();
-            while let Some(&j) = st.dead_rx.first() {
-                if j >= st.tx_total {
-                    break;
-                }
-                st.dead_rx.pop_first();
-                ready.push((i, j));
-            }
-            if !ready.is_empty() {
-                self.mark_dead_slots(ready);
-            }
-        }
-    }
-
-    /// Applies a just-made edge decision to the walk suspended on it.
-    fn resume_edge(&mut self, trace: usize, dec: EdgeDecision) {
-        let Some(mut walk) = self.suspended.remove(&trace) else {
-            return;
-        };
-        let WalkState::AtEdge { down, arrival, .. } = walk.state else {
-            debug_assert!(false, "edge waiter was not at an edge");
-            return;
-        };
-        match dec {
-            EdgeDecision::Dropped => self.finalize(
-                walk,
-                TraceOutcome::InferredDrop {
-                    nf: down,
-                    at: arrival,
-                },
-            ),
-            EdgeDecision::Matched { rx_idx, read_ts } => {
-                walk.state = WalkState::AtTx {
-                    down,
-                    rx_idx,
+            let (trace, arrival) = sender.unwrap_or((NO_TRACE, 0));
+            let (j, read_ts) = (st.base + n, st.rx[n].ts);
+            n += 1;
+            if trace != NO_TRACE {
+                let tr = &mut self.traces[trace as usize];
+                self.rx_to_trace[d][j] = RxTraceRef::new(trace as usize, tr.hops.end as usize);
+                tr.hops.end += 1;
+                self.hops.push(TraceHop {
+                    nf: NfId(d as u16),
+                    arrival_ts: arrival,
                     read_ts,
-                    arrival,
-                };
-                self.run_walk(walk);
-            }
-        }
-    }
-
-    /// Advances a walk until it finalizes or suspends — the streaming twin
-    /// of the offline `assemble` loop body for one source packet.
-    fn run_walk(&mut self, mut walk: Walk) {
-        loop {
-            match walk.state {
-                WalkState::AtEdge {
-                    down,
-                    node,
-                    pos,
-                    arrival,
-                } => {
-                    let d = down.0 as usize;
-                    // A send to a node that is not a topology edge has no
-                    // match table offline either: unresolved.
-                    let Some(slot) = self.upstreams[d].iter().position(|&u| u == node) else {
-                        return self.finalize(walk, TraceOutcome::Unresolved);
-                    };
-                    let e = &mut self.nfs[d].edges[slot];
-                    match e.outcomes.remove(&pos) {
-                        Some(EdgeDecision::Dropped) => {
-                            return self.finalize(
-                                walk,
-                                TraceOutcome::InferredDrop {
-                                    nf: down,
-                                    at: arrival,
-                                },
-                            );
-                        }
-                        Some(EdgeDecision::Matched { rx_idx, read_ts }) => {
-                            walk.state = WalkState::AtTx {
-                                down,
-                                rx_idx,
-                                read_ts,
-                                arrival,
-                            };
-                        }
-                        None => {
-                            debug_assert!(pos >= e.cursor, "decided position lost its outcome");
-                            e.waiters.insert(pos, walk.trace);
-                            self.suspended.insert(walk.trace, walk);
-                            return;
-                        }
-                    }
-                }
-                WalkState::AtTx {
-                    down,
-                    rx_idx,
-                    read_ts,
-                    arrival,
-                } => {
-                    let d = down.0 as usize;
-                    if rx_idx >= self.nfs[d].tx_total {
-                        self.nfs[d].tx_waiters.insert(rx_idx, walk.trace);
-                        self.suspended.insert(walk.trace, walk);
-                        return;
-                    }
-                    let st = &mut self.nfs[d];
-                    let (tx_ts, tx_to, pw) = {
-                        let t = &mut st.tx[rx_idx - st.tx_base];
-                        t.consumed = true;
-                        (t.ts, t.to, t.pos_within)
-                    };
-                    walk.hops.push(TraceHop {
-                        nf: down,
-                        arrival_ts: arrival,
-                        read_ts,
-                        sent_ts: Some(tx_ts),
-                        rx_idx,
-                    });
-                    let mut flow_mismatch = false;
-                    if tx_to.is_none() && st.is_exit {
-                        if let Some(flow) = st.flow_at(pw) {
-                            flow_mismatch = flow != walk.flow;
-                        }
-                    }
-                    st.evict_tx();
-                    if flow_mismatch {
-                        self.report.flow_mismatches += 1;
-                    }
-                    match tx_to {
-                        None => return self.finalize(walk, TraceOutcome::Delivered(tx_ts)),
-                        Some(d2) => {
-                            walk.state = WalkState::AtEdge {
-                                down: d2,
-                                node: NodeId::Nf(down),
-                                pos: pw,
-                                arrival: tx_ts,
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Parks a finished walk in the reorder buffer and commits every trace
-    /// whose emission turn has come.
-    fn finalize(&mut self, walk: Walk, outcome: TraceOutcome) {
-        self.pending.insert(
-            walk.trace,
-            Finished {
-                flow: walk.flow,
-                emitted: walk.emitted,
-                hops: walk.hops,
-                outcome,
-            },
-        );
-        while let Some(f) = self.pending.remove(&self.next_commit) {
-            let trace = self.next_commit;
-            self.next_commit += 1;
-            self.commit(trace, &f);
-        }
-    }
-
-    /// Appends one trace to the retained substrate in offline order: hop
-    /// arena, path-trie interning, `rx_to_trace` back-references, timeline
-    /// arrivals and report counters all replay `assemble` +
-    /// `PathTrie::index` + `Timelines::build` for this trace.
-    fn commit(&mut self, trace: usize, f: &Finished) {
-        debug_assert!(u32::try_from(self.hops.len() + f.hops.len()).is_ok());
-        // lint: lossy-cast-ok(the hop arena is u32-indexed by design, as offline)
-        let hop_start = self.hops.len() as u32;
-        let mut cur = PATH_ROOT;
-        for (h_idx, h) in f.hops.iter().enumerate() {
-            self.rx_to_trace[h.nf.0 as usize][h.rx_idx] = RxTraceRef::new(trace, h_idx);
-            self.hop_path_ids.push(cur);
-            cur = self.paths.child(cur, NodeId::Nf(h.nf));
-            self.timelines[h.nf.0 as usize].push_arrival(Arrival {
-                ts: h.arrival_ts,
-                trace,
-                hop: h_idx,
-                kind: ArrivalKind::Queued,
-            });
-            self.hops.push(*h);
-        }
-        match f.outcome {
-            TraceOutcome::Delivered(_) => self.report.delivered += 1,
-            TraceOutcome::InferredDrop { nf, at } => {
-                self.report.inferred_drops += 1;
-                self.timelines[nf.0 as usize].push_arrival(Arrival {
-                    ts: at,
-                    trace,
-                    hop: f.hops.len(),
-                    kind: ArrivalKind::Dropped,
+                    sent_ts: tx.map(|t| t.ts),
+                    rx_idx: j,
                 });
+                self.hop_trace.push(trace);
             }
-            TraceOutcome::Unresolved => self.report.unresolved += 1,
+            // Read but never sent: the run ended inside this NF.
+            let Some(tx) = tx else { continue };
+            match tx.to {
+                None if trace != NO_TRACE => {
+                    let tr = &mut self.traces[trace as usize];
+                    tr.outcome = TraceOutcome::Delivered(tx.ts);
+                    self.report.delivered += 1;
+                    // Validate against the exit flow record.
+                    let recorded = tx.pos_within.checked_sub(st.flows_base);
+                    if let Some(&flow) = recorded.and_then(|at| st.flows.get(at)) {
+                        if st.is_exit && flow != tr.flow {
+                            self.report.flow_mismatches += 1;
+                        }
+                    }
+                }
+                None => {}
+                // A send to a node that is not a topology edge has no match
+                // table offline either: the trace stays unresolved.
+                Some(d2) => {
+                    if let Some(slot) = self.out_slot[d][d2.0 as usize] {
+                        let down = &mut self.nfs[d2.0 as usize];
+                        let owner = &mut down.owners[slot].owner;
+                        debug_assert_eq!(
+                            down.matcher.edges[slot].base + owner.len(),
+                            tx.pos_within
+                        );
+                        owner.push(trace);
+                    }
+                }
+            }
         }
-        self.traces.push(ReconstructedTrace {
-            flow: f.flow,
-            emitted_at: f.emitted,
-            // lint: lossy-cast-ok(same u32 arena bound as offline assemble)
-            hops: hop_start..self.hops.len() as u32,
-            outcome: f.outcome,
-        });
+        let st = &mut self.nfs[d];
+        let sent = st.tx.drain(..n.min(st.tx.len()));
+        let exits = sent.filter(|t| t.to.is_none()).count().min(st.flows.len());
+        st.flows.drain(..exits);
+        st.flows_base += exits;
+        st.rx.drain(..n);
+        st.origin.drain(..n);
+        st.base += n;
+    }
+
+    /// Settles NF `d`'s sends behind the edge cursors whose owner is known:
+    /// a skipped one ends its trace as an inferred drop. Then drops every
+    /// leading send nothing reads again — skipped, or matched to an rx
+    /// entry already forwarded.
+    fn settle_sends(&mut self, d: usize) {
+        let st = &mut self.nfs[d];
+        for (e, o) in st.matcher.edges.iter_mut().zip(&mut st.owners) {
+            let upto = e.cursor.min(e.base + o.owner.len());
+            for pos in o.settled..upto {
+                let trace = o.owner[pos - e.base];
+                if e.matched[pos - e.base] == UNMATCHED && trace != NO_TRACE {
+                    self.traces[trace as usize].outcome = TraceOutcome::InferredDrop {
+                        nf: NfId(d as u16),
+                        at: e.ts_at(pos),
+                    };
+                    self.report.inferred_drops += 1;
+                }
+            }
+            o.settled = upto;
+            let n = e.matched[..upto - e.base]
+                .iter()
+                .take_while(|&&m| m == UNMATCHED || (m as usize) < st.base)
+                .count();
+            o.owner.drain(..n);
+            e.drop_prefix(n);
+        }
     }
 }
 
@@ -1036,6 +634,7 @@ mod tests {
     use crate::reconstruct::{reconstruct, ReconstructionConfig};
     use msc_collector::{chunk_bundle, Collector, CollectorConfig, PacketMeta};
     use nf_types::{NfKind, Proto};
+    use std::collections::VecDeque;
 
     /// Deterministic LCG (no external rand in tests).
     struct Lcg(u64);
@@ -1190,12 +789,7 @@ mod tests {
             w.ingest_chunk(&chunk).unwrap();
         }
         let (got, got_tl) = w.finish();
-        assert_eq!(got.traces, off.traces, "{tag}: traces");
-        assert_eq!(got.hops, off.hops, "{tag}: hop arena");
-        assert_eq!(got.report, off.report, "{tag}: report");
-        assert_eq!(got.rx_to_trace, off.rx_to_trace, "{tag}: rx_to_trace");
-        assert_eq!(got.hop_path_ids, off.hop_path_ids, "{tag}: hop_path_ids");
-        assert_eq!(got.paths.len(), off.paths.len(), "{tag}: path trie size");
+        assert_eq!(got, off, "{tag}: reconstruction");
         assert_eq!(got_tl, off_tl, "{tag}: timelines");
         off.report
     }
@@ -1304,6 +898,69 @@ mod tests {
                 got: 0
             })
         );
+    }
+
+    /// Decisions behind the watermark are final, so a chunk from behind it
+    /// — swapped, replayed, or a whole stream reversed — must be refused,
+    /// not matched against a frontier that has moved on.
+    #[test]
+    fn out_of_order_and_duplicate_chunks_are_refused() {
+        let topo = diamond();
+        let bundle = random_run(&topo, &mut Lcg(0x0dd_c0de), 80, false);
+        let chunks = chunk_bundle(&bundle, 7_000);
+        assert!(chunks.len() > 4, "{} chunks", chunks.len());
+        let feed = |order: &[usize]| {
+            let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
+            order.iter().try_for_each(|&i| w.ingest_chunk(&chunks[i]))
+        };
+        let all: Vec<usize> = (0..chunks.len()).collect();
+        assert_eq!(feed(&all), Ok(()));
+
+        let refused = |order: &[usize], until: Nanos, watermark: Nanos| match feed(order) {
+            Err(StreamError::OutOfOrderChunk {
+                until: u,
+                watermark: w,
+                late,
+            }) => {
+                assert_eq!((u, w), (until, watermark), "{order:?}");
+                late
+            }
+            other => panic!("{order:?} was not refused: {other:?}"),
+        };
+        let (u1, u2) = (chunks[1].until, chunks[2].until);
+        // Swapped neighbours: the late chunk is named with its oldest record.
+        let late = refused(&[0, 2, 1], u1, u2);
+        assert!(matches!(late, Some((_, ts)) if ts < u1), "{late:?}");
+        // The same chunk twice.
+        refused(&[0, 1, 1], u1, u1);
+        // A reversed stream fails at its second chunk.
+        let last = chunks.len() - 1;
+        refused(
+            &[last, last - 1],
+            chunks[last - 1].until,
+            chunks[last].until,
+        );
+
+        // A larger `until` does not excuse a record from behind the watermark…
+        let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
+        w.ingest_chunk(&chunks[0]).unwrap();
+        w.ingest_chunk(&chunks[1]).unwrap();
+        let stale = w.ingest(&chunks[0].bundle, u2);
+        assert!(
+            matches!(
+                stale,
+                Err(StreamError::OutOfOrderChunk { late: Some(_), .. })
+            ),
+            "{stale:?}"
+        );
+        assert!(stale
+            .unwrap_err()
+            .to_string()
+            .contains("before the watermark"));
+        // …while a record-free chunk that only moves the watermark is legal.
+        let empty = Collector::new(&topo, CollectorConfig::default()).into_bundle();
+        assert_eq!(w.ingest(&empty, u2), Ok(()));
+        assert_eq!(w.ingest_chunk(&chunks[3]), Ok(()));
     }
 
     /// Regression (window-boundary IPID reuse, variant A): a 16-bit IPID is

@@ -3,14 +3,13 @@
 //!
 //! The offline pipeline (`reconstruct` + `Timelines::build` + diagnosis)
 //! stays the ground truth; `StreamEngine` consumes the identical records as
-//! time chunks and must produce the same traces, report, back-references,
-//! timelines, and diagnoses for every seed, chunk size, and cache setting —
-//! the only sanctioned divergence is `Reconstruction::streams`, which
-//! streaming leaves empty (nothing downstream of timeline construction
-//! reads it).
+//! time chunks and must produce an equal `Reconstruction` (traces, hop
+//! arena, report, read batches, back-references, path trie), equal
+//! timelines and equal diagnoses for every seed, chunk size, and cache
+//! setting. Chunk sizes run from far below the read batch spacing (every
+//! chunk splits queues mid-flight) to one chunk holding the whole run.
 
 use microscope_repro::prelude::*;
-use microscope_repro::trace::NfTimelineBuilder;
 
 fn run_16nf(rate: f64, millis: u64, seed: u64) -> (Topology, Vec<f64>, TraceBundle) {
     let topology = paper_topology();
@@ -62,47 +61,22 @@ fn streamed_pipeline_is_bit_identical_to_offline() {
         let (off_diag, _) = oracle.diagnose_all_stats(&offline, &off_tl);
         assert!(!off_diag.is_empty(), "seed {seed} produced no victims");
 
-        for chunk_ms in [3u64, 11] {
+        for chunk_us in [200u64, 3_000, 11_000, 1_000_000] {
             for cache in [true, false] {
-                let tag = format!("seed {seed}, chunk {chunk_ms} ms, cache {cache}");
+                let tag = format!("seed {seed}, chunk {chunk_us} us, cache {cache}");
                 let mut engine = StreamEngine::new(&topology, StreamConfig::default());
-                for chunk in chunk_bundle(&bundle, chunk_ms * MILLIS) {
+                let chunks = chunk_bundle(&bundle, chunk_us * MICROS);
+                assert_eq!(chunks.len() == 1, chunk_us == 1_000_000, "{tag}");
+                for chunk in chunks {
                     engine.push_chunk(&chunk).expect("chunk fits topology");
                 }
                 let out = engine.finish_and_diagnose(rates.clone(), diag_config(cache));
-                assert_eq!(out.recon.traces, offline.traces, "{tag}: traces");
-                assert_eq!(out.recon.hops, offline.hops, "{tag}: hop arena");
-                assert_eq!(out.recon.report, offline.report, "{tag}: report");
-                assert_eq!(
-                    out.recon.rx_to_trace, offline.rx_to_trace,
-                    "{tag}: rx_to_trace"
-                );
-                assert_eq!(
-                    out.recon.hop_path_ids, offline.hop_path_ids,
-                    "{tag}: hop_path_ids"
-                );
+                assert_eq!(out.recon, offline, "{tag}: reconstruction");
                 assert_eq!(out.timelines, off_tl, "{tag}: timelines");
                 assert_eq!(out.diagnoses, off_diag, "{tag}: diagnoses");
             }
         }
     }
-}
-
-#[test]
-fn streamed_timelines_match_the_builder_contract() {
-    // The streaming engine's timelines come from incremental
-    // NfTimelineBuilder pushes; double-check the builder itself on this
-    // workload against the batch constructor (guards the engine's oracle).
-    let (topology, _, bundle) = run_16nf(1_000_000.0, 15, 7);
-    let offline = reconstruct(&topology, &bundle, &ReconstructionConfig::default());
-    let off_tl = Timelines::build(&offline);
-    let _ = NfTimelineBuilder::new; // builder is part of the public API
-    let mut engine = StreamEngine::new(&topology, StreamConfig::default());
-    for chunk in chunk_bundle(&bundle, 5 * MILLIS) {
-        engine.push_chunk(&chunk).expect("chunk fits topology");
-    }
-    let (_, tl) = engine.finish();
-    assert_eq!(tl, off_tl);
 }
 
 #[test]
