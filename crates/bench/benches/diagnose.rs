@@ -182,30 +182,6 @@ fn main() {
         stage_s[2] * 1e3
     );
 
-    // Kernel-backed stage timings over the real run data: each of these
-    // stages spends its inner loops in one msc-kernels family — matching in
-    // the galloping run lookups, occupancy in the radix-permutation /
-    // prefix-sum / batched partition-point timeline construction, quantile
-    // in the latency selection over the trace population, walk in the
-    // epoch-stamped credit-walk accumulations. Timed on the same
-    // reconstruction so the numbers decompose `reconstruct_ms`/
-    // `diagnose_ms`.
-    let dc1 = diagnosis_config(true);
-    let timelines1 = Timelines::build(&seq_recon);
-    let occupancy_kernel_s = time_best(reps, || Timelines::build(&seq_recon));
-    let quantile_kernel_s = time_best(reps, || microscope::find_victims(&seq_recon, &dc1.victims));
-    let engine1 = Microscope::new(sc.topology.clone(), sc.peak_rates.clone(), dc1);
-    let walk_kernel_s = time_best(reps, || engine1.diagnose_all_stats(&seq_recon, &timelines1));
-    let matching_kernel_s = stage_s[1];
-    eprintln!(
-        "kernel stages: matching {:.1} ms, occupancy {:.1} ms, \
-         quantile {:.1} ms, walk {:.1} ms",
-        matching_kernel_s * 1e3,
-        occupancy_kernel_s * 1e3,
-        quantile_kernel_s * 1e3,
-        walk_kernel_s * 1e3
-    );
-
     // Interleave the two timed calls so a slow system phase penalises both
     // equally instead of skewing whichever block it landed in.
     let mut recon_s = f64::INFINITY;
@@ -275,9 +251,6 @@ fn main() {
          \"baseline_reconstruct_ms\": {BASELINE_RECONSTRUCT_MS:.3},\n  \
          \"reconstruct_stage_ms\": {{\"streams_build\": {:.3}, \"matching\": {:.3}, \
          \"assemble\": {:.3}}},\n  \
-         \"kernel_stage_ms\": {{\"matching_kernel_ms\": {:.3}, \
-         \"occupancy_kernel_ms\": {:.3}, \"quantile_kernel_ms\": {:.3}, \
-         \"walk_kernel_ms\": {:.3}}},\n  \
          \"reconstruct_ms\": {:.3},\n  \"diagnose_ms\": {:.3},\n  \
          \"skew_scenario\": {{\"rate_pps\": {skew_rate_pps:.0}, \"millis\": {skew_millis}, \
          \"seed\": {seed}, \"clock_offsets_ms\": \"+-2\", \"source_packets\": {}}},\n  \
@@ -293,10 +266,6 @@ fn main() {
         stage_s[0] * 1e3,
         stage_s[1] * 1e3,
         stage_s[2] * 1e3,
-        matching_kernel_s * 1e3,
-        occupancy_kernel_s * 1e3,
-        quantile_kernel_s * 1e3,
-        walk_kernel_s * 1e3,
         recon_s * 1e3,
         diag_s * 1e3,
         bundle.source_flows.len(),

@@ -15,6 +15,7 @@ use nf_traffic::{CaidaLike, CaidaLikeConfig};
 use nf_types::{
     emit_topology, paper_topology, parse_topology, NodeId, TimeDelta, Topology, MICROS, MILLIS,
 };
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Top-level usage text.
@@ -102,6 +103,42 @@ impl Flags {
                 .map_err(|_| format!("bad value for --{key}: {v:?}")),
         }
     }
+
+    /// `--chunk-ms`, when given: a whole number of milliseconds, at least 1
+    /// (0 would cut the run into one chunk per nanosecond).
+    fn chunk_ms(&self) -> Result<Option<u64>, String> {
+        if self.get("chunk-ms").is_none() {
+            return Ok(None);
+        }
+        match self.num("chunk-ms", 0u64)? {
+            0 => Err("--chunk-ms must be at least 1".to_string()),
+            ms => Ok(Some(ms)),
+        }
+    }
+
+    /// `--quantile` (default 0.99): the victim latency quantile, strictly
+    /// between 0 and 1.
+    fn quantile(&self) -> Result<f64, String> {
+        let q: f64 = self.num("quantile", 0.99)?;
+        if q > 0.0 && q < 1.0 {
+            Ok(q)
+        } else {
+            Err(format!("--quantile must be in (0, 1), got {q}"))
+        }
+    }
+}
+
+/// Runs the part of a command that writes stdout. A reader that closed the
+/// pipe (`microscope diagnose … | head -2`) ends the command quietly; any
+/// other write error is the command's error.
+fn emit(
+    out: &mut dyn Write,
+    body: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), String> {
+    match body(out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("write stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn load_deployment(path: &str) -> Result<(Topology, Vec<f64>), String> {
@@ -113,9 +150,14 @@ fn load_bundle_arg(path: &str) -> Result<TraceBundle, String> {
     load_bundle(Path::new(path)).map_err(|e| format!("load {path}: {e}"))
 }
 
+/// `microscope help` — the usage text on stdout.
+pub fn help(out: &mut dyn Write) -> Result<(), String> {
+    emit(out, |out| writeln!(out, "{USAGE}"))
+}
+
 /// `microscope record` — simulate a run and write the operator-visible
 /// artifacts (deployment description + collector bundle).
-pub fn record(args: &[String]) -> Result<(), String> {
+pub fn record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(
         args,
         &["out", "millis", "rate", "seed", "interrupt", "chunk-ms"],
@@ -125,6 +167,7 @@ pub fn record(args: &[String]) -> Result<(), String> {
     let millis: u64 = f.num("millis", 200)?;
     let rate: f64 = f.num("rate", 1.2)?;
     let seed: u64 = f.num("seed", 42)?;
+    let chunk_ms = f.chunk_ms()?;
 
     let topology = paper_topology();
     let cfgs = paper_nf_configs(&topology);
@@ -172,69 +215,72 @@ pub fn record(args: &[String]) -> Result<(), String> {
     );
     let packets = gen.generate(0, millis * MILLIS).finalize(0);
     let n = packets.len();
-    let out = sim.run(&packets);
+    let run = sim.run(&packets);
 
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("mkdir {out_dir:?}: {e}"))?;
     let topo_path = out_dir.join("topology.txt");
     std::fs::write(&topo_path, emit_topology(&topology, &rates))
         .map_err(|e| format!("write {topo_path:?}: {e}"))?;
     let bundle_path = out_dir.join("run.msc");
-    save_bundle(&bundle_path, &out.bundle).map_err(|e| format!("{e}"))?;
-    if let Some(ms) = f.get("chunk-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --chunk-ms {ms:?}"))?;
-        let chunks = chunk_bundle(&out.bundle, ms.max(1) * MILLIS);
+    save_bundle(&bundle_path, &run.bundle).map_err(|e| format!("{e}"))?;
+    let mut summary = String::new();
+    if let Some(ms) = chunk_ms {
+        let chunks = chunk_bundle(&run.bundle, ms * MILLIS);
         let chunked_path = out_dir.join("run.mscs");
         save_bundle_chunked(&chunked_path, &chunks).map_err(|e| format!("{e}"))?;
-        println!(
-            "wrote {} ({} chunks of {ms} ms)",
+        summary = format!(
+            "wrote {} ({} chunks of {ms} ms)\n",
             chunked_path.display(),
             chunks.len()
         );
     }
-
-    println!(
+    summary += &format!(
         "recorded {n} packets over {millis} ms at {rate} Mpps (seed {seed})\n\
-         wrote {} and {} ({} bytes, {:.2} B/packet-appearance)",
+         wrote {} and {} ({} bytes, {:.2} B/packet-appearance)\n",
         topo_path.display(),
         bundle_path.display(),
         std::fs::metadata(&bundle_path).map_or(0, |m| m.len()),
-        out.bundle.bytes_per_packet(),
+        run.bundle.bytes_per_packet(),
     );
-    Ok(())
+    emit(out, |out| out.write_all(summary.as_bytes()))
 }
 
 /// `microscope inspect` — bundle statistics.
-pub fn inspect(args: &[String]) -> Result<(), String> {
+pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["bundle"], &[])?;
     let bundle = load_bundle_arg(f.require("bundle")?)?;
-    println!("source packets : {}", bundle.source_flows.len());
-    println!("nf logs        : {}", bundle.logs.len());
-    println!("appearances    : {}", bundle.packet_appearances());
-    println!("encoded size   : {} bytes", bundle.encoded_size());
-    println!("bytes/packet   : {:.2}", bundle.bytes_per_packet());
-    println!();
-    println!(
-        "{:>5} {:>10} {:>10} {:>12} {:>12} {:>10}",
-        "nf", "rx_batches", "tx_batches", "rx_packets", "mean_batch", "flows"
-    );
-    for log in &bundle.logs {
-        let rx_pkts: usize = log.rx.iter().map(|b| b.len()).sum();
-        let mean = if log.rx.is_empty() {
-            0.0
-        } else {
-            rx_pkts as f64 / log.rx.len() as f64
-        };
-        println!(
-            "{:>5} {:>10} {:>10} {:>12} {:>12.2} {:>10}",
-            log.nf.0,
-            log.rx.len(),
-            log.tx.len(),
-            rx_pkts,
-            mean,
-            log.flows.len()
-        );
-    }
-    Ok(())
+    emit(out, |out| {
+        writeln!(out, "source packets : {}", bundle.source_flows.len())?;
+        writeln!(out, "nf logs        : {}", bundle.logs.len())?;
+        writeln!(out, "appearances    : {}", bundle.packet_appearances())?;
+        writeln!(out, "encoded size   : {} bytes", bundle.encoded_size())?;
+        writeln!(out, "bytes/packet   : {:.2}", bundle.bytes_per_packet())?;
+        writeln!(out)?;
+        writeln!(
+            out,
+            "{:>5} {:>10} {:>10} {:>12} {:>12} {:>10}",
+            "nf", "rx_batches", "tx_batches", "rx_packets", "mean_batch", "flows"
+        )?;
+        for log in &bundle.logs {
+            let rx_pkts: usize = log.rx.iter().map(|b| b.len()).sum();
+            let mean = if log.rx.is_empty() {
+                0.0
+            } else {
+                rx_pkts as f64 / log.rx.len() as f64
+            };
+            writeln!(
+                out,
+                "{:>5} {:>10} {:>10} {:>12} {:>12.2} {:>10}",
+                log.nf.0,
+                log.rx.len(),
+                log.tx.len(),
+                rx_pkts,
+                mean,
+                log.flows.len()
+            )?;
+        }
+        Ok(())
+    })
 }
 
 /// Whole-run clock offsets for `diagnose --skew` and `skew`. An NF with no
@@ -250,25 +296,27 @@ fn estimate_offsets_noting_fallbacks(topology: &Topology, bundle: &TraceBundle) 
 }
 
 /// `microscope diagnose` — the full offline pipeline on saved artifacts.
-pub fn diagnose(args: &[String]) -> Result<(), String> {
+pub fn diagnose(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle", "quantile", "top"], &["skew"])?;
+    let quantile = f.quantile()?;
+    let top: usize = f.num("top", 10)?;
     let (topology, rates) = load_deployment(f.require("topology")?)?;
     let mut bundle = load_bundle_arg(f.require("bundle")?)?;
-    let quantile: f64 = f.num("quantile", 0.99)?;
-    let top: usize = f.num("top", 10)?;
 
-    let mut recon_cfg = ReconstructionConfig::default();
-    if f.has("skew") {
-        let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
-        println!("estimated clock offsets (ns): {offsets:?}\n");
-        bundle = correct_bundle(&bundle, &offsets);
-        recon_cfg.matching.negative_slack_ns = 20 * MICROS;
-    }
+    emit(out, |out| {
+        let mut recon_cfg = ReconstructionConfig::default();
+        if f.has("skew") {
+            let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
+            writeln!(out, "estimated clock offsets (ns): {offsets:?}\n")?;
+            bundle = correct_bundle(&bundle, &offsets);
+            recon_cfg.matching.negative_slack_ns = 20 * MICROS;
+        }
 
-    let recon = reconstruct(&topology, &bundle, &recon_cfg);
-    let timelines = Timelines::build(&recon);
+        let recon = reconstruct(&topology, &bundle, &recon_cfg);
+        let timelines = Timelines::build(&recon);
 
-    report_diagnosis(&topology, rates, &recon, &timelines, quantile, top)
+        report_diagnosis(out, &topology, rates, &recon, &timelines, quantile, top)
+    })
 }
 
 /// The diagnosis half of the pipeline plus all the stdout both `diagnose`
@@ -276,21 +324,23 @@ pub fn diagnose(args: &[String]) -> Result<(), String> {
 /// byte-identical on identical reconstructions (the streaming-equivalence
 /// CI job diffs them).
 fn report_diagnosis(
+    out: &mut dyn Write,
     topology: &Topology,
     rates: Vec<f64>,
     recon: &Reconstruction,
     timelines: &Timelines,
     quantile: f64,
     top: usize,
-) -> Result<(), String> {
-    println!(
+) -> io::Result<()> {
+    writeln!(
+        out,
         "reconstructed {} traces: {} delivered, {} dropped, {} unresolved, {} IPID ambiguities",
         recon.report.total,
         recon.report.delivered,
         recon.report.inferred_drops,
         recon.report.unresolved,
         recon.report.ambiguities
-    );
+    )?;
 
     let mut dc = DiagnosisConfig::default();
     dc.victims.latency = LatencyThreshold::Quantile(quantile);
@@ -307,7 +357,11 @@ fn report_diagnosis(
             cache_stats.entries
         );
     }
-    println!("diagnosed {} victim (packet, NF) pairs\n", diagnoses.len());
+    writeln!(
+        out,
+        "diagnosed {} victim (packet, NF) pairs\n",
+        diagnoses.len()
+    )?;
 
     // Ranked culprit locations.
     let mut blame: std::collections::HashMap<String, (f64, usize)> = Default::default();
@@ -326,9 +380,12 @@ fn report_diagnosis(
     // Tie-break on the name: the counts come out of a HashMap, so equal
     // counts would otherwise print in per-process-random order.
     ranked.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then_with(|| a.0.cmp(&b.0)));
-    println!("top culprit locations (victims where ranked #1):");
+    writeln!(out, "top culprit locations (victims where ranked #1):")?;
     for (name, (score, victims)) in ranked.iter().take(top) {
-        println!("  {name:>16}: {victims:>6} victims, blame mass {score:.1}");
+        writeln!(
+            out,
+            "  {name:>16}: {victims:>6} victims, blame mass {score:.1}"
+        )?;
     }
 
     // Aggregated causal patterns (§4.4). Aggregation costs ~1 ms/relation
@@ -350,14 +407,15 @@ fn report_diagnosis(
         autofocus::aggregate_patterns(&relations, &autofocus::PatternConfig::default(), &|id| {
             topology.nf(id).kind
         });
-    println!(
+    writeln!(
+        out,
         "\n{} causal relations -> {} patterns; top {}:",
         relations.len(),
         patterns.len(),
         top.min(patterns.len())
-    );
+    )?;
     for p in patterns.iter().take(top) {
-        println!("  {p}");
+        writeln!(out, "  {p}")?;
     }
     Ok(())
 }
@@ -365,17 +423,17 @@ fn report_diagnosis(
 /// `microscope stream` — the streaming pipeline: consume the bundle as a
 /// sequence of time chunks with O(window) reconstruction state, then print
 /// the same report as `diagnose` (byte-identical without `--skew`).
-pub fn stream(args: &[String]) -> Result<(), String> {
+pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(
         args,
         &["topology", "bundle", "chunk-ms", "quantile", "top"],
         &["skew"],
     )?;
+    let chunk_ms = f.chunk_ms()?.unwrap_or(50);
+    let quantile = f.quantile()?;
+    let top: usize = f.num("top", 10)?;
     let (topology, rates) = load_deployment(f.require("topology")?)?;
     let path = f.require("bundle")?;
-    let chunk_ms: u64 = f.num("chunk-ms", 50)?;
-    let quantile: f64 = f.num("quantile", 0.99)?;
-    let top: usize = f.num("top", 10)?;
 
     let mut cfg = StreamConfig::default();
     if f.has("skew") {
@@ -419,20 +477,24 @@ pub fn stream(args: &[String]) -> Result<(), String> {
         eprintln!("note: {note}");
     }
     let (recon, timelines) = engine.finish();
-    report_diagnosis(&topology, rates, &recon, &timelines, quantile, top)
+    emit(out, |out| {
+        report_diagnosis(out, &topology, rates, &recon, &timelines, quantile, top)
+    })
 }
 
 /// `microscope skew` — clock-offset estimation only.
-pub fn skew(args: &[String]) -> Result<(), String> {
+pub fn skew(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle"], &[])?;
     let (topology, _) = load_deployment(f.require("topology")?)?;
     let bundle = load_bundle_arg(f.require("bundle")?)?;
     let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
-    println!("{:>8} {:>16}", "nf", "offset_ns");
-    for (nf, off) in topology.nfs().iter().zip(&offsets) {
-        println!("{:>8} {:>16}", nf.name, off);
-    }
-    Ok(())
+    emit(out, |out| {
+        writeln!(out, "{:>8} {:>16}", "nf", "offset_ns")?;
+        for (nf, off) in topology.nfs().iter().zip(&offsets) {
+            writeln!(out, "{:>8} {:>16}", nf.name, off)?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -441,6 +503,24 @@ mod tests {
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    // The commands with their stdout discarded (these shadow the glob
+    // import), for the tests that only ask whether a command succeeds.
+    fn record(args: &[String]) -> Result<(), String> {
+        super::record(args, &mut io::sink())
+    }
+    fn inspect(args: &[String]) -> Result<(), String> {
+        super::inspect(args, &mut io::sink())
+    }
+    fn diagnose(args: &[String]) -> Result<(), String> {
+        super::diagnose(args, &mut io::sink())
+    }
+    fn stream(args: &[String]) -> Result<(), String> {
+        super::stream(args, &mut io::sink())
+    }
+    fn skew(args: &[String]) -> Result<(), String> {
+        super::skew(args, &mut io::sink())
     }
 
     #[test]
@@ -471,26 +551,49 @@ mod tests {
     }
 
     #[test]
-    fn undefined_flags_are_errors_naming_the_flag() {
+    fn undefined_flags_and_out_of_range_values_are_errors_naming_the_flag() {
         let files = ["--topology", "/nonexistent", "--bundle", "/nope"];
-        type Cmd = fn(&[String]) -> Result<(), String>;
-        let cases: [(Cmd, &[&str], &str); 4] = [
-            (diagnose, &["--threads", "4"], "--threads"),
-            (diagnose, &["--threshold", "3"], "--threshold"),
-            (diagnose, &["--no-cache"], "--no-cache"),
-            (stream, &["--bogus"], "--bogus"),
+        type Cmd = fn(&[String], &mut dyn Write) -> Result<(), String>;
+        let mut cases: Vec<(Cmd, Vec<&str>)> = vec![
+            (super::diagnose, vec!["--threads", "4"]),
+            (super::diagnose, vec!["--threshold", "3"]),
+            (super::diagnose, vec!["--no-cache"]),
+            (super::stream, vec!["--bogus"]),
+            (super::stream, vec!["--chunk-ms", "0"]),
+            (super::stream, vec!["--chunk-ms", "-5"]),
         ];
-        for (cmd, extra, flag) in cases {
-            let err = cmd(&s(&[&files[..], extra].concat())).unwrap_err();
-            assert!(err.contains(flag), "{flag}: {err}");
+        for q in ["nan", "-1", "0", "1", "1.5", "inf", "x"] {
+            cases.push((super::diagnose, vec!["--quantile", q]));
+            cases.push((super::stream, vec!["--quantile", q]));
+        }
+        for (cmd, extra) in cases {
+            let mut stdout = Vec::new();
+            let err = cmd(&s(&[&files[..], &extra[..]].concat()), &mut stdout).unwrap_err();
+            assert!(err.contains(extra[0]), "{extra:?}: {err}");
             assert!(
                 !err.contains("/nonexistent"),
-                "{flag} must fail first: {err}"
+                "{extra:?} must fail first: {err}"
             );
+            assert!(stdout.is_empty(), "{extra:?} wrote stdout");
         }
         for gone in ["--threads", "--no-cache", "--threshold"] {
             assert!(!USAGE.contains(gone), "USAGE still lists {gone}");
         }
+
+        // `record` refuses `--chunk-ms 0` before it simulates or writes.
+        let dir = std::env::temp_dir().join("msc_cli_chunk_ms_zero");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_string_lossy().to_string();
+        let mut stdout = Vec::new();
+        let err = super::record(&s(&["--out", &out, "--chunk-ms", "0"]), &mut stdout).unwrap_err();
+        assert!(err.contains("--chunk-ms"), "{err}");
+        assert!(stdout.is_empty() && !dir.exists());
+
+        let f = |args: &[&str]| Flags::parse(&s(args), &["quantile", "chunk-ms"], &[]).unwrap();
+        assert_eq!(f(&[]).quantile(), Ok(0.99));
+        assert_eq!(f(&["--quantile", "0.5"]).quantile(), Ok(0.5));
+        assert_eq!(f(&[]).chunk_ms(), Ok(None));
+        assert_eq!(f(&["--chunk-ms", "1"]).chunk_ms(), Ok(Some(1)));
     }
 
     #[test]

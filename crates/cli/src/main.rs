@@ -38,16 +38,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
+    // One locked handle for everything a command prints: the commands
+    // decide what a failed write means (a closed pipe is not an error).
+    let out = &mut std::io::stdout().lock();
     let result = match cmd.as_str() {
-        "record" => commands::record(rest),
-        "inspect" => commands::inspect(rest),
-        "diagnose" => commands::diagnose(rest),
-        "stream" => commands::stream(rest),
-        "skew" => commands::skew(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
+        "record" => commands::record(rest, out),
+        "inspect" => commands::inspect(rest, out),
+        "diagnose" => commands::diagnose(rest, out),
+        "stream" => commands::stream(rest, out),
+        "skew" => commands::skew(rest, out),
+        "help" | "--help" | "-h" => commands::help(out),
         other => Err(format!("unknown command {other:?}\n{}", commands::USAGE)),
     };
     match result {

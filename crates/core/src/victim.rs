@@ -122,9 +122,6 @@ pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
                 // an O(N) selection replaces the full sort.
                 let rank = ((lats.len() as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
                 let idx = rank.saturating_sub(1).min(lats.len() - 1);
-                // Measured in `--bench kernels`: the branchless
-                // median-of-medians select loses to the stdlib introselect
-                // at every size (0.5–0.7x), so the kernel stays unwired here.
                 *lats.select_nth_unstable(idx).1
             }
         }

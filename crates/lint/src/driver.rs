@@ -178,77 +178,6 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), DriverError> {
     Ok(())
 }
 
-/// R8 — kernel purity: `crates/kernels` must stay dependency-free (an empty
-/// `[dependencies]` table in its manifest; dev-dependencies are fine — the
-/// equivalence suite uses proptest) and its `lib.rs` must open with
-/// `#![forbid(unsafe_code)]`. The kernels are the one crate whose output
-/// must be bit-identical to a scalar reference on every platform, so they
-/// get no third-party code and no unsafe at all. Exposed for fixture tests;
-/// `root` is the workspace root.
-pub fn r8_kernel_purity(root: &Path) -> Result<Vec<Finding>, DriverError> {
-    let mut out = Vec::new();
-    let manifest_path = root.join("crates/kernels/Cargo.toml");
-    let lib_path = root.join("crates/kernels/src/lib.rs");
-    // A missing kernels crate is itself a gate failure: the rule exists to
-    // stop the crate from being quietly dropped or renamed.
-    let manifest = std::fs::read_to_string(&manifest_path)
-        .map_err(|e| DriverError::Io(manifest_path.clone(), e))?;
-    let lib =
-        std::fs::read_to_string(&lib_path).map_err(|e| DriverError::Io(lib_path.clone(), e))?;
-
-    for (i, dep) in dependency_entries(&manifest) {
-        out.push(Finding {
-            rule: RuleId::KernelPurity,
-            file: "crates/kernels/Cargo.toml".into(),
-            line: i,
-            message: format!(
-                "`{dep}` in [dependencies]: msc-kernels must stay dependency-free \
-                 (std only); move test-only crates to [dev-dependencies]"
-            ),
-        });
-    }
-    let forbids = lib.lines().any(|l| {
-        let l: String = l
-            .split("//")
-            .next()
-            .unwrap_or("")
-            .split_whitespace()
-            .collect();
-        l == "#![forbid(unsafe_code)]"
-    });
-    if !forbids {
-        out.push(Finding {
-            rule: RuleId::KernelPurity,
-            file: "crates/kernels/src/lib.rs".into(),
-            line: 1,
-            message: "missing `#![forbid(unsafe_code)]`: the kernels crate must \
-                      reject unsafe at the crate level"
-                .into(),
-        });
-    }
-    Ok(out)
-}
-
-/// The `(line, name)` of every entry in the `[dependencies]` table of a
-/// manifest (not `[dev-dependencies]` or any other table). Line numbers are
-/// 1-based.
-fn dependency_entries(manifest: &str) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    let mut in_deps = false;
-    for (i, raw) in manifest.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-            continue;
-        }
-        if in_deps && !line.is_empty() {
-            let name = line.split(['=', ' ', '.']).next().unwrap_or(line);
-            out.push((i as u32 + 1, name.to_string()));
-        }
-    }
-    out
-}
-
 /// Lints one already-loaded file. Exposed for the fixture tests.
 pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -> Vec<Finding> {
     let ctx = FileCtx::new(
@@ -286,7 +215,6 @@ pub fn run(
         files: files.len(),
         ..Default::default()
     };
-    run.findings.extend(r8_kernel_purity(root)?);
     let mut r4_lines: BTreeMap<String, Vec<u32>> = BTreeMap::new();
     // R11 needs the struct table from *all* wire-crate files, and R12–R14
     // need the call graph over *all* library files, before any check can

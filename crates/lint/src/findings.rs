@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-/// The twelve project invariants `msc-lint` enforces (ids R6 and R7
-/// belonged to the retired concurrency rules and are not reused).
+/// The eleven project invariants `msc-lint` enforces (ids R6 and R7
+/// belonged to the retired concurrency rules, R8 to the retired kernel
+/// crate; none is reused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// R1 — HashMap/HashSet iteration order must not reach output.
@@ -16,8 +17,6 @@ pub enum RuleId {
     PanicSurface,
     /// R5 — `unsafe` requires a `// SAFETY:` comment on the preceding line.
     UnsafeAudit,
-    /// R8 — `crates/kernels` stays dependency-free and `forbid(unsafe_code)`.
-    KernelPurity,
     /// R9 — growable collections in streaming scope must be registered in
     /// `frontier-manifest.toml` with a verified eviction path.
     BoundedFrontier,
@@ -31,7 +30,7 @@ pub enum RuleId {
     /// transitively reach an allocating call without an
     /// `// alloc: amortized(reason)` annotation at the site.
     HotPathAlloc,
-    /// R13 — `msc-kernels` fns and registered hot fns must not reach
+    /// R13 — registered hot fns must not reach
     /// `panic!`/`unwrap`/`expect`/`unreachable!`.
     PanicFreeKernels,
     /// R14 — nondeterminism sources (unordered-map iteration, unjustified
@@ -43,13 +42,12 @@ pub enum RuleId {
 impl RuleId {
     /// Every rule, in id order — the source of truth for `--explain`
     /// coverage and iteration in tests.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::OrderSensitivity,
         RuleId::TimeArithmetic,
         RuleId::LossyCast,
         RuleId::PanicSurface,
         RuleId::UnsafeAudit,
-        RuleId::KernelPurity,
         RuleId::BoundedFrontier,
         RuleId::FloatDeterminism,
         RuleId::WireParity,
@@ -66,7 +64,6 @@ impl RuleId {
             RuleId::LossyCast => "R3",
             RuleId::PanicSurface => "R4",
             RuleId::UnsafeAudit => "R5",
-            RuleId::KernelPurity => "R8",
             RuleId::BoundedFrontier => "R9",
             RuleId::FloatDeterminism => "R10",
             RuleId::WireParity => "R11",
@@ -91,7 +88,6 @@ impl RuleId {
             RuleId::LossyCast => "lossy-cast",
             RuleId::PanicSurface => "panic-surface",
             RuleId::UnsafeAudit => "unsafe-audit",
-            RuleId::KernelPurity => "kernel-purity",
             RuleId::BoundedFrontier => "bounded-frontier",
             RuleId::FloatDeterminism => "float-determinism",
             RuleId::WireParity => "wire-parity",
@@ -113,10 +109,9 @@ impl RuleId {
             // the frontier manifest, R10 by `// float: canonical-order`,
             // R12 by the hotpath manifest plus `// alloc: amortized(..)`
             // at the allocation site, R14 by the R1/R10 source-site
-            // suppressions — and R8/R13 have no escape hatch at all.
+            // suppressions — and R13 has no escape hatch at all.
             RuleId::PanicSurface
             | RuleId::UnsafeAudit
-            | RuleId::KernelPurity
             | RuleId::BoundedFrontier
             | RuleId::FloatDeterminism
             | RuleId::HotPathAlloc
@@ -163,12 +158,6 @@ impl RuleId {
                  invariant that makes it sound. The comment is the \
                  suppression — there is no other escape hatch."
             }
-            RuleId::KernelPurity => {
-                "R8 kernel-purity: crates/kernels must stay dependency-free \
-                 (dev-deps exempt) and `#![forbid(unsafe_code)]`, so the \
-                 branchless hot-path kernels stay portable and auditable. \
-                 No suppression."
-            }
             RuleId::BoundedFrontier => {
                 "R9 bounded-frontier: every growable collection field \
                  (Vec/VecDeque/HashMap/HashSet/BTreeMap/BTreeSet/BinaryHeap) \
@@ -205,8 +194,8 @@ impl RuleId {
             RuleId::HotPathAlloc => {
                 "R12 hot-path-alloc: functions carrying a `// hot:` marker \
                  and registered in hotpath-manifest.toml (the matcher, \
-                 timeline, credit-walk, kernel, and windowed-frontier inner \
-                 loops) must not transitively reach an allocating call — \
+                 timeline and credit-walk inner loops) must not \
+                 transitively reach an allocating call — \
                  `.push(`/`.insert(`/`.collect(`/`.to_vec(`/`.clone(`/\
                  `format!`/`Box::new` — through the workspace call graph. \
                  An amortized append into a caller-owned, reused buffer is \
@@ -217,8 +206,8 @@ impl RuleId {
                  Scaffold entries with `--write-hotpath`."
             }
             RuleId::PanicFreeKernels => {
-                "R13 panic-free-kernels: every fn in crates/kernels and \
-                 every hot fn registered in hotpath-manifest.toml must not \
+                "R13 panic-free-kernels: every hot fn registered in \
+                 hotpath-manifest.toml must not \
                  transitively reach a panicking call — `.unwrap(`/\
                  `.expect(`/`panic!`/`unreachable!`/`todo!`/\
                  `unimplemented!` — through the workspace call graph \
@@ -365,9 +354,10 @@ mod tests {
             assert_eq!(RuleId::from_id(&rule.id().to_lowercase()), Some(rule));
         }
         assert_eq!(RuleId::from_id("R15"), None);
-        // The retired concurrency rules' ids stay unassigned.
+        // The retired concurrency and kernel-crate rules' ids stay unassigned.
         assert_eq!(RuleId::from_id("R6"), None);
         assert_eq!(RuleId::from_id("R7"), None);
+        assert_eq!(RuleId::from_id("R8"), None);
         assert_eq!(RuleId::from_id(""), None);
     }
 

@@ -1,6 +1,6 @@
 //! The workspace-wide cross-crate call graph and the three interprocedural
-//! rules built on it: R12 hot-path allocation freedom, R13 panic-free
-//! kernels, R14 determinism taint.
+//! rules built on it: R12 hot-path allocation freedom, R13 panic-free hot
+//! fns, R14 determinism taint.
 //!
 //! The per-file rules (R1–R11) reason about one file at a time; a
 //! `Vec::push` hidden one call away from a hot loop, or a `HashMap`
@@ -16,8 +16,8 @@
 //! - `path::to::fn(..)` resolves by module-tail matching against node keys,
 //!   with crate-alias heads (`msc_trace` → `trace`) normalised; a path that
 //!   matches nothing in the workspace is external (std) and contributes no
-//!   edge. Crate-root re-exports (`msc_kernels::sum_u64`) resolve to every
-//!   same-name free fn in the crate — deliberately conservative.
+//!   edge. Crate-root re-exports (`msc_trace::match_downstream`) resolve to
+//!   every same-name free fn in the crate — deliberately conservative.
 //! - `Type::fn(..)` resolves through the global impl table.
 //! - `self.m(..)` resolves through the enclosing impl's type;
 //!   `self.field.m(..)` through the global struct field-type table. Any
@@ -105,7 +105,7 @@ const ALLOC_METHODS: &[&str] = &["push", "insert", "collect", "to_vec", "clone"]
 
 /// Panicking macro names (the R13 leaf set, together with
 /// `.unwrap(`/`.expect(`). `assert!`/`debug_assert!` are deliberately
-/// exempt: kernel precondition checks are contracts, not reachable panics
+/// exempt: precondition checks are contracts, not reachable panics
 /// in correct callers.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -154,7 +154,8 @@ fn alias_matches(head: &str, crate_dir: &str) -> bool {
 /// the crate dir): either a plain suffix of the module path, or a
 /// crate-alias head followed by a *prefix* of the in-crate path — the
 /// prefix form is what makes crate-root re-exports
-/// (`msc_kernels::sum_u64` for `kernels::reduce::sum_u64`) resolve.
+/// (`msc_trace::match_downstream` for `trace::matching::match_downstream`)
+/// resolve.
 fn quals_match(quals: &[String], mods: &[&str]) -> bool {
     if quals.len() <= mods.len()
         && mods[mods.len() - quals.len()..]
@@ -524,15 +525,6 @@ impl Graph {
             v.sort_by(|&a, &b| self.nodes[a].key.cmp(&self.nodes[b].key));
             v
         };
-        let kernel_roots: Vec<usize> = {
-            let mut v: Vec<usize> = (0..self.nodes.len())
-                .filter(|&i| self.files[self.nodes[i].file_idx].1 == "kernels")
-                .collect();
-            v.extend(hot_roots.iter().copied());
-            v.sort_by(|&a, &b| self.nodes[a].key.cmp(&self.nodes[b].key));
-            v.dedup();
-            v
-        };
 
         // R12: no unwaived allocation reachable from a hot root.
         self.reach_findings(
@@ -544,9 +536,9 @@ impl Graph {
              `// alloc: amortized(reason)`",
             findings,
         );
-        // R13: no panic reachable from a kernel or hot root.
+        // R13: no panic reachable from a hot root.
         self.reach_findings(
-            &kernel_roots,
+            &hot_roots,
             |n| &n.panic_sites,
             RuleId::PanicFreeKernels,
             "panicking call",

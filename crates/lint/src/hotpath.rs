@@ -1,14 +1,14 @@
 //! The R12/R13 hotpath manifest: `hotpath-manifest.toml`.
 //!
 //! The workspace's hot inner loops — the matcher candidate scans, the
-//! timeline interval queries, the credit walk, the kernels, and the
-//! windowed-frontier incremental path — carry a `// hot:` marker comment on
-//! the fn and are registered here, each with a one-line reason. Registration
-//! is two-sided, like R7/R9: a marked fn missing from the manifest is a
-//! finding (the hot surface must be reviewable as a checked-in diff), and a
-//! manifest entry whose fn lost its marker or vanished is stale. Registered
-//! fns are the roots of the interprocedural R12 (allocation-freedom) and
-//! R13 (panic-freedom) reachability proofs in [`crate::graph`].
+//! timeline interval queries and the credit walk — carry a `// hot:` marker
+//! comment on the fn and are registered here, each with a one-line reason.
+//! Registration is two-sided, like R7/R9: a marked fn missing from the
+//! manifest is a finding (the hot surface must be reviewable as a checked-in
+//! diff), and a manifest entry whose fn lost its marker or vanished is stale.
+//! Registered fns are the roots of the interprocedural R12
+//! (allocation-freedom) and R13 (panic-freedom) reachability proofs in
+//! [`crate::graph`].
 //!
 //! Keys are call-graph node keys: `module::fn` for free fns and
 //! `module::Owner::fn` for methods (e.g.
@@ -147,8 +147,10 @@ mod tests {
             "trace::matching::EdgeStream::candidate".into(),
             "matcher inner loop".into(),
         );
-        m.entries
-            .insert("kernels::reduce::sum_u64".into(), "query kernel".into());
+        m.entries.insert(
+            "trace::timeline::NfTimeline::arrived_in".into(),
+            "interval query".into(),
+        );
         let parsed = HotpathManifest::parse(&m.render()).unwrap();
         assert_eq!(parsed, m);
     }

@@ -15,8 +15,6 @@
 //! * **R4 panic surface** — `unwrap`/`expect` in library code, ratcheted
 //!   down by `lint-baseline.toml`.
 //! * **R5 unsafe audit** — `unsafe` requires a `// SAFETY:` comment.
-//! * **R8 kernel purity** — `crates/kernels` stays dependency-free and
-//!   `#![forbid(unsafe_code)]`.
 //! * **R9 bounded frontier** — growable collections on streaming-scope
 //!   structs must be registered in `frontier-manifest.toml` with a
 //!   verified eviction path (or a `fixed`/`retained` claim).
@@ -27,8 +25,8 @@
 //! * **R12 hot-path alloc** — fns registered in `hotpath-manifest.toml`
 //!   must not transitively reach an allocating call through the workspace
 //!   call graph (waived per-site with `// alloc: amortized(reason)`).
-//! * **R13 panic-free kernels** — `msc-kernels` and registered hot fns
-//!   must not reach `panic!`/`unwrap`/`expect`/`unreachable!`.
+//! * **R13 panic-free kernels** — registered hot fns must not reach
+//!   `panic!`/`unwrap`/`expect`/`unreachable!`.
 //! * **R14 determinism taint** — nondeterminism sources must not flow
 //!   through the call graph into wire writers or report builders.
 //!

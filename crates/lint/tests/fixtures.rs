@@ -111,20 +111,6 @@ fn r4_does_not_apply_to_binaries() {
     assert!(got.is_empty());
 }
 
-/// R8 inspects `crates/kernels` unconditionally (a missing crate is a gate
-/// failure), so every materialized mini-workspace needs a minimal clean one.
-fn write_clean_kernels_crate(root: &std::path::Path) {
-    let kernels = root.join("crates/kernels/src");
-    std::fs::create_dir_all(&kernels).expect("fixture kernels dir");
-    std::fs::write(
-        root.join("crates/kernels/Cargo.toml"),
-        "[package]\nname = \"msc-kernels\"\n\n[dependencies]\n\n[dev-dependencies]\nproptest = \"1\"\n",
-    )
-    .expect("fixture kernels manifest");
-    std::fs::write(kernels.join("lib.rs"), "#![forbid(unsafe_code)]\n")
-        .expect("fixture kernels lib.rs");
-}
-
 /// End-to-end ratchet semantics through `msc_lint::run` on a materialized
 /// mini-workspace: exact baseline passes, over-baseline gates, and an
 /// over-generous (stale) baseline gates too.
@@ -135,7 +121,6 @@ fn baseline_ratchet_round_trip() {
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     // The driver also walks the workspace-root crate's `src/` tree.
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     std::fs::write(
         src.join("lib.rs"),
         include_str!("fixtures/r4_panic_surface.rs"),
@@ -150,7 +135,7 @@ fn baseline_ratchet_round_trip() {
         &HotpathManifest::default(),
     )
     .expect("lint run");
-    assert_eq!(run.files, 2); // core/lib.rs + the minimal kernels lib.rs
+    assert_eq!(run.files, 1);
     assert!(
         run.findings.is_empty(),
         "exact baseline must pass: {:?}",
@@ -250,7 +235,6 @@ fn frontier_manifest_round_trip() {
     let src = root.join("crates/stream/src");
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     // `crates/stream/src/lib.rs` → module key `stream`, which is in the R9
     // streaming scope. `buf` is growable; `ingest` grows it and reaches
     // `evict_old`, which shrinks it; `len` touches it without shrinking.
@@ -342,7 +326,6 @@ fn findings_output_is_deterministic_and_sorted() {
         .expect("fixture lib.rs");
     }
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
 
     let baseline = Baseline::default();
     let frontier = FrontierManifest::default();
@@ -387,7 +370,6 @@ fn hotpath_manifest_round_trip() {
     let src = root.join("crates/gr/src");
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     let lib = "pub mod deep;\n\
                \n\
                // hot: fixture scan loop\n\
@@ -503,7 +485,6 @@ fn graph_resolution_shadowing_imports_and_siblings() {
     let src = root.join("crates/gr/src");
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     std::fs::write(
         src.join("lib.rs"),
         "pub mod alloc_mod;\npub mod local_mod;\npub mod import_mod;\npub mod paths;\n",
@@ -623,7 +604,6 @@ fn graph_resolution_trait_dispatch_and_field_types() {
     let src = root.join("crates/gt/src");
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     std::fs::write(src.join("lib.rs"), "pub mod scorers;\npub mod fields;\n")
         .expect("fixture lib.rs");
     let scorers = "pub struct Wide;\n\
@@ -724,7 +704,6 @@ fn graph_resolution_reexports() {
     std::fs::create_dir_all(&widgets).expect("fixture tmp dir");
     std::fs::create_dir_all(&other).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     std::fs::write(
         widgets.join("lib.rs"),
         "pub mod inner;\n\npub use inner::helper;\n",
@@ -786,7 +765,6 @@ fn json_output_matches_text_findings() {
     let src = root.join("crates/core/src");
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     std::fs::write(
         src.join("lib.rs"),
         include_str!("fixtures/r2_time_arithmetic.rs"),
@@ -859,7 +837,6 @@ fn determinism_taint_reaches_wire_sinks() {
     let src = root.join("crates/collector/src");
     std::fs::create_dir_all(&src).expect("fixture tmp dir");
     std::fs::create_dir_all(root.join("src")).expect("fixture root src");
-    write_clean_kernels_crate(&root);
     let lib = "use std::collections::HashMap;\n\
                \n\
                fn summarize(m: &HashMap<u32, u32>) -> u32 {\n\

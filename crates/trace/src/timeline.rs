@@ -80,8 +80,8 @@ pub struct NfTimeline {
     pub arrivals: Vec<Arrival>,
     /// Read batches in time order.
     pub reads: Vec<RxBatchInfo>,
-    /// Flat copy of `arrivals[i].ts`: the branchless search kernels probe
-    /// an 8-byte-stride column instead of the 32-byte `Arrival` records.
+    /// Flat copy of `arrivals[i].ts`: the binary searches probe an
+    /// 8-byte-stride column instead of the 32-byte `Arrival` records.
     arrival_ts: Vec<Nanos>,
     /// Flat copy of `reads[i].ts`, for the same reason.
     read_ts: Vec<Nanos>,
@@ -104,23 +104,24 @@ impl NfTimeline {
         // the counting passes move u32 indices and the 32-byte records are
         // gathered once at the end.
         let ts_keys: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
-        let mut order = Vec::new();
-        msc_kernels::sort_indices_by_u64(&ts_keys, &mut order);
+        let order = stable_order_by_key(&ts_keys);
         let arrivals: Vec<Arrival> = order.iter().map(|&i| arrivals[i as usize]).collect();
-        // Flat timestamp and size/flag columns first, then the prefix-sum
-        // kernels over them. All values are exact integers, so the chunked
-        // kernels produce the same prefix arrays the sequential loops did.
-        let arrival_ts: Vec<Nanos> = order.iter().map(|&i| ts_keys[i as usize]).collect();
+        let arrival_ts: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
         let read_ts: Vec<Nanos> = reads.iter().map(|r| r.ts).collect();
-        let sizes: Vec<u32> = reads.iter().map(|r| r.size as u32).collect();
-        let mut read_prefix = Vec::new();
-        msc_kernels::prefix_sum_u64_from_u32(&sizes, &mut read_prefix);
-        let queued_flags: Vec<u32> = arrivals
-            .iter()
-            .map(|a| u32::from(a.kind == ArrivalKind::Queued))
-            .collect();
-        let mut queued_prefix = Vec::new();
-        msc_kernels::prefix_sum_u64_from_u32(&queued_flags, &mut queued_prefix);
+        let mut read_prefix = Vec::with_capacity(reads.len() + 1);
+        let mut read_so_far = 0u64;
+        read_prefix.push(read_so_far);
+        for r in &reads {
+            read_so_far += r.size as u64;
+            read_prefix.push(read_so_far);
+        }
+        let mut queued_prefix = Vec::with_capacity(arrivals.len() + 1);
+        let mut queued_so_far = 0u64;
+        queued_prefix.push(queued_so_far);
+        for a in &arrivals {
+            queued_so_far += u64::from(a.kind == ArrivalKind::Queued);
+            queued_prefix.push(queued_so_far);
+        }
         let mut last_drained = Vec::with_capacity(reads.len());
         let mut last = None;
         for (i, r) in reads.iter().enumerate() {
@@ -129,16 +130,16 @@ impl NfTimeline {
             }
             last_drained.push(last);
         }
-        // Occupancy after each read: one batched partition-point sweep
-        // (read timestamps are sorted, so a single gallop answers every
-        // query), then an elementwise saturating difference.
-        let mut arr_upto = Vec::new();
-        msc_kernels::batch_partition_point_leq_u64_sorted(&arrival_ts, &read_ts, &mut arr_upto);
-        let occ_after_read: Vec<u64> = arr_upto
-            .iter()
-            .enumerate()
-            .map(|(i, &ai)| queued_prefix[ai as usize].saturating_sub(read_prefix[i + 1]))
-            .collect();
+        // Occupancy after each read: both timestamp columns ascend, so one
+        // merge walk finds every read's count of arrivals with `ts <= read`.
+        let mut occ_after_read = Vec::with_capacity(reads.len());
+        let mut upto = 0usize;
+        for (i, &rt) in read_ts.iter().enumerate() {
+            while upto < arrival_ts.len() && arrival_ts[upto] <= rt {
+                upto += 1;
+            }
+            occ_after_read.push(queued_prefix[upto].saturating_sub(read_prefix[i + 1]));
+        }
         Self {
             nf,
             arrivals,
@@ -155,8 +156,8 @@ impl NfTimeline {
     /// Packets read in batches whose timestamp falls in `[a, b]`.
     // hot: per-anomaly interval count
     pub fn processed_in(&self, a: Nanos, b: Nanos) -> u64 {
-        let lo = msc_kernels::partition_point_lt_u64(&self.read_ts, a);
-        let hi = msc_kernels::partition_point_leq_u64(&self.read_ts, b);
+        let lo = self.read_ts.partition_point(|&ts| ts < a);
+        let hi = self.read_ts.partition_point(|&ts| ts <= b);
         self.read_prefix[hi] - self.read_prefix[lo]
     }
 
@@ -176,8 +177,8 @@ impl NfTimeline {
 
     // hot: interval-query bound pair
     fn arrival_range(&self, a: Nanos, b: Nanos) -> (usize, usize) {
-        let lo = msc_kernels::partition_point_lt_u64(&self.arrival_ts, a);
-        let hi = msc_kernels::partition_point_leq_u64(&self.arrival_ts, b);
+        let lo = self.arrival_ts.partition_point(|&ts| ts < a);
+        let hi = self.arrival_ts.partition_point(|&ts| ts <= b);
         (lo, hi)
     }
 
@@ -207,14 +208,14 @@ impl NfTimeline {
         }
         // Walk reads backwards from t over the precomputed occupancy index
         // and stop at the first point the queue was at or below the
-        // threshold (a chunked backward scan: usually it stops within a few
-        // reads — queues dip between bursts — but saturated queues scan
-        // far, and the kernel covers 8 reads per compare).
-        let hi = msc_kernels::partition_point_leq_u64(&self.read_ts, t);
-        let start_ts = msc_kernels::rfind_last_leq_u64(&self.occ_after_read[..hi], threshold)
+        // threshold (usually within a few reads: queues dip between bursts).
+        let hi = self.read_ts.partition_point(|&ts| ts <= t);
+        let start_ts = self.occ_after_read[..hi]
+            .iter()
+            .rposition(|&occ| occ <= threshold)
             .map(|i| self.read_ts[i]);
         let start_idx = match start_ts {
-            Some(ts) => msc_kernels::partition_point_leq_u64(&self.arrival_ts, ts),
+            Some(ts) => self.arrival_ts.partition_point(|&a| a <= ts),
             None => 0,
         };
         self.period_from(start_idx, t)
@@ -222,7 +223,7 @@ impl NfTimeline {
 
     fn queuing_period_zero(&self, t: Nanos) -> QueuingPeriod {
         // Last drained read at or before t.
-        let hi = msc_kernels::partition_point_leq_u64(&self.read_ts, t);
+        let hi = self.read_ts.partition_point(|&ts| ts <= t);
         let drained_ts = if hi == 0 {
             None
         } else {
@@ -231,7 +232,7 @@ impl NfTimeline {
         // First queued arrival strictly after the drain (or the very first
         // arrival when the queue has been building since the start).
         let start_idx = match drained_ts {
-            Some(dts) => msc_kernels::partition_point_leq_u64(&self.arrival_ts, dts),
+            Some(dts) => self.arrival_ts.partition_point(|&a| a <= dts),
             None => 0,
         };
         self.period_from(start_idx, t)
@@ -245,7 +246,7 @@ impl NfTimeline {
         // queued prefix sums: the first queued arrival at or after
         // `start_idx` is the last index still holding the same prefix count.
         let base = self.queued_prefix[start_idx.min(self.arrivals.len())];
-        let s = msc_kernels::partition_point_leq_u64(&self.queued_prefix, base) - 1;
+        let s = self.queued_prefix.partition_point(|&q| q <= base) - 1;
         if s >= self.arrivals.len() || self.arrivals[s].ts > t {
             // Queue empty at arrival: degenerate period.
             return QueuingPeriod {
@@ -256,7 +257,7 @@ impl NfTimeline {
             };
         }
         let t0 = self.arrivals[s].ts;
-        let end_idx = msc_kernels::partition_point_leq_u64(&self.arrival_ts, t);
+        let end_idx = self.arrival_ts.partition_point(|&ts| ts <= t);
         let n_arrived = self.queued_prefix[end_idx] - self.queued_prefix[s];
         let n_processed = self.processed_in(t0, t);
         QueuingPeriod {
@@ -265,6 +266,76 @@ impl NfTimeline {
             n_arrived,
             n_processed,
         }
+    }
+}
+
+/// `0..keys.len()` permuted so that `keys[out[0]] <= keys[out[1]] <= ...`,
+/// ties keeping their original order — exactly the permutation a stable
+/// `sort_by_key` produces, by LSD radix: each pass is a stable counting
+/// scatter over one key digit, moving `u32` indices where a comparison sort
+/// moves the 32-byte records `log n` times. One of the two hand-written
+/// primitives measured to beat their stdlib equivalent end to end (DESIGN.md
+/// §9); `sort_by_key` is the reference of the tests below.
+///
+/// Digit width follows the input size: 8-bit digits keep the count table in
+/// cache for small columns; 16-bit digits halve the passes once the key
+/// column dwarfs the 64Ki-entry table. Stability makes the permutation
+/// identical either way.
+///
+/// # Panics
+/// Panics if `keys.len()` exceeds `u32::MAX` (indices are `u32`).
+fn stable_order_by_key(keys: &[u64]) -> Vec<u32> {
+    let n = keys.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "index sort limited to u32 indices"
+    );
+    // lint: lossy-cast-ok(guarded by the try_from assert above)
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    if n > 1 {
+        let max = keys.iter().fold(0u64, |m, &k| m.max(k));
+        if n >= 32_768 {
+            radix_passes::<16>(keys, &mut order, max);
+        } else {
+            radix_passes::<8>(keys, &mut order, max);
+        }
+    }
+    order
+}
+
+/// The counting-scatter passes over `BITS`-wide digits, up to the highest
+/// non-zero digit of `max`. `counts` doubles as the running start offsets
+/// during the scatter.
+fn radix_passes<const BITS: u32>(keys: &[u64], order: &mut Vec<u32>, max: u64) {
+    let n = keys.len();
+    let mask = (1u64 << BITS) - 1;
+    let mut buf = vec![0u32; n];
+    let mut counts = vec![0u32; 1 << BITS];
+    let mut shift = 0u32;
+    while shift < 64 && (max >> shift) != 0 {
+        counts.fill(0);
+        for &i in order.iter() {
+            counts[((keys[i as usize] >> shift) & mask) as usize] += 1;
+        }
+        // A digit held by every key scatters the identity: skip the pass
+        // (timestamps of one run share their high bytes).
+        if counts.iter().any(|&c| c as usize == n) {
+            shift += BITS;
+            continue;
+        }
+        let mut sum = 0u32;
+        for c in counts.iter_mut() {
+            let v = *c;
+            *c = sum;
+            sum += v;
+        }
+        for &i in order.iter() {
+            let d = ((keys[i as usize] >> shift) & mask) as usize;
+            buf[counts[d] as usize] = i;
+            counts[d] += 1;
+        }
+        std::mem::swap(order, &mut buf);
+        shift += BITS;
     }
 }
 
@@ -328,6 +399,7 @@ impl Timelines {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mk(arrival_ts: &[(Nanos, ArrivalKind)], reads: &[(Nanos, usize, bool)]) -> NfTimeline {
         let arrivals: Vec<Arrival> = arrival_ts
@@ -556,6 +628,115 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The permutation a stable `sort_by_key` produces — the reference the
+    /// radix sort must equal, tie order included.
+    fn reference_order(keys: &[u64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Duplicate-heavy keys exercise tie stability.
+        #[test]
+        fn radix_order_is_the_stable_sort_on_narrow_keys(
+            keys in proptest::collection::vec(0u64..20, 0..120),
+        ) {
+            prop_assert_eq!(stable_order_by_key(&keys), reference_order(&keys));
+        }
+
+        // Every byte of the key takes part.
+        #[test]
+        fn radix_order_is_the_stable_sort_on_wide_keys(
+            keys in proptest::collection::vec(any::<u64>(), 0..80),
+        ) {
+            prop_assert_eq!(stable_order_by_key(&keys), reference_order(&keys));
+        }
+    }
+
+    #[test]
+    fn radix_order_is_the_stable_sort_on_edge_shapes_and_both_digit_widths() {
+        // Timestamp-shaped columns: one run's keys share their high bytes
+        // (those passes are skipped), the low range is dense with duplicates.
+        let mut state = 0x5eed_cafe_u64;
+        let mut column = |n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    10_000_000_000 + (state >> 16) % 120_000_000
+                })
+                .collect()
+        };
+        // 32 767 keys sort by 8-bit digits, 32 768 and up by 16-bit ones.
+        for keys in [
+            vec![],
+            vec![9],
+            vec![7; 33],
+            vec![u64::MAX; 5],
+            vec![0; 5],
+            vec![u64::MAX, 0, u64::MAX, 0],
+            column(32_767),
+            column(32_768),
+            column(40_000),
+            vec![3; 32_768],
+        ] {
+            assert_eq!(
+                stable_order_by_key(&keys),
+                reference_order(&keys),
+                "{} keys",
+                keys.len()
+            );
+        }
+    }
+
+    #[test]
+    fn occupancy_counts_arrivals_at_the_read_timestamp() {
+        // Duplicate arrival and read timestamps on the `<=` boundary of the
+        // merge walk: an arrival *at* a read's timestamp is in the queue the
+        // read sees, and the second of two reads at one timestamp sees the
+        // same arrivals but everything the first one read as well.
+        let d = ArrivalKind::Dropped;
+        let tl = mk(
+            &[(100, Q), (100, Q), (100, d), (200, Q), (300, Q), (300, Q)],
+            &[
+                (50, 0, true),
+                (100, 1, false),
+                (100, 1, false),
+                (250, 5, false),
+                (300, 1, false),
+                (400, 0, true),
+            ],
+        );
+        // queued arrivals with ts <= read: 0 2 2 3 5 5; read so far: 0 1 2 7 8 8.
+        assert_eq!(tl.occ_after_read, [0, 1, 0, 0, 0, 0]);
+        let occ: Vec<u64> = (0..6).map(|i| tl.occupancy_after_read(i)).collect();
+        assert_eq!(occ, tl.occ_after_read);
+
+        // Threshold 1 at t=300: the walk back passes read 4 (t=300, occ 0 <=
+        // 1), so the period opens with the arrivals *after* 300 — none.
+        assert!(tl.queuing_period_above(300, 1).is_empty());
+        // At t=299 the last read at or before t is read 3 (t=250, occ 0): the
+        // period holds nothing, the arrivals at 300 being still to come.
+        assert!(tl.queuing_period_above(299, 1).is_empty());
+        // At t=249 the walk stops at the second read at t=100 (occ 0), so the
+        // period starts after every arrival stamped 100: only 200 is in it.
+        let qp = tl.queuing_period_above(249, 1);
+        assert_eq!(qp.interval, Interval::new(200, 249));
+        assert_eq!((qp.n_arrived, qp.n_processed), (1, 0));
+        assert_eq!(qp.preset, 3..4);
+        for (t, thr) in [(300, 1), (299, 1), (249, 1), (100, 1), (100, 5), (99, 1)] {
+            assert_eq!(
+                tl.queuing_period_above(t, thr),
+                reference_period_above(&tl, t, thr),
+                "t={t} thr={thr}"
+            );
         }
     }
 
