@@ -7,6 +7,13 @@
 //! most specific to most general, report a candidate when the weight of the
 //! items it matches that are not already claimed by a reported (more
 //! specific) cluster reaches the threshold.
+//!
+//! Only the part of the cross product that matches some item is ever
+//! formed: a candidate that matches nothing claims nothing. Each item
+//! records which kept values match it (its *chains*, one per dimension);
+//! the candidates are the products of those chains, and compression walks
+//! per-candidate item lists instead of testing every candidate against
+//! every item. DESIGN.md §4 has the argument and the numbers.
 
 use crate::hierarchy::hhh_1d;
 use nf_types::{FiveTuple, FlowAggregate, NfId, NfKind, PortRange, Prefix, ProtoMatch};
@@ -116,8 +123,10 @@ pub struct ClusterConfig {
     /// Fraction of the total weight a cluster must claim (the paper's `th`,
     /// 1% in the evaluation).
     pub threshold: f64,
-    /// Cap on unidimensionally significant values kept per dimension
-    /// (safety valve against candidate blow-up).
+    /// Cap on unidimensionally significant values kept per dimension,
+    /// heaviest residual first. The lightest values of a longer list are
+    /// dropped and their items fall to more general ones, so the cap can
+    /// change the output.
     pub max_per_dim: usize,
 }
 
@@ -208,10 +217,278 @@ fn meet_of(items: &[SideItem], kind_of: &impl Fn(NfId) -> NfKind) -> SideAggrega
     SideAggregate { flow, loc }
 }
 
-fn top<K: Clone>(mut v: Vec<(K, f64)>, cap: usize) -> Vec<K> {
-    v.sort_by(|a, b| b.1.total_cmp(&a.1));
-    v.truncate(cap);
-    v.into_iter().map(|(k, _)| k).collect()
+/// The clustering dimensions, in candidate-index order: src, dst, proto,
+/// sport, dport, location.
+const DIMS: usize = 6;
+
+/// One dimension after its 1-D pass.
+struct Dim<V> {
+    /// The kept values in candidate-index order: the hierarchical heavy
+    /// hitters, heaviest residual first, at most `max_per_dim` of them, plus
+    /// the wildcard so the catch-all cluster exists.
+    values: Vec<V>,
+    /// Per kept value, the total weight of the items it matches. A cluster
+    /// can never claim more than the weight of any single value it is built
+    /// from, so the minimum over its dimensions is an upper bound —
+    /// AutoFocus's candidate-pruning trick.
+    weight: Vec<f64>,
+    /// Per kept value, its share of [`SideAggregate::specificity`] (a sum
+    /// over the dimensions; a wildcard contributes 0).
+    spec: Vec<u32>,
+}
+
+impl<V: Ord + Clone> Dim<V> {
+    fn new(
+        leaves: impl Iterator<Item = (V, f64)>,
+        parent: impl Fn(&V) -> Option<V>,
+        any: V,
+        spec_of: impl Fn(&V) -> u32,
+        th: f64,
+        cap: usize,
+    ) -> Self {
+        let mut hhh = hhh_1d(leaves, parent, th);
+        hhh.sort_by(|a, b| b.1.total_cmp(&a.1));
+        hhh.truncate(cap);
+        let mut values: Vec<V> = hhh.into_iter().map(|(v, _)| v).collect();
+        if !values.contains(&any) {
+            values.push(any);
+        }
+        Dim {
+            weight: vec![0.0; values.len()],
+            spec: values.iter().map(spec_of).collect(),
+            values,
+        }
+    }
+
+    /// Appends one item's *chain* in this dimension to `sig` — a length,
+    /// then the ids of the kept values that match the item (ancestors of
+    /// its exact value) — and credits the item's weight to each of them.
+    fn push_chain(&mut self, sig: &mut Vec<u32>, weight: f64, hit: impl Fn(&V) -> bool) {
+        let at = sig.len();
+        sig.push(0);
+        for (id, v) in (0u32..).zip(&self.values) {
+            if hit(v) {
+                sig.push(id);
+                sig[at] += 1;
+                // float: canonical-order(called once per item in input-slice order, so each value sums its items in that order)
+                self.weight[id as usize] += weight;
+            }
+        }
+    }
+}
+
+/// A candidate cluster: one kept value per dimension, by id. The derived
+/// order is the compression order — most specific first, ties by id, which
+/// is the order a stable specificity sort of the full cross product gives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
+    rank: std::cmp::Reverse<u32>,
+    ids: [u32; DIMS],
+}
+
+/// Everything the multi-dimensional step reads, built once per call: the
+/// six dimensions and, per item, which kept values match it. Candidate
+/// enumeration and compression test membership in these chains; nothing
+/// after `build` calls `contains` on a prefix or a range again.
+struct Lattice {
+    src: Dim<Prefix>,
+    dst: Dim<Prefix>,
+    proto: Dim<ProtoMatch>,
+    sport: Dim<PortRange>,
+    dport: Dim<PortRange>,
+    loc: Dim<LocationAgg>,
+    /// The items' signatures, flat: item `i` owns
+    /// `chains[starts[i]..starts[i + 1]]`, its six chains back to back.
+    /// Items with equal signatures are matched by the same candidates.
+    chains: Vec<u32>,
+    starts: Vec<usize>,
+}
+
+impl Lattice {
+    fn build(items: &[SideItem], th: f64, cap: usize, kind_of: &impl Fn(NfId) -> NfKind) -> Self {
+        let flows = || items.iter().filter_map(|i| i.flow.map(|f| (f, i.weight)));
+        let any = FlowAggregate::ANY;
+        let mut lattice = Lattice {
+            src: Dim::new(
+                flows().map(|(f, w)| (Prefix::host(f.src_ip), w)),
+                Prefix::parent,
+                Prefix::ANY,
+                |&src| FlowAggregate { src, ..any }.specificity(),
+                th,
+                cap,
+            ),
+            dst: Dim::new(
+                flows().map(|(f, w)| (Prefix::host(f.dst_ip), w)),
+                Prefix::parent,
+                Prefix::ANY,
+                |&dst| FlowAggregate { dst, ..any }.specificity(),
+                th,
+                cap,
+            ),
+            proto: Dim::new(
+                flows().map(|(f, w)| (ProtoMatch::Exact(f.proto), w)),
+                |p| match p {
+                    ProtoMatch::Exact(_) => Some(ProtoMatch::Any),
+                    ProtoMatch::Any => None,
+                },
+                ProtoMatch::Any,
+                |&proto| FlowAggregate { proto, ..any }.specificity(),
+                th,
+                cap,
+            ),
+            sport: Dim::new(
+                flows().map(|(f, w)| (PortRange::exact(f.src_port), w)),
+                PortRange::static_parent,
+                PortRange::ANY,
+                |&src_port| FlowAggregate { src_port, ..any }.specificity(),
+                th,
+                cap,
+            ),
+            dport: Dim::new(
+                flows().map(|(f, w)| (PortRange::exact(f.dst_port), w)),
+                PortRange::static_parent,
+                PortRange::ANY,
+                |&dst_port| FlowAggregate { dst_port, ..any }.specificity(),
+                th,
+                cap,
+            ),
+            loc: Dim::new(
+                items.iter().map(|i| (LocationAgg::Exact(i.loc), i.weight)),
+                |l| l.parent(kind_of),
+                LocationAgg::Any,
+                |&loc| SideAggregate { flow: any, loc }.specificity(),
+                th,
+                cap,
+            ),
+            chains: Vec::new(),
+            starts: vec![0],
+        };
+        for i in items {
+            // A flow-less item is matched by the wildcard alone in every
+            // flow dimension, as in `SideAggregate::matches`.
+            let (sig, w, flow) = (&mut lattice.chains, i.weight, i.flow);
+            lattice.src.push_chain(sig, w, |p| {
+                flow.map_or(p.is_any(), |f| p.contains(f.src_ip))
+            });
+            lattice.dst.push_chain(sig, w, |p| {
+                flow.map_or(p.is_any(), |f| p.contains(f.dst_ip))
+            });
+            lattice.proto.push_chain(sig, w, |p| {
+                flow.map_or(*p == ProtoMatch::Any, |f| p.contains(f.proto))
+            });
+            lattice.sport.push_chain(sig, w, |r| {
+                flow.map_or(r.is_any(), |f| r.contains(f.src_port))
+            });
+            lattice.dport.push_chain(sig, w, |r| {
+                flow.map_or(r.is_any(), |f| r.contains(f.dst_port))
+            });
+            lattice
+                .loc
+                .push_chain(sig, w, |l| l.matches(i.loc, kind_of));
+            lattice.starts.push(lattice.chains.len());
+        }
+        lattice
+    }
+
+    fn signature(&self, item: usize) -> &[u32] {
+        &self.chains[self.starts[item]..self.starts[item + 1]]
+    }
+
+    /// The item indices sorted by signature, ties in input order, so every
+    /// run of equal signatures lists its items ascending.
+    fn items_by_signature(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.starts.len() - 1).collect();
+        order.sort_by(|&a, &b| self.signature(a).cmp(self.signature(b)));
+        order
+    }
+
+    /// Cuts [`Self::items_by_signature`] into its runs of equal signatures.
+    fn groups<'a>(&self, order: &'a [usize]) -> Vec<&'a [usize]> {
+        order
+            .chunk_by(|&a, &b| self.signature(a) == self.signature(b))
+            .collect()
+    }
+
+    /// Splits an item's signature back into its six chains.
+    fn chains_of(&self, item: usize) -> [&[u32]; DIMS] {
+        let mut rest = self.signature(item);
+        std::array::from_fn(|_| {
+            let [len, tail @ ..] = rest else {
+                return rest;
+            };
+            let (chain, tail) = tail.split_at(*len as usize);
+            rest = tail;
+            chain
+        })
+    }
+
+    /// The candidates that match at least one item, as `(candidate, group)`
+    /// pairs in compression order: per signature group the product of its
+    /// six chains, pruned by the weight bound. A candidate outside every
+    /// such product matches no item, claims nothing and could never be
+    /// reported, so the cross product of *all* kept values — millions of
+    /// candidates for forty items — need not be formed. The `(ANY, ANY)`
+    /// catch-all is in every product: its bound is the total weight.
+    fn candidates(&self, groups: &[&[usize]], th: f64) -> Vec<(Candidate, u32)> {
+        let mut pairs: Vec<(Candidate, u32)> = Vec::new();
+        for (g, group) in (0u32..).zip(groups) {
+            let [src, dst, proto, sport, dport, loc] = self.chains_of(group[0]);
+            for &si in src {
+                for &di in dst {
+                    let b2 = self.src.weight[si as usize].min(self.dst.weight[di as usize]);
+                    if b2 < th {
+                        continue;
+                    }
+                    let r2 = self.src.spec[si as usize] + self.dst.spec[di as usize];
+                    for &pi in proto {
+                        let b3 = b2.min(self.proto.weight[pi as usize]);
+                        if b3 < th {
+                            continue;
+                        }
+                        let r3 = r2 + self.proto.spec[pi as usize];
+                        for &spi in sport {
+                            let b4 = b3.min(self.sport.weight[spi as usize]);
+                            if b4 < th {
+                                continue;
+                            }
+                            let r4 = r3 + self.sport.spec[spi as usize];
+                            for &dpi in dport {
+                                let b5 = b4.min(self.dport.weight[dpi as usize]);
+                                if b5 < th {
+                                    continue;
+                                }
+                                let r5 = r4 + self.dport.spec[dpi as usize];
+                                for &li in loc {
+                                    if b5.min(self.loc.weight[li as usize]) < th {
+                                        continue;
+                                    }
+                                    let rank = std::cmp::Reverse(r5 + self.loc.spec[li as usize]);
+                                    let ids = [si, di, pi, spi, dpi, li];
+                                    pairs.push((Candidate { rank, ids }, g));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn aggregate(&self, c: &Candidate) -> SideAggregate {
+        let [si, di, pi, spi, dpi, li] = c.ids;
+        SideAggregate {
+            flow: FlowAggregate {
+                src: self.src.values[si as usize],
+                dst: self.dst.values[di as usize],
+                proto: self.proto.values[pi as usize],
+                src_port: self.sport.values[spi as usize],
+                dst_port: self.dport.values[dpi as usize],
+            },
+            loc: self.loc.values[li as usize],
+        }
+    }
 }
 
 /// Aggregates one side of the relations into significant
@@ -243,8 +520,10 @@ pub fn aggregate_side(
             // float: canonical-order(per-key accumulation follows the input slice order)
             *exact.entry((i.flow, i.loc)).or_insert(0.0) += i.weight;
         }
+        // `w > 0` only matters at `threshold <= 0`, where a weightless value
+        // would otherwise come out as a zero-weight cluster.
         // lint: order-insensitive(`all` is a pure predicate — true/false regardless of visit order)
-        if exact.len() <= 16 && exact.values().all(|&w| w >= th) {
+        if exact.len() <= 16 && exact.values().all(|&w| w >= th && w > 0.0) {
             let mut out: Vec<(SideAggregate, f64)> = exact
                 .into_iter()
                 .map(|((flow, loc), w)| {
@@ -274,208 +553,60 @@ pub fn aggregate_side(
         return vec![(meet_of(items, kind_of), total)];
     }
 
-    // 1. Unidimensional HHH per dimension.
-    let src: Vec<Prefix> = top(
-        hhh_1d(
-            items
-                .iter()
-                .filter_map(|i| i.flow.map(|f| (Prefix::host(f.src_ip), i.weight))),
-            |p: &Prefix| p.parent(),
-            th,
-        ),
-        cfg.max_per_dim,
-    );
-    let dst: Vec<Prefix> = top(
-        hhh_1d(
-            items
-                .iter()
-                .filter_map(|i| i.flow.map(|f| (Prefix::host(f.dst_ip), i.weight))),
-            |p: &Prefix| p.parent(),
-            th,
-        ),
-        cfg.max_per_dim,
-    );
-    let sport: Vec<PortRange> = top(
-        hhh_1d(
-            items
-                .iter()
-                .filter_map(|i| i.flow.map(|f| (PortRange::exact(f.src_port), i.weight))),
-            |p: &PortRange| p.static_parent(),
-            th,
-        ),
-        cfg.max_per_dim,
-    );
-    let dport: Vec<PortRange> = top(
-        hhh_1d(
-            items
-                .iter()
-                .filter_map(|i| i.flow.map(|f| (PortRange::exact(f.dst_port), i.weight))),
-            |p: &PortRange| p.static_parent(),
-            th,
-        ),
-        cfg.max_per_dim,
-    );
-    let proto: Vec<ProtoMatch> = top(
-        hhh_1d(
-            items
-                .iter()
-                .filter_map(|i| i.flow.map(|f| (ProtoMatch::Exact(f.proto), i.weight))),
-            |p: &ProtoMatch| match p {
-                ProtoMatch::Exact(_) => Some(ProtoMatch::Any),
-                ProtoMatch::Any => None,
-            },
-            th,
-        ),
-        cfg.max_per_dim,
-    );
-    let locs: Vec<LocationAgg> = top(
-        hhh_1d(
-            items.iter().map(|i| (LocationAgg::Exact(i.loc), i.weight)),
-            |l: &LocationAgg| l.parent(kind_of),
-            th,
-        ),
-        cfg.max_per_dim,
-    );
+    // 1. Unidimensional HHH per dimension, and per item the kept values
+    // that match it.
+    let lattice = Lattice::build(items, th, cfg.max_per_dim, kind_of);
 
-    // Always include the wildcard in every dimension so the catch-all
-    // cluster exists.
-    let with_any = |mut v: Vec<Prefix>| {
-        if !v.contains(&Prefix::ANY) {
-            v.push(Prefix::ANY);
-        }
-        v
-    };
-    let src = with_any(src);
-    let dst = with_any(dst);
-    let add_any_port = |mut v: Vec<PortRange>| {
-        if !v.contains(&PortRange::ANY) {
-            v.push(PortRange::ANY);
-        }
-        v
-    };
-    let sport = add_any_port(sport);
-    let dport = add_any_port(dport);
-    let mut proto = proto;
-    if !proto.contains(&ProtoMatch::Any) {
-        proto.push(ProtoMatch::Any);
-    }
-    let mut locs = locs;
-    if !locs.contains(&LocationAgg::Any) {
-        locs.push(LocationAgg::Any);
-    }
-
-    // Per-dimension weight of each kept value (total weight of the items it
-    // matches). A multi-dimensional cluster can never claim more than the
-    // weight of any single value it is built from, so the minimum over its
-    // dimensions is an upper bound — AutoFocus's candidate-pruning trick,
-    // which keeps the cross product tractable.
-    let weight_of = |pred: &dyn Fn(&SideItem) -> bool| -> f64 {
-        // float: canonical-order(summed over the input slice in its stored order)
-        items.iter().filter(|i| pred(i)).map(|i| i.weight).sum()
-    };
-    let src_w: Vec<f64> = src
-        .iter()
-        .map(|p| weight_of(&|i: &SideItem| i.flow.map_or(p.is_any(), |f| p.contains(f.src_ip))))
-        .collect();
-    let dst_w: Vec<f64> = dst
-        .iter()
-        .map(|p| weight_of(&|i: &SideItem| i.flow.map_or(p.is_any(), |f| p.contains(f.dst_ip))))
-        .collect();
-    let sport_w: Vec<f64> = sport
-        .iter()
-        .map(|r| weight_of(&|i: &SideItem| i.flow.map_or(r.is_any(), |f| r.contains(f.src_port))))
-        .collect();
-    let dport_w: Vec<f64> = dport
-        .iter()
-        .map(|r| weight_of(&|i: &SideItem| i.flow.map_or(r.is_any(), |f| r.contains(f.dst_port))))
-        .collect();
-    let proto_w: Vec<f64> = proto
-        .iter()
-        .map(|p| {
-            weight_of(&|i: &SideItem| {
-                i.flow
-                    .map_or(matches!(p, ProtoMatch::Any), |f| p.contains(f.proto))
-            })
-        })
-        .collect();
-    let locs_w: Vec<f64> = locs
-        .iter()
-        .map(|l| weight_of(&|i: &SideItem| l.matches(i.loc, kind_of)))
-        .collect();
-
-    // 2. Candidate cross product, pruned by the upper bound.
-    let mut candidates: Vec<SideAggregate> = Vec::new();
-    for (si, &s) in src.iter().enumerate() {
-        for (di, &d) in dst.iter().enumerate() {
-            let b2 = src_w[si].min(dst_w[di]);
-            if b2 < th {
-                continue;
-            }
-            for (pi, &pr) in proto.iter().enumerate() {
-                let b3 = b2.min(proto_w[pi]);
-                if b3 < th {
-                    continue;
-                }
-                for (spi, &sp) in sport.iter().enumerate() {
-                    let b4 = b3.min(sport_w[spi]);
-                    if b4 < th {
-                        continue;
-                    }
-                    for (dpi, &dp) in dport.iter().enumerate() {
-                        let b5 = b4.min(dport_w[dpi]);
-                        if b5 < th {
-                            continue;
-                        }
-                        for (li, &l) in locs.iter().enumerate() {
-                            if b5.min(locs_w[li]) < th {
-                                continue;
-                            }
-                            candidates.push(SideAggregate {
-                                flow: FlowAggregate {
-                                    src: s,
-                                    dst: d,
-                                    proto: pr,
-                                    src_port: sp,
-                                    dst_port: dp,
-                                },
-                                loc: l,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // The catch-all must always be present even when its bound fell under
-    // the threshold (weights must be conserved).
-    let catch_all = SideAggregate {
-        flow: FlowAggregate::ANY,
-        loc: LocationAgg::Any,
-    };
-    if !candidates.contains(&catch_all) {
-        candidates.push(catch_all);
-    }
+    // 2. Candidates: the part of the kept values' cross product that
+    // matches some item, each with the signature groups it matches.
+    let order = lattice.items_by_signature();
+    let groups = lattice.groups(&order);
+    let candidates = lattice.candidates(&groups, th);
 
     // 3. Compression: most specific first; a candidate claims the items it
     // matches that no reported cluster has claimed; report if the claim
     // reaches the threshold. The (ANY, ANY) catch-all is always reported
-    // last with the remainder. Claimed items leave the working list, so
-    // later candidates scan ever-shorter lists.
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.specificity()));
-    let mut remaining: Vec<&SideItem> = items.iter().collect();
+    // last with the remainder. A group's items are matched and claimed
+    // together, so a candidate visits only the items of its own unclaimed
+    // groups.
+    let catch_all = SideAggregate {
+        flow: FlowAggregate::ANY,
+        loc: LocationAgg::Any,
+    };
+    let mut claimed = vec![false; groups.len()];
+    let mut unclaimed = groups.len();
+    let mut open: Vec<usize> = Vec::new();
+    let mut live: Vec<usize> = Vec::new();
     let mut out: Vec<(SideAggregate, f64)> = Vec::new();
-    for cand in candidates {
-        if remaining.is_empty() {
+    for matched in candidates.chunk_by(|a, b| a.0 == b.0) {
+        if unclaimed == 0 {
             break;
         }
-        let is_catch_all = cand == catch_all;
-        let claim: f64 = remaining
-            .iter()
-            .filter(|item| cand.matches(item.flow.as_ref(), item.loc, kind_of))
-            .map(|item| item.weight)
-            .sum(); // float: canonical-order(`remaining` is a Vec walked in stored order)
-        if claim >= th || (is_catch_all && claim > 0.0) {
-            remaining.retain(|item| !cand.matches(item.flow.as_ref(), item.loc, kind_of));
+        open.clear();
+        open.extend(
+            matched
+                .iter()
+                .map(|m| m.1 as usize)
+                .filter(|&g| !claimed[g]),
+        );
+        if open.is_empty() {
+            continue;
+        }
+        live.clear();
+        for &g in &open {
+            live.extend_from_slice(groups[g]);
+        }
+        live.sort_unstable();
+        let claim: f64 = live.iter().map(|&i| items[i].weight).sum(); // float: canonical-order(`live` holds item indices sorted ascending, i.e. input-slice order)
+        let cand = lattice.aggregate(&matched[0].0);
+        debug_assert_eq!(cand.specificity(), matched[0].0.rank.0);
+        // `claim > 0` only matters off the documented threshold range
+        // (0, 1]: at `threshold <= 0` it keeps zero-weight clusters out.
+        if claim > 0.0 && (claim >= th || cand == catch_all) {
+            for &g in &open {
+                claimed[g] = true;
+            }
+            unclaimed -= open.len();
             out.push((cand, claim));
         }
     }
@@ -641,6 +772,76 @@ mod tests {
         let top = &out[0];
         assert_eq!(top.0.loc, LocationAgg::Kind(NfKind::Firewall));
         assert!((top.1 - 30.0).abs() < 1e-9);
+    }
+
+    /// `n` distinct unit-weight flows at distinct instances.
+    fn distinct_items(n: u16) -> Vec<SideItem> {
+        (0..n)
+            .map(|i| SideItem {
+                flow: Some(FiveTuple::new(
+                    parse_ip("100.0.0.0").unwrap() + u32::from(i) * 37,
+                    parse_ip("32.0.0.0").unwrap() + u32::from(i % 7),
+                    2000 + i,
+                    6000 + i % 9,
+                    Proto::TCP,
+                )),
+                loc: Location::Nf(NfId(i % 5)),
+                weight: 1.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn candidates_grow_with_the_items_not_with_the_cross_product() {
+        // Every item clears the 1% threshold, so every exact value and none
+        // of their ancestors is kept, the weight bound prunes nothing, and
+        // the full cross product is 41 * 8 * 2 * 41 * 10 * 6 = 1.6 M
+        // candidates; the forty items' own chains reach 2 274 of them.
+        let items = distinct_items(40);
+        let lattice = Lattice::build(&items, 0.01 * 40.0, 48, &kind_of);
+        let order = lattice.items_by_signature();
+        let candidates = lattice.candidates(&lattice.groups(&order), 0.01 * 40.0);
+        let distinct = candidates.chunk_by(|a, b| a.0 == b.0).count();
+        assert!(distinct >= 40, "{distinct} candidates");
+        assert!(distinct < 50_000, "{distinct} candidates");
+        let out = aggregate_side(&items, &ClusterConfig::default(), &kind_of);
+        assert_eq!(out.len(), 40);
+    }
+
+    #[test]
+    fn non_positive_or_nan_threshold_never_reports_a_weightless_cluster() {
+        let mut items = distinct_items(20);
+        items.push(SideItem {
+            flow: None,
+            loc: Location::Source,
+            weight: 0.0,
+        });
+        for threshold in [0.0, -1.0] {
+            let cfg = ClusterConfig {
+                threshold,
+                ..Default::default()
+            };
+            // Nothing has to generalise: the twenty weighted values, exactly.
+            let out = aggregate_side(&items, &cfg, &kind_of);
+            assert_eq!(out.len(), 20, "threshold {threshold}: {out:?}");
+            assert!(out
+                .iter()
+                .all(|(agg, w)| *w == 1.0 && agg.flow.src.len() == 32));
+            // The same through the all-values-significant fast path.
+            let out = aggregate_side(&items[15..], &cfg, &kind_of);
+            assert_eq!(out.len(), 5, "threshold {threshold}: {out:?}");
+            assert!(out.iter().all(|(_, w)| *w == 1.0));
+        }
+        // Nothing compares `>=` NaN: only the catch-all, with everything.
+        let cfg = ClusterConfig {
+            threshold: f64::NAN,
+            ..Default::default()
+        };
+        let out = aggregate_side(&items, &cfg, &kind_of);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0.flow, FlowAggregate::ANY);
+        assert_eq!(out[0].0.loc, LocationAgg::Any);
+        assert_eq!(out[0].1, 20.0);
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! one generalisation step. The HHH of a weighted multiset of leaves are the
 //! nodes whose weight — after *excluding* the weight already reported at
 //! more specific descendants — reaches the threshold. Because each dimension
-//! is a tree (not a lattice), a simple leaf-to-root roll-up computes this
-//! exactly.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! is a tree (not a lattice), a leaf-to-root roll-up computes this exactly:
+//! sort the nodes of a level, scan them, push what stays unreported onto the
+//! level above.
 
 /// Computes one-dimensional hierarchical heavy hitters.
 ///
@@ -16,75 +14,78 @@ use std::hash::Hash;
 /// * `parent` — one generalisation step; `None` at the root.
 /// * `threshold` — absolute weight needed to report a node.
 ///
-/// Returns `(value, residual_weight)` pairs, most specific first. The root
-/// is always reported last with whatever weight remains unclaimed, so the
-/// output always accounts for the full input weight.
+/// Returns `(value, residual_weight)` pairs, most specific first (deepest
+/// level first, keys ascending within a level). The root is always
+/// reported last with whatever weight remains unclaimed, so the output
+/// always accounts for the full input weight.
 pub fn hhh_1d<K, I, P>(items: I, parent: P, threshold: f64) -> Vec<(K, f64)>
 where
-    K: Eq + Hash + Ord + Clone,
+    K: Ord + Clone,
     I: IntoIterator<Item = (K, f64)>,
     P: Fn(&K) -> Option<K>,
 {
-    // Accumulate exact weights.
-    let mut weights: HashMap<K, f64> = HashMap::new();
+    // Distinct input keys as `(depth, key, weight)`: a stable sort by key
+    // leaves equal keys in the caller's order, so one scan sums each.
+    let mut items: Vec<(K, f64)> = items.into_iter().collect();
+    items.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut nodes: Vec<(usize, K, f64)> = Vec::new();
     for (k, w) in items {
-        // float: canonical-order(per-key accumulation follows the caller's iteration order)
-        *weights.entry(k).or_insert(0.0) += w;
-    }
-    if weights.is_empty() {
-        return Vec::new();
-    }
-
-    // Depth of each key = number of generalisation steps to the root.
-    let depth = |k: &K| -> usize {
-        let mut d = 0;
-        let mut cur = k.clone();
-        while let Some(p) = parent(&cur) {
-            d += 1;
-            cur = p;
-        }
-        d
-    };
-
-    // Bucket keys by depth so every node is processed strictly before its
-    // parent (parent depth = child depth − 1).
-    let mut levels: std::collections::BTreeMap<usize, Vec<K>> = std::collections::BTreeMap::new();
-    // lint: order-insensitive(keys are bucketed into the BTreeMap above and every level is sorted before use below)
-    for k in weights.keys() {
-        levels.entry(depth(k)).or_default().push(k.clone());
-    }
-
-    let mut out: Vec<(K, f64)> = Vec::new();
-    while let Some((&d, _)) = levels.iter().next_back() {
-        let mut keys = levels.remove(&d).expect("level exists");
-        // The level was populated from HashMap iteration (and roll-up
-        // insertion) order; sort so the output order and the float roll-up
-        // accumulation are identical on every run.
-        keys.sort_unstable();
-        for k in keys {
-            let w = weights[&k];
-            match parent(&k) {
-                Some(_) if w >= threshold => out.push((k, w)),
-                Some(p) => {
-                    // Roll the unreported weight up one level.
-                    if !weights.contains_key(&p) {
-                        levels.entry(d - 1).or_default().push(p.clone());
-                        weights.insert(p.clone(), 0.0);
-                    }
-                    // float: canonical-order(children were sorted above, so each parent accumulates in canonical child order)
-                    *weights.get_mut(&p).expect("just ensured") += w;
-                }
-                None => {
-                    // Root: report the remainder (even below threshold) so
-                    // weights are conserved.
-                    if w > 0.0 {
-                        out.push((k, w));
-                    }
-                }
+        match nodes.last_mut() {
+            // float: canonical-order(the stable sort keeps equal keys in the caller's iteration order)
+            Some(n) if n.1 == k => n.2 += w,
+            _ => {
+                let depth = std::iter::successors(parent(&k), &parent).count();
+                // Every sum starts from +0.0 (a lone -0.0 comes out +0.0).
+                nodes.push((depth, k, 0.0 + w));
             }
         }
     }
-    out
+    // Deepest level first, so every node is settled before its parent
+    // (parent depth = child depth − 1).
+    nodes.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let mut nodes = nodes.into_iter().peekable();
+    let Some(mut depth) = nodes.peek().map(|n| n.0) else {
+        return Vec::new();
+    };
+
+    let mut out: Vec<(K, f64)> = Vec::new();
+    // Unreported weight on its way up, as `(parent key, weight)` in the
+    // order the children were visited.
+    let mut rolled: Vec<(K, f64)> = Vec::new();
+    loop {
+        // This level: the input keys of this depth, then what the level
+        // below rolled up. The stable sort puts a key's own weight first
+        // and its children after it in ascending child order.
+        let mut level: Vec<(K, f64)> = Vec::new();
+        while let Some(n) = nodes.next_if(|n| n.0 == depth) {
+            level.push((n.1, n.2));
+        }
+        level.append(&mut rolled);
+        level.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut level = level.into_iter().peekable();
+        while let Some((k, mut w)) = level.next() {
+            while let Some(child) = level.next_if(|n| n.0 == k) {
+                // float: canonical-order(own weight first, then children in ascending key order — see the sort above)
+                w += child.1;
+            }
+            match parent(&k) {
+                Some(_) if w >= threshold => out.push((k, w)),
+                // Roll the unreported weight up one level.
+                Some(p) => rolled.push((p, w)),
+                // Root: report the remainder (even below threshold) so
+                // weights are conserved.
+                None if w > 0.0 => out.push((k, w)),
+                None => {}
+            }
+        }
+        depth = if !rolled.is_empty() {
+            depth.saturating_sub(1)
+        } else if let Some(n) = nodes.peek() {
+            n.0
+        } else {
+            return out;
+        };
+    }
 }
 
 #[cfg(test)]

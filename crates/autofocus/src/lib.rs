@@ -12,9 +12,9 @@
 //!   static range → wildcard, exact protocol → wildcard, NF instance → NF
 //!   kind → anywhere);
 //! * [`cluster`] — multi-dimensional clustering of one side (flow ×
-//!   location): candidates are cross products of unidimensionally
-//!   significant values, compressed most-specific-first with
-//!   descendant-score exclusion;
+//!   location): candidates are the combinations of unidimensionally
+//!   significant values that match at least one item, compressed
+//!   most-specific-first with descendant-score exclusion;
 //! * [`pattern`] — the paper's two-phase decoupling: aggregate victims per
 //!   culprit first, then aggregate the culprit side, which keeps the
 //!   12-dimensional problem tractable. Includes the adaptive port-range

@@ -142,8 +142,7 @@ pub fn aggregate_patterns(
     }
     out.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
+            .total_cmp(&a.score)
             .then_with(|| (a.culprit, a.victim).cmp(&(b.culprit, b.victim)))
     });
     if cfg.adaptive_ports {
@@ -236,8 +235,7 @@ pub fn merge_adjacent_port_patterns(patterns: Vec<Pattern>, max_gap: u16) -> Vec
     }
     passthrough.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
+            .total_cmp(&a.score)
             .then_with(|| (a.culprit, a.victim).cmp(&(b.culprit, b.victim)))
     });
     passthrough
@@ -379,6 +377,29 @@ mod tests {
             .unwrap();
         assert!(big.culprit.flow.src_port.contains(2004));
         assert!((big.score - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nan_scored_pattern_is_ranked_not_a_panic() {
+        let mk = |sport: u16, score: f64| Pattern {
+            culprit: SideAggregate {
+                flow: nf_types::FlowAggregate::exact(&bug_flow(sport, 6000)),
+                loc: LocationAgg::Exact(Location::Nf(NfId(5))),
+            },
+            victim: SideAggregate {
+                flow: nf_types::FlowAggregate::ANY,
+                loc: LocationAgg::Any,
+            },
+            score,
+        };
+        let merged = merge_adjacent_port_patterns(
+            vec![mk(2000, 1.0), mk(40_000, f64::NAN), mk(9000, 2.0)],
+            16,
+        );
+        assert_eq!(merged.len(), 3);
+        // `total_cmp` ranks NaN above every number; the rest keep their order.
+        assert!(merged[0].score.is_nan());
+        assert_eq!((merged[1].score, merged[2].score), (2.0, 1.0));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * `fig11/…` — the full offline diagnosis pass (reconstruction +
 //!   victim selection + recursive diagnosis) behind Figs. 11–13.
 //! * `fig14/…` — §6.4 pattern aggregation runtime (the paper reports
-//!   ~3 minutes for 84K relations; we aggregate tens of thousands of
-//!   relations in well under a second).
+//!   ~3 minutes for 84K relations; ours is 1–5 µs per relation, 0.43 s
+//!   for 99K — `results/sec64.txt`).
 //! * `fig15/…` — queuing-period extraction behind the wild-run analyses
 //!   (Fig. 15, Tables 2–3).
 //! * `netmedic/…` — the baseline's per-victim ranking cost (Figs. 11–13).

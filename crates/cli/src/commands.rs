@@ -388,10 +388,11 @@ fn report_diagnosis(
         )?;
     }
 
-    // Aggregated causal patterns (§4.4). Aggregation costs ~1 ms/relation
-    // (the paper reports ~3 minutes for its 84K); for interactive use we
-    // subsample large relation sets — scores stay proportional under a
-    // uniform stride.
+    // Aggregated causal patterns (§4.4). Large relation sets are
+    // subsampled — scores stay proportional under a uniform stride.
+    // Aggregation costs 1–5 µs/relation (`results/sec64.txt`), so the cap
+    // is not a speed measure any more: removing it changes stdout and is
+    // ROADMAP item 1's second half.
     let mut relations = microscope::diagnoses_to_relations(recon, &diagnoses);
     const MAX_RELATIONS: usize = 2_000;
     if relations.len() > MAX_RELATIONS {

@@ -3,7 +3,8 @@
 //! Paper: 84K packet-level causal relations aggregate to ~80 patterns in
 //! about three minutes; the bug-triggering flows appear among the top
 //! culprit patterns. We measure relation count, pattern count, aggregation
-//! runtime and the compression ratio.
+//! runtime and the compression ratio, and how the runtime scales with the
+//! number of relations.
 
 use autofocus::{aggregate_patterns, PatternConfig};
 use microscope::diagnoses_to_relations;
@@ -78,4 +79,66 @@ fn main() {
     );
 
     println!("\n(paper: 84K relations -> 80 patterns at th=1%; ours scale with the shorter run)");
+
+    // Scaling at th = 1%: the same relations stride-sampled the way the CLI
+    // samples them, then unsampled. Exact aggregation should cost the same
+    // per relation at every size.
+    println!("\n# aggregation cost by input size (th = 1%, best of 3)");
+    println!(
+        "{:>12} {:>12} {:>12} {:>12} {:>14}",
+        "sampled_to", "relations", "patterns", "runtime_ms", "us_per_relation"
+    );
+    let mut rows = Vec::new();
+    let mut per_relation = Vec::new();
+    for cap in [4_000usize, 8_000, 16_000, usize::MAX] {
+        let stride = relations.len().div_ceil(cap).max(1);
+        let sampled: Vec<_> = relations.iter().copied().step_by(stride).collect();
+        // Best of three: the small inputs take a few milliseconds, which
+        // one page-fault burst doubles.
+        let mut ms = f64::INFINITY;
+        let mut patterns = Vec::new();
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            patterns = aggregate_patterns(&sampled, &PatternConfig::default(), &run.kind_of());
+            ms = ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        let us = ms * 1e3 / sampled.len().max(1) as f64;
+        per_relation.push(us);
+        let label = if cap == usize::MAX {
+            "all".to_string()
+        } else {
+            format!("<={cap}")
+        };
+        println!(
+            "{:>12} {:>12} {:>12} {:>12.1} {:>14.2}",
+            label,
+            sampled.len(),
+            patterns.len(),
+            ms,
+            us
+        );
+        rows.push(vec![
+            label,
+            sampled.len().to_string(),
+            patterns.len().to_string(),
+            format!("{ms:.2}"),
+            format!("{us:.2}"),
+        ]);
+    }
+    write_csv(
+        &args.csv_path("sec64_scaling.csv"),
+        &[
+            "sampled_to",
+            "relations",
+            "patterns",
+            "runtime_ms",
+            "us_per_relation",
+        ],
+        &rows,
+    );
+    println!(
+        "\n(us/relation, 16k / 4k: {:.2}x; all / 4k: {:.2}x)",
+        per_relation[2] / per_relation[0],
+        per_relation[3] / per_relation[0]
+    );
 }
