@@ -262,7 +262,7 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             "nf", "rx_batches", "tx_batches", "rx_packets", "mean_batch", "flows"
         )?;
         for log in &bundle.logs {
-            let rx_pkts: usize = log.rx.iter().map(|b| b.len()).sum();
+            let rx_pkts = log.rx.packets();
             let mean = if log.rx.is_empty() {
                 0.0
             } else {
@@ -313,6 +313,9 @@ pub fn diagnose(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         }
 
         let recon = reconstruct(&topology, &bundle, &recon_cfg);
+        // Nothing reads the records again: give their columns back before
+        // the timelines and the diagnosis index are built on the traces.
+        drop(bundle);
         let timelines = Timelines::build(&recon);
 
         report_diagnosis(out, &topology, rates, &recon, &timelines, quantile, top)
@@ -458,7 +461,9 @@ pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         BundleFormat::Whole => {
             eprintln!("note: whole-run bundle; chunking in memory at {chunk_ms} ms");
             let bundle = load_bundle_arg(path)?;
-            for chunk in chunk_bundle(&bundle, chunk_ms * MILLIS) {
+            let chunks = chunk_bundle(&bundle, chunk_ms * MILLIS);
+            drop(bundle);
+            for chunk in chunks {
                 engine.push_chunk(&chunk).map_err(|e| format!("{e}"))?;
             }
         }

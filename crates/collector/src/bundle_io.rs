@@ -9,7 +9,7 @@
 //! n_logs  u32              number of NF logs
 //! n_logs × { len u32, encoded NF log (see `encode`) }
 //! n_src   u32              number of source flow records
-//! n_src × { ts varint-delta u64? — no: fixed 8 bytes ts, ipid u16, tuple 13 }
+//! n_src × { ts u64, ipid u16, tuple 13 }   23 bytes, fixed width
 //! ```
 //!
 //! The per-NF logs reuse the compact wire encoding of [`crate::encode`];
@@ -138,27 +138,41 @@ pub fn read_bundle<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
     read_bundle_body(&mut r)
 }
 
+/// Bytes of one fixed-width source flow record.
+const SOURCE_RECORD_BYTES: usize = 23;
+
 /// The shared body of both containers: NF log section + source section.
+///
+/// No length field is trusted with an allocation: a section is read through
+/// [`read_section`], which grows its buffer with the bytes that actually
+/// arrive, and only a section that arrived whole is decoded — so memory
+/// stays within a small multiple of the input however large the header
+/// claims the sections are.
 fn read_bundle_body<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
-    let n_logs = read_u32(&mut r)? as usize;
-    let mut logs = Vec::with_capacity(n_logs.min(4096));
+    let n_logs = read_u32(&mut r)?;
+    let mut logs = Vec::new();
+    let mut buf = Vec::new();
     for _ in 0..n_logs {
-        let len = read_u32(&mut r)? as usize;
-        let mut buf = vec![0u8; len];
-        r.read_exact(&mut buf).map_err(eof)?;
+        let len = read_u32(&mut r)?;
+        read_section(&mut r, u64::from(len), &mut buf)?;
         logs.push(decode_nf_log(&buf).map_err(BundleIoError::Log)?);
     }
-    let n_src = read_u32(&mut r)? as usize;
-    let mut source_flows = Vec::with_capacity(n_src.min(1 << 20));
-    for _ in 0..n_src {
-        let ts = read_u64(&mut r)?;
-        let ipid = read_u16(&mut r)?;
-        let src_ip = read_u32(&mut r)?;
-        let dst_ip = read_u32(&mut r)?;
-        let src_port = read_u16(&mut r)?;
-        let dst_port = read_u16(&mut r)?;
+    let n_src = read_u32(&mut r)?;
+    read_section(
+        &mut r,
+        u64::from(n_src) * SOURCE_RECORD_BYTES as u64,
+        &mut buf,
+    )?;
+    let mut source_flows = Vec::with_capacity(buf.len() / SOURCE_RECORD_BYTES);
+    for mut rec in buf.chunks_exact(SOURCE_RECORD_BYTES) {
+        let ts = read_u64(&mut rec)?;
+        let ipid = read_u16(&mut rec)?;
+        let src_ip = read_u32(&mut rec)?;
+        let dst_ip = read_u32(&mut rec)?;
+        let src_port = read_u16(&mut rec)?;
+        let dst_port = read_u16(&mut rec)?;
         let mut proto = [0u8; 1];
-        r.read_exact(&mut proto).map_err(eof)?;
+        rec.read_exact(&mut proto).map_err(eof)?;
         source_flows.push(FlowRecord {
             ts,
             ipid,
@@ -166,6 +180,18 @@ fn read_bundle_body<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
         });
     }
     Ok(TraceBundle { logs, source_flows })
+}
+
+/// Reads exactly `len` bytes into `buf` (cleared first), or reports
+/// truncation. The buffer grows as bytes arrive, never from `len` alone.
+fn read_section<R: Read>(r: &mut R, len: u64, buf: &mut Vec<u8>) -> Result<(), BundleIoError> {
+    buf.clear();
+    r.take(len).read_to_end(buf)?;
+    if buf.len() as u64 == len {
+        Ok(())
+    } else {
+        Err(BundleIoError::Truncated)
+    }
 }
 
 /// Writes a bundle to a file path.
@@ -227,10 +253,8 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
         .logs
         .iter()
         .flat_map(|l| {
-            l.rx.iter()
-                .map(|b| b.ts)
-                .chain(l.tx.iter().map(|b| b.ts))
-                .chain(l.flows.iter().map(|f| f.ts))
+            let batches = l.rx.ts().iter().chain(l.tx.ts()).copied();
+            batches.chain(l.flows.iter().map(|f| f.ts))
         })
         .chain(bundle.source_flows.iter().map(|f| f.ts))
         // Empty run: one empty chunk keeps downstream loops uniform.
@@ -242,18 +266,7 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
     let first = min_ts / chunk_ns;
     // lint: time-arith-ok(chunk count: max_ts >= min_ts, so the difference is non-negative)
     let n_chunks = (max_ts / chunk_ns - first + 1) as usize;
-    let empty_logs = || -> Vec<NfLog> {
-        bundle
-            .logs
-            .iter()
-            .map(|l| NfLog {
-                nf: l.nf,
-                rx: Vec::new(),
-                tx: Vec::new(),
-                flows: Vec::new(),
-            })
-            .collect()
-    };
+    let empty_logs = || -> Vec<NfLog> { bundle.logs.iter().map(|l| NfLog::new(l.nf)).collect() };
     let mut chunks: Vec<BundleChunk> = (1..=n_chunks as u64)
         .map(|i| BundleChunk {
             until: (first + i) * chunk_ns,
@@ -266,11 +279,13 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
     // lint: time-arith-ok(chunk numbers: every ts >= min_ts, so ts/chunk_ns >= first)
     let slot = |ts: Nanos| (ts / chunk_ns - first) as usize;
     for (i, log) in bundle.logs.iter().enumerate() {
-        for b in &log.rx {
-            chunks[slot(b.ts)].bundle.logs[i].rx.push(b.clone());
+        for b in log.rx.iter() {
+            let part = &mut chunks[slot(b.ts)].bundle.logs[i];
+            part.rx.push(b.ts, b.ipids.iter().copied());
         }
-        for b in &log.tx {
-            chunks[slot(b.ts)].bundle.logs[i].tx.push(b.clone());
+        for b in log.tx.iter() {
+            let part = &mut chunks[slot(b.ts)].bundle.logs[i];
+            part.tx.push(b.ts, b.to, b.ipids.iter().copied());
         }
         for f in &log.flows {
             chunks[slot(f.ts)].bundle.logs[i].flows.push(*f);
@@ -294,8 +309,12 @@ pub fn concat_chunks(chunks: &[BundleChunk]) -> TraceBundle {
     let mut out = first.bundle.clone();
     for c in &chunks[1..] {
         for (log, part) in out.logs.iter_mut().zip(&c.bundle.logs) {
-            log.rx.extend(part.rx.iter().cloned());
-            log.tx.extend(part.tx.iter().cloned());
+            for b in part.rx.iter() {
+                log.rx.push(b.ts, b.ipids.iter().copied());
+            }
+            for b in part.tx.iter() {
+                log.tx.push(b.ts, b.to, b.ipids.iter().copied());
+            }
             log.flows.extend(part.flows.iter().copied());
         }
         out.source_flows
@@ -485,11 +504,8 @@ mod tests {
             for c in &chunks {
                 assert!(c.until > prev, "until must be increasing");
                 for log in &c.bundle.logs {
-                    for b in &log.rx {
-                        assert!(b.ts >= prev && b.ts < c.until);
-                    }
-                    for b in &log.tx {
-                        assert!(b.ts >= prev && b.ts < c.until);
+                    for &ts in log.rx.ts().iter().chain(log.tx.ts()) {
+                        assert!(ts >= prev && ts < c.until);
                     }
                 }
                 for f in &c.bundle.source_flows {
@@ -512,8 +528,8 @@ mod tests {
         let base = sample_bundle();
         let mut shifted = base.clone();
         for log in &mut shifted.logs {
-            log.rx.iter_mut().for_each(|b| b.ts += EPOCH);
-            log.tx.iter_mut().for_each(|b| b.ts += EPOCH);
+            log.rx.ts_mut().iter_mut().for_each(|ts| *ts += EPOCH);
+            log.tx.ts_mut().iter_mut().for_each(|ts| *ts += EPOCH);
             log.flows.iter_mut().for_each(|f| f.ts += EPOCH);
         }
         shifted.source_flows.iter_mut().for_each(|f| f.ts += EPOCH);
@@ -544,12 +560,7 @@ mod tests {
             logs: sample_bundle()
                 .logs
                 .iter()
-                .map(|l| NfLog {
-                    nf: l.nf,
-                    rx: Vec::new(),
-                    tx: Vec::new(),
-                    flows: Vec::new(),
-                })
+                .map(|l| NfLog::new(l.nf))
                 .collect(),
             source_flows: Vec::new(),
         };
@@ -595,6 +606,77 @@ mod tests {
             r.into_iter().any(|item| item.is_err()),
             "truncation must not pass silently"
         );
+    }
+
+    /// Length fields far beyond the bytes that follow: each must come back
+    /// as truncation, from the whole-file reader and from the chunk reader,
+    /// without an allocation sized by the field. The inflated log counts
+    /// aborted the process before the decoder bounded them; `len` and
+    /// `n_src` cost a 4 GiB `vec![0; len]` / a 32 MB reservation.
+    #[test]
+    fn hostile_length_fields_are_truncation() {
+        // "MSCB" v1, one log: version 1, NF 0, then the section counts.
+        let whole = |log: &[u8], n_src: u32| {
+            let mut file = b"MSCB\x01\x01\x00\x00\x00".to_vec();
+            file.extend((log.len() as u32).to_le_bytes());
+            file.extend(log);
+            file.extend(n_src.to_le_bytes());
+            file
+        };
+        let chunked = |file: &[u8]| {
+            let mut s = b"MSCS\x01".to_vec();
+            s.extend(77u64.to_le_bytes());
+            s.extend(&file[5..]);
+            s
+        };
+        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]; // 2^62
+        for section in 0..3 {
+            let mut log = vec![1u8, 0, 0];
+            log.extend(std::iter::repeat_n(0, section));
+            log.extend(huge);
+            let file = whole(&log, 0);
+            assert!(
+                matches!(
+                    read_bundle(&file[..]),
+                    Err(BundleIoError::Log(EncodeError::Truncated))
+                ),
+                "section {section}"
+            );
+            let stream = chunked(&file);
+            let mut rdr = BundleChunkReader::new(&stream[..]).unwrap();
+            assert!(
+                matches!(
+                    rdr.next_chunk(),
+                    Err(BundleIoError::Log(EncodeError::Truncated))
+                ),
+                "section {section}, chunked"
+            );
+        }
+        let empty_log = [1u8, 0, 0, 0, 0, 0];
+        let mut cases = vec![whole(&empty_log, u32::MAX), whole(&empty_log, 1)];
+        // A log section longer than the file.
+        let mut long = whole(&empty_log, 0);
+        long[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        cases.push(long);
+        for file in &cases {
+            assert!(matches!(
+                read_bundle(&file[..]),
+                Err(BundleIoError::Truncated)
+            ));
+            let stream = chunked(file);
+            let mut rdr = BundleChunkReader::new(&stream[..]).unwrap();
+            assert!(matches!(rdr.next_chunk(), Err(BundleIoError::Truncated)));
+        }
+        // More logs than the file holds: the reader runs into `n_src` and
+        // the end of the file looking for them.
+        let mut many = whole(&empty_log, 0);
+        many[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            read_bundle(&many[..]),
+            Err(BundleIoError::Log(EncodeError::Truncated))
+        ));
+        // Sanity: the same bytes with honest fields load.
+        assert!(read_bundle(&whole(&empty_log, 0)[..]).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The collector facade the simulator instruments its rx/tx paths with.
 
 use crate::encode::encode_nf_log;
-use crate::records::{FlowRecord, PacketMeta, RxBatch, TxBatch};
+use crate::records::{FlowRecord, PacketMeta, RxLog, TxLog};
 use nf_types::{Nanos, NfId, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -11,27 +11,27 @@ pub struct NfLog {
     /// The NF these records belong to.
     pub nf: NfId,
     /// Input-queue read batches, in time order.
-    pub rx: Vec<RxBatch>,
+    pub rx: RxLog,
     /// Output write batches, in time order.
-    pub tx: Vec<TxBatch>,
+    pub tx: TxLog,
     /// Five-tuple records (non-empty only at flow-info points).
     pub flows: Vec<FlowRecord>,
 }
 
 impl NfLog {
-    fn new(nf: NfId) -> Self {
+    /// An empty log for `nf`.
+    pub fn new(nf: NfId) -> Self {
         Self {
             nf,
-            rx: Vec::new(),
-            tx: Vec::new(),
+            rx: RxLog::default(),
+            tx: TxLog::default(),
             flows: Vec::new(),
         }
     }
 
     /// Total packet appearances recorded (rx + tx).
     pub fn packet_appearances(&self) -> usize {
-        self.rx.iter().map(|b| b.len()).sum::<usize>()
-            + self.tx.iter().map(|b| b.len()).sum::<usize>()
+        self.rx.packets() + self.tx.packets()
     }
 }
 
@@ -128,10 +128,9 @@ impl Collector {
         if !self.cfg.enabled || batch.is_empty() {
             return;
         }
-        self.logs[nf.0 as usize].rx.push(RxBatch {
-            ts,
-            ipids: batch.iter().map(|m| m.ipid).collect(),
-        });
+        self.logs[nf.0 as usize]
+            .rx
+            .push(ts, batch.iter().map(|m| m.ipid));
     }
 
     /// Hook: NF `nf` wrote a batch towards `to` at `ts` (`None` = leaves the
@@ -141,11 +140,7 @@ impl Collector {
             return;
         }
         let log = &mut self.logs[nf.0 as usize];
-        log.tx.push(TxBatch {
-            ts,
-            to,
-            ipids: batch.iter().map(|m| m.ipid).collect(),
-        });
+        log.tx.push(ts, to, batch.iter().map(|m| m.ipid));
         if self.cfg.flow_info_at_exits && self.exit_nfs[nf.0 as usize] && to.is_none() {
             for m in batch {
                 log.flows.push(FlowRecord {
@@ -241,8 +236,8 @@ mod tests {
         c.record_tx(NfId(0), 150, Some(NfId(1)), &[meta(1), meta(2)]);
         let b = c.into_bundle();
         assert_eq!(b.log(NfId(0)).rx.len(), 1);
-        assert_eq!(b.log(NfId(0)).rx[0].ipids, vec![1, 2]);
-        assert_eq!(b.log(NfId(0)).tx[0].to, Some(NfId(1)));
+        assert_eq!(b.log(NfId(0)).rx.get(0).ipids, [1, 2]);
+        assert_eq!(b.log(NfId(0)).tx.get(0).to, Some(NfId(1)));
         // Interior NF keeps no flow info.
         assert!(b.log(NfId(0)).flows.is_empty());
     }

@@ -11,8 +11,8 @@
 //! disk and the offline analysis can read it back without shared state.
 
 use crate::collector::NfLog;
-use crate::records::{FlowRecord, RxBatch, TxBatch};
-use nf_types::{FiveTuple, NfId, Proto};
+use crate::records::{FlowRecord, RxLog, TxLog};
+use nf_types::{FiveTuple, Ipid, NfId, Proto};
 use std::fmt;
 
 /// Format version tag (first byte of every encoded log).
@@ -31,6 +31,8 @@ pub enum EncodeError {
     BadVarint,
     /// A batch holds more packets than the one-byte wire length can carry.
     BatchTooLarge(usize),
+    /// The encoded log is longer than the u32 length of a bundle section.
+    LogTooLarge(usize),
 }
 
 impl fmt::Display for EncodeError {
@@ -41,6 +43,12 @@ impl fmt::Display for EncodeError {
             EncodeError::BadVarint => write!(f, "malformed varint"),
             EncodeError::BatchTooLarge(n) => {
                 write!(f, "batch of {n} packets exceeds the 255-packet wire limit")
+            }
+            EncodeError::LogTooLarge(n) => {
+                write!(
+                    f,
+                    "encoded log of {n} bytes exceeds the 4 GiB section limit"
+                )
             }
         }
     }
@@ -126,9 +134,44 @@ fn get_tuple(buf: &[u8], pos: &mut usize) -> Result<FiveTuple, EncodeError> {
 /// storage order, not wire order) stays out of the encode body that R11
 /// compares field-by-field against [`decode_nf_log`].
 fn encoded_capacity(log: &NfLog) -> usize {
-    8 + log.rx.iter().map(|b| 4 + 2 * b.len()).sum::<usize>()
-        + log.tx.iter().map(|b| 7 + 2 * b.len()).sum::<usize>()
-        + log.flows.len() * 17
+    8 + 4 * log.rx.len() + 7 * log.tx.len() + 2 * log.packet_appearances() + log.flows.len() * 17
+}
+
+/// Writes one batch's length byte and IPIDs.
+fn put_ipids(out: &mut Vec<u8>, ipids: &[Ipid]) -> Result<(), EncodeError> {
+    let n = ipids.len();
+    out.push(u8::try_from(n).map_err(|_| EncodeError::BatchTooLarge(n))?);
+    for &ipid in ipids {
+        put_u16(out, ipid);
+    }
+    Ok(())
+}
+
+/// Reads one batch's length byte and returns its IPIDs.
+fn get_ipids<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+) -> Result<impl Iterator<Item = Ipid> + 'a, EncodeError> {
+    let len = *buf.get(*pos).ok_or(EncodeError::Truncated)? as usize;
+    let bytes = buf
+        .get(*pos + 1..*pos + 1 + 2 * len)
+        .ok_or(EncodeError::Truncated)?;
+    *pos += 1 + 2 * len;
+    Ok(bytes
+        .chunks_exact(2)
+        .map(|b| Ipid::from_le_bytes([b[0], b[1]])))
+}
+
+/// Reads a section's record count and refuses one the rest of the buffer
+/// cannot hold at `min_bytes` per record — so a count is never trusted with
+/// an allocation larger than the input that claims it.
+fn get_count(buf: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, EncodeError> {
+    let n = get_varint(buf, pos)?;
+    let room = (buf.len() - *pos) / min_bytes;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= room)
+        .ok_or(EncodeError::Truncated)
 }
 
 /// Encodes one NF's log. Returns the byte buffer, or
@@ -138,31 +181,24 @@ fn encoded_capacity(log: &NfLog) -> usize {
 /// silently truncated length byte).
 pub fn encode_nf_log(log: &NfLog) -> Result<Vec<u8>, EncodeError> {
     let mut out = Vec::with_capacity(encoded_capacity(log));
-    let batch_len = |n: usize| u8::try_from(n).map_err(|_| EncodeError::BatchTooLarge(n));
     out.push(VERSION);
     put_u16(&mut out, log.nf.0);
 
     put_varint(&mut out, log.rx.len() as u64);
     let mut prev_ts = 0u64;
-    for b in &log.rx {
+    for b in log.rx.iter() {
         put_varint(&mut out, b.ts.wrapping_sub(prev_ts));
         prev_ts = b.ts;
-        out.push(batch_len(b.len())?);
-        for &ipid in &b.ipids {
-            put_u16(&mut out, ipid);
-        }
+        put_ipids(&mut out, b.ipids)?;
     }
 
     put_varint(&mut out, log.tx.len() as u64);
     let mut prev_ts = 0u64;
-    for b in &log.tx {
+    for b in log.tx.iter() {
         put_varint(&mut out, b.ts.wrapping_sub(prev_ts));
         prev_ts = b.ts;
         put_u16(&mut out, b.to.map_or(TO_EXIT, |n| n.0));
-        out.push(batch_len(b.len())?);
-        for &ipid in &b.ipids {
-            put_u16(&mut out, ipid);
-        }
+        put_ipids(&mut out, b.ipids)?;
     }
 
     put_varint(&mut out, log.flows.len() as u64);
@@ -176,8 +212,20 @@ pub fn encode_nf_log(log: &NfLog) -> Result<Vec<u8>, EncodeError> {
     Ok(out)
 }
 
-/// Decodes a log produced by [`encode_nf_log`].
+/// Decodes a log produced by [`encode_nf_log`] straight into the flat
+/// columns.
+///
+/// Every count is checked against the bytes that remain before anything is
+/// reserved for it (an rx batch is at least 2 bytes, a tx batch 4, a flow
+/// record 16, an IPID 2), so the columns never reserve more than a small
+/// multiple of `buf.len()` — 6× for a section of empty batches, ≈ 1.6× for a
+/// recorded log — whatever the counts claim.
 pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
+    // A bundle section's length is a u32; this also keeps every packet
+    // count within the columns' u32 `end`.
+    if u32::try_from(buf.len()).is_err() {
+        return Err(EncodeError::LogTooLarge(buf.len()));
+    }
     let mut pos = 0usize;
     let version = *buf.get(pos).ok_or(EncodeError::Truncated)?;
     pos += 1;
@@ -186,22 +234,18 @@ pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
     }
     let nf = NfId(get_u16(buf, &mut pos)?);
 
-    let n_rx = get_varint(buf, &mut pos)? as usize;
-    let mut rx = Vec::with_capacity(n_rx);
+    let n_rx = get_count(buf, &mut pos, 2)?;
+    let mut rx = RxLog::with_capacity(n_rx, (buf.len() - pos - 2 * n_rx) / 2);
     let mut ts = 0u64;
     for _ in 0..n_rx {
         ts = ts.wrapping_add(get_varint(buf, &mut pos)?);
-        let len = *buf.get(pos).ok_or(EncodeError::Truncated)? as usize;
-        pos += 1;
-        let mut ipids = Vec::with_capacity(len);
-        for _ in 0..len {
-            ipids.push(get_u16(buf, &mut pos)?);
-        }
-        rx.push(RxBatch { ts, ipids });
+        let ipids = get_ipids(buf, &mut pos)?;
+        rx.push(ts, ipids);
     }
+    rx.shrink_to_fit();
 
-    let n_tx = get_varint(buf, &mut pos)? as usize;
-    let mut tx = Vec::with_capacity(n_tx);
+    let n_tx = get_count(buf, &mut pos, 4)?;
+    let mut tx = TxLog::with_capacity(n_tx, (buf.len() - pos - 4 * n_tx) / 2);
     let mut ts = 0u64;
     for _ in 0..n_tx {
         ts = ts.wrapping_add(get_varint(buf, &mut pos)?);
@@ -209,16 +253,12 @@ pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
             TO_EXIT => None,
             nf_id => Some(NfId(nf_id)),
         };
-        let len = *buf.get(pos).ok_or(EncodeError::Truncated)? as usize;
-        pos += 1;
-        let mut ipids = Vec::with_capacity(len);
-        for _ in 0..len {
-            ipids.push(get_u16(buf, &mut pos)?);
-        }
-        tx.push(TxBatch { ts, to, ipids });
+        let ipids = get_ipids(buf, &mut pos)?;
+        tx.push(ts, to, ipids);
     }
+    tx.shrink_to_fit();
 
-    let n_fl = get_varint(buf, &mut pos)? as usize;
+    let n_fl = get_count(buf, &mut pos, 16)?;
     let mut flows = Vec::with_capacity(n_fl);
     let mut ts = 0u64;
     for _ in 0..n_fl {
@@ -238,36 +278,17 @@ mod tests {
 
     fn sample_log() -> NfLog {
         let flow = FiveTuple::new(0x64000001, 0x20000001, 2004, 6004, Proto::TCP);
-        NfLog {
-            nf: NfId(3),
-            rx: vec![
-                RxBatch {
-                    ts: 1_000,
-                    ipids: (0..MAX_BATCH as u16).collect(),
-                },
-                RxBatch {
-                    ts: 2_500,
-                    ipids: vec![40, 41],
-                },
-            ],
-            tx: vec![
-                TxBatch {
-                    ts: 1_800,
-                    to: Some(NfId(4)),
-                    ipids: vec![0, 1, 2],
-                },
-                TxBatch {
-                    ts: 2_900,
-                    to: None,
-                    ipids: vec![40],
-                },
-            ],
-            flows: vec![FlowRecord {
-                ipid: 40,
-                flow,
-                ts: 2_900,
-            }],
-        }
+        let mut log = NfLog::new(NfId(3));
+        log.rx.push(1_000, 0..MAX_BATCH as u16);
+        log.rx.push(2_500, [40, 41]);
+        log.tx.push(1_800, Some(NfId(4)), [0, 1, 2]);
+        log.tx.push(2_900, None, [40]);
+        log.flows.push(FlowRecord {
+            ipid: 40,
+            flow,
+            ts: 2_900,
+        });
+        log
     }
 
     #[test]
@@ -280,26 +301,54 @@ mod tests {
 
     #[test]
     fn empty_log_round_trips() {
-        let log = NfLog {
-            nf: NfId(0),
-            rx: vec![],
-            tx: vec![],
-            flows: vec![],
-        };
+        let log = NfLog::new(NfId(0));
         assert_eq!(decode_nf_log(&encode_nf_log(&log).unwrap()).unwrap(), log);
+    }
+
+    /// The shapes a recorder never writes but a decoder must carry: empty
+    /// batches in both directions, a batch at the one-byte length limit, and
+    /// an NF that read packets and never sent any.
+    #[test]
+    fn defensive_shapes_round_trip() {
+        let mut log = NfLog::new(NfId(7));
+        log.rx.push(5, []);
+        log.rx.push(9, 0..255);
+        log.rx.push(9, []);
+        assert_eq!(decode_nf_log(&encode_nf_log(&log).unwrap()).unwrap(), log);
+        log.tx.push(11, None, []);
+        log.tx.push(12, Some(NfId(0)), 0..255);
+        let back = decode_nf_log(&encode_nf_log(&log).unwrap()).unwrap();
+        assert_eq!(back, log);
+        assert_eq!(back.rx.get(1).len(), 255);
+        assert!(back.tx.get(0).is_empty());
+    }
+
+    /// A count the rest of the buffer cannot hold is `Truncated` before
+    /// anything is reserved for it: these aborted the process (`capacity
+    /// overflow`, or a failed 32 TiB allocation) when the count went
+    /// straight into `Vec::with_capacity`.
+    #[test]
+    fn inflated_counts_are_truncation_not_allocation() {
+        for count in [1u64 << 62, 1 << 40, u64::MAX, 3] {
+            for section in 0..3 {
+                // Version, NF id, then empty sections up to the inflated one.
+                let mut bytes = vec![VERSION, 1, 0];
+                bytes.extend(std::iter::repeat_n(0, section));
+                put_varint(&mut bytes, count);
+                bytes.extend([0u8; 4]);
+                assert_eq!(
+                    decode_nf_log(&bytes),
+                    Err(EncodeError::Truncated),
+                    "count {count} in section {section}"
+                );
+            }
+        }
     }
 
     #[test]
     fn oversized_batch_rejected() {
-        let log = NfLog {
-            nf: NfId(0),
-            rx: vec![RxBatch {
-                ts: 1_000,
-                ipids: (0..300u16).collect(),
-            }],
-            tx: vec![],
-            flows: vec![],
-        };
+        let mut log = NfLog::new(NfId(0));
+        log.rx.push(1_000, 0..300u16);
         assert_eq!(encode_nf_log(&log), Err(EncodeError::BatchTooLarge(300)));
     }
 
@@ -307,32 +356,17 @@ mod tests {
     fn interior_nf_is_near_two_bytes_per_packet() {
         // A realistic interior log: full batches, delta timestamps of a few
         // microseconds. Count rx+tx record bytes per packet *appearance*.
-        let mut rx = Vec::new();
-        let mut tx = Vec::new();
+        let mut log = NfLog::new(NfId(0));
         let mut ts = 0u64;
         let mut ipid = 0u16;
         for _ in 0..1_000 {
             ts += 17_000; // ~17 µs per 32-batch at 1.9 Mpps
-            let ipids: Vec<u16> = (0..MAX_BATCH as u16)
-                .map(|i| ipid.wrapping_add(i))
-                .collect();
+            let first = ipid;
+            let ipids = (0..MAX_BATCH as u16).map(move |i| first.wrapping_add(i));
             ipid = ipid.wrapping_add(MAX_BATCH as u16);
-            rx.push(RxBatch {
-                ts,
-                ipids: ipids.clone(),
-            });
-            tx.push(TxBatch {
-                ts: ts + 9_000,
-                to: Some(NfId(1)),
-                ipids,
-            });
+            log.rx.push(ts, ipids.clone());
+            log.tx.push(ts + 9_000, Some(NfId(1)), ipids);
         }
-        let log = NfLog {
-            nf: NfId(0),
-            rx,
-            tx,
-            flows: vec![],
-        };
         let bytes = encode_nf_log(&log).unwrap().len();
         let appearances = 2 * 1_000 * MAX_BATCH; // each packet in one rx and one tx
         let per_packet = bytes as f64 / appearances as f64;

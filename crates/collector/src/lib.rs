@@ -29,4 +29,4 @@ pub use bundle_io::{
 };
 pub use collector::{Collector, CollectorConfig, NfLog, TraceBundle};
 pub use encode::{decode_nf_log, encode_nf_log, EncodeError};
-pub use records::{FlowRecord, PacketMeta, QueueRef, RxBatch, TxBatch, MAX_BATCH};
+pub use records::{FlowRecord, PacketMeta, QueueRef, RxBatch, RxLog, TxBatch, TxLog, MAX_BATCH};

@@ -3,7 +3,7 @@
 use crate::cache::{CacheStats, DiagnosisCache, DiagnosisStep};
 use crate::index::DiagnosisIndex;
 use crate::local::local_scores;
-use crate::propagation::{attribute_upstream_indexed, UpstreamScratch};
+use crate::propagation::{attribute_upstream_with, UpstreamScratch};
 use crate::victim::{find_victims, Victim, VictimConfig};
 use msc_trace::{Reconstruction, Timelines};
 use nf_types::{FiveTuple, Interval, Nanos, NfId, NodeId, Topology};
@@ -280,11 +280,11 @@ impl Microscope {
         // reduction. Lazy per period: only the first victim needing it
         // pays; later victims (and recursion steps) reuse the shares.
         let shares = step.shares_or_init(|| {
-            attribute_upstream_indexed(
+            attribute_upstream_with(
                 recon,
-                index,
-                &index.nfs[nf.0 as usize],
+                timelines.nf(nf),
                 &qp.preset,
+                nf,
                 self.peak_rates[nf.0 as usize],
                 scratch,
             )
@@ -407,7 +407,7 @@ impl Microscope {
         preset: &std::ops::Range<usize>,
         scratch: &mut UpstreamScratch,
     ) -> Vec<(FiveTuple, f64)> {
-        let flow_id = &index.nfs[nf.0 as usize].flow_id;
+        let flow_id = &index.flow_id[nf.0 as usize];
         // Sample huge presets (wild-run periods can hold 10^5+ arrivals);
         // per-flow weights stay proportional under a uniform stride.
         const MAX_PRESET_SAMPLES: usize = 16_384;

@@ -1,28 +1,27 @@
-//! Column-oriented diagnosis index: the per-arrival facts the §4.1/§4.2
-//! walks need, gathered once per run instead of once per (victim × arrival).
+//! Diagnosis index: the PreSet flow histogram's dense keys, gathered once
+//! per run instead of once per (victim × arrival).
 //!
-//! The hot loops of diagnosis — PreSet flow counting and the §4.2 timespan
-//! walk — iterate queuing-period slices of `timeline.arrivals` and chase
-//! each arrival into `recon.traces` (for the flow, the emission time and
-//! the hop range) and `recon.hop_path_ids` (for the upstream path). Those
-//! gathers are random 40-byte reads per packet, repeated for every
-//! diagnosis step that touches the period. [`DiagnosisIndex`] flattens them
-//! into per-NF columns aligned with `timeline.arrivals`, so the walks scan
-//! contiguous `u32`/`u64` lanes and the trace arena is only touched for the
-//! per-hop span gathers that genuinely need it.
+//! PreSet flow counting iterates queuing-period slices of
+//! `timeline.arrivals` and needs each arrival's flow. [`DiagnosisIndex`]
+//! interns the flows into dense ids and lays them out per NF, aligned with
+//! `timeline.arrivals`, which turns the histogram from a
+//! `HashMap<FiveTuple, f64>` per period into an epoch-stamped array
+//! accumulate — the same counts, exact in `u64`.
 //!
-//! Flows are interned into dense ids (`flow_id`), which turns the PreSet
-//! flow histogram from a `HashMap<FiveTuple, f64>` per period into an
-//! epoch-stamped array accumulate — the same counts, exact in `u64`.
+//! Arrivals that are not [`ArrivalKind::Queued`] carry `u32::MAX`; the
+//! histogram skips on that sentinel, exactly where the old code skipped on
+//! the arrival kind.
 //!
-//! Arrivals that are not [`ArrivalKind::Queued`] carry `u32::MAX` in
-//! `flow_id`/`path_id`; the walks skip on that sentinel, exactly where the
-//! old code skipped on the arrival kind.
+//! Nothing else is copied per arrival. Earlier versions also laid out path
+//! id, emission time, hop range and dense departure / arrival lanes for the
+//! §4.2 walk (32 B per arrival + 16 B per hop); the walk samples at most
+//! 8 192 arrivals of each *distinct* period, so gathering those for every
+//! arrival cost more than it saved — DESIGN.md §12 has the measurement.
 
 use msc_trace::{ArrivalKind, Reconstruction, Timelines};
 use nf_types::FiveTuple;
 
-/// Per-run columnar index over `(recon, timelines)`. Pure data: building it
+/// Per-run flow index over `(recon, timelines)`. Pure data: building it
 /// twice yields identical columns, so diagnosis output cannot depend on
 /// whether an index is shared or rebuilt.
 #[derive(Debug)]
@@ -30,35 +29,10 @@ pub struct DiagnosisIndex {
     /// Interned flows, in order of first appearance across `recon.traces`.
     /// `flow_table[flow_id]` recovers the five-tuple.
     pub flow_table: Vec<FiveTuple>,
-    /// One column set per NF, indexed by `NfId`.
-    pub nfs: Vec<NfColumns>,
-    /// Departure timestamp per hop, aligned with `recon.hops`:
-    /// `sent_ts.unwrap_or(read_ts)`, the §4.2 walk's per-hop read,
-    /// pre-resolved so the span gathers scan a dense `u64` lane instead of
-    /// branching through 48-byte `TraceHop` records.
-    pub hop_dep: Vec<u64>,
-    /// Arrival timestamp per hop, aligned with `recon.hops`.
-    pub hop_arr: Vec<u64>,
-}
-
-/// Flat per-arrival columns for one NF, aligned with
-/// `timelines.nf(nf).arrivals` (same length, same order).
-#[derive(Debug, Default)]
-pub struct NfColumns {
-    /// Interned flow of the arrival's trace; `u32::MAX` for non-queued
-    /// arrivals (the skip sentinel).
-    pub flow_id: Vec<u32>,
-    /// Interned upstream-path id at the arrival's hop (`recon.hop_path_ids`
-    /// value); `u32::MAX` for non-queued arrivals.
-    pub path_id: Vec<u32>,
-    /// Source emission time of the arrival's trace.
-    pub emitted_at: Vec<u64>,
-    /// Start of the trace's hop range in the shared `recon.hops` arena.
-    pub hops_start: Vec<u32>,
-    /// The arrival's hop index within its trace.
-    pub hop: Vec<u32>,
-    /// Arrival timestamp (copy of `arrivals[i].ts`, flat for scanning).
-    pub ts: Vec<u64>,
+    /// Per NF (indexed by `NfId`), aligned with
+    /// `timelines.nf(nf).arrivals`: the interned flow of the arrival's
+    /// trace; `u32::MAX` for non-queued arrivals (the skip sentinel).
+    pub flow_id: Vec<Vec<u32>>,
 }
 
 /// A five-tuple packed into one integer key: 32+32+16+16+8 = 104 bits.
@@ -81,7 +55,7 @@ fn hash_packed(key: u128) -> usize {
 
 impl DiagnosisIndex {
     /// Builds the index: one pass over the traces (flow interning) and one
-    /// pass over every NF's arrivals (column gathers).
+    /// pass over every NF's arrivals (one gather each).
     ///
     /// Interning uses a hand-rolled open-addressing table keyed on the
     /// packed five-tuple — insertion order (and thus every id) is first
@@ -118,53 +92,23 @@ impl DiagnosisIndex {
             })
             .collect();
 
-        let nfs = timelines
+        let flow_id = timelines
             .nfs
             .iter()
             .map(|tl| {
-                let n = tl.arrivals.len();
-                let mut c = NfColumns {
-                    flow_id: Vec::with_capacity(n),
-                    path_id: Vec::with_capacity(n),
-                    emitted_at: Vec::with_capacity(n),
-                    hops_start: Vec::with_capacity(n),
-                    hop: Vec::with_capacity(n),
-                    ts: Vec::with_capacity(n),
-                };
-                for a in &tl.arrivals {
-                    if a.kind == ArrivalKind::Queued {
-                        let tr = &recon.traces[a.trace];
-                        c.flow_id.push(trace_flow[a.trace]);
-                        c.path_id
-                            .push(recon.hop_path_ids[tr.hops.start as usize + a.hop]);
-                        c.emitted_at.push(tr.emitted_at);
-                        c.hops_start.push(tr.hops.start);
-                        c.hop.push(a.hop as u32);
-                    } else {
-                        c.flow_id.push(u32::MAX);
-                        c.path_id.push(u32::MAX);
-                        c.emitted_at.push(0);
-                        c.hops_start.push(0);
-                        c.hop.push(0);
-                    }
-                    c.ts.push(a.ts);
-                }
-                c
+                tl.arrivals
+                    .iter()
+                    .map(|a| match a.kind {
+                        ArrivalKind::Queued => trace_flow[a.trace as usize],
+                        ArrivalKind::Dropped => u32::MAX,
+                    })
+                    .collect()
             })
             .collect();
 
-        let mut hop_dep: Vec<u64> = Vec::with_capacity(recon.hops.len());
-        let mut hop_arr: Vec<u64> = Vec::with_capacity(recon.hops.len());
-        for h in &recon.hops {
-            hop_dep.push(h.sent_ts.unwrap_or(h.read_ts));
-            hop_arr.push(h.arrival_ts);
-        }
-
         Self {
             flow_table,
-            nfs,
-            hop_dep,
-            hop_arr,
+            flow_id,
         }
     }
 }
@@ -177,7 +121,7 @@ mod tests {
     use nf_types::{NfKind, Proto, Topology};
 
     #[test]
-    fn columns_align_with_arrivals_and_intern_flows() {
+    fn flow_ids_align_with_arrivals_and_intern_flows() {
         let mut b = Topology::builder();
         let nat = b.add_nf(NfKind::Nat, "nat1");
         let vpn = b.add_nf(NfKind::Vpn, "vpn1");
@@ -204,22 +148,16 @@ mod tests {
 
         let index = DiagnosisIndex::build(&recon, &timelines);
         assert_eq!(index.flow_table.len(), 2);
-        assert_eq!(index.nfs.len(), 2);
-        for (nf, cols) in index.nfs.iter().enumerate() {
+        assert_eq!(index.flow_id.len(), 2);
+        for (nf, flow_id) in index.flow_id.iter().enumerate() {
             let arrivals = &timelines.nfs[nf].arrivals;
-            assert_eq!(cols.flow_id.len(), arrivals.len());
-            for (i, a) in arrivals.iter().enumerate() {
-                assert_eq!(cols.ts[i], a.ts);
+            assert_eq!(flow_id.len(), arrivals.len());
+            for (&id, a) in flow_id.iter().zip(arrivals) {
                 if a.kind == ArrivalKind::Queued {
-                    let tr = &recon.traces[a.trace];
-                    assert_eq!(index.flow_table[cols.flow_id[i] as usize], tr.flow);
-                    assert_eq!(cols.emitted_at[i], tr.emitted_at);
-                    assert_eq!(cols.hop[i] as usize, a.hop);
-                    assert_eq!(cols.hops_start[i], tr.hops.start);
-                    assert_eq!(cols.path_id[i], recon.hop_path_ids_of(a.trace)[a.hop]);
+                    let tr = &recon.traces[a.trace as usize];
+                    assert_eq!(index.flow_table[id as usize], tr.flow);
                 } else {
-                    assert_eq!(cols.flow_id[i], u32::MAX);
-                    assert_eq!(cols.path_id[i], u32::MAX);
+                    assert_eq!(id, u32::MAX);
                 }
             }
         }

@@ -39,7 +39,7 @@ pub mod victim;
 
 pub use cache::{CacheStats, DiagnosisCache, DiagnosisStep, StepKey};
 pub use diagnose::{Culprit, CulpritKind, Diagnosis, DiagnosisConfig, Microscope};
-pub use index::{DiagnosisIndex, NfColumns};
+pub use index::DiagnosisIndex;
 pub use local::{local_scores, LocalScores};
 pub use misbehaviour::{detect_misbehaviour, Misbehaviour, MisbehaviourConfig};
 pub use propagation::{

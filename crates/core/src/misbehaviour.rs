@@ -76,7 +76,7 @@ pub fn detect_misbehaviour(
     let mut batches: HashMap<(NfId, Nanos), Batch> = HashMap::new();
     for (t_idx, tr) in recon.traces.iter().enumerate() {
         for h in recon.hops_of(t_idx) {
-            let Some(sent) = h.sent_ts else { continue };
+            let Some(sent) = h.sent_ts() else { continue };
             let b = batches.entry((h.nf, h.read_ts)).or_insert(Batch {
                 sent_ts: sent,
                 flows: HashMap::new(),

@@ -9,8 +9,7 @@
 //! stretcher cancels credit from the squeezers before it (the paper's `B`
 //! case, where `A`'s effective reduction becomes `Tsource − TB`).
 
-use crate::index::{DiagnosisIndex, NfColumns};
-use msc_trace::{ArrivalKind, NfTimeline, PathTrie, Reconstruction, TraceHop};
+use msc_trace::{ArrivalKind, NfTimeline, Reconstruction};
 use nf_types::{Nanos, NfId, NodeId};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -179,113 +178,17 @@ pub fn attribute_upstream_with(
     peak_rate_pps: f64,
     scratch: &mut UpstreamScratch,
 ) -> Vec<UpstreamShare> {
-    let stride = preset_stride(preset.len());
+    // Wild-run queuing periods at a near-saturated NF can hold 10^5+
+    // arrivals; the timespan statistics converge long before that, so
+    // sample a bounded stride. (Spans are min/max statistics; sampling can
+    // only narrow them slightly, which under-attributes conservatively.)
+    const MAX_PRESET_SAMPLES: usize = 8_192;
+    let stride = (preset.len() / MAX_PRESET_SAMPLES).max(1);
     let samples = timeline.arrivals[preset.clone()]
         .iter()
         .step_by(stride)
-        .filter(|a| a.kind == ArrivalKind::Queued)
-        .map(|a| {
-            let tr = &recon.traces[a.trace];
-            let hops = recon.hops_of(a.trace);
-            debug_assert!(
-                hops.get(a.hop).is_none_or(|h| h.nf == victim_nf),
-                "preset arrival hop mismatch"
-            );
-            Sample {
-                path_id: recon.hop_path_ids_of(a.trace)[a.hop],
-                emitted: tr.emitted_at,
-                hops: HopSpans::Aos(&hops[..a.hop]),
-                ts: a.ts,
-            }
-        });
-    attribute_from_samples(&recon.paths, samples, peak_rate_pps, scratch)
-}
+        .filter(|a| a.kind == ArrivalKind::Queued);
 
-/// [`attribute_upstream_with`] over the flat columns of
-/// [`crate::index::DiagnosisIndex`] — same samples, same walk, but the
-/// per-packet path/emission/hop-range gathers read contiguous lanes instead
-/// of chasing `recon.traces`. Produces bit-identical shares: the sample
-/// sequence (stride, skip rule, values) matches the timeline path exactly.
-pub(crate) fn attribute_upstream_indexed(
-    recon: &Reconstruction,
-    index: &DiagnosisIndex,
-    cols: &NfColumns,
-    preset: &Range<usize>,
-    peak_rate_pps: f64,
-    scratch: &mut UpstreamScratch,
-) -> Vec<UpstreamShare> {
-    let stride = preset_stride(preset.len());
-    let samples = (preset.start..preset.end)
-        .step_by(stride)
-        .filter(|&i| cols.path_id[i] != u32::MAX)
-        .map(|i| {
-            let start = cols.hops_start[i] as usize;
-            let end = start + cols.hop[i] as usize;
-            Sample {
-                path_id: cols.path_id[i],
-                emitted: cols.emitted_at[i],
-                hops: HopSpans::Soa {
-                    dep: &index.hop_dep[start..end],
-                    arr: &index.hop_arr[start..end],
-                },
-                ts: cols.ts[i],
-            }
-        });
-    attribute_from_samples(&recon.paths, samples, peak_rate_pps, scratch)
-}
-
-/// Wild-run queuing periods at a near-saturated NF can hold 10^5+
-/// arrivals; the timespan statistics converge long before that, so sample
-/// a bounded stride. (Spans are min/max statistics; sampling can only
-/// narrow them slightly, which under-attributes conservatively.)
-fn preset_stride(len: usize) -> usize {
-    const MAX_PRESET_SAMPLES: usize = 8_192;
-    (len / MAX_PRESET_SAMPLES).max(1)
-}
-
-/// One PreSet packet prepared for the §4.2 group walk.
-struct Sample<'r> {
-    /// Interned path prefix id at the victim hop.
-    path_id: u32,
-    /// Source emission time.
-    emitted: Nanos,
-    /// Hops strictly before the victim hop.
-    hops: HopSpans<'r>,
-    /// Arrival time at the victim NF.
-    ts: Nanos,
-}
-
-/// The per-hop (departure, arrival) timestamps of one sample, in either
-/// layout. Both carry the same values — `Soa` lanes are pre-resolved
-/// `sent_ts.unwrap_or(read_ts)` / `arrival_ts` — so the min/max span
-/// folds below are bit-identical across layouts.
-enum HopSpans<'r> {
-    /// Straight out of the trace arena (the index-free entry point).
-    Aos(&'r [TraceHop]),
-    /// Dense `u64` lanes from [`crate::index::DiagnosisIndex`]: the span
-    /// fold reads 16 contiguous bytes per hop instead of branching
-    /// through 48-byte records.
-    Soa { dep: &'r [u64], arr: &'r [u64] },
-}
-
-impl HopSpans<'_> {
-    fn len(&self) -> usize {
-        match self {
-            HopSpans::Aos(h) => h.len(),
-            HopSpans::Soa { dep, .. } => dep.len(),
-        }
-    }
-}
-
-/// The shared §4.2 core: group samples by upstream path, credit-walk each
-/// group, convert credits into Si fractions. Both entry points feed the
-/// identical sample sequence here, so their outputs are bit-identical.
-fn attribute_from_samples<'r>(
-    paths: &PathTrie,
-    samples: impl Iterator<Item = Sample<'r>>,
-    peak_rate_pps: f64,
-    scratch: &mut UpstreamScratch,
-) -> Vec<UpstreamShare> {
     // Group PreSet packets by their path prefix up to (excluding) the
     // victim NF. Path ids are dense (interned by reconstruction), so the
     // group lookup is an epoch-stamped array slot, not a hash.
@@ -303,10 +206,17 @@ fn attribute_from_samples<'r>(
     let mut groups: Vec<Group> = Vec::new();
     let mut total_packets = 0usize;
 
-    for s in samples {
+    for a in samples {
         total_packets += 1;
-        let victim_hop = s.hops.len();
-        let pid = s.path_id as usize;
+        let (t, victim_hop) = (a.trace as usize, a.hop as usize);
+        let hops = recon.hops_of(t);
+        debug_assert!(
+            hops.get(victim_hop).is_none_or(|h| h.nf == victim_nf),
+            "preset arrival hop mismatch"
+        );
+        let emitted = recon.traces[t].emitted_at;
+        let path_id = recon.hop_path_ids_of(t)[victim_hop];
+        let pid = path_id as usize;
         if scratch.path_slot.len() <= pid {
             scratch.path_slot.resize(pid + 1, 0);
             scratch.path_epoch.resize(pid + 1, 0);
@@ -316,7 +226,7 @@ fn attribute_from_samples<'r>(
             // lint: lossy-cast-ok(group count, bounded by path count far below u32::MAX)
             scratch.path_slot[pid] = groups.len() as u32;
             groups.push(Group {
-                nodes: paths.path(s.path_id),
+                nodes: recon.paths.path(path_id),
                 spans: vec![(Nanos::MAX, 0); victim_hop + 1],
                 final_span: (Nanos::MAX, 0),
                 arrival_span: vec![(Nanos::MAX, 0); victim_hop + 1],
@@ -327,37 +237,19 @@ fn attribute_from_samples<'r>(
         g.packets += 1;
         // Position 0 is the source (departure == arrival == emission),
         // position i+1 the i-th upstream hop.
-        g.spans[0].0 = g.spans[0].0.min(s.emitted);
-        g.spans[0].1 = g.spans[0].1.max(s.emitted);
-        g.arrival_span[0].0 = g.arrival_span[0].0.min(s.emitted);
-        g.arrival_span[0].1 = g.arrival_span[0].1.max(s.emitted);
-        match s.hops {
-            HopSpans::Aos(hops) => {
-                for (i, h) in hops.iter().enumerate() {
-                    let d = h.sent_ts.unwrap_or(h.read_ts);
-                    g.spans[i + 1].0 = g.spans[i + 1].0.min(d);
-                    g.spans[i + 1].1 = g.spans[i + 1].1.max(d);
-                    g.arrival_span[i + 1].0 = g.arrival_span[i + 1].0.min(h.arrival_ts);
-                    g.arrival_span[i + 1].1 = g.arrival_span[i + 1].1.max(h.arrival_ts);
-                }
-            }
-            HopSpans::Soa { dep, arr } => {
-                // Branchless elementwise min/max folds over dense lanes —
-                // same values as the Aos arm, so bit-identical spans.
-                for (i, &d) in dep.iter().enumerate() {
-                    let sp = &mut g.spans[i + 1];
-                    sp.0 = sp.0.min(d);
-                    sp.1 = sp.1.max(d);
-                }
-                for (i, &a) in arr.iter().enumerate() {
-                    let ap = &mut g.arrival_span[i + 1];
-                    ap.0 = ap.0.min(a);
-                    ap.1 = ap.1.max(a);
-                }
-            }
+        g.spans[0].0 = g.spans[0].0.min(emitted);
+        g.spans[0].1 = g.spans[0].1.max(emitted);
+        g.arrival_span[0].0 = g.arrival_span[0].0.min(emitted);
+        g.arrival_span[0].1 = g.arrival_span[0].1.max(emitted);
+        for (i, h) in hops[..victim_hop].iter().enumerate() {
+            let d = h.sent_ts().unwrap_or(h.read_ts);
+            g.spans[i + 1].0 = g.spans[i + 1].0.min(d);
+            g.spans[i + 1].1 = g.spans[i + 1].1.max(d);
+            g.arrival_span[i + 1].0 = g.arrival_span[i + 1].0.min(h.arrival_ts);
+            g.arrival_span[i + 1].1 = g.arrival_span[i + 1].1.max(h.arrival_ts);
         }
-        g.final_span.0 = g.final_span.0.min(s.ts);
-        g.final_span.1 = g.final_span.1.max(s.ts);
+        g.final_span.0 = g.final_span.0.min(a.ts);
+        g.final_span.1 = g.final_span.1.max(a.ts);
     }
 
     if total_packets == 0 {

@@ -128,12 +128,7 @@ mod tests {
         b.add_entry(a);
         let topo = b.build().unwrap();
         let bundle = msc_collector::TraceBundle {
-            logs: vec![msc_collector::NfLog {
-                nf: NfId(0),
-                rx: vec![],
-                tx: vec![],
-                flows: vec![],
-            }],
+            logs: vec![msc_collector::NfLog::new(NfId(0))],
             source_flows: vec![msc_collector::FlowRecord {
                 ipid: 0,
                 flow: flow(99),

@@ -138,7 +138,7 @@ pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
         .map_or(0, |m| m as usize + 1);
     let mut stats = vec![DelayStats::default(); max_nf];
     for h in &recon.hops {
-        if let Some(sent) = h.sent_ts {
+        if let Some(sent) = h.sent_ts() {
             stats[h.nf.0 as usize].push(sent.saturating_sub(h.arrival_ts));
         }
     }
@@ -152,7 +152,7 @@ pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
                     continue;
                 }
                 for (h_idx, h) in recon.hops_of(t_idx).iter().enumerate() {
-                    let Some(sent) = h.sent_ts else { continue };
+                    let Some(sent) = h.sent_ts() else { continue };
                     let s = &stats[h.nf.0 as usize];
                     let delay = sent.saturating_sub(h.arrival_ts) as f64;
                     if delay > s.mean() + cfg.abnormal_sigma * s.std() {
@@ -214,16 +214,10 @@ mod tests {
         // (nf, arrival, sent) triples.
         let hops: Vec<TraceHop> = lat_per_hop
             .iter()
-            .map(|&(nf, a, s)| TraceHop {
-                nf: NfId(nf),
-                arrival_ts: a,
-                read_ts: a + 1,
-                sent_ts: Some(s),
-                rx_idx: 0,
-            })
+            .map(|&(nf, a, s)| TraceHop::new(NfId(nf), a, a + 1, Some(s), 0))
             .collect();
         let emitted = lat_per_hop.first().map_or(0, |h| h.1);
-        let last = hops.last().and_then(|h| h.sent_ts).unwrap_or(emitted);
+        let last = hops.last().and_then(|h| h.sent_ts()).unwrap_or(emitted);
         TestTrace {
             hops,
             emitted_at: emitted,

@@ -83,15 +83,8 @@ fn main() {
         };
         let mut b = out.bundle.clone();
         for log in &mut b.logs {
-            for r in &mut log.rx {
-                for i in &mut r.ipids {
-                    *i &= mask;
-                }
-            }
-            for t in &mut log.tx {
-                for i in &mut t.ipids {
-                    *i &= mask;
-                }
+            for i in log.rx.ipids_mut().iter_mut().chain(log.tx.ipids_mut()) {
+                *i &= mask;
             }
             for f in &mut log.flows {
                 f.ipid &= mask;

@@ -890,7 +890,7 @@ mod more_tests {
         // Ground truth on the true clock.
         assert_eq!(out.fates[0].hops[0].read_at, 1_000);
         // Collector records on the skewed clock + epoch.
-        let rec = out.bundle.log(NfId(0)).rx[0].ts;
+        let rec = out.bundle.log(NfId(0)).rx.ts()[0];
         assert_eq!(rec, 1_000 + 1_000_000 + 10_000_000_000);
         // Source records carry the epoch only.
         assert_eq!(out.bundle.source_flows[0].ts, 1_000 + 10_000_000_000);

@@ -137,13 +137,13 @@ impl StreamEngine {
     fn clamp_monotone(&mut self, bundle: &mut msc_collector::TraceBundle) {
         for log in &mut bundle.logs {
             let floors = &mut self.skew_floors[log.nf.0 as usize];
-            for r in &mut log.rx {
-                r.ts = r.ts.max(floors.0);
-                floors.0 = r.ts;
+            for ts in log.rx.ts_mut() {
+                *ts = (*ts).max(floors.0);
+                floors.0 = *ts;
             }
-            for t in &mut log.tx {
-                t.ts = t.ts.max(floors.1);
-                floors.1 = t.ts;
+            for ts in log.tx.ts_mut() {
+                *ts = (*ts).max(floors.1);
+                floors.1 = *ts;
             }
             for f in &mut log.flows {
                 f.ts = f.ts.max(floors.2);
@@ -154,7 +154,7 @@ impl StreamEngine {
 
     fn track_reads(&mut self, bundle: &msc_collector::TraceBundle) {
         for log in &bundle.logs {
-            for r in &log.rx {
+            for r in log.rx.iter() {
                 self.periods.on_read(log.nf, r.ts, r.drained_queue());
             }
         }

@@ -37,7 +37,9 @@ pub mod streams;
 pub mod timeline;
 pub mod windowed;
 
-pub use matching::{match_downstream, EdgeMatch, MatchConfig, MatchOutcome, MatchStats};
+pub use matching::{
+    match_downstream, EdgeMatch, EdgeOutcomes, MatchConfig, MatchOutcome, MatchStats,
+};
 pub use reconstruct::{
     assemble, match_all, reconstruct, PathTrie, ReconstructedTrace, Reconstruction,
     ReconstructionConfig, ReconstructionReport, RxTraceRef, TraceHop, TraceOutcome, PATH_ROOT,

@@ -31,7 +31,7 @@ const IPID_SPACE: usize = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchOutcome {
     /// It was read by the downstream NF as rx entry `rx_idx`.
-    Matched(usize),
+    Matched(u32),
     /// It never appears downstream although later same-edge packets do — it
     /// was dropped at the full input ring.
     InferredDrop,
@@ -85,25 +85,69 @@ pub struct MatchStats {
 /// The full matching result for one downstream NF.
 #[derive(Debug)]
 pub struct EdgeMatch {
-    /// For each rx entry of the downstream NF: the upstream node and the
-    /// edge position it was matched to.
-    pub rx_origin: Vec<Option<(NodeId, usize)>>,
     /// The upstream nodes in slot order ([`Topology::upstream_nodes`] order)
-    /// — the index order of `edge_outcome`.
+    /// — the index order of the per-edge outcomes.
     pub upstreams: Vec<NodeId>,
-    /// Per upstream slot: outcome of every edge position.
-    pub edge_outcome: Vec<Vec<MatchOutcome>>,
+    /// Per upstream slot: what happened to every edge position.
+    outcomes: Vec<EdgeOutcomes>,
     /// Matching statistics.
     pub stats: MatchStats,
 }
 
 impl EdgeMatch {
     /// The per-position outcomes of the edge from `node`, if it exists.
-    pub fn outcome(&self, node: NodeId) -> Option<&[MatchOutcome]> {
+    pub fn outcome(&self, node: NodeId) -> Option<&EdgeOutcomes> {
         self.upstreams
             .iter()
             .position(|&u| u == node)
-            .map(|slot| self.edge_outcome[slot].as_slice())
+            .map(|slot| &self.outcomes[slot])
+    }
+}
+
+/// The fate of every position of one upstream edge: the matcher's own
+/// four-byte `matched` column and final cursor, read as [`MatchOutcome`]s —
+/// a position holds the rx index it matched, and an unmatched one is an
+/// inferred drop behind the cursor (a later same-edge packet overtook it,
+/// impossible in FIFO) and unresolved at or past it.
+#[derive(Debug)]
+pub struct EdgeOutcomes {
+    matched: Vec<u32>,
+    cursor: usize,
+}
+
+// The per-position match state is the sentinel's type: four bytes.
+const _: () = assert!(std::mem::size_of_val(&UNMATCHED) == 4);
+
+impl EdgeOutcomes {
+    /// Number of positions on the edge.
+    pub fn len(&self) -> usize {
+        self.matched.len()
+    }
+
+    /// True for an edge nothing was sent on.
+    pub fn is_empty(&self) -> bool {
+        self.matched.is_empty()
+    }
+
+    fn read(&self, pos: usize, matched: u32) -> MatchOutcome {
+        match matched {
+            UNMATCHED if pos < self.cursor => MatchOutcome::InferredDrop,
+            UNMATCHED => MatchOutcome::Unresolved,
+            rx_idx => MatchOutcome::Matched(rx_idx),
+        }
+    }
+
+    /// What happened to the `pos`-th packet sent on the edge.
+    pub fn get(&self, pos: usize) -> Option<MatchOutcome> {
+        self.matched.get(pos).map(|&m| self.read(pos, m))
+    }
+
+    /// Every position's outcome, in edge order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = MatchOutcome> + '_ {
+        self.matched
+            .iter()
+            .enumerate()
+            .map(|(pos, &m)| self.read(pos, m))
     }
 }
 
@@ -590,41 +634,29 @@ pub fn match_downstream(
         ix.rebuild(e);
         index.push(ix);
     }
-    let mut rx_origin: Vec<Option<(NodeId, usize)>> = vec![None; rx.len()];
-    for (k, origin) in rx_origin.iter_mut().enumerate() {
-        *origin = m
-            .decide(&mut index, rx, k, 0, cfg)
-            .map(|(slot, pos)| (upstreams[slot], pos));
+    for k in 0..rx.len() {
+        m.decide(&mut index, rx, k, 0, cfg);
     }
 
-    // Per-edge: positions behind the final cursor that never matched were
-    // dropped (a later same-edge packet overtook them, impossible in FIFO);
-    // positions at or past the cursor are unresolved. Slot order is the
-    // upstream build order.
+    // Positions behind an edge's final cursor that never matched were
+    // dropped. The matcher's columns are the result: `matched` moves out as
+    // it is. Slot order is the upstream build order.
     let mut stats = m.stats;
-    let mut edge_outcome: Vec<Vec<MatchOutcome>> = Vec::with_capacity(m.edges.len());
-    for e in &m.edges {
+    let mut outcomes = Vec::with_capacity(m.edges.len());
+    for e in &mut m.edges {
         stats.inferred_drops += e.matched[..e.cursor]
             .iter()
             .filter(|&&m| m == UNMATCHED)
             .count() as u64;
-        let outcomes: Vec<MatchOutcome> = e
-            .matched
-            .iter()
-            .enumerate()
-            .map(|(pos, &m)| match m {
-                UNMATCHED if pos < e.cursor => MatchOutcome::InferredDrop,
-                UNMATCHED => MatchOutcome::Unresolved,
-                rx_idx => MatchOutcome::Matched(rx_idx as usize),
-            })
-            .collect();
-        edge_outcome.push(outcomes);
+        outcomes.push(EdgeOutcomes {
+            matched: std::mem::take(&mut e.matched),
+            cursor: e.cursor,
+        });
     }
 
     EdgeMatch {
-        rx_origin,
         upstreams,
-        edge_outcome,
+        outcomes,
         stats,
     }
 }
@@ -677,6 +709,20 @@ mod tests {
         }
     }
 
+    /// Per rx entry of the matched NF: the upstream node and edge position
+    /// it was matched to, read back from the per-edge outcomes.
+    fn rx_origin(m: &EdgeMatch) -> Vec<Option<(NodeId, usize)>> {
+        let mut origin = vec![None; m.stats.matched as usize + m.stats.unmatched_rx as usize];
+        for &node in &m.upstreams {
+            for (pos, out) in m.outcome(node).unwrap().iter().enumerate() {
+                if let MatchOutcome::Matched(rx_idx) = out {
+                    origin[rx_idx as usize] = Some((node, pos));
+                }
+            }
+        }
+        origin
+    }
+
     /// source -> nat1, nat2 -> vpn (two upstreams into one downstream).
     fn topo() -> Topology {
         let mut b = Topology::builder();
@@ -711,9 +757,9 @@ mod tests {
         let m = match_downstream(&s, &t, NfId(2), &MatchConfig::default());
         assert_eq!(m.stats.matched, 3);
         assert_eq!(m.stats.unmatched_rx, 0);
-        assert_eq!(m.rx_origin[0], Some((NodeId::Nf(NfId(0)), 0)));
-        assert_eq!(m.rx_origin[1], Some((NodeId::Nf(NfId(1)), 0)));
-        assert_eq!(m.rx_origin[2], Some((NodeId::Nf(NfId(0)), 1)));
+        assert_eq!(rx_origin(&m)[0], Some((NodeId::Nf(NfId(0)), 0)));
+        assert_eq!(rx_origin(&m)[1], Some((NodeId::Nf(NfId(1)), 0)));
+        assert_eq!(rx_origin(&m)[2], Some((NodeId::Nf(NfId(0)), 1)));
     }
 
     #[test]
@@ -733,9 +779,9 @@ mod tests {
         assert_eq!(m.stats.matched, 4);
         assert_eq!(m.stats.unmatched_rx, 0);
         assert_eq!(m.stats.inferred_drops, 0);
-        assert_eq!(m.rx_origin[0], Some((NodeId::Nf(NfId(0)), 0)));
-        assert_eq!(m.rx_origin[1], Some((NodeId::Nf(NfId(0)), 1)));
-        assert_eq!(m.rx_origin[2], Some((NodeId::Nf(NfId(1)), 0)));
+        assert_eq!(rx_origin(&m)[0], Some((NodeId::Nf(NfId(0)), 0)));
+        assert_eq!(rx_origin(&m)[1], Some((NodeId::Nf(NfId(0)), 1)));
+        assert_eq!(rx_origin(&m)[2], Some((NodeId::Nf(NfId(1)), 0)));
         assert!(m.stats.ambiguities >= 1);
         assert!(m.stats.ambiguity_flips >= 1, "lookahead had to overrule");
     }
@@ -753,10 +799,10 @@ mod tests {
         let m = match_downstream(&s, &t, NfId(2), &MatchConfig::default());
         // The stale candidate is rejected; the fresh one matches. The stale
         // send stays unresolved (no later nat1 packet proves a drop).
-        assert_eq!(m.rx_origin[0], Some((NodeId::Nf(NfId(1)), 0)));
+        assert_eq!(rx_origin(&m)[0], Some((NodeId::Nf(NfId(1)), 0)));
         assert_eq!(
-            m.outcome(NodeId::Nf(NfId(0))).unwrap()[0],
-            MatchOutcome::Unresolved
+            m.outcome(NodeId::Nf(NfId(0))).unwrap().get(0),
+            Some(MatchOutcome::Unresolved)
         );
     }
 
@@ -769,7 +815,7 @@ mod tests {
         c.record_rx(NfId(2), 200, &[meta(1), meta(3)]);
         let s = EdgeStreams::build(&t, &c.into_bundle());
         let m = match_downstream(&s, &t, NfId(2), &MatchConfig::default());
-        let out = m.outcome(NodeId::Nf(NfId(0))).unwrap();
+        let out: Vec<MatchOutcome> = m.outcome(NodeId::Nf(NfId(0))).unwrap().iter().collect();
         assert_eq!(out[0], MatchOutcome::Matched(0));
         assert_eq!(out[1], MatchOutcome::InferredDrop);
         assert_eq!(out[2], MatchOutcome::Matched(1));
@@ -784,7 +830,7 @@ mod tests {
         c.record_rx(NfId(2), 200, &[meta(1)]);
         let s = EdgeStreams::build(&t, &c.into_bundle());
         let m = match_downstream(&s, &t, NfId(2), &MatchConfig::default());
-        let out = m.outcome(NodeId::Nf(NfId(0))).unwrap();
+        let out: Vec<MatchOutcome> = m.outcome(NodeId::Nf(NfId(0))).unwrap().iter().collect();
         assert_eq!(out[0], MatchOutcome::Matched(0));
         assert_eq!(out[1], MatchOutcome::Unresolved);
         assert_eq!(m.stats.inferred_drops, 0);
@@ -806,8 +852,8 @@ mod tests {
         assert_eq!(m.stats.matched, 2);
         assert_eq!(m.stats.inferred_drops, 0);
         assert_eq!(m.stats.unmatched_rx, 0);
-        assert_eq!(m.rx_origin[0], Some((NodeId::Nf(NfId(1)), 0)));
-        assert_eq!(m.rx_origin[1], Some((NodeId::Nf(NfId(0)), 0)));
+        assert_eq!(rx_origin(&m)[0], Some((NodeId::Nf(NfId(1)), 0)));
+        assert_eq!(rx_origin(&m)[1], Some((NodeId::Nf(NfId(0)), 0)));
     }
 
     #[test]
@@ -822,7 +868,7 @@ mod tests {
         c.record_rx(e1, 200, &[PacketMeta { ipid: 1, flow: f1 }]);
         let s = EdgeStreams::build(&t, &c.into_bundle());
         let m = match_downstream(&s, &t, e1, &MatchConfig::default());
-        assert_eq!(m.rx_origin[0].unwrap().0, NodeId::Source);
+        assert_eq!(rx_origin(&m)[0].unwrap().0, NodeId::Source);
         assert_eq!(m.stats.matched, 1);
     }
 }

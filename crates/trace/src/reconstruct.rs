@@ -7,20 +7,50 @@ use nf_types::{FiveTuple, Nanos, NfId, NodeId, Topology};
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// One reconstructed hop.
+/// One reconstructed hop: 32 bytes, fields ordered widest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHop {
-    /// The NF.
-    pub nf: NfId,
     /// When the packet arrived at the NF's ring (the upstream send time —
     /// link delay is not observable and treated as zero, as in the paper).
     pub arrival_ts: Nanos,
     /// When the NF read it.
     pub read_ts: Nanos,
-    /// When the NF sent it on (`None` if the run ended mid-NF).
-    pub sent_ts: Option<Nanos>,
+    /// When the NF sent it on; [`NEVER_SENT`] if the run ended mid-NF.
+    sent: Nanos,
     /// Flat rx index at the NF (keys into timelines).
-    pub rx_idx: usize,
+    pub rx_idx: u32,
+    /// The NF.
+    pub nf: NfId,
+}
+
+/// `TraceHop::sent` of a packet read but never sent on. Not a send time a
+/// recorder can produce: it is the last nanosecond of a 584-year clock.
+const NEVER_SENT: Nanos = Nanos::MAX;
+
+const _: () = assert!(std::mem::size_of::<TraceHop>() <= 32);
+
+impl TraceHop {
+    /// A hop at `nf`; `sent_ts` is `None` when the run ended mid-NF.
+    pub fn new(
+        nf: NfId,
+        arrival_ts: Nanos,
+        read_ts: Nanos,
+        sent_ts: Option<Nanos>,
+        rx_idx: u32,
+    ) -> Self {
+        Self {
+            arrival_ts,
+            read_ts,
+            sent: sent_ts.unwrap_or(NEVER_SENT),
+            rx_idx,
+            nf,
+        }
+    }
+
+    /// When the NF sent the packet on (`None` if the run ended mid-NF).
+    pub fn sent_ts(&self) -> Option<Nanos> {
+        (self.sent != NEVER_SENT).then_some(self.sent)
+    }
 }
 
 /// How a reconstructed journey ended.
@@ -351,14 +381,13 @@ pub fn assemble(
         let hop_start = u32::try_from(hops.len()).unwrap_or(u32::MAX);
         let trace_outcome;
         let mut node = NodeId::Source;
-        let mut pos = streams.source_edge_pos[src_idx];
+        let mut pos = streams.source_edge_pos[src_idx] as usize;
         let mut down = s.entry;
         let mut arrival = s.ts;
         loop {
             let outcome = matches[down.0 as usize]
                 .outcome(node)
                 .and_then(|v| v.get(pos))
-                .copied()
                 .unwrap_or(MatchOutcome::Unresolved);
             match outcome {
                 MatchOutcome::InferredDrop => {
@@ -372,36 +401,25 @@ pub fn assemble(
                     trace_outcome = TraceOutcome::Unresolved;
                     break;
                 }
-                MatchOutcome::Matched(rx_idx) => {
+                MatchOutcome::Matched(rx) => {
+                    let rx_idx = rx as usize;
                     let nf_streams = &streams.nfs[down.0 as usize];
                     let read_ts = nf_streams.rx[rx_idx].ts;
                     rx_to_trace[down.0 as usize][rx_idx] =
                         RxTraceRef::new(src_idx, hops.len() - hop_start as usize);
-                    if rx_idx >= nf_streams.tx.len() {
-                        // Read but never sent: run ended inside this NF.
-                        hops.push(TraceHop {
-                            nf: down,
-                            arrival_ts: arrival,
-                            read_ts,
-                            sent_ts: None,
-                            rx_idx,
-                        });
+                    // No tx entry: read but never sent, the run ended
+                    // inside this NF.
+                    let tx = nf_streams.tx.get(rx_idx);
+                    hops.push(TraceHop::new(down, arrival, read_ts, tx.map(|t| t.ts), rx));
+                    let Some(tx) = tx else {
                         trace_outcome = TraceOutcome::Unresolved;
                         break;
-                    }
-                    let tx = nf_streams.tx[rx_idx];
-                    hops.push(TraceHop {
-                        nf: down,
-                        arrival_ts: arrival,
-                        read_ts,
-                        sent_ts: Some(tx.ts),
-                        rx_idx,
-                    });
+                    };
                     match tx.to {
                         None => {
                             trace_outcome = TraceOutcome::Delivered(tx.ts);
                             // Validate against the exit flow record.
-                            let exit_pos = streams.tx_edge_pos[down.0 as usize][rx_idx];
+                            let exit_pos = streams.tx_edge_pos[down.0 as usize][rx_idx] as usize;
                             if let Some(fr) = exit_flows[down.0 as usize].get(exit_pos) {
                                 if fr.flow != s.flow {
                                     report.flow_mismatches += 1;
@@ -411,7 +429,7 @@ pub fn assemble(
                         }
                         Some(d2) => {
                             node = NodeId::Nf(down);
-                            pos = streams.tx_edge_pos[down.0 as usize][rx_idx];
+                            pos = streams.tx_edge_pos[down.0 as usize][rx_idx] as usize;
                             arrival = tx.ts;
                             down = d2;
                         }
@@ -433,12 +451,15 @@ pub fn assemble(
         });
     }
 
+    // Only the read batches outlive the walk: let the per-packet streams
+    // go before the path index is built on top of the arena.
+    let reads = streams.nfs.into_iter().map(|s| s.rx_batches).collect();
     let (paths, hop_path_ids) = PathTrie::index(&traces, &hops);
     Reconstruction {
         traces,
         hops,
         report,
-        reads: streams.nfs.into_iter().map(|s| s.rx_batches).collect(),
+        reads,
         rx_to_trace,
         paths,
         hop_path_ids,
@@ -499,7 +520,7 @@ mod tests {
         assert_eq!(hops[0].nf, NfId(0));
         assert_eq!(hops[0].arrival_ts, 100);
         assert_eq!(hops[0].read_ts, 150);
-        assert_eq!(hops[0].sent_ts, Some(180));
+        assert_eq!(hops[0].sent_ts(), Some(180));
         assert_eq!(hops[1].arrival_ts, 180);
         assert_eq!(r.report.delivered, 1);
         assert_eq!(r.report.flow_mismatches, 0);
@@ -542,7 +563,7 @@ mod tests {
         let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
         assert_eq!(r.traces[0].outcome, TraceOutcome::Unresolved);
         assert_eq!(r.hops_of(0).len(), 1);
-        assert_eq!(r.hops_of(0)[0].sent_ts, None);
+        assert_eq!(r.hops_of(0)[0].sent_ts(), None);
     }
 
     #[test]

@@ -508,11 +508,8 @@ pub fn correct_bundle(bundle: &TraceBundle, offsets: &[TimeDelta]) -> TraceBundl
     let mut out = bundle.clone();
     for log in &mut out.logs {
         let off = offsets.get(log.nf.0 as usize).copied().unwrap_or(0);
-        for b in &mut log.rx {
-            b.ts = on_source_clock(b.ts, off);
-        }
-        for b in &mut log.tx {
-            b.ts = on_source_clock(b.ts, off);
+        for ts in log.rx.ts_mut().iter_mut().chain(log.tx.ts_mut()) {
+            *ts = on_source_clock(*ts, off);
         }
         for f in &mut log.flows {
             f.ts = on_source_clock(f.ts, off);
@@ -587,14 +584,14 @@ mod tests {
         let bundle = skewed_bundle(&topo);
         // With −0.5 ms at the VPN vs +1 ms at the NAT, raw records violate
         // causality: the VPN "reads" packets before the NAT "sends" them.
-        let nat_tx = bundle.log(NfId(0)).tx[0].ts;
-        let vpn_rx = bundle.log(NfId(1)).rx[0].ts;
+        let nat_tx = bundle.log(NfId(0)).tx.ts()[0];
+        let vpn_rx = bundle.log(NfId(1)).rx.ts()[0];
         assert!(vpn_rx < nat_tx, "sanity: raw bundle is acausal");
 
         let offsets = estimate_offsets(&topo, &bundle, &SkewConfig::default());
         let fixed = correct_bundle(&bundle, &offsets);
-        let nat_tx = fixed.log(NfId(0)).tx[0].ts;
-        let vpn_rx = fixed.log(NfId(1)).rx[0].ts;
+        let nat_tx = fixed.log(NfId(0)).tx.ts()[0];
+        let vpn_rx = fixed.log(NfId(1)).rx.ts()[0];
         assert!(
             vpn_rx >= nat_tx,
             "corrected bundle must be causal: tx {nat_tx} rx {vpn_rx}"

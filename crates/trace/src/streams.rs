@@ -22,7 +22,7 @@ pub struct RxEntry {
     /// IPID.
     pub ipid: Ipid,
     /// Index of the batch this entry came from.
-    pub batch: usize,
+    pub batch: u32,
 }
 
 /// One packet appearance in an NF's tx stream.
@@ -58,13 +58,19 @@ pub struct PacketRef {
     pub rx_idx: usize,
 }
 
+// Per-packet and per-batch records: a stray `usize` must not bring the
+// bytes back silently.
+const _: () = assert!(std::mem::size_of::<RxEntry>() <= 16);
+const _: () = assert!(std::mem::size_of::<TxEntry>() <= 16);
+const _: () = assert!(std::mem::size_of::<RxBatchInfo>() <= 16);
+
 /// One rx batch's metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RxBatchInfo {
     /// Read timestamp.
     pub ts: Nanos,
     /// Batch size.
-    pub size: usize,
+    pub size: u32,
     /// Whether this read drained the ring (`size <` max batch).
     pub drained: bool,
 }
@@ -88,6 +94,11 @@ pub struct NfStreams {
 /// [`Topology::upstream_nodes`], which is also the order
 /// [`crate::matching::EdgeMatch`] reports outcomes in), so edge lookups are
 /// array indexing instead of hashing.
+///
+/// Stream indexes and edge positions are `u32`: `msc_collector::RxLog`
+/// keeps a log's packet count within one, the wire carries the source
+/// section's record count in one, and [`Self::build`] asserts the latter
+/// for in-memory bundles.
 #[derive(Debug)]
 pub struct EdgeStreams {
     /// Per-NF streams, indexed by `NfId`.
@@ -99,45 +110,55 @@ pub struct EdgeStreams {
     upstreams: Vec<Vec<NodeId>>,
     /// `edge_pos[down][slot]`: ordered indices into the upstream's tx stream
     /// (or the source stream) of the packets sent on that edge.
-    edge_pos: Vec<Vec<Vec<usize>>>,
+    edge_pos: Vec<Vec<Vec<u32>>>,
     /// Inverse of `edge_pos` for NF upstreams: `tx_edge_pos[nf][i]` is the
     /// position of tx entry `i` within its edge stream.
-    pub tx_edge_pos: Vec<Vec<usize>>,
+    pub tx_edge_pos: Vec<Vec<u32>>,
     /// Inverse for the source stream.
-    pub source_edge_pos: Vec<usize>,
+    pub source_edge_pos: Vec<u32>,
     /// For each exit NF: ordered indices into its tx stream of exit sends
     /// (`to == None`), aligned with the NF's flow records.
-    exit_pos: Vec<Vec<usize>>,
+    exit_pos: Vec<Vec<u32>>,
 }
 
 impl EdgeStreams {
     /// Builds streams from a bundle.
+    ///
+    /// # Panics
+    /// Panics if the bundle holds more than `u32::MAX` source records.
     pub fn build(topology: &Topology, bundle: &TraceBundle) -> Self {
+        assert!(
+            u32::try_from(bundle.source_flows.len()).is_ok(),
+            "source records must fit u32"
+        );
         let mut nfs: Vec<NfStreams> = Vec::with_capacity(topology.len());
         for log in &bundle.logs {
-            let mut s = NfStreams::default();
+            let mut s = NfStreams {
+                rx: Vec::with_capacity(log.rx.packets()),
+                rx_batches: Vec::with_capacity(log.rx.len()),
+                tx: Vec::with_capacity(log.tx.packets()),
+            };
             for (bi, b) in log.rx.iter().enumerate() {
+                // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
+                let size = b.len() as u32;
                 s.rx_batches.push(RxBatchInfo {
                     ts: b.ts,
-                    size: b.len(),
+                    size,
                     drained: b.drained_queue(),
                 });
-                for &ipid in &b.ipids {
-                    s.rx.push(RxEntry {
-                        ts: b.ts,
-                        ipid,
-                        batch: bi,
-                    });
-                }
+                s.rx.extend(b.ipids.iter().map(|&ipid| RxEntry {
+                    ts: b.ts,
+                    ipid,
+                    // lint: lossy-cast-ok(batches are no more than packets plus empty polls; a u32-length section cannot hold 2^32 of either)
+                    batch: bi as u32,
+                }));
             }
-            for b in &log.tx {
-                for &ipid in &b.ipids {
-                    s.tx.push(TxEntry {
-                        ts: b.ts,
-                        ipid,
-                        to: b.to,
-                    });
-                }
+            for b in log.tx.iter() {
+                s.tx.extend(b.ipids.iter().map(|&ipid| TxEntry {
+                    ts: b.ts,
+                    ipid,
+                    to: b.to,
+                }));
             }
             nfs.push(s);
         }
@@ -157,15 +178,15 @@ impl EdgeStreams {
         let upstreams: Vec<Vec<NodeId>> = (0..n)
             .map(|d| topology.upstream_nodes(NfId(d as u16)))
             .collect();
-        let mut edge_pos: Vec<Vec<Vec<usize>>> = upstreams
+        let mut edge_pos: Vec<Vec<Vec<u32>>> = upstreams
             .iter()
             .map(|u| vec![Vec::new(); u.len()])
             .collect();
-        let mut exit_pos: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut exit_pos: Vec<Vec<u32>> = vec![Vec::new(); n];
 
         // NF -> NF edges and exits. Slot of `nf` in each target's upstream
         // list is resolved once per NF, then each tx entry is O(1).
-        let mut tx_edge_pos: Vec<Vec<usize>> = Vec::with_capacity(nfs.len());
+        let mut tx_edge_pos: Vec<Vec<u32>> = Vec::with_capacity(nfs.len());
         for (nf_idx, s) in nfs.iter().enumerate() {
             let me = NodeId::Nf(NfId(nf_idx as u16));
             let my_slot: Vec<Option<usize>> = upstreams
@@ -174,14 +195,17 @@ impl EdgeStreams {
                 .collect();
             // Sends to targets outside the topology still need consistent
             // inverse positions even though their edge stream is not kept.
-            let mut orphan_count: Vec<usize> = vec![0; n];
-            let mut pos_within: Vec<usize> = Vec::with_capacity(s.tx.len());
-            for (i, e) in s.tx.iter().enumerate() {
+            let mut orphan_count: Vec<u32> = vec![0; n];
+            let mut pos_within: Vec<u32> = Vec::with_capacity(s.tx.len());
+            // Stream indexes fit u32 (see the type's docs), and a position
+            // within an edge never exceeds the stream index it stands for.
+            for (i, e) in (0u32..).zip(&s.tx) {
                 match e.to {
                     Some(d) => match my_slot[d.0 as usize] {
                         Some(slot) => {
                             let v = &mut edge_pos[d.0 as usize][slot];
-                            pos_within.push(v.len());
+                            // lint: lossy-cast-ok(v.len() <= i)
+                            pos_within.push(v.len() as u32);
                             v.push(i);
                         }
                         None => {
@@ -191,7 +215,8 @@ impl EdgeStreams {
                     },
                     None => {
                         let v = &mut exit_pos[nf_idx];
-                        pos_within.push(v.len());
+                        // lint: lossy-cast-ok(v.len() <= i)
+                        pos_within.push(v.len() as u32);
                         v.push(i);
                     }
                 }
@@ -204,8 +229,8 @@ impl EdgeStreams {
             .iter()
             .map(|u| u.iter().position(|&node| node == NodeId::Source))
             .collect();
-        let mut source_edge_pos: Vec<usize> = Vec::with_capacity(source.len());
-        for (i, e) in source.iter().enumerate() {
+        let mut source_edge_pos: Vec<u32> = Vec::with_capacity(source.len());
+        for (i, e) in (0u32..).zip(&source) {
             // An entry NF without a source upstream is a malformed topology;
             // park the edge at position 0 instead of panicking — the match
             // loop treats it as an ordinary (likely unmatched) candidate.
@@ -214,7 +239,8 @@ impl EdgeStreams {
                 continue;
             };
             let v = &mut edge_pos[e.entry.0 as usize][slot];
-            source_edge_pos.push(v.len());
+            // lint: lossy-cast-ok(v.len() <= i)
+            source_edge_pos.push(v.len() as u32);
             v.push(i);
         }
 
@@ -245,7 +271,7 @@ impl EdgeStreams {
     /// Ordered indices into the upstream's tx stream (or the source stream)
     /// of the packets sent on `(node, down)`; empty if the edge does not
     /// exist.
-    pub fn edge_positions(&self, node: NodeId, down: NfId) -> &[usize] {
+    pub fn edge_positions(&self, node: NodeId, down: NfId) -> &[u32] {
         match self.slot_of(node, down) {
             Some(slot) => &self.edge_pos[down.0 as usize][slot],
             None => &[],
@@ -253,19 +279,19 @@ impl EdgeStreams {
     }
 
     /// Same as [`Self::edge_positions`] by upstream slot.
-    pub fn edge_positions_slot(&self, down: NfId, slot: usize) -> &[usize] {
+    pub fn edge_positions_slot(&self, down: NfId, slot: usize) -> &[u32] {
         &self.edge_pos[down.0 as usize][slot]
     }
 
     /// Ordered indices into `nf`'s tx stream of exit sends (`to == None`),
     /// aligned with the NF's flow records.
-    pub fn exit_positions(&self, nf: NfId) -> &[usize] {
+    pub fn exit_positions(&self, nf: NfId) -> &[u32] {
         &self.exit_pos[nf.0 as usize]
     }
 
     /// The (ts, ipid) of the `pos`-th packet sent on `(node, down)`.
     pub fn edge_entry(&self, node: NodeId, down: NfId, pos: usize) -> (Nanos, Ipid) {
-        let idx = self.edge_positions(node, down)[pos];
+        let idx = self.edge_positions(node, down)[pos] as usize;
         match node {
             NodeId::Source => {
                 let e = &self.source[idx];
@@ -289,11 +315,11 @@ impl EdgeStreams {
             .iter()
             .map(move |&idx| match node {
                 NodeId::Source => {
-                    let e = &self.source[idx];
+                    let e = &self.source[idx as usize];
                     (e.ts, e.ipid)
                 }
                 NodeId::Nf(u) => {
-                    let e = &self.nfs[u.0 as usize].tx[idx];
+                    let e = &self.nfs[u.0 as usize].tx[idx as usize];
                     (e.ts, e.ipid)
                 }
             })
@@ -365,7 +391,10 @@ mod tests {
         // Position inverse is consistent.
         for (i, e) in s.source.iter().enumerate() {
             let pos = s.source_edge_pos[i];
-            assert_eq!(s.edge_positions(NodeId::Source, e.entry)[pos], i);
+            assert_eq!(
+                s.edge_positions(NodeId::Source, e.entry)[pos as usize] as usize,
+                i
+            );
         }
     }
 
@@ -378,7 +407,7 @@ mod tests {
         let s = EdgeStreams::build(&t, &c.into_bundle());
         let exits = s.exit_positions(NfId(2));
         assert_eq!(exits.len(), 3);
-        assert_eq!(s.nfs[2].tx[exits[2]].ipid, 11);
+        assert_eq!(s.nfs[2].tx[exits[2] as usize].ipid, 11);
     }
 }
 
@@ -422,13 +451,13 @@ mod more_tests {
         c.record_tx(NfId(0), 300, Some(v1), &[m(4)]);
         let s = EdgeStreams::build(&t, &c.into_bundle());
         for (i, e) in s.nfs[0].tx.iter().enumerate() {
-            let pos = s.tx_edge_pos[0][i];
+            let pos = s.tx_edge_pos[0][i] as usize;
             match e.to {
                 Some(d) => {
-                    assert_eq!(s.edge_positions(NodeId::Nf(NfId(0)), d)[pos], i);
+                    assert_eq!(s.edge_positions(NodeId::Nf(NfId(0)), d)[pos] as usize, i);
                 }
                 None => {
-                    assert_eq!(s.exit_positions(NfId(0))[pos], i);
+                    assert_eq!(s.exit_positions(NfId(0))[pos] as usize, i);
                 }
             }
         }

@@ -19,18 +19,23 @@ pub enum ArrivalKind {
     Dropped,
 }
 
-/// One packet arrival at an NF.
+/// One packet arrival at an NF: 16 bytes. Trace indexes are `u32` (one
+/// trace per source record, and the wire counts those in a `u32`), hop
+/// indexes `u16` (a walk through a DAG of `u16`-numbered NFs);
+/// [`Timelines::build`] checks both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Arrival (upstream send) time.
     pub ts: Nanos,
     /// Index of the trace this packet belongs to.
-    pub trace: usize,
+    pub trace: u32,
     /// Hop index within that trace (meaningless for `Dropped`).
-    pub hop: usize,
+    pub hop: u16,
     /// Queued or dropped.
     pub kind: ArrivalKind,
 }
+
+const _: () = assert!(std::mem::size_of::<Arrival>() <= 16);
 
 /// The queuing period a packet arriving at time `t` finds itself in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,30 +83,38 @@ pub struct NfTimeline {
     pub nf: NfId,
     /// Arrivals sorted by time (queued and dropped).
     pub arrivals: Vec<Arrival>,
-    /// Read batches in time order.
-    pub reads: Vec<RxBatchInfo>,
     /// Flat copy of `arrivals[i].ts`: the binary searches probe an
-    /// 8-byte-stride column instead of the 32-byte `Arrival` records.
+    /// 8-byte-stride column instead of the 16-byte `Arrival` records.
     arrival_ts: Vec<Nanos>,
-    /// Flat copy of `reads[i].ts`, for the same reason.
+    /// Timestamp of every read batch, in time order. The batches themselves
+    /// stay in [`Reconstruction::reads`]: everything a query needs of them
+    /// is in the columns below.
     read_ts: Vec<Nanos>,
     /// `read_prefix[i]` = packets read in batches `0..i`.
     read_prefix: Vec<u64>,
     /// `queued_prefix[i]` = queued (non-dropped) arrivals in `arrivals[0..i]`.
     queued_prefix: Vec<u64>,
-    /// For read index i: the largest j ≤ i with `reads[j].drained` — the
-    /// queue-empty boundary list of the zero-threshold drain signal.
-    last_drained: Vec<Option<usize>>,
+    /// For read index i: the largest j ≤ i with `reads[j].drained`
+    /// ([`NOT_DRAINED`] if none) — the queue-empty boundary list of the
+    /// zero-threshold drain signal.
+    last_drained: Vec<u32>,
     /// Estimated queue occupancy right after read i: queued arrivals with
     /// `ts <= reads[i].ts` minus packets read in batches `0..=i` (saturating).
     occ_after_read: Vec<u64>,
 }
 
+/// `last_drained` of a read no draining read precedes.
+const NOT_DRAINED: u32 = u32::MAX;
+
 impl NfTimeline {
-    fn new(nf: NfId, arrivals: &[Arrival], reads: Vec<RxBatchInfo>) -> Self {
+    fn new(nf: NfId, arrivals: &[Arrival], reads: &[RxBatchInfo]) -> Self {
+        assert!(
+            u32::try_from(reads.len()).is_ok_and(|n| n != NOT_DRAINED),
+            "read indexes must fit u32"
+        );
         // Time-order via a stable radix permutation of the timestamps: the
         // identical order `arrivals.sort_by_key(|a| a.ts)` produced, but
-        // the counting passes move u32 indices and the 32-byte records are
+        // the counting passes move u32 indices and the 16-byte records are
         // gathered once at the end.
         let ts_keys: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
         let order = stable_order_by_key(&ts_keys);
@@ -111,8 +124,8 @@ impl NfTimeline {
         let mut read_prefix = Vec::with_capacity(reads.len() + 1);
         let mut read_so_far = 0u64;
         read_prefix.push(read_so_far);
-        for r in &reads {
-            read_so_far += r.size as u64;
+        for r in reads {
+            read_so_far += u64::from(r.size);
             read_prefix.push(read_so_far);
         }
         let mut queued_prefix = Vec::with_capacity(arrivals.len() + 1);
@@ -123,10 +136,10 @@ impl NfTimeline {
             queued_prefix.push(queued_so_far);
         }
         let mut last_drained = Vec::with_capacity(reads.len());
-        let mut last = None;
-        for (i, r) in reads.iter().enumerate() {
+        let mut last = NOT_DRAINED;
+        for (i, r) in (0u32..).zip(reads) {
             if r.drained {
-                last = Some(i);
+                last = i;
             }
             last_drained.push(last);
         }
@@ -143,7 +156,6 @@ impl NfTimeline {
         Self {
             nf,
             arrivals,
-            reads,
             arrival_ts,
             read_ts,
             read_prefix,
@@ -224,10 +236,9 @@ impl NfTimeline {
     fn queuing_period_zero(&self, t: Nanos) -> QueuingPeriod {
         // Last drained read at or before t.
         let hi = self.read_ts.partition_point(|&ts| ts <= t);
-        let drained_ts = if hi == 0 {
-            None
-        } else {
-            self.last_drained[hi - 1].map(|j| self.read_ts[j])
+        let drained_ts = match hi.checked_sub(1).map(|i| self.last_drained[i]) {
+            None | Some(NOT_DRAINED) => None,
+            Some(j) => Some(self.read_ts[j as usize]),
         };
         // First queued arrival strictly after the drain (or the very first
         // arrival when the queue has been building since the start).
@@ -273,7 +284,7 @@ impl NfTimeline {
 /// ties keeping their original order — exactly the permutation a stable
 /// `sort_by_key` produces, by LSD radix: each pass is a stable counting
 /// scatter over one key digit, moving `u32` indices where a comparison sort
-/// moves the 32-byte records `log n` times. One of the two hand-written
+/// moves the 16-byte records `log n` times. One of the two hand-written
 /// primitives measured to beat their stdlib equivalent end to end (DESIGN.md
 /// §9); `sort_by_key` is the reference of the tests below.
 ///
@@ -348,7 +359,15 @@ pub struct Timelines {
 
 impl Timelines {
     /// Builds all timelines.
+    ///
+    /// # Panics
+    /// Panics if the reconstruction holds more than `u32::MAX` traces or a
+    /// trace of more than `u16::MAX` hops ([`Arrival`]'s index widths).
     pub fn build(recon: &Reconstruction) -> Self {
+        assert!(
+            u32::try_from(recon.traces.len()).is_ok(),
+            "trace indexes must fit u32"
+        );
         let n = recon.reads.len();
         // Counting pass first: exact per-NF capacities, so the scatter below
         // never reallocates (~200k arrivals across the fleet otherwise grow
@@ -364,8 +383,11 @@ impl Timelines {
         }
         let mut arrivals: Vec<Vec<Arrival>> =
             counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (t_idx, tr) in recon.traces.iter().enumerate() {
-            for (h_idx, h) in recon.hops_of(t_idx).iter().enumerate() {
+        for (t_idx, tr) in (0u32..).zip(&recon.traces) {
+            let Ok(n_hops) = u16::try_from(tr.hop_count()) else {
+                panic!("hop indexes must fit u16");
+            };
+            for (h_idx, h) in (0u16..).zip(recon.hops_of(t_idx as usize)) {
                 arrivals[h.nf.0 as usize].push(Arrival {
                     ts: h.arrival_ts,
                     trace: t_idx,
@@ -377,15 +399,16 @@ impl Timelines {
                 arrivals[nf.0 as usize].push(Arrival {
                     ts: at,
                     trace: t_idx,
-                    hop: tr.hop_count(),
+                    hop: n_hops,
                     kind: ArrivalKind::Dropped,
                 });
             }
         }
         let nfs = arrivals
             .into_iter()
+            .zip(&recon.reads)
             .enumerate()
-            .map(|(i, a)| NfTimeline::new(NfId(i as u16), &a, recon.reads[i].clone()))
+            .map(|(i, (a, reads))| NfTimeline::new(NfId(i as u16), &a, reads))
             .collect();
         Self { nfs }
     }
@@ -401,22 +424,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn mk(arrival_ts: &[(Nanos, ArrivalKind)], reads: &[(Nanos, usize, bool)]) -> NfTimeline {
+    fn batches(reads: &[(Nanos, u32, bool)]) -> Vec<RxBatchInfo> {
+        reads
+            .iter()
+            .map(|&(ts, size, drained)| RxBatchInfo { ts, size, drained })
+            .collect()
+    }
+
+    fn mk(arrival_ts: &[(Nanos, ArrivalKind)], reads: &[(Nanos, u32, bool)]) -> NfTimeline {
         let arrivals: Vec<Arrival> = arrival_ts
             .iter()
-            .enumerate()
-            .map(|(i, &(ts, kind))| Arrival {
+            .zip(0u32..)
+            .map(|(&(ts, kind), i)| Arrival {
                 ts,
                 trace: i,
                 hop: 0,
                 kind,
             })
             .collect();
-        let reads = reads
-            .iter()
-            .map(|&(ts, size, drained)| RxBatchInfo { ts, size, drained })
-            .collect();
-        NfTimeline::new(NfId(0), &arrivals, reads)
+        NfTimeline::new(NfId(0), &arrivals, &batches(reads))
     }
 
     const Q: ArrivalKind = ArrivalKind::Queued;
@@ -516,28 +542,33 @@ mod tests {
 
     /// Naive re-derivation of `queuing_period_above` by direct scans, used
     /// to pin the indexed implementation (prefix sums + occupancy list).
-    fn reference_period_above(tl: &NfTimeline, t: Nanos, threshold: u64) -> QueuingPeriod {
+    fn reference_period_above(
+        tl: &NfTimeline,
+        reads: &[RxBatchInfo],
+        t: Nanos,
+        threshold: u64,
+    ) -> QueuingPeriod {
         let start_idx = if threshold == 0 {
-            let hi = tl.reads.partition_point(|r| r.ts <= t);
+            let hi = reads.partition_point(|r| r.ts <= t);
             let drained_ts = (0..hi)
                 .rev()
-                .find(|&j| tl.reads[j].drained)
-                .map(|j| tl.reads[j].ts);
+                .find(|&j| reads[j].drained)
+                .map(|j| reads[j].ts);
             match drained_ts {
                 Some(dts) => tl.arrivals.partition_point(|a| a.ts <= dts),
                 None => 0,
             }
         } else {
-            let hi = tl.reads.partition_point(|r| r.ts <= t);
+            let hi = reads.partition_point(|r| r.ts <= t);
             let mut start_ts = None;
             for i in (0..hi).rev() {
-                let ts = tl.reads[i].ts;
+                let ts = reads[i].ts;
                 let arrived_q = tl
                     .arrivals
                     .iter()
                     .filter(|a| a.ts <= ts && a.kind == ArrivalKind::Queued)
                     .count() as u64;
-                let processed: u64 = tl.reads[..=i].iter().map(|r| r.size as u64).sum();
+                let processed: u64 = reads[..=i].iter().map(|r| u64::from(r.size)).sum();
                 if arrived_q.saturating_sub(processed) <= threshold {
                     start_ts = Some(ts);
                     break;
@@ -610,10 +641,10 @@ mod tests {
                 })
                 .collect();
             let mut rts = 0u64;
-            let reads: Vec<(Nanos, usize, bool)> = (0..n_reads)
+            let reads: Vec<(Nanos, u32, bool)> = (0..n_reads)
                 .map(|_| {
                     rts += rng() % 1500;
-                    (rts, (rng() % 32 + 1) as usize, rng() % 3 == 0)
+                    (rts, (rng() % 32 + 1) as u32, rng() % 3 == 0)
                 })
                 .collect();
             let tl = mk(&arrivals, &reads);
@@ -623,7 +654,7 @@ mod tests {
                 for thr in [0u64, 1, 4, 32] {
                     assert_eq!(
                         tl.queuing_period_above(t, thr),
-                        reference_period_above(&tl, t, thr),
+                        reference_period_above(&tl, &batches(&reads), t, thr),
                         "t={t} thr={thr} arrivals={arrivals:?} reads={reads:?}"
                     );
                 }
@@ -703,16 +734,17 @@ mod tests {
         // read sees, and the second of two reads at one timestamp sees the
         // same arrivals but everything the first one read as well.
         let d = ArrivalKind::Dropped;
+        let reads = [
+            (50, 0, true),
+            (100, 1, false),
+            (100, 1, false),
+            (250, 5, false),
+            (300, 1, false),
+            (400, 0, true),
+        ];
         let tl = mk(
             &[(100, Q), (100, Q), (100, d), (200, Q), (300, Q), (300, Q)],
-            &[
-                (50, 0, true),
-                (100, 1, false),
-                (100, 1, false),
-                (250, 5, false),
-                (300, 1, false),
-                (400, 0, true),
-            ],
+            &reads,
         );
         // queued arrivals with ts <= read: 0 2 2 3 5 5; read so far: 0 1 2 7 8 8.
         assert_eq!(tl.occ_after_read, [0, 1, 0, 0, 0, 0]);
@@ -734,7 +766,7 @@ mod tests {
         for (t, thr) in [(300, 1), (299, 1), (249, 1), (100, 1), (100, 5), (99, 1)] {
             assert_eq!(
                 tl.queuing_period_above(t, thr),
-                reference_period_above(&tl, t, thr),
+                reference_period_above(&tl, &batches(&reads), t, thr),
                 "t={t} thr={thr}"
             );
         }

@@ -133,7 +133,7 @@ struct TxSlot {
     to: Option<NfId>,
     /// Position within its edge stream, or among this NF's exit sends;
     /// unused for a send to a node that is not a topology edge.
-    pos_within: usize,
+    pos_within: u32,
 }
 
 /// What forwarding needs to know about one upstream edge beyond the
@@ -169,7 +169,7 @@ struct NfState {
     flows: Vec<FiveTuple>,
     flows_base: usize,
     /// Exit sends seen so far (`to == None` position counter).
-    exit_count: usize,
+    exit_count: u32,
     /// Whether exit-flow validation applies (topology exit).
     is_exit: bool,
 }
@@ -301,8 +301,8 @@ impl WindowedReconstructor {
         if let Some(watermark) = self.boundary {
             let oldest = bundle.logs.iter().flat_map(|log| {
                 let first = [
-                    log.rx.first().map(|b| b.ts),
-                    log.tx.first().map(|b| b.ts),
+                    log.rx.ts().first().copied(),
+                    log.tx.ts().first().copied(),
                     log.flows.first().map(|f| f.ts),
                 ];
                 first
@@ -329,14 +329,19 @@ impl WindowedReconstructor {
     /// and evicts everything that proves stable.
     pub fn advance(&mut self, bundle: &TraceBundle, watermark: Nanos) -> Result<(), StreamError> {
         for (i, log) in bundle.logs.iter().enumerate() {
-            for b in &log.rx {
-                let batch = self.reads[i].len();
+            self.reads[i].reserve(log.rx.len());
+            self.nfs[i].rx.reserve(log.rx.packets());
+            self.rx_to_trace[i].reserve(log.rx.packets());
+            for b in log.rx.iter() {
+                // lint: lossy-cast-ok(asserted at the end of this NF's append)
+                let batch = self.reads[i].len() as u32;
                 self.reads[i].push(RxBatchInfo {
                     ts: b.ts,
-                    size: b.len(),
+                    // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
+                    size: b.len() as u32,
                     drained: b.drained_queue(),
                 });
-                for &ipid in &b.ipids {
+                for &ipid in b.ipids {
                     self.nfs[i].rx.push(RxEntry {
                         ts: b.ts,
                         ipid,
@@ -345,12 +350,14 @@ impl WindowedReconstructor {
                     self.rx_to_trace[i].push(RxTraceRef::NONE);
                 }
             }
-            for b in &log.tx {
-                for &ipid in &b.ipids {
+            self.nfs[i].tx.reserve(log.tx.packets());
+            for b in log.tx.iter() {
+                for &ipid in b.ipids {
                     let pos_within = match b.to {
                         Some(d) => match self.out_slot[i][d.0 as usize] {
                             Some(slot) => {
-                                self.nfs[d.0 as usize].matcher.edges[slot].push(b.ts, ipid)
+                                // lint: lossy-cast-ok(asserted at the end of this NF's append: a position is at most the send count)
+                                self.nfs[d.0 as usize].matcher.edges[slot].push(b.ts, ipid) as u32
                             }
                             None => 0,
                         },
@@ -367,6 +374,17 @@ impl WindowedReconstructor {
                 }
             }
             self.nfs[i].flows.extend(log.flows.iter().map(|f| f.flow));
+            // What the casts above rely on, over the whole run so far: an
+            // NF's batches, reads and sends are each counted in u32 (and an
+            // edge position or exit count never exceeds a send count).
+            let st = &self.nfs[i];
+            let longest = (st.base + st.tx.len())
+                .max(self.rx_to_trace[i].len())
+                .max(self.reads[i].len());
+            assert!(
+                u32::try_from(longest).is_ok(),
+                "an NF's stream indexes must fit u32"
+            );
         }
         for f in &bundle.source_flows {
             let entry = self.topo.entry_for(&f.flow);
@@ -549,13 +567,14 @@ impl WindowedReconstructor {
                 let tr = &mut self.traces[trace as usize];
                 self.rx_to_trace[d][j] = RxTraceRef::new(trace as usize, tr.hops.end as usize);
                 tr.hops.end += 1;
-                self.hops.push(TraceHop {
-                    nf: NfId(d as u16),
-                    arrival_ts: arrival,
+                self.hops.push(TraceHop::new(
+                    NfId(d as u16),
+                    arrival,
                     read_ts,
-                    sent_ts: tx.map(|t| t.ts),
-                    rx_idx: j,
-                });
+                    tx.map(|t| t.ts),
+                    // lint: lossy-cast-ok(asserted when the rx entry was appended)
+                    j as u32,
+                ));
                 self.hop_trace.push(trace);
             }
             // Read but never sent: the run ended inside this NF.
@@ -566,7 +585,7 @@ impl WindowedReconstructor {
                     tr.outcome = TraceOutcome::Delivered(tx.ts);
                     self.report.delivered += 1;
                     // Validate against the exit flow record.
-                    let recorded = tx.pos_within.checked_sub(st.flows_base);
+                    let recorded = (tx.pos_within as usize).checked_sub(st.flows_base);
                     if let Some(&flow) = recorded.and_then(|at| st.flows.get(at)) {
                         if st.is_exit && flow != tr.flow {
                             self.report.flow_mismatches += 1;
@@ -582,7 +601,7 @@ impl WindowedReconstructor {
                         let owner = &mut down.owners[slot].owner;
                         debug_assert_eq!(
                             down.matcher.edges[slot].base + owner.len(),
-                            tx.pos_within
+                            tx.pos_within as usize
                         );
                         owner.push(trace);
                     }

@@ -54,7 +54,7 @@ fn reconstruction_matches_ground_truth_on_paper_topology() {
         for (h, g) in hops.iter().zip(&fate.hops) {
             assert_eq!(h.nf, g.nf, "packet {i} hop NF");
             assert_eq!(h.read_ts, g.read_at, "packet {i} read ts");
-            if let Some(sent) = h.sent_ts {
+            if let Some(sent) = h.sent_ts() {
                 assert_eq!(sent, g.sent_at, "packet {i} sent ts");
             }
             checked_hops += 1;

@@ -52,11 +52,11 @@ impl RefEdge {
         for (pos, &idx) in positions.iter().enumerate() {
             let (t, ipid) = match node {
                 NodeId::Source => {
-                    let e = &streams.source[idx];
+                    let e = &streams.source[idx as usize];
                     (e.ts, e.ipid)
                 }
                 NodeId::Nf(u) => {
-                    let e = &streams.nfs[u.0 as usize].tx[idx];
+                    let e = &streams.nfs[u.0 as usize].tx[idx as usize];
                     (e.ts, e.ipid)
                 }
             };
@@ -195,7 +195,7 @@ fn ref_match_downstream(
             .iter()
             .enumerate()
             .map(|(pos, m)| match m {
-                Some(rx_idx) => MatchOutcome::Matched(*rx_idx),
+                Some(rx_idx) => MatchOutcome::Matched(*rx_idx as u32),
                 None if pos < e.cursor => {
                     stats.inferred_drops += 1;
                     MatchOutcome::InferredDrop
@@ -302,12 +302,33 @@ fn assert_equivalent(
     let m: EdgeMatch = match_downstream(streams, topo, down, cfg);
     let (rx_origin, edge_outcome, stats) = ref_match_downstream(streams, topo, down, cfg);
     assert_eq!(m.upstreams, topo.upstream_nodes(down), "{tag}: slot order");
-    assert_eq!(m.rx_origin, rx_origin, "{tag}: rx_origin");
-    assert_eq!(m.edge_outcome, edge_outcome, "{tag}: edge_outcome");
+    // The matcher keeps one four-byte state per edge position; the per-slot
+    // outcome table and the per-rx origins are both read back from it.
+    let got_outcome: Vec<Vec<MatchOutcome>> = m
+        .upstreams
+        .iter()
+        .map(|&u| m.outcome(u).expect("slot has an edge").iter().collect())
+        .collect();
+    let mut got_origin = vec![None; rx_origin.len()];
+    for (&u, outcomes) in m.upstreams.iter().zip(&got_outcome) {
+        for (pos, out) in outcomes.iter().enumerate() {
+            if let MatchOutcome::Matched(rx_idx) = *out {
+                assert_eq!(got_origin[rx_idx as usize], None, "{tag}: rx matched twice");
+                got_origin[rx_idx as usize] = Some((u, pos));
+            }
+        }
+    }
+    assert_eq!(got_origin, rx_origin, "{tag}: rx_origin");
+    assert_eq!(got_outcome, edge_outcome, "{tag}: edge_outcome");
     assert_eq!(m.stats, stats, "{tag}: stats");
-    // The accessor must agree with the dense slot table.
-    for (slot, &u) in m.upstreams.iter().enumerate() {
-        assert_eq!(m.outcome(u), Some(m.edge_outcome[slot].as_slice()), "{tag}");
+    // The by-position accessor must agree with the walk.
+    for (&u, outcomes) in m.upstreams.iter().zip(&edge_outcome) {
+        let edge = m.outcome(u).expect("slot has an edge");
+        assert_eq!(edge.len(), outcomes.len(), "{tag}");
+        for (pos, out) in outcomes.iter().enumerate() {
+            assert_eq!(edge.get(pos), Some(*out), "{tag}");
+        }
+        assert_eq!(edge.get(outcomes.len()), None, "{tag}");
     }
 }
 

@@ -154,7 +154,10 @@ fn correction_clamped_at_zero_matches_the_oracle() {
     let bundle = c.into_bundle();
     let coarse = estimate_offsets_detailed(&topo, &bundle, &SkewConfig::default());
     assert_eq!(
-        correct_bundle(&bundle, &coarse.offsets).log(NfId(0)).rx[0].ts,
+        correct_bundle(&bundle, &coarse.offsets)
+            .log(NfId(0))
+            .rx
+            .ts()[0],
         0,
         "scenario must make the clamp fire (coarse {coarse:?})"
     );

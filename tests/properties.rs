@@ -1,8 +1,6 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use microscope_repro::collector::{
-    decode_nf_log, encode_nf_log, FlowRecord, NfLog, PacketMeta, RxBatch, TxBatch,
-};
+use microscope_repro::collector::{decode_nf_log, encode_nf_log, FlowRecord, NfLog, PacketMeta};
 use microscope_repro::diagnosis::local_scores;
 use microscope_repro::diagnosis::propagation::credit_walk;
 use microscope_repro::prelude::*;
@@ -26,7 +24,9 @@ fn arb_nf_log() -> impl Strategy<Value = NfLog> {
     let rx = proptest::collection::vec(
         (
             0u64..1_000_000_000,
-            proptest::collection::vec(any::<u16>(), 1..=32),
+            // Empty batches too: a recorder never writes one, a decoder
+            // must carry it.
+            proptest::collection::vec(any::<u16>(), 0..=32),
         ),
         0..20,
     );
@@ -34,37 +34,27 @@ fn arb_nf_log() -> impl Strategy<Value = NfLog> {
         (
             0u64..1_000_000_000,
             proptest::option::of(0u16..8),
-            proptest::collection::vec(any::<u16>(), 1..=32),
+            proptest::collection::vec(any::<u16>(), 0..=32),
         ),
         0..20,
     );
     let flows = proptest::collection::vec((0u64..1_000_000_000, any::<u16>(), arb_flow()), 0..20);
-    (rx, tx, flows).prop_map(|(rx, tx, flows)| {
-        let mut rxb: Vec<RxBatch> = rx
-            .into_iter()
-            .map(|(ts, ipids)| RxBatch { ts, ipids })
-            .collect();
-        rxb.sort_by_key(|b| b.ts);
-        let mut txb: Vec<TxBatch> = tx
-            .into_iter()
-            .map(|(ts, to, ipids)| TxBatch {
-                ts,
-                to: to.map(NfId),
-                ipids,
-            })
-            .collect();
-        txb.sort_by_key(|b| b.ts);
-        let mut fl: Vec<FlowRecord> = flows
+    (rx, tx, flows).prop_map(|(mut rx, mut tx, flows)| {
+        let mut log = NfLog::new(NfId(3));
+        rx.sort_by_key(|b| b.0);
+        for (ts, ipids) in rx {
+            log.rx.push(ts, ipids);
+        }
+        tx.sort_by_key(|b| b.0);
+        for (ts, to, ipids) in tx {
+            log.tx.push(ts, to.map(NfId), ipids);
+        }
+        log.flows = flows
             .into_iter()
             .map(|(ts, ipid, flow)| FlowRecord { ipid, flow, ts })
             .collect();
-        fl.sort_by_key(|f| f.ts);
-        NfLog {
-            nf: NfId(3),
-            rx: rxb,
-            tx: txb,
-            flows: fl,
-        }
+        log.flows.sort_by_key(|f| f.ts);
+        log
     })
 }
 
