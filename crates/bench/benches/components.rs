@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use msc_bench::{fixture, packets};
 use msc_collector::{decode_nf_log, encode_nf_log, Collector, CollectorConfig, PacketMeta};
 use msc_trace::{
-    assemble, match_all, match_downstream, reconstruct, EdgeStreams, MatchConfig, PathTrie,
+    assemble, match_all, match_downstream, reconstruct, EdgeStreams, MatchConfig,
     ReconstructionConfig,
 };
 use nf_sim::{paper_nf_configs, SimConfig, Simulation};
@@ -105,7 +105,7 @@ fn bench_matching(c: &mut Criterion) {
     let fx = fixture(1_600_000.0, 10, 42);
     let streams = EdgeStreams::build(&fx.topology, &fx.out.bundle);
     let vpn = fx.topology.by_name("vpn1").expect("paper topology");
-    let n = streams.nfs[vpn.0 as usize].rx.len() as u64;
+    let n = streams.nfs[vpn.0 as usize].rx_ts.len() as u64;
     let mut g = c.benchmark_group("matching");
     g.sample_size(20);
     g.throughput(Throughput::Elements(n));
@@ -118,8 +118,8 @@ fn bench_matching(c: &mut Criterion) {
 fn bench_reconstruct(c: &mut Criterion) {
     // The full offline reconstruction plus its individual stages, so a
     // regression in any one stage shows up in isolation: edge-stream
-    // building (counting-sort IPID index), per-NF matching, trace assembly
-    // into the hop arena, and the PathTrie index over the finished arena.
+    // building, per-NF matching (counting-sort IPID index), and trace
+    // assembly into the hop arena (which interns the paths as it walks).
     let fx = fixture(1_600_000.0, 10, 42);
     let cfg = ReconstructionConfig::default();
     let n = fx.recon.traces.len() as u64;
@@ -147,9 +147,6 @@ fn bench_reconstruct(c: &mut Criterion) {
             |s| assemble(&fx.topology, &fx.out.bundle, s, &matches),
             BatchSize::LargeInput,
         );
-    });
-    g.bench_function("path_trie_index", |b| {
-        b.iter(|| PathTrie::index(&fx.recon.traces, &fx.recon.hops));
     });
     g.finish();
 }

@@ -583,8 +583,9 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(back, chunks);
-        // The whole-run file still reports Whole.
-        let pw = dir.join("run.msc");
+        // The whole-run file still reports Whole. (Not `run.msc`: tests run
+        // in parallel and `round_trip_on_disk` reads that one back.)
+        let pw = dir.join("whole.msc");
         save_bundle(&pw, &bundle).unwrap();
         assert_eq!(peek_format(&pw).unwrap(), BundleFormat::Whole);
     }

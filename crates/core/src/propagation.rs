@@ -215,7 +215,7 @@ pub fn attribute_upstream_with(
             "preset arrival hop mismatch"
         );
         let emitted = recon.traces[t].emitted_at;
-        let path_id = recon.hop_path_ids_of(t)[victim_hop];
+        let path_id = recon.path_before(t, victim_hop);
         let pid = path_id as usize;
         if scratch.path_slot.len() <= pid {
             scratch.path_slot.resize(pid + 1, 0);

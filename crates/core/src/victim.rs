@@ -214,7 +214,7 @@ mod tests {
         // (nf, arrival, sent) triples.
         let hops: Vec<TraceHop> = lat_per_hop
             .iter()
-            .map(|&(nf, a, s)| TraceHop::new(NfId(nf), a, a + 1, Some(s), 0))
+            .map(|&(nf, a, s)| TraceHop::new(NfId(nf), a, a + 1, Some(s)))
             .collect();
         let emitted = lat_per_hop.first().map_or(0, |h| h.1);
         let last = hops.last().and_then(|h| h.sent_ts()).unwrap_or(emitted);
@@ -244,15 +244,15 @@ mod tests {
                 outcome: tt.outcome,
             });
         }
-        let (paths, hop_path_ids) = msc_trace::PathTrie::index(&traces, &hops);
+        let n_nfs = hops.iter().map(|h| h.nf.0 as usize + 1).max().unwrap_or(0);
+        let (paths, path_ids) = msc_trace::PathTrie::intern_traces(&traces, &hops, n_nfs);
         Reconstruction {
             traces,
             hops,
             report: Default::default(),
             paths,
-            hop_path_ids,
+            path_ids,
             reads: vec![vec![]],
-            rx_to_trace: vec![vec![]],
         }
     }
 

@@ -38,16 +38,16 @@ pub mod timeline;
 pub mod windowed;
 
 pub use matching::{
-    match_downstream, EdgeMatch, EdgeOutcomes, MatchConfig, MatchOutcome, MatchStats,
+    match_downstream, EdgeMatch, EdgeOutcomes, EdgeSends, MatchConfig, MatchOutcome, MatchStats,
 };
 pub use reconstruct::{
     assemble, match_all, reconstruct, PathTrie, ReconstructedTrace, Reconstruction,
-    ReconstructionConfig, ReconstructionReport, RxTraceRef, TraceHop, TraceOutcome, PATH_ROOT,
+    ReconstructionConfig, ReconstructionReport, TraceHop, TraceOutcome, PATH_ROOT,
 };
 pub use skew::{
     correct_bundle, estimate_offsets, estimate_offsets_detailed, estimate_offsets_refined,
     estimate_offsets_refined_detailed, SkewConfig, SkewEstimates, SkewTracker,
 };
-pub use streams::{EdgeStreams, PacketRef, RxBatchInfo, RxEntry, SourceEntry, TxEntry};
+pub use streams::{EdgeStreams, NfStreams, RxBatchInfo, TxHop, TxNext};
 pub use timeline::{Arrival, ArrivalKind, NfTimeline, QueuingPeriod, Timelines};
 pub use windowed::{StreamError, WindowedReconstructor};

@@ -20,7 +20,7 @@
 //! drops; sends never reached stay unresolved (in flight at the end of the
 //! run).
 
-use crate::streams::{EdgeStreams, RxEntry};
+use crate::streams::EdgeStreams;
 use nf_types::{Ipid, Nanos, NfId, NodeId, Topology};
 
 /// Size of the IPID value space (`Ipid` is `u16`): the per-edge index is a
@@ -101,6 +101,11 @@ impl EdgeMatch {
             .iter()
             .position(|&u| u == node)
             .map(|slot| &self.outcomes[slot])
+    }
+
+    /// The per-position outcomes of the edge in upstream slot `slot`.
+    pub fn outcome_slot(&self, slot: usize) -> Option<&EdgeOutcomes> {
+        self.outcomes.get(slot)
     }
 }
 
@@ -256,21 +261,84 @@ impl IpidRuns {
     }
 }
 
-/// Sentinel in [`EdgeStream::matched`]: position not matched to any rx.
+/// Sentinel in [`EdgeState::matched`]: position not matched to any rx.
 pub(crate) const UNMATCHED: u32 = u32::MAX;
 
-/// The sends of one upstream edge as flat columns indexed by edge position,
-/// plus the matcher's committed state on them. Offline the columns hold the
-/// whole run; the streaming reconstructor appends per chunk and drops the
-/// prefix it has consumed, so column index = position − `base`.
-#[derive(Default)]
-pub(crate) struct EdgeStream {
-    /// Position of the first retained column entry (0 offline).
-    pub(crate) base: usize,
+/// The sends of one upstream edge as flat columns indexed by edge position:
+/// what the matcher indexes and the clock-skew estimator pairs. Offline
+/// [`EdgeStreams::build`] writes the whole run here straight from the tx
+/// batches; the streaming reconstructor appends per chunk and drops the
+/// prefix it has consumed.
+#[derive(Debug)]
+pub struct EdgeSends {
     /// Send timestamp per retained position.
     ts: Vec<Nanos>,
     /// IPID per retained position.
     ipid: Vec<Ipid>,
+}
+
+// The per-send columns: ten bytes a position.
+const _: () = assert!(std::mem::size_of::<Nanos>() == 8 && std::mem::size_of::<Ipid>() == 2);
+
+impl EdgeSends {
+    /// Columns holding no send.
+    pub(crate) const fn new() -> Self {
+        Self {
+            ts: Vec::new(),
+            ipid: Vec::new(),
+        }
+    }
+
+    /// Columns with room for exactly `n` sends.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            ts: Vec::with_capacity(n),
+            ipid: Vec::with_capacity(n),
+        }
+    }
+
+    /// Number of retained sends.
+    pub(crate) fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    /// Appends one batch: every packet of it was sent at `ts`.
+    pub(crate) fn push_batch(&mut self, ts: Nanos, ipids: &[Ipid]) {
+        self.ts.extend(std::iter::repeat_n(ts, ipids.len()));
+        self.ipid.extend_from_slice(ipids);
+    }
+
+    /// Send timestamp at column offset `at`.
+    pub(crate) fn ts_at(&self, at: usize) -> Nanos {
+        self.ts[at]
+    }
+
+    /// The retained `(ts, ipid)` entries in edge order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone + '_ {
+        self.ts.iter().copied().zip(self.ipid.iter().copied())
+    }
+
+    /// Drops the first `n` retained sends.
+    pub(crate) fn drop_prefix(&mut self, n: usize) {
+        self.ts.drain(..n);
+        self.ipid.drain(..n);
+    }
+
+    /// Bytes held by the columns.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ts.capacity() * size_of::<Nanos>() + self.ipid.capacity() * size_of::<Ipid>()
+    }
+}
+
+/// The matcher's committed state on one upstream edge, indexed by edge
+/// position like the edge's [`EdgeSends`]. Offline the column covers the
+/// whole run; the streaming reconstructor drops the prefix it has consumed
+/// in lockstep with the sends, so column index = position − `base`.
+#[derive(Default)]
+pub(crate) struct EdgeState {
+    /// Position of the first retained column entry (0 offline).
+    pub(crate) base: usize,
     /// Matched rx index per retained position ([`UNMATCHED`] = skipped if
     /// behind `cursor`, not reached yet otherwise).
     pub(crate) matched: Vec<u32>,
@@ -278,51 +346,16 @@ pub(crate) struct EdgeStream {
     pub(crate) cursor: usize,
 }
 
-impl EdgeStream {
-    /// Appends one send, returning its edge position.
-    pub(crate) fn push(&mut self, ts: Nanos, ipid: Ipid) -> usize {
-        self.ts.push(ts);
-        self.ipid.push(ipid);
-        self.matched.push(UNMATCHED);
-        self.base + self.matched.len() - 1
-    }
-
-    /// Appends a run of sends in edge order.
-    fn extend(&mut self, entries: impl ExactSizeIterator<Item = (Nanos, Ipid)>) {
-        let n = self.matched.len() + entries.len();
-        self.ts.reserve_exact(entries.len());
-        self.ipid.reserve_exact(entries.len());
-        for (ts, ipid) in entries {
-            self.ts.push(ts);
-            self.ipid.push(ipid);
-        }
-        self.matched.resize(n, UNMATCHED);
-    }
-
-    /// Send timestamp of a retained position.
-    pub(crate) fn ts_at(&self, pos: usize) -> Nanos {
-        self.ts[pos - self.base]
-    }
-
+impl EdgeState {
     /// Drops the first `n` retained positions (all behind the cursor).
-    pub(crate) fn drop_prefix(&mut self, n: usize) {
+    pub(crate) fn drop_decided(&mut self, n: usize) {
         debug_assert!(self.base + n <= self.cursor);
-        self.ts.drain(..n);
-        self.ipid.drain(..n);
         self.matched.drain(..n);
         self.base += n;
     }
-
-    /// Bytes held by the columns.
-    pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.ts.capacity() * size_of::<Nanos>()
-            + self.ipid.capacity() * size_of::<Ipid>()
-            + self.matched.capacity() * size_of::<u32>()
-    }
 }
 
-/// The per-IPID index over the undecided tail of one [`EdgeStream`]
+/// The per-IPID index over the undecided tail of one edge's [`EdgeSends`]
 /// (positions `cursor..end` at build time). Holds positions, not column
 /// offsets, so it stays valid while the edge's consumed prefix is dropped;
 /// it goes stale only when sends are appended.
@@ -346,16 +379,17 @@ impl EdgeIndex {
         }
     }
 
-    /// Re-indexes `edge`'s undecided tail, reusing the tables: work
-    /// proportional to the old and the new tail, not to the IPID space.
-    pub(crate) fn rebuild(&mut self, edge: &EdgeStream) {
-        let from = edge.cursor - edge.base;
+    /// Re-indexes the undecided tail of an edge — `sends` from column
+    /// offset `from`, which is edge position `first` — reusing the tables:
+    /// work proportional to the old and the new tail, not to the IPID
+    /// space.
+    pub(crate) fn rebuild(&mut self, sends: &EdgeSends, from: usize, first: usize) {
         self.runs.clear(&self.indexed);
         self.indexed.clear();
-        self.indexed.extend_from_slice(&edge.ipid[from..]);
-        let tail = edge.ts[from..].iter().copied();
+        self.indexed.extend_from_slice(&sends.ipid[from..]);
+        let tail = sends.ts[from..].iter().copied();
         self.runs
-            .fill(tail.zip(self.indexed.iter().copied()), edge.cursor);
+            .fill(tail.zip(self.indexed.iter().copied()), first);
     }
 
     /// Bytes held by the run arrays (the 512 KiB run table is fixed).
@@ -465,21 +499,22 @@ fn window_ok(sent: Nanos, read_ts: Nanos, cfg: &MatchConfig) -> bool {
 fn lookahead_score(
     index: &[EdgeIndex],
     cursors: &mut [usize],
-    rx: &[RxEntry],
+    rx_ts: &[Nanos],
+    rx_ipid: &[Ipid],
     depth: usize,
     cfg: &MatchConfig,
     beat: usize,
 ) -> usize {
     let mut score = 0;
-    let mut remaining = depth.min(rx.len());
-    for r in rx.iter().take(depth) {
+    let mut remaining = depth.min(rx_ts.len());
+    for (&read_ts, &ipid) in rx_ts.iter().zip(rx_ipid).take(depth) {
         if score + remaining <= beat {
             return score;
         }
         remaining -= 1;
         let mut best: Option<(Nanos, usize, usize)> = None; // (ts, edge, pos)
         for (e_idx, ix) in index.iter().enumerate() {
-            if let Some((pos, sent)) = ix.candidate_from(cursors[e_idx], r.ipid, r.ts, cfg) {
+            if let Some((pos, sent)) = ix.candidate_from(cursors[e_idx], ipid, read_ts, cfg) {
                 let key = (sent, e_idx, pos);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -494,15 +529,16 @@ fn lookahead_score(
     score
 }
 
-/// The resumable matcher of one downstream NF: its upstream edge streams in
-/// slot order, the running tallies, and the buffers [`Self::decide`] reuses
-/// so the per-rx step never allocates. Both reconstructors drive it: offline
-/// appends the whole run and decides every rx entry in one go; the streaming
-/// one appends a chunk, decides the prefix its watermark proves stable and
-/// comes back with the next chunk.
+/// The resumable matcher of one downstream NF: its committed state on each
+/// upstream edge in slot order, the running tallies, and the buffers
+/// [`Self::decide`] reuses so the per-rx step never allocates. The sends
+/// themselves ([`EdgeSends`]) and the index over them stay with the driver.
+/// Both reconstructors drive it: offline indexes the whole run and decides
+/// every rx entry in one go; the streaming one appends a chunk, decides the
+/// prefix its watermark proves stable and comes back with the next chunk.
 pub(crate) struct NfMatcher {
     /// Upstream edges in slot order ([`Topology::upstream_nodes`] order).
-    pub(crate) edges: Vec<EdgeStream>,
+    pub(crate) edges: Vec<EdgeState>,
     pub(crate) stats: MatchStats,
     /// (send ts, edge slot, pos) candidates for the current rx entry.
     cands: Vec<(Nanos, usize, usize)>,
@@ -514,17 +550,18 @@ impl NfMatcher {
     /// A matcher over `n_edges` empty upstream edges.
     pub(crate) fn new(n_edges: usize) -> Self {
         Self {
-            edges: (0..n_edges).map(|_| EdgeStream::default()).collect(),
+            edges: (0..n_edges).map(|_| EdgeState::default()).collect(),
             stats: MatchStats::default(),
             cands: Vec::with_capacity(n_edges),
             cursors: Vec::with_capacity(n_edges),
         }
     }
 
-    /// Decides rx entry `rx[k]`, recorded under the flat rx index
-    /// `rx_base + k`: finds its candidate on every edge (`index[slot]` must
-    /// cover `edges[slot]`'s undecided tail), breaks a collision by playing
-    /// each choice forward over `rx[k + 1..]`, and commits the winner —
+    /// Decides rx entry `k` of the `rx_ts` / `rx_ipid` columns, recorded
+    /// under the flat rx index `rx_base + k`: finds its candidate on every
+    /// edge (`index[slot]` must cover `edges[slot]`'s undecided tail), breaks
+    /// a collision by playing each choice forward over the entries after
+    /// `k`, and commits the winner —
     /// `matched`, the edge cursor, the tallies. Positions the cursor jumps
     /// over stay [`UNMATCHED`] behind it: inferred drops. Returns the chosen
     /// `(edge slot, position)`, `None` when no edge has an eligible send.
@@ -532,18 +569,19 @@ impl NfMatcher {
     pub(crate) fn decide(
         &mut self,
         index: &mut [EdgeIndex],
-        rx: &[RxEntry],
+        rx_ts: &[Nanos],
+        rx_ipid: &[Ipid],
         k: usize,
         rx_base: usize,
         cfg: &MatchConfig,
     ) -> Option<(usize, usize)> {
-        let r = rx[k];
-        let rest = &rx[k + 1..];
+        let (read_ts, ipid) = (rx_ts[k], rx_ipid[k]);
+        let (rest_ts, rest_ipid) = (&rx_ts[k + 1..], &rx_ipid[k + 1..]);
         let index = &mut index[..self.edges.len()];
         // One candidate per upstream edge at most.
         self.cands.clear();
         for (slot, (e, ix)) in self.edges.iter().zip(index.iter_mut()).enumerate() {
-            if let Some((pos, sent)) = ix.candidate(e.cursor, r.ipid, r.ts, cfg) {
+            if let Some((pos, sent)) = ix.candidate(e.cursor, ipid, read_ts, cfg) {
                 // alloc: amortized(capacity is the edge count, reserved at construction)
                 self.cands.push((sent, slot, pos));
             }
@@ -571,7 +609,7 @@ impl NfMatcher {
                     // them cannot be strictly beaten — stop playing the
                     // rest (they could at most tie, which never flips the
                     // selection).
-                    let max_achievable = cfg.lookahead.min(rest.len());
+                    let max_achievable = cfg.lookahead.min(rest_ts.len());
                     for &cand in &self.cands {
                         if best_score == Some(max_achievable) {
                             break;
@@ -582,7 +620,8 @@ impl NfMatcher {
                         let s = lookahead_score(
                             index,
                             &mut self.cursors,
-                            rest,
+                            rest_ts,
+                            rest_ipid,
                             cfg.lookahead,
                             cfg,
                             best_score.unwrap_or(0),
@@ -616,26 +655,42 @@ pub fn match_downstream(
     down: NfId,
     cfg: &MatchConfig,
 ) -> EdgeMatch {
-    let rx = &streams.nfs[down.0 as usize].rx;
-    assert!(
-        u32::try_from(rx.len()).is_ok(),
-        "rx stream of {} entries must fit u32",
-        rx.len()
-    );
     debug_assert_eq!(streams.upstreams(down), topology.upstream_nodes(down));
+    let mut index = edge_indexes(streams.upstreams(down).len());
+    match_nf(streams, down, cfg, &mut index)
+}
+
+/// One empty [`EdgeIndex`] per upstream slot of an NF with `fan_in`
+/// upstreams: the 512 KiB tables a match over any number of NFs reuses.
+pub(crate) fn edge_indexes(fan_in: usize) -> Vec<EdgeIndex> {
+    (0..fan_in).map(|_| EdgeIndex::new()).collect()
+}
+
+/// [`match_downstream`] over borrowed index tables (at least one per
+/// upstream slot of `down`; whatever they indexed before is cleared).
+pub(crate) fn match_nf(
+    streams: &EdgeStreams,
+    down: NfId,
+    cfg: &MatchConfig,
+    index: &mut [EdgeIndex],
+) -> EdgeMatch {
+    let nf = &streams.nfs[down.0 as usize];
+    assert!(
+        u32::try_from(nf.rx_ts.len()).is_ok(),
+        "rx stream of {} entries must fit u32",
+        nf.rx_ts.len()
+    );
     let upstreams = streams.upstreams(down).to_vec();
     let mut m = NfMatcher::new(upstreams.len());
-    let mut index = Vec::with_capacity(upstreams.len());
-    for (e, &node) in m.edges.iter_mut().zip(&upstreams) {
-        // One gather through the edge's position list; the index build's
-        // two passes then read the compact columns.
-        e.extend(streams.edge_entries(node, down));
-        let mut ix = EdgeIndex::new();
-        ix.rebuild(e);
-        index.push(ix);
+    // The sends are matched where `EdgeStreams::build` wrote them; only
+    // the four-byte match state is this call's own.
+    for (slot, (e, ix)) in m.edges.iter_mut().zip(index.iter_mut()).enumerate() {
+        let sends = streams.edge(down, slot);
+        e.matched = vec![UNMATCHED; sends.len()];
+        ix.rebuild(sends, 0, 0);
     }
-    for k in 0..rx.len() {
-        m.decide(&mut index, rx, k, 0, cfg);
+    for k in 0..nf.rx_ts.len() {
+        m.decide(index, &nf.rx_ts, &nf.rx_ipid, k, 0, cfg);
     }
 
     // Positions behind an edge's final cursor that never matched were

@@ -1,10 +1,9 @@
 //! End-to-end trace assembly: source emissions → per-packet journeys.
 
-use crate::matching::{match_downstream, EdgeMatch, MatchConfig, MatchOutcome};
-use crate::streams::{EdgeStreams, PacketRef, RxBatchInfo};
+use crate::matching::{edge_indexes, match_nf, EdgeMatch, MatchConfig, MatchOutcome};
+use crate::streams::{EdgeStreams, RxBatchInfo, TxNext};
 use msc_collector::TraceBundle;
 use nf_types::{FiveTuple, Nanos, NfId, NodeId, Topology};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// One reconstructed hop: 32 bytes, fields ordered widest first.
@@ -17,8 +16,6 @@ pub struct TraceHop {
     pub read_ts: Nanos,
     /// When the NF sent it on; [`NEVER_SENT`] if the run ended mid-NF.
     sent: Nanos,
-    /// Flat rx index at the NF (keys into timelines).
-    pub rx_idx: u32,
     /// The NF.
     pub nf: NfId,
 }
@@ -31,18 +28,11 @@ const _: () = assert!(std::mem::size_of::<TraceHop>() <= 32);
 
 impl TraceHop {
     /// A hop at `nf`; `sent_ts` is `None` when the run ended mid-NF.
-    pub fn new(
-        nf: NfId,
-        arrival_ts: Nanos,
-        read_ts: Nanos,
-        sent_ts: Option<Nanos>,
-        rx_idx: u32,
-    ) -> Self {
+    pub fn new(nf: NfId, arrival_ts: Nanos, read_ts: Nanos, sent_ts: Option<Nanos>) -> Self {
         Self {
             arrival_ts,
             read_ts,
             sent: sent_ts.unwrap_or(NEVER_SENT),
-            rx_idx,
             nf,
         }
     }
@@ -147,33 +137,48 @@ pub struct ReconstructionConfig {
 /// The propagation analysis (§4.2) groups PreSet packets by the node
 /// sequence they traversed to reach the victim NF. Paths through a DAG are
 /// few but packets are many, so the sequences are interned once here as a
-/// trie: id `ROOT` is `[Source]`, and every other id appends one node to its
-/// parent's path. A path is then a single `u32` — cheap to store per hop,
-/// cheap to hash as a group key, and expandable back to the node list when a
-/// group actually needs it.
+/// trie: id `ROOT` is `[Source]`, and every other id appends one NF to its
+/// parent's path. A path is then a single `u32` — one per trace
+/// ([`Reconstruction::path_ids`]), cheap to hash as a group key, and
+/// expandable back to the node list when a group actually needs it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct PathTrie {
     /// `nodes[id] = (parent, last node)`; the root is its own parent.
     nodes: Vec<(u32, NodeId)>,
-    children: HashMap<(u32, NodeId), u32>,
+    /// `children[id * n_nfs + nf]`: the id of path `id` extended by `nf`,
+    /// [`NO_CHILD`] until interned — a dense table, so interning a hop is
+    /// an array load, not a hash.
+    children: Vec<u32>,
+    n_nfs: usize,
 }
 
 /// The trie id of the bare `[Source]` path.
 pub const PATH_ROOT: u32 = 0;
 
+/// `PathTrie::children` slot of an extension not interned yet (no path is
+/// its own extension's child: the root is never a child).
+const NO_CHILD: u32 = PATH_ROOT;
+
 impl PathTrie {
-    /// A trie holding only the root `[Source]` path.
-    pub fn new() -> Self {
+    /// A trie over a topology of `n_nfs` NFs, holding only the root
+    /// `[Source]` path.
+    pub fn new(n_nfs: usize) -> Self {
         Self {
             nodes: vec![(PATH_ROOT, NodeId::Source)],
-            children: HashMap::new(),
+            children: vec![NO_CHILD; n_nfs],
+            n_nfs,
         }
     }
 
-    /// The id of `parent`'s path extended by `node`, interning it if new.
-    pub fn child(&mut self, parent: u32, node: NodeId) -> u32 {
-        if let Some(&id) = self.children.get(&(parent, node)) {
-            return id;
+    /// The id of `parent`'s path extended by `nf`, interning it if new.
+    ///
+    /// # Panics
+    /// Panics if `nf` is not one of the trie's `n_nfs` NFs.
+    pub fn child(&mut self, parent: u32, nf: NfId) -> u32 {
+        assert!((nf.0 as usize) < self.n_nfs, "{nf:?} outside the trie");
+        let slot = parent as usize * self.n_nfs + nf.0 as usize;
+        if self.children[slot] != NO_CHILD {
+            return self.children[slot];
         }
         // 2^32 distinct paths would mean a >4-billion-node topology; if the
         // interner ever saturates, collapse to the root rather than panic
@@ -181,9 +186,17 @@ impl PathTrie {
         let Ok(id) = u32::try_from(self.nodes.len()) else {
             return PATH_ROOT;
         };
-        self.nodes.push((parent, node));
-        self.children.insert((parent, node), id);
+        self.nodes.push((parent, NodeId::Nf(nf)));
+        self.children
+            .resize(self.nodes.len() * self.n_nfs, NO_CHILD);
+        self.children[slot] = id;
         id
+    }
+
+    /// The id of path `id` without its last node (the root is its own
+    /// parent).
+    pub fn parent(&self, id: u32) -> u32 {
+        self.nodes[id as usize].0
     }
 
     /// Number of nodes on the path `id` (the root has length 1).
@@ -191,7 +204,7 @@ impl PathTrie {
         let mut n = 1;
         let mut cur = id;
         while cur != PATH_ROOT {
-            cur = self.nodes[cur as usize].0;
+            cur = self.parent(cur);
             n += 1;
         }
         n
@@ -206,7 +219,7 @@ impl PathTrie {
             if cur == PATH_ROOT {
                 break;
             }
-            cur = self.nodes[cur as usize].0;
+            cur = self.parent(cur);
         }
         v.reverse();
         v
@@ -223,59 +236,25 @@ impl PathTrie {
         false
     }
 
-    /// Interns every hop-prefix path of `traces` (whose hops live in the
-    /// arena `hops`). Returns the trie and, aligned with the arena, per hop
-    /// the id of the node sequence *strictly before* that hop
-    /// (`[Source, hops[0].nf, .., hops[h-1].nf]`) — exactly the group key
-    /// the §4.2 timespan analysis needs for a victim at hop `h`.
-    pub fn index(traces: &[ReconstructedTrace], hops: &[TraceHop]) -> (PathTrie, Vec<u32>) {
-        let mut trie = PathTrie::new();
-        let mut hop_path_ids = vec![PATH_ROOT; hops.len()];
-        for tr in traces {
-            let mut cur = PATH_ROOT;
-            for i in tr.hops.start..tr.hops.end {
-                hop_path_ids[i as usize] = cur;
-                cur = trie.child(cur, NodeId::Nf(hops[i as usize].nf));
-            }
-        }
-        (trie, hop_path_ids)
-    }
-}
-
-impl Default for PathTrie {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Packed back-reference from one rx entry to its `(trace, hop)` — 8 bytes
-/// instead of 24 for `Option<(usize, usize)>`, so the per-NF `rx_to_trace`
-/// arrays stay cache-resident. Hop indexes are bounded by the path length
-/// (a DAG walk, well under 2^16); trace indexes get the remaining 48 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RxTraceRef(u64);
-
-impl RxTraceRef {
-    /// The rx entry was never attributed to a trace.
-    pub const NONE: Self = Self(u64::MAX);
-    const HOP_BITS: u32 = 16;
-
-    pub(crate) fn new(trace: usize, hop: usize) -> Self {
-        debug_assert!(hop < (1 << Self::HOP_BITS));
-        debug_assert!((trace as u64) < (u64::MAX >> Self::HOP_BITS));
-        Self(((trace as u64) << Self::HOP_BITS) | hop as u64)
-    }
-
-    /// Unpacks to `(trace index, hop index)`; `None` when unattributed.
-    pub fn get(self) -> Option<(usize, usize)> {
-        if self == Self::NONE {
-            None
-        } else {
-            Some((
-                (self.0 >> Self::HOP_BITS) as usize,
-                (self.0 & ((1 << Self::HOP_BITS) - 1)) as usize,
-            ))
-        }
+    /// Interns the path of every trace (whose hops live in the arena
+    /// `hops`), hop by hop in trace order — the order [`assemble`]'s walk
+    /// interns in. Returns the trie and one id per trace: its whole path
+    /// `[Source, hops[0].nf, .., hops[n-1].nf]`.
+    pub fn intern_traces(
+        traces: &[ReconstructedTrace],
+        hops: &[TraceHop],
+        n_nfs: usize,
+    ) -> (PathTrie, Vec<u32>) {
+        let mut trie = PathTrie::new(n_nfs);
+        let path_ids = traces
+            .iter()
+            .map(|tr| {
+                hops[tr.hops.start as usize..tr.hops.end as usize]
+                    .iter()
+                    .fold(PATH_ROOT, |path, h| trie.child(path, h.nf))
+            })
+            .collect();
+        (trie, path_ids)
     }
 }
 
@@ -294,14 +273,12 @@ pub struct Reconstruction {
     /// For every NF: its read batches in time order (the batch-size drain
     /// signal the timelines are built from).
     pub reads: Vec<Vec<RxBatchInfo>>,
-    /// For every NF: rx flat index → packed (trace, hop) back-reference.
-    pub rx_to_trace: Vec<Vec<RxTraceRef>>,
     /// Interned upstream-path prefixes (see [`PathTrie`]).
     pub paths: PathTrie,
-    /// Per arena hop (aligned with `hops`): the interned id of the path
-    /// prefix strictly before that hop. `paths.path(id)` is the node
-    /// sequence `[Source, ..]` the packet took to arrive there.
-    pub hop_path_ids: Vec<u32>,
+    /// Per trace (aligned with `traces`): the interned id of its whole
+    /// path, `[Source, ..]` plus the NF of every hop. The prefix a packet
+    /// took to *reach* a hop is [`Self::path_before`].
+    pub path_ids: Vec<u32>,
 }
 
 impl Reconstruction {
@@ -311,39 +288,33 @@ impl Reconstruction {
         &self.hops[r.start as usize..r.end as usize]
     }
 
-    /// The path-prefix ids of trace `t`'s hops (see `hop_path_ids`).
-    pub fn hop_path_ids_of(&self, t: usize) -> &[u32] {
-        let r = &self.traces[t].hops;
-        &self.hop_path_ids[r.start as usize..r.end as usize]
-    }
-
-    /// The trace and hop a packet instance belongs to.
-    pub fn trace_of(&self, pref: PacketRef) -> Option<(usize, usize)> {
-        self.rx_to_trace[pref.nf.0 as usize][pref.rx_idx].get()
-    }
-
-    /// The flow of a packet instance, if its trace was resolved.
-    pub fn flow_of(&self, pref: PacketRef) -> Option<FiveTuple> {
-        self.trace_of(pref).map(|(t, _)| self.traces[t].flow)
+    /// The interned id of the node sequence trace `t` took strictly before
+    /// its hop `hop` (`[Source, hops[0].nf, .., hops[hop-1].nf]`) — exactly
+    /// the group key the §4.2 timespan analysis needs for a victim there.
+    /// `hop` may be the hop count (the whole path: where a dropped packet
+    /// arrived). Walks one parent per later hop, at most the DAG's depth.
+    pub fn path_before(&self, t: usize, hop: usize) -> u32 {
+        let later = self.traces[t].hop_count().saturating_sub(hop);
+        (0..later).fold(self.path_ids[t], |path, _| self.paths.parent(path))
     }
 }
 
 /// Stage 2 of [`reconstruct`]: matches every NF against its upstreams, in
-/// NF order.
+/// NF order, over one set of index tables sized to the widest NF.
 pub fn match_all(
     streams: &EdgeStreams,
     topology: &Topology,
     cfg: &ReconstructionConfig,
 ) -> Vec<EdgeMatch> {
+    let mut index = edge_indexes(streams.fan_in());
     (0..topology.len())
-        .map(|nf| match_downstream(streams, topology, NfId(nf as u16), &cfg.matching))
+        .map(|nf| match_nf(streams, NfId(nf as u16), &cfg.matching, &mut index))
         .collect()
 }
 
 /// Stages 3+4 of [`reconstruct`]: walks every source emission through the
 /// per-NF match outcomes, assembling traces into the shared hop arena and
-/// the flat per-NF `rx_to_trace` back-references in one pass, then interns
-/// the path prefixes.
+/// interning each trace's path as it goes.
 pub fn assemble(
     topology: &Topology,
     bundle: &TraceBundle,
@@ -351,7 +322,7 @@ pub fn assemble(
     matches: &[EdgeMatch],
 ) -> Reconstruction {
     let mut report = ReconstructionReport {
-        total: streams.source.len() as u64,
+        total: bundle.source_flows.len() as u64,
         ..Default::default()
     };
     for m in matches {
@@ -365,104 +336,91 @@ pub fn assemble(
         exit_flows[e.0 as usize] = bundle.log(e).flows.as_slice();
     }
 
-    let mut rx_to_trace: Vec<Vec<RxTraceRef>> = streams
-        .nfs
-        .iter()
-        .map(|s| vec![RxTraceRef::NONE; s.rx.len()])
-        .collect();
-
     // Every hop is a matched rx entry, so the total rx count bounds the
     // arena exactly once (no per-trace reallocation).
-    let mut hops: Vec<TraceHop> = Vec::with_capacity(streams.nfs.iter().map(|s| s.rx.len()).sum());
-    let mut traces = Vec::with_capacity(streams.source.len());
-    for (src_idx, s) in streams.source.iter().enumerate() {
+    let mut hops: Vec<TraceHop> =
+        Vec::with_capacity(streams.nfs.iter().map(|s| s.rx_ts.len()).sum());
+    let mut traces = Vec::with_capacity(bundle.source_flows.len());
+    let mut paths = PathTrie::new(topology.len());
+    let mut path_ids = Vec::with_capacity(bundle.source_flows.len());
+    for (src_idx, f) in bundle.source_flows.iter().enumerate() {
         // The arena is sized from the rx counts, which are u32-indexed
         // upstream; saturate rather than panic if that ever changes.
         let hop_start = u32::try_from(hops.len()).unwrap_or(u32::MAX);
-        let trace_outcome;
-        let mut node = NodeId::Source;
-        let mut pos = streams.source_edge_pos[src_idx] as usize;
-        let mut down = s.entry;
-        let mut arrival = s.ts;
-        loop {
-            let outcome = matches[down.0 as usize]
-                .outcome(node)
-                .and_then(|v| v.get(pos))
+        let mut path = PATH_ROOT;
+        let mut arrival = f.ts;
+        let (mut down, mut at) = streams.source_send(src_idx);
+        let trace_outcome = loop {
+            let outcome = at
+                .and_then(|(slot, pos)| matches[down.0 as usize].outcome_slot(slot)?.get(pos))
                 .unwrap_or(MatchOutcome::Unresolved);
-            match outcome {
+            let rx = match outcome {
                 MatchOutcome::InferredDrop => {
-                    trace_outcome = TraceOutcome::InferredDrop {
+                    break TraceOutcome::InferredDrop {
                         nf: down,
                         at: arrival,
-                    };
-                    break;
-                }
-                MatchOutcome::Unresolved => {
-                    trace_outcome = TraceOutcome::Unresolved;
-                    break;
-                }
-                MatchOutcome::Matched(rx) => {
-                    let rx_idx = rx as usize;
-                    let nf_streams = &streams.nfs[down.0 as usize];
-                    let read_ts = nf_streams.rx[rx_idx].ts;
-                    rx_to_trace[down.0 as usize][rx_idx] =
-                        RxTraceRef::new(src_idx, hops.len() - hop_start as usize);
-                    // No tx entry: read but never sent, the run ended
-                    // inside this NF.
-                    let tx = nf_streams.tx.get(rx_idx);
-                    hops.push(TraceHop::new(down, arrival, read_ts, tx.map(|t| t.ts), rx));
-                    let Some(tx) = tx else {
-                        trace_outcome = TraceOutcome::Unresolved;
-                        break;
-                    };
-                    match tx.to {
-                        None => {
-                            trace_outcome = TraceOutcome::Delivered(tx.ts);
-                            // Validate against the exit flow record.
-                            let exit_pos = streams.tx_edge_pos[down.0 as usize][rx_idx] as usize;
-                            if let Some(fr) = exit_flows[down.0 as usize].get(exit_pos) {
-                                if fr.flow != s.flow {
-                                    report.flow_mismatches += 1;
-                                }
-                            }
-                            break;
-                        }
-                        Some(d2) => {
-                            node = NodeId::Nf(down);
-                            pos = streams.tx_edge_pos[down.0 as usize][rx_idx] as usize;
-                            arrival = tx.ts;
-                            down = d2;
-                        }
                     }
                 }
+                MatchOutcome::Unresolved => break TraceOutcome::Unresolved,
+                MatchOutcome::Matched(rx) => rx as usize,
+            };
+            let read_ts = streams.nfs[down.0 as usize].rx_ts[rx];
+            // No tx entry: read but never sent, the run ended inside this
+            // NF.
+            let tx = streams.tx(down, rx);
+            hops.push(TraceHop::new(down, arrival, read_ts, tx.map(|t| t.ts)));
+            path = paths.child(path, down);
+            let Some(tx) = tx else {
+                break TraceOutcome::Unresolved;
+            };
+            match tx.next {
+                TxNext::Exit { pos } => {
+                    // Validate against the exit flow record.
+                    if let Some(fr) = exit_flows[down.0 as usize].get(pos) {
+                        if fr.flow != f.flow {
+                            report.flow_mismatches += 1;
+                        }
+                    }
+                    break TraceOutcome::Delivered(tx.ts);
+                }
+                // Nothing downstream is matched against a send off the
+                // topology's edges.
+                TxNext::Stray => break TraceOutcome::Unresolved,
+                TxNext::Edge {
+                    down: d2,
+                    slot,
+                    pos,
+                } => {
+                    at = Some((slot, pos));
+                    arrival = tx.ts;
+                    down = d2;
+                }
             }
-        }
+        };
         match trace_outcome {
             TraceOutcome::Delivered(_) => report.delivered += 1,
             TraceOutcome::InferredDrop { .. } => report.inferred_drops += 1,
             TraceOutcome::Unresolved => report.unresolved += 1,
         }
         traces.push(ReconstructedTrace {
-            flow: s.flow,
-            emitted_at: s.ts,
+            flow: f.flow,
+            emitted_at: f.ts,
             // lint: lossy-cast-ok(the hop arena is u32-indexed by design; 4B hops is ~100x the largest experiment)
             hops: hop_start..hops.len() as u32,
             outcome: trace_outcome,
         });
+        path_ids.push(path);
     }
 
-    // Only the read batches outlive the walk: let the per-packet streams
-    // go before the path index is built on top of the arena.
+    // Only the read batches outlive the walk.
     let reads = streams.nfs.into_iter().map(|s| s.rx_batches).collect();
-    let (paths, hop_path_ids) = PathTrie::index(&traces, &hops);
     Reconstruction {
         traces,
         hops,
         report,
         reads,
-        rx_to_trace,
         paths,
-        hop_path_ids,
+        path_ids,
     }
 }
 
@@ -567,25 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn rx_to_trace_links_packet_instances() {
-        let t = chain();
-        let mut c = Collector::new(&t, CollectorConfig::default());
-        let m = meta(1, 1000);
-        c.record_source(100, &m);
-        c.record_rx(NfId(0), 150, &[m]);
-        c.record_tx(NfId(0), 180, Some(NfId(1)), &[m]);
-        c.record_rx(NfId(1), 200, &[m]);
-        c.record_tx(NfId(1), 250, None, &[m]);
-        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
-        let pref = PacketRef {
-            nf: NfId(1),
-            rx_idx: 0,
-        };
-        assert_eq!(r.trace_of(pref), Some((0, 1)));
-        assert_eq!(r.flow_of(pref), Some(r.traces[0].flow));
-    }
-
-    #[test]
     fn path_trie_interns_hop_prefixes() {
         let t = chain();
         let mut c = Collector::new(&t, CollectorConfig::default());
@@ -597,14 +536,17 @@ mod tests {
         c.record_tx(NfId(1), 250, None, &[m]);
         let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
         // Hop 0 (at the NAT) was reached via [Source]; hop 1 (at the VPN)
-        // via [Source, nat1].
-        let ids = r.hop_path_ids_of(0);
-        assert_eq!(ids.len(), 2);
-        assert_eq!(ids[0], PATH_ROOT);
-        assert_eq!(r.paths.path(ids[0]), vec![NodeId::Source]);
+        // via [Source, nat1]; the trace's own id is the whole path.
+        assert_eq!(r.path_before(0, 0), PATH_ROOT);
+        assert_eq!(r.paths.path(PATH_ROOT), vec![NodeId::Source]);
         assert_eq!(
-            r.paths.path(ids[1]),
+            r.paths.path(r.path_before(0, 1)),
             vec![NodeId::Source, NodeId::Nf(NfId(0))]
+        );
+        assert_eq!(r.path_before(0, 2), r.path_ids[0]);
+        assert_eq!(
+            r.paths.path(r.path_ids[0]),
+            vec![NodeId::Source, NodeId::Nf(NfId(0)), NodeId::Nf(NfId(1))]
         );
         // A second packet down the same chain shares the interned ids.
         let mut c2 = Collector::new(&t, CollectorConfig::default());
@@ -617,32 +559,62 @@ mod tests {
         c2.record_rx(NfId(1), 200, &ms);
         c2.record_tx(NfId(1), 250, None, &ms);
         let r2 = reconstruct(&t, &c2.into_bundle(), &ReconstructionConfig::default());
-        assert_eq!(r2.hop_path_ids_of(0), r2.hop_path_ids_of(1));
+        assert_eq!(r2.path_ids[0], r2.path_ids[1]);
         // Root + one path per hop depth.
         assert_eq!(r2.paths.len(), 3);
+        // The separate pass interns the same trie.
+        let (paths, ids) = PathTrie::intern_traces(&r2.traces, &r2.hops, t.len());
+        assert_eq!((paths, ids), (r2.paths, r2.path_ids));
     }
 
     #[test]
-    fn path_trie_default_matches_new_and_is_never_empty() {
-        let d = PathTrie::default();
-        let n = PathTrie::new();
-        assert_eq!(d.len(), n.len());
-        assert_eq!(d.len(), 1);
-        assert!(!d.is_empty(), "the root [Source] path always exists");
-        assert!(!n.is_empty());
-        assert_eq!(d.path(PATH_ROOT), n.path(PATH_ROOT));
-        let mut t = PathTrie::new();
-        let id = t.child(PATH_ROOT, NodeId::Nf(NfId(0)));
-        assert!(!t.is_empty());
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.path(id), vec![NodeId::Source, NodeId::Nf(NfId(0))]);
+    fn path_trie_is_never_empty_and_walks_back_to_the_root() {
+        let mut t = PathTrie::new(2);
+        assert_eq!(t.len(), 1);
+        assert!(!t.is_empty(), "the root [Source] path always exists");
+        assert_eq!(t.path(PATH_ROOT), vec![NodeId::Source]);
+        assert_eq!(t.parent(PATH_ROOT), PATH_ROOT);
+        let a = t.child(PATH_ROOT, NfId(0));
+        let ab = t.child(a, NfId(1));
+        let b = t.child(PATH_ROOT, NfId(1));
+        assert_eq!((a, ab, b), (1, 2, 3), "ids in interning order");
+        assert_eq!(t.child(a, NfId(1)), ab, "interned once");
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.parent(ab), a);
+        assert_eq!(
+            t.path(ab),
+            vec![NodeId::Source, NodeId::Nf(NfId(0)), NodeId::Nf(NfId(1))]
+        );
+        assert_eq!(t.path_len(ab), 3);
     }
 
+    /// A tx record can name any next hop: one the topology has no edge to,
+    /// or no NF for. The packet's journey ends there unresolved — with the
+    /// hop it did make — instead of indexing a table by a hostile id.
     #[test]
-    fn rx_trace_ref_packs_and_unpacks() {
-        assert_eq!(RxTraceRef::NONE.get(), None);
-        for &(t, h) in &[(0usize, 0usize), (1, 15), (164_359, 12), (1 << 30, 65_535)] {
-            assert_eq!(RxTraceRef::new(t, h).get(), Some((t, h)));
+    fn send_to_a_node_outside_the_topology_leaves_the_trace_unresolved() {
+        let t = chain();
+        for hostile in [NfId(0), NfId(999), NfId(u16::MAX - 1), NfId(u16::MAX)] {
+            let mut c = Collector::new(&t, CollectorConfig::default());
+            let (m1, m2) = (meta(1, 1000), meta(2, 1001));
+            c.record_source(100, &m1);
+            c.record_source(110, &m2);
+            c.record_rx(NfId(0), 150, &[m1, m2]);
+            c.record_tx(NfId(0), 180, Some(hostile), &[m1]);
+            c.record_tx(NfId(0), 190, Some(NfId(1)), &[m2]);
+            c.record_rx(NfId(1), 200, &[m2]);
+            c.record_tx(NfId(1), 250, None, &[m2]);
+            let bundle = c.into_bundle();
+            let r = reconstruct(&t, &bundle, &ReconstructionConfig::default());
+            assert_eq!(r.traces[0].outcome, TraceOutcome::Unresolved, "{hostile:?}");
+            assert_eq!(r.hops_of(0).len(), 1);
+            assert_eq!(r.hops_of(0)[0].sent_ts(), Some(180));
+            assert_eq!(r.traces[1].outcome, TraceOutcome::Delivered(250));
+            assert_eq!(r.report.unresolved, 1);
+            // The streaming reconstructor agrees.
+            let mut w = crate::WindowedReconstructor::new(&t, MatchConfig::default());
+            w.ingest(&bundle, 1_000).unwrap();
+            assert_eq!(w.finish().0, r, "{hostile:?}");
         }
     }
 

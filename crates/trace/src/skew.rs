@@ -128,11 +128,11 @@ impl<'a> Estimator<'a> {
         let rx_runs: Vec<IpidRuns> = streams
             .nfs
             .iter()
-            .map(|s| IpidRuns::build(s.rx.iter().map(|e| (e.ts, e.ipid))))
+            .map(|s| IpidRuns::build(s.rx()))
             .collect();
         // Every pairing consumes a distinct read, so no edge yields more
         // deltas than its downstream rx stream is long.
-        let longest_rx = streams.nfs.iter().map(|s| s.rx.len()).max().unwrap_or(0);
+        let longest_rx = streams.nfs.iter().map(|s| s.rx_ts.len()).max().unwrap_or(0);
         Self {
             topology,
             cfg,
@@ -738,7 +738,7 @@ mod tests {
             c.record_rx(NfId(1), (ts as i64 + d) as u64, &[m]);
         }
         let streams = EdgeStreams::build(&topo, &c.into_bundle());
-        let rx = IpidRuns::build(streams.nfs[1].rx.iter().map(|e| (e.ts, e.ipid)));
+        let rx = IpidRuns::build(streams.nfs[1].rx());
         let mut bins = vec![EMPTY_BIN; 401];
         let total = bin_pairs::<1_000, 200_000>(
             streams.edge_entries(NodeId::Nf(NfId(0)), NfId(1)),

@@ -1,68 +1,25 @@
 //! Flattening collector logs into matchable streams.
 //!
-//! For every NF we flatten the batched rx/tx records into ordered streams.
-//! Because NF rings are FIFO and the NFs process packets in order, the i-th
-//! packet an NF reads is the i-th packet it sends — so rx index and tx index
-//! line up within an NF and the only hard matching problem is *across* NFs
-//! (done in [`crate::matching`]).
+//! For every NF we flatten the batched rx records into per-packet columns
+//! and write every tx batch straight into the send columns of the edge it
+//! went out on — the columns [`crate::matching`] indexes. Because NF rings
+//! are FIFO and the NFs process packets in order, the i-th packet an NF
+//! reads is the i-th packet it sends — so rx index and tx index line up
+//! within an NF and the only hard matching problem is *across* NFs.
 //!
 //! The source's per-entry-NF send streams are derived from the source flow
 //! records and the operator-known load-balancer hash
 //! ([`nf_types::Topology::entry_for`]) — the path side channel at the first
 //! hop.
 
+use crate::matching::EdgeSends;
 use msc_collector::TraceBundle;
-use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology};
+use nf_types::{Ipid, Nanos, NfId, NodeId, Topology};
 
-/// One packet appearance in an NF's rx stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RxEntry {
-    /// Read (batch) timestamp.
-    pub ts: Nanos,
-    /// IPID.
-    pub ipid: Ipid,
-    /// Index of the batch this entry came from.
-    pub batch: u32,
-}
-
-/// One packet appearance in an NF's tx stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxEntry {
-    /// Send (batch) timestamp.
-    pub ts: Nanos,
-    /// IPID.
-    pub ipid: Ipid,
-    /// Next hop (`None` = leaves the graph).
-    pub to: Option<NfId>,
-}
-
-/// A packet emitted by the traffic source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceEntry {
-    /// Emission timestamp.
-    pub ts: Nanos,
-    /// IPID.
-    pub ipid: Ipid,
-    /// The full flow key (the source keeps flow info).
-    pub flow: FiveTuple,
-    /// The entry NF the load balancer sends this flow to.
-    pub entry: NfId,
-}
-
-/// Reference to a packet instance: its position in one NF's rx stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PacketRef {
-    /// The NF.
-    pub nf: NfId,
-    /// Flat index into that NF's rx stream.
-    pub rx_idx: usize,
-}
-
-// Per-packet and per-batch records: a stray `usize` must not bring the
-// bytes back silently.
-const _: () = assert!(std::mem::size_of::<RxEntry>() <= 16);
-const _: () = assert!(std::mem::size_of::<TxEntry>() <= 16);
+// Per-batch and per-packet records: a stray `usize` must not bring the
+// bytes back silently. (`source_entry` holds an `NfId` per source record.)
 const _: () = assert!(std::mem::size_of::<RxBatchInfo>() <= 16);
+const _: () = assert!(std::mem::size_of::<NfId>() == 2);
 
 /// One rx batch's metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,25 +32,132 @@ pub struct RxBatchInfo {
     pub drained: bool,
 }
 
-/// All streams of one NF.
-#[derive(Debug, Default)]
-pub struct NfStreams {
-    /// Flattened rx entries in read order.
-    pub rx: Vec<RxEntry>,
-    /// Batch metadata, in order.
-    pub rx_batches: Vec<RxBatchInfo>,
-    /// Flattened tx entries in send order (all targets interleaved as
-    /// recorded — the NF's global FIFO order).
-    pub tx: Vec<TxEntry>,
+/// The topology's edges numbered by *slot*: every downstream NF's upstream
+/// nodes in [`Topology::upstream_nodes`] order, which is also the order
+/// [`crate::matching::EdgeMatch`] reports outcomes in — so edge lookups are
+/// array indexing instead of hashing, offline and streaming alike.
+#[derive(Debug)]
+pub(crate) struct EdgeSlots {
+    /// Per downstream NF: its upstream nodes in slot order.
+    pub(crate) upstreams: Vec<Vec<NodeId>>,
+    /// `out[u][d]`: the slot of NF `u` on downstream `d`, if the edge exists.
+    out: Vec<Vec<Option<usize>>>,
+    /// `source[d]`: the slot of the source on `d` (entry NFs).
+    source: Vec<Option<usize>>,
 }
 
-/// Flattened streams for the whole deployment, plus edge position indexes.
-///
-/// All per-edge indexes are dense: every downstream NF's upstream edges are
-/// numbered by *slot* (the position of the upstream node in
-/// [`Topology::upstream_nodes`], which is also the order
-/// [`crate::matching::EdgeMatch`] reports outcomes in), so edge lookups are
-/// array indexing instead of hashing.
+impl EdgeSlots {
+    pub(crate) fn of(topology: &Topology) -> Self {
+        let n = topology.len();
+        let upstreams: Vec<Vec<NodeId>> = (0..n)
+            .map(|d| topology.upstream_nodes(NfId(d as u16)))
+            .collect();
+        let slot_on = |node: NodeId| -> Vec<Option<usize>> {
+            upstreams
+                .iter()
+                .map(|ups| ups.iter().position(|&u| u == node))
+                .collect()
+        };
+        Self {
+            out: (0..n)
+                .map(|u| slot_on(NodeId::Nf(NfId(u as u16))))
+                .collect(),
+            source: slot_on(NodeId::Source),
+            upstreams,
+        }
+    }
+
+    /// The slot of NF `up` on `down`; `None` when `up → down` is not a
+    /// topology edge — including a `down` no topology of this size holds,
+    /// which a decoded tx record can name.
+    pub(crate) fn of_nf(&self, up: usize, down: NfId) -> Option<usize> {
+        *self.out[up].get(down.0 as usize)?
+    }
+
+    /// The slot of the source on `down`.
+    pub(crate) fn of_source(&self, down: NfId) -> Option<usize> {
+        *self.source.get(down.0 as usize)?
+    }
+
+    /// The widest fan-in: how many edge indexes one NF's match can need.
+    pub(crate) fn fan_in(&self) -> usize {
+        self.upstreams.iter().map(Vec::len).max().unwrap_or(0)
+    }
+}
+
+/// `tx_to` of a send that left the graph.
+const TO_EXIT: u16 = u16::MAX;
+/// `tx_to` of a send to a node that is not a topology edge (whatever id the
+/// record named). [`EdgeStreams::build`] keeps NF ids below both markers.
+const TO_STRAY: u16 = u16::MAX - 1;
+
+/// The per-packet columns of one NF: what the matcher and the trace walk
+/// index by rx / tx entry. The `(ts, ipid)` of its sends are not here but in
+/// the downstream edge columns ([`EdgeStreams::edge`]).
+#[derive(Debug, Default)]
+pub struct NfStreams {
+    /// Read (batch) timestamp of every rx entry, in read order.
+    pub rx_ts: Vec<Nanos>,
+    /// IPID of every rx entry.
+    pub rx_ipid: Vec<Ipid>,
+    /// Batch metadata, in order.
+    pub rx_batches: Vec<RxBatchInfo>,
+    /// Per tx entry in send order (all targets interleaved as recorded —
+    /// the NF's global FIFO order): the next hop's NF id, or [`TO_EXIT`] /
+    /// [`TO_STRAY`].
+    tx_to: Vec<u16>,
+    /// Per tx entry: its position within the column that holds its send
+    /// time — its edge's, `exit_ts` or `stray_ts`.
+    tx_pos: Vec<u32>,
+    /// Send time of every exit send, aligned with the NF's flow records.
+    exit_ts: Vec<Nanos>,
+    /// Send time of every send to a node that is not a topology edge.
+    stray_ts: Vec<Nanos>,
+}
+
+impl NfStreams {
+    /// The `(read ts, ipid)` of every rx entry, in read order.
+    pub fn rx(&self) -> impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone + '_ {
+        self.rx_ts.iter().copied().zip(self.rx_ipid.iter().copied())
+    }
+}
+
+/// Where an NF sent a packet on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxNext {
+    /// Out of the graph, as the NF's `pos`-th exit send (the index of its
+    /// flow record).
+    Exit {
+        /// Position among the NF's exit sends.
+        pos: usize,
+    },
+    /// To NF `down`, as position `pos` of the edge in `down`'s upstream slot
+    /// `slot`.
+    Edge {
+        /// The next hop.
+        down: NfId,
+        /// The sender's slot among `down`'s upstreams.
+        slot: usize,
+        /// Position within that edge.
+        pos: usize,
+    },
+    /// To a node the topology has no edge to: nothing downstream is matched
+    /// against it.
+    Stray,
+}
+
+/// One tx entry: when the packet was sent and where to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxHop {
+    /// Send (batch) timestamp.
+    pub ts: Nanos,
+    /// Next hop.
+    pub next: TxNext,
+}
+
+/// Flattened streams for the whole deployment: per-NF packet columns plus
+/// the send columns of every edge, addressed by downstream NF and upstream
+/// slot ([`EdgeSlots`]).
 ///
 /// Stream indexes and edge positions are `u32`: `msc_collector::RxLog`
 /// keeps a log's packet count within one, the wire carries the source
@@ -101,207 +165,163 @@ pub struct NfStreams {
 /// for in-memory bundles.
 #[derive(Debug)]
 pub struct EdgeStreams {
-    /// Per-NF streams, indexed by `NfId`.
+    /// Per-NF columns, indexed by `NfId`.
     pub nfs: Vec<NfStreams>,
-    /// Source emissions in time order.
-    pub source: Vec<SourceEntry>,
-    /// Per downstream NF: its upstream nodes in [`Topology::upstream_nodes`]
-    /// order — the slot order of `edge_pos`.
-    upstreams: Vec<Vec<NodeId>>,
-    /// `edge_pos[down][slot]`: ordered indices into the upstream's tx stream
-    /// (or the source stream) of the packets sent on that edge.
-    edge_pos: Vec<Vec<Vec<u32>>>,
-    /// Inverse of `edge_pos` for NF upstreams: `tx_edge_pos[nf][i]` is the
-    /// position of tx entry `i` within its edge stream.
-    pub tx_edge_pos: Vec<Vec<u32>>,
-    /// Inverse for the source stream.
-    pub source_edge_pos: Vec<u32>,
-    /// For each exit NF: ordered indices into its tx stream of exit sends
-    /// (`to == None`), aligned with the NF's flow records.
-    exit_pos: Vec<Vec<u32>>,
+    slots: EdgeSlots,
+    /// `edges[down][slot]`: the `(ts, ipid)` of every packet sent on that
+    /// edge, in send order.
+    edges: Vec<Vec<EdgeSends>>,
+    /// Per source record: the entry NF the load balancer sends its flow to.
+    /// Flow and emission time stay in [`TraceBundle::source_flows`].
+    source_entry: Vec<NfId>,
+    /// Per source record: its position within its source → entry edge.
+    source_edge_pos: Vec<u32>,
 }
 
 impl EdgeStreams {
-    /// Builds streams from a bundle.
+    /// Builds streams from a bundle: one counting pass over the batches for
+    /// exact capacities, then every per-packet fact is written once, in the
+    /// column its reader reads.
     ///
     /// # Panics
-    /// Panics if the bundle holds more than `u32::MAX` source records.
+    /// Panics if the bundle holds more than `u32::MAX` source records or the
+    /// topology more than 65 534 NFs.
     pub fn build(topology: &Topology, bundle: &TraceBundle) -> Self {
         assert!(
             u32::try_from(bundle.source_flows.len()).is_ok(),
             "source records must fit u32"
         );
-        let mut nfs: Vec<NfStreams> = Vec::with_capacity(topology.len());
-        for log in &bundle.logs {
+        assert!(
+            topology.len() <= TO_STRAY as usize,
+            "NF ids must stay below the tx target markers"
+        );
+        let slots = EdgeSlots::of(topology);
+        let source_entry: Vec<NfId> = bundle
+            .source_flows
+            .iter()
+            .map(|f| topology.entry_for(&f.flow))
+            .collect();
+
+        let mut edge_len: Vec<Vec<usize>> =
+            slots.upstreams.iter().map(|u| vec![0; u.len()]).collect();
+        for &entry in &source_entry {
+            if let Some(slot) = slots.of_source(entry) {
+                edge_len[entry.0 as usize][slot] += 1;
+            }
+        }
+        // (exit sends, stray sends) per NF.
+        let mut off_edge = vec![(0usize, 0usize); bundle.logs.len()];
+        for (u, log) in bundle.logs.iter().enumerate() {
+            for b in log.tx.iter() {
+                match b.to.map(|d| (d, slots.of_nf(u, d))) {
+                    None => off_edge[u].0 += b.len(),
+                    Some((d, Some(slot))) => edge_len[d.0 as usize][slot] += b.len(),
+                    Some((_, None)) => off_edge[u].1 += b.len(),
+                }
+            }
+        }
+        let mut edges: Vec<Vec<EdgeSends>> = edge_len
+            .iter()
+            .map(|lens| lens.iter().map(|&n| EdgeSends::with_capacity(n)).collect())
+            .collect();
+
+        let mut nfs: Vec<NfStreams> = Vec::with_capacity(bundle.logs.len());
+        for ((u, log), &(exits, strays)) in bundle.logs.iter().enumerate().zip(&off_edge) {
             let mut s = NfStreams {
-                rx: Vec::with_capacity(log.rx.packets()),
+                rx_ts: Vec::with_capacity(log.rx.packets()),
+                rx_ipid: Vec::with_capacity(log.rx.packets()),
                 rx_batches: Vec::with_capacity(log.rx.len()),
-                tx: Vec::with_capacity(log.tx.packets()),
+                tx_to: Vec::with_capacity(log.tx.packets()),
+                tx_pos: Vec::with_capacity(log.tx.packets()),
+                exit_ts: Vec::with_capacity(exits),
+                stray_ts: Vec::with_capacity(strays),
             };
-            for (bi, b) in log.rx.iter().enumerate() {
-                // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
-                let size = b.len() as u32;
+            for b in log.rx.iter() {
                 s.rx_batches.push(RxBatchInfo {
                     ts: b.ts,
-                    size,
+                    // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
+                    size: b.len() as u32,
                     drained: b.drained_queue(),
                 });
-                s.rx.extend(b.ipids.iter().map(|&ipid| RxEntry {
-                    ts: b.ts,
-                    ipid,
-                    // lint: lossy-cast-ok(batches are no more than packets plus empty polls; a u32-length section cannot hold 2^32 of either)
-                    batch: bi as u32,
-                }));
+                s.rx_ts.extend(std::iter::repeat_n(b.ts, b.len()));
+                s.rx_ipid.extend_from_slice(b.ipids);
             }
+            // Slot and column are resolved once per batch. Positions fit
+            // u32: no column outgrows the NF's tx log, which `TxLog` keeps
+            // within one.
             for b in log.tx.iter() {
-                s.tx.extend(b.ipids.iter().map(|&ipid| TxEntry {
-                    ts: b.ts,
-                    ipid,
-                    to: b.to,
-                }));
+                let (to, end) = match b.to.map(|d| (d, slots.of_nf(u, d))) {
+                    None => {
+                        s.exit_ts.extend(std::iter::repeat_n(b.ts, b.len()));
+                        (TO_EXIT, s.exit_ts.len())
+                    }
+                    Some((d, Some(slot))) => {
+                        let e = &mut edges[d.0 as usize][slot];
+                        e.push_batch(b.ts, b.ipids);
+                        (d.0, e.len())
+                    }
+                    Some((_, None)) => {
+                        s.stray_ts.extend(std::iter::repeat_n(b.ts, b.len()));
+                        (TO_STRAY, s.stray_ts.len())
+                    }
+                };
+                s.tx_to.extend(std::iter::repeat_n(to, b.len()));
+                // lint: lossy-cast-ok(see above: a position within a column of one NF's sends)
+                s.tx_pos.extend((end - b.len()..end).map(|p| p as u32));
             }
             nfs.push(s);
         }
 
-        let source: Vec<SourceEntry> = bundle
-            .source_flows
-            .iter()
-            .map(|f| SourceEntry {
-                ts: f.ts,
-                ipid: f.ipid,
-                flow: f.flow,
-                entry: topology.entry_for(&f.flow),
-            })
-            .collect();
-
-        let n = topology.len();
-        let upstreams: Vec<Vec<NodeId>> = (0..n)
-            .map(|d| topology.upstream_nodes(NfId(d as u16)))
-            .collect();
-        let mut edge_pos: Vec<Vec<Vec<u32>>> = upstreams
-            .iter()
-            .map(|u| vec![Vec::new(); u.len()])
-            .collect();
-        let mut exit_pos: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-        // NF -> NF edges and exits. Slot of `nf` in each target's upstream
-        // list is resolved once per NF, then each tx entry is O(1).
-        let mut tx_edge_pos: Vec<Vec<u32>> = Vec::with_capacity(nfs.len());
-        for (nf_idx, s) in nfs.iter().enumerate() {
-            let me = NodeId::Nf(NfId(nf_idx as u16));
-            let my_slot: Vec<Option<usize>> = upstreams
-                .iter()
-                .map(|u| u.iter().position(|&node| node == me))
-                .collect();
-            // Sends to targets outside the topology still need consistent
-            // inverse positions even though their edge stream is not kept.
-            let mut orphan_count: Vec<u32> = vec![0; n];
-            let mut pos_within: Vec<u32> = Vec::with_capacity(s.tx.len());
-            // Stream indexes fit u32 (see the type's docs), and a position
-            // within an edge never exceeds the stream index it stands for.
-            for (i, e) in (0u32..).zip(&s.tx) {
-                match e.to {
-                    Some(d) => match my_slot[d.0 as usize] {
-                        Some(slot) => {
-                            let v = &mut edge_pos[d.0 as usize][slot];
-                            // lint: lossy-cast-ok(v.len() <= i)
-                            pos_within.push(v.len() as u32);
-                            v.push(i);
-                        }
-                        None => {
-                            pos_within.push(orphan_count[d.0 as usize]);
-                            orphan_count[d.0 as usize] += 1;
-                        }
-                    },
-                    None => {
-                        let v = &mut exit_pos[nf_idx];
-                        // lint: lossy-cast-ok(v.len() <= i)
-                        pos_within.push(v.len() as u32);
-                        v.push(i);
-                    }
-                }
-            }
-            tx_edge_pos.push(pos_within);
-        }
-
         // Source -> entry edges.
-        let src_slot: Vec<Option<usize>> = upstreams
-            .iter()
-            .map(|u| u.iter().position(|&node| node == NodeId::Source))
-            .collect();
-        let mut source_edge_pos: Vec<u32> = Vec::with_capacity(source.len());
-        for (i, e) in (0u32..).zip(&source) {
+        let mut source_edge_pos: Vec<u32> = Vec::with_capacity(source_entry.len());
+        for (f, &entry) in bundle.source_flows.iter().zip(&source_entry) {
             // An entry NF without a source upstream is a malformed topology;
-            // park the edge at position 0 instead of panicking — the match
-            // loop treats it as an ordinary (likely unmatched) candidate.
-            let Some(slot) = src_slot[e.entry.0 as usize] else {
+            // park the record at position 0 instead of panicking — the walk
+            // finds no edge to look it up on and leaves the trace unresolved.
+            let Some(slot) = slots.of_source(entry) else {
                 source_edge_pos.push(0);
                 continue;
             };
-            let v = &mut edge_pos[e.entry.0 as usize][slot];
-            // lint: lossy-cast-ok(v.len() <= i)
-            source_edge_pos.push(v.len() as u32);
-            v.push(i);
+            let e = &mut edges[entry.0 as usize][slot];
+            // lint: lossy-cast-ok(an edge position is below the source record count, asserted to fit u32)
+            source_edge_pos.push(e.len() as u32);
+            e.push_batch(f.ts, &[f.ipid]);
         }
 
         Self {
             nfs,
-            source,
-            upstreams,
-            edge_pos,
-            tx_edge_pos,
+            slots,
+            edges,
+            source_entry,
             source_edge_pos,
-            exit_pos,
         }
     }
 
     /// The upstream nodes of `down` in slot order
     /// ([`Topology::upstream_nodes`] order).
     pub fn upstreams(&self, down: NfId) -> &[NodeId] {
-        &self.upstreams[down.0 as usize]
+        &self.slots.upstreams[down.0 as usize]
     }
 
     /// The slot of upstream `node` on downstream `down`, if the edge exists.
     pub fn slot_of(&self, node: NodeId, down: NfId) -> Option<usize> {
-        self.upstreams[down.0 as usize]
-            .iter()
-            .position(|&u| u == node)
-    }
-
-    /// Ordered indices into the upstream's tx stream (or the source stream)
-    /// of the packets sent on `(node, down)`; empty if the edge does not
-    /// exist.
-    pub fn edge_positions(&self, node: NodeId, down: NfId) -> &[u32] {
-        match self.slot_of(node, down) {
-            Some(slot) => &self.edge_pos[down.0 as usize][slot],
-            None => &[],
-        }
-    }
-
-    /// Same as [`Self::edge_positions`] by upstream slot.
-    pub fn edge_positions_slot(&self, down: NfId, slot: usize) -> &[u32] {
-        &self.edge_pos[down.0 as usize][slot]
-    }
-
-    /// Ordered indices into `nf`'s tx stream of exit sends (`to == None`),
-    /// aligned with the NF's flow records.
-    pub fn exit_positions(&self, nf: NfId) -> &[u32] {
-        &self.exit_pos[nf.0 as usize]
-    }
-
-    /// The (ts, ipid) of the `pos`-th packet sent on `(node, down)`.
-    pub fn edge_entry(&self, node: NodeId, down: NfId, pos: usize) -> (Nanos, Ipid) {
-        let idx = self.edge_positions(node, down)[pos] as usize;
         match node {
-            NodeId::Source => {
-                let e = &self.source[idx];
-                (e.ts, e.ipid)
-            }
-            NodeId::Nf(u) => {
-                let e = &self.nfs[u.0 as usize].tx[idx];
-                (e.ts, e.ipid)
-            }
+            NodeId::Source => self.slots.of_source(down),
+            NodeId::Nf(u) => self.slots.of_nf(u.0 as usize, down),
         }
+    }
+
+    /// The widest fan-in over all NFs.
+    pub(crate) fn fan_in(&self) -> usize {
+        self.slots.fan_in()
+    }
+
+    /// The send columns of the edge in `down`'s upstream slot `slot`.
+    ///
+    /// # Panics
+    /// Panics if `down` has no such slot.
+    pub fn edge(&self, down: NfId, slot: usize) -> &EdgeSends {
+        &self.edges[down.0 as usize][slot]
     }
 
     /// The `(ts, ipid)` of every packet sent on `(node, down)`, in edge
@@ -311,23 +331,49 @@ impl EdgeStreams {
         node: NodeId,
         down: NfId,
     ) -> impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone + '_ {
-        self.edge_positions(node, down)
+        static NO_EDGE: EdgeSends = EdgeSends::new();
+        self.slot_of(node, down)
+            .map_or(&NO_EDGE, |slot| self.edge(down, slot))
             .iter()
-            .map(move |&idx| match node {
-                NodeId::Source => {
-                    let e = &self.source[idx as usize];
-                    (e.ts, e.ipid)
-                }
-                NodeId::Nf(u) => {
-                    let e = &self.nfs[u.0 as usize].tx[idx as usize];
-                    (e.ts, e.ipid)
-                }
-            })
     }
 
-    /// Number of packets sent on an edge.
-    pub fn edge_len(&self, node: NodeId, down: NfId) -> usize {
-        self.edge_positions(node, down).len()
+    /// Where source record `i` entered the graph: the entry NF and, unless
+    /// the topology has no source edge into it, the `(slot, position)` of
+    /// the record on that edge.
+    pub fn source_send(&self, i: usize) -> (NfId, Option<(usize, usize)>) {
+        let entry = self.source_entry[i];
+        let at = self
+            .slots
+            .of_source(entry)
+            .map(|slot| (slot, self.source_edge_pos[i] as usize));
+        (entry, at)
+    }
+
+    /// Tx entry `i` of `nf` — by FIFO the send of the packet `nf` read as
+    /// rx entry `i`; `None` when the NF never sent that many.
+    pub fn tx(&self, nf: NfId, i: usize) -> Option<TxHop> {
+        let s = &self.nfs[nf.0 as usize];
+        let (&to, &pos) = (s.tx_to.get(i)?, s.tx_pos.get(i)?);
+        let pos = pos as usize;
+        Some(match to {
+            TO_EXIT => TxHop {
+                ts: s.exit_ts[pos],
+                next: TxNext::Exit { pos },
+            },
+            TO_STRAY => TxHop {
+                ts: s.stray_ts[pos],
+                next: TxNext::Stray,
+            },
+            _ => {
+                // `build` wrote an NF id only where it had resolved the edge.
+                let down = NfId(to);
+                let slot = self.slots.of_nf(nf.0 as usize, down)?;
+                TxHop {
+                    ts: self.edges[to as usize][slot].ts_at(pos),
+                    next: TxNext::Edge { down, slot, pos },
+                }
+            }
+        })
     }
 }
 
@@ -335,7 +381,7 @@ impl EdgeStreams {
 mod tests {
     use super::*;
     use msc_collector::{Collector, CollectorConfig, PacketMeta};
-    use nf_types::{NfKind, Proto};
+    use nf_types::{FiveTuple, NfKind, Proto};
 
     fn topo() -> Topology {
         let mut b = Topology::builder();
@@ -365,14 +411,18 @@ mod tests {
         c.record_tx(NfId(0), 150, Some(NfId(2)), &[meta(1, 1), meta(2, 2)]);
         let s = EdgeStreams::build(&t, &c.into_bundle());
         let nat = &s.nfs[0];
-        assert_eq!(nat.rx.len(), 3);
-        assert_eq!(nat.rx[0].batch, 0);
-        assert_eq!(nat.rx[2].batch, 1);
+        assert_eq!(nat.rx_ts, [100, 100, 200]);
+        assert_eq!(nat.rx_ipid, [1, 2, 3]);
         assert_eq!(nat.rx_batches.len(), 2);
+        assert_eq!(nat.rx_batches[1].size, 1);
         assert!(nat.rx_batches[0].drained); // 2 < 32
-        assert_eq!(nat.tx.len(), 2);
-        assert_eq!(s.edge_len(NodeId::Nf(NfId(0)), NfId(2)), 2);
-        assert_eq!(s.edge_entry(NodeId::Nf(NfId(0)), NfId(2), 1), (150, 2));
+        assert!(s.tx(NfId(0), 1).is_some());
+        assert_eq!(s.tx(NfId(0), 2), None);
+        let edge: Vec<_> = s.edge_entries(NodeId::Nf(NfId(0)), NfId(2)).collect();
+        assert_eq!(edge, [(150, 1), (150, 2)]);
+        assert_eq!(s.edge_entries(NodeId::Nf(NfId(1)), NfId(2)).len(), 0);
+        // Not an edge at all.
+        assert_eq!(s.edge_entries(NodeId::Nf(NfId(2)), NfId(0)).len(), 0);
     }
 
     #[test]
@@ -383,39 +433,38 @@ mod tests {
         for i in 0..40u16 {
             c.record_source(i as u64 * 10, &meta(i, 1000 + i));
         }
-        let s = EdgeStreams::build(&t, &c.into_bundle());
-        let a = s.edge_len(NodeId::Source, NfId(0));
-        let b = s.edge_len(NodeId::Source, NfId(1));
+        let bundle = c.into_bundle();
+        let s = EdgeStreams::build(&t, &bundle);
+        let a = s.edge_entries(NodeId::Source, NfId(0)).len();
+        let b = s.edge_entries(NodeId::Source, NfId(1)).len();
         assert_eq!(a + b, 40);
         assert!(a > 5 && b > 5, "lb skew: {a}/{b}");
-        // Position inverse is consistent.
-        for (i, e) in s.source.iter().enumerate() {
-            let pos = s.source_edge_pos[i];
-            assert_eq!(
-                s.edge_positions(NodeId::Source, e.entry)[pos as usize] as usize,
-                i
-            );
+        // Every record sits at its position of its entry's source edge.
+        for (i, f) in bundle.source_flows.iter().enumerate() {
+            let (entry, at) = s.source_send(i);
+            assert_eq!(entry, t.entry_for(&f.flow));
+            let (slot, pos) = at.expect("entries have a source edge");
+            assert_eq!(s.edge(entry, slot).iter().nth(pos), Some((f.ts, f.ipid)));
         }
     }
 
     #[test]
-    fn exit_positions_track_exit_sends() {
+    fn exit_sends_keep_their_time_and_position() {
         let t = topo();
         let mut c = Collector::new(&t, CollectorConfig::default());
         c.record_tx(NfId(2), 500, None, &[meta(9, 1)]);
         c.record_tx(NfId(2), 600, None, &[meta(10, 2), meta(11, 3)]);
         let s = EdgeStreams::build(&t, &c.into_bundle());
-        let exits = s.exit_positions(NfId(2));
-        assert_eq!(exits.len(), 3);
-        assert_eq!(s.nfs[2].tx[exits[2] as usize].ipid, 11);
+        let exit = |ts, pos| {
+            Some(TxHop {
+                ts,
+                next: TxNext::Exit { pos },
+            })
+        };
+        assert_eq!(s.tx(NfId(2), 0), exit(500, 0));
+        assert_eq!(s.tx(NfId(2), 2), exit(600, 2));
+        assert_eq!(s.tx(NfId(2), 3), None);
     }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use msc_collector::{Collector, CollectorConfig, PacketMeta};
-    use nf_types::{NfKind, Proto};
 
     #[test]
     fn empty_bundle_builds_empty_streams() {
@@ -425,13 +474,13 @@ mod more_tests {
         let t = b.build().unwrap();
         let c = Collector::new(&t, CollectorConfig::default());
         let s = EdgeStreams::build(&t, &c.into_bundle());
-        assert!(s.source.is_empty());
-        assert!(s.nfs[0].rx.is_empty());
-        assert_eq!(s.edge_len(NodeId::Source, a), 0);
+        assert!(s.nfs[0].rx_ts.is_empty());
+        assert_eq!(s.tx(a, 0), None);
+        assert_eq!(s.edge_entries(NodeId::Source, a).len(), 0);
     }
 
     #[test]
-    fn tx_edge_pos_inverse_holds_for_every_entry() {
+    fn every_tx_entry_points_at_its_send_in_its_edge_column() {
         let mut b = Topology::builder();
         let a = b.add_nf(NfKind::Nat, "nat1");
         let v1 = b.add_nf(NfKind::Vpn, "vpn1");
@@ -441,27 +490,35 @@ mod more_tests {
         b.add_edge(a, v2);
         let t = b.build().unwrap();
         let mut c = Collector::new(&t, CollectorConfig::default());
-        let m = |ipid: u16| PacketMeta {
-            ipid,
-            flow: FiveTuple::new(1, 2, 3, 4, Proto::TCP),
-        };
-        // Interleave targets across batches.
-        c.record_tx(NfId(0), 100, Some(v1), &[m(1), m(2)]);
-        c.record_tx(NfId(0), 200, Some(v2), &[m(3)]);
-        c.record_tx(NfId(0), 300, Some(v1), &[m(4)]);
+        // Interleave targets across batches; NF 7 is in no topology of this
+        // size, v2 -> v1 is not an edge of this one.
+        c.record_tx(a, 100, Some(v1), &[meta(1, 1), meta(2, 1)]);
+        c.record_tx(a, 200, Some(v2), &[meta(3, 1)]);
+        c.record_tx(a, 250, Some(NfId(7)), &[meta(8, 1)]);
+        c.record_tx(a, 300, Some(v1), &[meta(4, 1)]);
+        c.record_tx(v2, 400, Some(v1), &[meta(5, 1)]);
+        let sent = [(100, 1), (100, 2), (200, 3), (250, 8), (300, 4)];
         let s = EdgeStreams::build(&t, &c.into_bundle());
-        for (i, e) in s.nfs[0].tx.iter().enumerate() {
-            let pos = s.tx_edge_pos[0][i] as usize;
-            match e.to {
-                Some(d) => {
-                    assert_eq!(s.edge_positions(NodeId::Nf(NfId(0)), d)[pos] as usize, i);
+        for (i, &(ts, ipid)) in sent.iter().enumerate() {
+            let hop = s.tx(a, i).unwrap();
+            assert_eq!(hop.ts, ts);
+            match hop.next {
+                TxNext::Edge { down, slot, pos } => {
+                    assert_eq!(s.slot_of(NodeId::Nf(a), down), Some(slot));
+                    assert_eq!(s.edge(down, slot).iter().nth(pos), Some((ts, ipid)));
                 }
-                None => {
-                    assert_eq!(s.exit_positions(NfId(0))[pos] as usize, i);
-                }
+                other => assert_eq!((other, ipid), (TxNext::Stray, 8)),
             }
         }
-        assert_eq!(s.edge_len(NodeId::Nf(NfId(0)), v1), 3);
-        assert_eq!(s.edge_len(NodeId::Nf(NfId(0)), v2), 1);
+        assert_eq!(s.tx(a, sent.len()), None);
+        assert_eq!(s.edge_entries(NodeId::Nf(a), v1).len(), 3);
+        assert_eq!(s.edge_entries(NodeId::Nf(a), v2).len(), 1);
+        assert_eq!(
+            s.tx(v2, 0),
+            Some(TxHop {
+                ts: 400,
+                next: TxNext::Stray
+            })
+        );
     }
 }

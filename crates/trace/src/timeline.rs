@@ -90,17 +90,19 @@ pub struct NfTimeline {
     /// stay in [`Reconstruction::reads`]: everything a query needs of them
     /// is in the columns below.
     read_ts: Vec<Nanos>,
-    /// `read_prefix[i]` = packets read in batches `0..i`.
-    read_prefix: Vec<u64>,
+    /// `read_prefix[i]` = packets read in batches `0..i`. A count of one NF
+    /// log's packets, like the two columns below: `u32` ([`Self::new`]
+    /// checks it), widened where a query hands it out.
+    read_prefix: Vec<u32>,
     /// `queued_prefix[i]` = queued (non-dropped) arrivals in `arrivals[0..i]`.
-    queued_prefix: Vec<u64>,
+    queued_prefix: Vec<u32>,
     /// For read index i: the largest j ≤ i with `reads[j].drained`
     /// ([`NOT_DRAINED`] if none) — the queue-empty boundary list of the
     /// zero-threshold drain signal.
     last_drained: Vec<u32>,
     /// Estimated queue occupancy right after read i: queued arrivals with
     /// `ts <= reads[i].ts` minus packets read in batches `0..=i` (saturating).
-    occ_after_read: Vec<u64>,
+    occ_after_read: Vec<u32>,
 }
 
 /// `last_drained` of a read no draining read precedes.
@@ -112,6 +114,13 @@ impl NfTimeline {
             u32::try_from(reads.len()).is_ok_and(|n| n != NOT_DRAINED),
             "read indexes must fit u32"
         );
+        // The prefix columns count this NF's packets: its arrivals and what
+        // its reads took (`RxLog` keeps a log's packet count within u32).
+        let packets_read: u64 = reads.iter().map(|r| u64::from(r.size)).sum();
+        assert!(
+            u32::try_from(packets_read).is_ok() && u32::try_from(arrivals.len()).is_ok(),
+            "an NF's packet counts must fit u32"
+        );
         // Time-order via a stable radix permutation of the timestamps: the
         // identical order `arrivals.sort_by_key(|a| a.ts)` produced, but
         // the counting passes move u32 indices and the 16-byte records are
@@ -122,17 +131,17 @@ impl NfTimeline {
         let arrival_ts: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
         let read_ts: Vec<Nanos> = reads.iter().map(|r| r.ts).collect();
         let mut read_prefix = Vec::with_capacity(reads.len() + 1);
-        let mut read_so_far = 0u64;
+        let mut read_so_far = 0u32;
         read_prefix.push(read_so_far);
         for r in reads {
-            read_so_far += u64::from(r.size);
+            read_so_far += r.size;
             read_prefix.push(read_so_far);
         }
         let mut queued_prefix = Vec::with_capacity(arrivals.len() + 1);
-        let mut queued_so_far = 0u64;
+        let mut queued_so_far = 0u32;
         queued_prefix.push(queued_so_far);
         for a in &arrivals {
-            queued_so_far += u64::from(a.kind == ArrivalKind::Queued);
+            queued_so_far += u32::from(a.kind == ArrivalKind::Queued);
             queued_prefix.push(queued_so_far);
         }
         let mut last_drained = Vec::with_capacity(reads.len());
@@ -170,21 +179,21 @@ impl NfTimeline {
     pub fn processed_in(&self, a: Nanos, b: Nanos) -> u64 {
         let lo = self.read_ts.partition_point(|&ts| ts < a);
         let hi = self.read_ts.partition_point(|&ts| ts <= b);
-        self.read_prefix[hi] - self.read_prefix[lo]
+        u64::from(self.read_prefix[hi] - self.read_prefix[lo])
     }
 
     /// Queued packets arriving in `[a, b]`.
     // hot: per-anomaly interval count
     pub fn arrived_in(&self, a: Nanos, b: Nanos) -> u64 {
         let (lo, hi) = self.arrival_range(a, b);
-        self.queued_prefix[hi] - self.queued_prefix[lo]
+        u64::from(self.queued_prefix[hi] - self.queued_prefix[lo])
     }
 
     /// Estimated queue occupancy right after read `i` (see §7): queued
     /// arrivals up to the read timestamp minus everything read so far.
     // hot: queue-law occupancy probe
     pub fn occupancy_after_read(&self, i: usize) -> u64 {
-        self.occ_after_read[i]
+        u64::from(self.occ_after_read[i])
     }
 
     // hot: interval-query bound pair
@@ -224,7 +233,7 @@ impl NfTimeline {
         let hi = self.read_ts.partition_point(|&ts| ts <= t);
         let start_ts = self.occ_after_read[..hi]
             .iter()
-            .rposition(|&occ| occ <= threshold)
+            .rposition(|&occ| u64::from(occ) <= threshold)
             .map(|i| self.read_ts[i]);
         let start_idx = match start_ts {
             Some(ts) => self.arrival_ts.partition_point(|&a| a <= ts),
@@ -269,7 +278,7 @@ impl NfTimeline {
         }
         let t0 = self.arrivals[s].ts;
         let end_idx = self.arrival_ts.partition_point(|&ts| ts <= t);
-        let n_arrived = self.queued_prefix[end_idx] - self.queued_prefix[s];
+        let n_arrived = u64::from(self.queued_prefix[end_idx] - self.queued_prefix[s]);
         let n_processed = self.processed_in(t0, t);
         QueuingPeriod {
             interval: Interval::new(t0, t),
@@ -749,7 +758,7 @@ mod tests {
         // queued arrivals with ts <= read: 0 2 2 3 5 5; read so far: 0 1 2 7 8 8.
         assert_eq!(tl.occ_after_read, [0, 1, 0, 0, 0, 0]);
         let occ: Vec<u64> = (0..6).map(|i| tl.occupancy_after_read(i)).collect();
-        assert_eq!(occ, tl.occ_after_read);
+        assert_eq!(occ, [0, 1, 0, 0, 0, 0]);
 
         // Threshold 1 at t=300: the walk back passes read 4 (t=300, occ 0 <=
         // 1), so the period opens with the arrivals *after* 300 — none.

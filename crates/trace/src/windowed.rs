@@ -45,17 +45,17 @@
 //!    in forwarding order, each tagged with its trace; a trace's own hops
 //!    come out in path order. [`WindowedReconstructor::finish`] groups them
 //!    by trace with one stable counting sort — the offline arena — and then
-//!    runs the offline `PathTrie::index` and `Timelines::build` over it.
+//!    interns the paths in trace order, as the offline walk does, and runs
+//!    the offline `Timelines::build` over it.
 
-use crate::matching::{EdgeIndex, MatchConfig, NfMatcher, UNMATCHED};
+use crate::matching::{edge_indexes, EdgeIndex, EdgeSends, MatchConfig, NfMatcher, UNMATCHED};
 use crate::reconstruct::{
-    PathTrie, ReconstructedTrace, Reconstruction, ReconstructionReport, RxTraceRef, TraceHop,
-    TraceOutcome,
+    PathTrie, ReconstructedTrace, Reconstruction, ReconstructionReport, TraceHop, TraceOutcome,
 };
-use crate::streams::{RxBatchInfo, RxEntry};
+use crate::streams::{EdgeSlots, RxBatchInfo};
 use crate::timeline::Timelines;
 use msc_collector::{BundleChunk, TraceBundle};
-use nf_types::{FiveTuple, Nanos, NfId, NodeId, Topology};
+use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology};
 use std::fmt;
 
 /// Errors from streaming ingestion.
@@ -136,6 +136,39 @@ struct TxSlot {
     pos_within: u32,
 }
 
+/// Where a decided rx entry came from: the upstream slot and the edge
+/// position it matched — eight bytes per undecided read, not the 24 of an
+/// `Option<(usize, usize)>`. Slots are below the fan-in and positions are
+/// `u32`-bounded ([`WindowedReconstructor::advance`] asserts it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Origin {
+    pos: u32,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Origin>() == 8);
+
+impl Origin {
+    /// The rx entry matched no send.
+    const NONE: Self = Self {
+        pos: u32::MAX,
+        slot: u32::MAX,
+    };
+
+    fn new(chosen: Option<(usize, usize)>) -> Self {
+        // lint: lossy-cast-ok(a slot is below the fan-in; positions are asserted to fit u32 when their send is appended)
+        chosen.map_or(Self::NONE, |(slot, pos)| Self {
+            pos: pos as u32,
+            slot: slot as u32,
+        })
+    }
+
+    /// `(edge slot, position)`; `None` for an unmatched entry.
+    fn get(self) -> Option<(usize, usize)> {
+        (self != Self::NONE).then_some((self.slot as usize, self.pos as usize))
+    }
+}
+
 /// What forwarding needs to know about one upstream edge beyond the
 /// matcher's columns.
 #[derive(Default)]
@@ -151,18 +184,20 @@ struct EdgeOwners {
 /// Per-NF streaming state: flat columns indexed from `base`, consumed in
 /// index order.
 struct NfState {
-    /// The shared matcher: upstream edge columns, cursors, tallies.
+    /// The shared matcher: per-edge match state, cursors, tallies.
     matcher: NfMatcher,
-    /// Per upstream edge, aligned with `matcher.edges`.
+    /// Per upstream edge, aligned with `matcher.edges`: the retained sends,
+    /// and who owns them.
+    sends: Vec<EdgeSends>,
     owners: Vec<EdgeOwners>,
-    /// Flat rx/tx index of the first retained `rx` / `origin` / `tx` entry:
-    /// the next pair to forward.
+    /// Flat rx/tx index of the first retained `rx_*` / `origin` / `tx`
+    /// entry: the next pair to forward.
     base: usize,
-    /// rx entries from `base`.
-    rx: Vec<RxEntry>,
-    /// Per decided rx entry from `base`: the `(edge slot, position)` it
-    /// matched.
-    origin: Vec<Option<(usize, usize)>>,
+    /// rx entries from `base`: read timestamp and IPID.
+    rx_ts: Vec<Nanos>,
+    rx_ipid: Vec<Ipid>,
+    /// Per decided rx entry from `base`: where it came from.
+    origin: Vec<Origin>,
     /// tx entries from `base`.
     tx: Vec<TxSlot>,
     /// Exit flow records from exit position `flows_base`.
@@ -175,16 +210,26 @@ struct NfState {
 }
 
 impl NfState {
+    /// Appends one batch of sends to upstream edge `slot`, returning the
+    /// position of its first packet.
+    fn push_sends(&mut self, slot: usize, ts: Nanos, ipids: &[Ipid]) -> usize {
+        let e = &mut self.matcher.edges[slot];
+        let first = e.base + e.matched.len();
+        self.sends[slot].push_batch(ts, ipids);
+        e.matched.resize(e.matched.len() + ipids.len(), UNMATCHED);
+        first
+    }
+
     /// The trace owning the send an rx entry matched ([`NO_TRACE`] for an
     /// unmatched entry) and when it was sent; `None` while the upstream has
     /// not forwarded that far.
-    fn sender(&self, origin: Option<(usize, usize)>) -> Option<(u32, Nanos)> {
-        let Some((slot, pos)) = origin else {
+    fn sender(&self, origin: Origin) -> Option<(u32, Nanos)> {
+        let Some((slot, pos)) = origin.get() else {
             return Some((NO_TRACE, 0));
         };
-        let e = &self.matcher.edges[slot];
-        let owner = self.owners[slot].owner.get(pos - e.base)?;
-        Some((*owner, e.ts_at(pos)))
+        let at = pos - self.matcher.edges[slot].base;
+        let owner = self.owners[slot].owner.get(at)?;
+        Some((*owner, self.sends[slot].ts_at(at)))
     }
 }
 
@@ -195,10 +240,8 @@ pub struct WindowedReconstructor {
     topo: Topology,
     cfg: MatchConfig,
     nfs: Vec<NfState>,
-    /// `out_slot[u][d]` = slot of NF `u` on downstream `d`; `src_slot[d]` =
-    /// slot of the source on `d`.
-    out_slot: Vec<Vec<Option<usize>>>,
-    src_slot: Vec<Option<usize>>,
+    /// The topology's edges by upstream slot.
+    slots: EdgeSlots,
     /// One edge index per upstream slot of the widest NF, rebuilt over an
     /// NF's undecided edge tails whenever that NF has reads to decide.
     index: Vec<EdgeIndex>,
@@ -215,7 +258,6 @@ pub struct WindowedReconstructor {
     hops: Vec<TraceHop>,
     hop_trace: Vec<u32>,
     reads: Vec<Vec<RxBatchInfo>>,
-    rx_to_trace: Vec<Vec<RxTraceRef>>,
     report: ReconstructionReport,
 }
 
@@ -223,30 +265,18 @@ impl WindowedReconstructor {
     /// A reconstructor for `topology` with the given matching parameters.
     pub fn new(topology: &Topology, cfg: MatchConfig) -> Self {
         let n = topology.len();
-        let upstreams: Vec<Vec<NodeId>> = (0..n)
-            .map(|d| topology.upstream_nodes(NfId(d as u16)))
-            .collect();
-        let out_slot: Vec<Vec<Option<usize>>> = (0..n)
-            .map(|u| {
-                let me = NodeId::Nf(NfId(u as u16));
-                upstreams
-                    .iter()
-                    .map(|ups| ups.iter().position(|&node| node == me))
-                    .collect()
-            })
-            .collect();
-        let src_slot: Vec<Option<usize>> = upstreams
-            .iter()
-            .map(|ups| ups.iter().position(|&node| node == NodeId::Source))
-            .collect();
-        let nfs = upstreams
+        let slots = EdgeSlots::of(topology);
+        let nfs = slots
+            .upstreams
             .iter()
             .enumerate()
             .map(|(d, ups)| NfState {
                 matcher: NfMatcher::new(ups.len()),
+                sends: ups.iter().map(|_| EdgeSends::new()).collect(),
                 owners: ups.iter().map(|_| EdgeOwners::default()).collect(),
                 base: 0,
-                rx: Vec::new(),
+                rx_ts: Vec::new(),
+                rx_ipid: Vec::new(),
                 origin: Vec::new(),
                 tx: Vec::new(),
                 flows: Vec::new(),
@@ -255,21 +285,18 @@ impl WindowedReconstructor {
                 is_exit: topology.exits().contains(&NfId(d as u16)),
             })
             .collect();
-        let fan_in = upstreams.iter().map(Vec::len).max().unwrap_or(0);
         Self {
             topo: topology.clone(),
             cfg,
             nfs,
-            out_slot,
-            src_slot,
-            index: (0..fan_in).map(|_| EdgeIndex::new()).collect(),
+            index: edge_indexes(slots.fan_in()),
+            slots,
             boundary: None,
             watermark: 0,
             traces: Vec::new(),
             hops: Vec::new(),
             hop_trace: Vec::new(),
             reads: vec![Vec::new(); n],
-            rx_to_trace: vec![Vec::new(); n],
             report: ReconstructionReport::default(),
         }
     }
@@ -330,48 +357,39 @@ impl WindowedReconstructor {
     pub fn advance(&mut self, bundle: &TraceBundle, watermark: Nanos) -> Result<(), StreamError> {
         for (i, log) in bundle.logs.iter().enumerate() {
             self.reads[i].reserve(log.rx.len());
-            self.nfs[i].rx.reserve(log.rx.packets());
-            self.rx_to_trace[i].reserve(log.rx.packets());
             for b in log.rx.iter() {
-                // lint: lossy-cast-ok(asserted at the end of this NF's append)
-                let batch = self.reads[i].len() as u32;
                 self.reads[i].push(RxBatchInfo {
                     ts: b.ts,
                     // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
                     size: b.len() as u32,
                     drained: b.drained_queue(),
                 });
-                for &ipid in b.ipids {
-                    self.nfs[i].rx.push(RxEntry {
-                        ts: b.ts,
-                        ipid,
-                        batch,
-                    });
-                    self.rx_to_trace[i].push(RxTraceRef::NONE);
-                }
+                let st = &mut self.nfs[i];
+                st.rx_ts.extend(std::iter::repeat_n(b.ts, b.len()));
+                st.rx_ipid.extend_from_slice(b.ipids);
             }
             self.nfs[i].tx.reserve(log.tx.packets());
             for b in log.tx.iter() {
-                for &ipid in b.ipids {
-                    let pos_within = match b.to {
-                        Some(d) => match self.out_slot[i][d.0 as usize] {
-                            Some(slot) => {
-                                // lint: lossy-cast-ok(asserted at the end of this NF's append: a position is at most the send count)
-                                self.nfs[d.0 as usize].matcher.edges[slot].push(b.ts, ipid) as u32
-                            }
-                            None => 0,
-                        },
-                        None => {
-                            self.nfs[i].exit_count += 1;
-                            self.nfs[i].exit_count - 1
-                        }
-                    };
-                    self.nfs[i].tx.push(TxSlot {
-                        ts: b.ts,
-                        to: b.to,
-                        pos_within,
-                    });
-                }
+                // A target the topology has no edge to (or no NF for) has
+                // no column to append to: the send is a dead end.
+                let edge = b.to.and_then(|d| Some((d, self.slots.of_nf(i, d)?)));
+                let first = match edge {
+                    Some((d, slot)) => self.nfs[d.0 as usize].push_sends(slot, b.ts, b.ipids),
+                    None if b.to.is_some() => 0,
+                    None => {
+                        let st = &mut self.nfs[i];
+                        // lint: lossy-cast-ok(asserted at the end of this NF's append: an exit count is at most the send count)
+                        st.exit_count += b.len() as u32;
+                        st.exit_count as usize - b.len()
+                    }
+                };
+                // lint: lossy-cast-ok(asserted at the end of this NF's append: a position is at most the send count)
+                let positions = (first..first + b.len()).map(|p| p as u32);
+                self.nfs[i].tx.extend(positions.map(|pos_within| TxSlot {
+                    ts: b.ts,
+                    to: b.to,
+                    pos_within,
+                }));
             }
             self.nfs[i].flows.extend(log.flows.iter().map(|f| f.flow));
             // What the casts above rely on, over the whole run so far: an
@@ -379,7 +397,7 @@ impl WindowedReconstructor {
             // edge position or exit count never exceeds a send count).
             let st = &self.nfs[i];
             let longest = (st.base + st.tx.len())
-                .max(self.rx_to_trace[i].len())
+                .max(st.base + st.rx_ipid.len())
                 .max(self.reads[i].len());
             assert!(
                 u32::try_from(longest).is_ok(),
@@ -388,7 +406,7 @@ impl WindowedReconstructor {
         }
         for f in &bundle.source_flows {
             let entry = self.topo.entry_for(&f.flow);
-            let Some(slot) = self.src_slot[entry.0 as usize] else {
+            let Some(slot) = self.slots.of_source(entry) else {
                 return Err(StreamError::MissingSourceEdge { nf: entry });
             };
             // A source emission is a send whose owner is known at once.
@@ -397,7 +415,7 @@ impl WindowedReconstructor {
                 "trace indexes must fit u32"
             );
             let st = &mut self.nfs[entry.0 as usize];
-            st.matcher.edges[slot].push(f.ts, f.ipid);
+            st.push_sends(slot, f.ts, &[f.ipid]);
             // lint: lossy-cast-ok(guarded by the assert above)
             st.owners[slot].owner.push(self.traces.len() as u32);
             self.traces.push(ReconstructedTrace {
@@ -425,30 +443,42 @@ impl WindowedReconstructor {
         }
         self.report.unresolved =
             self.report.total - self.report.delivered - self.report.inferred_drops;
+        // Everything still evictable goes now; what is left is the output.
+        let Self {
+            topo,
+            mut traces,
+            hops: forwarded,
+            hop_trace,
+            reads,
+            report,
+            ..
+        } = self;
         // Group the hops by trace, in emission order: a stable counting
-        // sort with each trace's hop range as its own write head.
+        // sort with each trace's hop range as its own write head, over hop
+        // indexes — the arena itself is then written once, in order.
         let mut start = 0;
-        for tr in &mut self.traces {
+        for tr in &mut traces {
             let n = tr.hops.end;
             tr.hops = start..start;
             start += n;
         }
-        let mut hops = self.hops.clone();
-        for (h, &t) in self.hops.iter().zip(&self.hop_trace) {
-            let head = &mut self.traces[t as usize].hops.end;
-            hops[*head as usize] = *h;
+        let mut order = vec![0u32; forwarded.len()];
+        for (i, &t) in (0u32..).zip(&hop_trace) {
+            let head = &mut traces[t as usize].hops.end;
+            order[*head as usize] = i;
             *head += 1;
         }
-        drop((self.hops, self.hop_trace));
-        let (paths, hop_path_ids) = PathTrie::index(&self.traces, &hops);
+        drop(hop_trace);
+        let hops: Vec<TraceHop> = order.iter().map(|&i| forwarded[i as usize]).collect();
+        drop((order, forwarded));
+        let (paths, path_ids) = PathTrie::intern_traces(&traces, &hops, topo.len());
         let recon = Reconstruction {
-            traces: self.traces,
+            traces,
             hops,
-            report: self.report,
-            reads: self.reads,
-            rx_to_trace: self.rx_to_trace,
+            report,
+            reads,
             paths,
-            hop_path_ids,
+            path_ids,
         };
         let timelines = Timelines::build(&recon);
         (recon, timelines)
@@ -468,19 +498,21 @@ impl WindowedReconstructor {
     /// Bytes held by the *evictable* frontier: the rx, tx and send columns
     /// and the index over the undecided tails. This is the quantity that
     /// must stay O(window); the retained diagnosis substrate (traces, hops,
-    /// reads, back-references) legitimately grows with the run, and the
-    /// index's IPID tables are a fixed 512 KiB per upstream slot of the
-    /// widest NF.
+    /// reads) legitimately grows with the run, and the index's IPID tables
+    /// are a fixed 512 KiB per upstream slot of the widest NF.
     pub fn working_set(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.index.iter().map(EdgeIndex::bytes).sum::<usize>();
         for st in &self.nfs {
-            bytes += st.rx.capacity() * size_of::<RxEntry>()
-                + st.origin.capacity() * size_of::<Option<(usize, usize)>>()
+            // lint: time-arith-ok(a sum of byte counts; `rx_ts` is the column, not a timestamp)
+            bytes += st.rx_ts.capacity() * size_of::<Nanos>()
+                + st.rx_ipid.capacity() * size_of::<Ipid>()
+                + st.origin.capacity() * size_of::<Origin>()
                 + st.tx.capacity() * size_of::<TxSlot>()
                 + st.flows.capacity() * size_of::<FiveTuple>();
-            for (e, o) in st.matcher.edges.iter().zip(&st.owners) {
-                bytes += e.bytes() + o.owner.capacity() * size_of::<u32>();
+            for ((e, sends), o) in st.matcher.edges.iter().zip(&st.sends).zip(&st.owners) {
+                bytes +=
+                    sends.bytes() + (e.matched.capacity() + o.owner.capacity()) * size_of::<u32>();
             }
         }
         bytes
@@ -508,7 +540,7 @@ impl WindowedReconstructor {
     /// playout.
     fn decide_nf(&mut self, i: usize, finishing: bool) {
         let st = &mut self.nfs[i];
-        let undecided = &st.rx[st.origin.len()..];
+        let undecided = &st.rx_ts[st.origin.len()..];
         let stable = if finishing {
             undecided.len()
         } else {
@@ -521,7 +553,7 @@ impl WindowedReconstructor {
             undecided
                 .iter()
                 .skip(margin)
-                .take_while(|r| r.ts.saturating_add(slack) < horizon)
+                .take_while(|ts| ts.saturating_add(slack) < horizon)
                 .count()
         };
         if stable == 0 {
@@ -530,15 +562,24 @@ impl WindowedReconstructor {
         // Sends appended since the last round are not in the index yet, and
         // the tables are shared between NFs: re-index this NF's undecided
         // edge tails.
-        for (ix, e) in self.index.iter_mut().zip(&st.matcher.edges) {
-            ix.rebuild(e);
+        for (ix, (e, sends)) in self
+            .index
+            .iter_mut()
+            .zip(st.matcher.edges.iter().zip(&st.sends))
+        {
+            ix.rebuild(sends, e.cursor - e.base, e.cursor);
         }
         for _ in 0..stable {
             let k = st.origin.len();
-            let chosen = st
-                .matcher
-                .decide(&mut self.index, &st.rx, k, st.base, &self.cfg);
-            st.origin.push(chosen);
+            let chosen = st.matcher.decide(
+                &mut self.index,
+                &st.rx_ts,
+                &st.rx_ipid,
+                k,
+                st.base,
+                &self.cfg,
+            );
+            st.origin.push(Origin::new(chosen));
         }
     }
 
@@ -561,19 +602,15 @@ impl WindowedReconstructor {
                 break;
             }
             let (trace, arrival) = sender.unwrap_or((NO_TRACE, 0));
-            let (j, read_ts) = (st.base + n, st.rx[n].ts);
+            let read_ts = st.rx_ts[n];
             n += 1;
             if trace != NO_TRACE {
-                let tr = &mut self.traces[trace as usize];
-                self.rx_to_trace[d][j] = RxTraceRef::new(trace as usize, tr.hops.end as usize);
-                tr.hops.end += 1;
+                self.traces[trace as usize].hops.end += 1;
                 self.hops.push(TraceHop::new(
                     NfId(d as u16),
                     arrival,
                     read_ts,
                     tx.map(|t| t.ts),
-                    // lint: lossy-cast-ok(asserted when the rx entry was appended)
-                    j as u32,
                 ));
                 self.hop_trace.push(trace);
             }
@@ -596,7 +633,7 @@ impl WindowedReconstructor {
                 // A send to a node that is not a topology edge has no match
                 // table offline either: the trace stays unresolved.
                 Some(d2) => {
-                    if let Some(slot) = self.out_slot[d][d2.0 as usize] {
+                    if let Some(slot) = self.slots.of_nf(d, d2) {
                         let down = &mut self.nfs[d2.0 as usize];
                         let owner = &mut down.owners[slot].owner;
                         debug_assert_eq!(
@@ -613,7 +650,8 @@ impl WindowedReconstructor {
         let exits = sent.filter(|t| t.to.is_none()).count().min(st.flows.len());
         st.flows.drain(..exits);
         st.flows_base += exits;
-        st.rx.drain(..n);
+        st.rx_ts.drain(..n);
+        st.rx_ipid.drain(..n);
         st.origin.drain(..n);
         st.base += n;
     }
@@ -624,14 +662,15 @@ impl WindowedReconstructor {
     /// entry already forwarded.
     fn settle_sends(&mut self, d: usize) {
         let st = &mut self.nfs[d];
-        for (e, o) in st.matcher.edges.iter_mut().zip(&mut st.owners) {
+        let edges = st.matcher.edges.iter_mut().zip(&mut st.sends);
+        for ((e, sends), o) in edges.zip(&mut st.owners) {
             let upto = e.cursor.min(e.base + o.owner.len());
             for pos in o.settled..upto {
                 let trace = o.owner[pos - e.base];
                 if e.matched[pos - e.base] == UNMATCHED && trace != NO_TRACE {
                     self.traces[trace as usize].outcome = TraceOutcome::InferredDrop {
                         nf: NfId(d as u16),
-                        at: e.ts_at(pos),
+                        at: sends.ts_at(pos - e.base),
                     };
                     self.report.inferred_drops += 1;
                 }
@@ -642,7 +681,8 @@ impl WindowedReconstructor {
                 .take_while(|&&m| m == UNMATCHED || (m as usize) < st.base)
                 .count();
             o.owner.drain(..n);
-            e.drop_prefix(n);
+            sends.drop_prefix(n);
+            e.drop_decided(n);
         }
     }
 }

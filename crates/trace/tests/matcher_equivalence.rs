@@ -36,6 +36,13 @@ impl Lcg {
 // Reference matcher: per-IPID HashMap index, allocation-happy lookahead.
 // ---------------------------------------------------------------------------
 
+/// One read of the matched NF, as the reference matcher walks them.
+#[derive(Clone, Copy)]
+struct RxEntry {
+    ts: Nanos,
+    ipid: u16,
+}
+
 struct RefEdge {
     node: NodeId,
     ts: Vec<Nanos>,
@@ -46,20 +53,9 @@ struct RefEdge {
 
 impl RefEdge {
     fn build(streams: &EdgeStreams, node: NodeId, down: NfId) -> Self {
-        let positions = streams.edge_positions(node, down);
-        let mut ts = Vec::with_capacity(positions.len());
+        let mut ts = Vec::new();
         let mut by_ipid: HashMap<u16, Vec<usize>> = HashMap::new();
-        for (pos, &idx) in positions.iter().enumerate() {
-            let (t, ipid) = match node {
-                NodeId::Source => {
-                    let e = &streams.source[idx as usize];
-                    (e.ts, e.ipid)
-                }
-                NodeId::Nf(u) => {
-                    let e = &streams.nfs[u.0 as usize].tx[idx as usize];
-                    (e.ts, e.ipid)
-                }
-            };
+        for (pos, (t, ipid)) in streams.edge_entries(node, down).enumerate() {
             ts.push(t);
             by_ipid.entry(ipid).or_default().push(pos);
         }
@@ -95,7 +91,7 @@ impl RefEdge {
 fn ref_lookahead_score(
     edges: &[RefEdge],
     mut cursors: Vec<usize>,
-    rx: &[msc_trace::RxEntry],
+    rx: &[RxEntry],
     rx_from: usize,
     depth: usize,
     cfg: &MatchConfig,
@@ -133,7 +129,11 @@ fn ref_match_downstream(
     down: NfId,
     cfg: &MatchConfig,
 ) -> RefMatch {
-    let rx = &streams.nfs[down.0 as usize].rx;
+    let rx: Vec<RxEntry> = streams.nfs[down.0 as usize]
+        .rx()
+        .map(|(ts, ipid)| RxEntry { ts, ipid })
+        .collect();
+    let rx = &rx[..];
     let upstreams = topology.upstream_nodes(down);
     let mut edges: Vec<RefEdge> = upstreams
         .iter()

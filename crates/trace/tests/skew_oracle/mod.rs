@@ -28,19 +28,18 @@ fn edge_delta(
     down: NfId,
     cfg: &SkewConfig,
 ) -> Option<TimeDelta> {
-    let rx = &streams.nfs[down.0 as usize].rx;
+    let rx = &streams.nfs[down.0 as usize];
     // Per-IPID positions in the rx stream for O(log) in-order lookup.
     let mut rx_by_ipid: HashMap<Ipid, Vec<usize>> = HashMap::new();
-    for (i, e) in rx.iter().enumerate() {
-        rx_by_ipid.entry(e.ipid).or_default().push(i);
+    for (i, &ipid) in rx.rx_ipid.iter().enumerate() {
+        rx_by_ipid.entry(ipid).or_default().push(i);
     }
     // Pairs whose IPID recurs nearby in the rx stream are likely cross-edge
     // collisions; skip them (we only need *some* clean samples).
     const AMBIG_DIST: usize = 96;
     let mut cursor = 0usize;
     let mut deltas: Vec<TimeDelta> = Vec::new();
-    for pos in 0..streams.edge_len(up, down) {
-        let (tx_ts, ipid) = streams.edge_entry(up, down, pos);
+    for (tx_ts, ipid) in streams.edge_entries(up, down) {
         let Some(positions) = rx_by_ipid.get(&ipid) else {
             continue;
         };
@@ -56,7 +55,7 @@ fn edge_delta(
         if prev_close || next_close {
             continue;
         }
-        deltas.push(rx[rx_idx].ts as i64 - tx_ts as i64);
+        deltas.push(rx.rx_ts[rx_idx] as i64 - tx_ts as i64);
     }
     if deltas.len() < cfg.min_samples {
         return None;
@@ -160,14 +159,12 @@ fn edge_residual(
     search_ns: i64,
     cfg: &SkewConfig,
 ) -> Option<TimeDelta> {
-    let rx = &streams.nfs[down.0 as usize].rx;
     let mut rx_by_ipid: HashMap<Ipid, Vec<Nanos>> = HashMap::new();
-    for e in rx {
-        rx_by_ipid.entry(e.ipid).or_default().push(e.ts);
+    for (ts, ipid) in streams.nfs[down.0 as usize].rx() {
+        rx_by_ipid.entry(ipid).or_default().push(ts);
     }
     let mut deltas: Vec<TimeDelta> = Vec::new();
-    for pos in 0..streams.edge_len(up, down) {
-        let (tx_ts, ipid) = streams.edge_entry(up, down, pos);
+    for (tx_ts, ipid) in streams.edge_entries(up, down) {
         let Some(times) = rx_by_ipid.get(&ipid) else {
             continue;
         };

@@ -262,8 +262,8 @@ fn pipeline_is_deterministic_across_runs_on_16_nf_run() {
     assert_eq!(recon.traces, first_recon.traces);
     assert_eq!(recon.hops, first_recon.hops);
     assert_eq!(recon.report, first_recon.report);
-    assert_eq!(recon.rx_to_trace, first_recon.rx_to_trace);
-    assert_eq!(recon.hop_path_ids, first_recon.hop_path_ids);
+    assert_eq!(recon.paths, first_recon.paths);
+    assert_eq!(recon.path_ids, first_recon.path_ids);
     let timelines = Timelines::build(&recon);
     assert_eq!(timelines, first_timelines);
     assert_eq!(engine.diagnose_all(&recon, &timelines), first_diag);
