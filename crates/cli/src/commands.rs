@@ -105,14 +105,18 @@ impl Flags {
     }
 
     /// `--chunk-ms`, when given: a whole number of milliseconds, at least 1
-    /// (0 would cut the run into one chunk per nanosecond).
+    /// (0 would cut the run into one chunk per nanosecond) and small enough
+    /// to be a nanosecond count.
     fn chunk_ms(&self) -> Result<Option<u64>, String> {
         if self.get("chunk-ms").is_none() {
             return Ok(None);
         }
         match self.num("chunk-ms", 0u64)? {
             0 => Err("--chunk-ms must be at least 1".to_string()),
-            ms => Ok(Some(ms)),
+            ms => {
+                scaled("--chunk-ms", ms, MILLIS)?;
+                Ok(Some(ms))
+            }
         }
     }
 
@@ -126,6 +130,14 @@ impl Flags {
             Err(format!("--quantile must be in (0, 1), got {q}"))
         }
     }
+}
+
+/// `value` of `unit` nanoseconds each, or an error naming `flag` when the
+/// product does not fit the 64-bit nanosecond clock.
+fn scaled(flag: &str, value: u64, unit: u64) -> Result<u64, String> {
+    value
+        .checked_mul(unit)
+        .ok_or_else(|| format!("{flag} value {value} does not fit a 64-bit nanosecond count"))
 }
 
 /// Runs the part of a command that writes stdout. A reader that closed the
@@ -165,7 +177,13 @@ pub fn record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     )?;
     let out_dir = PathBuf::from(f.require("out")?);
     let millis: u64 = f.num("millis", 200)?;
+    let duration = scaled("--millis", millis, MILLIS)?;
     let rate: f64 = f.num("rate", 1.2)?;
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!(
+            "--rate must be a positive number of Mpps, got {rate}"
+        ));
+    }
     let seed: u64 = f.num("seed", 42)?;
     let chunk_ms = f.chunk_ms()?;
 
@@ -201,8 +219,8 @@ pub fn record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             .map_err(|_| format!("bad µs in {spec:?}"))?;
         sim.add_fault(Fault::Interrupt {
             nf,
-            at: at * MILLIS,
-            duration: len * MICROS,
+            at: scaled("--interrupt", at, MILLIS)?,
+            duration: scaled("--interrupt", len, MICROS)?,
         });
     }
 
@@ -213,7 +231,7 @@ pub fn record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         },
         seed,
     );
-    let packets = gen.generate(0, millis * MILLIS).finalize(0);
+    let packets = gen.generate(0, duration).finalize(0);
     let n = packets.len();
     let run = sim.run(&packets);
 
@@ -567,6 +585,7 @@ mod tests {
             (super::stream, vec!["--bogus"]),
             (super::stream, vec!["--chunk-ms", "0"]),
             (super::stream, vec!["--chunk-ms", "-5"]),
+            (super::stream, vec!["--chunk-ms", "18446744073710"]),
         ];
         for q in ["nan", "-1", "0", "1", "1.5", "inf", "x"] {
             cases.push((super::diagnose, vec!["--quantile", q]));
@@ -586,14 +605,28 @@ mod tests {
             assert!(!USAGE.contains(gone), "USAGE still lists {gone}");
         }
 
-        // `record` refuses `--chunk-ms 0` before it simulates or writes.
-        let dir = std::env::temp_dir().join("msc_cli_chunk_ms_zero");
+        // `record` refuses a chunk length of 0, a rate that is not a positive
+        // number and durations past the nanosecond clock before it simulates
+        // or writes.
+        let dir = std::env::temp_dir().join("msc_cli_record_rejects");
         let _ = std::fs::remove_dir_all(&dir);
         let out = dir.to_string_lossy().to_string();
-        let mut stdout = Vec::new();
-        let err = super::record(&s(&["--out", &out, "--chunk-ms", "0"]), &mut stdout).unwrap_err();
-        assert!(err.contains("--chunk-ms"), "{err}");
-        assert!(stdout.is_empty() && !dir.exists());
+        for bad in [
+            ["--chunk-ms", "0"],
+            ["--chunk-ms", "18446744073710"],
+            ["--rate", "0"],
+            ["--rate", "-1"],
+            ["--rate", "nan"],
+            ["--rate", "inf"],
+            ["--millis", "18446744073710"],
+            ["--interrupt", "nat1:18446744073710:1"],
+            ["--interrupt", "nat1:1:18446744073709552"],
+        ] {
+            let mut stdout = Vec::new();
+            let err = super::record(&s(&["--out", &out, bad[0], bad[1]]), &mut stdout).unwrap_err();
+            assert!(err.contains(bad[0]), "{bad:?}: {err}");
+            assert!(stdout.is_empty() && !dir.exists(), "{bad:?}");
+        }
 
         let f = |args: &[&str]| Flags::parse(&s(args), &["quantile", "chunk-ms"], &[]).unwrap();
         assert_eq!(f(&[]).quantile(), Ok(0.99));
@@ -678,6 +711,9 @@ mod tests {
             "3",
         ]))
         .unwrap();
+        // The offline commands take whole bundles only, and say so.
+        let err = inspect(&s(&["--bundle", &chunked])).unwrap_err();
+        assert!(err.contains("chunked") && err.contains("stream"), "{err}");
     }
 
     #[test]

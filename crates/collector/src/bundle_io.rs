@@ -55,6 +55,8 @@ pub enum BundleIoError {
     Io(io::Error),
     /// The file does not start with the bundle magic.
     BadMagic,
+    /// A time-chunked `"MSCS"` file where a whole-run bundle was asked for.
+    Chunked,
     /// Unsupported format version.
     BadVersion(u8),
     /// An embedded NF log failed to encode or decode.
@@ -71,6 +73,10 @@ impl fmt::Display for BundleIoError {
         match self {
             BundleIoError::Io(e) => write!(f, "i/o error: {e}"),
             BundleIoError::BadMagic => write!(f, "not a Microscope bundle (bad magic)"),
+            BundleIoError::Chunked => write!(
+                f,
+                "a time-chunked bundle (.mscs), not a whole-run one: `microscope stream` reads it"
+            ),
             BundleIoError::BadVersion(v) => write!(f, "unsupported bundle version {v}"),
             BundleIoError::Log(e) => write!(f, "corrupt NF log: {e}"),
             BundleIoError::Truncated => write!(f, "truncated bundle"),
@@ -128,7 +134,11 @@ pub fn read_bundle<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic).map_err(eof)?;
     if &magic != MAGIC {
-        return Err(BundleIoError::BadMagic);
+        return Err(if &magic == CHUNKED_MAGIC {
+            BundleIoError::Chunked
+        } else {
+            BundleIoError::BadMagic
+        });
     }
     let mut v = [0u8; 1];
     r.read_exact(&mut v).map_err(eof)?;
@@ -375,7 +385,6 @@ impl<R: Read> BundleChunkReader<R> {
     }
 
     /// Reads the next chunk; `Ok(None)` at a clean end of file.
-    // wire: pair(write_bundle_chunked)
     pub fn next_chunk(&mut self) -> Result<Option<BundleChunk>, BundleIoError> {
         if self.failed {
             return Ok(None);
@@ -686,6 +695,14 @@ mod tests {
             read_bundle(&b"NOPE"[..]),
             Err(BundleIoError::BadMagic) | Err(BundleIoError::Truncated)
         ));
+        // A chunked file is not garbage: the error says what it is and what
+        // reads it.
+        let mut chunked = Vec::new();
+        write_bundle_chunked(&mut chunked, &chunk_bundle(&sample_bundle(), 7_000)).unwrap();
+        let err = read_bundle(&chunked[..]).unwrap_err();
+        assert!(matches!(err, BundleIoError::Chunked), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("chunked") && msg.contains("stream"), "{msg}");
         let mut buf = Vec::new();
         write_bundle(&mut buf, &sample_bundle()).unwrap();
         buf[4] = 99; // version

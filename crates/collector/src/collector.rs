@@ -201,6 +201,7 @@ impl TraceBundle {
             self.logs
                 .iter()
                 .map(|l| encode_nf_log(l).map_or(0, |enc| enc.len()))
+                // float: canonical-order(the sum is over usize; only the quotient is a float)
                 .sum::<usize>() as f64
                 / apps as f64
         }

@@ -131,8 +131,8 @@ fn get_tuple(buf: &[u8], pos: &mut usize) -> Result<FiveTuple, EncodeError> {
 
 /// Upper-bound capacity estimate for [`encode_nf_log`]'s buffer. Kept as a
 /// separate fn so the sizing arithmetic (which touches the sections in
-/// storage order, not wire order) stays out of the encode body that R11
-/// compares field-by-field against [`decode_nf_log`].
+/// storage order, not wire order) stays out of the encode body, which
+/// reads top to bottom in the same field order as [`decode_nf_log`].
 fn encoded_capacity(log: &NfLog) -> usize {
     8 + 4 * log.rx.len() + 7 * log.tx.len() + 2 * log.packet_appearances() + log.flows.len() * 17
 }

@@ -26,6 +26,19 @@
 //!    patterns of §4.4 ([`report`]).
 
 #![forbid(unsafe_code)]
+// The panic-surface gate (DESIGN.md §6): operator-facing code returns typed
+// errors; `assert!` contract checks are the only sanctioned panics.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod cache;
 pub mod diagnose;

@@ -49,7 +49,6 @@ pub fn credit_walk(texp: Nanos, timespans: &[Nanos]) -> Vec<Nanos> {
 /// (always in increasing order), which turns the stretch-cancellation scan
 /// into an amortised O(1) pop: each index is pushed once and removed at
 /// most once, instead of being revisited by every later stretch.
-// hot: credit-assignment DFS walk
 pub fn credit_walk_into(
     texp: Nanos,
     timespans: &[Nanos],
@@ -63,7 +62,7 @@ pub fn credit_walk_into(
     for (i, &out) in timespans.iter().enumerate() {
         if out < prev_out {
             credits[i] = prev_out - out;
-            // alloc: amortized(appends into the caller's reused walk stack, reserved once)
+            // Appends into the caller's reused walk stack, reserved once.
             stack.push(i);
             prev_out = out;
         } else {

@@ -2,9 +2,11 @@
 
 use std::fmt;
 
-/// The eleven project invariants `msc-lint` enforces (ids R6 and R7
-/// belonged to the retired concurrency rules, R8 to the retired kernel
-/// crate; none is reused).
+/// The five project invariants `msc-lint` enforces. Retired ids are never
+/// reused: R4 (unwrap ratchet), R5 (unsafe audit), R11 (wire parity) and
+/// R12–R14 (call-graph rules) are now checked by clippy, the compiler and
+/// the golden tests (DESIGN.md §6); R6/R7 belonged to the concurrency
+/// rules, R8 to the kernel crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// R1 — HashMap/HashSet iteration order must not reach output.
@@ -13,63 +15,33 @@ pub enum RuleId {
     TimeArithmetic,
     /// R3 — lossy `as` casts on wire-format quantities.
     LossyCast,
-    /// R4 — panic surface (`unwrap`/`expect`) in library code, baselined.
-    PanicSurface,
-    /// R5 — `unsafe` requires a `// SAFETY:` comment on the preceding line.
-    UnsafeAudit,
     /// R9 — growable collections in streaming scope must be registered in
     /// `frontier-manifest.toml` with a verified eviction path.
     BoundedFrontier,
     /// R10 — float accumulation in output-producing crates requires a
     /// `// float: canonical-order(reason)` justification.
     FloatDeterminism,
-    /// R11 — wire-format encode/decode paths must touch the same struct
-    /// fields in the same order.
-    WireParity,
-    /// R12 — functions registered in `hotpath-manifest.toml` must not
-    /// transitively reach an allocating call without an
-    /// `// alloc: amortized(reason)` annotation at the site.
-    HotPathAlloc,
-    /// R13 — registered hot fns must not reach
-    /// `panic!`/`unwrap`/`expect`/`unreachable!`.
-    PanicFreeKernels,
-    /// R14 — nondeterminism sources (unordered-map iteration, unjustified
-    /// float accumulation, `Instant::now`) must not flow through the call
-    /// graph into output sinks (report writers, wire encoders).
-    DeterminismTaint,
 }
 
 impl RuleId {
     /// Every rule, in id order — the source of truth for `--explain`
     /// coverage and iteration in tests.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 5] = [
         RuleId::OrderSensitivity,
         RuleId::TimeArithmetic,
         RuleId::LossyCast,
-        RuleId::PanicSurface,
-        RuleId::UnsafeAudit,
         RuleId::BoundedFrontier,
         RuleId::FloatDeterminism,
-        RuleId::WireParity,
-        RuleId::HotPathAlloc,
-        RuleId::PanicFreeKernels,
-        RuleId::DeterminismTaint,
     ];
 
-    /// Short id used in output and tests ("R1".."R14").
+    /// Short id used in output and tests ("R1".."R10").
     pub fn id(self) -> &'static str {
         match self {
             RuleId::OrderSensitivity => "R1",
             RuleId::TimeArithmetic => "R2",
             RuleId::LossyCast => "R3",
-            RuleId::PanicSurface => "R4",
-            RuleId::UnsafeAudit => "R5",
             RuleId::BoundedFrontier => "R9",
             RuleId::FloatDeterminism => "R10",
-            RuleId::WireParity => "R11",
-            RuleId::HotPathAlloc => "R12",
-            RuleId::PanicFreeKernels => "R13",
-            RuleId::DeterminismTaint => "R14",
         }
     }
 
@@ -86,37 +58,8 @@ impl RuleId {
             RuleId::OrderSensitivity => "order-sensitivity",
             RuleId::TimeArithmetic => "time-arithmetic",
             RuleId::LossyCast => "lossy-cast",
-            RuleId::PanicSurface => "panic-surface",
-            RuleId::UnsafeAudit => "unsafe-audit",
             RuleId::BoundedFrontier => "bounded-frontier",
             RuleId::FloatDeterminism => "float-determinism",
-            RuleId::WireParity => "wire-parity",
-            RuleId::HotPathAlloc => "hot-path-alloc",
-            RuleId::PanicFreeKernels => "panic-free-kernels",
-            RuleId::DeterminismTaint => "determinism-taint",
-        }
-    }
-
-    /// The `// lint: <slug>(reason)` annotation that suppresses this rule at
-    /// a site, if the rule supports annotations.
-    pub fn annotation(self) -> Option<&'static str> {
-        match self {
-            RuleId::OrderSensitivity => Some("order-insensitive"),
-            RuleId::TimeArithmetic => Some("time-arith-ok"),
-            RuleId::LossyCast => Some("lossy-cast-ok"),
-            RuleId::WireParity => Some("wire-parity-ok"),
-            // R4 is governed by the baseline file, R5 by `// SAFETY:`, R9 by
-            // the frontier manifest, R10 by `// float: canonical-order`,
-            // R12 by the hotpath manifest plus `// alloc: amortized(..)`
-            // at the allocation site, R14 by the R1/R10 source-site
-            // suppressions — and R13 has no escape hatch at all.
-            RuleId::PanicSurface
-            | RuleId::UnsafeAudit
-            | RuleId::BoundedFrontier
-            | RuleId::FloatDeterminism
-            | RuleId::HotPathAlloc
-            | RuleId::PanicFreeKernels
-            | RuleId::DeterminismTaint => None,
         }
     }
 
@@ -145,19 +88,6 @@ impl RuleId {
                  `try_from` or mask explicitly. Suppress with \
                  `// lint: lossy-cast-ok(reason)`."
             }
-            RuleId::PanicSurface => {
-                "R4 panic-surface: `unwrap`/`expect` in library code turns \
-                 malformed input into a crash. Return typed errors instead. \
-                 There is no inline suppression; grandfathered counts live \
-                 in lint-baseline.toml and only ratchet down (regenerate \
-                 with `--write-baseline` after removing sites)."
-            }
-            RuleId::UnsafeAudit => {
-                "R5 unsafe-audit: every `unsafe` block or fn needs a \
-                 `// SAFETY:` comment on the preceding lines stating the \
-                 invariant that makes it sound. The comment is the \
-                 suppression — there is no other escape hatch."
-            }
             RuleId::BoundedFrontier => {
                 "R9 bounded-frontier: every growable collection field \
                  (Vec/VecDeque/HashMap/HashSet/BTreeMap/BTreeSet/BinaryHeap) \
@@ -179,56 +109,6 @@ impl RuleId {
                  Justify each site with `// float: canonical-order(reason)` \
                  on the line or in the comment block above, stating why the \
                  operand order is deterministic."
-            }
-            RuleId::WireParity => {
-                "R11 wire-parity: for each wire-format struct in the \
-                 collector/types crates, a paired writer/reader fn \
-                 (encode_/decode_, write_/read_, save_/load_, put_/get_ \
-                 with the same suffix, or a reader annotated \
-                 `// wire: pair(writer_fn)`) must touch that struct's \
-                 fields in the same order and count on both sides. \
-                 Suppress a deliberate asymmetry with \
-                 `// lint: wire-parity-ok(reason)` on the reader or writer \
-                 fn line."
-            }
-            RuleId::HotPathAlloc => {
-                "R12 hot-path-alloc: functions carrying a `// hot:` marker \
-                 and registered in hotpath-manifest.toml (the matcher, \
-                 timeline and credit-walk inner loops) must not \
-                 transitively reach an allocating call — \
-                 `.push(`/`.insert(`/`.collect(`/`.to_vec(`/`.clone(`/\
-                 `format!`/`Box::new` — through the workspace call graph. \
-                 An amortized append into a caller-owned, reused buffer is \
-                 waived with `// alloc: amortized(reason)` on the site line \
-                 or the comment block above it. Both staleness directions \
-                 gate: a `// hot:`-marked fn missing from the manifest, and \
-                 a manifest entry whose fn lost its marker or vanished. \
-                 Scaffold entries with `--write-hotpath`."
-            }
-            RuleId::PanicFreeKernels => {
-                "R13 panic-free-kernels: every hot fn registered in \
-                 hotpath-manifest.toml must not \
-                 transitively reach a panicking call — `.unwrap(`/\
-                 `.expect(`/`panic!`/`unreachable!`/`todo!`/\
-                 `unimplemented!` — through the workspace call graph \
-                 (`assert!` contract checks are deliberately exempt). This \
-                 turns the R4 count ratchet into a reachability proof on \
-                 the paths that matter. There is no suppression: restructure \
-                 with typed errors or let-else so the panic is unreachable \
-                 from hot code."
-            }
-            RuleId::DeterminismTaint => {
-                "R14 determinism-taint: nondeterminism sources — unordered \
-                 HashMap/HashSet iteration without a sort or \
-                 `// lint: order-insensitive(reason)`, float accumulation \
-                 without `// float: canonical-order(reason)`, and \
-                 `Instant::now`/`SystemTime::now` — must not flow through \
-                 the workspace call graph into output sinks: wire writers \
-                 (`encode_*`/`write_*`/`save_*`/`put_*` in the collector/\
-                 types crates) and the report builders in core::report. \
-                 This upgrades R1/R10 from statement-local to \
-                 interprocedural; suppress at the source site with the \
-                 R1/R10 annotations, never at the sink."
             }
         }
     }
@@ -353,12 +233,13 @@ mod tests {
             assert_eq!(RuleId::from_id(rule.id()), Some(rule));
             assert_eq!(RuleId::from_id(&rule.id().to_lowercase()), Some(rule));
         }
-        assert_eq!(RuleId::from_id("R15"), None);
-        // The retired concurrency and kernel-crate rules' ids stay unassigned.
-        assert_eq!(RuleId::from_id("R6"), None);
-        assert_eq!(RuleId::from_id("R7"), None);
-        assert_eq!(RuleId::from_id("R8"), None);
-        assert_eq!(RuleId::from_id(""), None);
+        // Retired ids stay unassigned: the panic ratchet, the unsafe audit,
+        // the concurrency and kernel-crate rules, wire parity, the call graph.
+        for retired in [
+            "R4", "R5", "R6", "R7", "R8", "R11", "R12", "R13", "R14", "R15", "",
+        ] {
+            assert_eq!(RuleId::from_id(retired), None, "{retired:?}");
+        }
     }
 
     #[test]
@@ -370,7 +251,7 @@ mod tests {
             message: String::new(),
         };
         let mut v = vec![
-            f(RuleId::WireParity, "b.rs", 1),
+            f(RuleId::FloatDeterminism, "b.rs", 1),
             f(RuleId::OrderSensitivity, "a.rs", 9),
             f(RuleId::TimeArithmetic, "a.rs", 2),
             f(RuleId::OrderSensitivity, "a.rs", 2),
@@ -386,7 +267,7 @@ mod tests {
                 ("a.rs", 2, "R1"),
                 ("a.rs", 2, "R2"),
                 ("a.rs", 9, "R1"),
-                ("b.rs", 1, "R11"),
+                ("b.rs", 1, "R10"),
             ]
         );
     }

@@ -19,8 +19,8 @@
 //! streaming scope is a finding, and so is an entry whose field vanished,
 //! changed to a non-growable type, or whose evictor no longer shrinks it.
 //!
-//! The file format mirrors [`crate::manifest`]: a hand-rolled TOML subset
-//! (one `[frontier]` table of quoted key/value pairs), no dependencies.
+//! The file format is a hand-rolled TOML subset (one `[frontier]` table of
+//! quoted key/value pairs), no dependencies.
 
 use crate::findings::{Finding, RuleId};
 use crate::lexer::Tok;

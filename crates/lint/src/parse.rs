@@ -1,15 +1,14 @@
 //! A lightweight item parser on top of [`crate::lexer`].
 //!
-//! The per-token rules (R1–R6) reason about local token windows; the
-//! item-aware rules (R9 frontier-boundedness, R10 float determinism, R11
-//! wire parity) need to know *which struct a field belongs to*, *which fn a
-//! token is inside*, and *who calls whom*. This module extracts exactly
-//! that and nothing more: structs with their named fields and outermost
-//! field types, fns with their body token ranges and impl owners, impl
-//! blocks, and `use` paths — plus an intra-file call map for reachability
-//! walks. It is not a Rust parser: no expressions, no patterns, no types
-//! beyond the outermost ident. Macro bodies are token soup to it, which is
-//! fine — the workspace's invariant surface lives in plain items.
+//! The per-token rules (R1–R3, R10) reason about local token windows; the
+//! item-aware rule (R9 frontier-boundedness) needs to know *which struct a
+//! field belongs to*, *which fn a token is inside*, and *who calls whom*.
+//! This module extracts exactly that and nothing more: structs with their
+//! named fields and outermost field types, fns with their body token
+//! ranges — plus an intra-file call map for reachability walks. It is not a
+//! Rust parser: no expressions, no patterns, no types beyond the outermost
+//! ident. Macro bodies are token soup to it, which is fine — the workspace's
+//! invariant surface lives in plain items.
 //!
 //! One lexer subtlety handled here: the lexer emits `>>` as a single shift
 //! token, so balancing the generics of `Vec<Vec<u64>>` must count it as two
@@ -47,22 +46,10 @@ pub struct StructItem {
 pub struct FnItem {
     pub name: String,
     pub line: u32,
-    /// The `impl` type this fn belongs to, if any.
-    pub owner: Option<String>,
     /// Token-index range of the body including both braces; `None` for
     /// bodiless trait-method declarations.
     pub body: Option<(usize, usize)>,
     pub test_only: bool,
-}
-
-/// One `impl` block: the self type and the token range of its braces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplItem {
-    /// Last path segment of the self type (`fmt::Display for Finding` →
-    /// `Finding`; `BundleChunkReader<R>` → `BundleChunkReader`).
-    pub self_ty: String,
-    pub line: u32,
-    pub body: (usize, usize),
 }
 
 /// The items of one parsed file.
@@ -70,10 +57,6 @@ pub struct ImplItem {
 pub struct Parsed {
     pub structs: Vec<StructItem>,
     pub fns: Vec<FnItem>,
-    pub impls: Vec<ImplItem>,
-    /// `use` paths, rendered with `::` separators and `{...}` groups kept
-    /// verbatim (enough for "does this file import X" checks).
-    pub uses: Vec<String>,
 }
 
 impl Parsed {
@@ -123,7 +106,7 @@ fn skip_generics(toks: &[Tok], i: usize) -> usize {
 /// strips `&`, lifetimes, `mut`, `dyn`, `Box`-free — then resolves a leading
 /// path (`a::b::C`) to its last segment. Non-ident types (`[u8; 4]`,
 /// `(A, B)`, `fn(..)`) report their first token text.
-fn outermost_ty(toks: &[Tok], mut i: usize) -> Option<(String, usize)> {
+fn outermost_ty(toks: &[Tok], mut i: usize) -> Option<String> {
     while let Some(t) = toks.get(i) {
         match (t.kind, t.text.as_str()) {
             (TokKind::Punct, "&") | (TokKind::Lifetime, _) => i += 1,
@@ -133,21 +116,19 @@ fn outermost_ty(toks: &[Tok], mut i: usize) -> Option<(String, usize)> {
     }
     let t = toks.get(i)?;
     if t.kind != TokKind::Ident {
-        return Some((t.text.clone(), i));
+        return Some(t.text.clone());
     }
     // Follow `a :: b :: C` to the last segment before generics or the end.
     let mut name = t.text.clone();
-    let mut at = i;
     let mut j = i + 1;
     while toks.get(j).map(|t| t.text.as_str()) == Some("::") {
         let Some(seg) = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident) else {
             break;
         };
         name = seg.text.clone();
-        at = j + 1;
         j += 2;
     }
-    Some((name, at))
+    Some(name)
 }
 
 /// Parses the named fields of a struct body (`toks[open..=close]` with
@@ -177,7 +158,7 @@ fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<FieldItem> {
             break;
         };
         if name.kind == TokKind::Ident && colon.text == ":" {
-            if let Some((ty, _)) = outermost_ty(toks, i + 2) {
+            if let Some(ty) = outermost_ty(toks, i + 2) {
                 out.push(FieldItem {
                     name: name.text.clone(),
                     line: name.line,
@@ -206,36 +187,6 @@ fn parse_fields(toks: &[Tok], open: usize, close: usize) -> Vec<FieldItem> {
     out
 }
 
-/// Extracts the self-type name of an `impl` header starting just past the
-/// `impl` keyword; returns `(self_ty, index of the body open brace)`.
-fn parse_impl_header(toks: &[Tok], mut i: usize) -> Option<(String, usize)> {
-    // Optional `<generics>` on the impl itself.
-    if toks.get(i).map(|t| t.text.as_str()) == Some("<") {
-        i = skip_generics(toks, i);
-    }
-    // Scan to the body `{`, tracking the last `for` at angle depth 0 (a
-    // trait impl's self type follows it) and the last top-level path start.
-    let mut angles = 0i32;
-    let mut ty_start = i;
-    let mut j = i;
-    while j < toks.len() {
-        let t = &toks[j];
-        if angles == 0 {
-            match t.text.as_str() {
-                "{" => break,
-                "for" if t.kind == TokKind::Ident => ty_start = j + 1,
-                "where" if t.kind == TokKind::Ident => break,
-                _ => {}
-            }
-        }
-        angles += angle_delta(&t.text);
-        j += 1;
-    }
-    let open = (j..toks.len()).find(|&k| toks[k].text == "{")?;
-    let (name, _) = outermost_ty(toks, ty_start)?;
-    Some((name, open))
-}
-
 /// Parses the items of a lexed file.
 pub fn parse(lexed: &Lexed) -> Parsed {
     let toks = &lexed.tokens;
@@ -243,23 +194,11 @@ pub fn parse(lexed: &Lexed) -> Parsed {
     let is_excluded = |i: usize| excluded.iter().any(|&(a, b)| i >= a && i <= b);
     let mut out = Parsed::default();
 
-    // Impl blocks first, so fns can look up their owner by token index.
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
             continue;
         }
         match t.text.as_str() {
-            "impl" => {
-                if let Some((self_ty, open)) = parse_impl_header(toks, i + 1) {
-                    if let Some(close) = matching(toks, open, "{", "}") {
-                        out.impls.push(ImplItem {
-                            self_ty,
-                            line: t.line,
-                            body: (open, close),
-                        });
-                    }
-                }
-            }
             "struct" => {
                 let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
                     continue;
@@ -324,35 +263,12 @@ pub fn parse(lexed: &Lexed) -> Parsed {
                     }
                     j += 1;
                 }
-                let owner = out
-                    .impls
-                    .iter()
-                    .filter(|im| i > im.body.0 && i < im.body.1)
-                    .max_by_key(|im| im.body.0)
-                    .map(|im| im.self_ty.clone());
                 out.fns.push(FnItem {
                     name: name.text.clone(),
                     line: name.line,
-                    owner,
                     body,
                     test_only: is_excluded(i),
                 });
-            }
-            "use" => {
-                // Item position only: preceded by nothing, `;`, `}`, `{`, or
-                // `pub`/`)` — this also keeps `use` inside macro calls out.
-                let mut path = String::new();
-                let mut j = i + 1;
-                while let Some(t) = toks.get(j) {
-                    if t.text == ";" {
-                        break;
-                    }
-                    path.push_str(&t.text);
-                    j += 1;
-                }
-                if !path.is_empty() {
-                    out.uses.push(path);
-                }
             }
             _ => {}
         }
@@ -487,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn fns_get_bodies_and_impl_owners() {
+    fn fns_get_bodies_inside_and_outside_impls() {
         let (l, p) = parsed(
             "pub fn free(x: u32) -> u32 { helper(x) }\n\
              fn helper(x: u32) -> u32 { x }\n\
@@ -501,10 +417,9 @@ mod tests {
              }\n",
         );
         let free = p.fn_named("free").unwrap();
-        assert_eq!(free.owner, None);
         assert!(free.body.is_some());
-        assert_eq!(p.fn_named("method").unwrap().owner.as_deref(), Some("S"));
-        assert_eq!(p.fn_named("fmt").unwrap().owner.as_deref(), Some("S"));
+        assert!(p.fn_named("method").unwrap().body.is_some());
+        assert!(p.fn_named("fmt").unwrap().body.is_some());
         let calls = calls_in(&l.tokens, free.body.unwrap());
         assert!(calls.contains("helper"));
     }
@@ -543,14 +458,6 @@ mod tests {
         assert!(p.fns.iter().any(|f| f.name == "helper" && f.test_only));
         assert!(p.structs.iter().any(|s| s.name == "Fixture" && s.test_only));
         assert!(p.struct_named("Fixture").is_none());
-    }
-
-    #[test]
-    fn use_paths_are_collected() {
-        let (_, p) = parsed("use std::collections::{HashMap, BTreeMap};\nuse crate::lexer;\n");
-        assert_eq!(p.uses.len(), 2);
-        assert!(p.uses[0].contains("HashMap"));
-        assert_eq!(p.uses[1], "crate::lexer");
     }
 
     #[test]

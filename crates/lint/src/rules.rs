@@ -1,28 +1,19 @@
-//! The five rule visitors, operating on the lexed token stream of one file.
+//! The four per-file rule visitors (R1–R3, R10), operating on the lexed
+//! token stream of one file.
 //!
 //! Every rule is a deliberately *syntactic* over-approximation: this linter
 //! has no type information, so it reasons about binding names, declared
 //! types, and suffix conventions. False positives are expected and cheap —
 //! each rule has an explicit, greppable escape hatch (`// lint: <slug>(...)`
-//! annotations for R1–R3, `// SAFETY:` for R5, the checked-in baseline for
-//! R4) that doubles as reviewer-facing documentation of *why* a site is
-//! exempt. False negatives are bounded by convention: the rules cover the
-//! idioms this workspace actually uses (and the ones that already produced
-//! shipped bugs — see DESIGN.md "Determinism invariants").
+//! annotations for R1–R3, `// float: canonical-order(...)` for R10) that
+//! doubles as reviewer-facing documentation of *why* a site is exempt.
+//! False negatives are bounded by convention: the rules cover the idioms
+//! this workspace actually uses (and the ones that already produced shipped
+//! bugs); DESIGN.md §6 lists what each rule does not see.
 
 use crate::findings::{Finding, RuleId};
 use crate::lexer::{Lexed, Tok, TokKind};
 use std::collections::BTreeSet;
-
-/// Which target a file belongs to; decides which rules apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Library code: all rules, including the R4 panic-surface ratchet.
-    Lib,
-    /// Binary code (`src/main.rs` of bin crates, `src/bin/*`): R1–R3 and R5
-    /// apply, R4 does not (a CLI may panic on impossible states).
-    Bin,
-}
 
 /// One file ready for linting.
 pub struct FileCtx {
@@ -30,7 +21,6 @@ pub struct FileCtx {
     pub path: String,
     /// The crate the file belongs to (directory name under `crates/`).
     pub crate_name: String,
-    pub kind: FileKind,
     pub lexed: Lexed,
     /// Token-index ranges (inclusive) belonging to `#[cfg(test)]` / `#[test]`
     /// / `#[bench]` items: excluded from every rule.
@@ -38,11 +28,16 @@ pub struct FileCtx {
 }
 
 /// Crates whose output feeds reports, figures, or serialized artifacts —
-/// the R1 order-sensitivity scope.
+/// the R1/R10 scope. `types`, `collector` and `stream` are on the bundle →
+/// report path: a nondeterministic value written there reaches the wire or
+/// the report without passing through any of the other crates' sites.
 pub const OUTPUT_CRATES: &[&str] = &[
     "autofocus",
     "core",
     "trace",
+    "stream",
+    "collector",
+    "types",
     "netmedic",
     "experiments",
     "cli",
@@ -89,12 +84,11 @@ const SIGNED_CASTS: &[&str] = &[
 const NARROW_CASTS: &[&str] = &["u8", "u16", "u32"];
 
 impl FileCtx {
-    pub fn new(path: String, crate_name: String, kind: FileKind, lexed: Lexed) -> Self {
+    pub fn new(path: String, crate_name: String, lexed: Lexed) -> Self {
         let excluded = excluded_ranges(&lexed.tokens);
         Self {
             path,
             crate_name,
-            kind,
             lexed,
             excluded,
         }
@@ -117,9 +111,8 @@ impl FileCtx {
 }
 
 /// Checks `comment` for `lint:` followed (anywhere later) by `slug(reason)`
-/// with a non-empty reason. Shared with the item-aware rules ([`crate::wire`]
-/// uses it for `wire-parity-ok`).
-pub(crate) fn has_annotation(comment: &str, slug: &str) -> bool {
+/// with a non-empty reason.
+fn has_annotation(comment: &str, slug: &str) -> bool {
     let Some(at) = comment.find("lint:") else {
         return false;
     };
@@ -290,11 +283,9 @@ pub fn r1_order_sensitivity(ctx: &FileCtx) -> Vec<Finding> {
         .collect()
 }
 
-/// The raw R1 site scan, without the output-crate gate: `(line, binding)`
-/// pairs for every unsuppressed unordered iteration in non-test code. R1
-/// turns these into findings in output crates; the interprocedural R14
-/// taint pass treats them as nondeterminism sources in *every* crate.
-pub(crate) fn unordered_iteration_sites(ctx: &FileCtx) -> Vec<(u32, String)> {
+/// The R1 site scan: `(line, binding)` pairs for every unsuppressed
+/// unordered iteration in non-test code.
+fn unordered_iteration_sites(ctx: &FileCtx) -> Vec<(u32, String)> {
     let toks = ctx.toks();
     let bindings = unordered_bindings(toks);
     if bindings.is_empty() {
@@ -622,80 +613,12 @@ pub fn r3_lossy_cast(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// R4 — panic surface: `.unwrap()` / `.expect(` in library code. Sites are
-/// reported individually; the driver compares per-file counts against the
-/// checked-in baseline.
-pub fn r4_panic_sites(ctx: &FileCtx) -> Vec<Finding> {
-    if ctx.kind != FileKind::Lib {
-        return Vec::new();
-    }
-    let toks = ctx.toks();
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.is_excluded(i) {
-            continue;
-        }
-        let call = (t.text == "unwrap" || t.text == "expect")
-            && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-            && i > 0
-            && toks[i - 1].text == ".";
-        if call {
-            out.push(Finding {
-                rule: RuleId::PanicSurface,
-                file: ctx.path.clone(),
-                line: t.line,
-                message: format!("`{}` in library code (baselined panic surface)", t.text),
-            });
-        }
-    }
-    out
-}
-
-/// R5 — unsafe audit: every `unsafe` keyword must have a `// SAFETY:`
-/// comment on its own line or in the contiguous comment block immediately
-/// above it (multi-line `//` justifications count as one block).
-pub fn r5_unsafe_audit(ctx: &FileCtx) -> Vec<Finding> {
-    let toks = ctx.toks();
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" || ctx.is_excluded(i) {
-            continue;
-        }
-        let here = ctx.lexed.comment_on(t.line).contains("SAFETY:");
-        let mut above = false;
-        let mut l = t.line;
-        while l > 1 {
-            let c = ctx.lexed.comment_on(l - 1);
-            if c.is_empty() {
-                break;
-            }
-            if c.contains("SAFETY:") {
-                above = true;
-                break;
-            }
-            l -= 1;
-        }
-        if !(here || above) {
-            out.push(Finding {
-                rule: RuleId::UnsafeAudit,
-                file: ctx.path.clone(),
-                line: t.line,
-                message: "`unsafe` without a `// SAFETY:` comment immediately above".into(),
-            });
-        }
-    }
-    out
-}
-
-/// Runs every per-file rule (R4 sites are returned raw and baselined in the
-/// driver).
+/// Runs every per-file rule.
 pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(r1_order_sensitivity(ctx));
     out.extend(r2_time_arithmetic(ctx));
     out.extend(r3_lossy_cast(ctx));
-    out.extend(r4_panic_sites(ctx));
-    out.extend(r5_unsafe_audit(ctx));
     out.extend(r10_float_determinism(ctx));
     out
 }
@@ -798,11 +721,9 @@ pub fn r10_float_determinism(ctx: &FileCtx) -> Vec<Finding> {
         .collect()
 }
 
-/// The raw R10 site scan, without the output-crate gate: `(line, operator)`
-/// pairs for every unjustified float accumulation in non-test code. R10
-/// turns these into findings in output crates; the interprocedural R14
-/// taint pass treats them as nondeterminism sources in *every* crate.
-pub(crate) fn float_accumulation_sites(ctx: &FileCtx) -> Vec<(u32, String)> {
+/// The R10 site scan: `(line, operator)` pairs for every unjustified float
+/// accumulation in non-test code.
+fn float_accumulation_sites(ctx: &FileCtx) -> Vec<(u32, String)> {
     let toks = ctx.toks();
     let float_names = float_decl_names(toks);
     let mut out = Vec::new();

@@ -42,10 +42,3 @@ pub fn small_count(count: u64) -> u32 {
     // lint: lossy-cast-ok(fixture exercises the annotation hatch)
     count as u32
 }
-
-/// R5: justified unsafe.
-pub fn first_unchecked(v: &[u32]) -> u32 {
-    assert!(!v.is_empty());
-    // SAFETY: the assert above guarantees index 0 is in bounds.
-    unsafe { *v.get_unchecked(0) }
-}

@@ -28,6 +28,19 @@
 //! bit-identical: offsets are estimated per window, not over the full run.
 
 #![forbid(unsafe_code)]
+// The panic-surface gate (DESIGN.md §6): operator-facing code returns typed
+// errors; `assert!` contract checks are the only sanctioned panics.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use microscope::{CacheStats, Diagnosis, DiagnosisConfig, Microscope, PeriodTracker};
 use msc_collector::BundleChunk;

@@ -29,6 +29,19 @@
 //! than [`msc_collector::MAX_BATCH`] packets means the ring was drained).
 
 #![forbid(unsafe_code)]
+// The panic-surface gate (DESIGN.md §6): operator-facing code returns typed
+// errors; `assert!` contract checks are the only sanctioned panics.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod matching;
 pub mod reconstruct;

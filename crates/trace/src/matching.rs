@@ -185,6 +185,10 @@ pub(crate) struct IpidRuns {
 
 impl IpidRuns {
     /// An index over no positions.
+    #[allow(
+        clippy::unreachable,
+        reason = "a boxed slice of IPID_SPACE elements converts to a boxed [_; IPID_SPACE]"
+    )]
     fn empty() -> Self {
         let run = match vec![Run::default(); IPID_SPACE]
             .into_boxed_slice()
@@ -404,7 +408,6 @@ impl EdgeIndex {
     /// `ipid`, sent at or before `read_ts` and within the delay bound.
     /// Advances the per-IPID cursor past consumed entries (amortized O(1)
     /// over a whole match). Returns the position and its send timestamp.
-    // hot: matcher per-read candidate scan
     fn candidate(
         &mut self,
         cursor: usize,
@@ -435,7 +438,6 @@ impl EdgeIndex {
     /// hint, so the galloping lower bound lands in 1–3 probes for the
     /// common case instead of the ~log₂(tail) a plain binary search pays on
     /// these long, heavily-reused IPID runs.
-    // hot: batch-matcher candidate probe
     fn candidate_from(
         &self,
         cursor: usize,
@@ -459,7 +461,6 @@ impl EdgeIndex {
 /// tail, so they resolve in 1–3 probes instead of log₂(len): one of the two
 /// hand-written primitives measured to beat their stdlib equivalent end to
 /// end (DESIGN.md §9).
-// hot: matcher galloping cursor probe
 fn gallop_lower_bound(xs: &[u32], key: u32) -> usize {
     if xs.first().is_none_or(|&x| x >= key) {
         return 0;
@@ -478,7 +479,6 @@ fn gallop_lower_bound(xs: &[u32], key: u32) -> usize {
 
 /// Timing-channel check on a candidate's send timestamp.
 #[inline]
-// hot: per-candidate timing check
 fn window_ok(sent: Nanos, read_ts: Nanos, cfg: &MatchConfig) -> bool {
     sent <= read_ts.saturating_add(cfg.negative_slack_ns)
         && read_ts.saturating_sub(sent) <= cfg.delay_bound_ns
@@ -495,7 +495,6 @@ fn window_ok(sent: Nanos, read_ts: Nanos, cfg: &MatchConfig) -> bool {
 /// the skipped remainder, i.e. `<= beat` — could never have won; the chosen
 /// candidate (and every downstream output) is identical to the unpruned
 /// walk.
-// hot: ambiguity-playout inner walk
 fn lookahead_score(
     index: &[EdgeIndex],
     cursors: &mut [usize],
@@ -565,7 +564,6 @@ impl NfMatcher {
     /// `matched`, the edge cursor, the tallies. Positions the cursor jumps
     /// over stay [`UNMATCHED`] behind it: inferred drops. Returns the chosen
     /// `(edge slot, position)`, `None` when no edge has an eligible send.
-    // hot: matcher per-rx decision
     pub(crate) fn decide(
         &mut self,
         index: &mut [EdgeIndex],
@@ -582,7 +580,7 @@ impl NfMatcher {
         self.cands.clear();
         for (slot, (e, ix)) in self.edges.iter().zip(index.iter_mut()).enumerate() {
             if let Some((pos, sent)) = ix.candidate(e.cursor, ipid, read_ts, cfg) {
-                // alloc: amortized(capacity is the edge count, reserved at construction)
+                // Capacity is the edge count, reserved at construction.
                 self.cands.push((sent, slot, pos));
             }
         }

@@ -252,7 +252,6 @@ fn edge_delta(
 /// The pairing walk of [`edge_delta`]: each send takes the first read of
 /// its IPID at or past the cursor. Fills `deltas` with the read−send deltas
 /// of the unambiguous pairs.
-// hot: coarse-pass in-order IPID pairing walk
 fn pair_in_order(
     sends: impl Iterator<Item = (Nanos, Ipid)>,
     rx: &IpidRuns,
@@ -279,7 +278,8 @@ fn pair_in_order(
         if prev_close || next_close {
             continue;
         }
-        // alloc: amortized(the per-call scratch is reserved for the longest rx stream, one delta per read at most)
+        // The per-call scratch is reserved for the longest rx stream: one
+        // delta per read at most.
         deltas.push((rx.ts[run_start + i] as i64).wrapping_sub(tx_ts as i64));
     }
 }
@@ -291,7 +291,6 @@ fn pair_in_order(
 /// source clock by `up_off` as they are read (`None`: source records, which
 /// carry it already); `rx_ts` is the downstream rx timestamps already on it,
 /// in `rx`'s run order. Returns the number of pairs binned.
-// hot: refinement-pass same-IPID pair scan
 fn bin_pairs<const BIN_NS: i64, const SEARCH_NS: i64>(
     sends: impl Iterator<Item = (Nanos, Ipid)>,
     up_off: Option<TimeDelta>,

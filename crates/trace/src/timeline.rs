@@ -175,7 +175,6 @@ impl NfTimeline {
     }
 
     /// Packets read in batches whose timestamp falls in `[a, b]`.
-    // hot: per-anomaly interval count
     pub fn processed_in(&self, a: Nanos, b: Nanos) -> u64 {
         let lo = self.read_ts.partition_point(|&ts| ts < a);
         let hi = self.read_ts.partition_point(|&ts| ts <= b);
@@ -183,7 +182,6 @@ impl NfTimeline {
     }
 
     /// Queued packets arriving in `[a, b]`.
-    // hot: per-anomaly interval count
     pub fn arrived_in(&self, a: Nanos, b: Nanos) -> u64 {
         let (lo, hi) = self.arrival_range(a, b);
         u64::from(self.queued_prefix[hi] - self.queued_prefix[lo])
@@ -191,12 +189,10 @@ impl NfTimeline {
 
     /// Estimated queue occupancy right after read `i` (see §7): queued
     /// arrivals up to the read timestamp minus everything read so far.
-    // hot: queue-law occupancy probe
     pub fn occupancy_after_read(&self, i: usize) -> u64 {
         u64::from(self.occ_after_read[i])
     }
 
-    // hot: interval-query bound pair
     fn arrival_range(&self, a: Nanos, b: Nanos) -> (usize, usize) {
         let lo = self.arrival_ts.partition_point(|&ts| ts < a);
         let hi = self.arrival_ts.partition_point(|&ts| ts <= b);
@@ -207,7 +203,6 @@ impl NfTimeline {
     ///
     /// `T0` is the first (queued) arrival after the last ring-draining read
     /// at or before `t`; the period is `[T0, t]`.
-    // hot: per-anomaly period walk-back
     pub fn queuing_period(&self, t: Nanos) -> QueuingPeriod {
         self.queuing_period_above(t, 0)
     }
@@ -222,7 +217,6 @@ impl NfTimeline {
     /// The queue estimate is reconstructed from the same records the
     /// collector keeps: occupancy after each read = arrivals so far −
     /// packets read so far.
-    // hot: thresholded period walk-back
     pub fn queuing_period_above(&self, t: Nanos, threshold: u64) -> QueuingPeriod {
         if threshold == 0 {
             return self.queuing_period_zero(t);
@@ -259,7 +253,6 @@ impl NfTimeline {
     }
 
     /// Builds the period `[first queued arrival >= start_idx, t]`.
-    // hot: period reconstruction walk
     fn period_from(&self, start_idx: usize, t: Nanos) -> QueuingPeriod {
         // Skip dropped arrivals at the front of the period (the period
         // starts with a packet that actually entered the queue) via the
@@ -393,9 +386,12 @@ impl Timelines {
         let mut arrivals: Vec<Vec<Arrival>> =
             counts.iter().map(|&c| Vec::with_capacity(c)).collect();
         for (t_idx, tr) in (0u32..).zip(&recon.traces) {
-            let Ok(n_hops) = u16::try_from(tr.hop_count()) else {
-                panic!("hop indexes must fit u16");
-            };
+            // `Arrival::hop` is a u16: saturate, then require nothing was lost.
+            let n_hops = u16::try_from(tr.hop_count()).unwrap_or(u16::MAX);
+            assert!(
+                usize::from(n_hops) == tr.hop_count(),
+                "hop indexes must fit u16"
+            );
             for (h_idx, h) in (0u16..).zip(recon.hops_of(t_idx as usize)) {
                 arrivals[h.nf.0 as usize].push(Arrival {
                     ts: h.arrival_ts,

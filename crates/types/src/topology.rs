@@ -325,6 +325,10 @@ impl TopologyBuilder {
 /// 3 Monitors and 4 VPNs — 16 NF instances. Traffic is load-balanced over the
 /// NATs; every NAT feeds every Firewall; Firewalls send rule-matched flows to
 /// the Monitors and the rest to the VPNs; Monitors feed the VPNs.
+#[allow(
+    clippy::expect_used,
+    reason = "the builder is fed a constant, not input; every test that calls this would fail"
+)]
 pub fn paper_topology() -> Topology {
     let mut b = Topology::builder();
     let nats: Vec<NfId> = (1..=4)
