@@ -17,12 +17,11 @@
 
 use crate::hierarchy::hhh_1d;
 use nf_types::{FiveTuple, FlowAggregate, NfId, NfKind, PortRange, Prefix, ProtoMatch};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Where a culprit or victim lives: the traffic source or an NF instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Location {
     /// The traffic source.
     Source,
@@ -31,7 +30,7 @@ pub enum Location {
 }
 
 /// The location generalisation ladder: instance → NF kind → anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LocationAgg {
     /// Exactly this location.
     Exact(Location),
@@ -82,7 +81,7 @@ impl fmt::Display for LocationAgg {
 }
 
 /// An aggregated side: flow aggregate plus location aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SideAggregate {
     /// Flow-space part (ANY when the items carried no flow).
     pub flow: FlowAggregate,

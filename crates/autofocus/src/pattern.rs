@@ -13,12 +13,11 @@
 
 use crate::cluster::{aggregate_side, ClusterConfig, Location, SideAggregate, SideItem};
 use nf_types::{FiveTuple, NfId, NfKind, PortRange};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// One packet-level causal relation from the diagnosis core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CausalRelation {
     /// Culprit flow (None when the culprit is an NF-level event with no
     /// specific flow attached).
@@ -34,7 +33,7 @@ pub struct CausalRelation {
 }
 
 /// One aggregated causal pattern: the Fig. 14 row format.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pattern {
     /// Culprit side.
     pub culprit: SideAggregate,

@@ -1,20 +1,10 @@
 //! Subcommand implementations for the `microscope` CLI.
 
-use microscope::{DiagnosisConfig, LatencyThreshold, Microscope};
-use msc_collector::{
-    chunk_bundle, load_bundle, peek_format, save_bundle, save_bundle_chunked, BundleChunkReader,
-    BundleFormat, TraceBundle,
-};
-use msc_stream::{StreamConfig, StreamEngine};
-use msc_trace::{
-    correct_bundle, estimate_offsets_refined_detailed, reconstruct, Reconstruction,
-    ReconstructionConfig, SkewConfig, Timelines,
-};
+use microscope_cli::pipeline::{self, Deployment, Run};
+use msc_collector::{chunk_bundle, load_bundle, save_bundle, save_bundle_chunked};
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
-use nf_types::{
-    emit_topology, paper_topology, parse_topology, NodeId, TimeDelta, Topology, MICROS, MILLIS,
-};
+use nf_types::{emit_topology, paper_topology, parse_topology, MICROS, MILLIS};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -153,13 +143,9 @@ fn emit(
     }
 }
 
-fn load_deployment(path: &str) -> Result<(Topology, Vec<f64>), String> {
+fn load_deployment(path: &str) -> Result<Deployment, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     parse_topology(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn load_bundle_arg(path: &str) -> Result<TraceBundle, String> {
-    load_bundle(Path::new(path)).map_err(|e| format!("load {path}: {e}"))
 }
 
 /// `microscope help` — the usage text on stdout.
@@ -266,7 +252,8 @@ pub fn record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// `microscope inspect` — bundle statistics.
 pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["bundle"], &[])?;
-    let bundle = load_bundle_arg(f.require("bundle")?)?;
+    let path = f.require("bundle")?;
+    let bundle = load_bundle(Path::new(path)).map_err(|e| format!("load {path}: {e}"))?;
     emit(out, |out| {
         writeln!(out, "source packets : {}", bundle.source_flows.len())?;
         writeln!(out, "nf logs        : {}", bundle.logs.len())?;
@@ -301,16 +288,46 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     })
 }
 
-/// Whole-run clock offsets for `diagnose --skew` and `skew`. An NF with no
-/// usable samples gets offset 0, which reads exactly like a synchronised
-/// clock — so each such fallback is named on stderr (stdout stays the
-/// report).
-fn estimate_offsets_noting_fallbacks(topology: &Topology, bundle: &TraceBundle) -> Vec<TimeDelta> {
-    let est = estimate_offsets_refined_detailed(topology, bundle, &SkewConfig::default());
-    for note in est.notes(topology) {
+/// Prints a finished run: the report on stdout, and on stderr how the
+/// bundle was streamed, the skew estimator's fallbacks, the step cache and
+/// the relation sampling.
+fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
+    if let Some(s) = &run.streamed {
+        if let Some(ms) = s.chunked_in_memory_ms {
+            eprintln!("note: whole-run bundle; chunking in memory at {ms} ms");
+        }
+        eprintln!(
+            "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB, \
+             {} queuing periods closed (longest {} us)",
+            s.chunks,
+            s.committed,
+            s.working_set_peak / 1024,
+            s.closed_periods,
+            s.longest_period_ns / 1_000,
+        );
+    }
+    for note in &run.skew_notes {
         eprintln!("note: {note}");
     }
-    est.offsets
+    let cache = &run.cache;
+    if cache.hits + cache.misses > 0 {
+        eprintln!(
+            "step cache: {} hits / {} misses ({:.1}% hit rate, {} periods)",
+            cache.hits,
+            cache.misses,
+            cache.hit_rate() * 100.0,
+            cache.entries
+        );
+    }
+    if run.sample_stride > 1 {
+        eprintln!(
+            "note: sampling {} of {} causal relations for aggregation (1/{})",
+            run.relations_total / run.sample_stride,
+            run.relations_total,
+            run.sample_stride
+        );
+    }
+    emit(out, |out| write!(out, "{}", run.report))
 }
 
 /// `microscope diagnose` — the full offline pipeline on saved artifacts.
@@ -318,128 +335,17 @@ pub fn diagnose(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle", "quantile", "top"], &["skew"])?;
     let quantile = f.quantile()?;
     let top: usize = f.num("top", 10)?;
-    let (topology, rates) = load_deployment(f.require("topology")?)?;
-    let mut bundle = load_bundle_arg(f.require("bundle")?)?;
-
-    emit(out, |out| {
-        let mut recon_cfg = ReconstructionConfig::default();
-        if f.has("skew") {
-            let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
-            writeln!(out, "estimated clock offsets (ns): {offsets:?}\n")?;
-            bundle = correct_bundle(&bundle, &offsets);
-            recon_cfg.matching.negative_slack_ns = 20 * MICROS;
-        }
-
-        let recon = reconstruct(&topology, &bundle, &recon_cfg);
-        // Nothing reads the records again: give their columns back before
-        // the timelines and the diagnosis index are built on the traces.
-        drop(bundle);
-        let timelines = Timelines::build(&recon);
-
-        report_diagnosis(out, &topology, rates, &recon, &timelines, quantile, top)
-    })
-}
-
-/// The diagnosis half of the pipeline plus all the stdout both `diagnose`
-/// and `stream` print — one function so the two commands stay
-/// byte-identical on identical reconstructions (the streaming-equivalence
-/// CI job diffs them).
-fn report_diagnosis(
-    out: &mut dyn Write,
-    topology: &Topology,
-    rates: Vec<f64>,
-    recon: &Reconstruction,
-    timelines: &Timelines,
-    quantile: f64,
-    top: usize,
-) -> io::Result<()> {
-    writeln!(
-        out,
-        "reconstructed {} traces: {} delivered, {} dropped, {} unresolved, {} IPID ambiguities",
-        recon.report.total,
-        recon.report.delivered,
-        recon.report.inferred_drops,
-        recon.report.unresolved,
-        recon.report.ambiguities
+    let deployment = load_deployment(f.require("topology")?)?;
+    let bundle = Path::new(f.require("bundle")?);
+    let run = pipeline::diagnose(
+        &deployment,
+        bundle,
+        f.has("skew"),
+        quantile,
+        top,
+        &mut |_, _| {},
     )?;
-
-    let mut dc = DiagnosisConfig::default();
-    dc.victims.latency = LatencyThreshold::Quantile(quantile);
-    dc.victims.max_victims = Some(5_000);
-    let engine = Microscope::new(topology.clone(), rates, dc);
-    let (diagnoses, cache_stats) = engine.diagnose_all_stats(recon, timelines);
-    // Cache statistics go to stderr: stdout carries only the diagnosis.
-    if cache_stats.hits + cache_stats.misses > 0 {
-        eprintln!(
-            "step cache: {} hits / {} misses ({:.1}% hit rate, {} periods)",
-            cache_stats.hits,
-            cache_stats.misses,
-            cache_stats.hit_rate() * 100.0,
-            cache_stats.entries
-        );
-    }
-    writeln!(
-        out,
-        "diagnosed {} victim (packet, NF) pairs\n",
-        diagnoses.len()
-    )?;
-
-    // Ranked culprit locations.
-    let mut blame: std::collections::HashMap<String, (f64, usize)> = Default::default();
-    for d in &diagnoses {
-        if let Some(c) = d.culprits.first() {
-            let name = match c.node {
-                NodeId::Source => "traffic-source".to_string(),
-                NodeId::Nf(id) => topology.nf(id).name.clone(),
-            };
-            let e = blame.entry(name).or_default();
-            e.0 += c.score;
-            e.1 += 1;
-        }
-    }
-    let mut ranked: Vec<(String, (f64, usize))> = blame.into_iter().collect();
-    // Tie-break on the name: the counts come out of a HashMap, so equal
-    // counts would otherwise print in per-process-random order.
-    ranked.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then_with(|| a.0.cmp(&b.0)));
-    writeln!(out, "top culprit locations (victims where ranked #1):")?;
-    for (name, (score, victims)) in ranked.iter().take(top) {
-        writeln!(
-            out,
-            "  {name:>16}: {victims:>6} victims, blame mass {score:.1}"
-        )?;
-    }
-
-    // Aggregated causal patterns (§4.4). Large relation sets are
-    // subsampled — scores stay proportional under a uniform stride.
-    // Aggregation costs 1–5 µs/relation (`results/sec64.txt`), so the cap
-    // is not a speed measure any more: removing it changes stdout and is
-    // ROADMAP item 1's second half.
-    let mut relations = microscope::diagnoses_to_relations(recon, &diagnoses);
-    const MAX_RELATIONS: usize = 2_000;
-    if relations.len() > MAX_RELATIONS {
-        let stride = relations.len() / MAX_RELATIONS + 1;
-        eprintln!(
-            "note: sampling {} of {} causal relations for aggregation (1/{stride})",
-            relations.len() / stride,
-            relations.len()
-        );
-        relations = relations.into_iter().step_by(stride).collect();
-    }
-    let patterns =
-        autofocus::aggregate_patterns(&relations, &autofocus::PatternConfig::default(), &|id| {
-            topology.nf(id).kind
-        });
-    writeln!(
-        out,
-        "\n{} causal relations -> {} patterns; top {}:",
-        relations.len(),
-        patterns.len(),
-        top.min(patterns.len())
-    )?;
-    for p in patterns.iter().take(top) {
-        writeln!(out, "  {p}")?;
-    }
-    Ok(())
+    print_run(&run, out)
 }
 
 /// `microscope stream` — the streaming pipeline: consume the bundle as a
@@ -451,70 +357,35 @@ pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         &["topology", "bundle", "chunk-ms", "quantile", "top"],
         &["skew"],
     )?;
-    let chunk_ms = f.chunk_ms()?.unwrap_or(50);
+    let chunk_ms = f.chunk_ms()?;
     let quantile = f.quantile()?;
     let top: usize = f.num("top", 10)?;
-    let (topology, rates) = load_deployment(f.require("topology")?)?;
-    let path = f.require("bundle")?;
-
-    let mut cfg = StreamConfig::default();
-    if f.has("skew") {
-        // Per-window estimation is approximate; give the matcher the same
-        // slack the offline skew path uses. This mode is *not*
-        // byte-identical to offline `diagnose --skew` (which estimates
-        // offsets once over the whole run).
-        cfg.matching.negative_slack_ns = 20 * MICROS;
-        cfg.skew = Some(SkewConfig::default());
-    }
-    let mut engine = StreamEngine::new(&topology, cfg);
-
-    match peek_format(Path::new(path)).map_err(|e| format!("{path}: {e}"))? {
-        BundleFormat::Chunked => {
-            let mut rdr = BundleChunkReader::open(Path::new(path))
-                .map_err(|e| format!("open {path}: {e}"))?;
-            while let Some(chunk) = rdr.next_chunk().map_err(|e| format!("read {path}: {e}"))? {
-                engine.push_chunk(&chunk).map_err(|e| format!("{e}"))?;
-            }
-        }
-        BundleFormat::Whole => {
-            eprintln!("note: whole-run bundle; chunking in memory at {chunk_ms} ms");
-            let bundle = load_bundle_arg(path)?;
-            let chunks = chunk_bundle(&bundle, chunk_ms * MILLIS);
-            drop(bundle);
-            for chunk in chunks {
-                engine.push_chunk(&chunk).map_err(|e| format!("{e}"))?;
-            }
-        }
-    }
-
-    // Streaming-only stats go to stderr: stdout must match `diagnose`.
-    eprintln!(
-        "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB, \
-         {} queuing periods closed (longest {} us)",
-        engine.chunks(),
-        engine.committed(),
-        engine.working_set_peak() / 1024,
-        engine.periods().closed_periods(),
-        engine.periods().longest_ns() / 1_000,
-    );
-    for note in engine.skew_notes() {
-        eprintln!("note: {note}");
-    }
-    let (recon, timelines) = engine.finish();
-    emit(out, |out| {
-        report_diagnosis(out, &topology, rates, &recon, &timelines, quantile, top)
-    })
+    let deployment = load_deployment(f.require("topology")?)?;
+    let bundle = Path::new(f.require("bundle")?);
+    let run = pipeline::stream(
+        &deployment,
+        bundle,
+        chunk_ms,
+        f.has("skew"),
+        quantile,
+        top,
+        &mut |_, _| {},
+    )?;
+    print_run(&run, out)
 }
 
 /// `microscope skew` — clock-offset estimation only.
 pub fn skew(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle"], &[])?;
     let (topology, _) = load_deployment(f.require("topology")?)?;
-    let bundle = load_bundle_arg(f.require("bundle")?)?;
-    let offsets = estimate_offsets_noting_fallbacks(&topology, &bundle);
+    let bundle = Path::new(f.require("bundle")?);
+    let est = pipeline::skew(&topology, bundle, &mut |_, _| {})?;
+    for note in est.notes(&topology) {
+        eprintln!("note: {note}");
+    }
     emit(out, |out| {
         writeln!(out, "{:>8} {:>16}", "nf", "offset_ns")?;
-        for (nf, off) in topology.nfs().iter().zip(&offsets) {
+        for (nf, off) in topology.nfs().iter().zip(&est.offsets) {
             writeln!(out, "{:>8} {:>16}", nf.name, off)?;
         }
         Ok(())
@@ -547,6 +418,28 @@ mod tests {
         super::skew(args, &mut io::sink())
     }
 
+    /// Records a short chunked run into a fresh directory; returns the paths
+    /// of its `topology.txt`, `run.msc` and `run.mscs`.
+    fn recorded(tag: &str) -> [String; 3] {
+        let dir = std::env::temp_dir().join(format!("msc_cli_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_string_lossy().to_string();
+        record(&s(&[
+            "--out",
+            &out,
+            "--millis",
+            "20",
+            "--seed",
+            "3",
+            "--interrupt",
+            "nat1:8:800",
+            "--chunk-ms",
+            "10",
+        ]))
+        .unwrap();
+        ["topology.txt", "run.msc", "run.mscs"].map(|f| dir.join(f).to_string_lossy().to_string())
+    }
+
     #[test]
     fn flags_parser() {
         let f = Flags::parse(
@@ -577,6 +470,7 @@ mod tests {
     #[test]
     fn undefined_flags_and_out_of_range_values_are_errors_naming_the_flag() {
         let files = ["--topology", "/nonexistent", "--bundle", "/nope"];
+        let [topo, _, mscs] = recorded("chunk_ms_on_mscs");
         type Cmd = fn(&[String], &mut dyn Write) -> Result<(), String>;
         let mut cases: Vec<(Cmd, Vec<&str>)> = vec![
             (super::diagnose, vec!["--threads", "4"]),
@@ -586,6 +480,11 @@ mod tests {
             (super::stream, vec!["--chunk-ms", "0"]),
             (super::stream, vec!["--chunk-ms", "-5"]),
             (super::stream, vec!["--chunk-ms", "18446744073710"]),
+            // A .mscs was chunked at record time: the flag would be ignored.
+            (
+                super::stream,
+                vec!["--chunk-ms", "5", "--topology", &topo, "--bundle", &mscs],
+            ),
         ];
         for q in ["nan", "-1", "0", "1", "1.5", "inf", "x"] {
             cases.push((super::diagnose, vec!["--quantile", q]));
@@ -669,26 +568,7 @@ mod tests {
 
     #[test]
     fn stream_round_trip_both_formats() {
-        let dir = std::env::temp_dir().join("msc_cli_streamtest");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        record(&s(&[
-            "--out",
-            &out,
-            "--millis",
-            "40",
-            "--seed",
-            "3",
-            "--interrupt",
-            "nat1:15:800",
-            "--chunk-ms",
-            "10",
-        ]))
-        .unwrap();
-        assert!(dir.join("run.mscs").exists());
-        let topo = dir.join("topology.txt").to_string_lossy().to_string();
-        let whole = dir.join("run.msc").to_string_lossy().to_string();
-        let chunked = dir.join("run.mscs").to_string_lossy().to_string();
+        let [topo, whole, chunked] = recorded("streamtest");
         // Chunked file is consumed incrementally; whole bundles are chunked
         // in memory. Both must run the full report.
         stream(&s(&[
@@ -714,6 +594,40 @@ mod tests {
         // The offline commands take whole bundles only, and say so.
         let err = inspect(&s(&["--bundle", &chunked])).unwrap_err();
         assert!(err.contains("chunked") && err.contains("stream"), "{err}");
+    }
+
+    #[test]
+    fn a_topology_of_another_size_is_the_same_error_in_every_mode() {
+        let [topo, msc, mscs] = recorded("nf_count_mismatch");
+        let text = std::fs::read_to_string(&topo).unwrap();
+        let fewer: String = text
+            .lines()
+            .filter(|l| !l.contains("vpn4"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let more = format!("{text}nf vpn5 vpn 632911\nedge mon1 vpn5\n");
+        type Cmd = fn(&[String], &mut dyn Write) -> Result<(), String>;
+        let modes: [(&str, Cmd, &str, &[&str]); 5] = [
+            ("diagnose", super::diagnose, &msc, &[]),
+            ("diagnose --skew", super::diagnose, &msc, &["--skew"]),
+            ("skew", super::skew, &msc, &[]),
+            ("stream .msc", super::stream, &msc, &[]),
+            ("stream .mscs", super::stream, &mscs, &[]),
+        ];
+        for (nfs, text) in [(15, fewer), (17, more)] {
+            let wrong = format!("{topo}.{nfs}");
+            std::fs::write(&wrong, text).unwrap();
+            for (mode, cmd, bundle, extra) in modes {
+                let args = [&["--topology", &wrong, "--bundle", bundle], extra].concat();
+                let mut stdout = Vec::new();
+                let err = cmd(&s(&args), &mut stdout).unwrap_err();
+                assert!(
+                    err.contains("16 NF logs") && err.contains(&format!("{nfs} NFs")),
+                    "{mode}, {nfs}-NF topology: {err}"
+                );
+                assert!(stdout.is_empty(), "{mode}, {nfs}-NF topology wrote stdout");
+            }
+        }
     }
 
     #[test]

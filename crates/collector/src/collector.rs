@@ -3,10 +3,9 @@
 use crate::encode::encode_nf_log;
 use crate::records::{FlowRecord, PacketMeta, RxLog, TxLog};
 use nf_types::{Nanos, NfId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Everything recorded at one NF during a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NfLog {
     /// The NF these records belong to.
     pub nf: NfId,
@@ -162,7 +161,7 @@ impl Collector {
 }
 
 /// The output of a run: everything the offline reconstruction gets to see.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceBundle {
     /// One log per NF, indexed by `NfId`.
     pub logs: Vec<NfLog>,

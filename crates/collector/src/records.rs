@@ -8,7 +8,6 @@
 //! batches it holds, and dropping it returns whole mappings to the OS.
 
 use nf_types::{FiveTuple, Ipid, Nanos, NfId};
-use serde::{Deserialize, Serialize};
 
 /// The DPDK maximum receive batch size. A received batch smaller than this
 /// means the input queue was drained empty — the signal the offline analysis
@@ -20,7 +19,7 @@ pub const MAX_BATCH: usize = 32;
 /// The full five-tuple is available in the packet header but is *recorded*
 /// only where [`crate::Collector`] is configured to keep flow info (exit NFs
 /// and the source); everywhere else only the IPID is kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketMeta {
     /// IP identification field.
     pub ipid: Ipid,
@@ -30,7 +29,7 @@ pub struct PacketMeta {
 
 /// Identifies one queue endpoint: either an NF's input queue or the wire
 /// from an NF towards one downstream NF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueRef {
     /// The single input queue of an NF.
     Input(NfId),
@@ -96,7 +95,7 @@ impl TxBatch<'_> {
 /// nondecreasing and its last entry is `ipids.len()` — batch `i` is
 /// `ipids[end[i - 1]..end[i]]`. Packet counts are `u32`: a log section's
 /// byte length is a `u32` on the wire, so no decodable log holds more.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RxLog {
     ts: Vec<Nanos>,
     end: Vec<u32>,
@@ -191,7 +190,7 @@ impl RxLog {
 
 /// The write batches of one NF, in record order: an [`RxLog`]'s columns
 /// plus the target of every batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxLog {
     batches: RxLog,
     to: Vec<Option<NfId>>,
@@ -277,7 +276,7 @@ impl TxLog {
 
 /// Five-tuple record kept at flow-info points (exit NFs / source), in
 /// emission order so it can be zipped with the IPID stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRecord {
     /// IPID of the packet.
     pub ipid: Ipid,

@@ -56,9 +56,8 @@ pub use index::DiagnosisIndex;
 pub use local::{local_scores, LocalScores};
 pub use misbehaviour::{detect_misbehaviour, Misbehaviour, MisbehaviourConfig};
 pub use propagation::{
-    attribute_upstream, attribute_upstream_with, credit_walk, credit_walk_into, UpstreamScratch,
-    UpstreamShare,
+    attribute_upstream, attribute_upstream_with, credit_walk, UpstreamScratch, UpstreamShare,
 };
-pub use report::{diagnoses_to_relations, rank_culprits, RankedCulprit};
+pub use report::diagnoses_to_relations;
 pub use streaming::{NfPeriodStats, PeriodTracker};
 pub use victim::{find_victims, LatencyThreshold, Victim, VictimConfig, VictimKind};

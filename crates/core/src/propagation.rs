@@ -49,7 +49,7 @@ pub fn credit_walk(texp: Nanos, timespans: &[Nanos]) -> Vec<Nanos> {
 /// (always in increasing order), which turns the stretch-cancellation scan
 /// into an amortised O(1) pop: each index is pushed once and removed at
 /// most once, instead of being revisited by every later stretch.
-pub fn credit_walk_into(
+fn credit_walk_into(
     texp: Nanos,
     timespans: &[Nanos],
     credits: &mut Vec<Nanos>,

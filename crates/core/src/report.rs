@@ -1,40 +1,9 @@
-//! Turning diagnoses into ranked culprit lists and causal relations.
+//! Turning diagnoses into causal relations.
 
-use crate::diagnose::{CulpritKind, Diagnosis};
+use crate::diagnose::Diagnosis;
 use autofocus::{CausalRelation, Location};
 use msc_trace::Reconstruction;
-use nf_types::{Interval, NodeId};
-
-/// A culprit entry in the per-victim ranked list used for accuracy scoring
-/// (§6.2's rank metric).
-#[derive(Debug, Clone)]
-pub struct RankedCulprit {
-    /// The culprit node.
-    pub node: NodeId,
-    /// Local slowdown or source burst.
-    pub kind: CulpritKind,
-    /// Blame mass.
-    pub score: f64,
-    /// Culprit activity window.
-    pub window: Interval,
-    /// Dominant culprit flows (by packet count), if any.
-    pub top_flows: Vec<nf_types::FiveTuple>,
-}
-
-/// The ranked culprit list of one diagnosis (already sorted by the engine;
-/// this extracts the scoring-relevant view).
-pub fn rank_culprits(d: &Diagnosis) -> Vec<RankedCulprit> {
-    d.culprits
-        .iter()
-        .map(|c| RankedCulprit {
-            node: c.node,
-            kind: c.kind,
-            score: c.score,
-            window: c.window,
-            top_flows: c.flows.iter().take(8).map(|(f, _)| *f).collect(),
-        })
-        .collect()
-}
+use nf_types::NodeId;
 
 /// Converts diagnoses into packet-level causal relations for §4.4 pattern
 /// aggregation.
@@ -84,9 +53,9 @@ pub fn diagnoses_to_relations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnose::Culprit;
+    use crate::diagnose::{Culprit, CulpritKind};
     use crate::victim::{Victim, VictimKind};
-    use nf_types::{FiveTuple, NfId, Proto};
+    use nf_types::{FiveTuple, Interval, NfId, Proto};
 
     fn flow(p: u16) -> FiveTuple {
         FiveTuple::new(1, 2, p, 80, Proto::TCP)
@@ -159,15 +128,5 @@ mod tests {
         // Victim flow comes from the trace.
         assert_eq!(r1.victim_flow, Some(flow(99)));
         assert_eq!(r1.victim_loc, Location::Nf(NfId(1)));
-    }
-
-    #[test]
-    fn ranked_culprits_preserve_order_and_windows() {
-        let ranked = rank_culprits(&diag());
-        assert_eq!(ranked.len(), 2);
-        assert_eq!(ranked[0].node, NodeId::Nf(NfId(0)));
-        assert_eq!(ranked[0].window, Interval::new(0, 100));
-        assert_eq!(ranked[0].top_flows.len(), 2);
-        assert!(ranked[1].top_flows.is_empty());
     }
 }

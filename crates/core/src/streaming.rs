@@ -71,11 +71,6 @@ impl PeriodTracker {
         &self.nfs
     }
 
-    /// Number of NFs currently inside an open queuing period.
-    pub fn open_periods(&self) -> usize {
-        self.nfs.iter().filter(|s| s.open_since.is_some()).count()
-    }
-
     /// Total closed periods across all NFs.
     pub fn closed_periods(&self) -> u64 {
         self.nfs.iter().map(|s| s.closed).sum()
@@ -102,7 +97,6 @@ mod tests {
         t.on_read(nf, 200, false); // congestion starts
         t.on_read(nf, 300, false); // still congested: same period
         assert_eq!(t.nf(nf).open_since, Some(200));
-        assert_eq!(t.open_periods(), 1);
 
         t.on_read(nf, 500, true); // drained: period closes
         let st = *t.nf(nf);
@@ -140,6 +134,5 @@ mod tests {
         t.on_read(NfId(1), 150, true);
         assert_eq!(t.nf(NfId(0)).open_since, Some(100));
         assert_eq!(t.nf(NfId(1)).open_since, None);
-        assert_eq!(t.open_periods(), 1);
     }
 }

@@ -56,18 +56,6 @@ pub fn drop_series(
         .collect()
 }
 
-/// `(arrival time at the NF, end-to-end latency µs)` scatter for delivered
-/// packets — Fig. 1a.
-pub fn latency_scatter(out: &SimOutput) -> Vec<(Nanos, f64)> {
-    out.fates
-        .iter()
-        .filter_map(|f| {
-            f.latency()
-                .map(|l| (f.packet.created_at, l as f64 / 1_000.0))
-        })
-        .collect()
-}
-
 /// Input rate (Mpps) into one NF per bucket, split by a flow filter —
 /// Fig. 3c's "input rate changes".
 pub fn input_rate_series(
@@ -136,12 +124,6 @@ mod tests {
         // packets = Mpps × 1e6 × bucket_seconds (bucket = 1e-4 s).
         let total: f64 = s.iter().map(|(_, mpps)| mpps * 1e6 * 1e-4).sum();
         assert!((total - 1000.0).abs() < 1.0, "total {total}");
-    }
-
-    #[test]
-    fn latency_scatter_has_all_points() {
-        let out = run_simple();
-        assert_eq!(latency_scatter(&out).len(), 1000);
     }
 
     #[test]

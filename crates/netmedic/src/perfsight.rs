@@ -9,11 +9,10 @@
 //! and the `baseline_perfsight` experiment demonstrates.
 
 use nf_types::{Nanos, NfId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// The per-element counters PerfSight collects (a strict subset of what a
 /// real dataplane exposes; the simulator's `NfStats` maps 1:1).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ElementCounters {
     /// Packets read and processed.
     pub processed: u64,

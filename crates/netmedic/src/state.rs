@@ -1,7 +1,6 @@
 //! Per-window component state vectors and the run history.
 
 use nf_types::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The monitored variables of one component, one slot each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +21,7 @@ pub enum Metric {
 pub const METRIC_COUNT: usize = 5;
 
 /// One component's state in one window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentState {
     /// Metric values, indexed by [`Metric`].
     pub values: [f64; METRIC_COUNT],
@@ -50,7 +49,7 @@ impl ComponentState {
 }
 
 /// The full history of a run: `states[window][component]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct History {
     /// Window length in nanoseconds.
     pub window_ns: Nanos,

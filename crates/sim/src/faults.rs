@@ -8,10 +8,9 @@
 //! three share, which the accuracy scorer matches diagnosis output against.
 
 use nf_types::{FiveTuple, FlowAggregate, Interval, Nanos, NfId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A fault to inject into the simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Fault {
     /// The NF's poll loop stalls for `[at, at + duration)` — a CPU
     /// interrupt / context switch (§6.2 injects 500–1000 µs).
@@ -41,7 +40,7 @@ pub enum Fault {
 /// `culprit_node` is the location a correct diagnosis should blame, and
 /// `window` the time when the problem was active (bursts and interrupts) or
 /// each triggering episode (bugs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InjectedEvent {
     /// A traffic burst from the source.
     Burst {
@@ -99,7 +98,7 @@ impl InjectedEvent {
 }
 
 /// The ground-truth journal of one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultJournal {
     /// All injected problems, in injection order.
     pub events: Vec<InjectedEvent>,
@@ -157,11 +156,6 @@ impl InterruptSchedule {
             _ => t,
         }
     }
-
-    /// True if the NF is stalled at `t`.
-    pub fn stalled_at(&self, t: Nanos) -> bool {
-        self.next_available(t) != t
-    }
 }
 
 #[cfg(test)]
@@ -176,8 +170,6 @@ mod tests {
         assert_eq!(s.next_available(100), 200);
         assert_eq!(s.next_available(150), 200);
         assert_eq!(s.next_available(200), 200);
-        assert!(s.stalled_at(150));
-        assert!(!s.stalled_at(200));
     }
 
     #[test]

@@ -2,14 +2,13 @@
 
 use crate::service::ServiceModel;
 use nf_types::{FiveTuple, FlowAggregate, NfId};
-use serde::{Deserialize, Serialize};
 
 /// Where an NF sends a processed packet.
 ///
 /// All policies are *flow-stable*: a given five-tuple always takes the same
 /// next hop, which matches real deployments (connection affinity) and is the
 /// property §5's path side channel relies on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum RoutePolicy {
     /// Send every packet to one fixed downstream NF.
     Fixed(NfId),
@@ -56,7 +55,7 @@ impl RoutePolicy {
 }
 
 /// Full static configuration of one NF instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NfConfig {
     /// Service-cost model (defines the peak rate `r_i`).
     pub service: ServiceModel,

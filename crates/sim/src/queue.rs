@@ -5,11 +5,10 @@
 //! down-sampled length time series used by the Fig. 1/2 reproductions.
 
 use nf_types::{Nanos, NfId, Packet};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A packet the simulator had to drop because an input ring was full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DropRecord {
     /// The packet that was lost.
     pub packet: Packet,

@@ -10,10 +10,9 @@
 use nf_types::{Nanos, NfKind};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Service-cost model of one NF instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceModel {
     /// Deterministic base cost per packet in nanoseconds. The NF's peak
     /// processing rate is `1e9 / base_cost_ns` pps.

@@ -5,10 +5,9 @@
 //! diagnosis accuracy and (c) draw the Fig. 1–3 time series.
 
 use nf_types::{Nanos, NfId, Packet};
-use serde::{Deserialize, Serialize};
 
 /// One hop of a packet's journey.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopRecord {
     /// The NF traversed.
     pub nf: NfId,
@@ -20,20 +19,8 @@ pub struct HopRecord {
     pub sent_at: Nanos,
 }
 
-impl HopRecord {
-    /// Time spent in the input queue.
-    pub fn queue_delay(&self) -> Nanos {
-        self.read_at - self.enqueued_at
-    }
-
-    /// Total time at the NF (queue + service).
-    pub fn nf_delay(&self) -> Nanos {
-        self.sent_at - self.enqueued_at
-    }
-}
-
 /// Terminal outcome of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketOutcome {
     /// Left the exit NF at this time.
     Delivered(Nanos),
@@ -49,7 +36,7 @@ pub enum PacketOutcome {
 }
 
 /// The full ground-truth journey of one packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketFate {
     /// The packet.
     pub packet: Packet,
@@ -84,7 +71,7 @@ impl PacketFate {
 }
 
 /// Aggregate counters for one NF.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NfStats {
     /// Packets read from the input ring.
     pub processed: u64,
@@ -161,13 +148,6 @@ mod tests {
         assert_eq!(f.latency(), Some(200));
         assert_eq!(f.path(), vec![NfId(0), NfId(1)]);
         assert!(!f.dropped());
-    }
-
-    #[test]
-    fn hop_delays() {
-        let h = fate().hops[0];
-        assert_eq!(h.queue_delay(), 40);
-        assert_eq!(h.nf_delay(), 90);
     }
 
     #[test]

@@ -187,12 +187,6 @@ impl NfTimeline {
         u64::from(self.queued_prefix[hi] - self.queued_prefix[lo])
     }
 
-    /// Estimated queue occupancy right after read `i` (see §7): queued
-    /// arrivals up to the read timestamp minus everything read so far.
-    pub fn occupancy_after_read(&self, i: usize) -> u64 {
-        u64::from(self.occ_after_read[i])
-    }
-
     fn arrival_range(&self, a: Nanos, b: Nanos) -> (usize, usize) {
         let lo = self.arrival_ts.partition_point(|&ts| ts < a);
         let hi = self.arrival_ts.partition_point(|&ts| ts <= b);
@@ -753,8 +747,6 @@ mod tests {
         );
         // queued arrivals with ts <= read: 0 2 2 3 5 5; read so far: 0 1 2 7 8 8.
         assert_eq!(tl.occ_after_read, [0, 1, 0, 0, 0, 0]);
-        let occ: Vec<u64> = (0..6).map(|i| tl.occupancy_after_read(i)).collect();
-        assert_eq!(occ, [0, 1, 0, 0, 0, 0]);
 
         // Threshold 1 at t=300: the walk back passes read 4 (t=300, occ 0 <=
         // 1), so the period opens with the arrivals *after* 300 — none.

@@ -54,7 +54,7 @@ use crate::reconstruct::{
 };
 use crate::streams::{EdgeSlots, RxBatchInfo};
 use crate::timeline::Timelines;
-use msc_collector::{BundleChunk, TraceBundle};
+use msc_collector::TraceBundle;
 use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology};
 use std::fmt;
 
@@ -299,11 +299,6 @@ impl WindowedReconstructor {
             reads: vec![Vec::new(); n],
             report: ReconstructionReport::default(),
         }
-    }
-
-    /// Ingests one chunk: every record with `previous until <= ts < until`.
-    pub fn ingest_chunk(&mut self, chunk: &BundleChunk) -> Result<(), StreamError> {
-        self.ingest(&chunk.bundle, chunk.until)
     }
 
     /// Ingests a record bundle whose timestamps all lie below `until` and
@@ -845,7 +840,7 @@ mod tests {
         let off_tl = Timelines::build(&off);
         let mut w = WindowedReconstructor::new(topo, cfg.clone());
         for chunk in chunk_bundle(bundle, chunk_ns) {
-            w.ingest_chunk(&chunk).unwrap();
+            w.ingest(&chunk.bundle, chunk.until).unwrap();
         }
         let (got, got_tl) = w.finish();
         assert_eq!(got, off, "{tag}: reconstruction");
@@ -970,7 +965,9 @@ mod tests {
         assert!(chunks.len() > 4, "{} chunks", chunks.len());
         let feed = |order: &[usize]| {
             let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
-            order.iter().try_for_each(|&i| w.ingest_chunk(&chunks[i]))
+            order
+                .iter()
+                .try_for_each(|&i| w.ingest(&chunks[i].bundle, chunks[i].until))
         };
         let all: Vec<usize> = (0..chunks.len()).collect();
         assert_eq!(feed(&all), Ok(()));
@@ -1002,8 +999,8 @@ mod tests {
 
         // A larger `until` does not excuse a record from behind the watermark…
         let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
-        w.ingest_chunk(&chunks[0]).unwrap();
-        w.ingest_chunk(&chunks[1]).unwrap();
+        w.ingest(&chunks[0].bundle, chunks[0].until).unwrap();
+        w.ingest(&chunks[1].bundle, chunks[1].until).unwrap();
         let stale = w.ingest(&chunks[0].bundle, u2);
         assert!(
             matches!(
@@ -1019,7 +1016,7 @@ mod tests {
         // …while a record-free chunk that only moves the watermark is legal.
         let empty = Collector::new(&topo, CollectorConfig::default()).into_bundle();
         assert_eq!(w.ingest(&empty, u2), Ok(()));
-        assert_eq!(w.ingest_chunk(&chunks[3]), Ok(()));
+        assert_eq!(w.ingest(&chunks[3].bundle, chunks[3].until), Ok(()));
     }
 
     /// Regression (window-boundary IPID reuse, variant A): a 16-bit IPID is
@@ -1075,7 +1072,7 @@ mod tests {
         // p2's vpn hop reads the *new* send.
         let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
         for chunk in chunk_bundle(&bundle, 10_000_000) {
-            w.ingest_chunk(&chunk).unwrap();
+            w.ingest(&chunk.bundle, chunk.until).unwrap();
         }
         let (got, _) = w.finish();
         assert_eq!(
@@ -1146,7 +1143,7 @@ mod tests {
             let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
             let mut peak = 0usize;
             for chunk in chunk_bundle(&bundle, 5_000) {
-                w.ingest_chunk(&chunk).unwrap();
+                w.ingest(&chunk.bundle, chunk.until).unwrap();
                 peak = peak.max(w.working_set());
             }
             let total = w.report().total;

@@ -27,11 +27,6 @@ impl Exponential {
         Self { lambda }
     }
 
-    /// From the mean instead of the rate.
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
-    }
-
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse transform: -ln(U)/λ with U in (0,1].
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_converges() {
-        let d = Exponential::with_mean(250.0);
+        let d = Exponential::new(1.0 / 250.0);
         let mut r = rng();
         let n = 50_000;
         let sum: f64 = (0..n).map(|_| d.sample(&mut r)).sum();

@@ -1,11 +1,10 @@
 //! Emission schedules: composable plans of when which flow sends a packet.
 
 use nf_types::{FiveTuple, Nanos, Packet};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One planned packet emission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledPacket {
     /// Emission time at the traffic source.
     pub at: Nanos,
@@ -20,7 +19,7 @@ pub struct ScheduledPacket {
 /// Schedules from different generators are merged with [`Schedule::merge`]
 /// and only converted into concrete packets (ids, IPIDs) at the very end via
 /// [`Schedule::finalize`], so composition never has to worry about id spaces.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Schedule {
     packets: Vec<ScheduledPacket>,
 }
@@ -92,19 +91,6 @@ impl Schedule {
         }
         out
     }
-
-    /// The time of the last planned emission, if any.
-    pub fn end_time(&self) -> Option<Nanos> {
-        self.packets.iter().map(|p| p.at).max()
-    }
-
-    /// Average packet rate in packets/second over `[0, end_time]`.
-    pub fn mean_rate_pps(&self) -> f64 {
-        match self.end_time() {
-            Some(end) if end > 0 => self.packets.len() as f64 / (end as f64 / 1e9),
-            _ => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,21 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_rate() {
-        let mut s = Schedule::new();
-        for i in 0..1000u64 {
-            s.push(i * 1000, flow(1), 64); // 1 packet per µs = 1 Mpps
-        }
-        let r = s.mean_rate_pps();
-        assert!((r - 1_001_001.0).abs() < 2_000.0, "rate {r}"); // n/(n-1) edge
-    }
-
-    #[test]
     fn empty_schedule() {
         let s = Schedule::new();
         assert!(s.is_empty());
-        assert_eq!(s.end_time(), None);
-        assert_eq!(s.mean_rate_pps(), 0.0);
         assert!(s.finalize(0).is_empty());
     }
 }

@@ -6,12 +6,11 @@
 //! [`FiveTuple`] is the exact key carried by every packet; [`FlowAggregate`]
 //! is a point in the generalisation lattice that AutoFocus climbs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Transport protocol number (IANA). Only the value matters to Microscope;
 /// the simulator uses TCP/UDP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Proto(pub u8);
 
 impl Proto {
@@ -33,7 +32,7 @@ impl fmt::Display for Proto {
 ///
 /// IPv4 addresses are stored as host-order `u32` so that prefix arithmetic is
 /// cheap; [`fmt::Display`] renders dotted-quad form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source IPv4 address (host byte order).
     pub src_ip: u32,
@@ -135,7 +134,7 @@ impl fmt::Display for FiveTuple {
 /// An IPv4 prefix `addr/len`, the generalisation of an address dimension.
 ///
 /// `len == 32` is an exact host; `len == 0` matches everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     addr: u32,
     len: u8,
@@ -225,7 +224,7 @@ impl fmt::Display for Prefix {
 /// Adaptive multi-port ranges (the paper's suggested optimisation) are
 /// represented by arbitrary `lo..=hi` ranges produced by
 /// `autofocus`' adaptive mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortRange {
     /// Lowest port in the range (inclusive).
     pub lo: u16,
@@ -314,7 +313,7 @@ impl fmt::Display for PortRange {
 }
 
 /// A protocol dimension value: exact protocol or wildcard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtoMatch {
     /// Any protocol.
     Any,
@@ -354,7 +353,7 @@ impl fmt::Display for ProtoMatch {
 ///
 /// Printed in the paper's Fig. 14 layout:
 /// `<src prefix> <dst prefix> <proto> <sport> <dport>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowAggregate {
     /// Source address generalisation.
     pub src: Prefix,

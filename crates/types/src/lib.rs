@@ -6,8 +6,8 @@
 //! [`FiveTuple`] flow keys, NF identities ([`NfId`], [`NfKind`]) and the
 //! [`Topology`] DAG that connects traffic sources to NF instances.
 //!
-//! The crate is deliberately dependency-light (only `serde`) so that every
-//! other crate in the workspace can depend on it without cycles.
+//! The crate has no dependencies, so that every other crate in the workspace
+//! can depend on it without cycles.
 
 #![forbid(unsafe_code)]
 // The panic-surface gate (DESIGN.md §6): operator-facing code returns typed

@@ -1,13 +1,12 @@
 //! Identities of network functions and topology nodes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind (type) of a network function.
 ///
 /// The paper's evaluation chain (Fig. 10) uses four kinds; `Custom` lets
 /// examples and tests define additional ones without touching this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NfKind {
     /// Network address translator.
     Nat,
@@ -47,7 +46,7 @@ impl fmt::Display for NfKind {
 ///
 /// Indexes into [`crate::topology::Topology`] node tables; dense and cheap to
 /// use as an array index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NfId(pub u16);
 
 impl fmt::Display for NfId {
@@ -61,7 +60,7 @@ impl fmt::Display for NfId {
 ///
 /// The propagation analysis (§4.2) attributes scores to NFs *and* to the
 /// traffic source, so the source is a first-class node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// The (aggregate) traffic source.
     Source,
@@ -79,11 +78,6 @@ impl NodeId {
             NodeId::Source => None,
             NodeId::Nf(id) => Some(*id),
         }
-    }
-
-    /// True for the traffic source.
-    pub fn is_source(&self) -> bool {
-        matches!(self, NodeId::Source)
     }
 }
 
@@ -114,11 +108,9 @@ mod tests {
 
     #[test]
     fn node_id_accessors() {
-        assert!(SOURCE_NODE.is_source());
         assert_eq!(SOURCE_NODE.nf(), None);
         let n: NodeId = NfId(4).into();
         assert_eq!(n.nf(), Some(NfId(4)));
-        assert!(!n.is_source());
     }
 
     #[test]

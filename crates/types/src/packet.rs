@@ -14,11 +14,10 @@
 
 use crate::flow::FiveTuple;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique packet id (ground truth only; see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -31,7 +30,7 @@ impl fmt::Display for PacketId {
 pub type Ipid = u16;
 
 /// A packet travelling through the simulated NF DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Ground-truth unique id (never consulted by diagnosis).
     pub id: PacketId,

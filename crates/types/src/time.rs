@@ -7,8 +7,6 @@
 //! nanosecond counter wraps after ~584 years of simulated time, so wrapping is
 //! not a concern.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in nanoseconds since the start of the run.
 pub type Nanos = u64;
 
@@ -25,7 +23,7 @@ pub const SECONDS: Nanos = 1_000_000_000;
 /// A half-open time interval `[start, end)`.
 ///
 /// Used for queuing periods, injected-fault windows and victim windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Inclusive start of the interval.
     pub start: Nanos,

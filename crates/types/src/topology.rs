@@ -7,7 +7,6 @@
 //! entry NF.
 
 use crate::nf::{NfId, NfKind, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -38,7 +37,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// Static description of one NF instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NfInfo {
     /// Dense instance id.
     pub id: NfId,
@@ -49,7 +48,7 @@ pub struct NfInfo {
 }
 
 /// An immutable, validated DAG of NF instances.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     nfs: Vec<NfInfo>,
     /// `downstream[i]` = NFs fed by NF i.
@@ -166,30 +165,6 @@ impl Topology {
     /// bound on the number of recursions (§5, "Offline diagnosis").
     pub fn recursion_bound(&self) -> usize {
         self.upstream.iter().map(|u| u.len()).sum::<usize>() + self.entries.len()
-    }
-
-    /// All source-to-`nf` paths (each a Vec of NF ids ending at `nf`,
-    /// beginning at an entry NF). Used by tests and by the DAG propagation
-    /// analysis. Paths are returned in a deterministic order.
-    pub fn paths_to(&self, nf: NfId) -> Vec<Vec<NfId>> {
-        let mut out = Vec::new();
-        let mut current = vec![nf];
-        self.walk_paths(nf, &mut current, &mut out);
-        out
-    }
-
-    fn walk_paths(&self, nf: NfId, current: &mut Vec<NfId>, out: &mut Vec<Vec<NfId>>) {
-        let ups = self.upstream(nf);
-        if self.entries.contains(&nf) {
-            let mut p = current.clone();
-            p.reverse();
-            out.push(p);
-        }
-        for &u in ups {
-            current.push(u);
-            self.walk_paths(u, current, out);
-            current.pop();
-        }
     }
 }
 
@@ -467,19 +442,6 @@ mod tests {
         let mon1 = t.by_name("mon1").unwrap();
         assert_eq!(t.upstream(mon1).len(), 5);
         assert_eq!(t.downstream(mon1).len(), 4);
-    }
-
-    #[test]
-    fn paper_topology_paths() {
-        let t = paper_topology();
-        let vpn1 = t.by_name("vpn1").unwrap();
-        let paths = t.paths_to(vpn1);
-        // 4 NATs × 5 FWs × (direct + via each of 3 monitors) = 80 paths.
-        assert_eq!(paths.len(), 4 * 5 * 4);
-        for p in &paths {
-            assert_eq!(*p.last().unwrap(), vpn1);
-            assert_eq!(t.nf(p[0]).kind, NfKind::Nat);
-        }
     }
 
     #[test]
