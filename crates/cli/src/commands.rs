@@ -23,7 +23,9 @@ commands:
 
 stream consumes the bundle incrementally (chunked .mscs files directly;
 whole-run .msc bundles are chunked in memory at --chunk-ms, default 50)
-and prints the same report as diagnose — byte-identical without --skew.
+and prints the same report as diagnose; with --skew, chunks are held until
+the estimated clock offsets settle (at the latest when the stream ends, on
+the whole-run estimate diagnose --skew makes).
 
 run `microscope <command>` with missing flags to see its specific errors.";
 
@@ -305,6 +307,14 @@ fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
             s.closed_periods,
             s.longest_period_ns / 1_000,
         );
+        match s.held_for_offsets {
+            Some(held) if held == s.chunks => eprintln!(
+                "note: clock offsets settled on all {held} chunks: held the whole run and \
+                 corrected by the estimate diagnose --skew makes"
+            ),
+            Some(held) => eprintln!("clock offsets settled after {held} chunks held"),
+            None => {}
+        }
     }
     for note in &run.skew_notes {
         eprintln!("note: {note}");
@@ -350,7 +360,7 @@ pub fn diagnose(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
 /// `microscope stream` — the streaming pipeline: consume the bundle as a
 /// sequence of time chunks with O(window) reconstruction state, then print
-/// the same report as `diagnose` (byte-identical without `--skew`).
+/// the same report as `diagnose`.
 pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(
         args,

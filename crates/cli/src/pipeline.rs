@@ -73,7 +73,7 @@ pub enum Produced<'a> {
 /// it, so the two commands stay byte-identical on equal reconstructions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// The estimated clock offsets, when `diagnose --skew` corrected by them.
+    /// The estimated clock offsets, when `--skew` corrected by them.
     pub offsets: Option<Vec<TimeDelta>>,
     /// Trace counts by fate.
     pub reconstruction: ReconstructionReport,
@@ -137,6 +137,9 @@ pub struct Streamed {
     pub closed_periods: u64,
     /// The longest of them.
     pub longest_period_ns: Nanos,
+    /// With `--skew`: chunks held until the clock offsets settled. Equal to
+    /// `chunks` when they settled on the whole run, as `diagnose --skew`'s do.
+    pub held_for_offsets: Option<u64>,
 }
 
 /// A finished `diagnose` or `stream`: the report for stdout and the facts
@@ -232,7 +235,8 @@ pub fn diagnose(
 
 /// `microscope stream` — the streaming pipeline: consume the bundle as a
 /// sequence of time chunks with O(window) reconstruction state, then the
-/// same diagnosis as [`diagnose`] (an equal report without `skew`).
+/// same diagnosis as [`diagnose`] — an equal report; with `skew`, for the
+/// offsets the stream settled on (the whole-run estimate when it ends first).
 ///
 /// A chunked `.mscs` is read chunk by chunk; a whole-run `.msc` is chunked in
 /// memory at `chunk_ms` (default 50).
@@ -257,10 +261,8 @@ pub fn stream(
 
     let mut cfg = StreamConfig::default();
     if skew {
-        // Per-window estimation is approximate; give the matcher the same
-        // slack the offline skew path uses. This mode is *not*
-        // byte-identical to offline `diagnose --skew` (which estimates
-        // offsets once over the whole run).
+        // The slack the offline skew path gives the matcher; the engine
+        // also takes it as the tolerance within which the offsets settle.
         cfg.matching.negative_slack_ns = 20 * MICROS;
         cfg.skew = Some(SkewConfig::default());
     }
@@ -288,21 +290,25 @@ pub fn stream(
         }
     }
 
-    let streamed = Streamed {
+    let mut streamed = Streamed {
         chunked_in_memory_ms,
         chunks: engine.chunks(),
         committed: engine.committed(),
         working_set_peak: engine.working_set_peak(),
         closed_periods: engine.periods().closed_periods(),
         longest_period_ns: engine.periods().longest_ns(),
+        held_for_offsets: None,
     };
-    let skew_notes = engine.skew_notes();
-    let (recon, timelines) = engine.finish();
+    let (recon, timelines, skewed) = engine.finish_skewed();
     hook("finish", Produced::Finished(&recon, &timelines));
 
     let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
+    if let Some((est, held)) = skewed {
+        streamed.held_for_offsets = Some(held);
+        run.skew_notes = est.notes(topology);
+        run.report.offsets = Some(est.offsets);
+    }
     run.streamed = Some(streamed);
-    run.skew_notes = skew_notes;
     Ok(run)
 }
 

@@ -1,9 +1,10 @@
-//! The checked-in golden reports: `diagnose`, `stream` and `diagnose --skew`
-//! on the seed-11 recorded runs must print `tests/fixtures/report_seed11*.txt`
-//! byte for byte. Two runs of one binary agree even when a change alters the
-//! report deterministically — or lets a clock read reach stdout on every
-//! run; this comparison against a file does not. A change that is meant to
-//! alter the answer regenerates the fixture in the same commit, on purpose.
+//! The checked-in golden reports: `diagnose`, `stream`, `diagnose --skew` and
+//! `stream --skew` on the seed-11 recorded runs must print
+//! `tests/fixtures/report_seed11*.txt` byte for byte. Two runs of one binary
+//! agree even when a change alters the report deterministically — or lets a
+//! clock read reach stdout on every run; this comparison against a file does
+//! not. A change that is meant to alter the answer regenerates the fixture in
+//! the same commit, on purpose.
 
 use std::path::Path;
 use std::process::Command;
@@ -62,5 +63,8 @@ fn diagnose_and_stream_print_the_golden_report() {
 fn diagnose_skew_prints_the_golden_skew_report() {
     let dir = record("skew", &["--skew", "--interrupt", "nat2:15:2000"]);
     assert_prints(&dir, "diagnose", &["--skew"], "report_seed11_skew.txt");
+    // One chunk: the offsets settle on the whole run, as offline's do.
+    let one_chunk = ["--skew", "--chunk-ms", "1000"];
+    assert_prints(&dir, "stream", &one_chunk, "report_seed11_skew.txt");
     let _ = std::fs::remove_dir_all(&dir);
 }

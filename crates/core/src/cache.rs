@@ -4,9 +4,8 @@
 //! waste: victims cluster inside bursts, so thousands of victims at one NF
 //! share the *same* queuing period — and therefore the same §4.1 period
 //! extraction, §4.2 PreSet attribution and §4.3 recursion anchors. This
-//! module caches one [`DiagnosisStep`] per distinct
-//! `(nf, anchor_ts, threshold)` so that work happens once per period
-//! instead of once per victim.
+//! module caches one [`DiagnosisStep`] per distinct `(nf, anchor_ts)` so that
+//! work happens once per period instead of once per victim.
 //!
 //! ## Why this preserves bit-identical output
 //!
@@ -29,12 +28,12 @@ use std::cell::OnceCell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
 
-/// Cache key: `(nf, anchor timestamp, §7 start threshold)`. Anchors — not
-/// period starts — key the cache because `queuing_period(t)` is resolved
-/// *by* the lookup; batched upstream sends give many victims the same
-/// anchor, and §4.3 recursion anchors (an upstream period's last PreSet
-/// arrival) collide across victims of the same burst by construction.
-pub type StepKey = (NfId, Nanos, u64);
+/// Cache key: `(nf, anchor timestamp)`. Anchors — not period starts — key
+/// the cache because `queuing_period(t)` is resolved *by* the lookup;
+/// batched upstream sends give many victims the same anchor, and §4.3
+/// recursion anchors (an upstream period's last PreSet arrival) collide
+/// across victims of the same burst by construction.
+pub type StepKey = (NfId, Nanos);
 
 /// The memoized per-period work of one §4.3 recursion step.
 ///
@@ -148,7 +147,7 @@ mod tests {
     #[test]
     fn second_lookup_hits_and_shares_the_entry() {
         let mut cache = DiagnosisCache::default();
-        let key = (NfId(3), 1_000, 0);
+        let key = (NfId(3), 1_000);
         let a = cache.step(key, || dummy_step(7));
         let b = cache.step(key, || panic!("must not recompute on a hit"));
         assert!(Rc::ptr_eq(&a, &b));
@@ -159,14 +158,9 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_entries() {
-        // Keys differing in one field each: NF, anchor, threshold.
+        // Keys differing in one field each: NF, anchor.
         let mut cache = DiagnosisCache::default();
-        let keys = [
-            (NfId(1), 10, 0),
-            (NfId(2), 10, 0),
-            (NfId(1), 20, 0),
-            (NfId(1), 10, 5),
-        ];
+        let keys = [(NfId(1), 10), (NfId(2), 10), (NfId(1), 20)];
         for (n, &key) in keys.iter().enumerate() {
             cache.step(key, || dummy_step(n as u64));
         }
@@ -175,7 +169,7 @@ mod tests {
             assert_eq!(step.qp.n_arrived, n as u64, "value under the wrong key");
         }
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (4, 4, 4));
+        assert_eq!((s.hits, s.misses, s.entries), (3, 3, 3));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct DiagnosisConfig {
     pub max_depth: usize,
     /// Cap on distinct flows reported per culprit.
     pub max_flows_per_culprit: usize,
-    /// Memoize §4.1/§4.2 step results per `(nf, anchor, threshold)` across
+    /// Memoize §4.1/§4.2 step results per `(nf, anchor)` across
     /// victims (see [`crate::cache`]). Cache entries are pure functions of
     /// their key, so this never changes the output — the uncached path is
     /// the reference `tests/cache_identity.rs` compares against.
@@ -234,9 +234,7 @@ impl Microscope {
         // period's culprit flows — is a pure function of (nf, t), so it is
         // shared across every victim that lands in this period.
         let step = match cache.as_deref_mut() {
-            Some(c) => c.step((nf, t, 0), || {
-                self.make_step(timelines, index, nf, t, scratch)
-            }),
+            Some(c) => c.step((nf, t), || self.make_step(timelines, index, nf, t, scratch)),
             None => Rc::new(self.make_step(timelines, index, nf, t, scratch)),
         };
         let qp = &step.qp;
@@ -314,8 +312,9 @@ impl Microscope {
                         NodeId::Source,
                         CulpritKind::SourceBurst,
                         s,
-                        // Under per-window skew offsets a source share's
-                        // first arrival can land after the period's end.
+                        // On clocks corrected by a wrong offset a source
+                        // share's first arrival can land after the period's
+                        // end.
                         Interval::new(
                             share
                                 .first_arrival

@@ -12,20 +12,19 @@
 //!   than the run length.
 //! * **Rolling period tracking** — the per-read drain bit folds into a
 //!   [`microscope::PeriodTracker`] for live congestion stats.
-//! * **Optional skew tracking** — with [`StreamConfig::skew`] set, a
-//!   [`msc_trace::SkewTracker`] re-estimates clock offsets per chunk and
-//!   corrects timestamps before ingestion, carrying the last-known offset
-//!   across quiet windows (and saying so in [`StreamEngine::skew_notes`]).
+//! * **Optional skew correction** — with [`StreamConfig::skew`] set, chunks
+//!   are held until the clock offsets estimated over them settle, then all
+//!   corrected by that one estimate ([`StreamEngine::push_chunk`]).
 //!
 //! Chunks must arrive in time order, each once: a chunk whose `until` does
 //! not exceed the previous one's, or that carries a record from before it,
 //! is refused with [`StreamError::OutOfOrderChunk`].
 //!
-//! With skew correction off (the default), the streamed [`Reconstruction`],
-//! timelines and diagnoses are **equal** to the offline pipeline's on the
-//! concatenated bundle — the offline path stays the oracle, and the
-//! equivalence suites compare the two whole. Skew mode is *not*
-//! bit-identical: offsets are estimated per window, not over the full run.
+//! The streamed [`Reconstruction`], timelines and diagnoses are **equal** to
+//! the offline pipeline's on the concatenated bundle — the offline path stays
+//! the oracle, and the equivalence suites compare the two whole. In skew mode
+//! that holds for the offsets the stream settled on; one that ends unsettled
+//! estimates over all it holds, the whole-run estimate of `diagnose --skew`.
 
 #![forbid(unsafe_code)]
 // The panic-surface gate (DESIGN.md §6): operator-facing code returns typed
@@ -43,18 +42,12 @@
 )]
 
 use microscope::{CacheStats, Diagnosis, DiagnosisConfig, Microscope, PeriodTracker};
-use msc_collector::BundleChunk;
+use msc_collector::{concat_chunks, BundleChunk, FlowRecord, TraceBundle};
 use msc_trace::{
-    correct_bundle, MatchConfig, Reconstruction, ReconstructionReport, SkewConfig, SkewTracker,
-    StreamError, Timelines, WindowedReconstructor,
+    correct_bundle, estimate_offsets_refined_detailed, MatchConfig, Reconstruction,
+    ReconstructionReport, SkewConfig, SkewEstimates, StreamError, Timelines, WindowedReconstructor,
 };
-use nf_types::{Nanos, Topology, MILLIS};
-
-/// With skew on, the watermark lags each chunk boundary by this guard so
-/// records whose *corrected* timestamps land below the boundary are still
-/// undecided when they arrive. It must cover the largest plausible clock
-/// offset magnitude (`record --skew` spreads ±2 ms).
-pub const SKEW_GUARD_NS: Nanos = 5 * MILLIS;
+use nf_types::{Ipid, Nanos, NfId, TimeDelta, Topology};
 
 /// Configuration for a [`StreamEngine`].
 #[derive(Debug, Clone, Default)]
@@ -62,8 +55,8 @@ pub struct StreamConfig {
     /// Matcher configuration (delay bound, lookahead, order channel...);
     /// must equal the offline run's for bit-identity.
     pub matching: MatchConfig,
-    /// Enable per-window clock-offset estimation and correction. `None`
-    /// (default) trusts the timestamps and keeps bit-identity.
+    /// Enable clock-offset estimation and correction. `None` (default)
+    /// trusts the timestamps.
     pub skew: Option<SkewConfig>,
 }
 
@@ -77,9 +70,27 @@ pub struct StreamOutcome {
     pub diagnoses: Vec<Diagnosis>,
     /// Step-cache statistics from the diagnosis pass.
     pub cache_stats: CacheStats,
-    /// Skew fallback notes (empty when skew tracking was off or every
-    /// window produced a fresh estimate).
+    /// [`SkewEstimates::notes`] of the offsets the stream was corrected by
+    /// (empty when skew correction was off).
     pub skew_notes: Vec<String>,
+}
+
+/// Skew mode's state.
+#[derive(Default)]
+struct Skew {
+    cfg: SkewConfig,
+    /// Two successive estimates this close agree: the residual skew the
+    /// matcher is told to tolerate.
+    tolerance: Nanos,
+    /// Chunks admitted but not ingested yet, and their bytes.
+    pending: Vec<BundleChunk>,
+    pending_bytes: usize,
+    /// The latest estimate over `pending`, and `pending_bytes` at the time.
+    estimate: Option<SkewEstimates>,
+    estimated_bytes: usize,
+    /// Set once `estimate` is final and every chunk is corrected by it: how
+    /// many chunks were held until then.
+    settled: Option<u64>,
 }
 
 /// Incremental diagnosis engine over a stream of collector chunks.
@@ -87,12 +98,7 @@ pub struct StreamEngine {
     topology: Topology,
     recon: WindowedReconstructor,
     periods: PeriodTracker,
-    skew: Option<SkewTracker>,
-    // Per-NF (rx, tx, flows) clamp floors: window-to-window jitter in the
-    // skew estimate may shift a later chunk slightly below the previous
-    // chunk's corrected timestamps, and the matcher's binary searches need
-    // each log to stay nondecreasing.
-    skew_floors: Vec<(Nanos, Nanos, Nanos)>,
+    skew: Option<Skew>,
     chunks: u64,
     working_set_peak: usize,
 }
@@ -102,75 +108,64 @@ impl StreamEngine {
     pub fn new(topology: &Topology, cfg: StreamConfig) -> Self {
         Self {
             topology: topology.clone(),
+            skew: cfg.skew.map(|sc| Skew {
+                cfg: sc,
+                tolerance: cfg.matching.negative_slack_ns,
+                ..Default::default()
+            }),
             recon: WindowedReconstructor::new(topology, cfg.matching),
             periods: PeriodTracker::new(topology.len()),
-            skew: cfg.skew.map(|sc| SkewTracker::new(topology.len(), sc)),
-            skew_floors: vec![(0, 0, 0); topology.len()],
             chunks: 0,
             working_set_peak: 0,
         }
     }
 
     /// Consumes one chunk: checks it follows the previous one (on the raw
-    /// timestamps), updates skew offsets (if enabled), feeds the rolling
-    /// period tracker, and advances the reconstruction watermark.
+    /// timestamps), feeds the rolling period tracker, and advances the
+    /// reconstruction watermark.
+    ///
+    /// In skew mode the chunk is held until the clock offsets settle. They
+    /// are estimated over the held chunks, again whenever those have doubled,
+    /// by the estimator `diagnose --skew` runs on the whole bundle; when two
+    /// successive estimates agree the later one is final, and the held chunks
+    /// and every later one are corrected by it and ingested.
     pub fn push_chunk(&mut self, chunk: &BundleChunk) -> Result<(), StreamError> {
         self.recon.admit(&chunk.bundle, chunk.until)?;
-        let has_records = !chunk.bundle.source_flows.is_empty()
-            || chunk
-                .bundle
-                .logs
-                .iter()
-                .any(|l| !l.rx.is_empty() || !l.tx.is_empty());
-        if let Some(tracker) = &mut self.skew {
-            // A record-free chunk carries no skew information: advance the
-            // watermark without charging the tracker a missed window.
-            let offsets = if has_records {
-                tracker.observe(&self.topology, &chunk.bundle).to_vec()
+        if let Some(skew) = &mut self.skew {
+            if let (Some(_), Some(est)) = (skew.settled, &skew.estimate) {
+                ingest_corrected(&mut self.recon, &mut self.periods, &est.offsets, chunk)?;
             } else {
-                tracker.offsets().to_vec()
-            };
-            let mut corrected = correct_bundle(&chunk.bundle, &offsets);
-            self.clamp_monotone(&mut corrected);
-            self.track_reads(&corrected);
-            // Corrected timestamps can land up to one offset magnitude
-            // below the chunk boundary; lag the watermark so they are
-            // still undecided when they arrive.
-            self.recon
-                .advance(&corrected, chunk.until.saturating_sub(SKEW_GUARD_NS))?;
+                skew.pending_bytes += chunk_bytes(&chunk.bundle);
+                skew.pending.push(chunk.clone());
+                let doubled = skew.pending_bytes >= 2 * skew.estimated_bytes;
+                if skew.pending_bytes > 0 && doubled && skew.estimate_held(&self.topology) {
+                    self.settle()?;
+                }
+            }
         } else {
-            self.track_reads(&chunk.bundle);
+            track_reads(&mut self.periods, &chunk.bundle);
             self.recon.advance(&chunk.bundle, chunk.until)?;
         }
         self.chunks += 1;
-        self.working_set_peak = self.working_set_peak.max(self.recon.working_set());
+        self.working_set_peak = self.working_set_peak.max(self.working_set());
         Ok(())
     }
 
-    fn clamp_monotone(&mut self, bundle: &mut msc_collector::TraceBundle) {
-        for log in &mut bundle.logs {
-            let floors = &mut self.skew_floors[log.nf.0 as usize];
-            for ts in log.rx.ts_mut() {
-                *ts = (*ts).max(floors.0);
-                floors.0 = *ts;
-            }
-            for ts in log.tx.ts_mut() {
-                *ts = (*ts).max(floors.1);
-                floors.1 = *ts;
-            }
-            for f in &mut log.flows {
-                f.ts = f.ts.max(floors.2);
-                floors.2 = f.ts;
-            }
+    /// Makes the latest estimate final and ingests the held chunks by it.
+    fn settle(&mut self) -> Result<(), StreamError> {
+        let Some(skew) = &mut self.skew else {
+            return Ok(());
+        };
+        skew.settled = Some(skew.pending.len() as u64);
+        let offsets = skew.estimate.as_ref().map_or(&[][..], |e| &e.offsets);
+        for chunk in skew.pending.drain(..) {
+            ingest_corrected(&mut self.recon, &mut self.periods, offsets, &chunk)?;
+            skew.pending_bytes -= chunk_bytes(&chunk.bundle);
+            // The frontier fills while the held prefix empties.
+            let frontier = self.recon.working_set() + skew.pending_bytes;
+            self.working_set_peak = self.working_set_peak.max(frontier);
         }
-    }
-
-    fn track_reads(&mut self, bundle: &msc_collector::TraceBundle) {
-        for log in &bundle.logs {
-            for r in log.rx.iter() {
-                self.periods.on_read(log.nf, r.ts, r.drained_queue());
-            }
-        }
+        Ok(())
     }
 
     /// Rolling queuing-period stats.
@@ -195,9 +190,10 @@ impl StreamEngine {
         self.chunks
     }
 
-    /// Approximate bytes held by the evictable frontier right now.
+    /// Approximate bytes held by the evictable frontier right now: the
+    /// reconstructor's and, in skew mode, the chunks held back.
     pub fn working_set(&self) -> usize {
-        self.recon.working_set()
+        self.recon.working_set() + self.skew.as_ref().map_or(0, |s| s.pending_bytes)
     }
 
     /// Largest frontier observed at any chunk boundary — the quantity that
@@ -206,18 +202,33 @@ impl StreamEngine {
         self.working_set_peak
     }
 
-    /// Skew fallback notes accumulated so far (empty when skew is off).
-    pub fn skew_notes(&self) -> Vec<String> {
-        self.skew
-            .as_ref()
-            .map(|t| t.notes(&self.topology))
-            .unwrap_or_default()
+    /// Drains everything still in flight and returns the reconstruction
+    /// and timelines (bit-identical to offline).
+    pub fn finish(self) -> (Reconstruction, Timelines) {
+        let (recon, timelines, _) = self.finish_skewed();
+        (recon, timelines)
     }
 
-    /// Drains everything still in flight and returns the reconstruction
-    /// and timelines (bit-identical to offline when skew is off).
-    pub fn finish(self) -> (Reconstruction, Timelines) {
-        self.recon.finish()
+    /// [`finish`], plus the offsets a skew-mode stream was corrected by and
+    /// how many chunks were held until they settled. A stream that ends
+    /// unsettled settles here, on the estimate over everything it holds —
+    /// all its chunks: the whole-run estimate.
+    ///
+    /// [`finish`]: StreamEngine::finish
+    pub fn finish_skewed(mut self) -> (Reconstruction, Timelines, Option<(SkewEstimates, u64)>) {
+        if let Some(skew) = &mut self.skew {
+            if skew.settled.is_none() && !skew.pending.is_empty() {
+                if skew.estimate.is_none() || skew.estimated_bytes != skew.pending_bytes {
+                    skew.estimate_held(&self.topology);
+                }
+                // Ingesting fails only on a source record whose entry NF has
+                // no source edge, and `Topology::build` gives every entry one.
+                assert!(self.settle().is_ok(), "held chunks fit the topology");
+            }
+        }
+        let skew = self.skew.and_then(|s| Some((s.estimate?, s.settled?)));
+        let (recon, timelines) = self.recon.finish();
+        (recon, timelines, skew)
     }
 
     /// [`finish`], then the full diagnosis pass — same period-keyed
@@ -227,8 +238,8 @@ impl StreamEngine {
     /// [`finish`]: StreamEngine::finish
     pub fn finish_and_diagnose(self, peak_rates: Vec<f64>, dcfg: DiagnosisConfig) -> StreamOutcome {
         let topology = self.topology.clone();
-        let skew_notes = self.skew_notes();
-        let (recon, timelines) = self.recon.finish();
+        let (recon, timelines, skew) = self.finish_skewed();
+        let skew_notes = skew.map_or(Vec::new(), |(est, _)| est.notes(&topology));
         let engine = Microscope::new(topology, peak_rates, dcfg);
         let (diagnoses, cache_stats) = engine.diagnose_all_stats(&recon, &timelines);
         StreamOutcome {
@@ -241,17 +252,84 @@ impl StreamEngine {
     }
 }
 
+impl Skew {
+    /// Estimates the offsets over the held chunks. True when that settles
+    /// them: this estimate and the one before both cover every NF that has
+    /// records, and no offset moved by more than the tolerance.
+    fn estimate_held(&mut self, topology: &Topology) -> bool {
+        let held = concat_chunks(&self.pending);
+        let est = estimate_offsets_refined_detailed(topology, &held, &self.cfg);
+        let agreed = self.estimate.as_ref().is_some_and(|prev| {
+            held.logs.iter().enumerate().all(|(i, log)| {
+                let estimated = prev.available[i] && est.available[i];
+                (estimated || log.packet_appearances() == 0)
+                    && est.offsets[i].abs_diff(prev.offsets[i]) <= self.tolerance
+            })
+        });
+        self.estimated_bytes = self.pending_bytes;
+        self.estimate = Some(est);
+        agreed
+    }
+}
+
+/// Rewrites `chunk` onto the source clock by `offsets` and ingests it.
+fn ingest_corrected(
+    recon: &mut WindowedReconstructor,
+    periods: &mut PeriodTracker,
+    offsets: &[TimeDelta],
+    chunk: &BundleChunk,
+) -> Result<(), StreamError> {
+    let corrected = correct_bundle(&chunk.bundle, offsets);
+    track_reads(periods, &corrected);
+    // A clock running `o` ahead has its records land up to `o` below the raw
+    // chunk boundary (one running behind only moves them up): lag the
+    // watermark by the largest `o`, so they are undecided when they arrive.
+    let guard = offsets.iter().copied().max().unwrap_or(0).max(0);
+    recon.advance(&corrected, chunk.until.saturating_sub(guard.unsigned_abs()))
+}
+
+fn track_reads(periods: &mut PeriodTracker, bundle: &TraceBundle) {
+    for log in &bundle.logs {
+        for r in log.rx.iter() {
+            periods.on_read(log.nf, r.ts, r.drained_queue());
+        }
+    }
+}
+
+/// Approximate heap bytes of a chunk's records.
+fn chunk_bytes(bundle: &TraceBundle) -> usize {
+    use std::mem::size_of;
+    let batch = size_of::<Nanos>() + size_of::<u32>();
+    let logs = bundle.logs.iter().map(|l| {
+        (l.rx.len() + l.tx.len()) * batch
+            + l.tx.len() * size_of::<Option<NfId>>()
+            + l.packet_appearances() * size_of::<Ipid>()
+            + l.flows.len() * size_of::<FlowRecord>()
+    });
+    logs.sum::<usize>() + bundle.source_flows.len() * size_of::<FlowRecord>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use microscope::LatencyThreshold;
-    use msc_collector::chunk_bundle;
+    use msc_collector::{chunk_bundle, Collector, CollectorConfig};
     use msc_trace::{reconstruct, ReconstructionConfig};
     use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
     use nf_traffic::{CaidaLike, CaidaLikeConfig};
-    use nf_types::{paper_topology, NfId, MICROS};
+    use nf_types::{paper_topology, MICROS, MILLIS};
 
-    fn paper_run(seed: u64, millis: u64) -> (Topology, Vec<f64>, msc_collector::TraceBundle) {
+    fn paper_run(seed: u64, millis: u64) -> (Topology, Vec<f64>, TraceBundle) {
+        paper_run_on_clocks(seed, millis, Vec::new())
+    }
+
+    /// The paper deployment with a nat2 interrupt mid-run, every NF's clock
+    /// `clock_offsets_ns[nf]` ahead of the source's.
+    fn paper_run_on_clocks(
+        seed: u64,
+        millis: u64,
+        clock_offsets_ns: Vec<i64>,
+    ) -> (Topology, Vec<f64>, TraceBundle) {
         let topology = paper_topology();
         let cfgs = paper_nf_configs(&topology);
         let rates: Vec<f64> = cfgs.iter().map(|c| c.service.peak_rate_pps()).collect();
@@ -261,6 +339,7 @@ mod tests {
             SimConfig {
                 seed,
                 record_fates: false,
+                clock_offsets_ns,
                 ..Default::default()
             },
         );
@@ -383,6 +462,13 @@ mod tests {
                 "{err}"
             );
             assert_eq!(engine.chunks(), 2, "a refused chunk is not counted");
+            if cfg.skew.is_some() {
+                // Refused on arrival, while every chunk is still held.
+                assert_eq!(engine.report().total, 0);
+                assert!(
+                    engine.working_set() > StreamEngine::new(&topology, cfg.clone()).working_set()
+                );
+            }
             // Replayed.
             let mut engine = StreamEngine::new(&topology, cfg);
             engine.push_chunk(&chunks[0]).expect("in order");
@@ -391,54 +477,164 @@ mod tests {
         }
     }
 
-    #[test]
-    fn skew_mode_corrects_offsets_and_reports_fallbacks() {
-        let topology = paper_topology();
-        let cfgs = paper_nf_configs(&topology);
-        let rates: Vec<f64> = cfgs.iter().map(|c| c.service.peak_rate_pps()).collect();
-        let offsets: Vec<i64> = (0..topology.len() as i64)
-            .map(|i| (i % 5 - 2) * 1_000_000)
-            .collect();
-        let mut sim = Simulation::new(
-            topology.clone(),
-            cfgs,
-            SimConfig {
-                seed: 9,
-                record_fates: false,
-                clock_offsets_ns: offsets,
-                ..Default::default()
-            },
-        );
-        let mut gen = CaidaLike::new(
-            CaidaLikeConfig {
-                rate_pps: 1.0e6,
-                ..Default::default()
-            },
-            9,
-        );
-        let packets = gen.generate(0, 30 * MILLIS).finalize(0);
-        let bundle = sim.run(&packets).bundle;
+    /// `record --skew`'s clocks scaled: NF `i` runs `(i % 5 - 2) * step_ns`
+    /// ahead of the source.
+    fn spread_clocks(topology: &Topology, step_ns: i64) -> Vec<i64> {
+        (0..topology.len() as i64)
+            .map(|i| (i % 5 - 2) * step_ns)
+            .collect()
+    }
 
-        let cfg = StreamConfig {
+    fn skew_cfg() -> StreamConfig {
+        StreamConfig {
             matching: MatchConfig {
                 negative_slack_ns: 20 * MICROS,
                 ..Default::default()
             },
             skew: Some(SkewConfig::default()),
-        };
-        let mut engine = StreamEngine::new(&topology, cfg);
-        for chunk in chunk_bundle(&bundle, 10 * MILLIS) {
-            engine.push_chunk(&chunk).expect("chunk fits topology");
         }
-        let out = engine.finish_and_diagnose(rates, dcfg());
-        // With ±2 ms offsets and no correction the matcher would reject
-        // nearly everything; corrected streaming must deliver the bulk.
+    }
+
+    /// `diagnose --skew`: one estimate over the whole run, one correction.
+    fn offline_skewed(
+        topology: &Topology,
+        bundle: &TraceBundle,
+    ) -> (SkewEstimates, Reconstruction) {
+        let est = estimate_offsets_refined_detailed(topology, bundle, &SkewConfig::default());
+        let cfg = ReconstructionConfig {
+            matching: skew_cfg().matching,
+        };
+        let fixed = correct_bundle(bundle, &est.offsets);
+        let recon = reconstruct(topology, &fixed, &cfg);
+        (est, recon)
+    }
+
+    fn stream_skewed(
+        topology: &Topology,
+        chunks: &[BundleChunk],
+    ) -> (Reconstruction, Timelines, SkewEstimates, u64) {
+        let mut engine = StreamEngine::new(topology, skew_cfg());
+        for chunk in chunks {
+            engine.push_chunk(chunk).expect("chunk fits topology");
+        }
+        let (recon, timelines, skew) = engine.finish_skewed();
+        let (est, held_chunks) = skew.expect("a skew-mode stream with chunks settles");
+        (recon, timelines, est, held_chunks)
+    }
+
+    #[test]
+    fn a_skewed_stream_that_ends_unsettled_equals_offline() {
+        let topology = paper_topology();
+        let clocks = spread_clocks(&topology, MILLIS as i64);
+        let (_, _, bundle) = paper_run_on_clocks(9, 30, clocks);
+        let (whole, offline) = offline_skewed(&topology, &bundle);
+        let off_tl = Timelines::build(&offline);
+        // One chunk holds the whole run; at 20 ms the second chunk is the
+        // smaller one, so the held prefix never doubles.
+        for chunk_ms in [1_000, 20] {
+            let chunks = chunk_bundle(&bundle, chunk_ms * MILLIS);
+            let (recon, timelines, est, held) = stream_skewed(&topology, &chunks);
+            assert_eq!(held, chunks.len() as u64, "chunk_ms={chunk_ms}");
+            assert_eq!(est, whole, "chunk_ms={chunk_ms}");
+            assert_eq!(recon, offline, "chunk_ms={chunk_ms}");
+            assert_eq!(timelines, off_tl, "chunk_ms={chunk_ms}");
+        }
+    }
+
+    /// Streamed in `chunk_ms` chunks, the run must lose no more traces than
+    /// offline does (+ 0.1 %), on offsets as good as offline's.
+    fn assert_settles_like_offline(seed: u64, clocks: &[i64], chunk_ms: &[u64]) {
+        let topology = paper_topology();
+        let (_, _, bundle) = paper_run_on_clocks(seed, 30, clocks.to_vec());
+        let (whole, offline) = offline_skewed(&topology, &bundle);
+        let lost = |r: &Reconstruction| r.report.inferred_drops + r.report.unresolved;
+        let slack = skew_cfg().matching.negative_slack_ns;
+        for &ms in chunk_ms {
+            let chunks = chunk_bundle(&bundle, ms * MILLIS);
+            let (recon, _, est, held) = stream_skewed(&topology, &chunks);
+            let what = format!("seed {seed}, {ms} ms chunks, {held} held");
+            assert_eq!(recon.report.total, offline.report.total, "{what}");
+            assert!(
+                lost(&recon) <= lost(&offline) + offline.report.total / 1_000,
+                "{what}: lost {} of {}, offline {}",
+                lost(&recon),
+                recon.report.total,
+                lost(&offline)
+            );
+            for (nf, &clock) in clocks.iter().enumerate() {
+                if whole.offsets[nf].abs_diff(clock) <= slack {
+                    assert!(
+                        est.offsets[nf].abs_diff(clock) <= slack,
+                        "{what}: NF {nf} settled at {}, clock {clock}",
+                        est.offsets[nf]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_streams_settle_on_offsets_as_good_as_offline() {
+        let clocks = spread_clocks(&paper_topology(), MILLIS as i64);
+        for seed in [9, 10, 11] {
+            assert_settles_like_offline(seed, &clocks, &[1, 5, 10]);
+        }
+    }
+
+    /// The watermark lag comes from the settled offsets, whatever their size.
+    #[test]
+    fn skewed_streams_settle_on_clocks_8_ms_apart() {
+        let clocks = spread_clocks(&paper_topology(), 4 * MILLIS as i64);
+        assert_settles_like_offline(9, &clocks, &[5]);
+    }
+
+    #[test]
+    fn held_chunks_count_as_working_set_until_the_offsets_settle() {
+        let topology = paper_topology();
+        let clocks = spread_clocks(&topology, MILLIS as i64);
+        let (_, _, bundle) = paper_run_on_clocks(7, 30, clocks);
+        let chunks = chunk_bundle(&bundle, 2 * MILLIS);
+        // The level of an engine that holds nothing back: the same run on
+        // synchronised clocks.
+        let (_, _, synced) = paper_run(7, 30);
+        let mut plain = StreamEngine::new(&topology, StreamConfig::default());
+        let idle = plain.working_set();
+        for chunk in chunk_bundle(&synced, 2 * MILLIS) {
+            plain.push_chunk(&chunk).expect("chunk fits topology");
+        }
+
+        let mut engine = StreamEngine::new(&topology, skew_cfg());
+        // A record-free chunk is held like any other and weighs nothing.
+        let quiet = BundleChunk {
+            until: chunks[0].until - 2 * MILLIS,
+            bundle: Collector::new(&topology, CollectorConfig::default()).into_bundle(),
+        };
+        engine.push_chunk(&quiet).expect("a record-free chunk");
+        assert_eq!(engine.working_set(), idle);
+
+        let (mut held, mut held_chunks) = (idle, 1);
+        for chunk in &chunks {
+            engine.push_chunk(chunk).expect("chunk fits topology");
+            // Nothing is ingested while the offsets are unsettled.
+            if engine.report().total == 0 {
+                held += chunk_bytes(&chunk.bundle);
+                held_chunks += 1;
+                assert_eq!(engine.working_set(), held, "held bytes are counted");
+            }
+        }
+        assert!(engine.report().total > 0, "the offsets settle mid-stream");
+        assert!(engine.working_set_peak() >= held);
+        // Settled, the engine holds the reconstructor's frontier and nothing
+        // else; the watermark lag keeps 2 of the 30 ms longer than `plain`.
+        assert_eq!(engine.working_set(), engine.recon.working_set());
         assert!(
-            out.recon.report.delivered * 10 >= out.recon.report.total * 8,
-            "delivered {} of {}",
-            out.recon.report.delivered,
-            out.recon.report.total
+            engine.working_set() <= 2 * plain.working_set(),
+            "after settling {} B, synchronised clocks {} B",
+            engine.working_set(),
+            plain.working_set()
         );
-        let _ = NfId(0);
+        let (.., skew) = engine.finish_skewed();
+        // The chunk that settled the offsets was held too.
+        assert_eq!(skew.expect("settled").1, held_chunks + 1);
     }
 }

@@ -50,12 +50,11 @@ impl Default for SkewConfig {
 /// Per-NF offsets plus per-NF availability: which estimates actually came
 /// from edge samples and which are the fallback value.
 ///
-/// The plain [`estimate_offsets`] API silently returns offset 0 for an NF
-/// with too few samples — indistinguishable from a genuinely synchronised
-/// clock, which is exactly wrong for a streaming window that happens to be
-/// quiet on one edge. Callers that re-estimate per window should use
-/// [`estimate_offsets_detailed`] (or [`SkewTracker`]) and carry the last
-/// known offset forward instead.
+/// An NF with too few samples gets offset 0 — in `offsets` alone
+/// indistinguishable from a genuinely synchronised clock, which is exactly
+/// wrong for a short prefix of a stream that happens to be quiet on one
+/// edge. `available` tells the two apart, and [`SkewEstimates::notes`] names
+/// each fallback for the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewEstimates {
     /// Offset per NF in `NfId` order (fallback 0 where unavailable).
@@ -377,89 +376,6 @@ pub fn estimate_offsets_detailed(
     Estimator::new(topology, bundle, cfg).coarse()
 }
 
-/// Estimates each NF's clock offset relative to the traffic source.
-///
-/// Returns one offset per NF (`NfId` order). NFs with no usable edge
-/// samples fall back to offset 0; use [`estimate_offsets_detailed`] to
-/// distinguish that fallback from a real zero estimate.
-pub fn estimate_offsets(
-    topology: &Topology,
-    bundle: &TraceBundle,
-    cfg: &SkewConfig,
-) -> Vec<TimeDelta> {
-    estimate_offsets_detailed(topology, bundle, cfg).offsets
-}
-
-/// Rolling per-window skew estimation for the streaming engine.
-///
-/// Each window re-estimates offsets from that window's records alone. A
-/// quiet edge used to silently reset its NF to offset 0 mid-run (the
-/// `unwrap_or(0)` fallback), stepping the corrected clock by the full skew;
-/// the tracker instead carries the last-known offset forward and counts the
-/// miss so the report can say "skew estimate unavailable" explicitly.
-#[derive(Debug, Clone)]
-pub struct SkewTracker {
-    cfg: SkewConfig,
-    last: Vec<TimeDelta>,
-    misses: Vec<u64>,
-    windows: u64,
-}
-
-impl SkewTracker {
-    /// A tracker for `n_nfs` NFs, starting from offset 0 everywhere.
-    pub fn new(n_nfs: usize, cfg: SkewConfig) -> Self {
-        Self {
-            cfg,
-            last: vec![0; n_nfs],
-            misses: vec![0; n_nfs],
-            windows: 0,
-        }
-    }
-
-    /// Ingests one window's bundle and returns the offsets to apply to it:
-    /// fresh refined estimates where available, the previous window's
-    /// offsets (initially 0) where not.
-    pub fn observe(&mut self, topology: &Topology, window: &TraceBundle) -> Vec<TimeDelta> {
-        let est = estimate_offsets_refined_detailed(topology, window, &self.cfg);
-        self.windows += 1;
-        for (i, last) in self.last.iter_mut().enumerate() {
-            if est.available.get(i).copied().unwrap_or(false) {
-                *last = est.offsets[i];
-            } else {
-                self.misses[i] += 1;
-            }
-        }
-        self.last.clone()
-    }
-
-    /// The most recent per-NF offsets.
-    pub fn offsets(&self) -> &[TimeDelta] {
-        &self.last
-    }
-
-    /// Windows observed so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    /// One report note per NF whose estimate went missing in at least one
-    /// window, so the fallback is visible instead of silent.
-    pub fn notes(&self, topology: &Topology) -> Vec<String> {
-        self.misses
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m > 0)
-            .map(|(i, &m)| {
-                format!(
-                    "skew estimate unavailable for {} in {m}/{} windows; carried last-known offset forward",
-                    topology.nf(NfId(i as u16)).name,
-                    self.windows
-                )
-            })
-            .collect()
-    }
-}
-
 /// Multi-pass estimator: coarse per-edge percentile sync, then iterative
 /// cross-correlation refinement with shrinking histogram bins.
 ///
@@ -485,9 +401,8 @@ pub fn estimate_offsets_refined(
 
 /// [`estimate_offsets_refined`] plus per-NF availability: an NF counts as
 /// estimated when the coarse pass had edge samples *or* any refinement
-/// pass found a coherent cross-correlation spike on one of its edges.
-/// Per-window callers ([`SkewTracker`]) need this to tell a refined zero
-/// from the silent fallback.
+/// pass found a coherent cross-correlation spike on one of its edges —
+/// which is what tells a refined zero from the zero fallback.
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
     bundle: &TraceBundle,
@@ -562,7 +477,7 @@ mod tests {
     fn offsets_recovered_within_service_time_tolerance() {
         let topo = chain();
         let bundle = skewed_bundle(&topo);
-        let offsets = estimate_offsets(&topo, &bundle, &SkewConfig::default());
+        let offsets = estimate_offsets_detailed(&topo, &bundle, &SkewConfig::default()).offsets;
         // Tolerance: the minimal queueing/service slack baked into the
         // samples (a few µs here).
         assert!(
@@ -587,7 +502,7 @@ mod tests {
         let vpn_rx = bundle.log(NfId(1)).rx.ts()[0];
         assert!(vpn_rx < nat_tx, "sanity: raw bundle is acausal");
 
-        let offsets = estimate_offsets(&topo, &bundle, &SkewConfig::default());
+        let offsets = estimate_offsets_detailed(&topo, &bundle, &SkewConfig::default()).offsets;
         let fixed = correct_bundle(&bundle, &offsets);
         let nat_tx = fixed.log(NfId(0)).tx.ts()[0];
         let vpn_rx = fixed.log(NfId(1)).rx.ts()[0];
@@ -613,18 +528,11 @@ mod tests {
             c.record_rx(NfId(1), t + 1_500, &[m]);
             c.record_tx(NfId(1), t + 3_000, None, &[m]);
         }
-        let offsets = estimate_offsets(&topo, &c.into_bundle(), &SkewConfig::default());
+        let offsets =
+            estimate_offsets_detailed(&topo, &c.into_bundle(), &SkewConfig::default()).offsets;
         for o in offsets {
             assert!(o.abs() < 2_000, "offset {o}");
         }
-    }
-
-    #[test]
-    fn too_few_samples_defaults_to_zero() {
-        let topo = chain();
-        let c = Collector::new(&topo, CollectorConfig::default());
-        let offsets = estimate_offsets(&topo, &c.into_bundle(), &SkewConfig::default());
-        assert_eq!(offsets, vec![0, 0]);
     }
 
     #[test]
@@ -671,38 +579,6 @@ mod tests {
         let full =
             estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo), &SkewConfig::default());
         assert!(full.notes(&topo).is_empty(), "{:?}", full.notes(&topo));
-    }
-
-    /// Regression: a streaming window with a quiet edge used to reset that
-    /// NF's offset to 0 (the silent `unwrap_or(0)` fallback), stepping its
-    /// corrected clock by the full skew mid-run. The tracker must carry the
-    /// last-known offset forward and surface the miss as a note.
-    #[test]
-    fn tracker_carries_last_known_offset_across_quiet_windows() {
-        let topo = chain();
-        let mut tracker = SkewTracker::new(topo.len(), SkewConfig::default());
-
-        let rich = tracker.observe(&topo, &skewed_bundle(&topo));
-        assert!(
-            (rich[0] - 1_000_000).abs() < 5_000,
-            "nat offset {}",
-            rich[0]
-        );
-        assert!((rich[1] + 500_000).abs() < 10_000, "vpn offset {}", rich[1]);
-
-        // A quiet window: too few samples on every edge.
-        let quiet = Collector::new(&topo, CollectorConfig::default()).into_bundle();
-        let carried = tracker.observe(&topo, &quiet);
-        assert_eq!(carried, rich, "quiet window must not reset offsets");
-        assert_eq!(tracker.offsets(), rich.as_slice());
-
-        let notes = tracker.notes(&topo);
-        assert_eq!(notes.len(), 2);
-        assert!(
-            notes[0].contains("nat1") && notes[0].contains("1/2 windows"),
-            "note: {}",
-            notes[0]
-        );
     }
 
     /// Regression for the `edge_bin` scan: a detached collision cluster far

@@ -102,9 +102,8 @@ pub fn estimate_offsets_detailed(
 
 /// [`estimate_offsets_refined`] plus per-NF availability: an NF counts as
 /// estimated when the coarse pass had edge samples *or* any refinement
-/// pass found a coherent cross-correlation spike on one of its edges.
-/// Per-window callers ([`SkewTracker`]) need this to tell a refined zero
-/// from the silent fallback.
+/// pass found a coherent cross-correlation spike on one of its edges —
+/// which is what tells a refined zero from the zero fallback.
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
     bundle: &TraceBundle,

@@ -183,11 +183,12 @@ proptest! {
         };
         // Path 1: the estimator's own offsets (whatever it makes of the
         // adversarial clocks).
-        let est = microscope_repro::trace::estimate_offsets(
+        let est = microscope_repro::trace::estimate_offsets_detailed(
             &topo,
             &bundle,
             &microscope_repro::trace::SkewConfig::default(),
-        );
+        )
+        .offsets;
         let fixed = microscope_repro::trace::correct_bundle(&bundle, &est);
         let recon = reconstruct(&topo, &fixed, &ReconstructionConfig::default());
         let _ = microscope_repro::diagnosis::find_victims(&recon, &vcfg);
