@@ -14,8 +14,7 @@
 //!
 //! The oracle is what bounds the input sizes: its candidate count is the
 //! product of the per-dimension kept values, so the random groups draw from
-//! small value pools, and the debug profile runs a slice of the cases (CI
-//! runs this file with `--release`).
+//! small value pools.
 
 mod oracle;
 
@@ -28,15 +27,6 @@ use msc_experiments::runner::{run_spec, RunSpec};
 use nf_types::{paper_topology, FiveTuple, NfId, NfKind, Prefix, Proto, MICROS, MILLIS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Cases per suite: everything in release, a slice under the debug profile.
-fn cases(release: u64) -> u64 {
-    if cfg!(debug_assertions) {
-        release / 10
-    } else {
-        release
-    }
-}
 
 fn kind_of(id: NfId) -> NfKind {
     match id.0 {
@@ -127,7 +117,7 @@ fn takes_lattice_path(items: &[SideItem], threshold: f64) -> bool {
 fn random_groups_cluster_exactly_as_the_oracle() {
     let thresholds = [0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 1.0];
     let mut lattice_cases = 0;
-    let n = cases(600);
+    let n = 600;
     for case in 0..n {
         let mut rng = StdRng::seed_from_u64(0xa070_f0c5 + case);
         let items = random_group(&mut rng);
@@ -161,7 +151,7 @@ fn hhh_1d_rolls_up_exactly_as_the_oracle() {
     // Prefix leaves are all at depth 32; the toy hierarchy (parent = n / 10)
     // mixes depths, so input keys meet rolled-up weight at inner nodes.
     let toy_parent = |n: &u32| if *n == 0 { None } else { Some(n / 10) };
-    for case in 0..cases(400) {
+    for case in 0..400 {
         let mut rng = StdRng::seed_from_u64(0x1d_0000 + case);
         let n = rng.gen_range(0..200usize);
         let threshold = pick(&mut rng, &[0.5, 2.0, 7.5, 40.0]);
@@ -230,7 +220,7 @@ fn bug_trigger_relations() -> (Vec<CausalRelation>, impl Fn(NfId) -> NfKind) {
     };
     let run = run_spec(&spec);
     let relations = diagnoses_to_relations(&run.recon, &run.diagnoses);
-    let cap = if cfg!(debug_assertions) { 400 } else { 3_000 };
+    let cap = 3_000;
     let stride = relations.len().div_ceil(cap).max(1);
     let sampled: Vec<CausalRelation> = relations.into_iter().step_by(stride).collect();
     (sampled, move |id| topo.nf(id).kind)

@@ -291,8 +291,8 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 }
 
 /// Prints a finished run: the report on stdout, and on stderr how the
-/// bundle was streamed, the skew estimator's fallbacks, the step cache and
-/// the relation sampling.
+/// bundle was streamed, the skew estimator's fallbacks, reads no upstream
+/// send explains, the step cache and the relation sampling.
 fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     if let Some(s) = &run.streamed {
         if let Some(ms) = s.chunked_in_memory_ms {
@@ -319,6 +319,20 @@ fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     for note in &run.skew_notes {
         eprintln!("note: {note}");
     }
+    let recon = &run.report.reconstruction;
+    if recon.unmatched_rx > 0 {
+        // Seen on a topology with an edge missing, and on unsynchronised
+        // clocks read without --skew; on no clean recording.
+        let clocks = match run.report.offsets {
+            Some(_) => "",
+            None => ", and on one clock (if not: --skew)",
+        };
+        eprintln!(
+            "note: {} packets were read at an NF that no upstream send explains ({} of {} \
+             traces unresolved): was the bundle recorded on this topology{clocks}?",
+            recon.unmatched_rx, recon.unresolved, recon.total
+        );
+    }
     let cache = &run.cache;
     if cache.hits + cache.misses > 0 {
         eprintln!(
@@ -332,9 +346,7 @@ fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     if run.sample_stride > 1 {
         eprintln!(
             "note: sampling {} of {} causal relations for aggregation (1/{})",
-            run.relations_total / run.sample_stride,
-            run.relations_total,
-            run.sample_stride
+            run.report.relations, run.relations_total, run.sample_stride
         );
     }
     emit(out, |out| write!(out, "{}", run.report))

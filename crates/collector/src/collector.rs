@@ -43,8 +43,6 @@ pub struct CollectorConfig {
     /// simulator adds this to NF service time, which is what makes the §6.2
     /// overhead experiment (0.88%–2.33% of peak throughput) reproducible.
     pub per_packet_cost_ns: f64,
-    /// Record five-tuples at exit NFs (the paper's "end of the NF graph").
-    pub flow_info_at_exits: bool,
 }
 
 impl Default for CollectorConfig {
@@ -52,7 +50,6 @@ impl Default for CollectorConfig {
         Self {
             enabled: true,
             per_packet_cost_ns: 8.0,
-            flow_info_at_exits: true,
         }
     }
 }
@@ -85,26 +82,12 @@ impl Collector {
         }
     }
 
-    /// Is recording on?
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// Service-time surcharge for a batch of `n` packets, in nanoseconds.
     pub fn batch_overhead_ns(&self, n: usize) -> Nanos {
         if self.cfg.enabled {
             (self.cfg.per_packet_cost_ns * n as f64).round() as Nanos
         } else {
             0
-        }
-    }
-
-    /// Per-packet overhead in nanoseconds (0 when disabled).
-    pub fn per_packet_overhead_ns(&self) -> f64 {
-        if self.cfg.enabled {
-            self.cfg.per_packet_cost_ns
-        } else {
-            0.0
         }
     }
 
@@ -140,7 +123,7 @@ impl Collector {
         }
         let log = &mut self.logs[nf.0 as usize];
         log.tx.push(ts, to, batch.iter().map(|m| m.ipid));
-        if self.cfg.flow_info_at_exits && self.exit_nfs[nf.0 as usize] && to.is_none() {
+        if self.exit_nfs[nf.0 as usize] && to.is_none() {
             for m in batch {
                 log.flows.push(FlowRecord {
                     ipid: m.ipid,
@@ -268,7 +251,6 @@ mod tests {
         c.record_rx(NfId(0), 100, &[meta(1)]);
         c.record_source(0, &meta(1));
         assert_eq!(c.batch_overhead_ns(32), 0);
-        assert_eq!(c.per_packet_overhead_ns(), 0.0);
         let b = c.into_bundle();
         assert_eq!(b.packet_appearances(), 0);
         assert!(b.source_flows.is_empty());

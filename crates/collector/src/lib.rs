@@ -13,7 +13,7 @@
 //! standalone dumper thread; the simulator is single-threaded, so here the
 //! hooks append to per-NF logs directly and the collector's per-packet cost
 //! is charged to NF service time so the §6.2 overhead experiment is
-//! meaningful ([`Collector::per_packet_overhead_ns`]).
+//! meaningful ([`Collector::batch_overhead_ns`]).
 
 #![forbid(unsafe_code)]
 // The panic-surface gate (DESIGN.md §6): operator-facing code returns typed
@@ -42,4 +42,4 @@ pub use bundle_io::{
 };
 pub use collector::{Collector, CollectorConfig, NfLog, TraceBundle};
 pub use encode::{decode_nf_log, encode_nf_log, EncodeError};
-pub use records::{FlowRecord, PacketMeta, QueueRef, RxBatch, RxLog, TxBatch, TxLog, MAX_BATCH};
+pub use records::{FlowRecord, PacketMeta, RxBatch, RxLog, TxBatch, TxLog, MAX_BATCH};

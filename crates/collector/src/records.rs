@@ -27,16 +27,6 @@ pub struct PacketMeta {
     pub flow: FiveTuple,
 }
 
-/// Identifies one queue endpoint: either an NF's input queue or the wire
-/// from an NF towards one downstream NF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueRef {
-    /// The single input queue of an NF.
-    Input(NfId),
-    /// The output towards a specific downstream NF.
-    Output { from: NfId, to: NfId },
-}
-
 /// One batch read from an input queue: "timestamps when an NF reads a batch
 /// of packets" plus "the batch size" (Table 1). A view into an [`RxLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

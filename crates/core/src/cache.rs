@@ -10,7 +10,7 @@
 //! ## Why this preserves bit-identical output
 //!
 //! Every field of a step is a *pure function of its key* for a fixed
-//! reconstruction and configuration: `queuing_period_above` is a
+//! reconstruction and configuration: `queuing_period` is a
 //! deterministic index lookup, and `preset_flows` / `attribute_upstream`
 //! are deterministic folds over the period's arrivals (both already
 //! canonically ordered to be independent of `HashMap` iteration order).

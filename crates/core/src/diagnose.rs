@@ -49,6 +49,9 @@ pub struct Diagnosis {
     pub recursions: usize,
 }
 
+/// Cap on distinct flows reported per culprit.
+const MAX_FLOWS_PER_CULPRIT: usize = 64;
+
 /// Diagnosis configuration.
 #[derive(Debug, Clone)]
 pub struct DiagnosisConfig {
@@ -59,11 +62,11 @@ pub struct DiagnosisConfig {
     /// this well under `1 / max_upstream_fanout` or multi-path propagation
     /// gets pruned at merge-heavy NFs.
     pub min_score: f64,
-    /// Hard recursion-depth cap (safety net; the paper's bound is the sum
-    /// of upstream counts and is set automatically from the topology).
+    /// Hard recursion-depth cap, a constant 16 by default. The paper's §5
+    /// bound (the sum of upstream counts, `Topology::recursion_bound`) is
+    /// not applied here; `tests/pipeline.rs` asserts that recursion stays
+    /// within it.
     pub max_depth: usize,
-    /// Cap on distinct flows reported per culprit.
-    pub max_flows_per_culprit: usize,
     /// Memoize §4.1/§4.2 step results per `(nf, anchor)` across
     /// victims (see [`crate::cache`]). Cache entries are pure functions of
     /// their key, so this never changes the output — the uncached path is
@@ -77,7 +80,6 @@ impl Default for DiagnosisConfig {
             victims: VictimConfig::default(),
             min_score: 0.02,
             max_depth: 16,
-            max_flows_per_culprit: 64,
             cache: true,
         }
     }
@@ -89,14 +91,17 @@ impl Default for DiagnosisConfig {
 /// peak rates `r_i` (§4.1 footnote: stress-test each NF offline), then call
 /// [`Microscope::diagnose_all`] on each run's reconstruction.
 pub struct Microscope {
-    topology: Topology,
     /// Peak processing rate per NF, packets/second.
     peak_rates: Vec<f64>,
     cfg: DiagnosisConfig,
 }
 
 impl Microscope {
-    /// Creates the engine. `peak_rates[i]` is `r_i` for `NfId(i)`.
+    /// Creates the engine. `peak_rates[i]` is `r_i` for `NfId(i)`; the
+    /// topology is only checked against them (the diagnosis walks the paths
+    /// the reconstruction recorded).
+    // By value: every caller, the frozen `benchmark/` among them, hands it over.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn new(topology: Topology, peak_rates: Vec<f64>, cfg: DiagnosisConfig) -> Self {
         assert_eq!(
             peak_rates.len(),
@@ -104,16 +109,7 @@ impl Microscope {
             "need one peak rate per NF"
         );
         assert!(peak_rates.iter().all(|&r| r > 0.0));
-        Self {
-            topology,
-            peak_rates,
-            cfg,
-        }
-    }
-
-    /// The topology this engine diagnoses.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+        Self { peak_rates, cfg }
     }
 
     /// Finds and diagnoses all victims in a run, in victim order.
@@ -440,7 +436,7 @@ impl Microscope {
         // Flow tie-break keeps the truncated set independent of
         // accumulation order.
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(self.cfg.max_flows_per_culprit);
+        v.truncate(MAX_FLOWS_PER_CULPRIT);
         v
     }
 
@@ -467,7 +463,7 @@ impl Microscope {
                     match cur.flows.iter_mut().find(|(g, _)| *g == f) {
                         Some((_, cw)) => *cw += w,
                         None => {
-                            if cur.flows.len() < self.cfg.max_flows_per_culprit {
+                            if cur.flows.len() < MAX_FLOWS_PER_CULPRIT {
                                 cur.flows.push((f, w));
                             }
                         }

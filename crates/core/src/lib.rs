@@ -44,7 +44,6 @@ pub mod cache;
 pub mod diagnose;
 pub mod index;
 pub mod local;
-pub mod misbehaviour;
 pub mod propagation;
 pub mod report;
 pub mod streaming;
@@ -54,7 +53,6 @@ pub use cache::{CacheStats, DiagnosisCache, DiagnosisStep, StepKey};
 pub use diagnose::{Culprit, CulpritKind, Diagnosis, DiagnosisConfig, Microscope};
 pub use index::DiagnosisIndex;
 pub use local::{local_scores, LocalScores};
-pub use misbehaviour::{detect_misbehaviour, Misbehaviour, MisbehaviourConfig};
 pub use propagation::{
     attribute_upstream, attribute_upstream_with, credit_walk, UpstreamScratch, UpstreamShare,
 };

@@ -18,8 +18,6 @@ pub enum LatencyThreshold {
 pub struct VictimConfig {
     /// Latency victim rule.
     pub latency: LatencyThreshold,
-    /// Also treat dropped packets as victims (they always are in the paper).
-    pub include_drops: bool,
     /// An NF hop is "locally abnormal" when its delay exceeds the NF's mean
     /// by this many standard deviations (the paper uses one).
     pub abnormal_sigma: f64,
@@ -32,7 +30,6 @@ impl Default for VictimConfig {
     fn default() -> Self {
         Self {
             latency: LatencyThreshold::Quantile(0.99),
-            include_drops: true,
             abnormal_sigma: 1.0,
             max_victims: None,
         }
@@ -167,7 +164,7 @@ pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
                     }
                 }
             }
-            TraceOutcome::InferredDrop { nf, at } if cfg.include_drops => {
+            TraceOutcome::InferredDrop { nf, at } => {
                 victims.push(Victim {
                     trace: t_idx,
                     nf,
@@ -413,7 +410,6 @@ mod tests {
                 latency: LatencyThreshold::Absolute(0),
                 abnormal_sigma: 0.0,
                 max_victims: Some(3),
-                ..Default::default()
             },
         );
         assert_eq!(victims.len(), 3);

@@ -41,7 +41,7 @@
     )
 )]
 
-use microscope::{CacheStats, Diagnosis, DiagnosisConfig, Microscope, PeriodTracker};
+use microscope::PeriodTracker;
 use msc_collector::{concat_chunks, BundleChunk, FlowRecord, TraceBundle};
 use msc_trace::{
     correct_bundle, estimate_offsets_refined_detailed, MatchConfig, Reconstruction,
@@ -58,21 +58,6 @@ pub struct StreamConfig {
     /// Enable clock-offset estimation and correction. `None` (default)
     /// trusts the timestamps.
     pub skew: Option<SkewConfig>,
-}
-
-/// Everything the finished stream yields.
-pub struct StreamOutcome {
-    /// The reconstruction (identical to offline).
-    pub recon: Reconstruction,
-    /// Per-NF timelines (identical to offline).
-    pub timelines: Timelines,
-    /// Diagnoses from the period-keyed engine (identical to offline).
-    pub diagnoses: Vec<Diagnosis>,
-    /// Step-cache statistics from the diagnosis pass.
-    pub cache_stats: CacheStats,
-    /// [`SkewEstimates::notes`] of the offsets the stream was corrected by
-    /// (empty when skew correction was off).
-    pub skew_notes: Vec<String>,
 }
 
 /// Skew mode's state.
@@ -230,26 +215,6 @@ impl StreamEngine {
         let (recon, timelines) = self.recon.finish();
         (recon, timelines, skew)
     }
-
-    /// [`finish`], then the full diagnosis pass — same period-keyed
-    /// [`microscope::DiagnosisCache`] reuse as the offline engine, so the
-    /// diagnoses match offline byte for byte.
-    ///
-    /// [`finish`]: StreamEngine::finish
-    pub fn finish_and_diagnose(self, peak_rates: Vec<f64>, dcfg: DiagnosisConfig) -> StreamOutcome {
-        let topology = self.topology.clone();
-        let (recon, timelines, skew) = self.finish_skewed();
-        let skew_notes = skew.map_or(Vec::new(), |(est, _)| est.notes(&topology));
-        let engine = Microscope::new(topology, peak_rates, dcfg);
-        let (diagnoses, cache_stats) = engine.diagnose_all_stats(&recon, &timelines);
-        StreamOutcome {
-            recon,
-            timelines,
-            diagnoses,
-            cache_stats,
-            skew_notes,
-        }
-    }
 }
 
 impl Skew {
@@ -312,7 +277,7 @@ fn chunk_bytes(bundle: &TraceBundle) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscope::LatencyThreshold;
+    use microscope::{DiagnosisConfig, LatencyThreshold, Microscope};
     use msc_collector::{chunk_bundle, Collector, CollectorConfig};
     use msc_trace::{reconstruct, ReconstructionConfig};
     use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
@@ -381,11 +346,12 @@ mod tests {
             }
             assert!(engine.chunks() > 0);
             assert!(engine.committed() <= offline.traces.len());
-            let out = engine.finish_and_diagnose(rates.clone(), dcfg());
-            assert_eq!(out.recon, offline, "chunk_ms={chunk_ms}");
-            assert_eq!(out.timelines, off_tl, "chunk_ms={chunk_ms}");
-            assert_eq!(out.diagnoses, off_diag, "chunk_ms={chunk_ms}");
-            assert!(out.skew_notes.is_empty());
+            let (recon, timelines) = engine.finish();
+            assert_eq!(recon, offline, "chunk_ms={chunk_ms}");
+            assert_eq!(timelines, off_tl, "chunk_ms={chunk_ms}");
+            let streamed = Microscope::new(topology.clone(), rates.clone(), dcfg());
+            let (diagnoses, _) = streamed.diagnose_all_stats(&recon, &timelines);
+            assert_eq!(diagnoses, off_diag, "chunk_ms={chunk_ms}");
         }
     }
 

@@ -71,12 +71,12 @@ impl QueuingPeriod {
 /// Timeline of one NF: all arrivals and all reads, time-ordered.
 ///
 /// Construction precomputes flat indexes — arrival/processed prefix sums and
-/// the estimated queue occupancy after every read — so that every per-victim
-/// query ([`Self::queuing_period_above`], [`Self::arrived_in`],
-/// [`Self::processed_in`]) runs off `partition_point` lookups and prefix-sum
-/// differences instead of rescanning the arrival vector. Victims cluster
-/// inside bursts, so these queries run thousands of times per period; the
-/// indexes are what keeps them near-constant time.
+/// the last draining read before every read — so that every per-victim
+/// query ([`Self::queuing_period`], [`Self::processed_in`]) runs off
+/// `partition_point` lookups and prefix-sum differences instead of
+/// rescanning the arrival vector. Victims cluster inside bursts, so these
+/// queries run thousands of times per period; the indexes are what keeps
+/// them near-constant time.
 #[derive(Debug, PartialEq, Eq)]
 pub struct NfTimeline {
     /// The NF.
@@ -91,18 +91,15 @@ pub struct NfTimeline {
     /// is in the columns below.
     read_ts: Vec<Nanos>,
     /// `read_prefix[i]` = packets read in batches `0..i`. A count of one NF
-    /// log's packets, like the two columns below: `u32` ([`Self::new`]
-    /// checks it), widened where a query hands it out.
+    /// log's packets, like the column below: `u32` ([`Self::new`] checks
+    /// it), widened where a query hands it out.
     read_prefix: Vec<u32>,
     /// `queued_prefix[i]` = queued (non-dropped) arrivals in `arrivals[0..i]`.
     queued_prefix: Vec<u32>,
     /// For read index i: the largest j ≤ i with `reads[j].drained`
     /// ([`NOT_DRAINED`] if none) — the queue-empty boundary list of the
-    /// zero-threshold drain signal.
+    /// batch-size drain signal.
     last_drained: Vec<u32>,
-    /// Estimated queue occupancy right after read i: queued arrivals with
-    /// `ts <= reads[i].ts` minus packets read in batches `0..=i` (saturating).
-    occ_after_read: Vec<u32>,
 }
 
 /// `last_drained` of a read no draining read precedes.
@@ -152,16 +149,6 @@ impl NfTimeline {
             }
             last_drained.push(last);
         }
-        // Occupancy after each read: both timestamp columns ascend, so one
-        // merge walk finds every read's count of arrivals with `ts <= read`.
-        let mut occ_after_read = Vec::with_capacity(reads.len());
-        let mut upto = 0usize;
-        for (i, &rt) in read_ts.iter().enumerate() {
-            while upto < arrival_ts.len() && arrival_ts[upto] <= rt {
-                upto += 1;
-            }
-            occ_after_read.push(queued_prefix[upto].saturating_sub(read_prefix[i + 1]));
-        }
         Self {
             nf,
             arrivals,
@@ -170,7 +157,6 @@ impl NfTimeline {
             read_prefix,
             queued_prefix,
             last_drained,
-            occ_after_read,
         }
     }
 
@@ -181,56 +167,11 @@ impl NfTimeline {
         u64::from(self.read_prefix[hi] - self.read_prefix[lo])
     }
 
-    /// Queued packets arriving in `[a, b]`.
-    pub fn arrived_in(&self, a: Nanos, b: Nanos) -> u64 {
-        let (lo, hi) = self.arrival_range(a, b);
-        u64::from(self.queued_prefix[hi] - self.queued_prefix[lo])
-    }
-
-    fn arrival_range(&self, a: Nanos, b: Nanos) -> (usize, usize) {
-        let lo = self.arrival_ts.partition_point(|&ts| ts < a);
-        let hi = self.arrival_ts.partition_point(|&ts| ts <= b);
-        (lo, hi)
-    }
-
     /// Computes the queuing period seen by a packet arriving at `t`.
     ///
     /// `T0` is the first (queued) arrival after the last ring-draining read
     /// at or before `t`; the period is `[T0, t]`.
     pub fn queuing_period(&self, t: Nanos) -> QueuingPeriod {
-        self.queuing_period_above(t, 0)
-    }
-
-    /// §7's generalisation: the queuing period with a *non-zero* start
-    /// threshold. When an NF's queue never fully empties (sustained load),
-    /// the zero-threshold period stretches back unboundedly; instead the
-    /// period starts at the last time the estimated queue occupancy was at
-    /// or below `threshold` packets. `threshold == 0` reduces to the
-    /// batch-size drain signal.
-    ///
-    /// The queue estimate is reconstructed from the same records the
-    /// collector keeps: occupancy after each read = arrivals so far −
-    /// packets read so far.
-    pub fn queuing_period_above(&self, t: Nanos, threshold: u64) -> QueuingPeriod {
-        if threshold == 0 {
-            return self.queuing_period_zero(t);
-        }
-        // Walk reads backwards from t over the precomputed occupancy index
-        // and stop at the first point the queue was at or below the
-        // threshold (usually within a few reads: queues dip between bursts).
-        let hi = self.read_ts.partition_point(|&ts| ts <= t);
-        let start_ts = self.occ_after_read[..hi]
-            .iter()
-            .rposition(|&occ| u64::from(occ) <= threshold)
-            .map(|i| self.read_ts[i]);
-        let start_idx = match start_ts {
-            Some(ts) => self.arrival_ts.partition_point(|&a| a <= ts),
-            None => 0,
-        };
-        self.period_from(start_idx, t)
-    }
-
-    fn queuing_period_zero(&self, t: Nanos) -> QueuingPeriod {
         // Last drained read at or before t.
         let hi = self.read_ts.partition_point(|&ts| ts <= t);
         let drained_ts = match hi.checked_sub(1).map(|i| self.last_drained[i]) {
@@ -509,74 +450,17 @@ mod tests {
         assert_eq!(tl.processed_in(301, 400), 0);
     }
 
-    #[test]
-    fn arrived_in_counts_queued_only() {
-        let tl = mk(&[(10, Q), (20, ArrivalKind::Dropped), (30, Q)], &[]);
-        assert_eq!(tl.arrived_in(0, 100), 2);
-        assert_eq!(tl.arrived_in(15, 25), 0);
-    }
-
-    #[test]
-    fn nonzero_threshold_shortens_never_empty_periods() {
-        // The queue never drains (all reads are full 32-batches), so the
-        // zero-threshold period reaches back to the very first arrival —
-        // but the occupancy dipped to 3 after the second read, so a
-        // threshold of 4 starts the period there (§7).
-        let arrivals: Vec<(Nanos, ArrivalKind)> = (0..70).map(|i| (100 + i * 10, Q)).collect();
-        let tl = mk(&arrivals, &[(400, 32, false), (450, 32, false)]);
-        // At read ts=450: arrived = packets with ts<=450 = 36, processed 64
-        // -> occupancy 0 (saturating), well below threshold 4.
-        let zero = tl.queuing_period(790);
-        assert_eq!(zero.interval.start, 100);
-        let thr = tl.queuing_period_above(790, 4);
-        assert!(thr.interval.start > 400, "{thr:?}");
-        assert!(thr.n_arrived < zero.n_arrived);
-    }
-
-    #[test]
-    fn threshold_zero_is_the_drain_signal() {
-        let tl = mk(&[(50, Q), (150, Q), (200, Q)], &[(100, 1, true)]);
-        assert_eq!(tl.queuing_period(200), tl.queuing_period_above(200, 0));
-    }
-
-    /// Naive re-derivation of `queuing_period_above` by direct scans, used
-    /// to pin the indexed implementation (prefix sums + occupancy list).
-    fn reference_period_above(
-        tl: &NfTimeline,
-        reads: &[RxBatchInfo],
-        t: Nanos,
-        threshold: u64,
-    ) -> QueuingPeriod {
-        let start_idx = if threshold == 0 {
-            let hi = reads.partition_point(|r| r.ts <= t);
-            let drained_ts = (0..hi)
-                .rev()
-                .find(|&j| reads[j].drained)
-                .map(|j| reads[j].ts);
-            match drained_ts {
-                Some(dts) => tl.arrivals.partition_point(|a| a.ts <= dts),
-                None => 0,
-            }
-        } else {
-            let hi = reads.partition_point(|r| r.ts <= t);
-            let mut start_ts = None;
-            for i in (0..hi).rev() {
-                let ts = reads[i].ts;
-                let arrived_q = tl
-                    .arrivals
-                    .iter()
-                    .filter(|a| a.ts <= ts && a.kind == ArrivalKind::Queued)
-                    .count() as u64;
-                let processed: u64 = reads[..=i].iter().map(|r| u64::from(r.size)).sum();
-                if arrived_q.saturating_sub(processed) <= threshold {
-                    start_ts = Some(ts);
-                    break;
-                }
-            }
-            match start_ts {
-                Some(ts) => tl.arrivals.partition_point(|a| a.ts <= ts),
-                None => 0,
-            }
+    /// Naive re-derivation of `queuing_period` by direct scans, used to pin
+    /// the indexed implementation (prefix sums + drain list).
+    fn reference_period(tl: &NfTimeline, reads: &[RxBatchInfo], t: Nanos) -> QueuingPeriod {
+        let hi = reads.partition_point(|r| r.ts <= t);
+        let drained_ts = (0..hi)
+            .rev()
+            .find(|&j| reads[j].drained)
+            .map(|j| reads[j].ts);
+        let start_idx = match drained_ts {
+            Some(dts) => tl.arrivals.partition_point(|a| a.ts <= dts),
+            None => 0,
         };
         let mut s = start_idx;
         while s < tl.arrivals.len()
@@ -616,7 +500,7 @@ mod tests {
         // Pseudo-random timelines (plain LCG: no external dependency) with
         // mixed queued/dropped arrivals and mixed drained/full reads; the
         // indexed implementation must agree with the direct-scan reference
-        // at every probe time and threshold.
+        // at every probe time.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
             state = state
@@ -650,13 +534,11 @@ mod tests {
             let horizon = ts.max(rts) + 100;
             for _ in 0..20 {
                 let t = rng() % horizon;
-                for thr in [0u64, 1, 4, 32] {
-                    assert_eq!(
-                        tl.queuing_period_above(t, thr),
-                        reference_period_above(&tl, &batches(&reads), t, thr),
-                        "t={t} thr={thr} arrivals={arrivals:?} reads={reads:?}"
-                    );
-                }
+                assert_eq!(
+                    tl.queuing_period(t),
+                    reference_period(&tl, &batches(&reads), t),
+                    "t={t} arrivals={arrivals:?} reads={reads:?}"
+                );
             }
         }
     }
@@ -722,49 +604,6 @@ mod tests {
                 reference_order(&keys),
                 "{} keys",
                 keys.len()
-            );
-        }
-    }
-
-    #[test]
-    fn occupancy_counts_arrivals_at_the_read_timestamp() {
-        // Duplicate arrival and read timestamps on the `<=` boundary of the
-        // merge walk: an arrival *at* a read's timestamp is in the queue the
-        // read sees, and the second of two reads at one timestamp sees the
-        // same arrivals but everything the first one read as well.
-        let d = ArrivalKind::Dropped;
-        let reads = [
-            (50, 0, true),
-            (100, 1, false),
-            (100, 1, false),
-            (250, 5, false),
-            (300, 1, false),
-            (400, 0, true),
-        ];
-        let tl = mk(
-            &[(100, Q), (100, Q), (100, d), (200, Q), (300, Q), (300, Q)],
-            &reads,
-        );
-        // queued arrivals with ts <= read: 0 2 2 3 5 5; read so far: 0 1 2 7 8 8.
-        assert_eq!(tl.occ_after_read, [0, 1, 0, 0, 0, 0]);
-
-        // Threshold 1 at t=300: the walk back passes read 4 (t=300, occ 0 <=
-        // 1), so the period opens with the arrivals *after* 300 — none.
-        assert!(tl.queuing_period_above(300, 1).is_empty());
-        // At t=299 the last read at or before t is read 3 (t=250, occ 0): the
-        // period holds nothing, the arrivals at 300 being still to come.
-        assert!(tl.queuing_period_above(299, 1).is_empty());
-        // At t=249 the walk stops at the second read at t=100 (occ 0), so the
-        // period starts after every arrival stamped 100: only 200 is in it.
-        let qp = tl.queuing_period_above(249, 1);
-        assert_eq!(qp.interval, Interval::new(200, 249));
-        assert_eq!((qp.n_arrived, qp.n_processed), (1, 0));
-        assert_eq!(qp.preset, 3..4);
-        for (t, thr) in [(300, 1), (299, 1), (249, 1), (100, 1), (100, 5), (99, 1)] {
-            assert_eq!(
-                tl.queuing_period_above(t, thr),
-                reference_period_above(&tl, &batches(&reads), t, thr),
-                "t={t} thr={thr}"
             );
         }
     }

@@ -32,10 +32,8 @@ pub mod topology;
 pub mod topology_text;
 
 pub use flow::{fmt_ip, parse_ip, FiveTuple, FlowAggregate, PortRange, Prefix, Proto, ProtoMatch};
-pub use nf::{NfId, NfKind, NodeId, SOURCE_NODE};
+pub use nf::{NfId, NfKind, NodeId};
 pub use packet::{Ipid, Packet, PacketId};
-pub use time::{
-    ns_per_packet_to_pps, pps_to_ns_per_packet, Interval, Nanos, TimeDelta, MICROS, MILLIS, SECONDS,
-};
+pub use time::{Interval, Nanos, TimeDelta, MICROS, MILLIS, SECONDS};
 pub use topology::{paper_topology, NfInfo, Topology, TopologyBuilder, TopologyError};
 pub use topology_text::{emit_topology, parse_topology, TopologyTextError};

@@ -68,9 +68,6 @@ pub enum NodeId {
     Nf(NfId),
 }
 
-/// Convenience constant for the traffic source node.
-pub const SOURCE_NODE: NodeId = NodeId::Source;
-
 impl NodeId {
     /// The NF id if this is an NF node.
     pub fn nf(&self) -> Option<NfId> {
@@ -108,7 +105,7 @@ mod tests {
 
     #[test]
     fn node_id_accessors() {
-        assert_eq!(SOURCE_NODE.nf(), None);
+        assert_eq!(NodeId::Source.nf(), None);
         let n: NodeId = NfId(4).into();
         assert_eq!(n.nf(), Some(NfId(4)));
     }

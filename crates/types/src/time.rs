@@ -58,17 +58,6 @@ impl Interval {
         self.start < other.end && other.start < self.end
     }
 
-    /// The intersection of two intervals, if non-empty.
-    pub fn intersection(&self, other: &Interval) -> Option<Interval> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(Interval { start, end })
-        } else {
-            None
-        }
-    }
-
     /// The smallest interval covering both inputs.
     pub fn hull(&self, other: &Interval) -> Interval {
         Interval {
@@ -76,22 +65,6 @@ impl Interval {
             end: self.end.max(other.end),
         }
     }
-}
-
-/// Converts a packets-per-second rate into the per-packet service time in
-/// nanoseconds, rounding to the nearest nanosecond.
-///
-/// This is how NF peak processing rates (the paper's `r_i`, measured in pps)
-/// are turned into simulator service costs and vice versa.
-pub fn pps_to_ns_per_packet(pps: f64) -> Nanos {
-    assert!(pps > 0.0, "rate must be positive");
-    (1e9 / pps).round() as Nanos
-}
-
-/// Converts a per-packet service time in nanoseconds into packets per second.
-pub fn ns_per_packet_to_pps(ns: Nanos) -> f64 {
-    assert!(ns > 0, "service time must be positive");
-    1e9 / ns as f64
 }
 
 #[cfg(test)]
@@ -132,8 +105,6 @@ mod tests {
         assert!(b.overlaps(&a));
         // Half-open: touching at a point is not overlap.
         assert!(!a.overlaps(&c));
-        assert_eq!(a.intersection(&b), Some(Interval::new(5, 10)));
-        assert_eq!(a.intersection(&c), None);
     }
 
     #[test]
@@ -141,21 +112,6 @@ mod tests {
         let a = Interval::new(0, 10);
         let c = Interval::new(30, 40);
         assert_eq!(a.hull(&c), Interval::new(0, 40));
-    }
-
-    #[test]
-    fn rate_conversions_round_trip() {
-        // 1 Mpps -> 1000 ns/pkt -> 1 Mpps.
-        let ns = pps_to_ns_per_packet(1_000_000.0);
-        assert_eq!(ns, 1000);
-        let pps = ns_per_packet_to_pps(ns);
-        assert!((pps - 1_000_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rate_conversion_rounds() {
-        // 3 Mpps -> 333.33 ns, rounds to 333.
-        assert_eq!(pps_to_ns_per_packet(3_000_000.0), 333);
     }
 
     #[test]

@@ -97,10 +97,10 @@ pub fn parse_topology(text: &str) -> Result<(Topology, Vec<f64>), TopologyTextEr
                 let rate: f64 = tok[3].parse().map_err(|_| {
                     TopologyTextError::Syntax(lineno, format!("bad peak rate {:?}", tok[3]))
                 })?;
-                if rate <= 0.0 {
+                if !(rate.is_finite() && rate > 0.0) {
                     return Err(TopologyTextError::Syntax(
                         lineno,
-                        "peak rate must be positive".into(),
+                        "peak rate must be a positive finite number".into(),
                     ));
                 }
                 let id = builder.add_nf(kind, tok[1]);
@@ -150,6 +150,13 @@ pub fn parse_topology(text: &str) -> Result<(Topology, Vec<f64>), TopologyTextEr
         builder.add_edge(f, t);
     }
     let topo = builder.build().map_err(TopologyTextError::Invalid)?;
+    if topo.entries().is_empty() {
+        // The source feeds the graph through its entries (`Topology::entry_for`).
+        return Err(TopologyTextError::Syntax(
+            text.lines().count().max(1),
+            "no entry NF: expected at least one `entry <name>` line".into(),
+        ));
+    }
     Ok((topo, rates))
 }
 
@@ -240,8 +247,21 @@ mod tests {
     }
 
     #[test]
-    fn negative_rate_rejected() {
-        assert!(parse_topology("nf a nat -5\n").is_err());
-        assert!(parse_topology("nf a nat 0\n").is_err());
+    fn rates_that_are_not_positive_finite_numbers_are_rejected() {
+        for rate in ["-5", "0", "nan", "inf", "1e400"] {
+            let err = parse_topology(&format!("nf a nat 1e6\nnf b nat {rate}\nentry a\n"))
+                .expect_err(rate);
+            assert!(
+                matches!(err, TopologyTextError::Syntax(2, _)),
+                "{rate}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_description_without_an_entry_is_rejected_at_its_last_line() {
+        let err = parse_topology("nf a nat 1e6\nnf b vpn 1e6\nedge a b\n").unwrap_err();
+        assert!(matches!(err, TopologyTextError::Syntax(3, _)), "{err}");
+        assert!(err.to_string().contains("no entry NF"), "{err}");
     }
 }

@@ -80,7 +80,7 @@ pub mod prelude {
         LatencyThreshold, Microscope, VictimConfig,
     };
     pub use msc_collector::{chunk_bundle, Collector, CollectorConfig, TraceBundle};
-    pub use msc_stream::{StreamConfig, StreamEngine, StreamOutcome};
+    pub use msc_stream::{StreamConfig, StreamEngine};
     pub use msc_trace::{reconstruct, Reconstruction, ReconstructionConfig, Timelines};
     pub use netmedic::{NetMedic, NetMedicConfig};
     pub use nf_sim::{

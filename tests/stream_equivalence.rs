@@ -70,10 +70,12 @@ fn streamed_pipeline_is_bit_identical_to_offline() {
                 for chunk in chunks {
                     engine.push_chunk(&chunk).expect("chunk fits topology");
                 }
-                let out = engine.finish_and_diagnose(rates.clone(), diag_config(cache));
-                assert_eq!(out.recon, offline, "{tag}: reconstruction");
-                assert_eq!(out.timelines, off_tl, "{tag}: timelines");
-                assert_eq!(out.diagnoses, off_diag, "{tag}: diagnoses");
+                let (recon, timelines) = engine.finish();
+                assert_eq!(recon, offline, "{tag}: reconstruction");
+                assert_eq!(timelines, off_tl, "{tag}: timelines");
+                let streamed = Microscope::new(topology.clone(), rates.clone(), diag_config(cache));
+                let (diagnoses, _) = streamed.diagnose_all_stats(&recon, &timelines);
+                assert_eq!(diagnoses, off_diag, "{tag}: diagnoses");
             }
         }
     }
