@@ -143,8 +143,10 @@ fn probe(dir: &Path, stream: bool) -> Result<(), String> {
         String::new()
     };
     let mut stages = Stages::new(&frontier);
-    let text = std::fs::read_to_string(dir.join("topology.txt")).map_err(|e| e.to_string())?;
-    let deployment = parse_topology(&text).map_err(|e| e.to_string())?;
+    let topology = dir.join("topology.txt");
+    let path = topology.display();
+    let text = std::fs::read_to_string(&topology).map_err(|e| format!("read {path}: {e}"))?;
+    let deployment = parse_topology(&text).map_err(|e| format!("{path}: {e}"))?;
     let bundle = dir.join(if stream { "run.mscs" } else { "run.msc" });
     let file_mb = std::fs::metadata(&bundle).map_or(0, |m| m.len()) as f64 / 1e6;
     stages.row("start", "");

@@ -1,0 +1,112 @@
+//! Mutations of the other operator input, the bundle bytes: every
+//! truncation of the two golden recordings, every bit of every log header's
+//! NF id, and seeded single-bit flips anywhere, run through `diagnose` (the
+//! `.msc`) or `stream` (the `.mscs`) on the paper topology. Each mutant must
+//! come back as a report or an error, never a panic — and a log whose NF id
+//! no longer matches its position must be an error, not a run that indexes
+//! the wrong NF's state by that id.
+
+use microscope_cli::pipeline;
+use nf_sim::paper_nf_configs;
+use nf_types::{emit_topology, paper_topology, parse_topology};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const WHOLE: &[u8] = include_bytes!("../../collector/tests/fixtures/run.msc");
+const CHUNKED: &[u8] = include_bytes!("../../collector/tests/fixtures/run.mscs");
+
+/// Offsets of the two NF-id bytes of every log header. After the 5-byte
+/// magic + version, a body is `n_logs u32`, per log `len u32` and the
+/// encoded log (`version u8`, `nf u16`, …), then `n_src u32` and 23 bytes
+/// per source record; a chunked file repeats `until u64` + body to the end.
+fn nf_id_offsets(file: &[u8], chunked: bool) -> Vec<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+    let mut offsets = Vec::new();
+    let mut at = 5;
+    while at < file.len() {
+        if chunked {
+            at += 8;
+        }
+        let n_logs = u32_at(at);
+        at += 4;
+        for _ in 0..n_logs {
+            offsets.extend([at + 5, at + 6]);
+            at += 4 + u32_at(at);
+        }
+        at += 4 + 23 * u32_at(at);
+    }
+    assert_eq!(at, file.len());
+    offsets
+}
+
+#[test]
+fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
+    let topology = paper_topology();
+    let rates: Vec<f64> = paper_nf_configs(&topology)
+        .iter()
+        .map(|c| c.service.peak_rate_pps())
+        .collect();
+    let deployment = parse_topology(&emit_topology(&topology, &rates)).unwrap();
+    let dir = std::env::temp_dir().join(format!("msc_cli_bundle_mut_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let (mut mutants, mut panicked, mut accepted) = (0, Vec::new(), Vec::new());
+    for (clean, chunked) in [(WHOLE, false), (CHUNKED, true)] {
+        let path = dir.join(if chunked { "run.mscs" } else { "run.msc" });
+        // Whether the pipeline returned `Ok`; `None` if it panicked.
+        let mut run = |label: String, bytes: &[u8]| {
+            mutants += 1;
+            std::fs::write(&path, bytes).unwrap();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if chunked {
+                    pipeline::stream(&deployment, &path, None, false, 0.99, 10, &mut |_, _| {})
+                        .is_ok()
+                } else {
+                    pipeline::diagnose(&deployment, &path, false, 0.99, 10, &mut |_, _| {}).is_ok()
+                }
+            }));
+            result.map_err(|_| panicked.push(label)).ok()
+        };
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        assert_eq!(run(format!("{name} clean"), clean), Some(true));
+
+        for len in 0..clean.len() {
+            run(format!("{name} cut at {len}"), &clean[..len]);
+        }
+
+        let offsets = nf_id_offsets(clean, chunked);
+        assert_eq!(offsets.len(), if chunked { 2 * 2 * 16 } else { 2 * 16 });
+        for at in offsets {
+            for bit in 0..8 {
+                let mut bytes = clean.to_vec();
+                bytes[at] ^= 1 << bit;
+                let label = format!("{name} NF-id byte {at} bit {bit}");
+                if run(label.clone(), &bytes) == Some(true) {
+                    accepted.push(label);
+                }
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(clean.len() as u64);
+        for _ in 0..1_000 {
+            let (at, bit) = (rng.gen_range(0..clean.len()), rng.gen_range(0..8));
+            let mut bytes = clean.to_vec();
+            bytes[at] ^= 1 << bit;
+            run(format!("{name} byte {at} bit {bit}"), &bytes);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    eprintln!("{mutants} mutants");
+    assert!(
+        panicked.is_empty(),
+        "{} of {mutants} mutants panicked: {:?}",
+        panicked.len(),
+        &panicked[..panicked.len().min(20)]
+    );
+    assert!(
+        accepted.is_empty(),
+        "a misplaced log was accepted: {accepted:?}"
+    );
+}

@@ -39,7 +39,7 @@
 use crate::collector::{NfLog, TraceBundle};
 use crate::encode::{decode_nf_log, encode_nf_log, EncodeError};
 use crate::records::FlowRecord;
-use nf_types::{FiveTuple, Nanos, Proto};
+use nf_types::{FiveTuple, Nanos, NfId, Proto};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -66,6 +66,9 @@ pub enum BundleIoError {
     /// A section has more entries (or bytes) than its u32 length field can
     /// describe; `what` names the section.
     SectionTooLarge { what: &'static str, len: usize },
+    /// The NF log at `position` of the log section carries another NF's id.
+    /// Every reader indexes the logs by NF id, so the two must agree.
+    MisplacedLog { position: u32, nf: NfId },
 }
 
 impl fmt::Display for BundleIoError {
@@ -86,6 +89,11 @@ impl fmt::Display for BundleIoError {
                     "{what} section ({len} entries/bytes) overflows its u32 length field"
                 )
             }
+            BundleIoError::MisplacedLog { position, nf } => write!(
+                f,
+                "NF log {position} carries NF id {}: a bundle holds the log of NF i at position i",
+                nf.0
+            ),
         }
     }
 }
@@ -157,15 +165,22 @@ const SOURCE_RECORD_BYTES: usize = 23;
 /// [`read_section`], which grows its buffer with the bytes that actually
 /// arrive, and only a section that arrived whole is decoded — so memory
 /// stays within a small multiple of the input however large the header
-/// claims the sections are.
+/// claims the sections are. Each log must sit at the position of its NF id.
 fn read_bundle_body<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
     let n_logs = read_u32(&mut r)?;
     let mut logs = Vec::new();
     let mut buf = Vec::new();
-    for _ in 0..n_logs {
+    for position in 0..n_logs {
         let len = read_u32(&mut r)?;
         read_section(&mut r, u64::from(len), &mut buf)?;
-        logs.push(decode_nf_log(&buf).map_err(BundleIoError::Log)?);
+        let log = decode_nf_log(&buf).map_err(BundleIoError::Log)?;
+        if u32::from(log.nf.0) != position {
+            return Err(BundleIoError::MisplacedLog {
+                position,
+                nf: log.nf,
+            });
+        }
+        logs.push(log);
     }
     let n_src = read_u32(&mut r)?;
     read_section(
@@ -687,6 +702,35 @@ mod tests {
         ));
         // Sanity: the same bytes with honest fields load.
         assert!(read_bundle(&whole(&empty_log, 0)[..]).is_ok());
+    }
+
+    /// Readers index logs by NF id: a log at another NF's position is an
+    /// error in both containers, not a bundle whose ids disagree with its
+    /// order.
+    #[test]
+    fn a_log_at_another_nfs_position_is_refused() {
+        let mut bundle = sample_bundle();
+        bundle.logs.swap(0, 1);
+        let misplaced = |e: Option<BundleIoError>| {
+            matches!(
+                e,
+                Some(BundleIoError::MisplacedLog {
+                    position: 0,
+                    nf: NfId(1)
+                })
+            )
+        };
+        let mut whole = Vec::new();
+        write_bundle(&mut whole, &bundle).unwrap();
+        assert!(misplaced(read_bundle(&whole[..]).err()));
+        let mut chunked = Vec::new();
+        write_bundle_chunked(&mut chunked, &chunk_bundle(&bundle, 7_000)).unwrap();
+        assert!(misplaced(
+            BundleChunkReader::new(&chunked[..])
+                .unwrap()
+                .next_chunk()
+                .err()
+        ));
     }
 
     #[test]

@@ -338,6 +338,8 @@ pub fn attribute_upstream_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn credit_walk_simple_squeeze() {
@@ -438,17 +440,11 @@ mod tests {
             }
             credits
         }
-        let mut state = 0xfeed_beef_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        let mut rng = StdRng::seed_from_u64(0xfeed_beef);
         for _ in 0..200 {
-            let len = (next() % 12) as usize;
-            let texp = next() % 2000 + 1;
-            let spans: Vec<Nanos> = (0..len).map(|_| next() % 2500).collect();
+            let len = rng.gen_range(0..12);
+            let texp = rng.gen_range(1..=2000);
+            let spans: Vec<Nanos> = (0..len).map(|_| rng.gen_range(0..2500)).collect();
             assert_eq!(
                 credit_walk(texp, &spans),
                 reference(texp, &spans),

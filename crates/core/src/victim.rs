@@ -22,7 +22,9 @@ pub struct VictimConfig {
     /// by this many standard deviations (the paper uses one).
     pub abnormal_sigma: f64,
     /// Cap on the number of victims (keeps diagnosis time bounded on long
-    /// runs; the highest-latency victims are kept). `None` = no cap.
+    /// runs). Above it the victims are ordered by `observed_ts` and an even
+    /// stride of `cap` of them is kept, so every problem episode keeps some.
+    /// `None` (or `Some(0)`) = no cap.
     pub max_victims: Option<usize>,
 }
 

@@ -719,23 +719,24 @@ mod tests {
     use super::*;
     use msc_collector::{Collector, CollectorConfig, PacketMeta};
     use nf_types::{FiveTuple, NfKind, Proto, Topology};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        // Keys before, inside and past the run; duplicate positions never
-        // occur in a real run but the boundary must hold with them too.
-        #[test]
-        fn gallop_is_the_partition_point(
-            run in proptest::collection::vec(0u32..500, 0..80),
-            key in 0u32..520,
-        ) {
-            let mut run = run;
+    // Keys before, inside and past the run; duplicate positions never
+    // occur in a real run but the boundary must hold with them too.
+    #[test]
+    fn gallop_is_the_partition_point() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut run: Vec<u32> = (0..rng.gen_range(0..80))
+                .map(|_| rng.gen_range(0..500))
+                .collect();
+            let key = rng.gen_range(0..520);
             run.sort_unstable();
-            prop_assert_eq!(
+            assert_eq!(
                 gallop_lower_bound(&run, key),
-                run.partition_point(|&p| p < key)
+                run.partition_point(|&p| p < key),
+                "case {case}: key {key} in {run:?}"
             );
         }
     }

@@ -362,7 +362,8 @@ impl Timelines {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn batches(reads: &[(Nanos, u32, bool)]) -> Vec<RxBatchInfo> {
         reads
@@ -497,25 +498,18 @@ mod tests {
 
     #[test]
     fn indexed_periods_match_naive_reference() {
-        // Pseudo-random timelines (plain LCG: no external dependency) with
-        // mixed queued/dropped arrivals and mixed drained/full reads; the
-        // indexed implementation must agree with the direct-scan reference
-        // at every probe time.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        // Seeded random timelines with mixed queued/dropped arrivals and
+        // mixed drained/full reads; the indexed implementation must agree
+        // with the direct-scan reference at every probe time.
+        let mut rng = StdRng::seed_from_u64(0x1234_5678_9abc_def0);
         for _ in 0..50 {
-            let n_arr = (rng() % 60) as usize;
-            let n_reads = (rng() % 20) as usize;
+            let n_arr = rng.gen_range(0..60);
+            let n_reads = rng.gen_range(0..20);
             let mut ts = 0u64;
             let arrivals: Vec<(Nanos, ArrivalKind)> = (0..n_arr)
                 .map(|_| {
-                    ts += rng() % 500;
-                    let kind = if rng() % 5 == 0 {
+                    ts += rng.gen_range(0..500);
+                    let kind = if rng.gen_range(0..5) == 0 {
                         ArrivalKind::Dropped
                     } else {
                         ArrivalKind::Queued
@@ -526,14 +520,14 @@ mod tests {
             let mut rts = 0u64;
             let reads: Vec<(Nanos, u32, bool)> = (0..n_reads)
                 .map(|_| {
-                    rts += rng() % 1500;
-                    (rts, (rng() % 32 + 1) as u32, rng() % 3 == 0)
+                    rts += rng.gen_range(0..1500);
+                    (rts, rng.gen_range(1..=32), rng.gen_range(0..3) == 0)
                 })
                 .collect();
             let tl = mk(&arrivals, &reads);
             let horizon = ts.max(rts) + 100;
             for _ in 0..20 {
-                let t = rng() % horizon;
+                let t = rng.gen_range(0..horizon);
                 assert_eq!(
                     tl.queuing_period(t),
                     reference_period(&tl, &batches(&reads), t),
@@ -551,23 +545,27 @@ mod tests {
         order
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        // Duplicate-heavy keys exercise tie stability.
-        #[test]
-        fn radix_order_is_the_stable_sort_on_narrow_keys(
-            keys in proptest::collection::vec(0u64..20, 0..120),
-        ) {
-            prop_assert_eq!(stable_order_by_key(&keys), reference_order(&keys));
+    // Duplicate-heavy keys exercise tie stability.
+    #[test]
+    fn radix_order_is_the_stable_sort_on_narrow_keys() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let keys: Vec<u64> = (0..rng.gen_range(0..120))
+                .map(|_| rng.gen_range(0..20))
+                .collect();
+            let got = stable_order_by_key(&keys);
+            assert_eq!(got, reference_order(&keys), "case {case}: {keys:?}");
         }
+    }
 
-        // Every byte of the key takes part.
-        #[test]
-        fn radix_order_is_the_stable_sort_on_wide_keys(
-            keys in proptest::collection::vec(any::<u64>(), 0..80),
-        ) {
-            prop_assert_eq!(stable_order_by_key(&keys), reference_order(&keys));
+    // Every byte of the key takes part.
+    #[test]
+    fn radix_order_is_the_stable_sort_on_wide_keys() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let keys: Vec<u64> = (0..rng.gen_range(0..80)).map(|_| rng.gen()).collect();
+            let got = stable_order_by_key(&keys);
+            assert_eq!(got, reference_order(&keys), "case {case}: {keys:?}");
         }
     }
 
@@ -575,15 +573,10 @@ mod tests {
     fn radix_order_is_the_stable_sort_on_edge_shapes_and_both_digit_widths() {
         // Timestamp-shaped columns: one run's keys share their high bytes
         // (those passes are skipped), the low range is dense with duplicates.
-        let mut state = 0x5eed_cafe_u64;
+        let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
         let mut column = |n: usize| -> Vec<u64> {
             (0..n)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    10_000_000_000 + (state >> 16) % 120_000_000
-                })
+                .map(|_| 10_000_000_000 + rng.gen_range(0..120_000_000))
                 .collect()
         };
         // 32 767 keys sort by 8-bit digits, 32 768 and up by 16-bit ones.

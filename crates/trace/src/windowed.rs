@@ -688,24 +688,9 @@ mod tests {
     use crate::reconstruct::{reconstruct, ReconstructionConfig};
     use msc_collector::{chunk_bundle, Collector, CollectorConfig, PacketMeta};
     use nf_types::{NfKind, Proto};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
-
-    /// Deterministic LCG (no external rand in tests).
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0 >> 33
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
 
     /// Two entry NATs merging into one exit VPN — the smallest topology with
     /// a genuinely ambiguous multi-upstream edge.
@@ -738,15 +723,20 @@ mod tests {
     /// tiny IPID alphabet (collisions), ring drops before each NF,
     /// NF-internal drops (read but never sent, desyncing the rx/tx pairing),
     /// bogus reads nothing sent, and optional truncation mid-flight.
-    fn random_run(topo: &Topology, rng: &mut Lcg, n_packets: usize, truncate: bool) -> TraceBundle {
+    fn random_run(
+        topo: &Topology,
+        rng: &mut StdRng,
+        n_packets: usize,
+        truncate: bool,
+    ) -> TraceBundle {
         let sink = NfId((topo.len() - 1) as u16);
         let mut c = Collector::new(topo, CollectorConfig::default());
         let mut clock: Nanos = 1_000;
-        let alphabet = 4 + rng.below(8);
+        let alphabet = rng.gen_range(4..12);
         let mut q: Vec<VecDeque<PacketMeta>> = vec![VecDeque::new(); topo.len()];
         let mut emitted = 0usize;
         let budget = if truncate {
-            n_packets * 3 + rng.below(n_packets as u64 * 4) as usize
+            n_packets * 3 + rng.gen_range(0..n_packets * 4)
         } else {
             usize::MAX
         };
@@ -759,15 +749,15 @@ mod tests {
             if emitted >= n_packets && q.iter().all(VecDeque::is_empty) {
                 break;
             }
-            clock += 1 + rng.below(700);
-            match rng.below(2 + topo.len() as u64) {
+            clock += rng.gen_range(1..=700);
+            match rng.gen_range(0..2 + topo.len()) {
                 0 | 1 if emitted < n_packets => {
                     let m = PacketMeta {
-                        ipid: rng.below(alphabet) as u16,
+                        ipid: rng.gen_range(0..alphabet),
                         flow: FiveTuple::new(
-                            0x0a00_0000 + rng.below(40) as u32,
+                            0x0a00_0000 + rng.gen_range(0..40),
                             0x1400_0001,
-                            1_000 + rng.below(40) as u16,
+                            1_000 + rng.gen_range(0..40),
                             443,
                             Proto::UDP,
                         ),
@@ -775,28 +765,28 @@ mod tests {
                     let entry = topo.entry_for(&m.flow);
                     c.record_source(clock, &m);
                     emitted += 1;
-                    if rng.below(10) != 0 {
+                    if rng.gen_range(0..10) != 0 {
                         q[entry.0 as usize].push_back(m); // else: ring drop
                     }
                 }
                 act => {
-                    let i = (act as usize).saturating_sub(2) % topo.len();
+                    let i = act.saturating_sub(2) % topo.len();
                     let nf = NfId(i as u16);
-                    let take = 1 + rng.below(3) as usize;
+                    let take = rng.gen_range(1..=3);
                     let batch: Vec<PacketMeta> =
                         (0..take).filter_map(|_| q[i].pop_front()).collect();
                     if batch.is_empty() {
                         continue;
                     }
                     c.record_rx(nf, clock, &batch);
-                    if rng.below(20) == 0 {
+                    if rng.gen_range(0..20) == 0 {
                         continue; // NF-internal drop of the whole batch
                     }
-                    let ts2 = clock + 1 + rng.below(250);
+                    let ts2 = clock + rng.gen_range(1..=250);
                     clock = ts2;
                     if nf == sink {
                         c.record_tx(nf, ts2, None, &batch);
-                        if rng.below(15) == 0 {
+                        if rng.gen_range(0..15) == 0 {
                             // A read nothing ever sent (corrupted IPID).
                             clock += 1;
                             c.record_rx(
@@ -812,7 +802,7 @@ mod tests {
                         let down = topo.downstream(nf)[0];
                         c.record_tx(nf, ts2, Some(down), &batch);
                         for m in batch {
-                            if rng.below(12) != 0 {
+                            if rng.gen_range(0..12) != 0 {
                                 q[down.0 as usize].push_back(m); // else: ring drop
                             }
                         }
@@ -875,7 +865,7 @@ mod tests {
         let mut totals = ReconstructionReport::default();
         for seed in 0..14u64 {
             let topo = diamond();
-            let mut rng = Lcg(0x5eed_0001 ^ (seed * 0x9e37_79b9));
+            let mut rng = StdRng::seed_from_u64(0x5eed_0001 ^ (seed * 0x9e37_79b9));
             let bundle = random_run(&topo, &mut rng, 60, seed % 3 == 2);
             for cfg in &sweep_configs() {
                 for chunk_ns in [900, 7_000, 60_000, Nanos::MAX] {
@@ -918,7 +908,7 @@ mod tests {
     fn streamed_equals_offline_on_random_chain_runs() {
         for seed in 0..10u64 {
             let topo = chain3();
-            let mut rng = Lcg(0xc4a1 ^ (seed * 0x0123_4567));
+            let mut rng = StdRng::seed_from_u64(0xc4a1 ^ (seed * 0x0123_4567));
             let bundle = random_run(&topo, &mut rng, 50, seed % 2 == 1);
             for cfg in &sweep_configs() {
                 for chunk_ns in [1_500, 25_000, Nanos::MAX] {
@@ -960,7 +950,7 @@ mod tests {
     #[test]
     fn out_of_order_and_duplicate_chunks_are_refused() {
         let topo = diamond();
-        let bundle = random_run(&topo, &mut Lcg(0x0dd_c0de), 80, false);
+        let bundle = random_run(&topo, &mut StdRng::seed_from_u64(0x0dd_c0de), 80, false);
         let chunks = chunk_bundle(&bundle, 7_000);
         assert!(chunks.len() > 4, "{} chunks", chunks.len());
         let feed = |order: &[usize]| {
@@ -1138,7 +1128,7 @@ mod tests {
     fn working_set_is_bounded_by_frontier_not_run_length() {
         let peak = |n_packets: usize| {
             let topo = chain3();
-            let mut rng = Lcg(0xb0b0_cafe);
+            let mut rng = StdRng::seed_from_u64(0xb0b0_cafe);
             let bundle = random_run(&topo, &mut rng, n_packets, false);
             let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
             let mut peak = 0usize;

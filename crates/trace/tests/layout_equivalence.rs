@@ -21,7 +21,8 @@ use msc_trace::{reconstruct, EdgeStreams, Reconstruction, ReconstructionConfig, 
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
 use nf_types::{paper_topology, FiveTuple, NfId, NfKind, NodeId, Proto, Topology, MILLIS};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The layout of the parent commit, kept as it was (minus what nothing
 /// below reads: the `PacketRef` accessors).
@@ -396,58 +397,54 @@ const N_NFS: u16 = 5;
 /// The log shape of `tests/properties.rs`: time-ordered batches of 0..=32
 /// IPIDs, a tx target that may be any NF of the topology (edge or not) or
 /// the exit. A tiny IPID alphabet, so some reads do match.
-fn arb_nf_log(nf: u16) -> impl Strategy<Value = NfLog> {
-    let ipids = || proptest::collection::vec(0u16..6, 0..=32);
-    let rx = proptest::collection::vec((0u64..1_000_000, ipids()), 0..12);
-    let tx = proptest::collection::vec(
-        (0u64..1_000_000, proptest::option::of(0..N_NFS), ipids()),
-        0..12,
-    );
-    (rx, tx).prop_map(move |(mut rx, mut tx)| {
-        let mut log = NfLog::new(NfId(nf));
-        rx.sort_by_key(|b| b.0);
-        for (ts, ipids) in rx {
-            log.rx.push(ts, ipids);
-        }
-        tx.sort_by_key(|b| b.0);
-        for (ts, to, ipids) in tx {
-            log.tx.push(ts, to.map(NfId), ipids);
-        }
-        log
-    })
+fn arb_nf_log(rng: &mut StdRng, nf: u16) -> NfLog {
+    let ipids = |rng: &mut StdRng| -> Vec<u16> {
+        (0..rng.gen_range(0..=32))
+            .map(|_| rng.gen_range(0..6))
+            .collect()
+    };
+    let mut rx: Vec<(u64, Vec<u16>)> = (0..rng.gen_range(0..12))
+        .map(|_| (rng.gen_range(0..1_000_000), ipids(rng)))
+        .collect();
+    let mut tx: Vec<(u64, Option<u16>, Vec<u16>)> = (0..rng.gen_range(0..12))
+        .map(|_| {
+            let ts = rng.gen_range(0..1_000_000);
+            let to = rng.gen_bool(0.75).then(|| rng.gen_range(0..N_NFS));
+            (ts, to, ipids(rng))
+        })
+        .collect();
+    let mut log = NfLog::new(NfId(nf));
+    rx.sort_by_key(|b| b.0);
+    for (ts, ipids) in rx {
+        log.rx.push(ts, ipids);
+    }
+    tx.sort_by_key(|b| b.0);
+    for (ts, to, ipids) in tx {
+        log.tx.push(ts, to.map(NfId), ipids);
+    }
+    log
 }
 
-fn arb_bundle() -> impl Strategy<Value = TraceBundle> {
-    let logs = (
-        arb_nf_log(0),
-        arb_nf_log(1),
-        arb_nf_log(2),
-        arb_nf_log(3),
-        arb_nf_log(4),
-    );
-    let source = proptest::collection::vec((0u64..1_000_000, 0u16..6, any::<u16>()), 0..60);
-    (logs, source).prop_map(|(logs, mut source)| {
-        source.sort_by_key(|s| s.0);
-        TraceBundle {
-            logs: vec![logs.0, logs.1, logs.2, logs.3, logs.4],
-            source_flows: source
-                .into_iter()
-                .map(|(ts, ipid, sport)| FlowRecord {
-                    ipid,
-                    flow: FiveTuple::new(0x0a00_0001, 0x1400_0001, sport, 443, Proto::UDP),
-                    ts,
-                })
-                .collect(),
-        }
-    })
+fn arb_bundle(rng: &mut StdRng) -> TraceBundle {
+    let logs = (0..N_NFS).map(|nf| arb_nf_log(rng, nf)).collect();
+    let mut source_flows: Vec<FlowRecord> = (0..rng.gen_range(0..60))
+        .map(|_| FlowRecord {
+            ts: rng.gen_range(0..1_000_000),
+            ipid: rng.gen_range(0..6),
+            flow: FiveTuple::new(0x0a00_0001, 0x1400_0001, rng.gen(), 443, Proto::UDP),
+        })
+        .collect();
+    source_flows.sort_by_key(|s| s.ts);
+    TraceBundle { logs, source_flows }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn columns_and_paths_equal_the_old_layout_on_arbitrary_bundles(bundle in arb_bundle()) {
-        assert_layout_equals_oracle(&merge_topology(), &bundle);
+#[test]
+fn columns_and_paths_equal_the_old_layout_on_arbitrary_bundles() {
+    let topology = merge_topology();
+    for case in 0..96 {
+        let bundle = arb_bundle(&mut StdRng::seed_from_u64(case));
+        let equal = std::panic::catch_unwind(|| assert_layout_equals_oracle(&topology, &bundle));
+        assert!(equal.is_ok(), "case {case}: {bundle:?}");
     }
 }
 

@@ -13,24 +13,9 @@
 
 use msc_trace::{match_downstream, EdgeMatch, EdgeStreams, MatchConfig, MatchOutcome, MatchStats};
 use nf_types::{FiveTuple, Nanos, NfId, NfKind, NodeId, Proto, Topology};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-
-/// Deterministic LCG (no external rand in tests).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Reference matcher: per-IPID HashMap index, allocation-happy lookahead.
@@ -239,31 +224,31 @@ fn meta(ipid: u16) -> msc_collector::PacketMeta {
 /// NF with a tiny IPID alphabet (collisions everywhere); the merge NF reads
 /// a random FIFO-respecting interleaving with random ring drops, sometimes
 /// truncated, plus the occasional bogus read nothing ever sent.
-fn random_merge_bundle(topo: &Topology, rng: &mut Lcg) -> msc_collector::TraceBundle {
+fn random_merge_bundle(topo: &Topology, rng: &mut StdRng) -> msc_collector::TraceBundle {
     let n_up = topo.len() - 1;
     let down = NfId(n_up as u16);
     let mut c = msc_collector::Collector::new(topo, msc_collector::CollectorConfig::default());
 
     // Per-upstream send queues.
-    let ipid_alphabet = 3 + rng.below(6) as u16; // 3..=8 distinct IPIDs
+    let ipid_alphabet = rng.gen_range(3..=8); // distinct IPIDs
     let mut queues: Vec<Vec<(Nanos, u16)>> = Vec::new();
     for u in 0..n_up {
-        let n = 5 + rng.below(40) as usize;
-        let mut ts = 50 + rng.below(200);
+        let n = rng.gen_range(5..45);
+        let mut ts = rng.gen_range(50..250);
         let mut q = Vec::with_capacity(n);
         for _ in 0..n {
-            let ipid = (rng.below(ipid_alphabet as u64)) as u16;
+            let ipid = rng.gen_range(0..ipid_alphabet);
             q.push((ts, ipid));
             c.record_tx(NfId(u as u16), ts, Some(down), &[meta(ipid)]);
-            ts += 1 + rng.below(300);
+            ts += rng.gen_range(1..=300);
         }
         queues.push(q);
     }
 
     // FIFO-respecting interleave with drops and truncation.
     let total: usize = queues.iter().map(Vec::len).sum();
-    let keep_until = if rng.below(3) == 0 {
-        rng.below(total as u64 + 1) as usize // truncated run
+    let keep_until = if rng.gen_range(0..3) == 0 {
+        rng.gen_range(0..=total) // truncated run
     } else {
         total
     };
@@ -272,18 +257,18 @@ fn random_merge_bundle(topo: &Topology, rng: &mut Lcg) -> msc_collector::TraceBu
     let mut taken = 0usize;
     while taken < keep_until {
         let live: Vec<usize> = (0..n_up).filter(|&u| heads[u] < queues[u].len()).collect();
-        let Some(&u) = live.get(rng.below(live.len().max(1) as u64) as usize) else {
+        let Some(&u) = live.get(rng.gen_range(0..live.len().max(1))) else {
             break;
         };
         let (sent, ipid) = queues[u][heads[u]];
         heads[u] += 1;
         taken += 1;
-        if rng.below(8) == 0 {
+        if rng.gen_range(0..8) == 0 {
             continue; // dropped at the ring
         }
-        read_ts = read_ts.max(sent) + 1 + rng.below(200);
+        read_ts = read_ts.max(sent) + rng.gen_range(1..=200);
         c.record_rx(down, read_ts, &[meta(ipid)]);
-        if rng.below(24) == 0 {
+        if rng.gen_range(0..24) == 0 {
             // A read nothing ever sent (e.g. corrupted IPID): no candidate.
             read_ts += 1;
             c.record_rx(down, read_ts, &[meta(9999)]);
@@ -338,7 +323,7 @@ fn dense_matcher_equals_naive_reference_on_random_merges() {
     let mut total_drops = 0u64;
     let mut total_unmatched = 0u64;
     for seed in 0..60u64 {
-        let mut rng = Lcg(0x9e3779b97f4a7c15 ^ (seed * 0x1234567));
+        let mut rng = StdRng::seed_from_u64(0x9e3779b97f4a7c15 ^ (seed * 0x1234567));
         let n_up = 2 + (seed % 3) as usize; // 2..=4 upstream edges
         let topo = merge_topology(n_up);
         let bundle = random_merge_bundle(&topo, &mut rng);
@@ -380,34 +365,34 @@ fn dense_matcher_equals_naive_reference_on_source_edges() {
     // Entry NFs match against the traffic source's edge stream; exercise it
     // with drops and truncation over a single-entry chain.
     for seed in 0..20u64 {
-        let mut rng = Lcg(0xabcdef ^ (seed * 0x77777));
+        let mut rng = StdRng::seed_from_u64(0xabcdef ^ (seed * 0x77777));
         let mut b = Topology::builder();
         let fw = b.add_nf(NfKind::Firewall, "fw1");
         b.add_entry(fw);
         let topo = b.build().unwrap();
         let mut c = msc_collector::Collector::new(&topo, msc_collector::CollectorConfig::default());
 
-        let n = 10 + rng.below(60) as usize;
+        let n = rng.gen_range(10..70);
         let mut sends = Vec::with_capacity(n);
         let mut ts = 10u64;
         for _ in 0..n {
-            let ipid = rng.below(5) as u16;
+            let ipid = rng.gen_range(0..5);
             let flow = FiveTuple::new(1, 2, 3, 4, Proto::TCP);
             c.record_source(ts, &msc_collector::PacketMeta { ipid, flow });
             sends.push((ts, ipid));
-            ts += 1 + rng.below(150);
+            ts += rng.gen_range(1..=150);
         }
-        let keep = if rng.below(2) == 0 {
+        let keep = if rng.gen_range(0..2) == 0 {
             n
         } else {
-            rng.below(n as u64) as usize
+            rng.gen_range(0..n)
         };
         let mut read_ts = 0u64;
         for &(sent, ipid) in sends.iter().take(keep) {
-            if rng.below(7) == 0 {
+            if rng.gen_range(0..7) == 0 {
                 continue;
             }
-            read_ts = read_ts.max(sent) + 1 + rng.below(90);
+            read_ts = read_ts.max(sent) + rng.gen_range(1..=90);
             c.record_rx(fw, read_ts, &[meta(ipid)]);
         }
         let bundle = c.into_bundle();

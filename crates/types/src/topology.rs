@@ -21,6 +21,9 @@ pub enum TopologyError {
     Cycle,
     /// Two NFs share a name; names must be unique for reporting.
     DuplicateName(String),
+    /// No NF is fed by the traffic source ([`Topology::entry_for`] needs
+    /// one to send a flow to).
+    NoEntry,
 }
 
 impl fmt::Display for TopologyError {
@@ -30,6 +33,7 @@ impl fmt::Display for TopologyError {
             TopologyError::BadEdge(a, b) => write!(f, "bad edge {a} -> {b}"),
             TopologyError::Cycle => write!(f, "topology contains a cycle"),
             TopologyError::DuplicateName(n) => write!(f, "duplicate NF name {n:?}"),
+            TopologyError::NoEntry => write!(f, "no entry NF"),
         }
     }
 }
@@ -238,15 +242,15 @@ impl TopologyBuilder {
             }
         }
 
-        // Kahn's algorithm for a topological order; leftover nodes => cycle.
+        // Kahn's algorithm; nodes it never reaches sit on a cycle.
         let mut indeg: Vec<usize> = upstream.iter().map(|u| u.len()).collect();
         let mut queue: Vec<NfId> = (0..n as u16)
             .map(NfId)
             .filter(|i| indeg[i.0 as usize] == 0)
             .collect();
-        let mut topo_order = Vec::with_capacity(n);
+        let mut ordered = 0;
         while let Some(id) = queue.pop() {
-            topo_order.push(id);
+            ordered += 1;
             for &d in &downstream[id.0 as usize] {
                 indeg[d.0 as usize] -= 1;
                 if indeg[d.0 as usize] == 0 {
@@ -254,16 +258,14 @@ impl TopologyBuilder {
                 }
             }
         }
-        if topo_order.len() != n {
+        if ordered != n {
             return Err(TopologyError::Cycle);
         }
-        topo_order.sort_by_key(|id| {
-            // Stable deterministic order: longest distance from an entry,
-            // then id. Compute distance by relaxation over the Kahn order.
-            id.0
-        });
-        // Recompute a genuine topological order deterministically (the sort
-        // above was only for tie-breaking within levels).
+        if self.entries.is_empty() {
+            return Err(TopologyError::NoEntry);
+        }
+        // A deterministic topological order: longest distance from a root
+        // (by relaxation), then id.
         let mut level = vec![0usize; n];
         let mut changed = true;
         while changed {
@@ -423,6 +425,19 @@ mod tests {
         let a = b.add_nf(NfKind::Nat, "a");
         b.add_edge(a, NfId(9));
         assert_eq!(b.build().unwrap_err(), TopologyError::UnknownNf(NfId(9)));
+    }
+
+    #[test]
+    fn no_entry_rejected_after_the_graph_checks() {
+        let mut b = Topology::builder();
+        let a = b.add_nf(NfKind::Nat, "a");
+        let c = b.add_nf(NfKind::Vpn, "c");
+        b.add_edge(a, c);
+        assert_eq!(b.build().unwrap_err(), TopologyError::NoEntry);
+        assert_eq!(
+            Topology::builder().build().unwrap_err(),
+            TopologyError::NoEntry
+        );
     }
 
     #[test]

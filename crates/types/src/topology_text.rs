@@ -149,14 +149,13 @@ pub fn parse_topology(text: &str) -> Result<(Topology, Vec<f64>), TopologyTextEr
             .ok_or(TopologyTextError::UnknownName(lineno, to))?;
         builder.add_edge(f, t);
     }
-    let topo = builder.build().map_err(TopologyTextError::Invalid)?;
-    if topo.entries().is_empty() {
-        // The source feeds the graph through its entries (`Topology::entry_for`).
-        return Err(TopologyTextError::Syntax(
+    let topo = builder.build().map_err(|e| match e {
+        TopologyError::NoEntry => TopologyTextError::Syntax(
             text.lines().count().max(1),
             "no entry NF: expected at least one `entry <name>` line".into(),
-        ));
-    }
+        ),
+        e => TopologyTextError::Invalid(e),
+    })?;
     Ok((topo, rates))
 }
 
