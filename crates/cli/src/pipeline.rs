@@ -20,7 +20,9 @@
 //! * the diagnosis stages: `diagnose`, `relations`, `aggregate`.
 
 use autofocus::{CausalRelation, Pattern, PatternConfig};
-use microscope::{CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope};
+use microscope::{
+    CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope, SampledRelations,
+};
 use msc_collector::{
     chunk_bundle, load_bundle, peek_format, BundleChunk, BundleChunkReader, BundleFormat,
     TraceBundle,
@@ -63,7 +65,8 @@ pub enum Produced<'a> {
     Finished(&'a Reconstruction, &'a Timelines),
     /// `diagnose`: one diagnosis per victim.
     Diagnoses(&'a [Diagnosis]),
-    /// `relations`: every causal relation, before sampling.
+    /// `relations`: the sampled causal relations aggregation reads (the
+    /// rest were counted, never held).
     Relations(&'a [CausalRelation]),
     /// `aggregate`: every pattern, before the report keeps its top few.
     Patterns(&'a [Pattern]),
@@ -217,7 +220,7 @@ pub fn diagnose(
     hook("streams", Produced::Streams(&streams));
     let matches = match_all(&streams, topology, &cfg);
     hook("match", Produced::Matches(&matches));
-    let recon = assemble(topology, &bundle, streams, &matches);
+    let mut recon = assemble(topology, &bundle, streams, &matches);
     // Nothing reads the records or the match results again: give their
     // columns back before the timelines and the diagnosis index are built
     // on the traces.
@@ -226,6 +229,8 @@ pub fn diagnose(
     hook("assemble", Produced::Reconstruction(&recon));
     let timelines = Timelines::build(&recon);
     hook("timelines", Produced::Timelines(&timelines));
+    // The timelines hold what the diagnosis reads of the read batches.
+    drop(std::mem::take(&mut recon.reads));
 
     let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
     run.report.offsets = offsets;
@@ -299,8 +304,10 @@ pub fn stream(
         longest_period_ns: engine.periods().longest_ns(),
         held_for_offsets: None,
     };
-    let (recon, timelines, skewed) = engine.finish_skewed();
+    let (mut recon, timelines, skewed) = engine.finish_skewed();
     hook("finish", Produced::Finished(&recon, &timelines));
+    // As in `diagnose`: the timelines hold what is read of the batches.
+    drop(std::mem::take(&mut recon.reads));
 
     let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
     if let Some((est, held)) = skewed {
@@ -363,19 +370,17 @@ fn diagnose_and_aggregate(
     culprits.truncate(top);
 
     // Aggregated causal patterns (§4.4). Large relation sets are
-    // subsampled — scores stay proportional under a uniform stride.
-    // Aggregation costs 1–5 µs/relation (`results/sec64.txt`), so the cap
-    // is not a speed measure any more: removing it changes stdout and is
-    // ROADMAP item 5.
-    let mut relations = microscope::diagnoses_to_relations(recon, &diagnoses);
-    hook("relations", Produced::Relations(&relations));
-    let relations_total = relations.len();
+    // subsampled at a uniform stride while they are emitted — scores stay
+    // proportional, and only the sample is ever held. Aggregation costs
+    // 1–5 µs/relation (`results/sec64.txt`), so the cap is not a speed
+    // measure any more: removing it changes stdout and is ROADMAP item 5.
     const MAX_RELATIONS: usize = 2_000;
-    let mut sample_stride = 1;
-    if relations.len() > MAX_RELATIONS {
-        sample_stride = relations.len() / MAX_RELATIONS + 1;
-        relations = relations.into_iter().step_by(sample_stride).collect();
-    }
+    let SampledRelations {
+        relations,
+        total: relations_total,
+        stride: sample_stride,
+    } = microscope::sample_relations(recon, &diagnoses, MAX_RELATIONS);
+    hook("relations", Produced::Relations(&relations));
     let mut patterns =
         autofocus::aggregate_patterns(&relations, &PatternConfig::default(), &|id| {
             topology.nf(id).kind

@@ -56,6 +56,6 @@ pub use local::{local_scores, LocalScores};
 pub use propagation::{
     attribute_upstream, attribute_upstream_with, credit_walk, UpstreamScratch, UpstreamShare,
 };
-pub use report::diagnoses_to_relations;
+pub use report::{diagnoses_to_relations, sample_relations, SampledRelations};
 pub use streaming::{NfPeriodStats, PeriodTracker};
 pub use victim::{find_victims, LatencyThreshold, Victim, VictimConfig, VictimKind};

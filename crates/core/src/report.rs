@@ -6,16 +6,26 @@ use msc_trace::Reconstruction;
 use nf_types::NodeId;
 
 /// Converts diagnoses into packet-level causal relations for §4.4 pattern
-/// aggregation.
-///
-/// Each (victim, culprit) pair yields one relation per culprit flow, with
-/// the culprit's score split proportionally to flow packet counts; culprits
-/// without flow information yield a single flow-less relation.
+/// aggregation: [`for_each_relation`], collected.
 pub fn diagnoses_to_relations(
     recon: &Reconstruction,
     diagnoses: &[Diagnosis],
 ) -> Vec<CausalRelation> {
     let mut out = Vec::new();
+    for_each_relation(recon, diagnoses, |r| out.push(r));
+    out
+}
+
+/// Calls `emit` with every causal relation of `diagnoses`, in order.
+///
+/// Each (victim, culprit) pair yields one relation per culprit flow, with
+/// the culprit's score split proportionally to flow packet counts; culprits
+/// without flow information yield a single flow-less relation.
+fn for_each_relation(
+    recon: &Reconstruction,
+    diagnoses: &[Diagnosis],
+    mut emit: impl FnMut(CausalRelation),
+) {
     for d in diagnoses {
         let victim_flow = recon.traces.get(d.victim.trace).map(|t| t.flow);
         let victim_loc = Location::Nf(d.victim.nf);
@@ -27,7 +37,7 @@ pub fn diagnoses_to_relations(
             // float: canonical-order(summed over the culprit's flow Vec in stored order)
             let flow_total: f64 = c.flows.iter().map(|(_, w)| w).sum();
             if c.flows.is_empty() || flow_total <= 0.0 {
-                out.push(CausalRelation {
+                emit(CausalRelation {
                     culprit_flow: None,
                     culprit_loc,
                     victim_flow,
@@ -36,7 +46,7 @@ pub fn diagnoses_to_relations(
                 });
             } else {
                 for (f, w) in &c.flows {
-                    out.push(CausalRelation {
+                    emit(CausalRelation {
                         culprit_flow: Some(*f),
                         culprit_loc,
                         victim_flow,
@@ -47,7 +57,44 @@ pub fn diagnoses_to_relations(
             }
         }
     }
-    out
+}
+
+/// At most `max` causal relations of `diagnoses`, sampled at a uniform
+/// stride while they are emitted — never all of them at once.
+#[derive(Debug)]
+pub struct SampledRelations {
+    /// Every `stride`-th relation, starting with the first.
+    pub relations: Vec<CausalRelation>,
+    /// Relations before sampling.
+    pub total: usize,
+    /// 1 when `total <= max`, else `total / max + 1`.
+    pub stride: usize,
+}
+
+/// Counts the relations in one pass, then keeps those whose index is a
+/// multiple of the stride: what `diagnoses_to_relations(..)
+/// .into_iter().step_by(stride)` keeps, without holding the rest.
+pub fn sample_relations(
+    recon: &Reconstruction,
+    diagnoses: &[Diagnosis],
+    max: usize,
+) -> SampledRelations {
+    let mut total = 0;
+    for_each_relation(recon, diagnoses, |_| total += 1);
+    let stride = if total > max { total / max + 1 } else { 1 };
+    let mut relations = Vec::with_capacity(total.div_ceil(stride));
+    let mut i = 0;
+    for_each_relation(recon, diagnoses, |r| {
+        if i % stride == 0 {
+            relations.push(r);
+        }
+        i += 1;
+    });
+    SampledRelations {
+        relations,
+        total,
+        stride,
+    }
 }
 
 #[cfg(test)]
@@ -56,6 +103,8 @@ mod tests {
     use crate::diagnose::{Culprit, CulpritKind};
     use crate::victim::{Victim, VictimKind};
     use nf_types::{FiveTuple, Interval, NfId, Proto};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn flow(p: u16) -> FiveTuple {
         FiveTuple::new(1, 2, p, 80, Proto::TCP)
@@ -128,5 +177,74 @@ mod tests {
         // Victim flow comes from the trace.
         assert_eq!(r1.victim_flow, Some(flow(99)));
         assert_eq!(r1.victim_loc, Location::Nf(NfId(1)));
+    }
+
+    /// Diagnoses that yield exactly `total` relations: culprits of one to
+    /// six relations each — flow-less, zero-weight and weighted flows — on
+    /// victims with and without a trace, some with no culprit at all.
+    fn arb_diagnoses(rng: &mut StdRng, total: usize) -> Vec<Diagnosis> {
+        let mut left = total;
+        let mut out = Vec::new();
+        while left > 0 || rng.gen_bool(0.1) {
+            let mut d = diag();
+            d.victim.trace = rng.gen_range(0..2);
+            d.victim.nf = NfId(rng.gen_range(0..4));
+            d.culprits.clear();
+            for _ in 0..rng.gen_range(0..4) {
+                if left == 0 {
+                    break;
+                }
+                let n = rng.gen_range(1..=left.min(6));
+                left -= n;
+                let flows = match (n, rng.gen_range(0..3)) {
+                    (1, 0) => vec![],
+                    (1, 1) => vec![(flow(rng.gen()), 0.0), (flow(rng.gen()), 0.0)],
+                    _ => (0..n)
+                        .map(|_| (flow(rng.gen()), rng.gen_range(0.5..64.0)))
+                        .collect(),
+                };
+                d.culprits.push(Culprit {
+                    node: if rng.gen_bool(0.2) {
+                        NodeId::Source
+                    } else {
+                        NodeId::Nf(NfId(rng.gen_range(0..4)))
+                    },
+                    kind: CulpritKind::LocalProcessing,
+                    score: rng.gen_range(0.0..100.0),
+                    window: Interval::new(0, 1),
+                    flows,
+                });
+            }
+            out.push(d);
+        }
+        out
+    }
+
+    #[test]
+    fn sampling_while_emitting_is_the_stride_over_every_relation() {
+        const MAX: usize = 2_000;
+        let recon = recon_stub();
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let total = match case % 5 {
+                0 => MAX - 1,
+                1 => MAX,
+                2 => MAX + 1,
+                3 => 2 * MAX,
+                _ => rng.gen_range(0..3 * MAX),
+            };
+            let diagnoses = arb_diagnoses(&mut rng, total);
+            let all = diagnoses_to_relations(&recon, &diagnoses);
+            assert_eq!(all.len(), total, "case {case}");
+            let stride = if total > MAX { total / MAX + 1 } else { 1 };
+            let want: Vec<_> = all.into_iter().step_by(stride).collect();
+            let got = sample_relations(&recon, &diagnoses, MAX);
+            assert_eq!((got.total, got.stride), (total, stride), "case {case}");
+            assert_eq!(got.relations.len(), want.len(), "case {case}");
+            for (i, (g, w)) in got.relations.iter().zip(&want).enumerate() {
+                assert_eq!(g.score.to_bits(), w.score.to_bits(), "case {case} #{i}");
+                assert_eq!(g, w, "case {case} #{i}");
+            }
+        }
     }
 }

@@ -271,7 +271,8 @@ pub struct Reconstruction {
     /// Quality report.
     pub report: ReconstructionReport,
     /// For every NF: its read batches in time order (the batch-size drain
-    /// signal the timelines are built from).
+    /// signal the timelines are built from; nothing else reads them, so a
+    /// caller may free them once the timelines exist).
     pub reads: Vec<Vec<RxBatchInfo>>,
     /// Interned upstream-path prefixes (see [`PathTrie`]).
     pub paths: PathTrie,

@@ -83,12 +83,9 @@ pub struct NfTimeline {
     pub nf: NfId,
     /// Arrivals sorted by time (queued and dropped).
     pub arrivals: Vec<Arrival>,
-    /// Flat copy of `arrivals[i].ts`: the binary searches probe an
-    /// 8-byte-stride column instead of the 16-byte `Arrival` records.
-    arrival_ts: Vec<Nanos>,
-    /// Timestamp of every read batch, in time order. The batches themselves
-    /// stay in [`Reconstruction::reads`]: everything a query needs of them
-    /// is in the columns below.
+    /// Timestamp of every read batch, in time order. Everything a query
+    /// needs of the batches in [`Reconstruction::reads`] is in the columns
+    /// below, so those may be freed once the timelines are built.
     read_ts: Vec<Nanos>,
     /// `read_prefix[i]` = packets read in batches `0..i`. A count of one NF
     /// log's packets, like the column below: `u32` ([`Self::new`] checks
@@ -125,7 +122,6 @@ impl NfTimeline {
         let ts_keys: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
         let order = stable_order_by_key(&ts_keys);
         let arrivals: Vec<Arrival> = order.iter().map(|&i| arrivals[i as usize]).collect();
-        let arrival_ts: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
         let read_ts: Vec<Nanos> = reads.iter().map(|r| r.ts).collect();
         let mut read_prefix = Vec::with_capacity(reads.len() + 1);
         let mut read_so_far = 0u32;
@@ -152,7 +148,6 @@ impl NfTimeline {
         Self {
             nf,
             arrivals,
-            arrival_ts,
             read_ts,
             read_prefix,
             queued_prefix,
@@ -181,7 +176,7 @@ impl NfTimeline {
         // First queued arrival strictly after the drain (or the very first
         // arrival when the queue has been building since the start).
         let start_idx = match drained_ts {
-            Some(dts) => self.arrival_ts.partition_point(|&a| a <= dts),
+            Some(dts) => self.arrivals.partition_point(|a| a.ts <= dts),
             None => 0,
         };
         self.period_from(start_idx, t)
@@ -205,7 +200,7 @@ impl NfTimeline {
             };
         }
         let t0 = self.arrivals[s].ts;
-        let end_idx = self.arrival_ts.partition_point(|&ts| ts <= t);
+        let end_idx = self.arrivals.partition_point(|a| a.ts <= t);
         let n_arrived = u64::from(self.queued_prefix[end_idx] - self.queued_prefix[s]);
         let n_processed = self.processed_in(t0, t);
         QueuingPeriod {

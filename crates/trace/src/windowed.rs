@@ -442,30 +442,18 @@ impl WindowedReconstructor {
         let Self {
             topo,
             mut traces,
-            hops: forwarded,
+            mut hops,
             hop_trace,
             reads,
             report,
             ..
         } = self;
         // Group the hops by trace, in emission order: a stable counting
-        // sort with each trace's hop range as its own write head, over hop
-        // indexes — the arena itself is then written once, in order.
-        let mut start = 0;
-        for tr in &mut traces {
-            let n = tr.hops.end;
-            tr.hops = start..start;
-            start += n;
-        }
-        let mut order = vec![0u32; forwarded.len()];
-        for (i, &t) in (0u32..).zip(&hop_trace) {
-            let head = &mut traces[t as usize].hops.end;
-            order[*head as usize] = i;
-            *head += 1;
-        }
+        // sort over hop indexes, then the arena permuted in place.
+        let mut order = group_order(&mut traces, &hop_trace);
         drop(hop_trace);
-        let hops: Vec<TraceHop> = order.iter().map(|&i| forwarded[i as usize]).collect();
-        drop((order, forwarded));
+        gather_in_place(&mut hops, &mut order);
+        drop(order);
         let (paths, path_ids) = PathTrie::intern_traces(&traces, &hops, topo.len());
         let recon = Reconstruction {
             traces,
@@ -678,6 +666,49 @@ impl WindowedReconstructor {
             o.owner.drain(..n);
             sends.drop_prefix(n);
             e.drop_decided(n);
+        }
+    }
+}
+
+/// Turns each trace's hop count (held in `hops.end` until `finish`) into
+/// its range of the grouped arena and returns the stable counting-sort
+/// order by trace, each range its own write head: `order[j]` is the arena
+/// index of the `j`-th grouped hop.
+fn group_order(traces: &mut [ReconstructedTrace], hop_trace: &[u32]) -> Vec<u32> {
+    let mut start = 0;
+    for tr in traces.iter_mut() {
+        let n = tr.hops.end;
+        tr.hops = start..start;
+        start += n;
+    }
+    let mut order = vec![0u32; hop_trace.len()];
+    for (i, &t) in (0u32..).zip(hop_trace) {
+        let head = &mut traces[t as usize].hops.end;
+        order[*head as usize] = i;
+        *head += 1;
+    }
+    order
+}
+
+/// `v[j] = v[order[j]]` for every `j` at once — the gather
+/// `order.iter().map(|&i| v[i])` without a second arena — walking each
+/// cycle of the permutation once. `order[j] = j` marks position `j` placed.
+fn gather_in_place<T: Copy>(v: &mut [T], order: &mut [u32]) {
+    for j in (0u32..).take(order.len()) {
+        if order[j as usize] == j {
+            continue;
+        }
+        let first = v[j as usize];
+        let mut k = j;
+        loop {
+            let src = order[k as usize];
+            order[k as usize] = k;
+            if src == j {
+                v[k as usize] = first;
+                break;
+            }
+            v[k as usize] = v[src as usize];
+            k = src;
         }
     }
 }
@@ -1147,5 +1178,68 @@ mod tests {
             large < small.max(1) * 3,
             "frontier grew with run length: {small} -> {large}"
         );
+    }
+
+    /// The grouping `finish` applies to random trace tags equals the gather
+    /// into a second arena it replaced. Shapes: empty, already grouped
+    /// (the identity), one cycle through every hop, pairwise swaps (many
+    /// 2-cycles), and random tags over traces of which some have no hop.
+    #[test]
+    fn in_place_regroup_equals_the_gather() {
+        for case in 0..96u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(0..300u32);
+            let hop_trace: Vec<u32> = match case % 5 {
+                0 => vec![],
+                1 => {
+                    let mut t: Vec<u32> = (0..n).map(|_| rng.gen_range(0..40)).collect();
+                    t.sort_unstable();
+                    t
+                }
+                2 => (0..n).map(|i| u32::from(i + 1 < n)).collect(),
+                3 => (0..n).map(|i| i ^ 1).filter(|&t| t < n).collect(),
+                _ => (0..n).map(|_| rng.gen_range(0..2 * n.max(1))).collect(),
+            };
+            let traces_n = hop_trace
+                .iter()
+                .max()
+                .map_or(rng.gen_range(0..3), |&t| t + 1);
+            let mut traces: Vec<ReconstructedTrace> = (0..traces_n)
+                .map(|_| ReconstructedTrace {
+                    flow: FiveTuple::new(1, 2, 3, 4, Proto::UDP),
+                    emitted_at: 0,
+                    hops: 0..0,
+                    outcome: TraceOutcome::Unresolved,
+                })
+                .collect();
+            for &t in &hop_trace {
+                traces[t as usize].hops.end += 1;
+            }
+            let forwarded: Vec<u64> = (0..hop_trace.len() as u64).map(|_| rng.gen()).collect();
+            let mut order = group_order(&mut traces, &hop_trace);
+            let want: Vec<u64> = order.iter().map(|&i| forwarded[i as usize]).collect();
+            let mut got = forwarded.clone();
+            gather_in_place(&mut got, &mut order);
+            assert_eq!(got, want, "case {case}: tags {hop_trace:?}");
+            assert!(
+                order.iter().enumerate().all(|(j, &o)| o as usize == j),
+                "case {case}: every position marked placed"
+            );
+            // Each trace's range holds its own hops, in emission order.
+            let mut at = 0;
+            for (t, tr) in (0u32..).zip(&traces) {
+                assert_eq!(tr.hops.start, at, "case {case}: trace {t}");
+                let own: Vec<u64> = (0..hop_trace.len())
+                    .filter(|&i| hop_trace[i] == t)
+                    .map(|i| forwarded[i])
+                    .collect();
+                assert_eq!(
+                    got[tr.hops.start as usize..tr.hops.end as usize],
+                    own[..],
+                    "case {case}: trace {t}"
+                );
+                at = tr.hops.end;
+            }
+        }
     }
 }
