@@ -39,20 +39,18 @@ impl NfLog {
 pub struct CollectorConfig {
     /// Master switch; when off, `record_*` is a no-op and the overhead is 0.
     pub enabled: bool,
-    /// Hot-path cost charged per recorded packet, in nanoseconds. The
-    /// simulator adds this to NF service time, which is what makes the §6.2
-    /// overhead experiment (0.88%–2.33% of peak throughput) reproducible.
-    pub per_packet_cost_ns: f64,
 }
 
 impl Default for CollectorConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            per_packet_cost_ns: 8.0,
-        }
+        Self { enabled: true }
     }
 }
+
+/// Hot-path cost charged per recorded packet, in nanoseconds. The
+/// simulator adds this to NF service time, which is what makes the §6.2
+/// overhead experiment (0.88%–2.33% of peak throughput) reproducible.
+const PER_PACKET_COST_NS: f64 = 8.0;
 
 /// Runtime data collector for a whole NF deployment.
 ///
@@ -85,7 +83,7 @@ impl Collector {
     /// Service-time surcharge for a batch of `n` packets, in nanoseconds.
     pub fn batch_overhead_ns(&self, n: usize) -> Nanos {
         if self.cfg.enabled {
-            (self.cfg.per_packet_cost_ns * n as f64).round() as Nanos
+            (PER_PACKET_COST_NS * n as f64).round() as Nanos
         } else {
             0
         }
@@ -241,13 +239,7 @@ mod tests {
     #[test]
     fn disabled_collector_records_nothing_and_costs_nothing() {
         let t = topo();
-        let mut c = Collector::new(
-            &t,
-            CollectorConfig {
-                enabled: false,
-                ..Default::default()
-            },
-        );
+        let mut c = Collector::new(&t, CollectorConfig { enabled: false });
         c.record_rx(NfId(0), 100, &[meta(1)]);
         c.record_source(0, &meta(1));
         assert_eq!(c.batch_overhead_ns(32), 0);

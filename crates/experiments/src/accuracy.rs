@@ -30,28 +30,20 @@ pub fn accuracy_run(
     let flows = candidate_flows(rate_pps, seed);
     spec.plan = InjectionPlan::random(&paper_topology(), duration, &flows, plan_cfg, seed);
     let run = run_spec(&spec);
-
-    let nm = NetMedic::new(
-        run.topology.clone(),
-        NetMedicConfig {
-            window_ns: nm_window,
-            ..Default::default()
-        },
-    );
-    let hist = build_history(&run.out, run.topology.len(), &run.peak_rates, nm_window);
-    let scored = score_run(&run, &nm, &hist);
+    let scored = rescore_with_window(&run, nm_window);
     AccuracyRun { run, scored }
 }
 
-/// Re-scores an existing run with a different NetMedic window (Fig. 13).
+/// Scores a run against its journal with both tools, NetMedic correlating
+/// over `window_ns` windows (Fig. 13 re-scores one run at several).
 pub fn rescore_with_window(run: &RunResult, window_ns: Nanos) -> Vec<ScoredVictim> {
-    let nm = NetMedic::new(
-        run.topology.clone(),
-        NetMedicConfig {
-            window_ns,
-            ..Default::default()
-        },
-    );
+    let nm = NetMedic::new(run.topology.clone(), NetMedicConfig { window_ns });
     let hist = build_history(&run.out, run.topology.len(), &run.peak_rates, window_ns);
-    score_run(run, &nm, &hist)
+    score_run(
+        &run.topology,
+        &run.out.journal.events,
+        &run.diagnoses,
+        &nm,
+        &hist,
+    )
 }

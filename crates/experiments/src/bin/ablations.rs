@@ -41,7 +41,6 @@ fn main() {
             rate_pps: args.rate_pps(),
             // Few packets per flow: IPIDs stay small and collide heavily.
             active_flows: 4096,
-            ..Default::default()
         },
         args.seed,
     );

@@ -18,10 +18,7 @@ fn peak_rate(kind: NfKind, enabled: bool, millis: u64, seed: u64) -> f64 {
         cfgs,
         SimConfig {
             seed,
-            collector: CollectorConfig {
-                enabled,
-                ..Default::default()
-            },
+            collector: CollectorConfig { enabled },
             record_fates: false,
             ..Default::default()
         },

@@ -76,10 +76,6 @@ pub struct PlanConfig {
     pub interrupt_len: (Nanos, Nanos),
     /// Install the firewall bug and inject trigger flows.
     pub with_bug: bool,
-    /// Bug trigger-flow size range (paper: 50–150 packets).
-    pub bug_flow_size: (u64, u64),
-    /// Gap between consecutive injected events.
-    pub spacing: Nanos,
     /// First event time.
     pub start: Nanos,
 }
@@ -92,12 +88,15 @@ impl Default for PlanConfig {
             n_interrupts: 5,
             interrupt_len: (500 * MICROS, 1000 * MICROS),
             with_bug: true,
-            bug_flow_size: (50, 150),
-            spacing: 40 * MILLIS,
             start: 20 * MILLIS,
         }
     }
 }
+
+/// Bug trigger-flow size range (paper: 50–150 packets).
+const BUG_FLOW_SIZE: (u64, u64) = (50, 150);
+/// Gap between consecutive injected events.
+const SPACING: Nanos = 40 * MILLIS;
 
 /// The §6.4 bug-trigger flow aggregate: TCP 100.0.0.1 → 32.0.0.1, source
 /// ports 2000–2008, destination ports 6000–6008.
@@ -128,7 +127,7 @@ pub fn paper_bug_flows() -> Vec<FiveTuple> {
 
 impl InjectionPlan {
     /// Generates a randomised plan over `[cfg.start, duration)` with events
-    /// `cfg.spacing` apart, alternating bursts and interrupts (bug triggers
+    /// `SPACING` (40 ms) apart, alternating bursts and interrupts (bug triggers
     /// run periodically throughout, as in §6.4).
     pub fn random(
         topology: &Topology,
@@ -167,7 +166,7 @@ impl InjectionPlan {
                 plan.interrupts.push((nf, t, len));
                 ints_left -= 1;
             }
-            t += cfg.spacing;
+            t += SPACING;
         }
         if cfg.with_bug {
             let fws: Vec<NfId> = topology
@@ -182,13 +181,13 @@ impl InjectionPlan {
                 Some(fws[rng.gen_range(0..fws.len())])
             };
             if let Some(fw) = fw {
-                let flow_size = rng.gen_range(cfg.bug_flow_size.0..=cfg.bug_flow_size.1);
+                let flow_size = rng.gen_range(BUG_FLOW_SIZE.0..=BUG_FLOW_SIZE.1);
                 plan.bug = Some(BugSpec {
                     nf: fw,
                     matches: paper_bug_aggregate(),
                     per_packet_ns: 20 * MICROS, // 0.05 Mpps
                     trigger_flows: paper_bug_flows(),
-                    period: cfg.spacing,
+                    period: SPACING,
                     flow_size,
                 });
             }

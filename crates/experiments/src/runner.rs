@@ -1,11 +1,13 @@
 //! Building and running complete experiment scenarios.
 
 use crate::inject::InjectionPlan;
-use microscope::{Diagnosis, DiagnosisConfig, Microscope};
+use microscope::{Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope};
 use msc_trace::{reconstruct, Reconstruction, ReconstructionConfig, Timelines};
-use nf_sim::{paper_nf_configs, NfConfig, SimConfig, SimOutput, Simulation};
+use nf_sim::{paper_nf_configs, SimConfig, SimOutput, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig, Schedule};
 use nf_types::{paper_topology, Nanos, Topology, MICROS, MILLIS};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Specification of one experiment run.
 #[derive(Debug, Clone)]
@@ -20,8 +22,6 @@ pub struct RunSpec {
     pub plan: InjectionPlan,
     /// Diagnosis configuration.
     pub diagnosis: DiagnosisConfig,
-    /// Sample queue lengths at this granularity (Fig. 1/2 plots).
-    pub queue_sample_every: Option<Nanos>,
 }
 
 impl RunSpec {
@@ -33,7 +33,6 @@ impl RunSpec {
             seed,
             plan: InjectionPlan::default(),
             diagnosis: DiagnosisConfig::default(),
-            queue_sample_every: None,
         }
     }
 }
@@ -49,8 +48,6 @@ pub struct RunResult {
     pub out: SimOutput,
     /// Offline trace reconstruction.
     pub recon: Reconstruction,
-    /// Per-NF timelines.
-    pub timelines: Timelines,
     /// Microscope diagnoses of all selected victims.
     pub diagnoses: Vec<Diagnosis>,
 }
@@ -62,21 +59,17 @@ impl RunResult {
     }
 }
 
-/// Runs a spec on the paper's 16-NF topology (Fig. 10).
-pub fn run_spec(spec: &RunSpec) -> RunResult {
+/// Simulates a spec on the paper's 16-NF topology (Fig. 10): background
+/// traffic plus the plan's, the plan's faults, its bursts journaled. Returns
+/// the topology, the per-NF peak rates and the simulator's output.
+pub fn simulate(spec: &RunSpec) -> (Topology, Vec<f64>, SimOutput) {
     let topology = paper_topology();
     let nf_configs = paper_nf_configs(&topology);
-    run_spec_on(spec, topology, nf_configs)
-}
-
-/// Runs a spec on an arbitrary topology.
-pub fn run_spec_on(spec: &RunSpec, topology: Topology, nf_configs: Vec<NfConfig>) -> RunResult {
     let peak_rates: Vec<f64> = nf_configs
         .iter()
         .map(|c| c.service.peak_rate_pps())
         .collect();
 
-    // Background traffic + the plan's extra traffic.
     let mut gen = CaidaLike::new(
         CaidaLikeConfig {
             rate_pps: spec.rate_pps,
@@ -86,15 +79,13 @@ pub fn run_spec_on(spec: &RunSpec, topology: Topology, nf_configs: Vec<NfConfig>
     );
     let background = gen.generate(0, spec.duration);
     let extra = spec.plan.extra_traffic(spec.duration);
-    let schedule = Schedule::merge([background, extra]);
-    let packets = schedule.finalize(0);
+    let packets = Schedule::merge([background, extra]).finalize(0);
 
     let mut sim = Simulation::new(
         topology.clone(),
         nf_configs,
         SimConfig {
             seed: spec.seed.wrapping_add(1),
-            queue_sample_every: spec.queue_sample_every,
             ..Default::default()
         },
     );
@@ -105,62 +96,42 @@ pub fn run_spec_on(spec: &RunSpec, topology: Topology, nf_configs: Vec<NfConfig>
         sim.journal_burst(vec![b.flow], b.window());
     }
     let out = sim.run(&packets);
+    (topology, peak_rates, out)
+}
 
+/// Simulates a spec, then reconstructs the traces offline and diagnoses
+/// every victim.
+pub fn run_spec(spec: &RunSpec) -> RunResult {
+    let (topology, peak_rates, out) = simulate(spec);
     let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
     let timelines = Timelines::build(&recon);
     let ms = Microscope::new(topology.clone(), peak_rates.clone(), spec.diagnosis.clone());
     let diagnoses = ms.diagnose_all(&recon, &timelines);
-
     RunResult {
         topology,
         peak_rates,
         out,
         recon,
-        timelines,
         diagnoses,
     }
 }
 
 /// The §6.5 "running in the wild" setting: high load (1.6 Mpps in the
-/// paper), no *injected* problems, diagnosing the extreme latency tail.
+/// paper), no *injected* problems, diagnosing the extreme latency tail —
+/// the `quantile` of latency, at most 5 000 victims.
 ///
 /// Real servers are never quiet: the paper's testbed suffers natural
 /// interrupts, context switches and cache pressure all the time (that is
 /// what §6.5 diagnoses). The simulator's service model only carries
-/// fine-grained jitter, so the wild run adds seeded "natural" stalls —
-/// Poisson per NF (mean one per ~60 ms), 100 µs–1.2 ms long — standing in
-/// for OS housekeeping. They are journaled (they *are* the ground truth of
-/// this run) but nothing is ever injected into the traffic.
+/// fine-grained jitter, so the wild run adds seeded "natural" stalls — at
+/// each NF one every 8–30 ms, 300 µs–1.5 ms long — standing in for OS
+/// housekeeping. They are the plan's interrupts, so they are journaled
+/// (they *are* the ground truth of this run); nothing is ever injected
+/// into the traffic.
 pub fn wild_run(duration: Nanos, rate_pps: f64, seed: u64, quantile: f64) -> RunResult {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let topology = paper_topology();
-    let nf_configs = paper_nf_configs(&topology);
-    let peak_rates: Vec<f64> = nf_configs
-        .iter()
-        .map(|c| c.service.peak_rate_pps())
-        .collect();
-
-    let mut gen = CaidaLike::new(
-        CaidaLikeConfig {
-            rate_pps,
-            ..Default::default()
-        },
-        seed,
-    );
-    let packets = gen.generate(0, duration).finalize(0);
-
-    let mut sim = Simulation::new(
-        topology.clone(),
-        nf_configs,
-        SimConfig {
-            seed: seed.wrapping_add(1),
-            ..Default::default()
-        },
-    );
+    let mut spec = RunSpec::new(duration, rate_pps, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x51D_CAFE);
-    for nf in topology.nfs() {
+    for nf in paper_topology().nfs() {
         let mut t: f64 = rng.gen_range(0.0..60.0) * MILLIS as f64;
         while (t as Nanos) < duration {
             // Natural stalls sit in the same band as the paper's injected
@@ -170,33 +141,16 @@ pub fn wild_run(duration: Nanos, rate_pps: f64, seed: u64, quantile: f64) -> Run
             // and their squeezed releases push ring-scale delays onto
             // *other* packets downstream (Table 2's propagation).
             let stall = rng.gen_range(300.0..1_500.0) * MICROS as f64;
-            sim.add_fault(nf_sim::Fault::Interrupt {
-                nf: nf.id,
-                at: t as Nanos,
-                duration: stall as Nanos,
-            });
+            spec.plan
+                .interrupts
+                .push((nf.id, t as Nanos, stall as Nanos));
             // float: canonical-order(sequential accumulation over a seeded RNG stream)
             t += rng.gen_range(8.0..30.0) * MILLIS as f64;
         }
     }
-    let out = sim.run(&packets);
-
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
-    let mut diag_cfg = DiagnosisConfig::default();
-    diag_cfg.victims.latency = microscope::LatencyThreshold::Quantile(quantile);
-    diag_cfg.victims.max_victims = Some(5_000);
-    let ms = Microscope::new(topology.clone(), peak_rates.clone(), diag_cfg);
-    let diagnoses = ms.diagnose_all(&recon, &timelines);
-
-    RunResult {
-        topology,
-        peak_rates,
-        out,
-        recon,
-        timelines,
-        diagnoses,
-    }
+    spec.diagnosis.victims.latency = LatencyThreshold::Quantile(quantile);
+    spec.diagnosis.victims.max_victims = Some(5_000);
+    run_spec(&spec)
 }
 
 /// Picks plausible burst-victim flows for plan generation from a dry pass
@@ -219,7 +173,6 @@ pub fn candidate_flows(rate_pps: f64, seed: u64) -> Vec<nf_types::FiveTuple> {
 mod tests {
     use super::*;
     use crate::inject::PlanConfig;
-    use nf_types::MILLIS;
 
     #[test]
     fn small_run_end_to_end() {

@@ -6,7 +6,6 @@
 //! the true culprit in the tool's ranked list; lower is better, rank 1 is a
 //! correct diagnosis.
 
-use crate::runner::RunResult;
 use microscope::{CulpritKind, Diagnosis};
 use netmedic::{History, NetMedic};
 use nf_sim::InjectedEvent;
@@ -132,15 +131,20 @@ pub fn hop_distance(
     }
 }
 
-/// Scores every diagnosed victim of a run against ground truth with both
-/// tools. Victims not attributable to any injected event are skipped
-/// (natural noise; the paper's §6.2 counts only injected problems).
-pub fn score_run(run: &RunResult, nm: &NetMedic, hist: &History) -> Vec<ScoredVictim> {
+/// Scores every diagnosed victim of a run on `topology` against the
+/// journaled ground truth `events` with both tools. Victims not attributable
+/// to any injected event are skipped (natural noise; the paper's §6.2 counts
+/// only injected problems).
+pub fn score_run(
+    topology: &nf_types::Topology,
+    events: &[InjectedEvent],
+    diagnoses: &[Diagnosis],
+    nm: &NetMedic,
+    hist: &History,
+) -> Vec<ScoredVictim> {
     let mut out = Vec::new();
-    for d in &run.diagnoses {
-        let Some((event_idx, event)) =
-            attribute_event(&run.out.journal.events, d.victim.observed_ts)
-        else {
+    for d in diagnoses {
+        let Some((event_idx, event)) = attribute_event(events, d.victim.observed_ts) else {
             continue;
         };
         let nm_ranked = nm.diagnose(hist, d.victim.nf, d.victim.observed_ts);
@@ -151,7 +155,7 @@ pub fn score_run(run: &RunResult, nm: &NetMedic, hist: &History) -> Vec<ScoredVi
             event_kind: event.kind_str(),
             microscope_rank: microscope_rank(d, event),
             netmedic_rank: netmedic_rank(&nm_ranked, event),
-            hops: hop_distance(&run.topology, event.culprit_node(), d.victim.nf),
+            hops: hop_distance(topology, event.culprit_node(), d.victim.nf),
             gap_ns: gap,
         });
     }

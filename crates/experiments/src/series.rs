@@ -3,6 +3,35 @@
 use nf_sim::{PacketOutcome, SimOutput};
 use nf_types::{FiveTuple, Nanos, NfId};
 
+/// Counts `times` into `bucket_ns`-wide buckets covering `[0, end]`; a
+/// time past `end` lands in the last bucket. Returns `(bucket start ns,
+/// count)` points.
+fn bucket_counts(
+    end: Nanos,
+    bucket_ns: Nanos,
+    times: impl Iterator<Item = Nanos>,
+) -> Vec<(Nanos, u64)> {
+    assert!(bucket_ns > 0);
+    let n = (end / bucket_ns) as usize + 1;
+    let mut counts = vec![0u64; n];
+    for t in times {
+        counts[((t / bucket_ns) as usize).min(n - 1)] += 1;
+    }
+    counts
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| (i as Nanos * bucket_ns, c))
+        .collect()
+}
+
+/// Per-bucket packet counts as rates in Mpps.
+fn mpps(counts: Vec<(Nanos, u64)>, bucket_ns: Nanos) -> Vec<(Nanos, f64)> {
+    counts
+        .into_iter()
+        .map(|(t, c)| (t, c as f64 / (bucket_ns as f64 / 1e9) / 1e6))
+        .collect()
+}
+
 /// Buckets delivered-packet throughput of packets matching `filter` into
 /// `(bucket start ns, Mpps)` points.
 pub fn throughput_series(
@@ -10,27 +39,11 @@ pub fn throughput_series(
     bucket_ns: Nanos,
     filter: impl Fn(&FiveTuple) -> bool,
 ) -> Vec<(Nanos, f64)> {
-    assert!(bucket_ns > 0);
-    let end = out.duration;
-    let n = (end / bucket_ns) as usize + 1;
-    let mut counts = vec![0u64; n];
-    for f in &out.fates {
-        if let PacketOutcome::Delivered(at) = f.outcome {
-            if filter(&f.packet.flow) {
-                counts[((at / bucket_ns) as usize).min(n - 1)] += 1;
-            }
-        }
-    }
-    counts
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            (
-                i as Nanos * bucket_ns,
-                c as f64 / (bucket_ns as f64 / 1e9) / 1e6,
-            )
-        })
-        .collect()
+    let delivered = out.fates.iter().filter_map(|f| match f.outcome {
+        PacketOutcome::Delivered(at) if filter(&f.packet.flow) => Some(at),
+        _ => None,
+    });
+    mpps(bucket_counts(out.duration, bucket_ns, delivered), bucket_ns)
 }
 
 /// Per-bucket drop counts at one NF for packets matching `filter`.
@@ -40,20 +53,12 @@ pub fn drop_series(
     bucket_ns: Nanos,
     filter: impl Fn(&FiveTuple) -> bool,
 ) -> Vec<(Nanos, u64)> {
-    assert!(bucket_ns > 0);
-    let end = out.duration;
-    let n = (end / bucket_ns) as usize + 1;
-    let mut counts = vec![0u64; n];
-    for d in &out.drops {
-        if d.nf == nf && filter(&d.packet.flow) {
-            counts[((d.at / bucket_ns) as usize).min(n - 1)] += 1;
-        }
-    }
-    counts
+    let drops = out
+        .drops
         .iter()
-        .enumerate()
-        .map(|(i, &c)| (i as Nanos * bucket_ns, c))
-        .collect()
+        .filter(|d| d.nf == nf && filter(&d.packet.flow))
+        .map(|d| d.at);
+    bucket_counts(out.duration, bucket_ns, drops)
 }
 
 /// Input rate (Mpps) into one NF per bucket, split by a flow filter —
@@ -64,35 +69,23 @@ pub fn input_rate_series(
     bucket_ns: Nanos,
     filter: impl Fn(&FiveTuple) -> bool,
 ) -> Vec<(Nanos, f64)> {
-    assert!(bucket_ns > 0);
-    let end = out.duration;
-    let n = (end / bucket_ns) as usize + 1;
-    let mut counts = vec![0u64; n];
-    for f in &out.fates {
-        if !filter(&f.packet.flow) {
-            continue;
-        }
-        for h in &f.hops {
-            if h.nf == nf {
-                counts[((h.enqueued_at / bucket_ns) as usize).min(n - 1)] += 1;
-            }
-        }
-        if let PacketOutcome::Dropped { nf: dnf, at } = f.outcome {
-            if dnf == nf {
-                counts[((at / bucket_ns) as usize).min(n - 1)] += 1;
-            }
-        }
-    }
-    counts
+    // Arrivals: every enqueue at `nf`, plus the ring-full drops there.
+    let arrivals = out
+        .fates
         .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            (
-                i as Nanos * bucket_ns,
-                c as f64 / (bucket_ns as f64 / 1e9) / 1e6,
-            )
-        })
-        .collect()
+        .filter(|f| filter(&f.packet.flow))
+        .flat_map(|f| {
+            let dropped = match f.outcome {
+                PacketOutcome::Dropped { nf: dnf, at } if dnf == nf => Some(at),
+                _ => None,
+            };
+            f.hops
+                .iter()
+                .filter(|h| h.nf == nf)
+                .map(|h| h.enqueued_at)
+                .chain(dropped)
+        });
+    mpps(bucket_counts(out.duration, bucket_ns, arrivals), bucket_ns)
 }
 
 #[cfg(test)]

@@ -9,18 +9,18 @@ pub struct NetMedicConfig {
     /// Correlation window length (the paper sweeps 1–100 ms; 10 ms is the
     /// best-performing value in §6.2).
     pub window_ns: u64,
-    /// How many most-similar historical windows back each edge weight.
-    pub similar_k: usize,
 }
 
 impl Default for NetMedicConfig {
     fn default() -> Self {
         Self {
             window_ns: 10 * nf_types::MILLIS,
-            similar_k: 5,
         }
     }
 }
+
+/// How many most-similar historical windows back each edge weight.
+const SIMILAR_K: usize = 5;
 
 /// One ranked culprit candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +69,7 @@ impl NetMedic {
         }
     }
 
-    /// Edge weight `src → dst` at window `w`: find the `similar_k`
+    /// Edge weight `src → dst` at window `w`: find the `SIMILAR_K`
     /// historical windows where `src` was most similar to its state at `w`,
     /// and average `dst`'s similarity between those windows and `w`.
     fn edge_weight(&self, hist: &History, src: usize, dst: usize, w: usize) -> f64 {
@@ -82,7 +82,7 @@ impl NetMedic {
             .map(|h| (hist.similarity(src, h, w), h))
             .collect();
         sims.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite sims"));
-        let k = self.cfg.similar_k.min(sims.len());
+        let k = SIMILAR_K.min(sims.len());
         if k == 0 {
             return 0.0;
         }
@@ -340,7 +340,6 @@ mod more_tests {
             t.clone(),
             NetMedicConfig {
                 window_ns: 10_000_000,
-                similar_k: 5,
             },
         );
         let r_small = nm.diagnose(&hist_small, t.by_name("v").unwrap(), 65_000_000);
@@ -360,7 +359,6 @@ mod more_tests {
             t.clone(),
             NetMedicConfig {
                 window_ns: 50_000_000,
-                similar_k: 5,
             },
         );
         let r_big = nm_big.diagnose(&hist_big, t.by_name("v").unwrap(), 65_000_000);

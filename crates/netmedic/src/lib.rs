@@ -33,5 +33,5 @@ pub mod perfsight;
 pub mod state;
 
 pub use diagnose::{NetMedic, NetMedicConfig, RankedComponent};
-pub use perfsight::{Bottleneck, ElementCounters, PerfSight, PerfSightConfig};
+pub use perfsight::{Bottleneck, ElementCounters, PerfSight};
 pub use state::{ComponentState, History, Metric, METRIC_COUNT};

@@ -35,34 +35,20 @@ pub struct Bottleneck {
     pub score: f64,
 }
 
-/// PerfSight configuration.
-#[derive(Debug, Clone)]
-pub struct PerfSightConfig {
-    /// Utilisation above which an element counts as a persistent bottleneck
-    /// even without drops.
-    pub utilisation_threshold: f64,
-    /// Drop rate above which an element is flagged regardless of load.
-    pub drop_threshold: f64,
-}
-
-impl Default for PerfSightConfig {
-    fn default() -> Self {
-        Self {
-            utilisation_threshold: 0.95,
-            drop_threshold: 1e-4,
-        }
-    }
-}
+/// Utilisation above which an element counts as a persistent bottleneck
+/// even without drops.
+const UTILISATION_THRESHOLD: f64 = 0.95;
+/// Drop rate above which an element is flagged regardless of load.
+const DROP_THRESHOLD: f64 = 1e-4;
 
 /// The PerfSight-style analyser.
-pub struct PerfSight {
-    cfg: PerfSightConfig,
-}
+#[derive(Debug, Default)]
+pub struct PerfSight;
 
 impl PerfSight {
     /// Creates the analyser.
-    pub fn new(cfg: PerfSightConfig) -> Self {
-        Self { cfg }
+    pub fn new() -> Self {
+        Self
     }
 
     /// Ranks elements by persistent-bottleneck severity from whole-run
@@ -89,9 +75,7 @@ impl PerfSight {
                 } else {
                     (c.busy_ns as f64 / duration as f64).min(1.0)
                 };
-                if drop_rate < self.cfg.drop_threshold
-                    && utilisation < self.cfg.utilisation_threshold
-                {
+                if drop_rate < DROP_THRESHOLD && utilisation < UTILISATION_THRESHOLD {
                     return None;
                 }
                 Some(Bottleneck {
@@ -146,7 +130,7 @@ mod tests {
                 busy_ns: 999_000_000,
             },
         ];
-        let ps = PerfSight::new(PerfSightConfig::default());
+        let ps = PerfSight::new();
         let found = ps.diagnose(&t, &counters, 1_000_000_000);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].nf, NfId(2));
@@ -176,7 +160,7 @@ mod tests {
                 busy_ns: 790_000_000,
             },
         ];
-        let ps = PerfSight::new(PerfSightConfig::default());
+        let ps = PerfSight::new();
         assert!(ps.diagnose(&t, &counters, 1_000_000_000).is_empty());
     }
 
@@ -200,7 +184,7 @@ mod tests {
                 busy_ns: 0,
             },
         ];
-        let ps = PerfSight::new(PerfSightConfig::default());
+        let ps = PerfSight::new();
         let found = ps.diagnose(&t, &counters, 1_000_000_000);
         assert_eq!(found.len(), 2);
         assert_eq!(found[0].nf, NfId(1));
@@ -211,7 +195,7 @@ mod tests {
     fn idle_elements_are_skipped() {
         let t = topo3();
         let counters = vec![ElementCounters::default(); 3];
-        let ps = PerfSight::new(PerfSightConfig::default());
+        let ps = PerfSight::new();
         assert!(ps.diagnose(&t, &counters, 1_000_000_000).is_empty());
     }
 }

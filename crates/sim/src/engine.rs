@@ -4,12 +4,11 @@
 //!
 //! * `Emit(i)` — the traffic source emits the i-th packet of the schedule
 //!   and load-balances it (flow hash) onto an entry NF.
-//! * `Arrive` — a group of packets written by an upstream NF lands on a
-//!   downstream input ring after the (configurable, default 0) link delay.
 //! * `Wake(nf)` / `BatchDone(nf)` — the poll-mode NF loop: an idle NF with a
 //!   non-empty ring starts a batch (up to [`MAX_BATCH`] packets), holds the
 //!   core for the sum of per-packet service costs (+ collector surcharge),
-//!   then writes one tx batch per downstream and immediately starts the next
+//!   then writes one tx batch per downstream — it lands on that NF's input
+//!   ring at once (NFs share a host) — and immediately starts the next
 //!   batch if the ring is non-empty.
 //!
 //! Interrupts stall `Wake`/batch starts until the stall window ends; packets
@@ -31,24 +30,20 @@ use std::collections::BinaryHeap;
 /// far larger than any offset, so clocks never read negative).
 const CLOCK_EPOCH_NS: i64 = 10_000_000_000;
 
+/// Bug-trigger episodes closer than this merge into one journal window.
+const BUG_MERGE_GAP_NS: Nanos = 200 * nf_types::MICROS;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed for service-time noise.
     pub seed: u64,
-    /// Collector settings (recording on/off, per-packet cost).
+    /// Collector settings (recording on/off).
     pub collector: CollectorConfig,
     /// Record full per-packet ground truth (memory-heavy on long runs).
     pub record_fates: bool,
     /// Sample input-queue lengths at this granularity (for Fig. 1/2 plots).
     pub queue_sample_every: Option<Nanos>,
-    /// Wire/propagation delay between NFs (0 = same-host shared ring).
-    pub link_delay_ns: Nanos,
-    /// Bug-trigger episodes closer than this merge into one journal window.
-    pub bug_merge_gap_ns: Nanos,
-    /// Hard stop: events after this time are discarded and packets still in
-    /// flight stay `InFlight`. `None` = run to completion.
-    pub run_until: Option<Nanos>,
     /// Per-NF clock offsets in nanoseconds, applied to the *collector's*
     /// timestamps only (ground truth stays on the true clock). Models NFs
     /// on different servers with unsynchronised clocks (§7); empty = all
@@ -64,9 +59,6 @@ impl Default for SimConfig {
             collector: CollectorConfig::default(),
             record_fates: true,
             queue_sample_every: None,
-            link_delay_ns: 0,
-            bug_merge_gap_ns: 200 * nf_types::MICROS,
-            run_until: None,
             clock_offsets_ns: Vec::new(),
         }
     }
@@ -75,7 +67,6 @@ impl Default for SimConfig {
 #[derive(Debug)]
 enum EventKind {
     Emit(usize),
-    Arrive { nf: NfId, group: Vec<Packet> },
     Wake(NfId),
     BatchDone(NfId),
 }
@@ -278,11 +269,6 @@ impl Simulation {
         }
 
         while let Some(Reverse(Ev(at, _, kind))) = self.heap.pop() {
-            if let Some(end) = self.cfg.run_until {
-                if at > end {
-                    break;
-                }
-            }
             self.now = at;
             match kind {
                 EventKind::Emit(i) => {
@@ -298,9 +284,6 @@ impl Simulation {
                     if i + 1 < packets.len() {
                         self.schedule(packets[i + 1].created_at, EventKind::Emit(i + 1));
                     }
-                }
-                EventKind::Arrive { nf, group } => {
-                    self.deliver(nf, &group, at, base_id, &mut fates);
                 }
                 EventKind::Wake(nf) => {
                     self.wake(nf, at, base_id, &mut fates);
@@ -425,7 +408,7 @@ impl Simulation {
         let idx = nf.0 as usize;
         if let Some(ev_idx) = self.nfs[idx].last_bug_trigger {
             if let InjectedEvent::BugTrigger { window, .. } = &mut self.journal.events[ev_idx] {
-                if at <= window.end.saturating_add(self.cfg.bug_merge_gap_ns) {
+                if at <= window.end.saturating_add(BUG_MERGE_GAP_NS) {
                     window.end = window.end.max(done);
                     return;
                 }
@@ -475,16 +458,7 @@ impl Simulation {
             let obs = self.observed(nf, at);
             self.collector.record_tx(nf, obs, hop, &metas);
             match hop {
-                Some(d) => {
-                    if self.cfg.link_delay_ns == 0 {
-                        self.deliver(d, &group, at, base_id, fates);
-                    } else {
-                        self.schedule(
-                            at.saturating_add(self.cfg.link_delay_ns),
-                            EventKind::Arrive { nf: d, group },
-                        );
-                    }
-                }
+                Some(d) => self.deliver(d, &group, at, base_id, fates),
                 None => {
                     if self.cfg.record_fates {
                         for p in &group {
@@ -689,48 +663,6 @@ mod tests {
             sim.run(&packets(200, 300)).bundle
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn run_until_leaves_packets_in_flight() {
-        let (t, cfgs) = chain2();
-        let sim = Simulation::new(
-            t,
-            cfgs,
-            SimConfig {
-                run_until: Some(50_000),
-                ..Default::default()
-            },
-        );
-        // Packets arrive every 100 µs; only the first is processed by 50 µs.
-        let out = sim.run(&packets(5, 100_000));
-        let delivered = out
-            .fates
-            .iter()
-            .filter(|f| matches!(f.outcome, PacketOutcome::Delivered(_)))
-            .count();
-        assert_eq!(delivered, 1);
-        assert!(out
-            .fates
-            .iter()
-            .skip(1)
-            .all(|f| matches!(f.outcome, PacketOutcome::InFlight)));
-    }
-
-    #[test]
-    fn link_delay_shifts_arrivals() {
-        let (t, cfgs) = chain2();
-        let sim = Simulation::new(
-            t,
-            cfgs,
-            SimConfig {
-                link_delay_ns: 1_000,
-                ..Default::default()
-            },
-        );
-        let out = sim.run(&packets(1, 0));
-        // 500 (NAT) + 1000 (link) + 800 (VPN) + 16 (collector) = 2316.
-        assert_eq!(out.fates[0].latency().unwrap(), 2316);
     }
 }
 

@@ -95,15 +95,6 @@ impl NfStats {
         }
     }
 
-    /// Fraction of time the NF was busy.
-    pub fn utilisation(&self, duration: Nanos) -> f64 {
-        if duration == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / duration as f64
-        }
-    }
-
     /// Mean batch size — near 32 means the NF is saturated, near 1 means it
     /// polls an almost-empty ring.
     pub fn mean_batch(&self) -> f64 {
@@ -173,7 +164,6 @@ mod tests {
         };
         // 1000 packets in 1 ms = 1 Mpps.
         assert!((s.rate_pps(1_000_000) - 1e6).abs() < 1.0);
-        assert!((s.utilisation(1_000_000) - 0.5).abs() < 1e-9);
         assert!((s.mean_batch() - 10.0).abs() < 1e-9);
     }
 
@@ -181,7 +171,6 @@ mod tests {
     fn zero_duration_is_safe() {
         let s = NfStats::default();
         assert_eq!(s.rate_pps(0), 0.0);
-        assert_eq!(s.utilisation(0), 0.0);
         assert_eq!(s.mean_batch(), 0.0);
     }
 }

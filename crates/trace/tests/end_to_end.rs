@@ -15,7 +15,6 @@ fn caida_schedule(rate_pps: f64, millis: u64, seed: u64) -> Schedule {
     let cfg = CaidaLikeConfig {
         rate_pps,
         active_flows: 512,
-        ..Default::default()
     };
     let mut g = CaidaLike::new(cfg, seed);
     g.generate(0, millis * nf_types::MILLIS)

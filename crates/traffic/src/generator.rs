@@ -11,34 +11,12 @@ use rand::{Rng, SeedableRng};
 ///
 /// Defaults approximate the paper's evaluation workload: 1.2 Mpps aggregate
 /// of 64-byte packets, thousands of concurrent flows with heavy-tailed sizes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CaidaLikeConfig {
     /// Aggregate packet rate in packets/second.
     pub rate_pps: f64,
     /// Number of simultaneously active flow slots.
     pub active_flows: usize,
-    /// Zipf exponent of flow-slot popularity (0 = uniform).
-    pub zipf_exponent: f64,
-    /// Pareto shape for flow sizes in packets (smaller = heavier tail).
-    pub flow_size_alpha: f64,
-    /// Pareto scale: minimum flow size in packets.
-    pub flow_size_min: f64,
-    /// Packet size in bytes (the paper uses 64).
-    pub packet_size: u16,
-    /// Number of distinct source /24 networks flows are drawn from.
-    pub src_networks: u32,
-    /// Number of distinct destination /24 networks.
-    pub dst_networks: u32,
-    /// Probability that a flow emission is a back-to-back clump (a TCP
-    /// window's worth of packets) instead of a single packet. Real CAIDA
-    /// traces are strongly bursty at the flow level; §6.5 of the paper
-    /// observes that "some flows are more likely to form bursts and lead to
-    /// problems".
-    pub clump_prob: f64,
-    /// Maximum clump size in packets (uniform 2..=max when clumping).
-    pub clump_max: u64,
-    /// Intra-clump packet gap in nanoseconds (near line rate).
-    pub clump_gap_ns: Nanos,
 }
 
 impl Default for CaidaLikeConfig {
@@ -46,18 +24,33 @@ impl Default for CaidaLikeConfig {
         Self {
             rate_pps: 1_200_000.0,
             active_flows: 2048,
-            zipf_exponent: 1.0,
-            flow_size_alpha: 1.3,
-            flow_size_min: 8.0,
-            packet_size: 64,
-            src_networks: 256,
-            dst_networks: 256,
-            clump_prob: 0.04,
-            clump_max: 48,
-            clump_gap_ns: 300,
         }
     }
 }
+
+/// Zipf exponent of flow-slot popularity (0 = uniform).
+const ZIPF_EXPONENT: f64 = 1.0;
+/// Pareto shape for flow sizes in packets (smaller = heavier tail).
+const FLOW_SIZE_ALPHA: f64 = 1.3;
+/// Pareto scale: minimum flow size in packets.
+const FLOW_SIZE_MIN: f64 = 8.0;
+/// Packet size in bytes (the paper uses 64).
+const PACKET_SIZE: u16 = 64;
+/// Number of distinct source /24 networks flows are drawn from.
+const SRC_NETWORKS: u32 = 256;
+/// Number of distinct destination /24 networks.
+const DST_NETWORKS: u32 = 256;
+/// Probability that a flow emission is a back-to-back clump (a TCP
+/// window's worth of packets) instead of a single packet. Real CAIDA
+/// traces are strongly bursty at the flow level; §6.5 of the paper
+/// observes that "some flows are more likely to form bursts and lead to
+/// problems".
+const CLUMP_PROB: f64 = 0.04;
+const _: () = assert!(CLUMP_PROB > 0.0 && CLUMP_PROB < 1.0);
+/// Maximum clump size in packets (uniform 2..=max when clumping).
+const CLUMP_MAX: u64 = 48;
+/// Intra-clump packet gap in nanoseconds (near line rate).
+const CLUMP_GAP_NS: Nanos = 300;
 
 /// Deterministic CAIDA-like traffic generator.
 ///
@@ -68,7 +61,6 @@ impl Default for CaidaLikeConfig {
 /// three properties the evaluation leans on: constant average rate,
 /// fine-timescale burstiness, and a skewed flow mix.
 pub struct CaidaLike {
-    cfg: CaidaLikeConfig,
     rng: StdRng,
     zipf: Zipf,
     gap: Exponential,
@@ -87,25 +79,23 @@ impl CaidaLike {
     pub fn new(cfg: CaidaLikeConfig, seed: u64) -> Self {
         assert!(cfg.rate_pps > 0.0, "rate must be positive");
         assert!(cfg.active_flows > 0, "need at least one flow slot");
-        assert!((0.0..1.0).contains(&cfg.clump_prob), "clump_prob in [0,1)");
         let mut rng = StdRng::seed_from_u64(seed);
-        let zipf = Zipf::new(cfg.active_flows, cfg.zipf_exponent);
+        let zipf = Zipf::new(cfg.active_flows, ZIPF_EXPONENT);
         // Emission opportunities arrive Poisson; each yields one packet or
         // a clump, so scale the opportunity rate down by the expected
         // packets per opportunity to hold the aggregate rate at target.
-        let mean_clump = 1.0 + (cfg.clump_max.max(2) as f64) / 2.0;
-        let packets_per_opp = (1.0 - cfg.clump_prob) + cfg.clump_prob * mean_clump;
+        let mean_clump = 1.0 + (CLUMP_MAX as f64) / 2.0;
+        let packets_per_opp = (1.0 - CLUMP_PROB) + CLUMP_PROB * mean_clump;
         let gap = Exponential::new(cfg.rate_pps / packets_per_opp / 1e9); // events per ns
-        let sizes = Pareto::new(cfg.flow_size_min, cfg.flow_size_alpha);
+        let sizes = Pareto::new(FLOW_SIZE_MIN, FLOW_SIZE_ALPHA);
         let mut next_ephemeral = 1024;
         let slots = (0..cfg.active_flows)
             .map(|_| SlotState {
-                flow: random_flow(&cfg, &mut rng, &mut next_ephemeral),
+                flow: random_flow(&mut rng, &mut next_ephemeral),
                 remaining: sizes.sample(&mut rng).ceil() as u64,
             })
             .collect();
         Self {
-            cfg,
             rng,
             zipf,
             gap,
@@ -126,8 +116,8 @@ impl CaidaLike {
                 break;
             }
             let slot_idx = self.zipf.sample(&mut self.rng);
-            let clump = if self.cfg.clump_prob > 0.0 && self.rng.gen_bool(self.cfg.clump_prob) {
-                self.rng.gen_range(2..=self.cfg.clump_max.max(2))
+            let clump = if self.rng.gen_bool(CLUMP_PROB) {
+                self.rng.gen_range(2..=CLUMP_MAX)
             } else {
                 1
             };
@@ -137,15 +127,11 @@ impl CaidaLike {
             // aggregate rate below target.
             let n = clump;
             for i in 0..n {
-                sched.push(
-                    t as Nanos + i * self.cfg.clump_gap_ns,
-                    slot.flow,
-                    self.cfg.packet_size,
-                );
+                sched.push(t as Nanos + i * CLUMP_GAP_NS, slot.flow, PACKET_SIZE);
             }
             slot.remaining = slot.remaining.saturating_sub(n);
             if slot.remaining == 0 {
-                slot.flow = random_flow(&self.cfg, &mut self.rng, &mut self.next_ephemeral);
+                slot.flow = random_flow(&mut self.rng, &mut self.next_ephemeral);
                 slot.remaining = self.sizes.sample(&mut self.rng).ceil() as u64;
             }
         }
@@ -160,11 +146,11 @@ impl CaidaLike {
     }
 }
 
-fn random_flow(cfg: &CaidaLikeConfig, rng: &mut StdRng, next_ephemeral: &mut u16) -> FiveTuple {
+fn random_flow(rng: &mut StdRng, next_ephemeral: &mut u16) -> FiveTuple {
     // Addresses: pick a /24 network and a host inside it. Networks are laid
     // out under 10.0.0.0/8 (sources) and 20.0.0.0/8 (destinations).
-    let src_net: u32 = rng.gen_range(0..cfg.src_networks);
-    let dst_net: u32 = rng.gen_range(0..cfg.dst_networks);
+    let src_net: u32 = rng.gen_range(0..SRC_NETWORKS);
+    let dst_net: u32 = rng.gen_range(0..DST_NETWORKS);
     let src_ip = (10 << 24) | (src_net << 8) | rng.gen_range(1..255);
     let dst_ip = (20 << 24) | (dst_net << 8) | rng.gen_range(1..255);
     let src_port = {

@@ -192,7 +192,13 @@ fn microscope_beats_netmedic_with_ground_truth_attribution() {
         &run.peak_rates,
         nm.window_ns(),
     );
-    let scored = score_run(&run, &nm, &hist);
+    let scored = score_run(
+        &run.topology,
+        &run.out.journal.events,
+        &run.diagnoses,
+        &nm,
+        &hist,
+    );
     assert!(
         scored.len() > 20,
         "too few scored victims: {}",
@@ -285,10 +291,7 @@ fn collector_off_means_no_diagnosis_data_and_no_overhead() {
         topology.clone(),
         cfgs,
         SimConfig {
-            collector: CollectorConfig {
-                enabled: false,
-                ..Default::default()
-            },
+            collector: CollectorConfig { enabled: false },
             ..Default::default()
         },
     );

@@ -230,7 +230,6 @@ fn chain_reconstruction_is_exact_on_random_workloads() {
             CaidaLikeConfig {
                 rate_pps: rate_khz as f64 * 1e3,
                 active_flows: n_flows,
-                ..Default::default()
             },
             seed,
         );
