@@ -240,12 +240,12 @@ pub fn attribute_upstream_with(
         g.spans[0].1 = g.spans[0].1.max(emitted);
         g.arrival_span[0].0 = g.arrival_span[0].0.min(emitted);
         g.arrival_span[0].1 = g.arrival_span[0].1.max(emitted);
-        for (i, h) in hops[..victim_hop].iter().enumerate() {
+        for (i, (arrival, h)) in recon.hops_with_arrival(t).take(victim_hop).enumerate() {
             let d = h.sent_ts().unwrap_or(h.read_ts);
             g.spans[i + 1].0 = g.spans[i + 1].0.min(d);
             g.spans[i + 1].1 = g.spans[i + 1].1.max(d);
-            g.arrival_span[i + 1].0 = g.arrival_span[i + 1].0.min(h.arrival_ts);
-            g.arrival_span[i + 1].1 = g.arrival_span[i + 1].1.max(h.arrival_ts);
+            g.arrival_span[i + 1].0 = g.arrival_span[i + 1].0.min(arrival);
+            g.arrival_span[i + 1].1 = g.arrival_span[i + 1].1.max(arrival);
         }
         g.final_span.0 = g.final_span.0.min(a.ts);
         g.final_span.1 = g.final_span.1.max(a.ts);

@@ -136,9 +136,11 @@ pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
         .max()
         .map_or(0, |m| m as usize + 1);
     let mut stats = vec![DelayStats::default(); max_nf];
-    for h in &recon.hops {
-        if let Some(sent) = h.sent_ts() {
-            stats[h.nf.0 as usize].push(sent.saturating_sub(h.arrival_ts));
+    for t in 0..recon.traces.len() {
+        for (arrival, h) in recon.hops_with_arrival(t) {
+            if let Some(sent) = h.sent_ts() {
+                stats[h.nf.0 as usize].push(sent.saturating_sub(arrival));
+            }
         }
     }
 
@@ -150,16 +152,16 @@ pub fn find_victims(recon: &Reconstruction, cfg: &VictimConfig) -> Vec<Victim> {
                 if lat < threshold {
                     continue;
                 }
-                for (h_idx, h) in recon.hops_of(t_idx).iter().enumerate() {
+                for (h_idx, (arrival, h)) in recon.hops_with_arrival(t_idx).enumerate() {
                     let Some(sent) = h.sent_ts() else { continue };
                     let s = &stats[h.nf.0 as usize];
-                    let delay = sent.saturating_sub(h.arrival_ts) as f64;
+                    let delay = sent.saturating_sub(arrival) as f64;
                     if delay > s.mean() + cfg.abnormal_sigma * s.std() {
                         victims.push(Victim {
                             trace: t_idx,
                             nf: h.nf,
                             hop: h_idx,
-                            arrival_ts: h.arrival_ts,
+                            arrival_ts: arrival,
                             observed_ts: sent,
                             kind: VictimKind::HighLatency,
                         });
@@ -209,19 +211,24 @@ mod tests {
         outcome: TraceOutcome,
     }
 
-    fn trace(lat_per_hop: &[(u16, Nanos, Nanos)], delivered: bool) -> TestTrace {
-        // (nf, arrival, sent) triples.
-        let hops: Vec<TraceHop> = lat_per_hop
+    /// A trace emitted at `emitted` through `(nf, local delay)` hops: each
+    /// hop arrives at the emission or at the previous hop's send, as
+    /// reconstructed hops do, and is sent `delay` later.
+    fn trace(emitted: Nanos, delay_per_hop: &[(u16, Nanos)], delivered: bool) -> TestTrace {
+        let mut arrival = emitted;
+        let hops: Vec<TraceHop> = delay_per_hop
             .iter()
-            .map(|&(nf, a, s)| TraceHop::new(NfId(nf), a, a + 1, Some(s)))
+            .map(|&(nf, delay)| {
+                let read = arrival;
+                arrival += delay;
+                TraceHop::new(NfId(nf), read, Some(arrival))
+            })
             .collect();
-        let emitted = lat_per_hop.first().map_or(0, |h| h.1);
-        let last = hops.last().and_then(|h| h.sent_ts()).unwrap_or(emitted);
         TestTrace {
             hops,
             emitted_at: emitted,
             outcome: if delivered {
-                TraceOutcome::Delivered(last)
+                TraceOutcome::Delivered(arrival)
             } else {
                 TraceOutcome::Unresolved
             },
@@ -259,16 +266,9 @@ mod tests {
     fn tail_latency_victims_found_at_abnormal_hop() {
         // 99 fast packets (1 µs per hop) and 1 slow one (1 ms at nf1).
         let mut traces: Vec<TestTrace> = (0..99)
-            .map(|i| {
-                let t0 = i * 10_000;
-                trace(&[(0, t0, t0 + 1_000), (1, t0 + 1_000, t0 + 2_000)], true)
-            })
+            .map(|i| trace(i * 10_000, &[(0, 1_000), (1, 1_000)], true))
             .collect();
-        let t0 = 2_000_000;
-        traces.push(trace(
-            &[(0, t0, t0 + 1_000), (1, t0 + 1_000, t0 + 1_000_000)],
-            true,
-        ));
+        traces.push(trace(2_000_000, &[(0, 1_000), (1, 999_000)], true));
         let recon = recon_with(traces);
         let victims = find_victims(
             &recon,
@@ -286,9 +286,9 @@ mod tests {
     #[test]
     fn absolute_threshold() {
         let traces = vec![
-            trace(&[(0, 0, 500)], true),
-            trace(&[(0, 5_000, 5_600)], true),
-            trace(&[(0, 10_000, 40_000)], true),
+            trace(0, &[(0, 500)], true),
+            trace(5_000, &[(0, 600)], true),
+            trace(10_000, &[(0, 30_000)], true),
         ];
         let recon = recon_with(traces);
         let victims = find_victims(
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn drops_are_victims() {
-        let mut tr = trace(&[(0, 0, 500)], true);
+        let mut tr = trace(0, &[(0, 500)], true);
         tr.outcome = TraceOutcome::InferredDrop {
             nf: NfId(1),
             at: 600,
@@ -321,10 +321,7 @@ mod tests {
     fn quantile_threshold_uses_nearest_rank_ceil() {
         // 10 traces with distinct single-hop latencies 1 µs .. 10 µs.
         let traces: Vec<TestTrace> = (0..10u64)
-            .map(|i| {
-                let t0 = i * 100_000;
-                trace(&[(0, t0, t0 + 1_000 * (i + 1))], true)
-            })
+            .map(|i| trace(i * 100_000, &[(0, 1_000 * (i + 1))], true))
             .collect();
         let recon = recon_with(traces);
         let find = |q: f64| {
@@ -364,20 +361,14 @@ mod tests {
                 let t0 = i * 100_000;
                 // A mix of two NFs and a few drops.
                 if i % 13 == 0 {
-                    let mut tr = trace(&[(0, t0, t0 + 2_000)], true);
+                    let mut tr = trace(t0, &[(0, 2_000)], true);
                     tr.outcome = TraceOutcome::InferredDrop {
                         nf: NfId(1),
                         at: t0 + 2_000,
                     };
                     tr
                 } else {
-                    trace(
-                        &[
-                            (0, t0, t0 + 1_000 + (i % 7) * 300),
-                            (1, t0 + 2_000, t0 + 2_000 + (i % 11) * 500),
-                        ],
-                        true,
-                    )
+                    trace(t0, &[(0, 1_000 + (i % 7) * 300), (1, (i % 11) * 500)], true)
                 }
             })
             .collect();
@@ -401,9 +392,8 @@ mod tests {
     fn victim_cap_subsamples_evenly_over_time() {
         let mut traces = Vec::new();
         for i in 0..10u64 {
-            let t0 = i * 100_000;
             // Increasing hop delay: later traces are worse.
-            traces.push(trace(&[(0, t0, t0 + 1_000 * (i + 1))], true));
+            traces.push(trace(i * 100_000, &[(0, 1_000 * (i + 1))], true));
         }
         let recon = recon_with(traces);
         let victims = find_victims(

@@ -6,12 +6,13 @@ use msc_collector::TraceBundle;
 use nf_types::{FiveTuple, Nanos, NfId, NodeId, Topology};
 use std::ops::Range;
 
-/// One reconstructed hop: 32 bytes, fields ordered widest first.
+/// One reconstructed hop: 24 bytes, fields ordered widest first.
+///
+/// It holds no arrival time: a hop's arrival is the previous hop's send
+/// (link delay is not observable and treated as zero, as in the paper), or
+/// the emission for the first hop — [`Reconstruction::hops_with_arrival`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHop {
-    /// When the packet arrived at the NF's ring (the upstream send time —
-    /// link delay is not observable and treated as zero, as in the paper).
-    pub arrival_ts: Nanos,
     /// When the NF read it.
     pub read_ts: Nanos,
     /// When the NF sent it on; [`NEVER_SENT`] if the run ended mid-NF.
@@ -24,13 +25,12 @@ pub struct TraceHop {
 /// recorder can produce: it is the last nanosecond of a 584-year clock.
 const NEVER_SENT: Nanos = Nanos::MAX;
 
-const _: () = assert!(std::mem::size_of::<TraceHop>() <= 32);
+const _: () = assert!(std::mem::size_of::<TraceHop>() == 24);
 
 impl TraceHop {
     /// A hop at `nf`; `sent_ts` is `None` when the run ended mid-NF.
-    pub fn new(nf: NfId, arrival_ts: Nanos, read_ts: Nanos, sent_ts: Option<Nanos>) -> Self {
+    pub fn new(nf: NfId, read_ts: Nanos, sent_ts: Option<Nanos>) -> Self {
         Self {
-            arrival_ts,
             read_ts,
             sent: sent_ts.unwrap_or(NEVER_SENT),
             nf,
@@ -289,6 +289,17 @@ impl Reconstruction {
         &self.hops[r.start as usize..r.end as usize]
     }
 
+    /// The hops of trace `t`, in path order, each with the time it arrived
+    /// at its NF: the emission for the first hop, the previous hop's send
+    /// after that.
+    pub fn hops_with_arrival(&self, t: usize) -> impl Iterator<Item = (Nanos, &TraceHop)> {
+        let mut arrival = self.traces[t].emitted_at;
+        // Only the last hop can be unsent, and nothing arrives after it.
+        self.hops_of(t)
+            .iter()
+            .map(move |h| (std::mem::replace(&mut arrival, h.sent), h))
+    }
+
     /// The interned id of the node sequence trace `t` took strictly before
     /// its hop `hop` (`[Source, hops[0].nf, .., hops[hop-1].nf]`) — exactly
     /// the group key the §4.2 timespan analysis needs for a victim there.
@@ -369,7 +380,7 @@ pub fn assemble(
             // No tx entry: read but never sent, the run ended inside this
             // NF.
             let tx = streams.tx(down, rx);
-            hops.push(TraceHop::new(down, arrival, read_ts, tx.map(|t| t.ts)));
+            hops.push(TraceHop::new(down, read_ts, tx.map(|t| t.ts)));
             path = paths.child(path, down);
             let Some(tx) = tx else {
                 break TraceOutcome::Unresolved;
@@ -477,10 +488,11 @@ mod tests {
         assert_eq!(tr.hop_count(), 2);
         assert_eq!(hops.len(), 2);
         assert_eq!(hops[0].nf, NfId(0));
-        assert_eq!(hops[0].arrival_ts, 100);
         assert_eq!(hops[0].read_ts, 150);
         assert_eq!(hops[0].sent_ts(), Some(180));
-        assert_eq!(hops[1].arrival_ts, 180);
+        // Hop 0 arrives at the emission, hop 1 at hop 0's send.
+        let arrivals: Vec<Nanos> = r.hops_with_arrival(0).map(|(at, _)| at).collect();
+        assert_eq!(arrivals, [100, 180]);
         assert_eq!(r.report.delivered, 1);
         assert_eq!(r.report.flow_mismatches, 0);
     }

@@ -322,9 +322,9 @@ impl Timelines {
                 usize::from(n_hops) == tr.hop_count(),
                 "hop indexes must fit u16"
             );
-            for (h_idx, h) in (0u16..).zip(recon.hops_of(t_idx as usize)) {
+            for (h_idx, (ts, h)) in (0u16..).zip(recon.hops_with_arrival(t_idx as usize)) {
                 arrivals[h.nf.0 as usize].push(Arrival {
-                    ts: h.arrival_ts,
+                    ts,
                     trace: t_idx,
                     hop: h_idx,
                     kind: ArrivalKind::Queued,

@@ -41,12 +41,15 @@
 //!    the decision may consult — so deciding now equals deciding with the
 //!    full run in hand. (Single-upstream NFs have no ambiguity and need no
 //!    lookahead margin.)
-//! 2. **A trace is a pure function of the decisions.** Hops are recorded
-//!    in forwarding order, each tagged with its trace; a trace's own hops
-//!    come out in path order. [`WindowedReconstructor::finish`] groups them
-//!    by trace with one stable counting sort — the offline arena — and then
-//!    interns the paths in trace order, as the offline walk does, and runs
-//!    the offline `Timelines::build` over it.
+//! 2. **A trace is a pure function of the decisions.** Hops are appended
+//!    to the arena's *tail* in forwarding order, each tagged with its trace;
+//!    a trace's own hops come out in path order. Once the traces whose
+//!    outcome is final hold at least half the tail, the prefix of them in
+//!    emission order is flushed: its hops move to the front of the tail,
+//!    grouped by trace, and become part of the offline arena for good.
+//!    [`WindowedReconstructor::finish`] flushes whatever is left, interns
+//!    the paths in trace order, as the offline walk does, and runs the
+//!    offline `Timelines::build` over the result.
 
 use crate::matching::{edge_indexes, EdgeIndex, EdgeSends, MatchConfig, NfMatcher, UNMATCHED};
 use crate::reconstruct::{
@@ -57,6 +60,7 @@ use crate::timeline::Timelines;
 use msc_collector::TraceBundle;
 use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from streaming ingestion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,15 +225,14 @@ impl NfState {
     }
 
     /// The trace owning the send an rx entry matched ([`NO_TRACE`] for an
-    /// unmatched entry) and when it was sent; `None` while the upstream has
-    /// not forwarded that far.
-    fn sender(&self, origin: Origin) -> Option<(u32, Nanos)> {
+    /// unmatched entry); `None` while the upstream has not forwarded that
+    /// far.
+    fn sender(&self, origin: Origin) -> Option<u32> {
         let Some((slot, pos)) = origin.get() else {
-            return Some((NO_TRACE, 0));
+            return Some(NO_TRACE);
         };
         let at = pos - self.matcher.edges[slot].base;
-        let owner = self.owners[slot].owner.get(at)?;
-        Some((*owner, self.sends[slot].ts_at(at)))
+        self.owners[slot].owner.get(at).copied()
     }
 }
 
@@ -250,13 +253,20 @@ pub struct WindowedReconstructor {
     /// Ingestion watermark: every record with `ts < watermark` is in.
     watermark: Nanos,
     // Retained (non-evictable) diagnosis substrate.
-    /// One per source emission; until `finish`, `hops` counts the trace's
-    /// hops recorded so far (`0..n`) and `outcome` is `Unresolved` unless
-    /// the trace has ended.
+    /// One per source emission. A trace before `flushed` holds its range
+    /// of the arena; a later one holds its hop count so far as `0..n`, and
+    /// `outcome` is `Unresolved` until the trace has ended.
     traces: Vec<ReconstructedTrace>,
-    /// Hops in forwarding order, and the trace each belongs to.
+    /// The hop arena: the hops of the traces before `flushed`, grouped by
+    /// trace in emission order, then the tail — every later trace's hops in
+    /// forwarding order, tagged by `tail_trace`.
     hops: Vec<TraceHop>,
-    hop_trace: Vec<u32>,
+    tail_trace: Vec<u32>,
+    flushed: usize,
+    /// Traces `flushed..complete` have a final outcome, and `complete_hops`
+    /// hops in the tail between them.
+    complete: usize,
+    complete_hops: usize,
     reads: Vec<Vec<RxBatchInfo>>,
     report: ReconstructionReport,
 }
@@ -295,7 +305,10 @@ impl WindowedReconstructor {
             watermark: 0,
             traces: Vec::new(),
             hops: Vec::new(),
-            hop_trace: Vec::new(),
+            tail_trace: Vec::new(),
+            flushed: 0,
+            complete: 0,
+            complete_hops: 0,
             reads: vec![Vec::new(); n],
             report: ReconstructionReport::default(),
         }
@@ -432,28 +445,28 @@ impl WindowedReconstructor {
         // All records are in: decide the full rx tail of every NF; what
         // forwarding still finds undecided or unsent never resolves.
         self.settle(true);
+        // No trace gets another hop: the tail is flushed whole.
+        self.flush(self.traces.len());
         for st in &self.nfs {
             self.report.unmatched_rx += st.matcher.stats.unmatched_rx;
             self.report.ambiguities += st.matcher.stats.ambiguities;
         }
         self.report.unresolved =
             self.report.total - self.report.delivered - self.report.inferred_drops;
-        // Everything still evictable goes now; what is left is the output.
         let Self {
             topo,
-            mut traces,
-            mut hops,
-            hop_trace,
+            nfs,
+            index,
+            traces,
+            hops,
+            tail_trace,
             reads,
             report,
             ..
         } = self;
-        // Group the hops by trace, in emission order: a stable counting
-        // sort over hop indexes, then the arena permuted in place.
-        let mut order = group_order(&mut traces, &hop_trace);
-        drop(hop_trace);
-        gather_in_place(&mut hops, &mut order);
-        drop(order);
+        // Everything evictable goes now, before the timelines allocate: a
+        // field left in `self` would live to the end of this function.
+        drop((nfs, index, tail_trace));
         let (paths, path_ids) = PathTrie::intern_traces(&traces, &hops, topo.len());
         let recon = Reconstruction {
             traces,
@@ -478,14 +491,16 @@ impl WindowedReconstructor {
         (self.report.delivered + self.report.inferred_drops) as usize
     }
 
-    /// Bytes held by the *evictable* frontier: the rx, tx and send columns
-    /// and the index over the undecided tails. This is the quantity that
-    /// must stay O(window); the retained diagnosis substrate (traces, hops,
-    /// reads) legitimately grows with the run, and the index's IPID tables
-    /// are a fixed 512 KiB per upstream slot of the widest NF.
+    /// Bytes held by the *evictable* frontier: the rx, tx and send columns,
+    /// the index over the undecided tails and the trace tags of the hop
+    /// arena's unflushed tail. This is the quantity that must stay
+    /// O(window); the retained diagnosis substrate (traces, hops, reads)
+    /// legitimately grows with the run, and the index's IPID tables are a
+    /// fixed 512 KiB per upstream slot of the widest NF.
     pub fn working_set(&self) -> usize {
         use std::mem::size_of;
-        let mut bytes = self.index.iter().map(EdgeIndex::bytes).sum::<usize>();
+        let mut bytes = self.index.iter().map(EdgeIndex::bytes).sum::<usize>()
+            + self.tail_trace.capacity() * size_of::<u32>();
         for st in &self.nfs {
             // lint: time-arith-ok(a sum of byte counts; `rx_ts` is the column, not a timestamp)
             bytes += st.rx_ts.capacity() * size_of::<Nanos>()
@@ -513,6 +528,33 @@ impl WindowedReconstructor {
             self.forward_nf(d, finishing);
             self.settle_sends(d);
         }
+        // Advance past the traces whose outcome is now final; flush them
+        // once their hops are at least half the tail. A flush is O(tail) and
+        // moves at least half of it out for good, so the flushes of a run
+        // cost O(hops) together.
+        while let Some(tr) = self.traces.get(self.complete) {
+            if tr.outcome == TraceOutcome::Unresolved {
+                break;
+            }
+            self.complete_hops += tr.hops.end as usize;
+            self.complete += 1;
+        }
+        if self.complete > self.flushed && 2 * self.complete_hops >= self.tail_trace.len() {
+            self.flush(self.complete);
+        }
+    }
+
+    /// Flushes the traces `flushed..upto` — every hop they will ever have
+    /// is in the tail — into the arena's grouped prefix ([`flush_tail`]).
+    fn flush(&mut self, upto: usize) {
+        flush_tail(
+            &mut self.traces,
+            self.flushed..upto,
+            &mut self.hops,
+            &mut self.tail_trace,
+        );
+        self.flushed = upto;
+        self.complete_hops = 0;
     }
 
     /// Decides the stable prefix of NF `i`'s undecided rx entries (all of
@@ -584,18 +626,15 @@ impl WindowedReconstructor {
             if !finishing && (sender.is_none() || tx.is_none()) {
                 break;
             }
-            let (trace, arrival) = sender.unwrap_or((NO_TRACE, 0));
+            let trace = sender.unwrap_or(NO_TRACE);
             let read_ts = st.rx_ts[n];
             n += 1;
             if trace != NO_TRACE {
+                debug_assert!(trace as usize >= self.flushed, "a flushed trace got a hop");
                 self.traces[trace as usize].hops.end += 1;
-                self.hops.push(TraceHop::new(
-                    NfId(d as u16),
-                    arrival,
-                    read_ts,
-                    tx.map(|t| t.ts),
-                ));
-                self.hop_trace.push(trace);
+                self.hops
+                    .push(TraceHop::new(NfId(d as u16), read_ts, tx.map(|t| t.ts)));
+                self.tail_trace.push(trace);
             }
             // Read but never sent: the run ended inside this NF.
             let Some(tx) = tx else { continue };
@@ -670,24 +709,49 @@ impl WindowedReconstructor {
     }
 }
 
-/// Turns each trace's hop count (held in `hops.end` until `finish`) into
-/// its range of the grouped arena and returns the stable counting-sort
-/// order by trace, each range its own write head: `order[j]` is the arena
-/// index of the `j`-th grouped hop.
-fn group_order(traces: &mut [ReconstructedTrace], hop_trace: &[u32]) -> Vec<u32> {
-    let mut start = 0;
-    for tr in traces.iter_mut() {
+/// Stably partitions the tail of `arena` — its last `tail_trace.len()`
+/// elements, in forwarding order, `tail_trace[i]` the trace of the `i`-th —
+/// in place: the elements of the traces in `flush` first, grouped by trace
+/// in emission order, then the rest in the order they came. Each trace in
+/// `flush` holds its element count as `hops.end` and gets its range of the
+/// arena; no trace before `flush` is in the tail. O(tail).
+fn flush_tail<T: Copy>(
+    traces: &mut [ReconstructedTrace],
+    flush: Range<usize>,
+    arena: &mut [T],
+    tail_trace: &mut Vec<u32>,
+) {
+    // The arena is u32-indexed, as offline: every range below fits.
+    assert!(
+        arena.len() <= u32::MAX as usize,
+        "hop arena indexes must fit u32"
+    );
+    let tail = arena.len() - tail_trace.len();
+    // The tail starts where the last trace flushed before ends.
+    let base = flush.start.checked_sub(1).map_or(0, |t| traces[t].hops.end);
+    debug_assert_eq!(base as usize, tail);
+    let mut start = base;
+    for tr in &mut traces[flush.clone()] {
         let n = tr.hops.end;
         tr.hops = start..start;
         start += n;
     }
-    let mut order = vec![0u32; hop_trace.len()];
-    for (i, &t) in (0u32..).zip(hop_trace) {
-        let head = &mut traces[t as usize].hops.end;
-        order[*head as usize] = i;
+    // `order[j]` is the tail index of the element that belongs at tail slot
+    // `j`: each flushed trace's range end is its write head, and the rest
+    // follow the flushed elements in tail order.
+    let mut rest = start;
+    let mut order = vec![0u32; tail_trace.len()];
+    for (i, &t) in (0u32..).zip(tail_trace.iter()) {
+        let head = if flush.contains(&(t as usize)) {
+            &mut traces[t as usize].hops.end
+        } else {
+            &mut rest
+        };
+        order[(*head - base) as usize] = i;
         *head += 1;
     }
-    order
+    gather_in_place(&mut arena[tail..], &mut order);
+    tail_trace.retain(|&t| !flush.contains(&(t as usize)));
 }
 
 /// `v[j] = v[order[j]]` for every `j` at once — the gather
@@ -1101,9 +1165,9 @@ mod tests {
             TraceOutcome::InferredDrop { nf: vpn, at: 2_000 }
         );
         assert_eq!(got.traces[2].outcome, TraceOutcome::Delivered(late + 1_700));
-        let vpn_hop = got.hops_of(2).last().copied().unwrap();
+        let (arrival, vpn_hop) = got.hops_with_arrival(2).last().unwrap();
         assert_eq!(vpn_hop.nf, vpn);
-        assert_eq!(vpn_hop.arrival_ts, late + 1_000);
+        assert_eq!(arrival, late + 1_000);
         assert_eq!(vpn_hop.read_ts, late + 1_500);
     }
 
@@ -1154,7 +1218,8 @@ mod tests {
 
     /// The evictable frontier must track queue occupancy, not run length: a
     /// 4x longer run through the same topology may not grow the peak
-    /// working set materially.
+    /// working set materially, nor the longest unflushed tail of the hop
+    /// arena.
     #[test]
     fn working_set_is_bounded_by_frontier_not_run_length() {
         let peak = |n_packets: usize| {
@@ -1162,49 +1227,167 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(0xb0b0_cafe);
             let bundle = random_run(&topo, &mut rng, n_packets, false);
             let mut w = WindowedReconstructor::new(&topo, MatchConfig::default());
-            let mut peak = 0usize;
+            let (mut peak, mut tail) = (0usize, 0usize);
             for chunk in chunk_bundle(&bundle, 5_000) {
                 w.ingest(&chunk.bundle, chunk.until).unwrap();
                 peak = peak.max(w.working_set());
+                tail = tail.max(w.tail_trace.len());
             }
             let total = w.report().total;
             let (recon, _) = w.finish();
             assert_eq!(recon.report.total, total);
-            peak
+            (peak, tail, recon.hops.len())
         };
-        let small = peak(100);
-        let large = peak(400);
+        let (small, small_tail, small_hops) = peak(100);
+        let (large, large_tail, large_hops) = peak(400);
         assert!(
             large < small.max(1) * 3,
             "frontier grew with run length: {small} -> {large}"
         );
+        assert!(
+            large_hops > 3 * small_hops,
+            "{small_hops} -> {large_hops} hops"
+        );
+        assert!(
+            large_tail < small_tail.max(1) * 3,
+            "tail grew with run length: {small_tail} -> {large_tail} hops"
+        );
     }
 
-    /// The grouping `finish` applies to random trace tags equals the gather
-    /// into a second arena it replaced. Shapes: empty, already grouped
-    /// (the identity), one cycle through every hop, pairwise swaps (many
-    /// 2-cycles), and random tags over traces of which some have no hop.
+    /// Traces that stay open while the run goes on: the first one emitted
+    /// waits in the ring of an NF that reads nothing until late in the run,
+    /// one is read by an NF that never sends again (its rx entry never gets
+    /// a tx entry), and one is sent mid-run to a node the topology has no
+    /// edge to. Each keeps every later trace in the tail until it ends, or
+    /// until `finish`; streamed must still equal offline at every chunk
+    /// size.
     #[test]
-    fn in_place_regroup_equals_the_gather() {
+    fn traces_held_open_keep_the_tail_and_stream_equals_offline() {
+        let mut b = Topology::builder();
+        let n0 = b.add_nf(NfKind::Nat, "nat0");
+        let n1 = b.add_nf(NfKind::Nat, "nat1");
+        let n2 = b.add_nf(NfKind::Nat, "nat2");
+        let vpn = b.add_nf(NfKind::Vpn, "vpn1");
+        for nat in [n0, n1, n2] {
+            b.add_entry(nat);
+            b.add_edge(nat, vpn);
+        }
+        let topo = b.build().unwrap();
+        // A packet whose flow enters at `entry`; every call a new flow.
+        let mut sport = 0u16;
+        let mut packet = |entry: NfId, ipid: Ipid| loop {
+            sport += 1;
+            let flow = FiveTuple::new(0x0a00_0001, 0x1400_0001, sport, 443, Proto::UDP);
+            if topo.entry_for(&flow) == entry {
+                break PacketMeta { ipid, flow };
+            }
+        };
+        #[derive(Clone, Copy)]
+        enum Ev {
+            Source,
+            Rx(NfId),
+            Tx(NfId, Option<NfId>),
+        }
+        let mut events: Vec<(Nanos, Ev, PacketMeta)> = Vec::new();
+        // 80 packets through nat0 and the VPN, 10 µs apart.
+        for i in 0..80 {
+            let (t, m) = (10_000 + Nanos::from(i) * 10_000, packet(n0, i + 1));
+            events.extend([
+                (t, Ev::Source, m),
+                (t + 1_000, Ev::Rx(n0), m),
+                (t + 2_000, Ev::Tx(n0, Some(vpn)), m),
+                (t + 3_000, Ev::Rx(vpn), m),
+                (t + 4_000, Ev::Tx(vpn, None), m),
+            ]);
+        }
+        // Emitted first; nat1 reads nothing before 500 µs.
+        let stalled = packet(n1, 1_000);
+        events.extend([
+            (5_000, Ev::Source, stalled),
+            (500_500, Ev::Rx(n1), stalled),
+            (501_000, Ev::Tx(n1, Some(vpn)), stalled),
+            (501_500, Ev::Rx(vpn), stalled),
+            (502_000, Ev::Tx(vpn, None), stalled),
+        ]);
+        // Sent by nat0 to nat2, which it has no edge to.
+        let stray = packet(n0, 1_001);
+        events.extend([
+            (400_500, Ev::Source, stray),
+            (401_500, Ev::Rx(n0), stray),
+            (402_500, Ev::Tx(n0, Some(n2)), stray),
+        ]);
+        // Read by nat2, which never sends anything.
+        let unsent = packet(n2, 1_002);
+        let with_unsent = |emitted: Nanos| {
+            let mut c = Collector::new(&topo, CollectorConfig::default());
+            let mut all = events.clone();
+            all.push((emitted, Ev::Source, unsent));
+            all.push((emitted + 500, Ev::Rx(n2), unsent));
+            all.sort_by_key(|ev| ev.0);
+            for (t, ev, m) in all {
+                match ev {
+                    Ev::Source => c.record_source(t, &m),
+                    Ev::Rx(nf) => c.record_rx(nf, t, &[m]),
+                    Ev::Tx(nf, to) => c.record_tx(nf, t, to, &[m]),
+                }
+            }
+            c.into_bundle()
+        };
+
+        // Emitted before nearly every other trace, or after the stray one.
+        for unsent_at in [7_000, 600_500] {
+            let bundle = with_unsent(unsent_at);
+            for cfg in &sweep_configs() {
+                for chunk_ns in [1_000, 3_000, 20_000, 100_000, Nanos::MAX] {
+                    let tag = format!("unsent at {unsent_at}, chunk {chunk_ns}");
+                    assert_stream_matches_offline(&topo, &bundle, cfg, chunk_ns, &tag);
+                }
+            }
+            // A small lookahead, so the VPN's decisions keep up with the run.
+            let cfg = MatchConfig {
+                lookahead: 3,
+                ..Default::default()
+            };
+            let off = reconstruct(
+                &topo,
+                &bundle,
+                &ReconstructionConfig {
+                    matching: cfg.clone(),
+                },
+            );
+            let index = |m: PacketMeta| off.traces.iter().position(|t| t.flow == m.flow).unwrap();
+            let (s, y, u) = (index(stalled), index(stray), index(unsent));
+            assert_eq!(s, 0);
+            assert_eq!(off.traces[s].outcome, TraceOutcome::Delivered(502_000));
+            assert_eq!(off.traces[y].outcome, TraceOutcome::Unresolved);
+            assert_eq!(off.hops_of(y)[0].sent_ts(), Some(402_500));
+            assert_eq!(off.traces[u].outcome, TraceOutcome::Unresolved);
+            assert_eq!(off.hops_of(u)[0].sent_ts(), None);
+            assert_eq!(off.report.delivered, 81);
+            // Where the flushes stop before `finish`: at the unsent trace
+            // when it comes second (the stalled one alone never holds half
+            // the tail), else at the stray one once the stalled one is in.
+            let mut w = WindowedReconstructor::new(&topo, cfg);
+            for chunk in chunk_bundle(&bundle, 1_000) {
+                w.ingest(&chunk.bundle, chunk.until).unwrap();
+            }
+            assert_eq!(w.flushed, if u == 1 { 0 } else { y }, "{unsent_at}");
+            assert!(w.tail_trace.iter().all(|&t| t as usize >= w.flushed));
+            assert_eq!(w.finish().0, off, "{unsent_at}");
+        }
+    }
+
+    /// The flush is its plain definition: over rounds of hops appended
+    /// with random trace tags, each flushed at a random completeness cut,
+    /// the arena is the flushed traces' hops grouped in emission order,
+    /// then the rest of the tail in forwarding order, and each flushed
+    /// trace's range holds exactly its own hops.
+    #[test]
+    fn tail_flush_groups_the_complete_prefix_and_keeps_the_rest_in_order() {
         for case in 0..96u64 {
             let mut rng = StdRng::seed_from_u64(case);
-            let n = rng.gen_range(0..300u32);
-            let hop_trace: Vec<u32> = match case % 5 {
-                0 => vec![],
-                1 => {
-                    let mut t: Vec<u32> = (0..n).map(|_| rng.gen_range(0..40)).collect();
-                    t.sort_unstable();
-                    t
-                }
-                2 => (0..n).map(|i| u32::from(i + 1 < n)).collect(),
-                3 => (0..n).map(|i| i ^ 1).filter(|&t| t < n).collect(),
-                _ => (0..n).map(|_| rng.gen_range(0..2 * n.max(1))).collect(),
-            };
-            let traces_n = hop_trace
-                .iter()
-                .max()
-                .map_or(rng.gen_range(0..3), |&t| t + 1);
-            let mut traces: Vec<ReconstructedTrace> = (0..traces_n)
+            let n = rng.gen_range(0..60u32);
+            let mut traces: Vec<ReconstructedTrace> = (0..n)
                 .map(|_| ReconstructedTrace {
                     flow: FiveTuple::new(1, 2, 3, 4, Proto::UDP),
                     emitted_at: 0,
@@ -1212,33 +1395,45 @@ mod tests {
                     outcome: TraceOutcome::Unresolved,
                 })
                 .collect();
-            for &t in &hop_trace {
-                traces[t as usize].hops.end += 1;
-            }
-            let forwarded: Vec<u64> = (0..hop_trace.len() as u64).map(|_| rng.gen()).collect();
-            let mut order = group_order(&mut traces, &hop_trace);
-            let want: Vec<u64> = order.iter().map(|&i| forwarded[i as usize]).collect();
-            let mut got = forwarded.clone();
-            gather_in_place(&mut got, &mut order);
-            assert_eq!(got, want, "case {case}: tags {hop_trace:?}");
-            assert!(
-                order.iter().enumerate().all(|(j, &o)| o as usize == j),
-                "case {case}: every position marked placed"
-            );
-            // Each trace's range holds its own hops, in emission order.
-            let mut at = 0;
-            for (t, tr) in (0u32..).zip(&traces) {
-                assert_eq!(tr.hops.start, at, "case {case}: trace {t}");
-                let own: Vec<u64> = (0..hop_trace.len())
-                    .filter(|&i| hop_trace[i] == t)
-                    .map(|i| forwarded[i])
+            let (mut arena, mut tail_trace) = (Vec::<u64>::new(), Vec::<u32>::new());
+            // The model: the grouped prefix with each trace's range, and
+            // the tail as (trace, hop) pairs.
+            let (mut grouped, mut ranges, mut tail) = (Vec::new(), Vec::new(), Vec::new());
+            let mut flushed = 0;
+            while flushed < n {
+                for _ in 0..rng.gen_range(0..80) {
+                    let (t, hop) = (rng.gen_range(flushed..n), rng.gen::<u64>());
+                    traces[t as usize].hops.end += 1;
+                    arena.push(hop);
+                    tail_trace.push(t);
+                    tail.push((t, hop));
+                }
+                let upto = match rng.gen_range(0..4) {
+                    0 => n,
+                    _ => rng.gen_range(flushed..=n),
+                };
+                for t in flushed..upto {
+                    let start = grouped.len();
+                    grouped.extend(tail.iter().filter(|h| h.0 == t).map(|h| h.1));
+                    ranges.push(start..grouped.len());
+                }
+                tail.retain(|h| h.0 >= upto);
+                let cut = flushed as usize..upto as usize;
+                flush_tail(&mut traces, cut, &mut arena, &mut tail_trace);
+                flushed = upto;
+
+                let want: Vec<u64> = grouped
+                    .iter()
+                    .copied()
+                    .chain(tail.iter().map(|h| h.1))
                     .collect();
-                assert_eq!(
-                    got[tr.hops.start as usize..tr.hops.end as usize],
-                    own[..],
-                    "case {case}: trace {t}"
-                );
-                at = tr.hops.end;
+                assert_eq!(arena, want, "case {case}, flushed {flushed}");
+                let tags: Vec<u32> = tail.iter().map(|h| h.0).collect();
+                assert_eq!(tail_trace, tags, "case {case}, flushed {flushed}");
+                for (tr, r) in traces.iter().zip(&ranges) {
+                    let got = tr.hops.start as usize..tr.hops.end as usize;
+                    assert_eq!(got, *r, "case {case}, flushed {flushed}");
+                }
             }
         }
     }
