@@ -21,7 +21,7 @@
 
 use microscope_cli::pipeline::{self, Produced};
 use msc_collector::FlowRecord;
-use msc_trace::{Arrival, ReconstructedTrace, Reconstruction, RxBatchInfo, Timelines, TraceHop};
+use msc_trace::{Arrival, ReconstructedTrace, RxBatchInfo, TraceHop};
 use nf_types::parse_topology;
 use std::fmt::Write as _;
 use std::mem::size_of;
@@ -118,31 +118,11 @@ impl Stages {
     }
 }
 
-fn traces(recon: &Reconstruction) -> String {
-    format!(
-        "{} packets, {} hops, {} rx batches, {} paths, ",
-        recon.traces.len(),
-        recon.hops.len(),
-        recon.reads.iter().map(Vec::len).sum::<usize>(),
-        recon.paths.len()
-    )
-}
-
-fn arrivals(timelines: &Timelines) -> String {
-    let arrivals: usize = timelines.nfs.iter().map(|t| t.arrivals.len()).sum();
-    format!("{arrivals} arrivals, ")
-}
-
 /// Runs `diagnose` (`stream`) on the recording in `dir` with the CLI's
 /// default flags, one row per stage, then the input / output / `size_of`
 /// footer counted from what the stages lent the hook.
 fn probe(dir: &Path, stream: bool) -> Result<(), String> {
-    let frontier = if stream {
-        format!(" {:>11}", "frontier_MB")
-    } else {
-        String::new()
-    };
-    let mut stages = Stages::new(&frontier);
+    let mut stages = Stages::new(&format!(" {:>11}", "frontier_MB"));
     let topology = dir.join("topology.txt");
     let path = topology.display();
     let text = std::fs::read_to_string(&topology).map_err(|e| format!("read {path}: {e}"))?;
@@ -152,40 +132,27 @@ fn probe(dir: &Path, stream: bool) -> Result<(), String> {
     stages.row("start", "");
 
     let mut input = String::new();
-    let mut hook = |stage: &str, produced: Produced<'_>| {
-        let frontier = match &produced {
-            Produced::Engine(engine) => format!(" {:>11.1}", engine.working_set() as f64 / 1e6),
-            _ => String::new(),
-        };
-        stages.row(stage, &frontier);
-        match produced {
-            Produced::Bundle(bundle) => {
-                let tx_batches: usize = bundle.logs.iter().map(|l| l.tx.len()).sum();
-                let appearances = bundle.packet_appearances();
-                let _ = write!(
-                    input,
-                    "{appearances} appearances, {tx_batches} tx batches, "
-                );
-            }
-            Produced::Matches(matches) => {
-                let positions: usize = matches
-                    .iter()
-                    .flat_map(|m| {
-                        m.upstreams
-                            .iter()
-                            .map(|&u| m.outcome(u).map_or(0, |o| o.len()))
-                    })
-                    .sum();
-                let _ = write!(input, "{positions} edge positions, ");
-            }
-            Produced::Reconstruction(recon) => input += &traces(recon),
-            Produced::Timelines(timelines) => input += &arrivals(timelines),
-            Produced::Finished(recon, timelines) => {
-                input += &traces(recon);
-                input += &arrivals(timelines);
-            }
-            _ => {}
+    let (mut chunks, mut frontier_peak) = (0, 0);
+    let mut hook = |stage: &str, produced: Produced<'_>| match produced {
+        Produced::Engine(engine) => {
+            let frontier = engine.working_set();
+            stages.row(stage, &format!(" {:>11.1}", frontier as f64 / 1e6));
+            chunks = engine.chunks();
+            frontier_peak = engine.working_set_peak();
         }
+        Produced::Finished(recon, timelines) => {
+            stages.row(stage, "");
+            let arrivals: usize = timelines.nfs.iter().map(|t| t.arrivals.len()).sum();
+            let _ = write!(
+                input,
+                "{} packets, {} hops, {} rx batches, {} paths, {arrivals} arrivals, ",
+                recon.traces.len(),
+                recon.hops.len(),
+                recon.reads.iter().map(Vec::len).sum::<usize>(),
+                recon.paths.len()
+            );
+        }
+        _ => stages.row(stage, ""),
     };
     let run = if stream {
         pipeline::stream(&deployment, &bundle, None, false, 0.99, 10, &mut hook)
@@ -193,14 +160,11 @@ fn probe(dir: &Path, stream: bool) -> Result<(), String> {
         pipeline::diagnose(&deployment, &bundle, false, 0.99, 10, &mut hook)
     }?;
 
-    if let Some(s) = &run.streamed {
-        let _ = write!(
-            input,
-            "{} chunks, frontier peak {:.1} MB, ",
-            s.chunks,
-            s.working_set_peak as f64 / 1e6
-        );
-    }
+    let _ = write!(
+        input,
+        "{chunks} chunks, frontier peak {:.1} MB, ",
+        frontier_peak as f64 / 1e6
+    );
     let (_, hwm) = resident_mb();
     let packets = run.report.reconstruction.total.max(1);
     let mut out = stages.out;
@@ -216,8 +180,8 @@ fn probe(dir: &Path, stream: bool) -> Result<(), String> {
     let _ = writeln!(
         out,
         "# size_of: TraceHop {} Arrival {} RxBatchInfo {} ReconstructedTrace {} FlowRecord {}; \
-         per rx entry 8 + 2, per tx entry 2 + 4, per edge position 8 + 2 (+ 4 matched), \
-         per source record 2 + 4, per trace 4 (path id)",
+         per rx entry 8 + 2, per tx entry 2 + 4, per source record 2 + 4, per trace 4 \
+         (path id)",
         size_of::<TraceHop>(),
         size_of::<Arrival>(),
         size_of::<RxBatchInfo>(),

@@ -21,11 +21,13 @@ commands:
            [--top N] [--skew]
   skew     --topology FILE --bundle FILE
 
-stream consumes the bundle incrementally (chunked .mscs files directly;
-whole-run .msc bundles are chunked in memory at --chunk-ms, default 50)
-and prints the same report as diagnose; with --skew, chunks are held until
-the estimated clock offsets settle (at the latest when the stream ends, on
-the whole-run estimate diagnose --skew makes).
+diagnose and stream run one reconstructor over the bundle in time windows,
+reading the file as they go: diagnose a whole-run .msc in 10 ms windows,
+stream a .msc in --chunk-ms windows (default 50) or a chunked .mscs chunk
+by chunk. They print the same report. diagnose --skew corrects the whole
+run by one clock-offset estimate first; stream --skew holds chunks until
+the estimated offsets settle (at the latest when the stream ends, on
+diagnose --skew's estimate).
 
 run `microscope <command>` with missing flags to see its specific errors.";
 
@@ -295,9 +297,6 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 /// send explains, the step cache and the relation sampling.
 fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     if let Some(s) = &run.streamed {
-        if let Some(ms) = s.chunked_in_memory_ms {
-            eprintln!("note: whole-run bundle; chunking in memory at {ms} ms");
-        }
         eprintln!(
             "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB, \
              {} queuing periods closed (longest {} us)",
@@ -352,7 +351,7 @@ fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     emit(out, |out| write!(out, "{}", run.report))
 }
 
-/// `microscope diagnose` — the full offline pipeline on saved artifacts.
+/// `microscope diagnose` — the whole pipeline on saved artifacts.
 pub fn diagnose(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle", "quantile", "top"], &["skew"])?;
     let quantile = f.quantile()?;
@@ -591,8 +590,8 @@ mod tests {
     #[test]
     fn stream_round_trip_both_formats() {
         let [topo, whole, chunked] = recorded("streamtest");
-        // Chunked file is consumed incrementally; whole bundles are chunked
-        // in memory. Both must run the full report.
+        // Both containers are read chunk by chunk. Both must run the full
+        // report.
         stream(&s(&[
             "--topology",
             &topo,

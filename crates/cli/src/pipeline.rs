@@ -1,21 +1,29 @@
 //! The `diagnose` / `diagnose --skew` / `stream` / `skew` call sequences —
 //! bundle file → report — written once.
 //!
+//! Every command that reports runs one reconstructor, the windowed
+//! [`StreamEngine`]: `diagnose` and `stream` feed it time chunks read
+//! straight from the file ([`ChunkSource`]: a whole-run `.msc` in windows,
+//! a `.mscs` as it was chunked), and `diagnose --skew` feeds it the chunks
+//! of the bundle its whole-run clock-offset estimate corrected. The
+//! whole-run reconstructor (`msc_trace::reconstruct`) is not called here:
+//! it is the oracle the equivalence suites compare the engine with.
+//!
 //! Each function takes the parsed deployment, the bundle path and the values
-//! of the command's flags, checks the bundle against the topology before
-//! anything indexes by NF, and calls the stages one at a time with the
-//! lifetimes the report's peak memory depends on. After each stage it calls
-//! the caller's [`Hook`] with the stage's name and what the stage produced:
-//! the CLI passes a hook that does nothing, `mem_stages` one that reads
-//! `/proc/self/status`. Nothing here prints: the report and the facts behind
-//! the CLI's stderr lines come back in a [`Run`].
+//! of the command's flags and calls the stages one at a time with the
+//! lifetimes the report's peak memory depends on; a bundle recorded on
+//! another topology is refused before anything indexes by NF. After each
+//! stage it calls the caller's [`Hook`] with the stage's name and what the
+//! stage produced: the CLI passes a hook that does nothing, `mem_stages` one
+//! that reads `/proc/self/status`. Nothing here prints: the report and the
+//! facts behind the CLI's stderr lines come back in a [`Run`].
 //!
-//! Stage names, in call order (`[…]` only with `--skew`):
+//! Stage names, in call order:
 //!
-//! * `diagnose`: `load`, [`offsets`, `correct`,] `streams`, `match`,
-//!   `assemble`, `timelines`, then the diagnosis stages;
-//! * `stream` on a chunked `.mscs`: `push 1` … `push N`, `finish`, then the
-//!   diagnosis stages; on a whole-run `.msc`, `load` and `chunk` come first;
+//! * `diagnose` and `stream`: `push 1` … `push N`, `finish`, then the
+//!   diagnosis stages;
+//! * `diagnose --skew`: `load`, `offsets`, `correct`, `chunk`, then as
+//!   `diagnose`;
 //! * `skew`: `load`, `offsets`;
 //! * the diagnosis stages: `diagnose`, `relations`, `aggregate`.
 
@@ -24,18 +32,35 @@ use microscope::{
     CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope, SampledRelations,
 };
 use msc_collector::{
-    chunk_bundle, load_bundle, peek_format, BundleChunk, BundleChunkReader, BundleFormat,
-    TraceBundle,
+    chunk_bundle, load_bundle, BundleChunk, BundleIoError, ChunkSource, TraceBundle,
 };
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
-    assemble, correct_bundle, estimate_offsets_refined_detailed, match_all, EdgeMatch, EdgeStreams,
-    Reconstruction, ReconstructionConfig, ReconstructionReport, SkewConfig, SkewEstimates,
-    StreamError, Timelines,
+    correct_bundle, estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport,
+    SkewConfig, SkewEstimates, StreamError, Timelines,
 };
 use nf_types::{Nanos, NodeId, TimeDelta, Topology, MICROS, MILLIS};
 use std::fmt;
 use std::path::Path;
+
+/// The window `diagnose` reads a run in, from the `.msc` or, with `--skew`,
+/// from the corrected bundle. It sets the engine's frontier and nothing in
+/// the report. Peak RSS on a 2-core VM: on the 250 ms / 1.4 Mpps recording
+/// 10 and 50 ms windows peak alike (93 MiB, after the frontier is freed);
+/// on a 30 ms run one 50 ms window holds the whole run and peaks at
+/// 24.3 MiB, 10 ms windows at 16.6 MiB (the whole-run reconstructor: 18.6);
+/// `diagnose --skew` on a 120 ms / 0.7 Mpps run peaks at 41.1 MiB with
+/// 50 ms windows, 36.6 MiB with 10 ms ones (whole-run: 36.0).
+const DIAGNOSE_WINDOW_MS: u64 = 10;
+
+/// `stream`'s window on a whole-run `.msc` when `--chunk-ms` is not given.
+/// (`stream --skew` settles its offsets on a prefix of the run, so this
+/// value is part of its report.)
+const STREAM_WINDOW_MS: u64 = 50;
+
+/// The negative slack `--skew` gives the matcher: what is left of a clock
+/// offset after the correction.
+const SKEW_SLACK_NS: Nanos = 20 * MICROS;
 
 /// What `parse_topology` returns: the topology and each NF's peak rate.
 pub type Deployment = (Topology, Vec<f64>);
@@ -49,16 +74,9 @@ pub enum Produced<'a> {
     Bundle(&'a TraceBundle),
     /// `offsets`: the whole-run clock-offset estimate.
     Offsets(&'a SkewEstimates),
-    /// `chunk`: a whole-run bundle cut into time chunks in memory.
+    /// `chunk`: the corrected bundle cut into time chunks (the bundle
+    /// already freed).
     Chunks(&'a [BundleChunk]),
-    /// `streams`: the per-edge packet streams the matcher reads.
-    Streams(&'a EdgeStreams),
-    /// `match`: one match result per NF.
-    Matches(&'a [EdgeMatch]),
-    /// `assemble`: the traces (records and match results already freed).
-    Reconstruction(&'a Reconstruction),
-    /// `timelines`: the per-NF arrival timelines.
-    Timelines(&'a Timelines),
     /// `push N`: the engine after its N-th chunk (that chunk already freed).
     Engine(&'a StreamEngine),
     /// `finish`: the drained engine's traces and timelines.
@@ -128,8 +146,6 @@ impl fmt::Display for Report {
 /// What only `stream` knows about a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Streamed {
-    /// The chunk length, when a whole-run bundle was chunked in memory.
-    pub chunked_in_memory_ms: Option<u64>,
     /// Chunks consumed.
     pub chunks: u64,
     /// Traces whose outcome was final before `finish`.
@@ -151,7 +167,7 @@ pub struct Streamed {
 pub struct Run {
     /// What stdout carries.
     pub report: Report,
-    /// `Some` for a streamed run.
+    /// `Some` for `stream`.
     pub streamed: Option<Streamed>,
     /// One note per NF whose clock offset is a fallback, not an estimate.
     pub skew_notes: Vec<String>,
@@ -164,7 +180,7 @@ pub struct Run {
 }
 
 /// Loads a whole-run bundle and checks it was recorded on `topology`: the
-/// estimator, `correct_bundle` and the matcher all index by NF.
+/// estimator and `correct_bundle` index by NF.
 fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBundle, String> {
     let bundle = load_bundle(path).map_err(|e| format!("load {}: {e}", path.display()))?;
     if bundle.logs.len() != topology.len() {
@@ -193,7 +209,13 @@ pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstima
     Ok(estimate(topology, &bundle, hook))
 }
 
-/// `microscope diagnose` — the offline pipeline on saved artifacts.
+/// `microscope diagnose` — the whole-run `.msc` read in
+/// [`DIAGNOSE_WINDOW_MS`] windows into the engine.
+///
+/// With `skew`, the run is first corrected by its whole-run offset estimate
+/// (all of it in memory), cut into the same windows and freed; the engine
+/// matches with [`SKEW_SLACK_NS`] of negative slack for what the correction
+/// leaves of each offset.
 pub fn diagnose(
     deployment: &Deployment,
     bundle: &Path,
@@ -203,48 +225,49 @@ pub fn diagnose(
     hook: Hook,
 ) -> Result<Run, String> {
     let topology = &deployment.0;
-    let mut bundle = load_checked(topology, bundle, hook)?;
-    let mut cfg = ReconstructionConfig::default();
-    let mut offsets = None;
-    let mut skew_notes = Vec::new();
-    if skew {
-        let est = estimate(topology, &bundle, hook);
-        skew_notes = est.notes(topology);
-        bundle = correct_bundle(&bundle, &est.offsets);
-        hook("correct", Produced::Bundle(&bundle));
-        cfg.matching.negative_slack_ns = 20 * MICROS;
-        offsets = Some(est.offsets);
-    }
-
-    let streams = EdgeStreams::build(topology, &bundle);
-    hook("streams", Produced::Streams(&streams));
-    let matches = match_all(&streams, topology, &cfg);
-    hook("match", Produced::Matches(&matches));
-    let mut recon = assemble(topology, &bundle, streams, &matches);
-    // Nothing reads the records or the match results again: give their
-    // columns back before the timelines and the diagnosis index are built
-    // on the traces.
-    drop(matches);
-    drop(bundle);
-    hook("assemble", Produced::Reconstruction(&recon));
-    let timelines = Timelines::build(&recon);
-    hook("timelines", Produced::Timelines(&timelines));
-    // The timelines hold what the diagnosis reads of the read batches.
-    drop(std::mem::take(&mut recon.reads));
-
-    let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
-    run.report.offsets = offsets;
-    run.skew_notes = skew_notes;
+    let path = bundle.display();
+    let mut run = if skew {
+        let whole = load_checked(topology, bundle, hook)?;
+        let est = estimate(topology, &whole, hook);
+        let corrected = correct_bundle(&whole, &est.offsets);
+        drop(whole);
+        hook("correct", Produced::Bundle(&corrected));
+        let chunks = chunk_bundle(&corrected, DIAGNOSE_WINDOW_MS * MILLIS);
+        drop(corrected);
+        hook("chunk", Produced::Chunks(&chunks));
+        let mut cfg = StreamConfig::default();
+        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
+        let mut chunks = chunks.into_iter();
+        let next = move || Ok(chunks.next());
+        let mut run = run_engine(deployment, cfg, next, quantile, top, hook)?;
+        run.skew_notes = est.notes(topology);
+        run.report.offsets = Some(est.offsets);
+        run
+    } else {
+        let mut source = ChunkSource::open(bundle, DIAGNOSE_WINDOW_MS * MILLIS)
+            .map_err(|e| opening(&path, &e))?;
+        if let ChunkSource::Chunked(_) = source {
+            return Err(opening(&path, &BundleIoError::Chunked));
+        }
+        let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
+        run_engine(
+            deployment,
+            StreamConfig::default(),
+            next,
+            quantile,
+            top,
+            hook,
+        )?
+    };
+    run.streamed = None;
     Ok(run)
 }
 
-/// `microscope stream` — the streaming pipeline: consume the bundle as a
-/// sequence of time chunks with O(window) reconstruction state, then the
-/// same diagnosis as [`diagnose`] — an equal report; with `skew`, for the
-/// offsets the stream settled on (the whole-run estimate when it ends first).
-///
-/// A chunked `.mscs` is read chunk by chunk; a whole-run `.msc` is chunked in
-/// memory at `chunk_ms` (default 50).
+/// `microscope stream` — the same engine as [`diagnose`] over either
+/// container: a chunked `.mscs` chunk by chunk, a whole-run `.msc` in
+/// `chunk_ms` windows (default [`STREAM_WINDOW_MS`]). The report equals
+/// `diagnose`'s; with `skew`, for the offsets the stream settled on (the
+/// whole-run estimate when it ends first).
 pub fn stream(
     deployment: &Deployment,
     bundle: &Path,
@@ -254,49 +277,59 @@ pub fn stream(
     top: usize,
     hook: Hook,
 ) -> Result<Run, String> {
-    let topology = &deployment.0;
     let path = bundle.display();
-    let format = peek_format(bundle).map_err(|e| format!("{path}: {e}"))?;
-    if let (BundleFormat::Chunked, Some(ms)) = (format, chunk_ms) {
+    let chunk_ns = chunk_ms.unwrap_or(STREAM_WINDOW_MS) * MILLIS;
+    let mut source = ChunkSource::open(bundle, chunk_ns).map_err(|e| opening(&path, &e))?;
+    if let (ChunkSource::Chunked(_), Some(ms)) = (&source, chunk_ms) {
         return Err(format!(
             "--chunk-ms {ms} has no effect on {path}: a .mscs file was cut into chunks when \
              it was recorded (drop the flag, or stream the whole-run .msc)"
         ));
     }
-
     let mut cfg = StreamConfig::default();
     if skew {
-        // The slack the offline skew path gives the matcher; the engine
-        // also takes it as the tolerance within which the offsets settle.
-        cfg.matching.negative_slack_ns = 20 * MICROS;
+        // The slack `diagnose --skew` gives the matcher; the engine also
+        // takes it as the tolerance within which the offsets settle.
+        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
         cfg.skew = Some(SkewConfig::default());
     }
-    let mut engine = StreamEngine::new(topology, cfg);
+    let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
+    run_engine(deployment, cfg, next, quantile, top, hook)
+}
 
-    let mut chunked_in_memory_ms = None;
-    match format {
-        BundleFormat::Chunked => {
-            let mut rdr =
-                BundleChunkReader::open(bundle).map_err(|e| format!("open {path}: {e}"))?;
-            while let Some(chunk) = rdr.next_chunk().map_err(|e| format!("read {path}: {e}"))? {
-                push(&mut engine, chunk, hook)?;
-            }
-        }
-        BundleFormat::Whole => {
-            let ms = chunk_ms.unwrap_or(50);
-            chunked_in_memory_ms = Some(ms);
-            let whole = load_checked(topology, bundle, hook)?;
-            let chunks = chunk_bundle(&whole, ms * MILLIS);
-            drop(whole);
-            hook("chunk", Produced::Chunks(&chunks));
-            for chunk in chunks {
-                push(&mut engine, chunk, hook)?;
-            }
-        }
+fn opening(path: &impl fmt::Display, e: &BundleIoError) -> String {
+    format!("open {path}: {e}")
+}
+
+fn reading(path: &impl fmt::Display, e: &BundleIoError) -> String {
+    format!("read {path}: {e}")
+}
+
+/// Pushes every chunk `next` yields into an engine configured by `cfg` —
+/// each chunk freed before the hook looks — then drains the engine and runs
+/// the diagnosis stages on what it reconstructed.
+fn run_engine(
+    deployment: &Deployment,
+    cfg: StreamConfig,
+    mut next: impl FnMut() -> Result<Option<BundleChunk>, String>,
+    quantile: f64,
+    top: usize,
+    hook: Hook,
+) -> Result<Run, String> {
+    let topology = &deployment.0;
+    let mut engine = StreamEngine::new(topology, cfg);
+    while let Some(chunk) = next()? {
+        engine.push_chunk(&chunk).map_err(|e| e.to_string())?;
+        drop(chunk);
+        hook(
+            &format!("push {}", engine.chunks()),
+            Produced::Engine(&engine),
+        );
     }
+    // The reader and its windows, or what is left of the chunks.
+    drop(next);
 
     let mut streamed = Streamed {
-        chunked_in_memory_ms,
         chunks: engine.chunks(),
         committed: engine.committed(),
         working_set_peak: engine.working_set_peak(),
@@ -306,7 +339,7 @@ pub fn stream(
     };
     let (mut recon, timelines, skewed) = engine.finish_skewed();
     hook("finish", Produced::Finished(&recon, &timelines));
-    // As in `diagnose`: the timelines hold what is read of the batches.
+    // The timelines hold what the diagnosis reads of the read batches.
     drop(std::mem::take(&mut recon.reads));
 
     let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
@@ -319,18 +352,7 @@ pub fn stream(
     Ok(run)
 }
 
-/// One chunk into the engine; the chunk is freed before the hook looks.
-fn push(engine: &mut StreamEngine, chunk: BundleChunk, hook: Hook) -> Result<(), String> {
-    engine.push_chunk(&chunk).map_err(|e| e.to_string())?;
-    drop(chunk);
-    hook(
-        &format!("push {}", engine.chunks()),
-        Produced::Engine(engine),
-    );
-    Ok(())
-}
-
-/// The diagnosis half of both pipelines: victims, recursive diagnosis,
+/// The diagnosis stages: victims, recursive diagnosis,
 /// culprit ranking, causal relations, AutoFocus patterns.
 fn diagnose_and_aggregate(
     (topology, rates): &Deployment,

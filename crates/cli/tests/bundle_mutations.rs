@@ -7,6 +7,7 @@
 //! the wrong NF's state by that id.
 
 use microscope_cli::pipeline;
+use msc_collector::{chunk_bundle, read_bundle, save_bundle, save_bundle_chunked};
 use nf_sim::paper_nf_configs;
 use nf_types::{emit_topology, paper_topology, parse_topology};
 use rand::rngs::StdRng;
@@ -109,4 +110,34 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
         accepted.is_empty(),
         "a misplaced log was accepted: {accepted:?}"
     );
+}
+
+/// A log whose read batches go back in time — which the engine's `admit`
+/// would take as the NF's oldest record first — is an error naming the NF
+/// and the section from `diagnose` on the `.msc` and from `stream` on a
+/// `.mscs` holding the run in one chunk, not a report.
+#[test]
+fn a_section_that_goes_back_in_time_is_an_error_in_both_containers() {
+    let deployment = parse_topology(&emit_topology(&paper_topology(), &[1e6; 16])).unwrap();
+    let mut bundle = read_bundle(WHOLE).unwrap();
+    let ts = bundle.logs[3].rx.ts_mut();
+    ts.swap(1, 2);
+    assert!(ts[1] > ts[2], "two distinct batch times");
+    let dir = std::env::temp_dir().join(format!("msc_cli_backwards_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (msc, mscs) = (dir.join("run.msc"), dir.join("run.mscs"));
+    save_bundle(&msc, &bundle).unwrap();
+    save_bundle_chunked(&mscs, &chunk_bundle(&bundle, u64::MAX)).unwrap();
+
+    let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
+    let diagnosed = pipeline::diagnose(&deployment, &msc, false, 0.99, 10, quiet);
+    let streamed = pipeline::stream(&deployment, &mscs, None, false, 0.99, 10, quiet);
+    let _ = std::fs::remove_dir_all(&dir);
+    for (mode, result) in [("diagnose .msc", diagnosed), ("stream .mscs", streamed)] {
+        let err = result.expect_err(mode);
+        assert!(
+            err.contains("the rx section of NF 3 goes back in time"),
+            "{mode}: {err}"
+        );
+    }
 }

@@ -1,6 +1,12 @@
 //! The pipeline's stage hook sees exactly the documented stage names, in
 //! call order — they are the rows of `results/mem_stages*.txt` — and a run
-//! that is watched returns what an unwatched one does.
+//! that is watched returns what an unwatched one does:
+//!
+//! * `diagnose`, and `stream` on either container: `push 1` … `push N`,
+//!   `finish`, `diagnose`, `relations`, `aggregate`;
+//! * `diagnose --skew`: `load`, `offsets`, `correct`, `chunk`, then the
+//!   same;
+//! * `skew`: `load`, `offsets`.
 
 use microscope_cli::pipeline::{self, Hook, Run};
 use nf_types::parse_topology;
@@ -17,18 +23,27 @@ fn watched(run: impl Fn(Hook<'_>) -> Result<Run, String>) -> (Vec<String>, Run) 
     (names, seen)
 }
 
-/// A streamed run's names after `before`: one `push N` per chunk, `finish`,
-/// then the diagnosis stages.
-fn assert_streamed(names: &[String], before: &[&str], run: &Run) {
-    let chunks = usize::try_from(run.streamed.expect("a streamed run").chunks).expect("fits");
-    assert!(chunks >= 2, "{chunks} chunks");
+/// The names after `before` — the stages of a run through the engine:
+/// `push 1` … `push N`, `finish`, then the diagnosis stages. Returns N.
+fn assert_engine_stages(names: &[String], before: &[&str]) -> usize {
     let (head, rest) = names.split_at(before.len());
-    let (pushes, tail) = rest.split_at(chunks);
     assert_eq!(head, before);
-    for (i, name) in pushes.iter().enumerate() {
+    let chunks = rest.iter().take_while(|n| n.starts_with("push ")).count();
+    assert!(chunks >= 2, "{chunks} chunks");
+    for (i, name) in rest[..chunks].iter().enumerate() {
         assert_eq!(*name, format!("push {}", i + 1));
     }
-    assert_eq!(tail, ["finish", "diagnose", "relations", "aggregate"]);
+    assert_eq!(
+        &rest[chunks..],
+        ["finish", "diagnose", "relations", "aggregate"]
+    );
+    chunks
+}
+
+/// A `stream` run's names: the engine's stages, one push per chunk.
+fn assert_streamed(names: &[String], run: &Run) {
+    let chunks = run.streamed.expect("a streamed run").chunks;
+    assert_eq!(assert_engine_stages(names, &[]) as u64, chunks);
 }
 
 #[test]
@@ -36,7 +51,8 @@ fn the_hook_sees_the_documented_stages_in_order_and_changes_nothing() {
     let dir = std::env::temp_dir().join(format!("msc_cli_stage_hook_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let record = Command::new(env!("CARGO_BIN_EXE_microscope"))
-        .args(["record", "--millis", "20", "--rate", "1.0", "--seed", "7"])
+        // 60 ms: two of `diagnose`'s 50 ms windows.
+        .args(["record", "--millis", "60", "--rate", "1.0", "--seed", "7"])
         .args(["--interrupt", "nat2:8:800", "--chunk-ms", "10", "--out"])
         .arg(&dir)
         .output()
@@ -47,45 +63,19 @@ fn the_hook_sees_the_documented_stages_in_order_and_changes_nothing() {
     let (msc, mscs) = (dir.join("run.msc"), dir.join("run.mscs"));
 
     let (names, offline) = watched(|h| pipeline::diagnose(&deployment, &msc, false, 0.99, 10, h));
-    assert_eq!(
-        names,
-        [
-            "load",
-            "streams",
-            "match",
-            "assemble",
-            "timelines",
-            "diagnose",
-            "relations",
-            "aggregate"
-        ]
-    );
+    assert_engine_stages(&names, &[]);
 
     let (names, _) = watched(|h| pipeline::diagnose(&deployment, &msc, true, 0.99, 10, h));
-    assert_eq!(
-        names,
-        [
-            "load",
-            "offsets",
-            "correct",
-            "streams",
-            "match",
-            "assemble",
-            "timelines",
-            "diagnose",
-            "relations",
-            "aggregate"
-        ]
-    );
+    assert_engine_stages(&names, &["load", "offsets", "correct", "chunk"]);
 
     let (names, streamed) =
         watched(|h| pipeline::stream(&deployment, &mscs, None, false, 0.99, 10, h));
-    assert_streamed(&names, &[], &streamed);
+    assert_streamed(&names, &streamed);
     assert_eq!(streamed.report, offline.report);
 
     let (names, streamed) =
         watched(|h| pipeline::stream(&deployment, &msc, Some(10), false, 0.99, 10, h));
-    assert_streamed(&names, &["load", "chunk"], &streamed);
+    assert_streamed(&names, &streamed);
     assert_eq!(streamed.report, offline.report);
 
     let mut names = Vec::new();

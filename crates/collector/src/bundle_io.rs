@@ -35,13 +35,23 @@
 //! record ([`chunk_bundle`] + [`concat_chunks`] round-trip, tested below).
 //! [`BundleChunkReader`] iterates a chunked file holding one chunk in
 //! memory at a time.
+//!
+//! ## Reading a whole-run file in time windows
+//!
+//! [`WholeRunReader`] yields the chunks [`chunk_bundle`] would cut a loaded
+//! `"MSCB"` bundle into, straight from the file, with one cursor per
+//! section; [`ChunkSource`] opens either container that way. Every section
+//! is in time order — the record parser refuses one that is not
+//! ([`EncodeError::OutOfOrder`]) — so a window is a prefix of each section.
 
 use crate::collector::{NfLog, TraceBundle};
-use crate::encode::{decode_nf_log, encode_nf_log, EncodeError};
-use crate::records::FlowRecord;
-use nf_types::{FiveTuple, Nanos, NfId, Proto};
+use crate::encode::{
+    count_fits, decode_nf_log, encode_nf_log, get_log_header, get_varint, EncodeError, Section,
+    SectionReader, LOG_HEADER_BYTES, MAX_RECORD_BYTES, SOURCE_RECORD_BYTES,
+};
+use nf_types::{Nanos, NfId};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"MSCB";
@@ -59,7 +69,8 @@ pub enum BundleIoError {
     Chunked,
     /// Unsupported format version.
     BadVersion(u8),
-    /// An embedded NF log failed to encode or decode.
+    /// An embedded NF log failed to encode or decode, or a section's
+    /// records are out of time order.
     Log(EncodeError),
     /// The file ended prematurely.
     Truncated,
@@ -81,6 +92,7 @@ impl fmt::Display for BundleIoError {
                 "a time-chunked bundle (.mscs), not a whole-run one: `microscope stream` reads it"
             ),
             BundleIoError::BadVersion(v) => write!(f, "unsupported bundle version {v}"),
+            BundleIoError::Log(e @ EncodeError::OutOfOrder { .. }) => write!(f, "{e}"),
             BundleIoError::Log(e) => write!(f, "corrupt NF log: {e}"),
             BundleIoError::Truncated => write!(f, "truncated bundle"),
             BundleIoError::SectionTooLarge { what, len } => {
@@ -106,6 +118,12 @@ impl From<io::Error> for BundleIoError {
     }
 }
 
+impl From<EncodeError> for BundleIoError {
+    fn from(e: EncodeError) -> Self {
+        BundleIoError::Log(e)
+    }
+}
+
 /// Serialises a bundle to any writer.
 pub fn write_bundle<W: Write>(mut w: W, bundle: &TraceBundle) -> Result<(), BundleIoError> {
     w.write_all(MAGIC)?;
@@ -120,7 +138,7 @@ fn write_bundle_body<W: Write>(w: &mut W, bundle: &TraceBundle) -> Result<(), Bu
     };
     w.write_all(&sec_len("NF logs", bundle.logs.len())?.to_le_bytes())?;
     for log in &bundle.logs {
-        let enc = encode_nf_log(log).map_err(BundleIoError::Log)?;
+        let enc = encode_nf_log(log)?;
         w.write_all(&sec_len("NF log bytes", enc.len())?.to_le_bytes())?;
         w.write_all(&enc)?;
     }
@@ -156,9 +174,6 @@ pub fn read_bundle<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
     read_bundle_body(&mut r)
 }
 
-/// Bytes of one fixed-width source flow record.
-const SOURCE_RECORD_BYTES: usize = 23;
-
 /// The shared body of both containers: NF log section + source section.
 ///
 /// No length field is trusted with an allocation: a section is read through
@@ -173,13 +188,8 @@ fn read_bundle_body<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
     for position in 0..n_logs {
         let len = read_u32(&mut r)?;
         read_section(&mut r, u64::from(len), &mut buf)?;
-        let log = decode_nf_log(&buf).map_err(BundleIoError::Log)?;
-        if u32::from(log.nf.0) != position {
-            return Err(BundleIoError::MisplacedLog {
-                position,
-                nf: log.nf,
-            });
-        }
+        let log = decode_nf_log(&buf)?;
+        check_position(position, log.nf)?;
         logs.push(log);
     }
     let n_src = read_u32(&mut r)?;
@@ -188,23 +198,28 @@ fn read_bundle_body<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
         u64::from(n_src) * SOURCE_RECORD_BYTES as u64,
         &mut buf,
     )?;
-    let mut source_flows = Vec::with_capacity(buf.len() / SOURCE_RECORD_BYTES);
-    for mut rec in buf.chunks_exact(SOURCE_RECORD_BYTES) {
-        let ts = read_u64(&mut rec)?;
-        let ipid = read_u16(&mut rec)?;
-        let src_ip = read_u32(&mut rec)?;
-        let dst_ip = read_u32(&mut rec)?;
-        let src_port = read_u16(&mut rec)?;
-        let dst_port = read_u16(&mut rec)?;
-        let mut proto = [0u8; 1];
-        rec.read_exact(&mut proto).map_err(eof)?;
-        source_flows.push(FlowRecord {
-            ts,
-            ipid,
-            flow: FiveTuple::new(src_ip, dst_ip, src_port, dst_port, Proto(proto[0])),
-        });
+    let mut source = NfLog::new(NfId(0));
+    source.flows.reserve_exact(buf.len() / SOURCE_RECORD_BYTES);
+    let mut records = SectionReader::new(Section::Source);
+    let mut pos = 0;
+    while pos < buf.len() {
+        let ts = records.read_ts(&buf, &mut pos)?;
+        records.read_body(&buf, &mut pos, ts, &mut source)?;
     }
-    Ok(TraceBundle { logs, source_flows })
+    Ok(TraceBundle {
+        logs,
+        source_flows: source.flows,
+    })
+}
+
+/// Every reader indexes the logs by NF id: the log at `position` must be
+/// that NF's.
+fn check_position(position: u32, nf: NfId) -> Result<(), BundleIoError> {
+    if u32::from(nf.0) == position {
+        Ok(())
+    } else {
+        Err(BundleIoError::MisplacedLog { position, nf })
+    }
 }
 
 /// Reads exactly `len` bytes into `buf` (cleared first), or reports
@@ -229,27 +244,6 @@ pub fn save_bundle(path: &Path, bundle: &TraceBundle) -> Result<(), BundleIoErro
 pub fn load_bundle(path: &Path) -> Result<TraceBundle, BundleIoError> {
     let f = std::fs::File::open(path)?;
     read_bundle(io::BufReader::new(f))
-}
-
-/// The container a file starts with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BundleFormat {
-    /// Whole-run `"MSCB"` bundle.
-    Whole,
-    /// Time-chunked `"MSCS"` stream.
-    Chunked,
-}
-
-/// Reads the magic of a bundle file without loading it.
-pub fn peek_format(path: &Path) -> Result<BundleFormat, BundleIoError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic).map_err(eof)?;
-    match &magic {
-        m if m == MAGIC => Ok(BundleFormat::Whole),
-        m if m == CHUNKED_MAGIC => Ok(BundleFormat::Chunked),
-        _ => Err(BundleIoError::BadMagic),
-    }
 }
 
 /// One time window of a chunked bundle: every record with
@@ -441,6 +435,364 @@ impl<R: Read> Iterator for BundleChunkReader<R> {
     }
 }
 
+/// The bytes of a file [`WholeRunReader`] keeps per section: any record
+/// fits, and the 49 sections of a 16-NF bundle hold under 1 MB together.
+const WINDOW_BYTES: usize = 16 * 1024;
+
+/// A byte range of a file, read front to back through a bounded window.
+#[derive(Debug)]
+struct Window {
+    /// `buf[at..len]` is read and not consumed yet.
+    buf: Vec<u8>,
+    at: usize,
+    len: usize,
+    /// The file offset of the byte after `buf[..len]`, and of the range's
+    /// end.
+    next: u64,
+    end: u64,
+}
+
+impl Window {
+    fn new(start: u64, end: u64) -> Self {
+        Self {
+            buf: Vec::new(),
+            at: 0,
+            len: 0,
+            next: start,
+            end,
+        }
+    }
+
+    /// The unconsumed bytes: at least `want` of them, unless the range ends
+    /// first. True when they are all the range has left.
+    fn fill<R: Read + Seek>(
+        &mut self,
+        r: &mut R,
+        want: usize,
+    ) -> Result<(&[u8], bool), BundleIoError> {
+        if self.len - self.at < want && self.next < self.end {
+            // At most `cap` of what the range has left.
+            let rest =
+                |cap: usize| usize::try_from(self.end - self.next).map_or(cap, |n| n.min(cap));
+            if self.buf.is_empty() {
+                self.buf = vec![0; rest(WINDOW_BYTES).max(want)];
+            }
+            self.buf.copy_within(self.at..self.len, 0);
+            self.len -= self.at;
+            self.at = 0;
+            let n = rest(self.buf.len() - self.len);
+            r.seek(SeekFrom::Start(self.next))?;
+            r.read_exact(&mut self.buf[self.len..self.len + n])
+                .map_err(eof)?;
+            self.len += n;
+            self.next += n as u64;
+        }
+        Ok((&self.buf[self.at..self.len], self.next == self.end))
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.at += n;
+    }
+
+    /// The file offset of the first unconsumed byte.
+    fn offset(&self) -> u64 {
+        self.next - (self.len - self.at) as u64
+    }
+}
+
+/// One section of a whole-run file, read record by record.
+#[derive(Debug)]
+struct Cursor {
+    records: SectionReader,
+    /// Records not read yet.
+    left: usize,
+    /// The timestamp of the next record, once read.
+    next: Option<Nanos>,
+    window: Window,
+}
+
+impl Cursor {
+    fn new(section: Section, records: usize, window: Window) -> Self {
+        Self {
+            records: SectionReader::new(section),
+            left: records,
+            next: None,
+            window,
+        }
+    }
+
+    /// The timestamp of the next record; `None` past the last.
+    fn peek<R: Read + Seek>(&mut self, r: &mut R) -> Result<Option<Nanos>, BundleIoError> {
+        // No record is stamped below 0: this reads the next timestamp only.
+        self.take_below(r, 0, None)?;
+        Ok(self.next)
+    }
+
+    /// Moves every record stamped before `until` into `log`, or steps over
+    /// them without `log`; the last chunk a `u64` can bound, `until ==
+    /// Nanos::MAX`, takes the rest. Leaves the next record's timestamp read.
+    fn take_below<R: Read + Seek>(
+        &mut self,
+        r: &mut R,
+        until: Nanos,
+        mut log: Option<&mut NfLog>,
+    ) -> Result<(), BundleIoError> {
+        while self.left > 0 {
+            let (buf, whole) = self.window.fill(r, MAX_RECORD_BYTES)?;
+            // A record starting before `fits` is in `buf` whole; once `buf`
+            // holds the rest of the section, every record left is parsed
+            // from it (and one the section has no bytes for is truncated).
+            let fits = buf.len().saturating_sub(MAX_RECORD_BYTES - 1);
+            let mut pos = 0;
+            while self.left > 0 && (whole || pos < fits) {
+                let ts = match self.next.take() {
+                    Some(ts) => ts,
+                    None => self.records.read_ts(buf, &mut pos)?,
+                };
+                if ts >= until && until != Nanos::MAX {
+                    self.next = Some(ts);
+                    self.window.consume(pos);
+                    return Ok(());
+                }
+                match &mut log {
+                    Some(log) => self.records.read_body(buf, &mut pos, ts, log)?,
+                    None => self.records.skip_body(buf, &mut pos)?,
+                }
+                self.left -= 1;
+            }
+            self.window.consume(pos);
+        }
+        Ok(())
+    }
+}
+
+/// Time windows of a whole-run `"MSCB"` file, read straight from it: one
+/// cursor per section (each NF log's rx, tx and flow records, the source's)
+/// through a bounded window, so memory holds one chunk plus ≈ 16 KiB per
+/// section, never the file or the run.
+///
+/// [`WholeRunReader::next_chunk`] yields exactly the chunks [`chunk_bundle`]
+/// cuts the loaded bundle into: boundaries at multiples of `chunk_ns`, the
+/// first at the chunk holding the earliest record, the empty chunks between
+/// records included. That rests on each section being in time order, which
+/// the cursors check as they read ([`EncodeError::OutOfOrder`]).
+#[derive(Debug)]
+pub struct WholeRunReader<R> {
+    r: R,
+    /// Per NF log: its rx, tx and flow sections.
+    logs: Vec<(NfId, [Cursor; 3])>,
+    source: Cursor,
+    chunk_ns: Nanos,
+    /// The bound of the next chunk; `None` once the last one was yielded.
+    until: Option<Nanos>,
+}
+
+impl WholeRunReader<std::fs::File> {
+    /// Opens a whole-run bundle file, to be read in `chunk_ns` windows.
+    pub fn open(path: &Path, chunk_ns: Nanos) -> Result<Self, BundleIoError> {
+        Self::new(std::fs::File::open(path)?, chunk_ns)
+    }
+}
+
+impl<R: Read + Seek> WholeRunReader<R> {
+    /// Walks the framing of the bundle `r` holds, once: where each section
+    /// starts and ends. It refuses what [`read_bundle`] refuses — bad magic,
+    /// a chunked file, a bad version, a section past the end of the file, a
+    /// log at another NF's position — and sizes no allocation by a header
+    /// field. The rx and tx records are stepped over (that is where the
+    /// next section starts), not decoded. A `chunk_ns` of zero is 1 ns.
+    pub fn new(mut r: R, chunk_ns: Nanos) -> Result<Self, BundleIoError> {
+        let file_len = r.seek(SeekFrom::End(0))?;
+        r.seek(SeekFrom::Start(0))?;
+        let mut head = [0u8; 5];
+        r.read_exact(&mut head).map_err(eof)?;
+        match &head[..4] {
+            m if m == MAGIC => {}
+            m if m == CHUNKED_MAGIC => return Err(BundleIoError::Chunked),
+            _ => return Err(BundleIoError::BadMagic),
+        }
+        if head[4] != VERSION {
+            return Err(BundleIoError::BadVersion(head[4]));
+        }
+        let mut at = head.len() as u64;
+        let n_logs = read_u32(&mut r)?;
+        at += 4;
+        let mut logs = Vec::new();
+        for position in 0..n_logs {
+            let len = read_u32(&mut r)?;
+            let (start, end) = (at + 4, at + 4 + u64::from(len));
+            if end > file_len {
+                return Err(BundleIoError::Truncated);
+            }
+            let (nf, cursors) = walk_log(&mut r, start, end)?;
+            check_position(position, nf)?;
+            logs.push((nf, cursors));
+            at = end;
+            r.seek(SeekFrom::Start(at))?;
+        }
+        let n_src = read_u32(&mut r)?;
+        let start = at + 4;
+        let end = start + u64::from(n_src) * SOURCE_RECORD_BYTES as u64;
+        if end > file_len {
+            return Err(BundleIoError::Truncated);
+        }
+        let source = Cursor::new(Section::Source, n_src as usize, Window::new(start, end));
+        let mut reader = Self {
+            r,
+            logs,
+            source,
+            chunk_ns: chunk_ns.max(1),
+            until: None,
+        };
+        // Sections are time-ordered, so the earliest record opens one of
+        // them. An empty run is one empty chunk, as `chunk_bundle` has it.
+        let mut earliest: Option<Nanos> = None;
+        for c in cursors(&mut reader.logs, &mut reader.source) {
+            if let Some(ts) = c.peek(&mut reader.r)? {
+                earliest = Some(earliest.map_or(ts, |e| e.min(ts)));
+            }
+        }
+        reader.until = Some(window_end(earliest.unwrap_or(0), reader.chunk_ns));
+        Ok(reader)
+    }
+
+    /// Moves the next window up to the one holding the earliest record not
+    /// read yet: a gap in the run then costs one chunk, not one per
+    /// `chunk_ns` of it. The chunks that follow hold what they would have
+    /// held without the skip; only empty ones are left out.
+    pub fn skip_empty_windows(&mut self) {
+        let earliest = cursors(&mut self.logs, &mut self.source)
+            .filter_map(|c| c.next)
+            .min();
+        if let (Some(until), Some(ts)) = (self.until, earliest) {
+            self.until = Some(until.max(window_end(ts, self.chunk_ns)));
+        }
+    }
+
+    /// The next time window; `Ok(None)` after the one holding the last
+    /// record.
+    pub fn next_chunk(&mut self) -> Result<Option<BundleChunk>, BundleIoError> {
+        let Some(until) = self.until else {
+            return Ok(None);
+        };
+        // A failed read ends the iteration: the cursors are mid-record.
+        self.until = None;
+        let mut logs = Vec::with_capacity(self.logs.len());
+        for (nf, cursors) in &mut self.logs {
+            let mut log = NfLog::new(*nf);
+            for c in cursors {
+                c.take_below(&mut self.r, until, Some(&mut log))?;
+            }
+            logs.push(log);
+        }
+        let mut source = NfLog::new(NfId(0));
+        self.source
+            .take_below(&mut self.r, until, Some(&mut source))?;
+        // A cursor holds the timestamp of its next record, if it has one.
+        if cursors(&mut self.logs, &mut self.source).any(|c| c.next.is_some()) {
+            self.until = Some(until.saturating_add(self.chunk_ns));
+        }
+        Ok(Some(BundleChunk {
+            until,
+            bundle: TraceBundle {
+                logs,
+                source_flows: source.flows,
+            },
+        }))
+    }
+}
+
+/// The bound of the `chunk_ns` window holding `ts`: the next multiple of
+/// `chunk_ns` above it (`Nanos::MAX` past the last one a `u64` holds).
+fn window_end(ts: Nanos, chunk_ns: Nanos) -> Nanos {
+    // lint: time-arith-ok(the multiple of chunk_ns at or below `ts` never underflows)
+    (ts - ts % chunk_ns).saturating_add(chunk_ns)
+}
+
+/// Every section's cursor, the source last.
+fn cursors<'a>(
+    logs: &'a mut [(NfId, [Cursor; 3])],
+    source: &'a mut Cursor,
+) -> impl Iterator<Item = &'a mut Cursor> {
+    let logs = logs.iter_mut().flat_map(|(_, c)| c.iter_mut());
+    logs.chain(std::iter::once(source))
+}
+
+/// Walks the framing of the log in `start..end`: its NF id, and a cursor on
+/// each of its three sections.
+fn walk_log<R: Read + Seek>(
+    r: &mut R,
+    start: u64,
+    end: u64,
+) -> Result<(NfId, [Cursor; 3]), BundleIoError> {
+    // One window over the whole log; its section is set per section below.
+    let mut walk = Cursor::new(Section::Source, 0, Window::new(start, end));
+    let (buf, _) = walk.window.fill(r, LOG_HEADER_BYTES)?;
+    let mut pos = 0;
+    let nf = get_log_header(buf, &mut pos)?;
+    walk.window.consume(pos);
+    let mut section_cursor = |section: Section| -> Result<Cursor, BundleIoError> {
+        let (buf, _) = walk.window.fill(r, MAX_RECORD_BYTES)?;
+        let mut pos = 0;
+        let n = get_varint(buf, &mut pos)?;
+        walk.window.consume(pos);
+        let n = count_fits(n, end - walk.window.offset(), section)?;
+        let from = walk.window.offset();
+        if let Section::Flows(_) = section {
+            // The last section: it runs to the end of the log.
+            return Ok(Cursor::new(section, n, Window::new(from, end)));
+        }
+        (walk.records, walk.left) = (SectionReader::new(section), n);
+        walk.take_below(r, Nanos::MAX, None)?;
+        let to = walk.window.offset();
+        Ok(Cursor::new(section, n, Window::new(from, to)))
+    };
+    let rx = section_cursor(Section::Rx(nf))?;
+    let tx = section_cursor(Section::Tx(nf))?;
+    let flows = section_cursor(Section::Flows(nf))?;
+    Ok((nf, [rx, tx, flows]))
+}
+
+/// The time chunks of a bundle file of either container, one in memory at
+/// a time — what `microscope diagnose` and `stream` read.
+#[derive(Debug)]
+pub enum ChunkSource {
+    /// A whole-run `.msc`, cut into windows as it is read; the empty
+    /// windows between records are skipped
+    /// ([`WholeRunReader::skip_empty_windows`]), so a file stamped hours
+    /// apart costs a few chunks, not one per window of the gap.
+    Whole(WholeRunReader<std::fs::File>),
+    /// A `.mscs`, cut into chunks when it was written.
+    Chunked(BundleChunkReader<io::BufReader<std::fs::File>>),
+}
+
+impl ChunkSource {
+    /// Opens `path`, whichever container it is; a whole-run file is read in
+    /// `chunk_ns` windows.
+    pub fn open(path: &Path, chunk_ns: Nanos) -> Result<Self, BundleIoError> {
+        let mut magic = [0u8; 4];
+        std::fs::File::open(path)?
+            .read_exact(&mut magic)
+            .map_err(eof)?;
+        Ok(if &magic == CHUNKED_MAGIC {
+            Self::Chunked(BundleChunkReader::open(path)?)
+        } else {
+            Self::Whole(WholeRunReader::open(path, chunk_ns)?)
+        })
+    }
+
+    /// The next chunk; `Ok(None)` at the end.
+    pub fn next_chunk(&mut self) -> Result<Option<BundleChunk>, BundleIoError> {
+        match self {
+            Self::Whole(r) => {
+                r.skip_empty_windows();
+                r.next_chunk()
+            }
+            Self::Chunked(r) => r.next_chunk(),
+        }
+    }
+}
+
 fn eof(e: io::Error) -> BundleIoError {
     if e.kind() == io::ErrorKind::UnexpectedEof {
         BundleIoError::Truncated
@@ -449,22 +801,10 @@ fn eof(e: io::Error) -> BundleIoError {
     }
 }
 
-fn read_u16<R: Read>(r: &mut R) -> Result<u16, BundleIoError> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b).map_err(eof)?;
-    Ok(u16::from_le_bytes(b))
-}
-
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, BundleIoError> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b).map_err(eof)?;
     Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, BundleIoError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(eof)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -472,7 +812,7 @@ mod tests {
     use super::*;
     use crate::collector::{Collector, CollectorConfig};
     use crate::records::PacketMeta;
-    use nf_types::{NfId, NfKind, Topology};
+    use nf_types::{FiveTuple, NfId, NfKind, Proto, Topology};
 
     fn sample_bundle() -> TraceBundle {
         let mut b = Topology::builder();
@@ -601,17 +941,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("run.mscs");
         save_bundle_chunked(&p, &chunks).unwrap();
-        assert_eq!(peek_format(&p).unwrap(), BundleFormat::Chunked);
         let back: Vec<BundleChunk> = BundleChunkReader::open(&p)
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(back, chunks);
-        // The whole-run file still reports Whole. (Not `run.msc`: tests run
-        // in parallel and `round_trip_on_disk` reads that one back.)
+        // `ChunkSource` reads either container. (Not `run.msc`: tests run in
+        // parallel and `round_trip_on_disk` reads that one back.)
         let pw = dir.join("whole.msc");
         save_bundle(&pw, &bundle).unwrap();
-        assert_eq!(peek_format(&pw).unwrap(), BundleFormat::Whole);
+        for (path, whole) in [(&p, false), (&pw, true)] {
+            let mut source = ChunkSource::open(path, 7_000).unwrap();
+            assert_eq!(matches!(source, ChunkSource::Whole(_)), whole);
+            let mut back = Vec::new();
+            while let Some(chunk) = source.next_chunk().unwrap() {
+                back.push(chunk);
+            }
+            assert_eq!(back, chunks, "whole-run file: {whole}");
+        }
     }
 
     #[test]
@@ -704,6 +1051,37 @@ mod tests {
         assert!(read_bundle(&whole(&empty_log, 0)[..]).is_ok());
     }
 
+    /// Every cut of a bundle, and a section whose records outrun its bytes,
+    /// is an error from the windowed reader — at open or at the chunk that
+    /// reaches it — never a hang or a quiet end.
+    #[test]
+    fn the_windowed_reader_refuses_truncation() {
+        let windowed = |bytes: &[u8]| {
+            WholeRunReader::new(io::Cursor::new(bytes), 7_000).and_then(|mut r| {
+                while r.next_chunk()?.is_some() {}
+                Ok(())
+            })
+        };
+        let mut file = Vec::new();
+        write_bundle(&mut file, &sample_bundle()).unwrap();
+        assert!(windowed(&file).is_ok());
+        for cut in 0..file.len() {
+            assert!(windowed(&file[..cut]).is_err(), "cut {cut}");
+        }
+        // Two rx batches fit the 4 bytes after the count at 2 bytes each,
+        // but the first takes all 4.
+        let log = [1u8, 0, 0, 2, 1, 1, 0, 0];
+        let mut short = b"MSCB\x01\x01\x00\x00\x00".to_vec();
+        short.extend(8u32.to_le_bytes());
+        short.extend(log);
+        short.extend(0u32.to_le_bytes());
+        let truncated = |e: Option<BundleIoError>| {
+            matches!(e, Some(BundleIoError::Log(EncodeError::Truncated)))
+        };
+        assert!(truncated(read_bundle(&short[..]).err()));
+        assert!(truncated(windowed(&short).err()));
+    }
+
     /// Readers index logs by NF id: a log at another NF's position is an
     /// error in both containers, not a bundle whose ids disagree with its
     /// order.
@@ -731,6 +1109,49 @@ mod tests {
                 .next_chunk()
                 .err()
         ));
+    }
+
+    /// A section whose timestamps go backwards is an error naming it, from
+    /// every reader: the whole-file decoder, the windowed reader (at open
+    /// for the sections it walks, at the chunk that reaches the record for
+    /// the others) and the chunk decoder.
+    #[test]
+    fn a_section_that_goes_back_in_time_is_refused_by_every_reader() {
+        let backwards = |bundle: &mut TraceBundle, section: Section| match section {
+            Section::Rx(nf) => bundle.logs[nf.0 as usize].rx.ts_mut()[5] = 0,
+            Section::Tx(nf) => bundle.logs[nf.0 as usize].tx.ts_mut()[5] = 0,
+            Section::Flows(nf) => bundle.logs[nf.0 as usize].flows[5].ts = 0,
+            Section::Source => bundle.source_flows[5].ts = 0,
+        };
+        let sections = [
+            Section::Rx(NfId(1)),
+            Section::Tx(NfId(0)),
+            Section::Flows(NfId(1)),
+            Section::Source,
+        ];
+        for section in sections {
+            let mut bundle = sample_bundle();
+            backwards(&mut bundle, section);
+            let refused = |e: BundleIoError| match &e {
+                BundleIoError::Log(EncodeError::OutOfOrder {
+                    section: s, ts: 0, ..
+                }) => *s == section && e.to_string().contains(&section.to_string()),
+                _ => false,
+            };
+            let mut whole = Vec::new();
+            write_bundle(&mut whole, &bundle).unwrap();
+            assert!(refused(read_bundle(&whole[..]).unwrap_err()), "{section}");
+            let windowed = WholeRunReader::new(io::Cursor::new(&whole), 7_000).and_then(|mut r| {
+                while r.next_chunk()?.is_some() {}
+                Ok(())
+            });
+            assert!(refused(windowed.unwrap_err()), "{section}, windowed");
+            // One chunk holds the run: the section is out of order inside it.
+            let mut chunked = Vec::new();
+            write_bundle_chunked(&mut chunked, &chunk_bundle(&bundle, u64::MAX)).unwrap();
+            let mut rdr = BundleChunkReader::new(&chunked[..]).unwrap();
+            assert!(refused(rdr.next_chunk().unwrap_err()), "{section}, chunked");
+        }
     }
 
     #[test]

@@ -36,10 +36,10 @@ pub mod encode;
 pub mod records;
 
 pub use bundle_io::{
-    chunk_bundle, concat_chunks, load_bundle, peek_format, read_bundle, save_bundle,
-    save_bundle_chunked, write_bundle, write_bundle_chunked, BundleChunk, BundleChunkReader,
-    BundleFormat, BundleIoError,
+    chunk_bundle, concat_chunks, load_bundle, read_bundle, save_bundle, save_bundle_chunked,
+    write_bundle, write_bundle_chunked, BundleChunk, BundleChunkReader, BundleIoError, ChunkSource,
+    WholeRunReader,
 };
 pub use collector::{Collector, CollectorConfig, NfLog, TraceBundle};
-pub use encode::{decode_nf_log, encode_nf_log, EncodeError};
+pub use encode::{decode_nf_log, encode_nf_log, EncodeError, Section};
 pub use records::{FlowRecord, PacketMeta, RxBatch, RxLog, TxBatch, TxLog, MAX_BATCH};

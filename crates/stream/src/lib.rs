@@ -1,8 +1,12 @@
-//! Streaming diagnosis engine.
+//! Streaming diagnosis engine — the one reconstructor every `microscope`
+//! command runs.
 //!
-//! The offline pipeline loads a whole collector bundle, reconstructs every
-//! trace, then diagnoses. [`StreamEngine`] consumes the same records as a
-//! stream of time-ordered [`msc_collector::BundleChunk`]s instead:
+//! The whole-run reconstructor (`msc_trace::reconstruct`) reconstructs every
+//! trace from a whole collector bundle in memory; it stays as the oracle
+//! the equivalence suites check this engine against. `diagnose`
+//! and `stream` both feed [`StreamEngine`] the records as a stream of
+//! time-ordered [`msc_collector::BundleChunk`]s, read from either bundle
+//! container by `msc_collector::ChunkSource`:
 //!
 //! * **Windowed reconstruction** — each chunk advances the watermark of a
 //!   [`msc_trace::WindowedReconstructor`], which drives the offline matcher
@@ -18,11 +22,12 @@
 //!
 //! Chunks must arrive in time order, each once: a chunk whose `until` does
 //! not exceed the previous one's, or that carries a record from before it,
-//! is refused with [`StreamError::OutOfOrderChunk`].
+//! is refused with [`StreamError::OutOfOrderChunk`]. Within a chunk each
+//! section is in time order; the bundle readers refuse one that is not.
 //!
 //! The streamed [`Reconstruction`], timelines and diagnoses are **equal** to
-//! the offline pipeline's on the concatenated bundle — the offline path stays
-//! the oracle, and the equivalence suites compare the two whole. In skew mode
+//! the whole-run reconstructor's on the concatenated bundle, and the
+//! equivalence suites compare the two whole. In skew mode
 //! that holds for the offsets the stream settled on; one that ends unsettled
 //! estimates over all it holds, the whole-run estimate of `diagnose --skew`.
 

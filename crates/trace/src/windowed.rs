@@ -324,7 +324,8 @@ impl WindowedReconstructor {
 
     /// Checks that a chunk follows the ones before it — `until` exceeds the
     /// previous boundary and no record is older than that boundary — and
-    /// makes `until` the new boundary. Per-node logs are time-ordered, so
+    /// makes `until` the new boundary. Per-node logs are time-ordered (the
+    /// bundle readers refuse one that is not, `EncodeError::OutOfOrder`), so
     /// the first record of each is its oldest: O(NFs).
     pub fn admit(&mut self, bundle: &TraceBundle, until: Nanos) -> Result<(), StreamError> {
         if bundle.logs.len() != self.nfs.len() {

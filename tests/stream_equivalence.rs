@@ -8,10 +8,21 @@
 //! timelines and equal diagnoses for every seed, chunk size, and cache
 //! setting. Chunk sizes run from far below the read batch spacing (every
 //! chunk splits queues mid-flight) to one chunk holding the whole run.
+//! One input is what `diagnose --skew` streams: a run on skewed clocks,
+//! corrected by its whole-run offset estimate and matched with negative
+//! slack.
 
 use microscope_repro::prelude::*;
+use microscope_repro::trace::{correct_bundle, estimate_offsets_refined, MatchConfig, SkewConfig};
 
-fn run_16nf(rate: f64, millis: u64, seed: u64) -> (Topology, Vec<f64>, TraceBundle) {
+/// The paper deployment with a long nat2 interrupt, NF `i`'s clock
+/// `clock_offsets_ns[i]` ahead of the source's (none: one clock).
+fn run_16nf(
+    rate: f64,
+    millis: u64,
+    seed: u64,
+    clock_offsets_ns: Vec<i64>,
+) -> (Topology, Vec<f64>, TraceBundle) {
     let topology = paper_topology();
     let cfgs = paper_nf_configs(&topology);
     let rates: Vec<f64> = cfgs.iter().map(|c| c.service.peak_rate_pps()).collect();
@@ -23,7 +34,11 @@ fn run_16nf(rate: f64, millis: u64, seed: u64) -> (Topology, Vec<f64>, TraceBund
         seed,
     );
     let packets = gen.generate(0, millis * MILLIS).finalize(0);
-    let mut sim = Simulation::new(topology.clone(), cfgs, SimConfig::default());
+    let sim_cfg = SimConfig {
+        clock_offsets_ns,
+        ..Default::default()
+    };
+    let mut sim = Simulation::new(topology.clone(), cfgs, sim_cfg);
     let nat2 = topology.by_name("nat2").unwrap();
     // Long enough to overflow nat2's ring at the higher offered rates, so
     // the suite covers inferred drops and flow mismatches, not just the
@@ -49,13 +64,25 @@ fn diag_config(cache: bool) -> DiagnosisConfig {
 
 #[test]
 fn streamed_pipeline_is_bit_identical_to_offline() {
-    for seed in [11u64, 42] {
-        let (topology, rates, bundle) = run_16nf(1_600_000.0, 20, seed);
-        let offline = reconstruct(&topology, &bundle, &ReconstructionConfig::default());
+    // `record --skew`'s clocks: NF `i` runs `(i % 5 - 2)` ms ahead.
+    let skewed: Vec<i64> = (0..16).map(|i| (i % 5 - 2) * MILLIS as i64).collect();
+    for (seed, clocks) in [(11u64, Vec::new()), (42, Vec::new()), (11, skewed)] {
+        let skew = !clocks.is_empty();
+        let (topology, rates, mut bundle) = run_16nf(1_600_000.0, 20, seed, clocks);
+        let mut matching = MatchConfig::default();
+        if skew {
+            let offsets = estimate_offsets_refined(&topology, &bundle, &SkewConfig::default());
+            bundle = correct_bundle(&bundle, &offsets);
+            matching.negative_slack_ns = 20 * MICROS;
+        }
+        let cfg = ReconstructionConfig {
+            matching: matching.clone(),
+        };
+        let offline = reconstruct(&topology, &bundle, &cfg);
         let off_tl = Timelines::build(&offline);
         assert!(
             offline.report.delivered > 0 && offline.report.inferred_drops > 0,
-            "seed {seed}: run must exercise drops"
+            "seed {seed}, skew {skew}: run must exercise drops"
         );
         let oracle = Microscope::new(topology.clone(), rates.clone(), diag_config(true));
         let (off_diag, _) = oracle.diagnose_all_stats(&offline, &off_tl);
@@ -63,10 +90,18 @@ fn streamed_pipeline_is_bit_identical_to_offline() {
 
         for chunk_us in [200u64, 3_000, 11_000, 1_000_000] {
             for cache in [true, false] {
-                let tag = format!("seed {seed}, chunk {chunk_us} us, cache {cache}");
-                let mut engine = StreamEngine::new(&topology, StreamConfig::default());
+                let tag = format!("seed {seed}, skew {skew}, chunk {chunk_us} us, cache {cache}");
+                let stream_cfg = StreamConfig {
+                    matching: matching.clone(),
+                    skew: None,
+                };
+                let mut engine = StreamEngine::new(&topology, stream_cfg);
                 let chunks = chunk_bundle(&bundle, chunk_us * MICROS);
-                assert_eq!(chunks.len() == 1, chunk_us == 1_000_000, "{tag}");
+                // The corrected run starts near the 10 s clock epoch, and
+                // some of its records just below it.
+                if !skew {
+                    assert_eq!(chunks.len() == 1, chunk_us == 1_000_000, "{tag}");
+                }
                 for chunk in chunks {
                     engine.push_chunk(&chunk).expect("chunk fits topology");
                 }
@@ -89,7 +124,7 @@ fn working_set_stays_bounded_as_the_run_grows() {
     let chunk = 4 * MILLIS;
     let mut peaks = Vec::new();
     for millis in [10u64, 40] {
-        let (topology, _, bundle) = run_16nf(1_000_000.0, millis, 13);
+        let (topology, _, bundle) = run_16nf(1_000_000.0, millis, 13, Vec::new());
         let mut engine = StreamEngine::new(&topology, StreamConfig::default());
         for c in chunk_bundle(&bundle, chunk) {
             engine.push_chunk(&c).expect("chunk fits topology");
