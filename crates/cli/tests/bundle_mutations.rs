@@ -1,7 +1,9 @@
 //! Mutations of the other operator input, the bundle bytes: every
 //! truncation of the two golden recordings, every bit of every log header's
 //! NF id, and seeded single-bit flips anywhere, run through `diagnose` (the
-//! `.msc`) or `stream` (the `.mscs`) on the paper topology. Each mutant must
+//! `.msc`) or `stream` (the `.mscs`) on the paper topology — the `.msc`
+//! mutants also through the two commands that estimate clock offsets,
+//! `diagnose --skew` and `skew` (every 64th truncation). Each mutant must
 //! come back as a report or an error, never a panic — and a log whose NF id
 //! no longer matches its position must be an error, not a run that indexes
 //! the wrong NF's state by that id.
@@ -41,39 +43,64 @@ fn nf_id_offsets(file: &[u8], chunked: bool) -> Vec<usize> {
     offsets
 }
 
-#[test]
-fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
+/// The paper topology with its NFs' peak rates, as `record` writes it.
+fn deployment() -> pipeline::Deployment {
     let topology = paper_topology();
     let rates: Vec<f64> = paper_nf_configs(&topology)
         .iter()
         .map(|c| c.service.peak_rate_pps())
         .collect();
-    let deployment = parse_topology(&emit_topology(&topology, &rates)).unwrap();
+    parse_topology(&emit_topology(&topology, &rates)).unwrap()
+}
+
+#[test]
+fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
+    let deployment = deployment();
     let dir = std::env::temp_dir().join(format!("msc_cli_bundle_mut_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
     let (mut mutants, mut panicked, mut accepted) = (0, Vec::new(), Vec::new());
     for (clean, chunked) in [(WHOLE, false), (CHUNKED, true)] {
         let path = dir.join(if chunked { "run.mscs" } else { "run.msc" });
-        // Whether the pipeline returned `Ok`; `None` if it panicked.
-        let mut run = |label: String, bytes: &[u8]| {
+        // Whether each command returned `Ok` — `stream` on a `.mscs`;
+        // `diagnose` on a `.msc`, and with `skew` also `diagnose --skew`
+        // and `skew`. `None` if one panicked.
+        let mut run = |label: String, bytes: &[u8], skew: bool| {
             mutants += 1;
             std::fs::write(&path, bytes).unwrap();
             let result = catch_unwind(AssertUnwindSafe(|| {
+                let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
                 if chunked {
-                    pipeline::stream(&deployment, &path, None, false, 0.99, 10, &mut |_, _| {})
-                        .is_ok()
-                } else {
-                    pipeline::diagnose(&deployment, &path, false, 0.99, 10, &mut |_, _| {}).is_ok()
+                    return vec![pipeline::stream(
+                        &deployment,
+                        &path,
+                        None,
+                        false,
+                        0.99,
+                        10,
+                        quiet,
+                    )
+                    .is_ok()];
                 }
+                let mut ok =
+                    vec![pipeline::diagnose(&deployment, &path, false, 0.99, 10, quiet).is_ok()];
+                if skew {
+                    ok.push(pipeline::diagnose(&deployment, &path, true, 0.99, 10, quiet).is_ok());
+                    ok.push(pipeline::skew(&deployment.0, &path, quiet).is_ok());
+                }
+                ok
             }));
             result.map_err(|_| panicked.push(label)).ok()
         };
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        assert_eq!(run(format!("{name} clean"), clean), Some(true));
+        let clean_run = run(format!("{name} clean"), clean, true).unwrap_or_default();
+        assert!(
+            !clean_run.is_empty() && clean_run.iter().all(|&ok| ok),
+            "{name} clean: {clean_run:?}"
+        );
 
         for len in 0..clean.len() {
-            run(format!("{name} cut at {len}"), &clean[..len]);
+            run(format!("{name} cut at {len}"), &clean[..len], len % 64 == 0);
         }
 
         let offsets = nf_id_offsets(clean, chunked);
@@ -83,7 +110,7 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
                 let mut bytes = clean.to_vec();
                 bytes[at] ^= 1 << bit;
                 let label = format!("{name} NF-id byte {at} bit {bit}");
-                if run(label.clone(), &bytes) == Some(true) {
+                if run(label.clone(), &bytes, true).is_some_and(|ok| ok.contains(&true)) {
                     accepted.push(label);
                 }
             }
@@ -94,7 +121,7 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
             let (at, bit) = (rng.gen_range(0..clean.len()), rng.gen_range(0..8));
             let mut bytes = clean.to_vec();
             bytes[at] ^= 1 << bit;
-            run(format!("{name} byte {at} bit {bit}"), &bytes);
+            run(format!("{name} byte {at} bit {bit}"), &bytes, true);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -109,6 +136,55 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
     assert!(
         accepted.is_empty(),
         "a misplaced log was accepted: {accepted:?}"
+    );
+}
+
+/// The last source record of the golden `.msc` moved 2^48 ns (about three
+/// days) ahead by flipping bit 0 of its byte 6: no order check can catch
+/// it, since nothing follows it. `diagnose --skew` used to cut the
+/// corrected run into one chunk per 10 ms of that span and abort when an
+/// allocation failed. Now every command that estimates clock offsets comes
+/// back with a report or an error, and pushes at most one chunk more than
+/// on the clean file.
+#[test]
+fn a_record_days_past_the_rest_costs_one_chunk_with_skew() {
+    let deployment = deployment();
+    let mut late = WHOLE.to_vec();
+    let at = late.len() - 23 + 6;
+    late[at] ^= 1;
+    let dir = std::env::temp_dir().join(format!("msc_cli_days_late_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (clean, mutant) = (dir.join("clean.msc"), dir.join("late.msc"));
+    std::fs::write(&clean, WHOLE).unwrap();
+    std::fs::write(&mutant, &late).unwrap();
+
+    // The chunks a command pushed, and whether it returned `Ok`.
+    let pushes = |command: &dyn Fn(pipeline::Hook) -> bool| {
+        let mut n = 0;
+        let ok = command(&mut |stage, _| n += usize::from(stage.starts_with("push ")));
+        (n, ok)
+    };
+    for path in [&clean, &mutant] {
+        let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
+        pipeline::skew(&deployment.0, path, quiet).expect("skew");
+    }
+    let diagnose = |path: &std::path::Path| {
+        pushes(&|hook| pipeline::diagnose(&deployment, path, true, 0.99, 10, hook).is_ok())
+    };
+    let stream = |path: &std::path::Path| {
+        pushes(&|hook| pipeline::stream(&deployment, path, None, true, 0.99, 10, hook).is_ok())
+    };
+    let (clean_diagnosed, late_diagnosed) = (diagnose(&clean), diagnose(&mutant));
+    let (clean_streamed, late_streamed) = (stream(&clean), stream(&mutant));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(clean_diagnosed.1 && clean_streamed.1);
+    assert!(
+        late_diagnosed.0 <= clean_diagnosed.0 + 1,
+        "diagnose --skew: {late_diagnosed:?} against {clean_diagnosed:?} on the clean file"
+    );
+    assert!(
+        late_streamed.0 <= clean_streamed.0 + 1,
+        "stream --skew: {late_streamed:?} against {clean_streamed:?} on the clean file"
     );
 }
 

@@ -262,56 +262,83 @@ pub struct BundleChunk {
 /// Batches are assigned by their batch timestamp and source/flow records by
 /// their record timestamp; relative order within every log is preserved, so
 /// [`concat_chunks`] reproduces the input exactly. Every boundary is a
-/// multiple of `chunk_ns`; numbering starts at the chunk holding the
-/// earliest record, so a run on clocks far from 0 (`record --skew` puts
-/// every clock at a 10 s epoch) is not preceded by hundreds of empty chunks.
-/// A `chunk_ns` of zero is treated as one chunk covering the whole run.
+/// multiple of `chunk_ns`, and only the windows that hold a record become
+/// chunks — the windows [`ChunkSource`] reads a whole-run file in — so a
+/// run on clocks far from 0 (`record --skew` puts every clock at a 10 s
+/// epoch) or a record stamped hours past the rest costs no empty chunks.
+/// An empty run is one empty chunk. A `chunk_ns` of zero is 1 ns.
 pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
     let chunk_ns = chunk_ns.max(1);
-    let (min_ts, max_ts) = bundle
+    let record_ts = bundle
         .logs
         .iter()
         .flat_map(|l| {
             let batches = l.rx.ts().iter().chain(l.tx.ts()).copied();
             batches.chain(l.flows.iter().map(|f| f.ts))
         })
-        .chain(bundle.source_flows.iter().map(|f| f.ts))
-        // Empty run: one empty chunk keeps downstream loops uniform.
-        .fold(None, |acc: Option<(Nanos, Nanos)>, t| {
-            Some(acc.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))))
-        })
-        .unwrap_or((0, 0));
-    // lint: time-arith-ok(chunk numbers, not timestamps; t/chunk_ns is far from u64::MAX)
-    let first = min_ts / chunk_ns;
-    // lint: time-arith-ok(chunk count: max_ts >= min_ts, so the difference is non-negative)
-    let n_chunks = (max_ts / chunk_ns - first + 1) as usize;
-    let empty_logs = || -> Vec<NfLog> { bundle.logs.iter().map(|l| NfLog::new(l.nf)).collect() };
-    let mut chunks: Vec<BundleChunk> = (1..=n_chunks as u64)
-        .map(|i| BundleChunk {
-            until: (first + i) * chunk_ns,
+        .chain(bundle.source_flows.iter().map(|f| f.ts));
+    // The `[start, until)` of every window that holds a record. Each
+    // section is in time order, so its records mostly fall in the window
+    // of the one before: only a record outside it is divided, and each
+    // section adds each of its windows once.
+    // lint: time-arith-ok(the multiple of chunk_ns at or below `ts` never underflows)
+    let window = |ts: Nanos| (ts - ts % chunk_ns, window_end(ts, chunk_ns));
+    let mut windows: Vec<(Nanos, Nanos)> = Vec::new();
+    for ts in record_ts {
+        if !windows
+            .last()
+            .is_some_and(|&(start, until)| start <= ts && ts < until)
+        {
+            windows.push(window(ts));
+        }
+    }
+    windows.sort_unstable();
+    windows.dedup();
+    if windows.is_empty() {
+        windows.push(window(0));
+    }
+    let mut chunks: Vec<BundleChunk> = windows
+        .iter()
+        .map(|&(_, until)| BundleChunk {
+            until,
             bundle: TraceBundle {
-                logs: empty_logs(),
+                logs: bundle.logs.iter().map(|l| NfLog::new(l.nf)).collect(),
                 source_flows: Vec::new(),
             },
         })
         .collect();
-    // lint: time-arith-ok(chunk numbers: every ts >= min_ts, so ts/chunk_ns >= first)
-    let slot = |ts: Nanos| (ts / chunk_ns - first) as usize;
+    // The chunk of `ts`, found from the one of the record before (`at`):
+    // the same or a later one in a time-ordered section.
+    let slot = |at: &mut usize, ts: Nanos| {
+        while windows.get(*at).is_some_and(|&(_, until)| until <= ts) {
+            *at += 1;
+        }
+        if windows.get(*at).is_none_or(|&(start, _)| start > ts) {
+            *at = windows
+                .partition_point(|&(start, _)| start <= ts)
+                .saturating_sub(1);
+        }
+        *at
+    };
     for (i, log) in bundle.logs.iter().enumerate() {
+        let mut at = 0;
         for b in log.rx.iter() {
-            let part = &mut chunks[slot(b.ts)].bundle.logs[i];
+            let part = &mut chunks[slot(&mut at, b.ts)].bundle.logs[i];
             part.rx.push(b.ts, b.ipids.iter().copied());
         }
+        let mut at = 0;
         for b in log.tx.iter() {
-            let part = &mut chunks[slot(b.ts)].bundle.logs[i];
+            let part = &mut chunks[slot(&mut at, b.ts)].bundle.logs[i];
             part.tx.push(b.ts, b.to, b.ipids.iter().copied());
         }
+        let mut at = 0;
         for f in &log.flows {
-            chunks[slot(f.ts)].bundle.logs[i].flows.push(*f);
+            chunks[slot(&mut at, f.ts)].bundle.logs[i].flows.push(*f);
         }
     }
+    let mut at = 0;
     for f in &bundle.source_flows {
-        chunks[slot(f.ts)].bundle.source_flows.push(*f);
+        chunks[slot(&mut at, f.ts)].bundle.source_flows.push(*f);
     }
     chunks
 }
@@ -571,11 +598,12 @@ impl Cursor {
 /// through a bounded window, so memory holds one chunk plus ≈ 16 KiB per
 /// section, never the file or the run.
 ///
-/// [`WholeRunReader::next_chunk`] yields exactly the chunks [`chunk_bundle`]
-/// cuts the loaded bundle into: boundaries at multiples of `chunk_ns`, the
-/// first at the chunk holding the earliest record, the empty chunks between
-/// records included. That rests on each section being in time order, which
-/// the cursors check as they read ([`EncodeError::OutOfOrder`]).
+/// [`WholeRunReader::next_chunk`] yields the windows of `chunk_ns` from the
+/// one holding the earliest record on, the empty ones between records
+/// included; with [`WholeRunReader::skip_empty_windows`] before each, as
+/// [`ChunkSource`] reads, exactly the chunks [`chunk_bundle`] cuts the
+/// loaded bundle into. That rests on each section being in time order,
+/// which the cursors check as they read ([`EncodeError::OutOfOrder`]).
 #[derive(Debug)]
 pub struct WholeRunReader<R> {
     r: R,
@@ -916,6 +944,28 @@ mod tests {
         }
         // A run whose first record is in chunk 0 still starts at chunk 0.
         assert_eq!(chunk_bundle(&base, 7_000)[0].until, 7_000);
+    }
+
+    /// A section out of time order — which no file that loads has — still
+    /// puts every record in the chunk whose window holds it, by a search
+    /// where the forward cursor cannot find it, and loses none.
+    #[test]
+    fn a_section_out_of_time_order_is_still_chunked_by_window() {
+        let mut bundle = sample_bundle();
+        bundle.logs[1].rx.ts_mut().reverse();
+        for chunk_ns in [1_000u64, 7_000] {
+            let chunks = chunk_bundle(&bundle, chunk_ns);
+            for c in &chunks {
+                let start = c.until - chunk_ns;
+                for log in &c.bundle.logs {
+                    for &ts in log.rx.ts().iter().chain(log.tx.ts()) {
+                        assert!((start..c.until).contains(&ts), "{ts} in {c:?}");
+                    }
+                }
+            }
+            let rx: usize = chunks.iter().map(|c| c.bundle.logs[1].rx.len()).sum();
+            assert_eq!(rx, bundle.logs[1].rx.len(), "chunk_ns={chunk_ns}");
+        }
     }
 
     #[test]

@@ -1,18 +1,21 @@
-//! `WholeRunReader` cuts a whole-run file into exactly the chunks
-//! `chunk_bundle` cuts the loaded bundle into, chunk for chunk: on the two
-//! golden recordings (`fixtures/run.msc`, and `fixtures/run.mscs` joined
-//! back into one run), on the first moved to the 10 s epoch `record --skew`
-//! puts every clock at, and on an empty bundle, at windows from 1 µs to
-//! longer than the run; skipping the empty windows, as the CLI does, leaves
-//! out nothing else. The reader takes each window as a prefix of every
-//! section, which holds only because a clean recording is time-ordered
-//! within each section: that is checked here too.
+//! `ChunkSource` reads a whole-run file in exactly the chunks
+//! `chunk_bundle` cuts the loaded bundle into, chunk for chunk — one
+//! definition of a run's windows: on the two golden recordings
+//! (`fixtures/run.msc`, and `fixtures/run.mscs` joined back into one run),
+//! on the first moved to the 10 s epoch `record --skew` puts every clock
+//! at, and on an empty bundle, at windows from 1 µs to longer than the run.
+//! The `WholeRunReader` under it yields the empty windows between records
+//! too; skipping them, as `ChunkSource` does, leaves out nothing else. The
+//! reader takes each window as a prefix of every section, which holds only
+//! because a clean recording is time-ordered within each section: that is
+//! checked here too.
 
 use msc_collector::{
-    chunk_bundle, concat_chunks, read_bundle, write_bundle, BundleChunk, BundleChunkReader, NfLog,
-    TraceBundle, WholeRunReader,
+    chunk_bundle, concat_chunks, read_bundle, write_bundle, BundleChunk, BundleChunkReader,
+    ChunkSource, NfLog, TraceBundle, WholeRunReader,
 };
 use std::io::Cursor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const WHOLE: &[u8] = include_bytes!("fixtures/run.msc");
 const CHUNKED: &[u8] = include_bytes!("fixtures/run.mscs");
@@ -53,8 +56,25 @@ fn read_in_windows(file: &[u8], chunk_ns: u64) -> Vec<BundleChunk> {
     chunks
 }
 
+/// What `diagnose` and `stream` read: `ChunkSource` on the file.
+fn read_from_file(file: &[u8], chunk_ns: u64) -> Vec<BundleChunk> {
+    // One file per call: the tests run in parallel.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!("msc_whole_run_reader_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("run_{}.msc", CALLS.fetch_add(1, Ordering::Relaxed)));
+    std::fs::write(&path, file).unwrap();
+    let mut source = ChunkSource::open(&path, chunk_ns).unwrap();
+    let mut chunks = Vec::new();
+    while let Some(chunk) = source.next_chunk().unwrap() {
+        chunks.push(chunk);
+    }
+    std::fs::remove_file(&path).unwrap();
+    chunks
+}
+
 #[test]
-fn the_reader_yields_the_chunks_chunk_bundle_cuts() {
+fn chunk_source_yields_the_chunks_chunk_bundle_cuts() {
     for (name, bundle) in recordings() {
         let mut file = Vec::new();
         write_bundle(&mut file, &bundle).unwrap();
@@ -62,7 +82,7 @@ fn the_reader_yields_the_chunks_chunk_bundle_cuts() {
         // 1 µs and 7 µs leave most windows of the 1 ms runs empty; 30 s is
         // longer than the shifted run and its epoch together.
         for chunk_ns in [1_000, 7_000, 5_000_000, 3 * EPOCH] {
-            let read = read_in_windows(&file, chunk_ns);
+            let read = read_from_file(&file, chunk_ns);
             let cut = chunk_bundle(&loaded, chunk_ns);
             assert_eq!(read.len(), cut.len(), "{name}, {chunk_ns} ns windows");
             for (i, (r, c)) in read.iter().zip(&cut).enumerate() {
@@ -70,17 +90,6 @@ fn the_reader_yields_the_chunks_chunk_bundle_cuts() {
             }
         }
     }
-}
-
-fn read_skipping_empty_windows(file: &[u8], chunk_ns: u64) -> Vec<BundleChunk> {
-    let mut reader = WholeRunReader::new(Cursor::new(file), chunk_ns).unwrap();
-    let mut chunks = Vec::new();
-    reader.skip_empty_windows();
-    while let Some(chunk) = reader.next_chunk().unwrap() {
-        chunks.push(chunk);
-        reader.skip_empty_windows();
-    }
-    chunks
 }
 
 fn holds_records(chunk: &BundleChunk) -> bool {
@@ -92,8 +101,9 @@ fn holds_records(chunk: &BundleChunk) -> bool {
     records.sum::<usize>() + b.source_flows.len() > 0
 }
 
-/// What `diagnose` and `stream` read: the same chunks, less the empty ones
-/// after the first; a record 18 minutes past the rest costs one chunk.
+/// The reader without the skip yields the same chunks plus the empty
+/// windows between them; a record 18 minutes past the rest costs one chunk
+/// in `chunk_bundle` and in `ChunkSource`.
 #[test]
 fn skipping_empty_windows_leaves_out_only_empty_chunks() {
     for (name, bundle) in recordings() {
@@ -101,24 +111,28 @@ fn skipping_empty_windows_leaves_out_only_empty_chunks() {
         write_bundle(&mut file, &bundle).unwrap();
         let loaded = read_bundle(&file[..]).unwrap();
         for chunk_ns in [1_000, 7_000, 5_000_000] {
-            let kept: Vec<BundleChunk> = chunk_bundle(&loaded, chunk_ns)
+            let kept: Vec<BundleChunk> = read_in_windows(&file, chunk_ns)
                 .into_iter()
                 .enumerate()
                 .filter(|(i, c)| *i == 0 || holds_records(c))
                 .map(|(_, c)| c)
                 .collect();
-            let read = read_skipping_empty_windows(&file, chunk_ns);
-            assert_eq!(read, kept, "{name}, {chunk_ns} ns windows");
+            assert_eq!(
+                kept,
+                chunk_bundle(&loaded, chunk_ns),
+                "{name}, {chunk_ns} ns windows"
+            );
         }
     }
     let mut late = read_bundle(WHOLE).unwrap();
     late.source_flows.last_mut().unwrap().ts += 1 << 40;
     let mut file = Vec::new();
     write_bundle(&mut file, &late).unwrap();
-    let on_time = read_skipping_empty_windows(WHOLE, 1_000).len();
-    let chunks = read_skipping_empty_windows(&file, 1_000);
-    assert!(chunks.len() <= on_time + 1, "{} chunks", chunks.len());
-    assert_eq!(concat_chunks(&chunks), late);
+    let on_time = chunk_bundle(&read_bundle(WHOLE).unwrap(), 1_000).len();
+    let cut = chunk_bundle(&late, 1_000);
+    assert!(cut.len() <= on_time + 1, "{} chunks", cut.len());
+    assert_eq!(concat_chunks(&cut), late);
+    assert_eq!(read_from_file(&file, 1_000), cut);
 }
 
 #[test]

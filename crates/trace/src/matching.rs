@@ -25,7 +25,7 @@ use nf_types::{Ipid, Nanos, NfId, NodeId, Topology};
 
 /// Size of the IPID value space (`Ipid` is `u16`): the per-edge index is a
 /// dense counting-sort table over all 2^16 values.
-const IPID_SPACE: usize = 1 << 16;
+pub(crate) const IPID_SPACE: usize = 1 << 16;
 
 /// What happened to the `pos`-th packet sent on an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -20,10 +20,14 @@
 //! one counting-sort IPID index per NF rx stream ([`IpidRuns`], the
 //! matcher's index). The refinement passes never rewrite the bundle: the
 //! current per-NF offsets are applied as records are read, with exactly the
-//! [`correct_bundle`] arithmetic — which is monotone, so stream order, run
-//! order and every `partition_point` stay valid (DESIGN.md §4(b)).
+//! [`correct_bundle`] arithmetic — which is monotone, so stream order and
+//! run order stay valid (DESIGN.md §4). Each refinement pass joins every
+//! edge's sends, grouped by IPID, with the downstream NF's run of reads of
+//! that IPID — a merge join whose cost is the pairs it bins — counts the
+//! pairs per bin, and looks the smallest delta up afterwards, only in the
+//! bins of the spike.
 
-use crate::matching::IpidRuns;
+use crate::matching::{EdgeSends, IpidRuns, IPID_SPACE};
 use crate::streams::EdgeStreams;
 use msc_collector::TraceBundle;
 use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
@@ -90,19 +94,6 @@ fn on_source_clock(ts: Nanos, off: TimeDelta) -> Nanos {
     (ts as i64).saturating_sub(off).max(0) as Nanos
 }
 
-/// One histogram bin of same-IPID (send, read) deltas: how many fell in
-/// it, and the smallest of them.
-#[derive(Clone, Copy)]
-struct Bin {
-    count: u32,
-    min: TimeDelta,
-}
-
-const EMPTY_BIN: Bin = Bin {
-    count: 0,
-    min: TimeDelta::MAX,
-};
-
 /// Everything one estimation call reads, built once from the raw bundle,
 /// plus the scratch buffers its scans write (so the scans never allocate).
 struct Estimator<'a> {
@@ -117,8 +108,13 @@ struct Estimator<'a> {
     rx_ts: Vec<Vec<Nanos>>,
     /// Coarse-pass deltas of the edge being scanned.
     deltas: Vec<TimeDelta>,
+    /// One `u32` per IPID, all zero between edges: the coarse pass's
+    /// lookup hints, the refinement passes' group heads.
+    per_ipid: Vec<u32>,
+    /// Refinement pass: the sends of the edge being scanned, by IPID.
+    groups: SendGroups,
     /// Refinement-pass histogram of the edge being scanned.
-    bins: Vec<Bin>,
+    counts: Vec<u32>,
 }
 
 impl<'a> Estimator<'a> {
@@ -132,13 +128,24 @@ impl<'a> Estimator<'a> {
         // Every pairing consumes a distinct read, so no edge yields more
         // deltas than its downstream rx stream is long.
         let longest_rx = streams.nfs.iter().map(|s| s.rx_ts.len()).max().unwrap_or(0);
+        // The grouping buffers are sized once, for the longest edge: grown
+        // edge by edge (next to a second per-IPID table), they left freed
+        // blocks in the heap and `diagnose --skew` peaked ≈ 4 % higher.
+        let mut longest_edge = 0;
+        for &nf in topology.topo_order() {
+            for slot in 0..streams.upstreams(nf).len() {
+                longest_edge = longest_edge.max(streams.edge(nf, slot).len());
+            }
+        }
         Self {
             topology,
             cfg,
             rx_ts: vec![Vec::new(); rx_runs.len()],
             rx_runs,
             deltas: Vec::with_capacity(longest_rx),
-            bins: Vec::new(),
+            per_ipid: vec![0; IPID_SPACE],
+            groups: SendGroups::with_capacity(longest_edge),
+            counts: Vec::new(),
             streams,
         }
     }
@@ -158,6 +165,7 @@ impl<'a> Estimator<'a> {
                 let delta = edge_delta(
                     self.streams.edge_entries(up, nf),
                     &self.rx_runs[nf.0 as usize],
+                    &mut self.per_ipid,
                     &mut self.deltas,
                     self.cfg,
                 );
@@ -184,32 +192,40 @@ impl<'a> Estimator<'a> {
             out.clear();
             out.extend(runs.ts.iter().map(|&t| on_source_clock(t, off)));
         }
-        self.bins.clear();
-        self.bins
-            .resize((2 * SEARCH_NS / BIN_NS) as usize + 1, EMPTY_BIN);
+        self.counts.clear();
+        self.counts.resize((2 * SEARCH_NS / BIN_NS) as usize + 1, 0);
 
         let mut residual = vec![0i64; self.topology.len()];
         for &nf in self.topology.topo_order() {
             let (mut sum, mut n) = (0i64, 0i64);
             for up in self.topology.upstream_nodes(nf) {
+                let Some(slot) = self.streams.slot_of(up, nf) else {
+                    continue;
+                };
                 // `correct_bundle` rewrites NF logs only: source records
                 // stay as recorded.
                 let (up_off, up_res) = match up {
                     NodeId::Source => (None, 0),
                     NodeId::Nf(u) => (Some(est.offsets[u.0 as usize]), residual[u.0 as usize]),
                 };
-                let total = bin_pairs::<BIN_NS, SEARCH_NS>(
-                    self.streams.edge_entries(up, nf),
+                let sends = self.streams.edge(nf, slot);
+                self.groups.group(sends, &mut self.per_ipid);
+                let join = EdgeJoin {
+                    groups: &self.groups,
+                    sends,
                     up_off,
-                    &self.rx_runs[nf.0 as usize],
-                    &self.rx_ts[nf.0 as usize],
-                    &mut self.bins,
-                );
+                    rx: &self.rx_runs[nf.0 as usize],
+                    rx_ts: &self.rx_ts[nf.0 as usize],
+                };
+                let total = bin_pairs::<BIN_NS, SEARCH_NS>(&join, &mut self.counts);
                 if total < self.cfg.min_samples {
                     continue;
                 }
                 let lookback = (1_000_000 / BIN_NS).max(4) as usize;
-                if let Some(delta) = spike_low_edge(&self.bins, total, lookback) {
+                let Some(edge) = spike_edge(&self.counts, total, lookback) else {
+                    continue;
+                };
+                if let Some(delta) = min_delta::<BIN_NS, SEARCH_NS>(&join, edge) {
                     sum += up_res + delta;
                     n += 1;
                 }
@@ -234,26 +250,33 @@ impl<'a> Estimator<'a> {
 /// (collisions), and every true pair carries a non-negative queueing delay;
 /// a percentile between those two failure modes is robust to both.
 fn edge_delta(
-    sends: impl Iterator<Item = (Nanos, Ipid)>,
+    sends: impl Iterator<Item = (Nanos, Ipid)> + Clone,
     rx: &IpidRuns,
+    hints: &mut [u32],
     deltas: &mut Vec<TimeDelta>,
     cfg: &SkewConfig,
 ) -> Option<TimeDelta> {
-    pair_in_order(sends, rx, deltas);
+    pair_in_order(sends, rx, hints, deltas);
     if deltas.is_empty() || deltas.len() < cfg.min_samples {
         return None;
     }
-    deltas.sort_unstable();
     let idx = ((deltas.len() - 1) as f64 * cfg.percentile).round() as usize;
-    deltas.get(idx).copied()
+    if idx >= deltas.len() {
+        return None;
+    }
+    Some(*deltas.select_nth_unstable(idx).1)
 }
 
 /// The pairing walk of [`edge_delta`]: each send takes the first read of
 /// its IPID at or past the cursor. Fills `deltas` with the read−send deltas
-/// of the unambiguous pairs.
+/// of the unambiguous pairs. The cursor only moves forward, so neither does
+/// that read's index in its IPID's run: `hints` (per IPID, all zero on
+/// entry and again on return) keeps where each IPID's last lookup ended and
+/// the next one steps on from there.
 fn pair_in_order(
-    sends: impl Iterator<Item = (Nanos, Ipid)>,
+    sends: impl Iterator<Item = (Nanos, Ipid)> + Clone,
     rx: &IpidRuns,
+    hints: &mut [u32],
     deltas: &mut Vec<TimeDelta>,
 ) {
     // Pairs whose IPID recurs nearby in the rx stream are likely cross-edge
@@ -261,11 +284,17 @@ fn pair_in_order(
     const AMBIG_DIST: u32 = 96;
     deltas.clear();
     let mut cursor = 0u32;
-    for (tx_ts, ipid) in sends {
+    for (tx_ts, ipid) in sends.clone() {
         let run = rx.run_of(ipid);
         let run_start = run.start;
         let positions = &rx.pos[run];
-        let i = positions.partition_point(|&p| p < cursor);
+        let hint = &mut hints[ipid as usize];
+        let mut i = *hint as usize;
+        while positions.get(i).is_some_and(|&p| p < cursor) {
+            i += 1;
+        }
+        // lint: lossy-cast-ok(an index within one run of a u32-indexed stream)
+        *hint = i as u32;
         let Some(&rx_idx) = positions.get(i) else {
             continue;
         };
@@ -281,60 +310,165 @@ fn pair_in_order(
         // delta per read at most.
         deltas.push((rx.ts[run_start + i] as i64).wrapping_sub(tx_ts as i64));
     }
+    for (_, ipid) in sends {
+        hints[ipid as usize] = 0;
+    }
+}
+
+/// One edge's send positions grouped by IPID: a stable counting sort, the
+/// groups in order of first appearance and each in send order — hence in
+/// time order, as the edge's send column is. Only positions are held: the
+/// join reads a send's time from the edge column when it needs it. One
+/// value is regrouped for every edge a pass scans, reusing its buffers.
+struct SendGroups {
+    /// The IPIDs the edge sends, in order of first appearance.
+    ids: Vec<Ipid>,
+    /// Per group, in `ids` order: where it ends in `order` (it begins where
+    /// the one before ends).
+    ends: Vec<u32>,
+    /// The edge positions, grouped.
+    order: Vec<u32>,
+}
+
+impl SendGroups {
+    /// Buffers that hold an edge of `sends` sends without growing.
+    fn with_capacity(sends: usize) -> Self {
+        let groups = sends.min(IPID_SPACE);
+        Self {
+            ids: Vec::with_capacity(groups),
+            ends: Vec::with_capacity(groups),
+            order: Vec::with_capacity(sends),
+        }
+    }
+
+    /// Regroups to `sends`' positions. `head` has one entry per IPID, all
+    /// zero, and is left so.
+    fn group(&mut self, sends: &EdgeSends, head: &mut [u32]) {
+        // Count each IPID's sends, listing it at its first.
+        self.ids.clear();
+        for (_, id) in sends.iter() {
+            let count = &mut head[id as usize];
+            if *count == 0 {
+                self.ids.push(id);
+            }
+            *count += 1;
+        }
+        // Each count becomes its group's start, then its write head.
+        self.ends.clear();
+        let mut end = 0u32;
+        for &id in &self.ids {
+            let count = std::mem::replace(&mut head[id as usize], end);
+            end += count;
+            self.ends.push(end);
+        }
+        self.order.clear();
+        self.order.resize(sends.len(), 0);
+        for (p, (_, id)) in sends.iter().enumerate() {
+            let at = &mut head[id as usize];
+            // lint: lossy-cast-ok(an edge position fits u32: `EdgeStreams` keeps every column within one)
+            self.order[*at as usize] = p as u32;
+            *at += 1;
+        }
+        for &id in &self.ids {
+            head[id as usize] = 0;
+        }
+    }
+
+    /// Every group: its IPID and its positions, in send order.
+    fn iter(&self) -> impl Iterator<Item = (Ipid, &[u32])> + '_ {
+        let begins = std::iter::once(0).chain(self.ends.iter().copied());
+        self.ids
+            .iter()
+            .zip(begins.zip(&self.ends))
+            .map(|(&id, (begin, &end))| (id, &self.order[begin as usize..end as usize]))
+    }
+}
+
+/// One edge of a refinement pass, ready to join: its sends grouped by
+/// IPID, the clock they are moved onto as they are read, and the
+/// downstream NF's reads.
+struct EdgeJoin<'a> {
+    groups: &'a SendGroups,
+    sends: &'a EdgeSends,
+    /// The sender's offset (`None`: source records, which are on the
+    /// source clock already).
+    up_off: Option<TimeDelta>,
+    /// The downstream NF's rx stream grouped by IPID.
+    rx: &'a IpidRuns,
+    /// `rx.ts` on the current estimate's clock.
+    rx_ts: &'a [Nanos],
+}
+
+impl EdgeJoin<'_> {
+    /// The merge join: calls `f(tx, reads)` once per send, `tx` its time on
+    /// the source clock and `reads` the reads of its IPID from the first
+    /// whose delta `t − tx` is at least `lo` on, in time order. A group's
+    /// sends and its IPID's run of reads are both time-ordered, so that
+    /// first read only moves forward: the join walks each run once per
+    /// edge, with no search per send.
+    #[inline]
+    fn walk(&self, lo: TimeDelta, mut f: impl FnMut(i64, &[Nanos])) {
+        for (ipid, positions) in self.groups.iter() {
+            let reads = self.rx_ts.get(self.rx.run_of(ipid)).unwrap_or_default();
+            if reads.is_empty() {
+                continue;
+            }
+            let mut first = 0;
+            for &p in positions {
+                let ts = self.sends.ts_at(p as usize);
+                let tx = self.up_off.map_or(ts, |off| on_source_clock(ts, off)) as i64;
+                while first < reads.len() && (reads[first] as i64).wrapping_sub(tx) < lo {
+                    first += 1;
+                }
+                f(tx, &reads[first..]);
+            }
+        }
+    }
 }
 
 /// The pair scan of one cross-correlation pass: every same-IPID (send,
-/// read) pair within ±`SEARCH_NS` votes for its time delta, binned straight
-/// into the dense `bins` (`2·SEARCH_NS/BIN_NS + 1` of them, bin `b`
-/// covering deltas from `b·BIN_NS − SEARCH_NS`). Sends are moved onto the
-/// source clock by `up_off` as they are read (`None`: source records, which
-/// carry it already); `rx_ts` is the downstream rx timestamps already on it,
-/// in `rx`'s run order. Returns the number of pairs binned.
+/// read) pair within ±`SEARCH_NS` votes for its time delta, counted straight
+/// into the dense `counts` (`2·SEARCH_NS/BIN_NS + 1` of them, bin `b`
+/// covering deltas from `b·BIN_NS − SEARCH_NS`). Returns the number of
+/// pairs binned.
 fn bin_pairs<const BIN_NS: i64, const SEARCH_NS: i64>(
-    sends: impl Iterator<Item = (Nanos, Ipid)>,
-    up_off: Option<TimeDelta>,
-    rx: &IpidRuns,
-    rx_ts: &[Nanos],
-    bins: &mut [Bin],
+    join: &EdgeJoin<'_>,
+    counts: &mut [u32],
 ) -> usize {
-    bins.fill(EMPTY_BIN);
-    let mut total = 0usize;
-    for (ts, ipid) in sends {
-        let tx_ts = up_off.map_or(ts, |off| on_source_clock(ts, off)) as i64;
-        let Some(times) = rx_ts.get(rx.run_of(ipid)) else {
-            continue;
-        };
-        let lo = times.partition_point(|&t| (t as i64) < tx_ts.wrapping_sub(SEARCH_NS));
-        for &t in &times[lo..] {
-            let d = (t as i64).wrapping_sub(tx_ts);
-            if d > SEARCH_NS {
+    counts.fill(0);
+    // With `d + SEARCH_NS <= 2·SEARCH_NS` checked, the bin index needs no
+    // other bound.
+    let width = (2 * SEARCH_NS) as u64;
+    let counts = &mut counts[..=(width / BIN_NS as u64) as usize];
+    join.walk(-SEARCH_NS, |tx, reads| {
+        let from = tx.wrapping_sub(SEARCH_NS);
+        for &t in reads {
+            // `d + SEARCH_NS`, unsigned: the join starts at `d >= -SEARCH_NS`
+            // (a read below it, which only reads out of time order could
+            // be, wraps high and ends the scan like one past the window).
+            let since = (t as i64).wrapping_sub(from) as u64;
+            if since > width {
                 break;
             }
-            // Below the window only if the rx stream is not time-ordered,
-            // which no collector produces: such a pair casts no vote.
-            let Some(bin) = bins.get_mut((d + SEARCH_NS).div_euclid(BIN_NS) as usize) else {
-                continue;
-            };
-            bin.count += 1;
-            bin.min = bin.min.min(d);
-            total += 1;
+            counts[(since / BIN_NS as u64) as usize] += 1;
         }
-    }
-    total
+    });
+    counts.iter().map(|&c| c as usize).sum()
 }
 
 /// Locates the low edge of the coherent spike in one edge's histogram (see
 /// [`estimate_offsets_refined`]): `total` pairs were binned, `lookback` is
-/// how many bins below the peak the edge may sit.
-fn spike_low_edge(bins: &[Bin], total: usize, lookback: usize) -> Option<TimeDelta> {
-    let noise = total / (bins.len() - 1).max(1) + 1;
+/// how many bins below the peak the edge may sit. The bin returned is never
+/// empty.
+fn spike_edge(counts: &[u32], total: usize, lookback: usize) -> Option<usize> {
+    let noise = total / counts.len().saturating_sub(1).max(1) + 1;
     // Highest count wins; tied counts resolve to the highest bin.
-    let (peak, peak_n) = bins
+    let (peak, peak_n) = counts
         .iter()
         .enumerate()
-        .filter(|(_, b)| b.count > 0)
-        .max_by_key(|&(i, b)| (b.count, i))
-        .map(|(i, b)| (i, b.count as usize))?;
+        .filter(|&(_, &c)| c > 0)
+        .max_by_key(|&(i, &c)| (c, i))
+        .map(|(i, &c)| (i, c as usize))?;
     if peak_n < 4 * noise {
         return None; // no coherent spike — refuse rather than guess
     }
@@ -349,18 +483,32 @@ fn spike_low_edge(bins: &[Bin], total: usize, lookback: usize) -> Option<TimeDel
     let lo = peak.saturating_sub(lookback);
     let run_lo = (lo..peak)
         .rev()
-        .find(|&b| bins[b].count == 0)
+        .find(|&b| counts[b] == 0)
         .map_or(lo, |gap| gap + 1);
     let rise = |b: usize| {
-        let below = if b == 0 { 0 } else { bins[b - 1].count };
-        bins[b].count as i64 - below as i64
+        let below = if b == 0 { 0 } else { counts[b - 1] };
+        i64::from(counts[b]) - i64::from(below)
     };
-    let edge = (run_lo..=peak).max_by_key(|&b| rise(b)).unwrap_or(peak);
-    bins[edge..=peak]
-        .iter()
-        .filter(|b| b.count > 0)
-        .map(|b| b.min)
-        .min()
+    Some((run_lo..=peak).max_by_key(|&b| rise(b)).unwrap_or(peak))
+}
+
+/// The edge's residual offset: the smallest delta among the pairs
+/// [`bin_pairs`] counted from bin `edge` up to the peak. `edge` is not
+/// empty, so that is the smallest delta at or above its start over all
+/// pairs — per send its first read there, reads being time-ordered: one
+/// join, not a minimum per pair.
+fn min_delta<const BIN_NS: i64, const SEARCH_NS: i64>(
+    join: &EdgeJoin<'_>,
+    edge: usize,
+) -> Option<TimeDelta> {
+    let mut min: Option<TimeDelta> = None;
+    join.walk(edge as i64 * BIN_NS - SEARCH_NS, |tx, reads| {
+        if let Some(&t) = reads.first() {
+            let d = (t as i64).wrapping_sub(tx);
+            min = Some(min.map_or(d, |m| m.min(d)));
+        }
+    });
+    min
 }
 
 /// Estimates each NF's clock offset relative to the traffic source,
@@ -437,6 +585,235 @@ mod tests {
     use super::*;
     use msc_collector::{Collector, CollectorConfig, PacketMeta};
     use nf_types::{FiveTuple, NfKind, Proto};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The pair scan and spike search as they were before the merge join:
+    /// per send, a `partition_point` into its IPID's run, then a count and
+    /// a `min` update per pair. The reference [`scan`] must reproduce.
+    mod reference {
+        use super::super::*;
+
+        /// One histogram bin: how many deltas fell in it, and the smallest.
+        #[derive(Clone, Copy)]
+        pub(super) struct Bin {
+            pub(super) count: u32,
+            min: TimeDelta,
+        }
+
+        pub(super) const EMPTY_BIN: Bin = Bin {
+            count: 0,
+            min: TimeDelta::MAX,
+        };
+
+        pub(super) fn bin_pairs<const BIN_NS: i64, const SEARCH_NS: i64>(
+            sends: impl Iterator<Item = (Nanos, Ipid)>,
+            up_off: Option<TimeDelta>,
+            rx: &IpidRuns,
+            rx_ts: &[Nanos],
+            bins: &mut [Bin],
+        ) -> usize {
+            bins.fill(EMPTY_BIN);
+            let mut total = 0usize;
+            for (ts, ipid) in sends {
+                let tx_ts = up_off.map_or(ts, |off| on_source_clock(ts, off)) as i64;
+                let Some(times) = rx_ts.get(rx.run_of(ipid)) else {
+                    continue;
+                };
+                let lo = times.partition_point(|&t| (t as i64) < tx_ts.wrapping_sub(SEARCH_NS));
+                for &t in &times[lo..] {
+                    let d = (t as i64).wrapping_sub(tx_ts);
+                    if d > SEARCH_NS {
+                        break;
+                    }
+                    let Some(bin) = bins.get_mut((d + SEARCH_NS).div_euclid(BIN_NS) as usize)
+                    else {
+                        continue;
+                    };
+                    bin.count += 1;
+                    bin.min = bin.min.min(d);
+                    total += 1;
+                }
+            }
+            total
+        }
+
+        pub(super) fn spike_low_edge(
+            bins: &[Bin],
+            total: usize,
+            lookback: usize,
+        ) -> Option<TimeDelta> {
+            let noise = total / (bins.len() - 1).max(1) + 1;
+            let (peak, peak_n) = bins
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.count > 0)
+                .max_by_key(|&(i, b)| (b.count, i))
+                .map(|(i, b)| (i, b.count as usize))?;
+            if peak_n < 4 * noise {
+                return None;
+            }
+            let lo = peak.saturating_sub(lookback);
+            let run_lo = (lo..peak)
+                .rev()
+                .find(|&b| bins[b].count == 0)
+                .map_or(lo, |gap| gap + 1);
+            let rise = |b: usize| {
+                let below = if b == 0 { 0 } else { bins[b - 1].count };
+                bins[b].count as i64 - below as i64
+            };
+            let edge = (run_lo..=peak).max_by_key(|&b| rise(b)).unwrap_or(peak);
+            bins[edge..=peak]
+                .iter()
+                .filter(|b| b.count > 0)
+                .map(|b| b.min)
+                .min()
+        }
+    }
+
+    /// One refinement pass's scan of one edge, as `Estimator::refine` runs
+    /// it: the histogram, the pairs binned and the edge's residual.
+    fn scan<const BIN_NS: i64, const SEARCH_NS: i64>(
+        groups: &mut SendGroups,
+        head: &mut [u32],
+        sends: &EdgeSends,
+        up_off: Option<TimeDelta>,
+        rx: &IpidRuns,
+        rx_ts: &[Nanos],
+    ) -> (Vec<u32>, usize, Option<TimeDelta>) {
+        groups.group(sends, head);
+        let join = EdgeJoin {
+            groups,
+            sends,
+            up_off,
+            rx,
+            rx_ts,
+        };
+        let mut counts = vec![0; (2 * SEARCH_NS / BIN_NS) as usize + 1];
+        let total = bin_pairs::<BIN_NS, SEARCH_NS>(&join, &mut counts);
+        let lookback = (1_000_000 / BIN_NS).max(4) as usize;
+        let residual = spike_edge(&counts, total, lookback)
+            .and_then(|edge| min_delta::<BIN_NS, SEARCH_NS>(&join, edge));
+        (counts, total, residual)
+    }
+
+    /// A random edge at a pass's geometry: sends in batches (duplicate
+    /// timestamps), half the time starting within `search_ns` of 0, a few
+    /// to an IPID (small alphabets: long runs) or nearly one each; each send
+    /// read once at a common lag plus jitter, or not at all, plus noise
+    /// reads; some IPIDs sent and never read; and the offsets of both ends,
+    /// clamping at 0 where they exceed a timestamp. On two edges in three
+    /// every time and offset is a multiple of a grain — the bin width or a
+    /// quarter of the window — so deltas land exactly on bin boundaries and
+    /// on the window's ends. `None` sender offset: a source edge.
+    #[allow(clippy::type_complexity)]
+    fn random_edge(
+        rng: &mut StdRng,
+        bin_ns: i64,
+        search_ns: i64,
+    ) -> (EdgeSends, Option<TimeDelta>, Vec<(Nanos, Ipid)>, TimeDelta) {
+        let s = search_ns as u64;
+        let grain = [1, bin_ns, search_ns / 4][rng.gen_range(0..3)];
+        let on_grain = |x: i64| x.div_euclid(grain) * grain;
+        let alphabet: u32 = [1, 2, 3, 8, 64, 1 << 16][rng.gen_range(0..6)];
+        let batches: usize = [0, 1, 3, 20, 150][rng.gen_range(0..5)];
+        let ipid = |rng: &mut StdRng| rng.gen_range(0..alphabet) as Ipid;
+        let lag = rng.gen_range(-search_ns / 2..=search_ns / 2);
+        let mut t = if rng.gen_bool(0.5) {
+            rng.gen_range(0..s)
+        } else {
+            rng.gen_range(s..20 * s)
+        };
+        let mut sends = EdgeSends::new();
+        let mut reads: Vec<(Nanos, Ipid)> = Vec::new();
+        for _ in 0..batches {
+            let ids: Vec<Ipid> = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        // Never read: above every alphabet but the full one.
+                        u16::MAX - rng.gen_range(0..3)
+                    } else {
+                        ipid(rng)
+                    }
+                })
+                .collect();
+            let tx = on_grain(t as i64);
+            sends.push_batch(tx as Nanos, &ids);
+            for &id in &ids {
+                if rng.gen_bool(0.7) {
+                    let jitter = rng.gen_range(0..3 * search_ns / 200 + 1);
+                    reads.push((on_grain(tx + lag + jitter).max(0) as Nanos, id));
+                }
+            }
+            // Zero steps repeat a batch time.
+            t += [0, 1, s / 100, s / 3][rng.gen_range(0..4)];
+        }
+        for _ in 0..rng.gen_range(0..4 * batches + 1) {
+            let ts = on_grain(rng.gen_range(0..t + 2 * s) as i64);
+            reads.push((ts as Nanos, ipid(rng)));
+        }
+        // Reads arrive in time order; equal times stay in push order.
+        reads.sort_by_key(|&(ts, _)| ts);
+        let source = rng.gen_bool(0.3);
+        let mut offset = || on_grain(rng.gen_range(-search_ns..=search_ns));
+        let up_off = (!source).then(&mut offset);
+        let rx_off = offset();
+        (sends, up_off, reads, rx_off)
+    }
+
+    /// The merge join with counts-only binning and deferred minima bins
+    /// exactly the pairs the per-send scan binned: the same counts, total
+    /// and residual on random edges at each pass's geometry, with one
+    /// grouping buffer and per-IPID table reused across all of them as
+    /// `refine` reuses them.
+    fn scan_matches_the_reference<const BIN_NS: i64, const SEARCH_NS: i64>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut groups = SendGroups::with_capacity(0);
+        let mut head = vec![0; IPID_SPACE];
+        let mut bins = vec![reference::EMPTY_BIN; (2 * SEARCH_NS / BIN_NS) as usize + 1];
+        let lookback = (1_000_000 / BIN_NS).max(4) as usize;
+        let (mut spikes, mut empty) = (0, 0);
+        for case in 0..250 {
+            let (sends, up_off, reads, rx_off) = random_edge(&mut rng, BIN_NS, SEARCH_NS);
+            let rx = IpidRuns::build(reads.iter().copied());
+            let rx_ts: Vec<Nanos> = rx.ts.iter().map(|&t| on_source_clock(t, rx_off)).collect();
+            let total = reference::bin_pairs::<BIN_NS, SEARCH_NS>(
+                sends.iter(),
+                up_off,
+                &rx,
+                &rx_ts,
+                &mut bins,
+            );
+            let want = reference::spike_low_edge(&bins, total, lookback);
+            let (counts, got_total, got) =
+                scan::<BIN_NS, SEARCH_NS>(&mut groups, &mut head, &sends, up_off, &rx, &rx_ts);
+            assert!(head.iter().all(|&h| h == 0), "case {case}: heads left set");
+            let want_counts: Vec<u32> = bins.iter().map(|b| b.count).collect();
+            assert_eq!(counts, want_counts, "case {case}: counts");
+            assert_eq!((got_total, got), (total, want), "case {case}");
+            spikes += usize::from(want.is_some());
+            empty += usize::from(sends.len() == 0);
+        }
+        assert!(
+            spikes >= 50 && empty > 0,
+            "{spikes} spikes, {empty} empty edges"
+        );
+    }
+
+    #[test]
+    fn merge_join_matches_the_per_send_scan_at_100_us_bins() {
+        scan_matches_the_reference::<100_000, 20_000_000>(1);
+    }
+
+    #[test]
+    fn merge_join_matches_the_per_send_scan_at_10_us_bins() {
+        scan_matches_the_reference::<10_000, 2_000_000>(2);
+    }
+
+    #[test]
+    fn merge_join_matches_the_per_send_scan_at_1_us_bins() {
+        scan_matches_the_reference::<1_000, 200_000>(3);
+    }
 
     fn chain() -> Topology {
         let mut b = Topology::builder();
@@ -614,17 +991,13 @@ mod tests {
         }
         let streams = EdgeStreams::build(&topo, &c.into_bundle());
         let rx = IpidRuns::build(streams.nfs[1].rx());
-        let mut bins = vec![EMPTY_BIN; 401];
-        let total = bin_pairs::<1_000, 200_000>(
-            streams.edge_entries(NodeId::Nf(NfId(0)), NfId(1)),
-            Some(0),
-            &rx,
-            &rx.ts,
-            &mut bins,
-        );
+        let sends = streams.edge(NfId(1), 0);
+        let mut groups = SendGroups::with_capacity(0);
+        let head = &mut vec![0; IPID_SPACE];
+        let (_, total, got) =
+            scan::<1_000, 200_000>(&mut groups, head, sends, Some(0), &rx, &rx.ts);
         assert_eq!(total, deltas.len());
-        let got =
-            spike_low_edge(&bins, total, 1_000).expect("spike is coherent enough to estimate");
+        let got = got.expect("spike is coherent enough to estimate");
         assert!(
             (5_000..6_000).contains(&got),
             "edge residual {got} must sit at the spike's low edge, not the cluster"
