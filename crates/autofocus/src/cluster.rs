@@ -269,7 +269,6 @@ impl<V: Ord + Clone> Dim<V> {
             if hit(v) {
                 sig.push(id);
                 sig[at] += 1;
-                // float: canonical-order(called once per item in input-slice order, so each value sums its items in that order)
                 self.weight[id as usize] += weight;
             }
         }
@@ -501,7 +500,6 @@ pub fn aggregate_side(
     cfg: &ClusterConfig,
     kind_of: &impl Fn(NfId) -> NfKind,
 ) -> Vec<(SideAggregate, f64)> {
-    // float: canonical-order(summed over the caller's slice in input order)
     let total: f64 = items.iter().map(|i| i.weight).sum();
     if total <= 0.0 {
         return Vec::new();
@@ -516,13 +514,16 @@ pub fn aggregate_side(
     {
         let mut exact: HashMap<(Option<FiveTuple>, Location), f64> = HashMap::new();
         for i in items {
-            // float: canonical-order(per-key accumulation follows the input slice order)
             *exact.entry((i.flow, i.loc)).or_insert(0.0) += i.weight;
         }
         // `w > 0` only matters at `threshold <= 0`, where a weightless value
         // would otherwise come out as a zero-weight cluster.
-        // lint: order-insensitive(`all` is a pure predicate — true/false regardless of visit order)
-        if exact.len() <= 16 && exact.values().all(|&w| w >= th && w > 0.0) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`all` is a pure predicate: true or false whatever the visit order"
+        )]
+        let all_clear = exact.len() <= 16 && exact.values().all(|&w| w >= th && w > 0.0);
+        if all_clear {
             let mut out: Vec<(SideAggregate, f64)> = exact
                 .into_iter()
                 .map(|((flow, loc), w)| {
@@ -596,7 +597,7 @@ pub fn aggregate_side(
             live.extend_from_slice(groups[g]);
         }
         live.sort_unstable();
-        let claim: f64 = live.iter().map(|&i| items[i].weight).sum(); // float: canonical-order(`live` holds item indices sorted ascending, i.e. input-slice order)
+        let claim: f64 = live.iter().map(|&i| items[i].weight).sum();
         let cand = lattice.aggregate(&matched[0].0);
         debug_assert_eq!(cand.specificity(), matched[0].0.rank.0);
         // `claim > 0` only matters off the documented threshold range

@@ -31,7 +31,6 @@ where
     let mut nodes: Vec<(usize, K, f64)> = Vec::new();
     for (k, w) in items {
         match nodes.last_mut() {
-            // float: canonical-order(the stable sort keeps equal keys in the caller's iteration order)
             Some(n) if n.1 == k => n.2 += w,
             _ => {
                 let depth = std::iter::successors(parent(&k), &parent).count();
@@ -65,7 +64,6 @@ where
         let mut level = level.into_iter().peekable();
         while let Some((k, mut w)) = level.next() {
             while let Some(child) = level.next_if(|n| n.0 == k) {
-                // float: canonical-order(own weight first, then children in ascending key order — see the sort above)
                 w += child.1;
             }
             match parent(&k) {

@@ -117,11 +117,9 @@ pub fn aggregate_patterns(
     // Phase 2: per victim aggregate, aggregate the culprit side. The
     // threshold is applied against the global score mass so tiny victim
     // groups don't spawn patterns.
-    // float: canonical-order(summed over the relations slice in input order)
     let total: f64 = relations.iter().map(|r| r.score).sum();
     let mut out: Vec<Pattern> = Vec::new();
     for (victim_agg, culprits) in by_victim {
-        // float: canonical-order(summed over the per-victim Vec in insertion order)
         let group_total: f64 = culprits.iter().map(|c| c.weight).sum();
         // Scale the per-group threshold so that it corresponds to the
         // global `th * total` cut.
@@ -224,7 +222,6 @@ pub fn merge_adjacent_port_patterns(patterns: Vec<Pattern>, max_gap: u16) -> Vec
                             .hi
                             .max(p.culprit.flow.dst_port.hi),
                     );
-                    // float: canonical-order(merge walks patterns sorted by port range)
                     last.score += p.score;
                 }
                 _ => merged.push(p),

@@ -92,7 +92,6 @@ pub fn aggregate_side(
     cfg: &ClusterConfig,
     kind_of: &impl Fn(NfId) -> NfKind,
 ) -> Vec<(SideAggregate, f64)> {
-    // float: canonical-order(summed over the caller's slice in input order)
     let total: f64 = items.iter().map(|i| i.weight).sum();
     if total <= 0.0 {
         return Vec::new();
@@ -107,11 +106,14 @@ pub fn aggregate_side(
     {
         let mut exact: HashMap<(Option<FiveTuple>, Location), f64> = HashMap::new();
         for i in items {
-            // float: canonical-order(per-key accumulation follows the input slice order)
             *exact.entry((i.flow, i.loc)).or_insert(0.0) += i.weight;
         }
-        // lint: order-insensitive(`all` is a pure predicate — true/false regardless of visit order)
-        if exact.len() <= 16 && exact.values().all(|&w| w >= th) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`all` is a pure predicate: true or false whatever the visit order"
+        )]
+        let all_clear = exact.len() <= 16 && exact.values().all(|&w| w >= th);
+        if all_clear {
             let mut out: Vec<(SideAggregate, f64)> = exact
                 .into_iter()
                 .map(|((flow, loc), w)| {
@@ -237,7 +239,6 @@ pub fn aggregate_side(
     // dimensions is an upper bound — AutoFocus's candidate-pruning trick,
     // which keeps the cross product tractable.
     let weight_of = |pred: &dyn Fn(&SideItem) -> bool| -> f64 {
-        // float: canonical-order(summed over the input slice in its stored order)
         items.iter().filter(|i| pred(i)).map(|i| i.weight).sum()
     };
     let src_w: Vec<f64> = src
@@ -340,7 +341,7 @@ pub fn aggregate_side(
             .iter()
             .filter(|item| cand.matches(item.flow.as_ref(), item.loc, kind_of))
             .map(|item| item.weight)
-            .sum(); // float: canonical-order(`remaining` is a Vec walked in stored order)
+            .sum();
         if claim >= th || (is_catch_all && claim > 0.0) {
             remaining.retain(|item| !cand.matches(item.flow.as_ref(), item.loc, kind_of));
             out.push((cand, claim));

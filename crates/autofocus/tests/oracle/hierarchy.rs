@@ -23,7 +23,6 @@ where
     // Accumulate exact weights.
     let mut weights: HashMap<K, f64> = HashMap::new();
     for (k, w) in items {
-        // float: canonical-order(per-key accumulation follows the caller's iteration order)
         *weights.entry(k).or_insert(0.0) += w;
     }
     if weights.is_empty() {
@@ -44,7 +43,11 @@ where
     // Bucket keys by depth so every node is processed strictly before its
     // parent (parent depth = child depth − 1).
     let mut levels: std::collections::BTreeMap<usize, Vec<K>> = std::collections::BTreeMap::new();
-    // lint: order-insensitive(keys are bucketed into the BTreeMap above and every level is sorted before use below)
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "bucketed into the BTreeMap above; each level is sorted before use"
+    )]
     for k in weights.keys() {
         levels.entry(depth(k)).or_default().push(k.clone());
     }
@@ -66,7 +69,6 @@ where
                         levels.entry(d - 1).or_default().push(p.clone());
                         weights.insert(p.clone(), 0.0);
                     }
-                    // float: canonical-order(children were sorted above, so each parent accumulates in canonical child order)
                     *weights.get_mut(&p).expect("just ensured") += w;
                 }
                 None => {

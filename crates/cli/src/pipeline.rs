@@ -40,6 +40,7 @@ use msc_trace::{
     SkewConfig, SkewEstimates, StreamError, Timelines,
 };
 use nf_types::{Nanos, NodeId, TimeDelta, Topology, MICROS, MILLIS};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -370,7 +371,7 @@ fn diagnose_and_aggregate(
     hook("diagnose", Produced::Diagnoses(&diagnoses));
 
     // Ranked culprit locations.
-    let mut blame: std::collections::HashMap<String, (f64, usize)> = Default::default();
+    let mut blame: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     for d in &diagnoses {
         if let Some(c) = d.culprits.first() {
             let name = match c.node {
@@ -386,8 +387,7 @@ fn diagnose_and_aggregate(
         .into_iter()
         .map(|(name, (score, victims))| (name, score, victims))
         .collect();
-    // Tie-break on the name: the counts come out of a HashMap, so equal
-    // counts would otherwise print in per-process-random order.
+    // Equal counts print in name order.
     culprits.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
     culprits.truncate(top);
 

@@ -281,7 +281,7 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
     // section is in time order, so its records mostly fall in the window
     // of the one before: only a record outside it is divided, and each
     // section adds each of its windows once.
-    // lint: time-arith-ok(the multiple of chunk_ns at or below `ts` never underflows)
+    // The multiple of `chunk_ns` at or below `ts` never underflows.
     let window = |ts: Nanos| (ts - ts % chunk_ns, window_end(ts, chunk_ns));
     let mut windows: Vec<(Nanos, Nanos)> = Vec::new();
     for ts in record_ts {
@@ -733,7 +733,7 @@ impl<R: Read + Seek> WholeRunReader<R> {
 /// The bound of the `chunk_ns` window holding `ts`: the next multiple of
 /// `chunk_ns` above it (`Nanos::MAX` past the last one a `u64` holds).
 fn window_end(ts: Nanos, chunk_ns: Nanos) -> Nanos {
-    // lint: time-arith-ok(the multiple of chunk_ns at or below `ts` never underflows)
+    // The multiple of `chunk_ns` at or below `ts` never underflows.
     (ts - ts % chunk_ns).saturating_add(chunk_ns)
 }
 

@@ -81,6 +81,10 @@ impl Collector {
     }
 
     /// Service-time surcharge for a batch of `n` packets, in nanoseconds.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a few ns per packet of one batch: far below u64::MAX, and the cast saturates"
+    )]
     pub fn batch_overhead_ns(&self, n: usize) -> Nanos {
         if self.cfg.enabled {
             (PER_PACKET_COST_NS * n as f64).round() as Nanos
@@ -181,7 +185,6 @@ impl TraceBundle {
             self.logs
                 .iter()
                 .map(|l| encode_nf_log(l).map_or(0, |enc| enc.len()))
-                // float: canonical-order(the sum is over usize; only the quotient is a float)
                 .sum::<usize>() as f64
                 / apps as f64
         }

@@ -29,6 +29,9 @@
         clippy::unimplemented
     )
 )]
+// Lossy casts (DESIGN.md §6): this crate owns the wire format, so a count or id
+// that does not fit its type is a typed error, never a silent truncation.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod bundle_io;
 pub mod collector;

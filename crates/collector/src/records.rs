@@ -128,7 +128,10 @@ impl RxLog {
             "a log's packet count must fit u32"
         );
         self.ts.push(ts);
-        // lint: lossy-cast-ok(guarded by the assert above)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the assert above keeps the count within u32"
+        )]
         self.end.push(self.ipids.len() as u32);
     }
 

@@ -456,7 +456,7 @@ impl Microscope {
     ) {
         match acc.iter_mut().find(|c| c.node == node && c.kind == kind) {
             Some(cur) => {
-                // float: canonical-order(callers merge per-path credits in path-walk order, a deterministic Vec)
+                // Callers merge per-path credits in path-walk order, a deterministic Vec.
                 cur.score += score;
                 cur.window = cur.window.hull(&window);
                 for &(f, w) in flows {

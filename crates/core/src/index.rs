@@ -78,7 +78,7 @@ impl DiagnosisIndex {
                 loop {
                     match slots[i] {
                         u32::MAX => {
-                            // lint: lossy-cast-ok(slot count, bounded far below u32::MAX)
+                            // The slot count is bounded far below u32::MAX.
                             let id = flow_table.len() as u32;
                             slots[i] = id;
                             flow_table.push(t.flow);

@@ -222,7 +222,7 @@ pub fn attribute_upstream_with(
         }
         if scratch.path_epoch[pid] != generation {
             scratch.path_epoch[pid] = generation;
-            // lint: lossy-cast-ok(group count, bounded by path count far below u32::MAX)
+            // The group count is bounded by the path count, far below u32::MAX.
             scratch.path_slot[pid] = groups.len() as u32;
             groups.push(Group {
                 nodes: recon.paths.path(path_id),
@@ -312,7 +312,6 @@ pub fn attribute_upstream_with(
     // both keep the result independent of HashMap iteration order.
     let mut entries: Vec<(NodeId, (f64, Nanos, Nanos))> = shares.into_iter().collect();
     entries.sort_by_key(|&(node, _)| node);
-    // float: canonical-order(entries were just sorted by node id)
     let total: f64 = entries.iter().map(|(_, (f, _, _))| f).sum();
     let scale = if total > 1.0 { 1.0 / total } else { 1.0 };
     let mut out: Vec<UpstreamShare> = entries

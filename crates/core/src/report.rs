@@ -34,7 +34,6 @@ fn for_each_relation(
                 NodeId::Source => Location::Source,
                 NodeId::Nf(nf) => Location::Nf(nf),
             };
-            // float: canonical-order(summed over the culprit's flow Vec in stored order)
             let flow_total: f64 = c.flows.iter().map(|(_, w)| w).sum();
             if c.flows.is_empty() || flow_total <= 0.0 {
                 emit(CausalRelation {

@@ -59,7 +59,6 @@ fn main() {
         }
         if let Some(l) = f.latency() {
             let b = ((f.packet.created_at / bucket) as usize).min(n - 1);
-            // float: canonical-order(fates are visited in simulation emission order)
             sums[b].0 += l as f64 / 1_000.0;
             sums[b].1 += 1;
         }

@@ -122,9 +122,8 @@ fn main() {
     // Quantify the dominance: peak input-rate increase over nominal.
     let nominal_nat = args.rate_pps() / 1e6;
     let nominal_mon = nominal_nat / 5.0;
-    // float: canonical-order(f64::max over finite rates is order-insensitive)
     let peak_nat = rate_nat.iter().map(|&(_, v)| v).fold(0.0, f64::max);
-    let peak_mon = rate_mon.iter().map(|&(_, v)| v).fold(0.0, f64::max); // float: canonical-order(same max fold)
+    let peak_mon = rate_mon.iter().map(|&(_, v)| v).fold(0.0, f64::max);
     let total_drops: u64 = out.drops.len() as u64;
     println!("\n# Summary (paper: the NAT's post-interrupt burst dominates the losses)");
     println!(

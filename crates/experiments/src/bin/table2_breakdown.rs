@@ -45,14 +45,14 @@ fn main() {
             NodeId::Source => 0,
             NodeId::Nf(nf) => 1 + kind_col(run.topology.nf(nf).kind),
         };
-        counts[row][col] += 1.0; // float: canonical-order(integer-valued counter; +1.0 is exact)
-        total += 1.0; // float: canonical-order(integer-valued counter; +1.0 is exact)
+        counts[row][col] += 1.0;
+        total += 1.0;
         let hops = hop_distance(&run.topology, top.node, d.victim.nf);
         if hops >= 1 {
-            propagated += 1.0; // float: canonical-order(integer-valued counter; +1.0 is exact)
+            propagated += 1.0;
         }
         if hops >= 2 {
-            two_hop += 1.0; // float: canonical-order(integer-valued counter; +1.0 is exact)
+            two_hop += 1.0;
         }
     }
     assert!(total > 0.0, "no diagnoses — raise --millis");

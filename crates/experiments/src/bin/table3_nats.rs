@@ -40,13 +40,12 @@ fn main() {
     let mut processed = vec![0u64; nats.len()];
     let mut total = 0f64;
     for d in &run.diagnoses {
-        total += 1.0; // float: canonical-order(integer-valued counter; +1.0 is exact)
+        total += 1.0;
         let Some(top) = d.culprits.first() else {
             continue;
         };
         let NodeId::Nf(nf) = top.node else { continue };
         if let Some(row) = nats.iter().position(|(id, _)| *id == nf) {
-            // float: canonical-order(integer-valued counter; +1.0 is exact)
             counts[row][kind_col(run.topology.nf(d.victim.nf).kind)] += 1.0;
         }
     }
@@ -89,10 +88,10 @@ fn main() {
 
     // The paper's observation: traffic is even, impact is not.
     let tot_per_nat: Vec<f64> = (0..nats.len())
-        .map(|i| counts[i].iter().sum::<f64>()) // float: canonical-order(fixed-size row summed in index order)
+        .map(|i| counts[i].iter().sum::<f64>())
         .collect();
-    let max = tot_per_nat.iter().cloned().fold(0.0, f64::max); // float: canonical-order(max is order-insensitive)
-    let min = tot_per_nat.iter().cloned().fold(f64::INFINITY, f64::min); // float: canonical-order(min is order-insensitive)
+    let max = tot_per_nat.iter().cloned().fold(0.0, f64::max);
+    let min = tot_per_nat.iter().cloned().fold(f64::INFINITY, f64::min);
     let p_max = processed.iter().max().copied().unwrap_or(0) as f64;
     let p_min = processed.iter().min().copied().unwrap_or(0) as f64;
     println!("\n# Summary (paper: traffic even across NATs, problem counts uneven)");

@@ -144,7 +144,6 @@ pub fn wild_run(duration: Nanos, rate_pps: f64, seed: u64, quantile: f64) -> Run
             spec.plan
                 .interrupts
                 .push((nf.id, t as Nanos, stall as Nanos));
-            // float: canonical-order(sequential accumulation over a seeded RNG stream)
             t += rng.gen_range(8.0..30.0) * MILLIS as f64;
         }
     }

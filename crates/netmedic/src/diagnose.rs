@@ -91,7 +91,7 @@ impl NetMedic {
         sims[..k]
             .iter()
             .map(|&(_, h)| hist.similarity(dst, h, w))
-            .sum::<f64>() // float: canonical-order(`sims` was sorted before the top-k slice)
+            .sum::<f64>()
             / k as f64
     }
 

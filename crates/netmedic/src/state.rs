@@ -108,7 +108,6 @@ impl History {
         for m in 0..METRIC_COUNT {
             let (lo, hi) = self.ranges[c][m];
             let range = (hi - lo).max(f64::EPSILON);
-            // float: canonical-order(fixed metric-index loop, same order every run)
             acc += (sa.values[m] - sb.values[m]).abs() / range;
         }
         (1.0 - acc / METRIC_COUNT as f64).clamp(0.0, 1.0)

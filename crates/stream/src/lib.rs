@@ -183,7 +183,19 @@ impl StreamEngine {
     /// Approximate bytes held by the evictable frontier right now: the
     /// reconstructor's and, in skew mode, the chunks held back.
     pub fn working_set(&self) -> usize {
-        self.recon.working_set() + self.skew.as_ref().map_or(0, |s| s.pending_bytes)
+        // Every field is named: a new one does not compile until it is
+        // counted here or its bound is stated.
+        let Self {
+            recon,
+            skew,
+            // Fixed: a copy of the topology given to `new`.
+            topology: _,
+            // Fixed: one stats slot per NF, sized at construction.
+            periods: _,
+            chunks: _,
+            working_set_peak: _,
+        } = self;
+        recon.working_set() + skew.as_ref().map_or(0, Skew::bytes)
     }
 
     /// Largest frontier observed at any chunk boundary — the quantity that
@@ -223,6 +235,23 @@ impl StreamEngine {
 }
 
 impl Skew {
+    /// Bytes of the chunks held while the offsets are unsettled.
+    fn bytes(&self) -> usize {
+        let Self {
+            // Drained into the reconstructor when the offsets settle (at
+            // the latest by `finish`); counted by `pending_bytes` until then.
+            pending: _,
+            pending_bytes,
+            // Fixed: one offset per NF.
+            estimate: _,
+            cfg: _,
+            tolerance: _,
+            estimated_bytes: _,
+            settled: _,
+        } = self;
+        *pending_bytes
+    }
+
     /// Estimates the offsets over the held chunks. True when that settles
     /// them: this estimate and the one before both cover every NF that has
     /// records, and no offset moved by more than the tolerance.

@@ -331,7 +331,8 @@ impl EdgeSends {
     /// Bytes held by the columns.
     pub(crate) fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.ts.capacity() * size_of::<Nanos>() + self.ipid.capacity() * size_of::<Ipid>()
+        let Self { ts, ipid } = self;
+        ts.capacity() * size_of::<Nanos>() + ipid.capacity() * size_of::<Ipid>()
     }
 }
 
@@ -351,6 +352,16 @@ pub(crate) struct EdgeState {
 }
 
 impl EdgeState {
+    /// Bytes held by the matched column.
+    pub(crate) fn bytes(&self) -> usize {
+        let Self {
+            matched,
+            base: _,
+            cursor: _,
+        } = self;
+        matched.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Drops the first `n` retained positions (all behind the cursor).
     pub(crate) fn drop_decided(&mut self, n: usize) {
         debug_assert!(self.base + n <= self.cursor);
@@ -396,12 +407,23 @@ impl EdgeIndex {
             .fill(tail.zip(self.indexed.iter().copied()), first);
     }
 
-    /// Bytes held by the run arrays (the 512 KiB run table is fixed).
+    /// Bytes held by the run arrays, refilled with the edge's undecided
+    /// tail at every rebuild.
     pub(crate) fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.runs.ts.capacity() * size_of::<Nanos>()
-            + self.runs.pos.capacity() * size_of::<u32>()
-            + self.indexed.capacity() * size_of::<Ipid>()
+        let Self {
+            runs:
+                IpidRuns {
+                    pos,
+                    ts,
+                    // Fixed: 512 KiB, allocated once.
+                    run: _,
+                },
+            indexed,
+        } = self;
+        ts.capacity() * size_of::<Nanos>()
+            + pos.capacity() * size_of::<u32>()
+            + indexed.capacity() * size_of::<Ipid>()
     }
 
     /// First position `>= cursor` (the edge's committed cursor) with
@@ -546,6 +568,19 @@ pub(crate) struct NfMatcher {
 }
 
 impl NfMatcher {
+    /// Bytes held by the edges' matched columns.
+    pub(crate) fn bytes(&self) -> usize {
+        let Self {
+            edges,
+            stats: _,
+            // Fixed: cleared per rx entry, at most one entry per upstream
+            // edge.
+            cands: _,
+            cursors: _,
+        } = self;
+        edges.iter().map(EdgeState::bytes).sum()
+    }
+
     /// A matcher over `n_edges` empty upstream edges.
     pub(crate) fn new(n_edges: usize) -> Self {
         Self {

@@ -417,7 +417,7 @@ pub fn assemble(
         traces.push(ReconstructedTrace {
             flow: f.flow,
             emitted_at: f.ts,
-            // lint: lossy-cast-ok(the hop arena is u32-indexed by design; 4B hops is ~100x the largest experiment)
+            // The hop arena is u32-indexed by design: 4B hops is ~100x the largest experiment.
             hops: hop_start..hops.len() as u32,
             outcome: trace_outcome,
         });

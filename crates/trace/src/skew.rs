@@ -293,7 +293,7 @@ fn pair_in_order(
         while positions.get(i).is_some_and(|&p| p < cursor) {
             i += 1;
         }
-        // lint: lossy-cast-ok(an index within one run of a u32-indexed stream)
+        // An index within one run of a u32-indexed stream.
         *hint = i as u32;
         let Some(&rx_idx) = positions.get(i) else {
             continue;
@@ -365,7 +365,7 @@ impl SendGroups {
         self.order.resize(sends.len(), 0);
         for (p, (_, id)) in sends.iter().enumerate() {
             let at = &mut head[id as usize];
-            // lint: lossy-cast-ok(an edge position fits u32: `EdgeStreams` keeps every column within one)
+            // An edge position fits u32: `EdgeStreams` keeps every column within one.
             self.order[*at as usize] = p as u32;
             *at += 1;
         }

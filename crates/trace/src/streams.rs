@@ -40,38 +40,45 @@ pub struct RxBatchInfo {
 pub(crate) struct EdgeSlots {
     /// Per downstream NF: its upstream nodes in slot order.
     pub(crate) upstreams: Vec<Vec<NodeId>>,
-    /// `out[u][d]`: the slot of NF `u` on downstream `d`, if the edge exists.
-    out: Vec<Vec<Option<usize>>>,
+    /// `out[u]`: NF `u`'s out-edges as `(downstream, slot there)` pairs —
+    /// O(edges) in all, where a table over every NF pair would be O(NFs²).
+    out: Vec<Vec<(NfId, usize)>>,
     /// `source[d]`: the slot of the source on `d` (entry NFs).
     source: Vec<Option<usize>>,
 }
 
 impl EdgeSlots {
     pub(crate) fn of(topology: &Topology) -> Self {
-        let n = topology.len();
-        let upstreams: Vec<Vec<NodeId>> = (0..n)
-            .map(|d| topology.upstream_nodes(NfId(d as u16)))
+        let upstreams: Vec<Vec<NodeId>> = topology
+            .nfs()
+            .iter()
+            .map(|nf| topology.upstream_nodes(nf.id))
             .collect();
-        let slot_on = |node: NodeId| -> Vec<Option<usize>> {
-            upstreams
-                .iter()
-                .map(|ups| ups.iter().position(|&u| u == node))
-                .collect()
-        };
+        let mut out = vec![Vec::new(); upstreams.len()];
+        let mut source = vec![None; upstreams.len()];
+        for (nf, ups) in topology.nfs().iter().zip(&upstreams) {
+            for (slot, &up) in ups.iter().enumerate() {
+                match up {
+                    NodeId::Source => source[nf.id.0 as usize] = Some(slot),
+                    NodeId::Nf(u) => out[u.0 as usize].push((nf.id, slot)),
+                }
+            }
+        }
         Self {
-            out: (0..n)
-                .map(|u| slot_on(NodeId::Nf(NfId(u as u16))))
-                .collect(),
-            source: slot_on(NodeId::Source),
+            out,
+            source,
             upstreams,
         }
     }
 
     /// The slot of NF `up` on `down`; `None` when `up → down` is not a
     /// topology edge — including a `down` no topology of this size holds,
-    /// which a decoded tx record can name.
+    /// which a decoded tx record can name. A scan of `up`'s out-edges.
     pub(crate) fn of_nf(&self, up: usize, down: NfId) -> Option<usize> {
-        *self.out[up].get(down.0 as usize)?
+        self.out[up]
+            .iter()
+            .find(|&&(d, _)| d == down)
+            .map(|&(_, slot)| slot)
     }
 
     /// The slot of the source on `down`.
@@ -239,7 +246,7 @@ impl EdgeStreams {
             for b in log.rx.iter() {
                 s.rx_batches.push(RxBatchInfo {
                     ts: b.ts,
-                    // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
+                    // A batch holds at most its log's packets, which `RxLog` keeps within u32.
                     size: b.len() as u32,
                     drained: b.drained_queue(),
                 });
@@ -266,7 +273,6 @@ impl EdgeStreams {
                     }
                 };
                 s.tx_to.extend(std::iter::repeat_n(to, b.len()));
-                // lint: lossy-cast-ok(see above: a position within a column of one NF's sends)
                 s.tx_pos.extend((end - b.len()..end).map(|p| p as u32));
             }
             nfs.push(s);
@@ -283,7 +289,7 @@ impl EdgeStreams {
                 continue;
             };
             let e = &mut edges[entry.0 as usize][slot];
-            // lint: lossy-cast-ok(an edge position is below the source record count, asserted to fit u32)
+            // An edge position is below the source record count, asserted to fit u32.
             source_edge_pos.push(e.len() as u32);
             e.push_batch(f.ts, &[f.ipid]);
         }
@@ -400,6 +406,38 @@ mod tests {
             ipid,
             flow: FiveTuple::new(0x0a000001, 0x14000001, sport, 80, Proto::TCP),
         }
+    }
+
+    /// A wide topology costs its edges, not its NF pairs: every
+    /// reconstructor builds `EdgeSlots` before a bundle is checked against
+    /// the topology.
+    #[test]
+    fn edge_slots_retain_capacity_in_proportion_to_the_edges() {
+        const N: usize = 3_000;
+        let mut b = Topology::builder();
+        let ids: Vec<NfId> = (0..N)
+            .map(|i| b.add_nf(NfKind::Nat, format!("n{i}")))
+            .collect();
+        b.add_entry(ids[0]);
+        for w in ids.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        let slots = EdgeSlots::of(&b.build().unwrap());
+        let pairs: usize = slots.out.iter().map(Vec::capacity).sum();
+        assert!(
+            pairs <= 4 * (N - 1),
+            "{pairs} slots held for {} edges",
+            N - 1
+        );
+        for (u, w) in ids.windows(2).enumerate() {
+            assert_eq!(slots.of_nf(u, w[1]), Some(0));
+            assert_eq!(slots.of_nf(u, w[0]), None);
+        }
+        assert_eq!(slots.of_nf(N - 1, NfId(u16::MAX)), None);
+        assert_eq!(
+            (slots.of_source(ids[0]), slots.of_source(ids[1])),
+            (Some(0), None)
+        );
     }
 
     #[test]

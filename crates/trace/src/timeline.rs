@@ -233,7 +233,6 @@ fn stable_order_by_key(keys: &[u64]) -> Vec<u32> {
         u32::try_from(n).is_ok(),
         "index sort limited to u32 indices"
     );
-    // lint: lossy-cast-ok(guarded by the try_from assert above)
     let mut order: Vec<u32> = (0..n as u32).collect();
     if n > 1 {
         let max = keys.iter().fold(0u64, |m, &k| m.max(k));

@@ -160,7 +160,6 @@ impl Origin {
     };
 
     fn new(chosen: Option<(usize, usize)>) -> Self {
-        // lint: lossy-cast-ok(a slot is below the fan-in; positions are asserted to fit u32 when their send is appended)
         chosen.map_or(Self::NONE, |(slot, pos)| Self {
             pos: pos as u32,
             slot: slot as u32,
@@ -183,6 +182,15 @@ struct EdgeOwners {
     /// Every position before this one is decided and owned, and if it was
     /// skipped, its trace has been told.
     settled: usize,
+}
+
+impl EdgeOwners {
+    /// Bytes held by the owner column, dropped in lockstep with the edge's
+    /// consumed send prefix.
+    fn bytes(&self) -> usize {
+        let Self { owner, settled: _ } = self;
+        owner.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// Per-NF streaming state: flat columns indexed from `base`, consumed in
@@ -214,6 +222,33 @@ struct NfState {
 }
 
 impl NfState {
+    /// Bytes held by the columns, which are dropped as they are forwarded.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let Self {
+            matcher,
+            sends,
+            owners,
+            rx_ts,
+            rx_ipid,
+            origin,
+            tx,
+            flows,
+            base: _,
+            flows_base: _,
+            exit_count: _,
+            is_exit: _,
+        } = self;
+        rx_ts.capacity() * size_of::<Nanos>()
+            + rx_ipid.capacity() * size_of::<Ipid>()
+            + origin.capacity() * size_of::<Origin>()
+            + tx.capacity() * size_of::<TxSlot>()
+            + flows.capacity() * size_of::<FiveTuple>()
+            + matcher.bytes()
+            + sends.iter().map(EdgeSends::bytes).sum::<usize>()
+            + owners.iter().map(EdgeOwners::bytes).sum::<usize>()
+    }
+
     /// Appends one batch of sends to upstream edge `slot`, returning the
     /// position of its first packet.
     fn push_sends(&mut self, slot: usize, ts: Nanos, ipids: &[Ipid]) -> usize {
@@ -292,7 +327,7 @@ impl WindowedReconstructor {
                 flows: Vec::new(),
                 flows_base: 0,
                 exit_count: 0,
-                is_exit: topology.exits().contains(&NfId(d as u16)),
+                is_exit: topology.downstream(NfId(d as u16)).is_empty(),
             })
             .collect();
         Self {
@@ -369,7 +404,7 @@ impl WindowedReconstructor {
             for b in log.rx.iter() {
                 self.reads[i].push(RxBatchInfo {
                     ts: b.ts,
-                    // lint: lossy-cast-ok(a batch holds at most its log's packets, which `RxLog` keeps within u32)
+                    // A batch holds at most its log's packets, which `RxLog` keeps within u32.
                     size: b.len() as u32,
                     drained: b.drained_queue(),
                 });
@@ -387,12 +422,10 @@ impl WindowedReconstructor {
                     None if b.to.is_some() => 0,
                     None => {
                         let st = &mut self.nfs[i];
-                        // lint: lossy-cast-ok(asserted at the end of this NF's append: an exit count is at most the send count)
                         st.exit_count += b.len() as u32;
                         st.exit_count as usize - b.len()
                     }
                 };
-                // lint: lossy-cast-ok(asserted at the end of this NF's append: a position is at most the send count)
                 let positions = (first..first + b.len()).map(|p| p as u32);
                 self.nfs[i].tx.extend(positions.map(|pos_within| TxSlot {
                     ts: b.ts,
@@ -425,7 +458,6 @@ impl WindowedReconstructor {
             );
             let st = &mut self.nfs[entry.0 as usize];
             st.push_sends(slot, f.ts, &[f.ipid]);
-            // lint: lossy-cast-ok(guarded by the assert above)
             st.owners[slot].owner.push(self.traces.len() as u32);
             self.traces.push(ReconstructedTrace {
                 flow: f.flow,
@@ -499,22 +531,32 @@ impl WindowedReconstructor {
     /// legitimately grows with the run, and the index's IPID tables are a
     /// fixed 512 KiB per upstream slot of the widest NF.
     pub fn working_set(&self) -> usize {
-        use std::mem::size_of;
-        let mut bytes = self.index.iter().map(EdgeIndex::bytes).sum::<usize>()
-            + self.tail_trace.capacity() * size_of::<u32>();
-        for st in &self.nfs {
-            // lint: time-arith-ok(a sum of byte counts; `rx_ts` is the column, not a timestamp)
-            bytes += st.rx_ts.capacity() * size_of::<Nanos>()
-                + st.rx_ipid.capacity() * size_of::<Ipid>()
-                + st.origin.capacity() * size_of::<Origin>()
-                + st.tx.capacity() * size_of::<TxSlot>()
-                + st.flows.capacity() * size_of::<FiveTuple>();
-            for ((e, sends), o) in st.matcher.edges.iter().zip(&st.sends).zip(&st.owners) {
-                bytes +=
-                    sends.bytes() + (e.matched.capacity() + o.owner.capacity()) * size_of::<u32>();
-            }
-        }
-        bytes
+        // Every field is named, here and in the `bytes` it calls: a new one
+        // does not compile until it is counted or its bound is stated.
+        let Self {
+            index,
+            tail_trace,
+            nfs,
+            // Fixed: what `new` was given, and the edges by upstream slot.
+            topo: _,
+            cfg: _,
+            slots: _,
+            // Retained: committed trace output, the hop arena up to the
+            // flushed traces and the per-NF read batches (the timelines'
+            // drain signal), all returned at `finish`.
+            traces: _,
+            hops: _,
+            reads: _,
+            report: _,
+            boundary: _,
+            watermark: _,
+            flushed: _,
+            complete: _,
+            complete_hops: _,
+        } = self;
+        index.iter().map(EdgeIndex::bytes).sum::<usize>()
+            + tail_trace.capacity() * std::mem::size_of::<u32>()
+            + nfs.iter().map(NfState::bytes).sum::<usize>()
     }
 
     /// One round over the frontier: decide each NF's stable rx prefix (all

@@ -167,7 +167,6 @@ fn edge_residual(
         let Some(times) = rx_by_ipid.get(&ipid) else {
             continue;
         };
-        // lint: time-arith-ok(search_ns is already i64; both sides of the comparison are signed deltas)
         let lo = times.partition_point(|&t| (t as i64) < tx_ts as i64 - search_ns);
         for &t in &times[lo..] {
             let d = t as i64 - tx_ts as i64;
@@ -188,7 +187,10 @@ fn edge_residual(
     let noise = deltas.len() / n_bins.max(1) + 1;
     // Max over the composite key (count, bin): equal counts are broken by
     // the bin value, so the winner is independent of HashMap order.
-    // lint: order-insensitive(max over the total key (count, bin) — tied counts resolve to the largest bin)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a max over the total key (count, bin) does not depend on visit order"
+    )]
     let (&peak_bin, &peak_n) = bins.iter().max_by_key(|&(&b, &n)| (n, b))?;
     if peak_n < 4 * noise {
         return None; // no coherent spike — refuse rather than guess

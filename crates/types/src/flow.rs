@@ -418,9 +418,7 @@ impl FlowAggregate {
                 16u32.saturating_sub(32 - r.width().leading_zeros())
             }
         };
-        // lint: lossy-cast-ok(prefix lengths are 0..=32 bits by construction)
         self.src.len() as u32
-            // lint: lossy-cast-ok(prefix lengths are 0..=32 bits by construction)
             + self.dst.len() as u32
             + match self.proto {
                 ProtoMatch::Any => 0,

@@ -23,6 +23,9 @@
         clippy::unimplemented
     )
 )]
+// Lossy casts (DESIGN.md §6): this crate owns the NF id space, so a count or id
+// that does not fit its type is a typed error, never a silent truncation.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod flow;
 pub mod nf;

@@ -24,7 +24,15 @@ pub enum TopologyError {
     /// No NF is fed by the traffic source ([`Topology::entry_for`] needs
     /// one to send a flow to).
     NoEntry,
+    /// More NFs than [`MAX_NFS`]: their ids would reach the markers the
+    /// wire format and the reconstruction keep at the top of the `u16`
+    /// range.
+    TooManyNfs(usize),
 }
+
+/// The most NFs a topology holds. NF ids are `u16`, and the two largest
+/// values mark a send that leaves the deployment or has no edge to follow.
+pub const MAX_NFS: usize = u16::MAX as usize - 1;
 
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -34,6 +42,9 @@ impl fmt::Display for TopologyError {
             TopologyError::Cycle => write!(f, "topology contains a cycle"),
             TopologyError::DuplicateName(n) => write!(f, "duplicate NF name {n:?}"),
             TopologyError::NoEntry => write!(f, "no entry NF"),
+            TopologyError::TooManyNfs(n) => {
+                write!(f, "topology has {n} NFs, at most {MAX_NFS} are supported")
+            }
         }
     }
 }
@@ -160,6 +171,10 @@ impl Topology {
     /// reconstruction use this one definition — the LB configuration is
     /// operator-known, which is what makes the path side channel of §5 work
     /// at the source hop.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `entries.len()`, a usize"
+    )]
     pub fn entry_for(&self, flow: &crate::flow::FiveTuple) -> NfId {
         assert!(!self.entries.is_empty(), "topology has no entry NFs");
         self.entries[(flow.stable_hash() % self.entries.len() as u64) as usize]
@@ -183,10 +198,10 @@ pub struct TopologyBuilder {
 }
 
 impl TopologyBuilder {
-    /// Adds an NF instance and returns its id.
+    /// Adds an NF instance and returns its id. Past [`MAX_NFS`] NFs the ids
+    /// stop being distinct, and [`build`](Self::build) refuses the topology.
     pub fn add_nf(&mut self, kind: NfKind, name: impl Into<String>) -> NfId {
-        // lint: lossy-cast-ok(topologies hold tens of NFs; NfId is u16 by wire-format design)
-        let id = NfId(self.nfs.len() as u16);
+        let id = NfId(u16::try_from(self.nfs.len()).unwrap_or(u16::MAX));
         self.nfs.push(NfInfo {
             id,
             kind,
@@ -212,6 +227,10 @@ impl TopologyBuilder {
     /// Validates and freezes the topology.
     pub fn build(self) -> Result<Topology, TopologyError> {
         let n = self.nfs.len();
+        let ids = u16::try_from(n)
+            .ok()
+            .filter(|_| n <= MAX_NFS)
+            .ok_or(TopologyError::TooManyNfs(n))?;
         let valid = |id: NfId| (id.0 as usize) < n;
 
         let mut names = BTreeSet::new();
@@ -244,7 +263,7 @@ impl TopologyBuilder {
 
         // Kahn's algorithm; nodes it never reaches sit on a cycle.
         let mut indeg: Vec<usize> = upstream.iter().map(|u| u.len()).collect();
-        let mut queue: Vec<NfId> = (0..n as u16)
+        let mut queue: Vec<NfId> = (0..ids)
             .map(NfId)
             .filter(|i| indeg[i.0 as usize] == 0)
             .collect();
@@ -279,10 +298,10 @@ impl TopologyBuilder {
                 }
             }
         }
-        let mut topo_order: Vec<NfId> = (0..n as u16).map(NfId).collect();
+        let mut topo_order: Vec<NfId> = (0..ids).map(NfId).collect();
         topo_order.sort_by_key(|id| (level[id.0 as usize], id.0));
 
-        let exits: Vec<NfId> = (0..n as u16)
+        let exits: Vec<NfId> = (0..ids)
             .map(NfId)
             .filter(|id| downstream[id.0 as usize].is_empty())
             .collect();

@@ -185,7 +185,7 @@ pub fn emit_topology(topology: &Topology, rates: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::paper_topology;
+    use crate::topology::{paper_topology, MAX_NFS};
 
     #[test]
     fn round_trip_paper_topology() {
@@ -262,5 +262,32 @@ mod tests {
         let err = parse_topology("nf a nat 1e6\nnf b vpn 1e6\nedge a b\n").unwrap_err();
         assert!(matches!(err, TopologyTextError::Syntax(3, _)), "{err}");
         assert!(err.to_string().contains("no entry NF"), "{err}");
+    }
+
+    /// NF ids are `u16` and the top two values are markers: a description
+    /// one NF past the limit is refused by count, not wrapped into a
+    /// "cycle" or into ids that collide with the markers.
+    #[test]
+    fn more_nfs_than_the_id_space_holds_are_a_typed_error() {
+        let text = |n: usize| {
+            let mut t: String = (0..n).map(|i| format!("nf n{i} nat 1e6\n")).collect();
+            t.push_str("entry n0\n");
+            t
+        };
+        let (topo, _) = parse_topology(&text(MAX_NFS)).unwrap();
+        assert_eq!(topo.len(), MAX_NFS);
+        assert_eq!(topo.nfs().last().unwrap().id.0, 65_533);
+        for n in [MAX_NFS + 1, MAX_NFS + 2, MAX_NFS + 3] {
+            let err = parse_topology(&text(n)).unwrap_err();
+            assert!(
+                matches!(err, TopologyTextError::Invalid(TopologyError::TooManyNfs(m)) if m == n),
+                "{n}: {err}"
+            );
+            assert!(
+                err.to_string()
+                    .contains(&format!("topology has {n} NFs, at most 65534")),
+                "{err}"
+            );
+        }
     }
 }
