@@ -298,13 +298,10 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     if let Some(s) = &run.streamed {
         eprintln!(
-            "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB, \
-             {} queuing periods closed (longest {} us)",
+            "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB",
             s.chunks,
             s.committed,
             s.working_set_peak / 1024,
-            s.closed_periods,
-            s.longest_period_ns / 1_000,
         );
         match s.held_for_offsets {
             Some(held) if held == s.chunks => eprintln!(

@@ -17,9 +17,10 @@
 //! microscope stream   --topology FILE --bundle FILE [--chunk-ms N]
 //!                     [--quantile Q] [--top N] [--skew]
 //!     Consume the bundle as a stream of time chunks (chunked .mscs files
-//!     directly, whole .msc bundles chunked in memory), reconstructing
-//!     with O(window) state, and print the same report as diagnose. With
-//!     --skew, chunks are held until the estimated clock offsets settle.
+//!     chunk by chunk, whole .msc bundles read from the file in windows),
+//!     reconstructing with O(window) state, and print the same report as
+//!     diagnose. With --skew, chunks are held until the estimated clock
+//!     offsets settle.
 //!
 //! microscope skew     --topology FILE --bundle FILE
 //!     Estimate per-NF clock offsets from the records alone (§7).

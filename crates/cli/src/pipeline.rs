@@ -2,12 +2,13 @@
 //! bundle file → report — written once.
 //!
 //! Every command that reports runs one reconstructor, the windowed
-//! [`StreamEngine`]: `diagnose` and `stream` feed it time chunks read
-//! straight from the file ([`ChunkSource`]: a whole-run `.msc` in windows,
-//! a `.mscs` as it was chunked), and `diagnose --skew` feeds it the chunks
-//! of the bundle its whole-run clock-offset estimate corrected. The
-//! whole-run reconstructor (`msc_trace::reconstruct`) is not called here:
-//! it is the oracle the equivalence suites compare the engine with.
+//! [`StreamEngine`], on time chunks read straight from the file
+//! ([`ChunkSource`]: a whole-run `.msc` in windows, a `.mscs` as it was
+//! chunked). `diagnose --skew` first estimates the clock offsets over the
+//! whole run, frees it and hands the estimate to the engine, which corrects
+//! each window as it ingests it. The whole-run reconstructor
+//! (`msc_trace::reconstruct`) is not called here: it is the oracle the
+//! equivalence suites compare the engine with.
 //!
 //! Each function takes the parsed deployment, the bundle path and the values
 //! of the command's flags and calls the stages one at a time with the
@@ -22,36 +23,34 @@
 //!
 //! * `diagnose` and `stream`: `push 1` … `push N`, `finish`, then the
 //!   diagnosis stages;
-//! * `diagnose --skew`: `load`, `offsets`, `correct`, `chunk`, then as
-//!   `diagnose`;
+//! * `diagnose --skew`: `load`, `offsets`, then as `diagnose`;
 //! * `skew`: `load`, `offsets`;
 //! * the diagnosis stages: `diagnose`, `relations`, `aggregate`.
 
-use autofocus::{CausalRelation, Pattern, PatternConfig};
+use autofocus::{Pattern, PatternConfig};
 use microscope::{
     CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope, SampledRelations,
 };
-use msc_collector::{
-    chunk_bundle, load_bundle, BundleChunk, BundleIoError, ChunkSource, TraceBundle,
-};
+use msc_collector::{load_bundle, BundleChunk, BundleIoError, ChunkSource, TraceBundle};
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
-    correct_bundle, estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport,
-    SkewConfig, SkewEstimates, StreamError, Timelines,
+    estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport, SkewConfig,
+    SkewEstimates, StreamError, Timelines,
 };
 use nf_types::{Nanos, NodeId, TimeDelta, Topology, MICROS, MILLIS};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-/// The window `diagnose` reads a run in, from the `.msc` or, with `--skew`,
-/// from the corrected bundle. It sets the engine's frontier and nothing in
-/// the report. Peak RSS on a 2-core VM: on the 250 ms / 1.4 Mpps recording
-/// 10 and 50 ms windows peak alike (93 MiB, after the frontier is freed);
-/// on a 30 ms run one 50 ms window holds the whole run and peaks at
-/// 24.3 MiB, 10 ms windows at 16.6 MiB (the whole-run reconstructor: 18.6);
-/// `diagnose --skew` on a 120 ms / 0.7 Mpps run peaks at 41.1 MiB with
-/// 50 ms windows, 36.6 MiB with 10 ms ones (whole-run: 36.0).
+/// The window `diagnose` reads the `.msc` in, with or without `--skew`. It
+/// sets the engine's frontier and nothing in the report. Peak RSS on a
+/// 2-core VM: on the 250 ms / 1.4 Mpps recording 10 and 50 ms windows peak
+/// alike (93 MiB, after the frontier is freed); on a 30 ms run one 50 ms
+/// window holds the whole run and peaks at 24.3 MiB, 10 ms windows at
+/// 16.6 MiB (the whole-run reconstructor: 18.6); `diagnose --skew` on a
+/// 120 ms / 0.7 Mpps run peaks at 41.2 MiB with 50 ms windows, 29.9 MiB
+/// with 10 ms ones, where the estimator over the loaded run sets the peak
+/// (whole-run reconstructor: 36.0).
 const DIAGNOSE_WINDOW_MS: u64 = 10;
 
 /// `stream`'s window on a whole-run `.msc` when `--chunk-ms` is not given.
@@ -71,24 +70,14 @@ pub type Hook<'a> = &'a mut dyn FnMut(&str, Produced<'_>);
 
 /// What a stage just produced, lent to the [`Hook`].
 pub enum Produced<'a> {
-    /// `load`, `correct`: the records, as loaded or on the source clock.
-    Bundle(&'a TraceBundle),
-    /// `offsets`: the whole-run clock-offset estimate.
-    Offsets(&'a SkewEstimates),
-    /// `chunk`: the corrected bundle cut into time chunks (the bundle
-    /// already freed).
-    Chunks(&'a [BundleChunk]),
+    /// `load`, `offsets`, `relations`, `aggregate`: nothing is lent.
+    Done,
     /// `push N`: the engine after its N-th chunk (that chunk already freed).
     Engine(&'a StreamEngine),
     /// `finish`: the drained engine's traces and timelines.
     Finished(&'a Reconstruction, &'a Timelines),
     /// `diagnose`: one diagnosis per victim.
     Diagnoses(&'a [Diagnosis]),
-    /// `relations`: the sampled causal relations aggregation reads (the
-    /// rest were counted, never held).
-    Relations(&'a [CausalRelation]),
-    /// `aggregate`: every pattern, before the report keeps its top few.
-    Patterns(&'a [Pattern]),
 }
 
 /// The report both `diagnose` and `stream` print; [`fmt::Display`] renders
@@ -153,12 +142,8 @@ pub struct Streamed {
     pub committed: usize,
     /// Largest evictable frontier at any chunk boundary, in bytes.
     pub working_set_peak: usize,
-    /// Queuing periods closed over all NFs.
-    pub closed_periods: u64,
-    /// The longest of them.
-    pub longest_period_ns: Nanos,
     /// With `--skew`: chunks held until the clock offsets settled. Equal to
-    /// `chunks` when they settled on the whole run, as `diagnose --skew`'s do.
+    /// `chunks` when they settled only at the end, on the whole run.
     pub held_for_offsets: Option<u64>,
 }
 
@@ -181,7 +166,7 @@ pub struct Run {
 }
 
 /// Loads a whole-run bundle and checks it was recorded on `topology`: the
-/// estimator and `correct_bundle` index by NF.
+/// estimator indexes by NF.
 fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBundle, String> {
     let bundle = load_bundle(path).map_err(|e| format!("load {}: {e}", path.display()))?;
     if bundle.logs.len() != topology.len() {
@@ -191,7 +176,7 @@ fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBun
         }
         .to_string());
     }
-    hook("load", Produced::Bundle(&bundle));
+    hook("load", Produced::Done);
     Ok(bundle)
 }
 
@@ -200,7 +185,7 @@ fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBun
 /// names each such fallback.
 fn estimate(topology: &Topology, bundle: &TraceBundle, hook: Hook) -> SkewEstimates {
     let est = estimate_offsets_refined_detailed(topology, bundle, &SkewConfig::default());
-    hook("offsets", Produced::Offsets(&est));
+    hook("offsets", Produced::Done);
     est
 }
 
@@ -213,10 +198,10 @@ pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstima
 /// `microscope diagnose` — the whole-run `.msc` read in
 /// [`DIAGNOSE_WINDOW_MS`] windows into the engine.
 ///
-/// With `skew`, the run is first corrected by its whole-run offset estimate
-/// (all of it in memory), cut into the same windows and freed; the engine
-/// matches with [`SKEW_SLACK_NS`] of negative slack for what the correction
-/// leaves of each offset.
+/// With `skew`, the clock offsets are first estimated over the whole run,
+/// which is then freed; the engine corrects every window by that estimate
+/// and matches with [`SKEW_SLACK_NS`] of negative slack for what the
+/// correction leaves of each offset.
 pub fn diagnose(
     deployment: &Deployment,
     bundle: &Path,
@@ -226,40 +211,26 @@ pub fn diagnose(
     hook: Hook,
 ) -> Result<Run, String> {
     let topology = &deployment.0;
-    let path = bundle.display();
-    let mut run = if skew {
+    let mut cfg = StreamConfig::default();
+    let estimate = if skew {
         let whole = load_checked(topology, bundle, hook)?;
-        let est = estimate(topology, &whole, hook);
-        let corrected = correct_bundle(&whole, &est.offsets);
-        drop(whole);
-        hook("correct", Produced::Bundle(&corrected));
-        let chunks = chunk_bundle(&corrected, DIAGNOSE_WINDOW_MS * MILLIS);
-        drop(corrected);
-        hook("chunk", Produced::Chunks(&chunks));
-        let mut cfg = StreamConfig::default();
         cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
-        let mut chunks = chunks.into_iter();
-        let next = move || Ok(chunks.next());
-        let mut run = run_engine(deployment, cfg, next, quantile, top, hook)?;
-        run.skew_notes = est.notes(topology);
-        run.report.offsets = Some(est.offsets);
-        run
+        Some(estimate(topology, &whole, hook))
     } else {
-        let mut source = ChunkSource::open(bundle, DIAGNOSE_WINDOW_MS * MILLIS)
-            .map_err(|e| opening(&path, &e))?;
-        if let ChunkSource::Chunked(_) = source {
-            return Err(opening(&path, &BundleIoError::Chunked));
-        }
-        let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
-        run_engine(
-            deployment,
-            StreamConfig::default(),
-            next,
-            quantile,
-            top,
-            hook,
-        )?
+        None
     };
+    let mut engine = StreamEngine::new(topology, cfg);
+    if let Some(est) = estimate {
+        engine.correct_by(est);
+    }
+    let path = bundle.display();
+    let mut source =
+        ChunkSource::open(bundle, DIAGNOSE_WINDOW_MS * MILLIS).map_err(|e| opening(&path, &e))?;
+    if let ChunkSource::Chunked(_) = source {
+        return Err(opening(&path, &BundleIoError::Chunked));
+    }
+    let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
+    let mut run = run_engine(deployment, engine, next, quantile, top, hook)?;
     run.streamed = None;
     Ok(run)
 }
@@ -294,8 +265,9 @@ pub fn stream(
         cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
         cfg.skew = Some(SkewConfig::default());
     }
+    let engine = StreamEngine::new(&deployment.0, cfg);
     let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
-    run_engine(deployment, cfg, next, quantile, top, hook)
+    run_engine(deployment, engine, next, quantile, top, hook)
 }
 
 fn opening(path: &impl fmt::Display, e: &BundleIoError) -> String {
@@ -306,19 +278,17 @@ fn reading(path: &impl fmt::Display, e: &BundleIoError) -> String {
     format!("read {path}: {e}")
 }
 
-/// Pushes every chunk `next` yields into an engine configured by `cfg` —
-/// each chunk freed before the hook looks — then drains the engine and runs
-/// the diagnosis stages on what it reconstructed.
+/// Pushes every chunk `next` yields into `engine` — each chunk freed
+/// before the hook looks — then drains the engine and runs the diagnosis
+/// stages on what it reconstructed.
 fn run_engine(
     deployment: &Deployment,
-    cfg: StreamConfig,
+    mut engine: StreamEngine,
     mut next: impl FnMut() -> Result<Option<BundleChunk>, String>,
     quantile: f64,
     top: usize,
     hook: Hook,
 ) -> Result<Run, String> {
-    let topology = &deployment.0;
-    let mut engine = StreamEngine::new(topology, cfg);
     while let Some(chunk) = next()? {
         engine.push_chunk(&chunk).map_err(|e| e.to_string())?;
         drop(chunk);
@@ -327,15 +297,13 @@ fn run_engine(
             Produced::Engine(&engine),
         );
     }
-    // The reader and its windows, or what is left of the chunks.
+    // The reader and its windows.
     drop(next);
 
     let mut streamed = Streamed {
         chunks: engine.chunks(),
         committed: engine.committed(),
         working_set_peak: engine.working_set_peak(),
-        closed_periods: engine.periods().closed_periods(),
-        longest_period_ns: engine.periods().longest_ns(),
         held_for_offsets: None,
     };
     let (mut recon, timelines, skewed) = engine.finish_skewed();
@@ -346,7 +314,7 @@ fn run_engine(
     let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
     if let Some((est, held)) = skewed {
         streamed.held_for_offsets = Some(held);
-        run.skew_notes = est.notes(topology);
+        run.skew_notes = est.notes(&deployment.0);
         run.report.offsets = Some(est.offsets);
     }
     run.streamed = Some(streamed);
@@ -402,12 +370,12 @@ fn diagnose_and_aggregate(
         total: relations_total,
         stride: sample_stride,
     } = microscope::sample_relations(recon, &diagnoses, MAX_RELATIONS);
-    hook("relations", Produced::Relations(&relations));
+    hook("relations", Produced::Done);
     let mut patterns =
         autofocus::aggregate_patterns(&relations, &PatternConfig::default(), &|id| {
             topology.nf(id).kind
         });
-    hook("aggregate", Produced::Patterns(&patterns));
+    hook("aggregate", Produced::Done);
     let patterns_total = patterns.len();
     patterns.truncate(top);
 

@@ -45,7 +45,7 @@ fn fallback_notes(cmd: &[&str], dir: &Path) -> Vec<String> {
 fn offline_skew_commands_name_fallback_offsets_on_stderr() {
     let dir = std::env::temp_dir().join(format!("msc_cli_skew_notes_{}", std::process::id()));
 
-    // 1 ms at 0.2 Mpps: some NFs see fewer packets than `min_samples`.
+    // 1 ms at 0.2 Mpps: some NFs see fewer packets than the estimator's sample floor.
     record(&dir, "1", "0.2");
     let notes = fallback_notes(&["skew"], &dir);
     assert!(!notes.is_empty(), "a starved NF must be named");

@@ -4,8 +4,7 @@
 //!
 //! * `diagnose`, and `stream` on either container: `push 1` … `push N`,
 //!   `finish`, `diagnose`, `relations`, `aggregate`;
-//! * `diagnose --skew`: `load`, `offsets`, `correct`, `chunk`, then the
-//!   same;
+//! * `diagnose --skew`: `load`, `offsets`, then the same;
 //! * `skew`: `load`, `offsets`.
 
 use microscope_cli::pipeline::{self, Hook, Run};
@@ -66,7 +65,7 @@ fn the_hook_sees_the_documented_stages_in_order_and_changes_nothing() {
     assert_engine_stages(&names, &[]);
 
     let (names, _) = watched(|h| pipeline::diagnose(&deployment, &msc, true, 0.99, 10, h));
-    assert_engine_stages(&names, &["load", "offsets", "correct", "chunk"]);
+    assert_engine_stages(&names, &["load", "offsets"]);
 
     let (names, streamed) =
         watched(|h| pipeline::stream(&deployment, &mscs, None, false, 0.99, 10, h));

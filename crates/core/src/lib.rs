@@ -46,7 +46,6 @@ pub mod index;
 pub mod local;
 pub mod propagation;
 pub mod report;
-pub mod streaming;
 pub mod victim;
 
 pub use cache::{CacheStats, DiagnosisCache, DiagnosisStep, StepKey};
@@ -57,5 +56,4 @@ pub use propagation::{
     attribute_upstream, attribute_upstream_with, credit_walk, UpstreamScratch, UpstreamShare,
 };
 pub use report::{diagnoses_to_relations, sample_relations, SampledRelations};
-pub use streaming::{NfPeriodStats, PeriodTracker};
 pub use victim::{find_victims, LatencyThreshold, Victim, VictimConfig, VictimKind};

@@ -14,11 +14,11 @@
 //!   forwards the decided packets NF by NF and drops the consumed prefix of
 //!   every column, so peak memory is bounded by the in-flight window rather
 //!   than the run length.
-//! * **Rolling period tracking** — the per-read drain bit folds into a
-//!   [`microscope::PeriodTracker`] for live congestion stats.
 //! * **Optional skew correction** — with [`StreamConfig::skew`] set, chunks
 //!   are held until the clock offsets estimated over them settle, then all
-//!   corrected by that one estimate ([`StreamEngine::push_chunk`]).
+//!   corrected by that one estimate ([`StreamEngine::push_chunk`]); an
+//!   engine given an estimate up front ([`StreamEngine::correct_by`]) holds
+//!   nothing and corrects every chunk by it.
 //!
 //! Chunks must arrive in time order, each once: a chunk whose `until` does
 //! not exceed the previous one's, or that carries a record from before it,
@@ -46,7 +46,6 @@
     )
 )]
 
-use microscope::PeriodTracker;
 use msc_collector::{concat_chunks, BundleChunk, FlowRecord, TraceBundle};
 use msc_trace::{
     correct_bundle, estimate_offsets_refined_detailed, MatchConfig, Reconstruction,
@@ -68,7 +67,6 @@ pub struct StreamConfig {
 /// Skew mode's state.
 #[derive(Default)]
 struct Skew {
-    cfg: SkewConfig,
     /// Two successive estimates this close agree: the residual skew the
     /// matcher is told to tolerate.
     tolerance: Nanos,
@@ -87,7 +85,6 @@ struct Skew {
 pub struct StreamEngine {
     topology: Topology,
     recon: WindowedReconstructor,
-    periods: PeriodTracker,
     skew: Option<Skew>,
     chunks: u64,
     working_set_peak: usize,
@@ -98,21 +95,32 @@ impl StreamEngine {
     pub fn new(topology: &Topology, cfg: StreamConfig) -> Self {
         Self {
             topology: topology.clone(),
-            skew: cfg.skew.map(|sc| Skew {
-                cfg: sc,
+            skew: cfg.skew.map(|_| Skew {
                 tolerance: cfg.matching.negative_slack_ns,
                 ..Default::default()
             }),
             recon: WindowedReconstructor::new(topology, cfg.matching),
-            periods: PeriodTracker::new(topology.len()),
             chunks: 0,
             working_set_peak: 0,
         }
     }
 
+    /// Corrects every chunk by `estimate`, made before the stream starts
+    /// (`diagnose --skew`'s whole-run estimate), instead of holding chunks
+    /// until an estimate over them settles: the engine starts in the state
+    /// a skew-mode engine reaches once its offsets have settled, with no
+    /// chunk held. Call it before the first chunk.
+    pub fn correct_by(&mut self, estimate: SkewEstimates) {
+        assert_eq!(self.chunks, 0, "offsets are given before the first chunk");
+        self.skew = Some(Skew {
+            estimate: Some(estimate),
+            settled: Some(0),
+            ..Default::default()
+        });
+    }
+
     /// Consumes one chunk: checks it follows the previous one (on the raw
-    /// timestamps), feeds the rolling period tracker, and advances the
-    /// reconstruction watermark.
+    /// timestamps) and advances the reconstruction watermark.
     ///
     /// In skew mode the chunk is held until the clock offsets settle. They
     /// are estimated over the held chunks, again whenever those have doubled,
@@ -123,7 +131,7 @@ impl StreamEngine {
         self.recon.admit(&chunk.bundle, chunk.until)?;
         if let Some(skew) = &mut self.skew {
             if let (Some(_), Some(est)) = (skew.settled, &skew.estimate) {
-                ingest_corrected(&mut self.recon, &mut self.periods, &est.offsets, chunk)?;
+                ingest_corrected(&mut self.recon, &est.offsets, chunk)?;
             } else {
                 skew.pending_bytes += chunk_bytes(&chunk.bundle);
                 skew.pending.push(chunk.clone());
@@ -133,7 +141,6 @@ impl StreamEngine {
                 }
             }
         } else {
-            track_reads(&mut self.periods, &chunk.bundle);
             self.recon.advance(&chunk.bundle, chunk.until)?;
         }
         self.chunks += 1;
@@ -149,18 +156,13 @@ impl StreamEngine {
         skew.settled = Some(skew.pending.len() as u64);
         let offsets = skew.estimate.as_ref().map_or(&[][..], |e| &e.offsets);
         for chunk in skew.pending.drain(..) {
-            ingest_corrected(&mut self.recon, &mut self.periods, offsets, &chunk)?;
+            ingest_corrected(&mut self.recon, offsets, &chunk)?;
             skew.pending_bytes -= chunk_bytes(&chunk.bundle);
             // The frontier fills while the held prefix empties.
             let frontier = self.recon.working_set() + skew.pending_bytes;
             self.working_set_peak = self.working_set_peak.max(frontier);
         }
         Ok(())
-    }
-
-    /// Rolling queuing-period stats.
-    pub fn periods(&self) -> &PeriodTracker {
-        &self.periods
     }
 
     /// Reconstruction counters so far (totals settle at [`finish`]).
@@ -190,8 +192,6 @@ impl StreamEngine {
             skew,
             // Fixed: a copy of the topology given to `new`.
             topology: _,
-            // Fixed: one stats slot per NF, sized at construction.
-            periods: _,
             chunks: _,
             working_set_peak: _,
         } = self;
@@ -244,7 +244,6 @@ impl Skew {
             pending_bytes,
             // Fixed: one offset per NF.
             estimate: _,
-            cfg: _,
             tolerance: _,
             estimated_bytes: _,
             settled: _,
@@ -257,7 +256,7 @@ impl Skew {
     /// records, and no offset moved by more than the tolerance.
     fn estimate_held(&mut self, topology: &Topology) -> bool {
         let held = concat_chunks(&self.pending);
-        let est = estimate_offsets_refined_detailed(topology, &held, &self.cfg);
+        let est = estimate_offsets_refined_detailed(topology, &held, &SkewConfig::default());
         let agreed = self.estimate.as_ref().is_some_and(|prev| {
             held.logs.iter().enumerate().all(|(i, log)| {
                 let estimated = prev.available[i] && est.available[i];
@@ -274,25 +273,15 @@ impl Skew {
 /// Rewrites `chunk` onto the source clock by `offsets` and ingests it.
 fn ingest_corrected(
     recon: &mut WindowedReconstructor,
-    periods: &mut PeriodTracker,
     offsets: &[TimeDelta],
     chunk: &BundleChunk,
 ) -> Result<(), StreamError> {
     let corrected = correct_bundle(&chunk.bundle, offsets);
-    track_reads(periods, &corrected);
     // A clock running `o` ahead has its records land up to `o` below the raw
     // chunk boundary (one running behind only moves them up): lag the
     // watermark by the largest `o`, so they are undecided when they arrive.
     let guard = offsets.iter().copied().max().unwrap_or(0).max(0);
     recon.advance(&corrected, chunk.until.saturating_sub(guard.unsigned_abs()))
-}
-
-fn track_reads(periods: &mut PeriodTracker, bundle: &TraceBundle) {
-    for log in &bundle.logs {
-        for r in log.rx.iter() {
-            periods.on_read(log.nf, r.ts, r.drained_queue());
-        }
-    }
 }
 
 /// Approximate heap bytes of a chunk's records.
@@ -387,21 +376,6 @@ mod tests {
             let (diagnoses, _) = streamed.diagnose_all_stats(&recon, &timelines);
             assert_eq!(diagnoses, off_diag, "chunk_ms={chunk_ms}");
         }
-    }
-
-    #[test]
-    fn period_tracker_sees_the_interrupt_congestion() {
-        let (topology, _, bundle) = paper_run(5, 30);
-        let mut engine = StreamEngine::new(&topology, StreamConfig::default());
-        for chunk in chunk_bundle(&bundle, 5 * MILLIS) {
-            engine.push_chunk(&chunk).expect("chunk fits topology");
-        }
-        // The interrupt at nat2 must have produced at least one closed
-        // queuing period somewhere, and the longest must be visible.
-        assert!(engine.periods().closed_periods() > 0);
-        assert!(engine.periods().longest_ns() > 0);
-        let nat2 = topology.by_name("nat2").expect("nat2 exists");
-        assert!(engine.periods().nf(nat2).last_read.is_some());
     }
 
     #[test]
@@ -538,6 +512,36 @@ mod tests {
             assert_eq!(est, whole, "chunk_ms={chunk_ms}");
             assert_eq!(recon, offline, "chunk_ms={chunk_ms}");
             assert_eq!(timelines, off_tl, "chunk_ms={chunk_ms}");
+        }
+    }
+
+    /// `diagnose --skew`: the whole-run estimate handed to the engine before
+    /// its first chunk; every raw chunk is corrected as it is ingested.
+    #[test]
+    fn an_engine_given_the_whole_run_estimate_equals_offline() {
+        let topology = paper_topology();
+        for step_ms in [1, 4] {
+            let clocks = spread_clocks(&topology, step_ms * MILLIS as i64);
+            let (_, _, bundle) = paper_run_on_clocks(9, 30, clocks);
+            let (whole, offline) = offline_skewed(&topology, &bundle);
+            let off_tl = Timelines::build(&offline);
+            // 1 000 ms: one chunk holds the whole run.
+            for chunk_ms in [1, 10, 50, 1_000] {
+                let what = format!("{step_ms} ms clocks, {chunk_ms} ms chunks");
+                let cfg = StreamConfig {
+                    matching: skew_cfg().matching,
+                    skew: None,
+                };
+                let mut engine = StreamEngine::new(&topology, cfg);
+                engine.correct_by(whole.clone());
+                for chunk in chunk_bundle(&bundle, chunk_ms * MILLIS) {
+                    engine.push_chunk(&chunk).expect("chunk fits topology");
+                }
+                let (recon, timelines, skew) = engine.finish_skewed();
+                assert_eq!(skew, Some((whole.clone(), 0)), "{what}");
+                assert_eq!(recon, offline, "{what}");
+                assert_eq!(timelines, off_tl, "{what}");
+            }
         }
     }
 

@@ -32,24 +32,18 @@ use crate::streams::EdgeStreams;
 use msc_collector::TraceBundle;
 use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
 
-/// Configuration for the estimator.
-#[derive(Debug, Clone)]
-pub struct SkewConfig {
-    /// Which percentile of per-IPID deltas approximates the offset (small,
-    /// but not the raw minimum, for robustness against IPID collisions).
-    pub percentile: f64,
-    /// Minimum samples per edge to trust an estimate.
-    pub min_samples: usize,
-}
+/// Which percentile of per-IPID deltas approximates an edge's offset
+/// (small, but not the raw minimum, for robustness against IPID collisions).
+const PERCENTILE: f64 = 0.05;
 
-impl Default for SkewConfig {
-    fn default() -> Self {
-        Self {
-            percentile: 0.05,
-            min_samples: 16,
-        }
-    }
-}
+/// Minimum samples per edge to trust an estimate.
+const MIN_SAMPLES: usize = 16;
+
+/// Configuration for the estimator. It has no settings — the percentile
+/// and the sample floor are this module's constants — but the estimation
+/// functions still take one, so their callers compile unchanged.
+#[derive(Debug, Clone, Default)]
+pub struct SkewConfig {}
 
 /// Per-NF offsets plus per-NF availability: which estimates actually came
 /// from edge samples and which are the fallback value.
@@ -98,7 +92,6 @@ fn on_source_clock(ts: Nanos, off: TimeDelta) -> Nanos {
 /// plus the scratch buffers its scans write (so the scans never allocate).
 struct Estimator<'a> {
     topology: &'a Topology,
-    cfg: &'a SkewConfig,
     /// The raw bundle's streams; offsets are applied on read.
     streams: EdgeStreams,
     /// Per NF: its rx stream grouped by IPID, raw timestamps.
@@ -118,7 +111,7 @@ struct Estimator<'a> {
 }
 
 impl<'a> Estimator<'a> {
-    fn new(topology: &'a Topology, bundle: &TraceBundle, cfg: &'a SkewConfig) -> Self {
+    fn new(topology: &'a Topology, bundle: &TraceBundle) -> Self {
         let streams = EdgeStreams::build(topology, bundle);
         let rx_runs: Vec<IpidRuns> = streams
             .nfs
@@ -139,7 +132,6 @@ impl<'a> Estimator<'a> {
         }
         Self {
             topology,
-            cfg,
             rx_ts: vec![Vec::new(); rx_runs.len()],
             rx_runs,
             deltas: Vec::with_capacity(longest_rx),
@@ -167,7 +159,6 @@ impl<'a> Estimator<'a> {
                     &self.rx_runs[nf.0 as usize],
                     &mut self.per_ipid,
                     &mut self.deltas,
-                    self.cfg,
                 );
                 if let (Some(up_off), Some(delta)) = (up_offset, delta) {
                     sum += up_off + delta;
@@ -218,7 +209,7 @@ impl<'a> Estimator<'a> {
                     rx_ts: &self.rx_ts[nf.0 as usize],
                 };
                 let total = bin_pairs::<BIN_NS, SEARCH_NS>(&join, &mut self.counts);
-                if total < self.cfg.min_samples {
+                if total < MIN_SAMPLES {
                     continue;
                 }
                 let lookback = (1_000_000 / BIN_NS).max(4) as usize;
@@ -254,13 +245,12 @@ fn edge_delta(
     rx: &IpidRuns,
     hints: &mut [u32],
     deltas: &mut Vec<TimeDelta>,
-    cfg: &SkewConfig,
 ) -> Option<TimeDelta> {
     pair_in_order(sends, rx, hints, deltas);
-    if deltas.is_empty() || deltas.len() < cfg.min_samples {
+    if deltas.is_empty() || deltas.len() < MIN_SAMPLES {
         return None;
     }
-    let idx = ((deltas.len() - 1) as f64 * cfg.percentile).round() as usize;
+    let idx = ((deltas.len() - 1) as f64 * PERCENTILE).round() as usize;
     if idx >= deltas.len() {
         return None;
     }
@@ -519,9 +509,9 @@ fn min_delta<const BIN_NS: i64, const SEARCH_NS: i64>(
 pub fn estimate_offsets_detailed(
     topology: &Topology,
     bundle: &TraceBundle,
-    cfg: &SkewConfig,
+    _: &SkewConfig,
 ) -> SkewEstimates {
-    Estimator::new(topology, bundle, cfg).coarse()
+    Estimator::new(topology, bundle).coarse()
 }
 
 /// Multi-pass estimator: coarse per-edge percentile sync, then iterative
@@ -554,9 +544,9 @@ pub fn estimate_offsets_refined(
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
     bundle: &TraceBundle,
-    cfg: &SkewConfig,
+    _: &SkewConfig,
 ) -> SkewEstimates {
-    let mut estimator = Estimator::new(topology, bundle, cfg);
+    let mut estimator = Estimator::new(topology, bundle);
     let mut est = estimator.coarse();
     estimator.refine::<100_000, 20_000_000>(&mut est);
     estimator.refine::<10_000, 2_000_000>(&mut est);

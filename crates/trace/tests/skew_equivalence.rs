@@ -5,10 +5,11 @@
 //! `skew_oracle/` (a `correct_bundle` clone and a fresh `EdgeStreams` per
 //! pass, `HashMap` indexes and a `HashMap` histogram).
 //!
-//! Both sides see the same topology, bundle and config, so a divergence is
-//! a semantics change in the rewrite, not in the inputs. Inputs: simulated
+//! Both sides see the same topology and bundle and use the same percentile
+//! and sample floor (constants on each side), so a divergence is a
+//! semantics change in the rewrite, not in the inputs. Inputs: simulated
 //! multi-server runs on the paper topology, a run too short for some edges
-//! to reach `min_samples`, records close enough to t = 0 that the
+//! to reach the sample floor, records close enough to t = 0 that the
 //! correction clamps, and hand-placed histogram shapes (single-bin spike,
 //! spike at the lowest populated bin, tied peaks, a detached collision
 //! cluster).
@@ -33,13 +34,13 @@ fn assert_equivalent(
     let cfg = SkewConfig::default();
     assert_eq!(
         estimate_offsets_detailed(topology, bundle, &cfg),
-        skew_oracle::estimate_offsets_detailed(topology, bundle, &cfg),
+        skew_oracle::estimate_offsets_detailed(topology, bundle),
         "{what}: coarse estimate"
     );
     let refined = estimate_offsets_refined_detailed(topology, bundle, &cfg);
     assert_eq!(
         refined,
-        skew_oracle::estimate_offsets_refined_detailed(topology, bundle, &cfg),
+        skew_oracle::estimate_offsets_refined_detailed(topology, bundle),
         "{what}: refined estimate"
     );
     refined
@@ -97,7 +98,7 @@ fn simulated_runs_at_1_4_mpps_for_20_ms_match_the_oracle() {
 #[test]
 fn quiet_edges_below_min_samples_match_the_oracle() {
     // 1 ms at 0.2 Mpps: ~200 packets over 16 NFs, so some edges stay under
-    // `min_samples` and their NFs fall back to offset 0 / unavailable.
+    // the estimator's 16-sample floor and their NFs fall back to offset 0 / unavailable.
     let (topology, bundle) = skewed_run(200_000.0, 1_000, 3);
     let est = assert_equivalent("quiet edges", &topology, &bundle);
     assert!(

@@ -4,15 +4,19 @@
 //! stream per edge per pass, and every same-IPID (send, read) pair pushed
 //! through a `Vec` and a `HashMap<i64, usize>` histogram.
 //!
-//! It is the naive reference of `tests/skew_equivalence.rs` and the
-//! `baseline_skew_estimate_ms` row of `cargo bench -p msc-bench --bench
-//! diagnose` (both include this file by path); nothing in the library
-//! reaches it.
+//! It is the naive reference of `tests/skew_equivalence.rs`, which
+//! includes this file by path; nothing in the library reaches it.
 
 use msc_collector::TraceBundle;
-use msc_trace::{correct_bundle, EdgeStreams, SkewConfig, SkewEstimates};
+use msc_trace::{correct_bundle, EdgeStreams, SkewEstimates};
 use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
 use std::collections::HashMap;
+
+/// The percentile of per-IPID deltas taken as an edge's offset.
+const PERCENTILE: f64 = 0.05;
+
+/// Minimum samples per edge to trust an estimate.
+const MIN_SAMPLES: usize = 16;
 
 /// Per-edge raw estimate of `offset(down) − offset(up)`.
 ///
@@ -22,12 +26,7 @@ use std::collections::HashMap;
 /// pairing occasionally grabs a same-IPID packet from *another* upstream
 /// (collisions), and every true pair carries a non-negative queueing delay;
 /// a percentile between those two failure modes is robust to both.
-fn edge_delta(
-    streams: &EdgeStreams,
-    up: NodeId,
-    down: NfId,
-    cfg: &SkewConfig,
-) -> Option<TimeDelta> {
+fn edge_delta(streams: &EdgeStreams, up: NodeId, down: NfId) -> Option<TimeDelta> {
     let rx = &streams.nfs[down.0 as usize];
     // Per-IPID positions in the rx stream for O(log) in-order lookup.
     let mut rx_by_ipid: HashMap<Ipid, Vec<usize>> = HashMap::new();
@@ -57,11 +56,11 @@ fn edge_delta(
         }
         deltas.push(rx.rx_ts[rx_idx] as i64 - tx_ts as i64);
     }
-    if deltas.len() < cfg.min_samples {
+    if deltas.len() < MIN_SAMPLES {
         return None;
     }
     deltas.sort_unstable();
-    let idx = ((deltas.len() - 1) as f64 * cfg.percentile).round() as usize;
+    let idx = ((deltas.len() - 1) as f64 * PERCENTILE).round() as usize;
     Some(deltas[idx])
 }
 
@@ -70,11 +69,7 @@ fn edge_delta(
 ///
 /// Subtracting an NF's offset from its record timestamps moves them onto
 /// the source clock.
-pub fn estimate_offsets_detailed(
-    topology: &Topology,
-    bundle: &TraceBundle,
-    cfg: &SkewConfig,
-) -> SkewEstimates {
+pub fn estimate_offsets_detailed(topology: &Topology, bundle: &TraceBundle) -> SkewEstimates {
     let streams = EdgeStreams::build(topology, bundle);
     let mut offsets: Vec<Option<TimeDelta>> = vec![None; topology.len()];
 
@@ -85,7 +80,7 @@ pub fn estimate_offsets_detailed(
                 NodeId::Source => Some(0),
                 NodeId::Nf(u) => offsets[u.0 as usize],
             };
-            let (Some(up_off), Some(delta)) = (up_offset, edge_delta(&streams, up, nf, cfg)) else {
+            let (Some(up_off), Some(delta)) = (up_offset, edge_delta(&streams, up, nf)) else {
                 continue;
             };
             estimates.push(up_off + delta);
@@ -107,9 +102,8 @@ pub fn estimate_offsets_detailed(
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
     bundle: &TraceBundle,
-    cfg: &SkewConfig,
 ) -> SkewEstimates {
-    let coarse = estimate_offsets_detailed(topology, bundle, cfg);
+    let coarse = estimate_offsets_detailed(topology, bundle);
     let mut est = coarse.offsets;
     let mut available = coarse.available;
 
@@ -124,7 +118,7 @@ pub fn estimate_offsets_refined_detailed(
         for &nf in topology.topo_order() {
             let mut estimates: Vec<TimeDelta> = Vec::new();
             for up in topology.upstream_nodes(nf) {
-                let Some(delta) = edge_residual(&streams, up, nf, bin_ns, search_ns, cfg) else {
+                let Some(delta) = edge_residual(&streams, up, nf, bin_ns, search_ns) else {
                     continue;
                 };
                 let up_res = match up {
@@ -156,7 +150,6 @@ fn edge_residual(
     down: NfId,
     bin_ns: i64,
     search_ns: i64,
-    cfg: &SkewConfig,
 ) -> Option<TimeDelta> {
     let mut rx_by_ipid: HashMap<Ipid, Vec<Nanos>> = HashMap::new();
     for (ts, ipid) in streams.nfs[down.0 as usize].rx() {
@@ -176,7 +169,7 @@ fn edge_residual(
             deltas.push(d);
         }
     }
-    if deltas.len() < cfg.min_samples {
+    if deltas.len() < MIN_SAMPLES {
         return None;
     }
     let mut bins: HashMap<i64, usize> = HashMap::new();

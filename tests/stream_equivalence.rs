@@ -8,12 +8,15 @@
 //! timelines and equal diagnoses for every seed, chunk size, and cache
 //! setting. Chunk sizes run from far below the read batch spacing (every
 //! chunk splits queues mid-flight) to one chunk holding the whole run.
-//! One input is what `diagnose --skew` streams: a run on skewed clocks,
-//! corrected by its whole-run offset estimate and matched with negative
-//! slack.
+//! One input is what `diagnose --skew` streams: a run on skewed clocks, read
+//! raw by an engine given its whole-run offset estimate, which corrects each
+//! chunk and matches with negative slack; the oracle reconstructs the run
+//! corrected by the same estimate.
 
 use microscope_repro::prelude::*;
-use microscope_repro::trace::{correct_bundle, estimate_offsets_refined, MatchConfig, SkewConfig};
+use microscope_repro::trace::{
+    correct_bundle, estimate_offsets_refined_detailed, MatchConfig, SkewConfig,
+};
 
 /// The paper deployment with a long nat2 interrupt, NF `i`'s clock
 /// `clock_offsets_ns[i]` ahead of the source's (none: one clock).
@@ -68,17 +71,20 @@ fn streamed_pipeline_is_bit_identical_to_offline() {
     let skewed: Vec<i64> = (0..16).map(|i| (i % 5 - 2) * MILLIS as i64).collect();
     for (seed, clocks) in [(11u64, Vec::new()), (42, Vec::new()), (11, skewed)] {
         let skew = !clocks.is_empty();
-        let (topology, rates, mut bundle) = run_16nf(1_600_000.0, 20, seed, clocks);
+        let (topology, rates, bundle) = run_16nf(1_600_000.0, 20, seed, clocks);
         let mut matching = MatchConfig::default();
         if skew {
-            let offsets = estimate_offsets_refined(&topology, &bundle, &SkewConfig::default());
-            bundle = correct_bundle(&bundle, &offsets);
             matching.negative_slack_ns = 20 * MICROS;
         }
+        let estimate = skew
+            .then(|| estimate_offsets_refined_detailed(&topology, &bundle, &SkewConfig::default()));
+        let corrected = estimate
+            .as_ref()
+            .map(|e| correct_bundle(&bundle, &e.offsets));
         let cfg = ReconstructionConfig {
             matching: matching.clone(),
         };
-        let offline = reconstruct(&topology, &bundle, &cfg);
+        let offline = reconstruct(&topology, corrected.as_ref().unwrap_or(&bundle), &cfg);
         let off_tl = Timelines::build(&offline);
         assert!(
             offline.report.delivered > 0 && offline.report.inferred_drops > 0,
@@ -96,9 +102,12 @@ fn streamed_pipeline_is_bit_identical_to_offline() {
                     skew: None,
                 };
                 let mut engine = StreamEngine::new(&topology, stream_cfg);
+                if let Some(est) = &estimate {
+                    engine.correct_by(est.clone());
+                }
                 let chunks = chunk_bundle(&bundle, chunk_us * MICROS);
-                // The corrected run starts near the 10 s clock epoch, and
-                // some of its records just below it.
+                // Clocks up to 2 ms behind put records just below the 10 s
+                // clock epoch.
                 if !skew {
                     assert_eq!(chunks.len() == 1, chunk_us == 1_000_000, "{tag}");
                 }
