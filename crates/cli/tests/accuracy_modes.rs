@@ -6,11 +6,13 @@
 //! journal — on five seeds, each with its own floor, and pooled.
 //!
 //! Streamed at 1, 5 and 50 ms chunks, every seed must diagnose exactly what
-//! it diagnoses offline, so one score covers every mode.
+//! it diagnoses offline, so one score covers those modes. `diagnose --skew`
+//! runs on the same packets recorded on skewed clocks and is scored on its
+//! own, against the same floors.
 
 use microscope::Diagnosis;
 use microscope_cli::pipeline::{self, Hook, Produced, Run};
-use msc_collector::{chunk_bundle, save_bundle, save_bundle_chunked};
+use msc_collector::{chunk_bundle, save_bundle, save_bundle_chunked, TraceBundle};
 use msc_experiments::runner::{candidate_flows, simulate};
 use msc_experiments::scoring::{correct_rate, score_run};
 use msc_experiments::{build_history, InjectionPlan, PlanConfig, RunSpec};
@@ -51,6 +53,24 @@ fn spec(seed: u64) -> RunSpec {
     spec
 }
 
+/// The run's records on skewed clocks: NF `i`'s clock runs `(i % 5)` ms
+/// ahead of the source's — `record --skew`'s spread, moved up so that no
+/// record clamps at 0 and the corrected run is on the simulator's clock,
+/// which the journal the diagnoses are scored against is on.
+fn skewed(bundle: &TraceBundle) -> TraceBundle {
+    let mut out = bundle.clone();
+    for (i, log) in out.logs.iter_mut().enumerate() {
+        let ahead = (i as u64 % 5) * MILLIS;
+        for ts in log.rx.ts_mut().iter_mut().chain(log.tx.ts_mut()) {
+            *ts += ahead;
+        }
+        for f in &mut log.flows {
+            f.ts += ahead;
+        }
+    }
+    out
+}
+
 /// A pipeline's run, and the diagnoses its `diagnose` stage lent the hook.
 fn watched(run: impl FnOnce(Hook<'_>) -> Result<Run, String>) -> (Run, Vec<Diagnosis>) {
     let mut diagnoses = Vec::new();
@@ -63,10 +83,10 @@ fn watched(run: impl FnOnce(Hook<'_>) -> Result<Run, String>) -> (Run, Vec<Diagn
     (run, diagnoses)
 }
 
-/// Microscope's and NetMedic's culprit rank per attributable victim of
-/// `seed`, after checking that every streamed mode diagnoses what the
-/// offline one does.
-fn ranks(seed: u64, dir: &Path) -> (Vec<usize>, Vec<usize>) {
+/// Microscope's culprit rank per attributable victim of `seed`, offline and
+/// with `--skew`, and NetMedic's, after checking that every streamed mode
+/// diagnoses what the offline one does.
+fn ranks(seed: u64, dir: &Path) -> [Vec<usize>; 3] {
     let (topology, rates, out) = simulate(&spec(seed));
 
     // What `microscope record --chunk-ms N` writes, once per chunk length.
@@ -76,6 +96,8 @@ fn ranks(seed: u64, dir: &Path) -> (Vec<usize>, Vec<usize>) {
     std::fs::write(&topo_path, emit_topology(&topology, &rates)).expect("write topology");
     let msc = dir.join("run.msc");
     save_bundle(&msc, &out.bundle).expect("write .msc");
+    let skewed_msc = dir.join("skewed.msc");
+    save_bundle(&skewed_msc, &skewed(&out.bundle)).expect("write skewed .msc");
     for ms in CHUNK_MS {
         let chunks = chunk_bundle(&out.bundle, ms * MILLIS);
         save_bundle_chunked(&dir.join(format!("run_{ms}.mscs")), &chunks).expect("write .mscs");
@@ -96,6 +118,8 @@ fn ranks(seed: u64, dir: &Path) -> (Vec<usize>, Vec<usize>) {
             "seed {seed}: {ms} ms chunks diagnose differently from offline"
         );
     }
+    let (_, skew_diagnoses) =
+        watched(|h| pipeline::diagnose(&deployment, &skewed_msc, true, QUANTILE, TOP, h));
 
     // §7: IPID-based reconstruction can occasionally fail; under burst-
     // induced ring overflows we tolerate a sub-0.01% mismatch rate.
@@ -120,39 +144,49 @@ fn ranks(seed: u64, dir: &Path) -> (Vec<usize>, Vec<usize>) {
         "seed {seed}: expected many attributable victims, got {}",
         scored.len()
     );
-    scored
+    let skew_scored = score_run(topology, &out.journal.events, &skew_diagnoses, &nm, &hist);
+    let (ms_ranks, nm_ranks) = scored
         .iter()
         .map(|s| (s.microscope_rank, s.netmedic_rank))
-        .unzip()
+        .unzip();
+    let skew_ranks = skew_scored.iter().map(|s| s.microscope_rank).collect();
+    [ms_ranks, skew_ranks, nm_ranks]
 }
 
 #[test]
 fn microscope_beats_netmedic_on_injected_problems_in_every_mode() {
     let dir = std::env::temp_dir().join(format!("msc_cli_accuracy_{}", std::process::id()));
-    let mut pooled = Vec::new();
+    let mut pooled = [Vec::new(), Vec::new()];
     for (seed, floor) in FLOORS {
-        let (ms_ranks, nm_ranks) = ranks(seed, &dir);
-        let ms_rate = correct_rate(&ms_ranks);
+        let [ms_ranks, skew_ranks, nm_ranks] = ranks(seed, &dir);
         let nm_rate = correct_rate(&nm_ranks);
-        eprintln!(
-            "seed {seed}: victims {}  microscope rank-1 {ms_rate:.4}  netmedic rank-1 {nm_rate:.4}",
-            ms_ranks.len(),
-        );
-        // Shape of Fig. 11: Microscope's correct rate is high (the paper
-        // gets 89.7%) and clearly above NetMedic's (36%).
-        assert!(
-            ms_rate >= floor,
-            "seed {seed}: microscope correct rate {ms_rate} under {floor}"
-        );
-        assert!(
-            ms_rate > nm_rate,
-            "seed {seed}: microscope {ms_rate} must beat netmedic {nm_rate}"
-        );
-        pooled.extend(ms_ranks);
+        for (k, (mode, ranks)) in [("", ms_ranks), (" --skew", skew_ranks)]
+            .into_iter()
+            .enumerate()
+        {
+            let ms_rate = correct_rate(&ranks);
+            eprintln!(
+                "seed {seed}{mode}: victims {}  microscope rank-1 {ms_rate:.4}  netmedic rank-1 {nm_rate:.4}",
+                ranks.len(),
+            );
+            // Shape of Fig. 11: Microscope's correct rate is high (the paper
+            // gets 89.7%) and clearly above NetMedic's (36%).
+            assert!(
+                ms_rate >= floor,
+                "seed {seed}{mode}: microscope correct rate {ms_rate} under {floor}"
+            );
+            assert!(
+                ms_rate > nm_rate,
+                "seed {seed}{mode}: microscope {ms_rate} must beat netmedic {nm_rate}"
+            );
+            pooled[k].extend(ranks);
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
     // Measured 0.950 over the five seeds' victims.
-    let rate = correct_rate(&pooled);
-    eprintln!("pooled: microscope rank-1 {rate:.4}");
-    assert!(rate >= 0.90, "pooled microscope correct rate {rate}");
+    for (mode, pooled) in [("", &pooled[0]), (" --skew", &pooled[1])] {
+        let rate = correct_rate(pooled);
+        eprintln!("pooled{mode}: microscope rank-1 {rate:.4}");
+        assert!(rate >= 0.90, "pooled{mode} microscope correct rate {rate}");
+    }
 }

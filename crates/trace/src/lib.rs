@@ -58,8 +58,8 @@ pub use reconstruct::{
     ReconstructionConfig, ReconstructionReport, TraceHop, TraceOutcome, PATH_ROOT,
 };
 pub use skew::{
-    correct_bundle, estimate_offsets_detailed, estimate_offsets_refined,
-    estimate_offsets_refined_detailed, SkewConfig, SkewEstimates,
+    correct_bundle, estimate_offsets_refined, estimate_offsets_refined_detailed, SkewConfig,
+    SkewEstimates,
 };
 pub use streams::{EdgeStreams, NfStreams, RxBatchInfo, TxHop, TxNext};
 pub use timeline::{Arrival, ArrivalKind, NfTimeline, QueuingPeriod, Timelines};

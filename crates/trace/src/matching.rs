@@ -25,7 +25,7 @@ use nf_types::{Ipid, Nanos, NfId, NodeId, Topology};
 
 /// Size of the IPID value space (`Ipid` is `u16`): the per-edge index is a
 /// dense counting-sort table over all 2^16 values.
-pub(crate) const IPID_SPACE: usize = 1 << 16;
+const IPID_SPACE: usize = 1 << 16;
 
 /// What happened to the `pos`-th packet sent on an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,18 +169,17 @@ pub(crate) struct Run {
 /// slice — no hashing, no per-IPID `Vec`s. Runs are laid out in order of
 /// first appearance, which needs no pass over the 2^16 IPID values: building
 /// costs two passes over the entries, whether they are a whole run's or one
-/// chunk's. Shared by the matcher (one index per upstream edge) and the
-/// clock-skew estimator (one per NF rx stream).
+/// chunk's. The matcher keeps one per upstream edge ([`EdgeIndex`]).
 pub(crate) struct IpidRuns {
     /// Run boundaries per IPID. A fixed-size boxed array so `u16` IPID
     /// indexing needs no bounds check; begin and end share a cache line.
     run: Box<[Run; IPID_SPACE]>,
     /// Stream positions grouped by IPID, ascending within each run.
-    pub(crate) pos: Vec<u32>,
+    pos: Vec<u32>,
     /// Timestamp of each `pos` entry, copied inline so the check after a
     /// run probe stays on the cache lines the probe just touched instead of
     /// a scattered load from the stream.
-    pub(crate) ts: Vec<Nanos>,
+    ts: Vec<Nanos>,
 }
 
 impl IpidRuns {
@@ -203,13 +202,6 @@ impl IpidRuns {
             pos: Vec::new(),
             ts: Vec::new(),
         }
-    }
-
-    /// Indexes a stream given as its `(ts, ipid)` entries in position order.
-    pub(crate) fn build(entries: impl ExactSizeIterator<Item = (Nanos, Ipid)> + Clone) -> Self {
-        let mut runs = Self::empty();
-        runs.fill(entries, 0);
-        runs
     }
 
     /// Fills an index whose run table is all zero: `entries` are the
@@ -259,7 +251,7 @@ impl IpidRuns {
 
     /// The index range of `ipid`'s run within `pos` / `ts`.
     #[inline]
-    pub(crate) fn run_of(&self, ipid: Ipid) -> std::ops::Range<usize> {
+    fn run_of(&self, ipid: Ipid) -> std::ops::Range<usize> {
         let run = self.run[ipid as usize];
         run.begin as usize..run.end as usize
     }

@@ -7,48 +7,54 @@
 //! fallback: estimate each NF's offset *from the records themselves* and
 //! rewrite the bundle onto the source's clock.
 //!
-//! The estimator uses the network-measurement classic: for every edge
-//! `u → d` and every IPID, the difference between `d`'s first read of that
-//! IPID and `u`'s first send of it equals `offset(d) − offset(u)` plus a
-//! non-negative queueing delay. A low percentile over many IPIDs
-//! approximates the pure offset difference (some packet always arrives to a
-//! near-empty ring). Offsets then propagate from the source (offset 0)
-//! through the DAG in topological order, averaging over parallel upstream
-//! estimates.
+//! Every edge `u → d` votes on `offset(d) − offset(u)`: a packet's read at
+//! `d` minus its send at `u` is that difference plus a non-negative
+//! queueing delay, and some packet is always read the moment it arrives, so
+//! the histogram of (send, read) deltas has a hard low edge at exactly the
+//! difference. The estimator finds that edge, per edge, in three passes of
+//! shrinking bins (100 µs, 10 µs, 1 µs) over shrinking windows (±20 ms,
+//! ±2 ms, ±200 µs) around the current estimate. Offsets start at zero and
+//! each pass moves every NF, in topological order, by the median of its
+//! upstream edges' votes (the source's clock is the reference). An NF counts
+//! as estimated once a spike on one of its edges confirmed it.
 //!
-//! One estimation call builds [`EdgeStreams`] once from the raw bundle and
-//! one counting-sort IPID index per NF rx stream ([`IpidRuns`], the
-//! matcher's index). The refinement passes never rewrite the bundle: the
-//! current per-NF offsets are applied as records are read, with exactly the
-//! [`correct_bundle`] arithmetic — which is monotone, so stream order and
-//! run order stay valid (DESIGN.md §4). Each refinement pass joins every
-//! edge's sends, grouped by IPID, with the downstream NF's run of reads of
-//! that IPID — a merge join whose cost is the pairs it bins — counts the
-//! pairs per bin, and looks the smallest delta up afterwards, only in the
-//! bins of the spike.
+//! A (send, read) pair votes only where both carry the same *IPID
+//! trigram*: the packet's IPID and the IPIDs of the next two packets on the
+//! same stream — the edge's sends, the downstream NF's reads. The collector
+//! records each batch's IPIDs in order (§5) and an upstream batch reaches
+//! the downstream ring as one run, so a packet's two successors on its edge
+//! are almost always its two successors in the ring. And it votes only where
+//! its trigram names a single read inside the pass's window: a trigram that
+//! recurs there is an alias too. The IPID alone is far from enough: per-host
+//! IPID counters make one value recur about 100 times within ±20 ms at
+//! 0.7 Mpps, and at 1.2 Mpps and more such aliases bury the true spike of
+//! whole edges, leaving offsets milliseconds wrong.
+//!
+//! Both sides are keyed and grouped by trigram once per estimate, straight
+//! from the bundle's logs: per NF, one stable radix sort of its reads, one
+//! of the sends of all its upstream edges (tagged by edge), and one merge
+//! that keeps, per edge, only the trigrams both sides hold ([`JoinedNf`],
+//! raw timestamps). The passes apply the current offsets as they read, with
+//! exactly the [`correct_bundle`] arithmetic — monotone, so each group stays
+//! in time order (DESIGN.md §4) and a pass walks each group's reads with two
+//! cursors, binning only the pairs inside its window.
 
-use crate::matching::{EdgeSends, IpidRuns, IPID_SPACE};
-use crate::streams::EdgeStreams;
 use msc_collector::TraceBundle;
 use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
 
-/// Which percentile of per-IPID deltas approximates an edge's offset
-/// (small, but not the raw minimum, for robustness against IPID collisions).
-const PERCENTILE: f64 = 0.05;
-
-/// Minimum samples per edge to trust an estimate.
+/// Minimum pairs an edge must bin in a pass before its spike is trusted.
 const MIN_SAMPLES: usize = 16;
 
-/// Configuration for the estimator. It has no settings — the percentile
+/// Configuration for the estimator. It has no settings — the pass geometry
 /// and the sample floor are this module's constants — but the estimation
 /// functions still take one, so their callers compile unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct SkewConfig {}
 
-/// Per-NF offsets plus per-NF availability: which estimates actually came
-/// from edge samples and which are the fallback value.
+/// Per-NF offsets plus per-NF availability: which estimates a spike
+/// confirmed and which are the fallback value.
 ///
-/// An NF with too few samples gets offset 0 — in `offsets` alone
+/// An NF no spike confirmed gets offset 0 — in `offsets` alone
 /// indistinguishable from a genuinely synchronised clock, which is exactly
 /// wrong for a short prefix of a stream that happens to be quiet on one
 /// edge. `available` tells the two apart, and [`SkewEstimates::notes`] names
@@ -57,7 +63,7 @@ pub struct SkewConfig {}
 pub struct SkewEstimates {
     /// Offset per NF in `NfId` order (fallback 0 where unavailable).
     pub offsets: Vec<TimeDelta>,
-    /// Whether each NF's offset was actually estimated from samples.
+    /// Whether a cross-correlation spike confirmed each NF's offset.
     pub available: Vec<bool>,
 }
 
@@ -88,362 +94,266 @@ fn on_source_clock(ts: Nanos, off: TimeDelta) -> Nanos {
     (ts as i64).saturating_sub(off).max(0) as Nanos
 }
 
-/// Everything one estimation call reads, built once from the raw bundle,
-/// plus the scratch buffers its scans write (so the scans never allocate).
-struct Estimator<'a> {
-    topology: &'a Topology,
-    /// The raw bundle's streams; offsets are applied on read.
-    streams: EdgeStreams,
-    /// Per NF: its rx stream grouped by IPID, raw timestamps.
-    rx_runs: Vec<IpidRuns>,
-    /// Per NF: `rx_runs[nf].ts` on the current estimate's clock, refilled
-    /// at the start of every refinement pass.
-    rx_ts: Vec<Vec<Nanos>>,
-    /// Coarse-pass deltas of the edge being scanned.
-    deltas: Vec<TimeDelta>,
-    /// One `u32` per IPID, all zero between edges: the coarse pass's
-    /// lookup hints, the refinement passes' group heads.
-    per_ipid: Vec<u32>,
-    /// Refinement pass: the sends of the edge being scanned, by IPID.
-    groups: SendGroups,
-    /// Refinement-pass histogram of the edge being scanned.
-    counts: Vec<u32>,
+/// A packet's IPID and the IPIDs of the next two packets on its stream,
+/// in bits 32–47, 16–31 and 0–15.
+type Trigram = u64;
+
+/// A packet keyed for the join, and its timestamp: its trigram, shifted up
+/// past the slot of the edge that sent it where that is needed.
+type Keyed = (u64, Nanos);
+
+/// Appends one stream's packets to `out`, keyed `trigram << shift | tag`,
+/// in stream order; the last two, which have no two successors, are left
+/// out.
+fn push_keyed(
+    stream: impl Iterator<Item = (Nanos, Ipid)>,
+    shift: u32,
+    tag: u64,
+    out: &mut Vec<Keyed>,
+) {
+    let start = out.len();
+    out.extend(stream.map(|(ts, id)| (u64::from(id), ts)));
+    let n = (out.len() - start).saturating_sub(2);
+    let keyed = &mut out[start..];
+    // Entry `i + 1` and `i + 2` still hold bare IPIDs when `i` is keyed.
+    for i in 0..n {
+        let trigram: Trigram = keyed[i].0 << 32 | keyed[i + 1].0 << 16 | keyed[i + 2].0;
+        keyed[i].0 = trigram << shift | tag;
+    }
+    out.truncate(start + n);
 }
 
-impl<'a> Estimator<'a> {
-    fn new(topology: &'a Topology, bundle: &TraceBundle) -> Self {
-        let streams = EdgeStreams::build(topology, bundle);
-        let rx_runs: Vec<IpidRuns> = streams
-            .nfs
-            .iter()
-            .map(|s| IpidRuns::build(s.rx()))
-            .collect();
-        // Every pairing consumes a distinct read, so no edge yields more
-        // deltas than its downstream rx stream is long.
-        let longest_rx = streams.nfs.iter().map(|s| s.rx_ts.len()).max().unwrap_or(0);
-        // The grouping buffers are sized once, for the longest edge: grown
-        // edge by edge (next to a second per-IPID table), they left freed
-        // blocks in the heap and `diagnose --skew` peaked ≈ 4 % higher.
-        let mut longest_edge = 0;
-        for &nf in topology.topo_order() {
-            for slot in 0..streams.upstreams(nf).len() {
-                longest_edge = longest_edge.max(streams.edge(nf, slot).len());
+/// Sorts keyed packets by the low `bits` of their key, stably — packets of
+/// one key stay in the order they were pushed, hence in time order: an LSD
+/// radix sort in 13-bit digits through `spare`, skipping a digit all keys
+/// share.
+fn sort_by_key(keyed: &mut Vec<Keyed>, spare: &mut Vec<Keyed>, bits: u32) {
+    const DIGIT: u32 = 13;
+    let digit = |key: u64, shift: u32| (key >> shift) as usize & ((1 << DIGIT) - 1);
+    let mut heads = [0usize; 1 << DIGIT];
+    for shift in (0..bits).step_by(DIGIT as usize) {
+        heads.fill(0);
+        for &(key, _) in keyed.iter() {
+            heads[digit(key, shift)] += 1;
+        }
+        if keyed
+            .first()
+            .is_none_or(|&(key, _)| heads[digit(key, shift)] == keyed.len())
+        {
+            continue;
+        }
+        let mut at = 0;
+        for head in &mut heads {
+            at += std::mem::replace(head, at);
+        }
+        spare.clear();
+        spare.resize(keyed.len(), (0, 0));
+        for &entry in keyed.iter() {
+            let head = &mut heads[digit(entry.0, shift)];
+            spare[*head] = entry;
+            *head += 1;
+        }
+        std::mem::swap(keyed, spare);
+    }
+}
+
+/// One NF's reads and the sends of each edge into it, joined on trigram:
+/// every group holds one trigram's sends on one edge and its reads at the
+/// NF, each side in time order and on the clock it was recorded on.
+#[derive(Debug, Default)]
+struct JoinedNf {
+    /// The NF's reads, grouped by trigram.
+    reads: Vec<Nanos>,
+    /// Per upstream slot ([`Topology::upstream_nodes`] order).
+    edges: Vec<JoinedEdge>,
+}
+
+/// One edge's part of a [`JoinedNf`]: one group per trigram that both the
+/// edge's sends and the NF's reads hold.
+#[derive(Debug, Default)]
+struct JoinedEdge {
+    /// Per group, its sends' timestamps.
+    sends: Vec<Nanos>,
+    /// Per group: its number of sends, then where its reads begin in
+    /// [`JoinedNf::reads`] and how many there are. Each fits `u32`: no log
+    /// holds more packets, nor the source more records.
+    groups: Vec<(u32, u32, u32)>,
+}
+
+impl JoinedNf {
+    /// Joins the sends of every edge into one NF with the NF's reads, in
+    /// one merge: `reads` keyed by trigram, `sends` by `trigram << slot_bits
+    /// | slot`, both sorted.
+    fn join(sends: &[Keyed], reads: &[Keyed], slot_bits: u32, slots: usize) -> Self {
+        let mut edges: Vec<JoinedEdge> = (0..slots).map(|_| JoinedEdge::default()).collect();
+        let mut at = 0;
+        let mut groups = reads.chunk_by(|a, b| a.0 == b.0).map(|read| {
+            at += read.len();
+            (read[0].0, at - read.len(), read.len())
+        });
+        let mut read = groups.next();
+        for sent in sends.chunk_by(|a, b| a.0 == b.0) {
+            let trigram = sent[0].0 >> slot_bits;
+            while read.is_some_and(|(key, ..)| key < trigram) {
+                read = groups.next();
             }
+            // Several edges may send one trigram: its reads stay for the next.
+            let Some((_, start, len)) = read.filter(|&(key, ..)| key == trigram) else {
+                continue;
+            };
+            let slot = (sent[0].0 & ((1 << slot_bits) - 1)) as usize;
+            if let Some(edge) = edges.get_mut(slot) {
+                edge.sends.extend(sent.iter().map(|&(_, ts)| ts));
+                edge.groups
+                    .push((sent.len() as u32, start as u32, len as u32));
+            }
+        }
+        for edge in &mut edges {
+            edge.sends.shrink_to_fit();
+            edge.groups.shrink_to_fit();
         }
         Self {
-            topology,
-            rx_ts: vec![Vec::new(); rx_runs.len()],
-            rx_runs,
-            deltas: Vec::with_capacity(longest_rx),
-            per_ipid: vec![0; IPID_SPACE],
-            groups: SendGroups::with_capacity(longest_edge),
-            counts: Vec::new(),
-            streams,
-        }
-    }
-
-    /// The coarse pass: per-edge percentile of greedy in-order pairings,
-    /// propagated from the source in topological order, averaging over
-    /// parallel upstream estimates.
-    fn coarse(&mut self) -> SkewEstimates {
-        let mut offsets: Vec<Option<TimeDelta>> = vec![None; self.topology.len()];
-        for &nf in self.topology.topo_order() {
-            let (mut sum, mut n) = (0i64, 0i64);
-            for up in self.topology.upstream_nodes(nf) {
-                let up_offset = match up {
-                    NodeId::Source => Some(0),
-                    NodeId::Nf(u) => offsets[u.0 as usize],
-                };
-                let delta = edge_delta(
-                    self.streams.edge_entries(up, nf),
-                    &self.rx_runs[nf.0 as usize],
-                    &mut self.per_ipid,
-                    &mut self.deltas,
-                );
-                if let (Some(up_off), Some(delta)) = (up_offset, delta) {
-                    sum += up_off + delta;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                offsets[nf.0 as usize] = Some(sum / n);
-            }
-        }
-        SkewEstimates {
-            available: offsets.iter().map(Option::is_some).collect(),
-            offsets: offsets.into_iter().map(|o| o.unwrap_or(0)).collect(),
-        }
-    }
-
-    /// One refinement pass at `BIN_NS` histogram bins over a ±`SEARCH_NS`
-    /// window: cross-correlates every edge on the clocks `est` implies and
-    /// folds the residuals back into `est`.
-    fn refine<const BIN_NS: i64, const SEARCH_NS: i64>(&mut self, est: &mut SkewEstimates) {
-        for ((out, runs), &off) in self.rx_ts.iter_mut().zip(&self.rx_runs).zip(&est.offsets) {
-            out.clear();
-            out.extend(runs.ts.iter().map(|&t| on_source_clock(t, off)));
-        }
-        self.counts.clear();
-        self.counts.resize((2 * SEARCH_NS / BIN_NS) as usize + 1, 0);
-
-        let mut residual = vec![0i64; self.topology.len()];
-        for &nf in self.topology.topo_order() {
-            let (mut sum, mut n) = (0i64, 0i64);
-            for up in self.topology.upstream_nodes(nf) {
-                let Some(slot) = self.streams.slot_of(up, nf) else {
-                    continue;
-                };
-                // `correct_bundle` rewrites NF logs only: source records
-                // stay as recorded.
-                let (up_off, up_res) = match up {
-                    NodeId::Source => (None, 0),
-                    NodeId::Nf(u) => (Some(est.offsets[u.0 as usize]), residual[u.0 as usize]),
-                };
-                let sends = self.streams.edge(nf, slot);
-                self.groups.group(sends, &mut self.per_ipid);
-                let join = EdgeJoin {
-                    groups: &self.groups,
-                    sends,
-                    up_off,
-                    rx: &self.rx_runs[nf.0 as usize],
-                    rx_ts: &self.rx_ts[nf.0 as usize],
-                };
-                let total = bin_pairs::<BIN_NS, SEARCH_NS>(&join, &mut self.counts);
-                if total < MIN_SAMPLES {
-                    continue;
-                }
-                let lookback = (1_000_000 / BIN_NS).max(4) as usize;
-                let Some(edge) = spike_edge(&self.counts, total, lookback) else {
-                    continue;
-                };
-                if let Some(delta) = min_delta::<BIN_NS, SEARCH_NS>(&join, edge) {
-                    sum += up_res + delta;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                residual[nf.0 as usize] = sum / n;
-                est.available[nf.0 as usize] = true;
-            }
-        }
-        for (e, r) in est.offsets.iter_mut().zip(&residual) {
-            *e += r;
+            reads: reads.iter().map(|&(_, ts)| ts).collect(),
+            edges,
         }
     }
 }
 
-/// Per-edge raw estimate of `offset(down) − offset(up)`.
-///
-/// Pairs the edge's send stream with the downstream read stream by greedy
-/// in-order IPID matching (both streams preserve the edge's relative packet
-/// order), then takes a low percentile of the read−send deltas. The greedy
-/// pairing occasionally grabs a same-IPID packet from *another* upstream
-/// (collisions), and every true pair carries a non-negative queueing delay;
-/// a percentile between those two failure modes is robust to both.
-fn edge_delta(
-    sends: impl Iterator<Item = (Nanos, Ipid)> + Clone,
-    rx: &IpidRuns,
-    hints: &mut [u32],
-    deltas: &mut Vec<TimeDelta>,
-) -> Option<TimeDelta> {
-    pair_in_order(sends, rx, hints, deltas);
-    if deltas.is_empty() || deltas.len() < MIN_SAMPLES {
-        return None;
-    }
-    let idx = ((deltas.len() - 1) as f64 * PERCENTILE).round() as usize;
-    if idx >= deltas.len() {
-        return None;
-    }
-    Some(*deltas.select_nth_unstable(idx).1)
-}
-
-/// The pairing walk of [`edge_delta`]: each send takes the first read of
-/// its IPID at or past the cursor. Fills `deltas` with the read−send deltas
-/// of the unambiguous pairs. The cursor only moves forward, so neither does
-/// that read's index in its IPID's run: `hints` (per IPID, all zero on
-/// entry and again on return) keeps where each IPID's last lookup ended and
-/// the next one steps on from there.
-fn pair_in_order(
-    sends: impl Iterator<Item = (Nanos, Ipid)> + Clone,
-    rx: &IpidRuns,
-    hints: &mut [u32],
-    deltas: &mut Vec<TimeDelta>,
-) {
-    // Pairs whose IPID recurs nearby in the rx stream are likely cross-edge
-    // collisions; skip them (we only need *some* clean samples).
-    const AMBIG_DIST: u32 = 96;
-    deltas.clear();
-    let mut cursor = 0u32;
-    for (tx_ts, ipid) in sends.clone() {
-        let run = rx.run_of(ipid);
-        let run_start = run.start;
-        let positions = &rx.pos[run];
-        let hint = &mut hints[ipid as usize];
-        let mut i = *hint as usize;
-        while positions.get(i).is_some_and(|&p| p < cursor) {
-            i += 1;
-        }
-        // An index within one run of a u32-indexed stream.
-        *hint = i as u32;
-        let Some(&rx_idx) = positions.get(i) else {
+/// Every NF of the topology joined with its upstream edges on trigram,
+/// built once per estimate, in `NfId` order.
+fn join_nfs(topology: &Topology, bundle: &TraceBundle) -> Vec<JoinedNf> {
+    assert!(
+        u32::try_from(bundle.source_flows.len()).is_ok(),
+        "source records must fit u32"
+    );
+    let entry: Vec<NfId> = bundle
+        .source_flows
+        .iter()
+        .map(|f| topology.entry_for(&f.flow))
+        .collect();
+    let (mut reads, mut sends, mut spare) = (Vec::new(), Vec::new(), Vec::new());
+    let mut nfs = Vec::with_capacity(topology.len());
+    for nf in topology.nfs() {
+        let down = nf.id;
+        let Some(log) = bundle.logs.get(down.0 as usize) else {
+            nfs.push(JoinedNf::default());
             continue;
         };
-        let prev_close = i > 0 && rx_idx - positions[i - 1] < AMBIG_DIST;
-        let next_close = positions
-            .get(i + 1)
-            .is_some_and(|&n| n - rx_idx < AMBIG_DIST);
-        cursor = rx_idx + 1;
-        if prev_close || next_close {
-            continue;
-        }
-        // The per-call scratch is reserved for the longest rx stream: one
-        // delta per read at most.
-        deltas.push((rx.ts[run_start + i] as i64).wrapping_sub(tx_ts as i64));
-    }
-    for (_, ipid) in sends {
-        hints[ipid as usize] = 0;
-    }
-}
+        reads.clear();
+        let rx = log.rx.iter();
+        let rx = rx.flat_map(|b| b.ipids.iter().map(move |&id| (b.ts, id)));
+        push_keyed(rx, 0, 0, &mut reads);
+        sort_by_key(&mut reads, &mut spare, 48);
 
-/// One edge's send positions grouped by IPID: a stable counting sort, the
-/// groups in order of first appearance and each in send order — hence in
-/// time order, as the edge's send column is. Only positions are held: the
-/// join reads a send's time from the edge column when it needs it. One
-/// value is regrouped for every edge a pass scans, reusing its buffers.
-struct SendGroups {
-    /// The IPIDs the edge sends, in order of first appearance.
-    ids: Vec<Ipid>,
-    /// Per group, in `ids` order: where it ends in `order` (it begins where
-    /// the one before ends).
-    ends: Vec<u32>,
-    /// The edge positions, grouped.
-    order: Vec<u32>,
-}
-
-impl SendGroups {
-    /// Buffers that hold an edge of `sends` sends without growing.
-    fn with_capacity(sends: usize) -> Self {
-        let groups = sends.min(IPID_SPACE);
-        Self {
-            ids: Vec::with_capacity(groups),
-            ends: Vec::with_capacity(groups),
-            order: Vec::with_capacity(sends),
-        }
-    }
-
-    /// Regroups to `sends`' positions. `head` has one entry per IPID, all
-    /// zero, and is left so.
-    fn group(&mut self, sends: &EdgeSends, head: &mut [u32]) {
-        // Count each IPID's sends, listing it at its first.
-        self.ids.clear();
-        for (_, id) in sends.iter() {
-            let count = &mut head[id as usize];
-            if *count == 0 {
-                self.ids.push(id);
+        let ups = topology.upstream_nodes(down);
+        let slot_bits = usize::BITS - ups.len().saturating_sub(1).leading_zeros();
+        sends.clear();
+        for (slot, &up) in ups.iter().enumerate() {
+            let tag = slot as u64;
+            match up {
+                NodeId::Source => {
+                    let sent = bundle.source_flows.iter().zip(&entry);
+                    let sent = sent.filter(|&(_, &e)| e == down);
+                    push_keyed(
+                        sent.map(|(f, _)| (f.ts, f.ipid)),
+                        slot_bits,
+                        tag,
+                        &mut sends,
+                    );
+                }
+                NodeId::Nf(u) => {
+                    let tx = bundle.logs.get(u.0 as usize).map(|l| l.tx.iter());
+                    let sent = tx.into_iter().flatten().filter(|b| b.to == Some(down));
+                    let sent = sent.flat_map(|b| b.ipids.iter().map(move |&id| (b.ts, id)));
+                    push_keyed(sent, slot_bits, tag, &mut sends);
+                }
             }
-            *count += 1;
         }
-        // Each count becomes its group's start, then its write head.
-        self.ends.clear();
-        let mut end = 0u32;
-        for &id in &self.ids {
-            let count = std::mem::replace(&mut head[id as usize], end);
-            end += count;
-            self.ends.push(end);
-        }
-        self.order.clear();
-        self.order.resize(sends.len(), 0);
-        for (p, (_, id)) in sends.iter().enumerate() {
-            let at = &mut head[id as usize];
-            // An edge position fits u32: `EdgeStreams` keeps every column within one.
-            self.order[*at as usize] = p as u32;
-            *at += 1;
-        }
-        for &id in &self.ids {
-            head[id as usize] = 0;
-        }
+        sort_by_key(&mut sends, &mut spare, 48 + slot_bits);
+        nfs.push(JoinedNf::join(&sends, &reads, slot_bits, ups.len()));
     }
-
-    /// Every group: its IPID and its positions, in send order.
-    fn iter(&self) -> impl Iterator<Item = (Ipid, &[u32])> + '_ {
-        let begins = std::iter::once(0).chain(self.ends.iter().copied());
-        self.ids
-            .iter()
-            .zip(begins.zip(&self.ends))
-            .map(|(&id, (begin, &end))| (id, &self.order[begin as usize..end as usize]))
-    }
+    nfs
 }
 
-/// One edge of a refinement pass, ready to join: its sends grouped by
-/// IPID, the clock they are moved onto as they are read, and the
-/// downstream NF's reads.
-struct EdgeJoin<'a> {
-    groups: &'a SendGroups,
-    sends: &'a EdgeSends,
+/// One edge as a pass reads it: its groups, the downstream NF's reads, and
+/// the clocks its two ends are moved onto as they are read.
+struct EdgeScan<'a> {
+    edge: &'a JoinedEdge,
+    reads: &'a [Nanos],
     /// The sender's offset (`None`: source records, which are on the
     /// source clock already).
     up_off: Option<TimeDelta>,
-    /// The downstream NF's rx stream grouped by IPID.
-    rx: &'a IpidRuns,
-    /// `rx.ts` on the current estimate's clock.
-    rx_ts: &'a [Nanos],
+    /// The downstream NF's offset.
+    rx_off: TimeDelta,
 }
 
-impl EdgeJoin<'_> {
-    /// The merge join: calls `f(tx, reads)` once per send, `tx` its time on
-    /// the source clock and `reads` the reads of its IPID from the first
-    /// whose delta `t − tx` is at least `lo` on, in time order. A group's
-    /// sends and its IPID's run of reads are both time-ordered, so that
-    /// first read only moves forward: the join walks each run once per
-    /// edge, with no search per send.
-    #[inline]
-    fn walk(&self, lo: TimeDelta, mut f: impl FnMut(i64, &[Nanos])) {
-        for (ipid, positions) in self.groups.iter() {
-            let reads = self.rx_ts.get(self.rx.run_of(ipid)).unwrap_or_default();
-            if reads.is_empty() {
-                continue;
-            }
-            let mut first = 0;
-            for &p in positions {
-                let ts = self.sends.ts_at(p as usize);
+impl EdgeScan<'_> {
+    /// Calls `f(delta)` once per send whose trigram names exactly one read
+    /// within ±`search` of it, `delta` being that read's time minus the
+    /// send's on the current clocks. A trigram that recurs inside the window
+    /// is an alias, whichever of its reads is the packet's: such a send does
+    /// not vote. Sends and reads of a group are both time-ordered, so the
+    /// window's two ends only move forward: a pass walks each group once.
+    fn pairs(&self, search: TimeDelta, mut f: impl FnMut(TimeDelta)) {
+        let delta =
+            |read: Nanos, tx: i64| (on_source_clock(read, self.rx_off) as i64).wrapping_sub(tx);
+        let mut at = 0;
+        for &(sends, start, len) in &self.edge.groups {
+            let sends = &self.edge.sends[at..at + sends as usize];
+            at += sends.len();
+            let reads = &self.reads[start as usize..start as usize + len as usize];
+            let (mut lo, mut hi) = (0, 0);
+            for &ts in sends {
                 let tx = self.up_off.map_or(ts, |off| on_source_clock(ts, off)) as i64;
-                while first < reads.len() && (reads[first] as i64).wrapping_sub(tx) < lo {
-                    first += 1;
+                while lo < reads.len() && delta(reads[lo], tx) < -search {
+                    lo += 1;
                 }
-                f(tx, &reads[first..]);
+                hi = hi.max(lo);
+                while hi < reads.len() && delta(reads[hi], tx) <= search {
+                    hi += 1;
+                }
+                if hi - lo == 1 {
+                    f(delta(reads[lo], tx));
+                }
             }
         }
     }
 }
 
-/// The pair scan of one cross-correlation pass: every same-IPID (send,
-/// read) pair within ±`SEARCH_NS` votes for its time delta, counted straight
-/// into the dense `counts` (`2·SEARCH_NS/BIN_NS + 1` of them, bin `b`
+/// One edge's histogram in a pass: per bin, how many pairs fell in it and
+/// the smallest of their deltas.
+#[derive(Default)]
+struct Histogram {
+    counts: Vec<u32>,
+    mins: Vec<TimeDelta>,
+}
+
+/// The pair scan of one cross-correlation pass: every pair
+/// [`EdgeScan::pairs`] yields within ±`SEARCH_NS` votes for its time
+/// delta, binned into `hist` (`2·SEARCH_NS/BIN_NS + 1` bins, bin `b`
 /// covering deltas from `b·BIN_NS − SEARCH_NS`). Returns the number of
 /// pairs binned.
 fn bin_pairs<const BIN_NS: i64, const SEARCH_NS: i64>(
-    join: &EdgeJoin<'_>,
-    counts: &mut [u32],
+    scan: &EdgeScan<'_>,
+    hist: &mut Histogram,
 ) -> usize {
-    counts.fill(0);
-    // With `d + SEARCH_NS <= 2·SEARCH_NS` checked, the bin index needs no
-    // other bound.
-    let width = (2 * SEARCH_NS) as u64;
-    let counts = &mut counts[..=(width / BIN_NS as u64) as usize];
-    join.walk(-SEARCH_NS, |tx, reads| {
-        let from = tx.wrapping_sub(SEARCH_NS);
-        for &t in reads {
-            // `d + SEARCH_NS`, unsigned: the join starts at `d >= -SEARCH_NS`
-            // (a read below it, which only reads out of time order could
-            // be, wraps high and ends the scan like one past the window).
-            let since = (t as i64).wrapping_sub(from) as u64;
-            if since > width {
-                break;
-            }
-            counts[(since / BIN_NS as u64) as usize] += 1;
+    let bins = (2 * SEARCH_NS / BIN_NS) as usize + 1;
+    hist.counts.clear();
+    hist.counts.resize(bins, 0);
+    hist.mins.clear();
+    hist.mins.resize(bins, TimeDelta::MAX);
+    let mut total = 0;
+    scan.pairs(SEARCH_NS, |d| {
+        // A send out of time order, which only a corrupt log holds, can
+        // pair outside the window: it does not vote.
+        if (-SEARCH_NS..=SEARCH_NS).contains(&d) {
+            let b = ((d + SEARCH_NS) / BIN_NS) as usize;
+            hist.counts[b] += 1;
+            hist.mins[b] = hist.mins[b].min(d);
+            total += 1;
         }
     });
-    counts.iter().map(|&c| c as usize).sum()
+    total
 }
 
 /// Locates the low edge of the coherent spike in one edge's histogram (see
@@ -482,53 +392,83 @@ fn spike_edge(counts: &[u32], total: usize, lookback: usize) -> Option<usize> {
     Some((run_lo..=peak).max_by_key(|&b| rise(b)).unwrap_or(peak))
 }
 
-/// The edge's residual offset: the smallest delta among the pairs
-/// [`bin_pairs`] counted from bin `edge` up to the peak. `edge` is not
-/// empty, so that is the smallest delta at or above its start over all
-/// pairs — per send its first read there, reads being time-ordered: one
-/// join, not a minimum per pair.
-fn min_delta<const BIN_NS: i64, const SEARCH_NS: i64>(
-    join: &EdgeJoin<'_>,
-    edge: usize,
-) -> Option<TimeDelta> {
-    let mut min: Option<TimeDelta> = None;
-    join.walk(edge as i64 * BIN_NS - SEARCH_NS, |tx, reads| {
-        if let Some(&t) = reads.first() {
-            let d = (t as i64).wrapping_sub(tx);
-            min = Some(min.map_or(d, |m| m.min(d)));
-        }
-    });
-    min
+/// The median of `votes` (the mean of the middle two for an even count),
+/// or `None` for no votes.
+fn median(votes: &mut [TimeDelta]) -> Option<TimeDelta> {
+    votes.sort_unstable();
+    let mid = votes.len() / 2;
+    match votes.len() {
+        0 => None,
+        n if n % 2 == 1 => Some(votes[mid]),
+        _ => Some(votes[mid - 1] + (votes[mid] - votes[mid - 1]) / 2),
+    }
 }
 
-/// Estimates each NF's clock offset relative to the traffic source,
-/// reporting which NFs actually had usable edge samples.
-///
-/// Subtracting an NF's offset from its record timestamps moves them onto
-/// the source clock.
-pub fn estimate_offsets_detailed(
+/// One refinement pass at `BIN_NS` histogram bins over a ±`SEARCH_NS`
+/// window: cross-correlates every edge on the clocks `est` implies and
+/// moves each NF by the median of its edges' residuals, upstream NFs first.
+fn refine<const BIN_NS: i64, const SEARCH_NS: i64>(
     topology: &Topology,
-    bundle: &TraceBundle,
-    _: &SkewConfig,
-) -> SkewEstimates {
-    Estimator::new(topology, bundle).coarse()
+    nfs: &[JoinedNf],
+    est: &mut SkewEstimates,
+) {
+    let mut hist = Histogram::default();
+    let lookback = (1_000_000 / BIN_NS).max(4) as usize;
+    let mut residual = vec![0; topology.len()];
+    let mut votes = Vec::new();
+    for &nf in topology.topo_order() {
+        let down = nf.0 as usize;
+        votes.clear();
+        let joined = &nfs[down];
+        let ups = topology.upstream_nodes(nf);
+        for (up, edge) in ups.iter().zip(&joined.edges) {
+            // `correct_bundle` rewrites NF logs only: source records stay
+            // as recorded.
+            let (up_off, up_res) = match *up {
+                NodeId::Source => (None, 0),
+                NodeId::Nf(u) => (Some(est.offsets[u.0 as usize]), residual[u.0 as usize]),
+            };
+            let scan = EdgeScan {
+                edge,
+                reads: &joined.reads,
+                up_off,
+                rx_off: est.offsets[down],
+            };
+            let total = bin_pairs::<BIN_NS, SEARCH_NS>(&scan, &mut hist);
+            if total < MIN_SAMPLES {
+                continue;
+            }
+            // The edge's residual: the smallest delta in the spike's
+            // low-edge bin, which is never empty.
+            if let Some(edge) = spike_edge(&hist.counts, total, lookback) {
+                votes.push(up_res + hist.mins[edge]);
+            }
+        }
+        if let Some(r) = median(&mut votes) {
+            residual[down] = r;
+            est.available[down] = true;
+        }
+    }
+    for (e, r) in est.offsets.iter_mut().zip(&residual) {
+        *e += r;
+    }
 }
 
-/// Multi-pass estimator: coarse per-edge percentile sync, then iterative
-/// cross-correlation refinement with shrinking histogram bins.
+/// Estimates each NF's clock offset relative to the traffic source:
+/// subtracting it from the NF's record timestamps moves them onto the
+/// source clock.
 ///
-/// The coarse pass (greedy in-order IPID pairing) is only accurate to a few
-/// hundred µs at heavily multiplexed NFs. Each refinement pass corrects the
-/// bundle with the current estimate and cross-correlates every edge's send
-/// stream against the downstream read stream: all same-IPID (send, read)
-/// pairs within a search window vote for their time delta. True pairs vote
-/// coherently — queueing delay is non-negative and some packet is always
-/// read the moment it arrives, so the coherent mass has a hard low edge at
-/// exactly the residual offset — while collision pairs spread smoothly.
-/// The steepest rise of the histogram locates that edge. Passes shrink the
-/// bin width 100 µs → 1 µs, reaching the microsecond-level accuracy the
-/// paper says reconstruction needs (it cites PTP/Huygens for the same
-/// job).
+/// Three cross-correlation passes with shrinking histogram bins, from zero
+/// offsets. Each pass cross-correlates every edge's sends against the
+/// downstream reads on the current estimate's clocks: the same-trigram
+/// (send, read) pairs within a search window vote for their time delta.
+/// True pairs vote coherently — queueing delay is non-negative and some
+/// packet is always read the moment it arrives, so the coherent mass has a
+/// hard low edge at exactly the residual offset — while aliases spread
+/// smoothly. The steepest rise of the histogram locates that edge. Passes
+/// shrink the bin width 100 µs → 1 µs, reaching the microsecond-level
+/// accuracy the paper says reconstruction needs (it cites PTP/Huygens for
+/// the same job).
 pub fn estimate_offsets_refined(
     topology: &Topology,
     bundle: &TraceBundle,
@@ -538,19 +478,21 @@ pub fn estimate_offsets_refined(
 }
 
 /// [`estimate_offsets_refined`] plus per-NF availability: an NF counts as
-/// estimated when the coarse pass had edge samples *or* any refinement
-/// pass found a coherent cross-correlation spike on one of its edges —
+/// estimated when a pass found a coherent spike on one of its edges —
 /// which is what tells a refined zero from the zero fallback.
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
     bundle: &TraceBundle,
     _: &SkewConfig,
 ) -> SkewEstimates {
-    let mut estimator = Estimator::new(topology, bundle);
-    let mut est = estimator.coarse();
-    estimator.refine::<100_000, 20_000_000>(&mut est);
-    estimator.refine::<10_000, 2_000_000>(&mut est);
-    estimator.refine::<1_000, 200_000>(&mut est);
+    let nfs = join_nfs(topology, bundle);
+    let mut est = SkewEstimates {
+        offsets: vec![0; topology.len()],
+        available: vec![false; topology.len()],
+    };
+    refine::<100_000, 20_000_000>(topology, &nfs, &mut est);
+    refine::<10_000, 2_000_000>(topology, &nfs, &mut est);
+    refine::<1_000, 200_000>(topology, &nfs, &mut est);
     est
 }
 
@@ -578,231 +520,156 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The pair scan and spike search as they were before the merge join:
-    /// per send, a `partition_point` into its IPID's run, then a count and
-    /// a `min` update per pair. The reference [`scan`] must reproduce.
-    mod reference {
-        use super::super::*;
-
-        /// One histogram bin: how many deltas fell in it, and the smallest.
-        #[derive(Clone, Copy)]
-        pub(super) struct Bin {
-            pub(super) count: u32,
-            min: TimeDelta,
-        }
-
-        pub(super) const EMPTY_BIN: Bin = Bin {
-            count: 0,
-            min: TimeDelta::MAX,
-        };
-
-        pub(super) fn bin_pairs<const BIN_NS: i64, const SEARCH_NS: i64>(
-            sends: impl Iterator<Item = (Nanos, Ipid)>,
-            up_off: Option<TimeDelta>,
-            rx: &IpidRuns,
-            rx_ts: &[Nanos],
-            bins: &mut [Bin],
-        ) -> usize {
-            bins.fill(EMPTY_BIN);
-            let mut total = 0usize;
-            for (ts, ipid) in sends {
-                let tx_ts = up_off.map_or(ts, |off| on_source_clock(ts, off)) as i64;
-                let Some(times) = rx_ts.get(rx.run_of(ipid)) else {
-                    continue;
-                };
-                let lo = times.partition_point(|&t| (t as i64) < tx_ts.wrapping_sub(SEARCH_NS));
-                for &t in &times[lo..] {
-                    let d = (t as i64).wrapping_sub(tx_ts);
-                    if d > SEARCH_NS {
-                        break;
-                    }
-                    let Some(bin) = bins.get_mut((d + SEARCH_NS).div_euclid(BIN_NS) as usize)
-                    else {
-                        continue;
-                    };
-                    bin.count += 1;
-                    bin.min = bin.min.min(d);
-                    total += 1;
-                }
-            }
-            total
-        }
-
-        pub(super) fn spike_low_edge(
-            bins: &[Bin],
-            total: usize,
-            lookback: usize,
-        ) -> Option<TimeDelta> {
-            let noise = total / (bins.len() - 1).max(1) + 1;
-            let (peak, peak_n) = bins
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.count > 0)
-                .max_by_key(|&(i, b)| (b.count, i))
-                .map(|(i, b)| (i, b.count as usize))?;
-            if peak_n < 4 * noise {
-                return None;
-            }
-            let lo = peak.saturating_sub(lookback);
-            let run_lo = (lo..peak)
-                .rev()
-                .find(|&b| bins[b].count == 0)
-                .map_or(lo, |gap| gap + 1);
-            let rise = |b: usize| {
-                let below = if b == 0 { 0 } else { bins[b - 1].count };
-                bins[b].count as i64 - below as i64
-            };
-            let edge = (run_lo..=peak).max_by_key(|&b| rise(b)).unwrap_or(peak);
-            bins[edge..=peak]
-                .iter()
-                .filter(|b| b.count > 0)
-                .map(|b| b.min)
-                .min()
-        }
-    }
-
-    /// One refinement pass's scan of one edge, as `Estimator::refine` runs
-    /// it: the histogram, the pairs binned and the edge's residual.
-    fn scan<const BIN_NS: i64, const SEARCH_NS: i64>(
-        groups: &mut SendGroups,
-        head: &mut [u32],
-        sends: &EdgeSends,
-        up_off: Option<TimeDelta>,
-        rx: &IpidRuns,
-        rx_ts: &[Nanos],
-    ) -> (Vec<u32>, usize, Option<TimeDelta>) {
-        groups.group(sends, head);
-        let join = EdgeJoin {
-            groups,
-            sends,
-            up_off,
-            rx,
-            rx_ts,
-        };
-        let mut counts = vec![0; (2 * SEARCH_NS / BIN_NS) as usize + 1];
-        let total = bin_pairs::<BIN_NS, SEARCH_NS>(&join, &mut counts);
-        let lookback = (1_000_000 / BIN_NS).max(4) as usize;
-        let residual = spike_edge(&counts, total, lookback)
-            .and_then(|edge| min_delta::<BIN_NS, SEARCH_NS>(&join, edge));
-        (counts, total, residual)
-    }
-
-    /// A random edge at a pass's geometry: sends in batches (duplicate
-    /// timestamps), half the time starting within `search_ns` of 0, a few
-    /// to an IPID (small alphabets: long runs) or nearly one each; each send
-    /// read once at a common lag plus jitter, or not at all, plus noise
-    /// reads; some IPIDs sent and never read; and the offsets of both ends,
-    /// clamping at 0 where they exceed a timestamp. On two edges in three
-    /// every time and offset is a multiple of a grain — the bin width or a
-    /// quarter of the window — so deltas land exactly on bin boundaries and
-    /// on the window's ends. `None` sender offset: a source edge.
-    #[allow(clippy::type_complexity)]
-    fn random_edge(
-        rng: &mut StdRng,
-        bin_ns: i64,
-        search_ns: i64,
-    ) -> (EdgeSends, Option<TimeDelta>, Vec<(Nanos, Ipid)>, TimeDelta) {
-        let s = search_ns as u64;
-        let grain = [1, bin_ns, search_ns / 4][rng.gen_range(0..3)];
-        let on_grain = |x: i64| x.div_euclid(grain) * grain;
-        let alphabet: u32 = [1, 2, 3, 8, 64, 1 << 16][rng.gen_range(0..6)];
-        let batches: usize = [0, 1, 3, 20, 150][rng.gen_range(0..5)];
-        let ipid = |rng: &mut StdRng| rng.gen_range(0..alphabet) as Ipid;
-        let lag = rng.gen_range(-search_ns / 2..=search_ns / 2);
-        let mut t = if rng.gen_bool(0.5) {
-            rng.gen_range(0..s)
-        } else {
-            rng.gen_range(s..20 * s)
-        };
-        let mut sends = EdgeSends::new();
-        let mut reads: Vec<(Nanos, Ipid)> = Vec::new();
-        for _ in 0..batches {
-            let ids: Vec<Ipid> = (0..rng.gen_range(1..5))
-                .map(|_| {
-                    if rng.gen_bool(0.1) {
-                        // Never read: above every alphabet but the full one.
-                        u16::MAX - rng.gen_range(0..3)
-                    } else {
-                        ipid(rng)
-                    }
-                })
-                .collect();
-            let tx = on_grain(t as i64);
-            sends.push_batch(tx as Nanos, &ids);
-            for &id in &ids {
-                if rng.gen_bool(0.7) {
-                    let jitter = rng.gen_range(0..3 * search_ns / 200 + 1);
-                    reads.push((on_grain(tx + lag + jitter).max(0) as Nanos, id));
-                }
-            }
-            // Zero steps repeat a batch time.
-            t += [0, 1, s / 100, s / 3][rng.gen_range(0..4)];
-        }
-        for _ in 0..rng.gen_range(0..4 * batches + 1) {
-            let ts = on_grain(rng.gen_range(0..t + 2 * s) as i64);
-            reads.push((ts as Nanos, ipid(rng)));
-        }
-        // Reads arrive in time order; equal times stay in push order.
-        reads.sort_by_key(|&(ts, _)| ts);
-        let source = rng.gen_bool(0.3);
-        let mut offset = || on_grain(rng.gen_range(-search_ns..=search_ns));
-        let up_off = (!source).then(&mut offset);
-        let rx_off = offset();
-        (sends, up_off, reads, rx_off)
-    }
-
-    /// The merge join with counts-only binning and deferred minima bins
-    /// exactly the pairs the per-send scan binned: the same counts, total
-    /// and residual on random edges at each pass's geometry, with one
-    /// grouping buffer and per-IPID table reused across all of them as
-    /// `refine` reuses them.
-    fn scan_matches_the_reference<const BIN_NS: i64, const SEARCH_NS: i64>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut groups = SendGroups::with_capacity(0);
-        let mut head = vec![0; IPID_SPACE];
-        let mut bins = vec![reference::EMPTY_BIN; (2 * SEARCH_NS / BIN_NS) as usize + 1];
-        let lookback = (1_000_000 / BIN_NS).max(4) as usize;
-        let (mut spikes, mut empty) = (0, 0);
-        for case in 0..250 {
-            let (sends, up_off, reads, rx_off) = random_edge(&mut rng, BIN_NS, SEARCH_NS);
-            let rx = IpidRuns::build(reads.iter().copied());
-            let rx_ts: Vec<Nanos> = rx.ts.iter().map(|&t| on_source_clock(t, rx_off)).collect();
-            let total = reference::bin_pairs::<BIN_NS, SEARCH_NS>(
-                sends.iter(),
-                up_off,
-                &rx,
-                &rx_ts,
-                &mut bins,
-            );
-            let want = reference::spike_low_edge(&bins, total, lookback);
-            let (counts, got_total, got) =
-                scan::<BIN_NS, SEARCH_NS>(&mut groups, &mut head, &sends, up_off, &rx, &rx_ts);
-            assert!(head.iter().all(|&h| h == 0), "case {case}: heads left set");
-            let want_counts: Vec<u32> = bins.iter().map(|b| b.count).collect();
-            assert_eq!(counts, want_counts, "case {case}: counts");
-            assert_eq!((got_total, got), (total, want), "case {case}");
-            spikes += usize::from(want.is_some());
-            empty += usize::from(sends.len() == 0);
-        }
-        assert!(
-            spikes >= 50 && empty > 0,
-            "{spikes} spikes, {empty} empty edges"
+    #[test]
+    fn trigrams_key_each_packet_by_its_next_two() {
+        let mut out = vec![(9, 9)];
+        let stream = [(10, 1), (10, 2), (20, 3), (30, 0xffff), (40, 5)];
+        push_keyed(stream.into_iter(), 2, 3, &mut out);
+        let key = |trigram: u64| trigram << 2 | 3;
+        assert_eq!(
+            out,
+            vec![
+                (9, 9),
+                (key(1 << 32 | 2 << 16 | 3), 10),
+                (key(2 << 32 | 3 << 16 | 0xffff), 10),
+                (key(3 << 32 | 0xffff << 16 | 5), 20),
+            ]
         );
+        push_keyed([(1, 7), (2, 8)].into_iter(), 0, 0, &mut out);
+        assert_eq!(out.len(), 4, "two packets have no trigram");
+    }
+
+    /// The radix sort orders by key and keeps push order within one, as a
+    /// stable comparison sort does: on small and full key widths, with the
+    /// scratch buffers reused across calls.
+    #[test]
+    fn radix_sort_is_a_stable_sort_by_key() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut keyed, mut spare) = (Vec::new(), Vec::new());
+        for case in 0..200 {
+            let bits = [1, 4, 12, 13, 26, 39, 48, 52, 64][case % 9];
+            let n = rng.gen_range(0..2_000);
+            keyed.clear();
+            keyed.extend((0..n).map(|ts| (rng.gen::<u64>() >> (64 - bits), ts as Nanos)));
+            let mut want = keyed.clone();
+            want.sort_by_key(|&(key, _)| key);
+            sort_by_key(&mut keyed, &mut spare, bits);
+            assert_eq!(keyed, want, "case {case}");
+        }
+    }
+
+    /// Each edge keeps the trigrams the reads hold; a trigram two edges send
+    /// joins both with the same reads.
+    #[test]
+    fn join_keeps_the_trigrams_both_sides_hold() {
+        // Two slots: keys are `trigram << 1 | slot`.
+        let sends = [(2, 10), (2, 30), (3, 11), (8, 20), (12, 5)];
+        let reads = [(0, 1), (1, 12), (1, 31), (1, 40), (5, 3), (6, 9)];
+        let nf = JoinedNf::join(&sends, &reads, 1, 2);
+        assert_eq!(nf.reads, vec![1, 12, 31, 40, 3, 9]);
+        assert_eq!(nf.edges[0].groups, vec![(2, 1, 3), (1, 5, 1)]);
+        assert_eq!(nf.edges[0].sends, vec![10, 30, 5]);
+        assert_eq!(nf.edges[1].groups, vec![(1, 1, 3)]);
+        assert_eq!(nf.edges[1].sends, vec![11]);
+    }
+
+    /// A send votes only when its trigram names one read in the pass's
+    /// window; reads outside the window do not count.
+    #[test]
+    fn a_send_whose_trigram_recurs_in_the_window_does_not_vote() {
+        let binned = |reads: &[Nanos]| {
+            let edge = JoinedEdge {
+                sends: vec![1_000_000],
+                groups: vec![(1, 0, reads.len() as u32)],
+            };
+            let scan = EdgeScan {
+                edge: &edge,
+                reads,
+                up_off: None,
+                rx_off: 0,
+            };
+            let mut hist = Histogram::default();
+            bin_pairs::<1_000, 200_000>(&scan, &mut hist)
+        };
+        // 1 ms before the send and 1 ms after: outside ±200 µs.
+        assert_eq!(binned(&[0, 1_000_005, 2_000_000]), 1);
+        assert_eq!(binned(&[0, 1_000_005, 1_000_010, 2_000_000]), 0);
+        assert_eq!(binned(&[1_000_000]), 1);
+        assert_eq!(binned(&[]), 0);
+    }
+
+    /// The histogram a set of deltas makes in the 1 µs pass (±200 µs).
+    fn histogram(deltas: impl Iterator<Item = i64>) -> (Vec<u32>, usize) {
+        let mut counts = vec![0; 401];
+        let mut total = 0;
+        for d in deltas {
+            counts[((d + 200_000) / 1_000) as usize] += 1;
+            total += 1;
+        }
+        (counts, total)
+    }
+
+    fn spread(base: i64, n: i64) -> impl Iterator<Item = i64> {
+        (0..n).map(move |k| base + k)
+    }
+
+    /// Hand-placed histogram shapes at 1 µs bins: the bin `spike_edge`
+    /// returns as the spike's low edge (bin 205 holds 5.0–5.999 µs).
+    #[test]
+    fn spike_edge_finds_the_low_edge_of_hand_placed_shapes() {
+        let shapes: [(&str, Vec<i64>, usize); 5] = [
+            // Zero queueing spread: every delta in one bin.
+            ("single-bin spike", vec![5_100; 40], 205),
+            // The peak is the lowest populated bin; higher bins hold a tail.
+            (
+                "spike at the lowest populated bin",
+                spread(5_100, 30)
+                    .chain(spread(6_100, 8))
+                    .chain(spread(9_100, 5))
+                    .collect(),
+                205,
+            ),
+            // Two adjacent bins tie for the peak count: the higher is the
+            // peak, the steepest rise the lower.
+            (
+                "tied adjacent peaks",
+                spread(5_100, 20).chain(spread(6_100, 20)).collect(),
+                205,
+            ),
+            // Two detached bins tie: the higher is the peak, and the gap
+            // below it ends the scan.
+            (
+                "tied detached peaks",
+                spread(5_100, 20).chain(spread(8_100, 20)).collect(),
+                208,
+            ),
+            // A collision cluster far below the coherent spike must not win
+            // the steepest-rise search.
+            (
+                "detached collision cluster",
+                spread(-50_000, 15)
+                    .chain(spread(5_100, 12))
+                    .chain(spread(6_100, 20))
+                    .collect(),
+                205,
+            ),
+        ];
+        for (what, deltas, want) in shapes {
+            let (counts, total) = histogram(deltas.into_iter());
+            assert_eq!(spike_edge(&counts, total, 1_000), Some(want), "{what}");
+        }
+        // Flat: no bin reaches four times the mean.
+        let (counts, total) = histogram((0..401).map(|b| b * 1_000 - 200_000));
+        assert_eq!(spike_edge(&counts, total, 1_000), None);
     }
 
     #[test]
-    fn merge_join_matches_the_per_send_scan_at_100_us_bins() {
-        scan_matches_the_reference::<100_000, 20_000_000>(1);
-    }
-
-    #[test]
-    fn merge_join_matches_the_per_send_scan_at_10_us_bins() {
-        scan_matches_the_reference::<10_000, 2_000_000>(2);
-    }
-
-    #[test]
-    fn merge_join_matches_the_per_send_scan_at_1_us_bins() {
-        scan_matches_the_reference::<1_000, 200_000>(3);
+    fn median_of_votes() {
+        assert_eq!(median(&mut []), None);
+        assert_eq!(median(&mut [7]), Some(7));
+        assert_eq!(median(&mut [9, -3, 4]), Some(4));
+        assert_eq!(median(&mut [10, -4, 1, 100]), Some(5));
+        assert_eq!(median(&mut [-5, -2]), Some(-4));
     }
 
     fn chain() -> Topology {
@@ -844,16 +711,16 @@ mod tests {
     fn offsets_recovered_within_service_time_tolerance() {
         let topo = chain();
         let bundle = skewed_bundle(&topo);
-        let offsets = estimate_offsets_detailed(&topo, &bundle, &SkewConfig::default()).offsets;
+        let offsets = estimate_offsets_refined(&topo, &bundle, &SkewConfig::default());
         // Tolerance: the minimal queueing/service slack baked into the
-        // samples (a few µs here).
+        // samples (1 µs per hop here).
         assert!(
-            (offsets[0] - 1_000_000).abs() < 5_000,
+            (offsets[0] - 1_000_000).abs() <= 1_000,
             "nat offset {}",
             offsets[0]
         );
         assert!(
-            (offsets[1] + 500_000).abs() < 10_000,
+            (offsets[1] + 500_000).abs() <= 2_000,
             "vpn offset {}",
             offsets[1]
         );
@@ -869,7 +736,7 @@ mod tests {
         let vpn_rx = bundle.log(NfId(1)).rx.ts()[0];
         assert!(vpn_rx < nat_tx, "sanity: raw bundle is acausal");
 
-        let offsets = estimate_offsets_detailed(&topo, &bundle, &SkewConfig::default()).offsets;
+        let offsets = estimate_offsets_refined(&topo, &bundle, &SkewConfig::default());
         let fixed = correct_bundle(&bundle, &offsets);
         let nat_tx = fixed.log(NfId(0)).tx.ts()[0];
         let vpn_rx = fixed.log(NfId(1)).rx.ts()[0];
@@ -895,8 +762,7 @@ mod tests {
             c.record_rx(NfId(1), t + 1_500, &[m]);
             c.record_tx(NfId(1), t + 3_000, None, &[m]);
         }
-        let offsets =
-            estimate_offsets_detailed(&topo, &c.into_bundle(), &SkewConfig::default()).offsets;
+        let offsets = estimate_offsets_refined(&topo, &c.into_bundle(), &SkewConfig::default());
         for o in offsets {
             assert!(o.abs() < 2_000, "offset {o}");
         }
@@ -908,13 +774,14 @@ mod tests {
         // Empty bundle: nothing is estimable, and the API must say so
         // instead of passing the zero fallback off as a measurement.
         let empty = Collector::new(&topo, CollectorConfig::default()).into_bundle();
-        let est = estimate_offsets_detailed(&topo, &empty, &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(&topo, &empty, &SkewConfig::default());
         assert_eq!(est.offsets, vec![0, 0]);
         assert_eq!(est.available, vec![false, false]);
 
-        let est = estimate_offsets_detailed(&topo, &skewed_bundle(&topo), &SkewConfig::default());
+        let est =
+            estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo), &SkewConfig::default());
         assert_eq!(est.available, vec![true, true]);
-        assert!((est.offsets[0] - 1_000_000).abs() < 5_000);
+        assert!((est.offsets[0] - 1_000_000).abs() <= 1_000);
     }
 
     /// Regression: whole-run callers used to get a bare offset vector in
@@ -948,28 +815,20 @@ mod tests {
         assert!(full.notes(&topo).is_empty(), "{:?}", full.notes(&topo));
     }
 
-    /// Regression for the `edge_bin` scan: a detached collision cluster far
-    /// below the coherent spike used to win the steepest-rise search (the
-    /// scan ranged over up to 1 ms of bins regardless of gaps), dragging
-    /// the returned minimum ~50 µs under the true spike edge. The scan must
-    /// stay within the contiguously populated run ending at the peak.
+    /// Regression for the spike scan, through the whole estimator: a
+    /// detached collision cluster far below the coherent spike used to win
+    /// the steepest-rise search, dragging the estimate ~50 µs under the
+    /// spike's low edge. nat1 → vpn1 only, one packet per IPID, so each
+    /// (send, read) pair contributes exactly its own delta: 15 at ≈ −50 µs,
+    /// then 12 at 5.1 µs (the low edge) and 20 at 6.1 µs (the peak).
     #[test]
-    fn edge_residual_ignores_detached_cluster_below_the_spike() {
+    fn estimate_ignores_a_detached_cluster_below_the_spike() {
         let topo = chain();
         let mut c = Collector::new(&topo, CollectorConfig::default());
-        // One sample per IPID so each (send, read) pair contributes exactly
-        // its own delta: 15 collision-like samples at ~-50 µs, then a spike
-        // of 12 at ~5.1 µs (its low edge) and 20 at ~6.1 µs (its peak).
-        let mut deltas: Vec<i64> = Vec::new();
-        for k in 0..15 {
-            deltas.push(-50_000 + k);
-        }
-        for k in 0..12 {
-            deltas.push(5_100 + k);
-        }
-        for k in 0..20 {
-            deltas.push(6_100 + k);
-        }
+        let deltas: Vec<i64> = spread(-50_000, 15)
+            .chain(spread(5_100, 12))
+            .chain(spread(6_100, 20))
+            .collect();
         for (k, &d) in deltas.iter().enumerate() {
             let m = PacketMeta {
                 ipid: k as u16,
@@ -979,19 +838,11 @@ mod tests {
             c.record_tx(NfId(0), ts, Some(NfId(1)), &[m]);
             c.record_rx(NfId(1), (ts as i64 + d) as u64, &[m]);
         }
-        let streams = EdgeStreams::build(&topo, &c.into_bundle());
-        let rx = IpidRuns::build(streams.nfs[1].rx());
-        let sends = streams.edge(NfId(1), 0);
-        let mut groups = SendGroups::with_capacity(0);
-        let head = &mut vec![0; IPID_SPACE];
-        let (_, total, got) =
-            scan::<1_000, 200_000>(&mut groups, head, sends, Some(0), &rx, &rx.ts);
-        assert_eq!(total, deltas.len());
-        let got = got.expect("spike is coherent enough to estimate");
-        assert!(
-            (5_000..6_000).contains(&got),
-            "edge residual {got} must sit at the spike's low edge, not the cluster"
-        );
+        let est =
+            estimate_offsets_refined_detailed(&topo, &c.into_bundle(), &SkewConfig::default());
+        // nat1 has no source samples; vpn1 is estimated from the spike.
+        assert_eq!(est.available, vec![false, true]);
+        assert_eq!(est.offsets[1], 5_100);
     }
 
     /// The paper-named corner: with zero queueing spread every delta lands

@@ -190,12 +190,11 @@ fn skew_corrected_pipeline_never_underflows() {
         };
         // Path 1: the estimator's own offsets (whatever it makes of the
         // adversarial clocks).
-        let est = microscope_repro::trace::estimate_offsets_detailed(
+        let est = microscope_repro::trace::estimate_offsets_refined(
             &topo,
             &bundle,
             &microscope_repro::trace::SkewConfig::default(),
-        )
-        .offsets;
+        );
         let fixed = microscope_repro::trace::correct_bundle(&bundle, &est);
         let recon = reconstruct(&topo, &fixed, &ReconstructionConfig::default());
         let _ = microscope_repro::diagnosis::find_victims(&recon, &vcfg);
