@@ -6,8 +6,11 @@
 //! ([`ChunkSource`]: a whole-run `.msc` in windows, a `.mscs` as it was
 //! chunked). `diagnose --skew` first estimates the clock offsets over the
 //! whole run, frees it and hands the estimate to the engine, which corrects
-//! each window as it ingests it. The whole-run reconstructor
-//! (`msc_trace::reconstruct`) is not called here: it is the oracle the
+//! each window as it ingests it. `diagnose`'s windows are
+//! [`DIAGNOSE_WINDOW_MS`] long, the windows `msc_trace::reconstruct` cuts an
+//! in-memory bundle into for the figures and the tests: one engine, one
+//! window size. The whole-run stages (`EdgeStreams::build` →
+//! `match_all` → `assemble`) are not called here: they are the oracle the
 //! equivalence suites compare the engine with.
 //!
 //! Each function takes the parsed deployment, the bundle path and the values
@@ -35,23 +38,12 @@ use msc_collector::{load_bundle, BundleChunk, BundleIoError, ChunkSource, TraceB
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
     estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport, SkewConfig,
-    SkewEstimates, StreamError, Timelines,
+    SkewEstimates, StreamError, Timelines, DIAGNOSE_WINDOW_MS,
 };
 use nf_types::{Nanos, NodeId, TimeDelta, Topology, MICROS, MILLIS};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-
-/// The window `diagnose` reads the `.msc` in, with or without `--skew`. It
-/// sets the engine's frontier and nothing in the report. Peak RSS on a
-/// 2-core VM: on the 250 ms / 1.4 Mpps recording 10 and 50 ms windows peak
-/// alike (93 MiB, after the frontier is freed); on a 30 ms run one 50 ms
-/// window holds the whole run and peaks at 24.3 MiB, 10 ms windows at
-/// 16.6 MiB (the whole-run reconstructor: 18.6); `diagnose --skew` on a
-/// 120 ms / 0.7 Mpps run peaks at 41.2 MiB with 50 ms windows, 29.9 MiB
-/// with 10 ms ones, where the estimator over the loaded run sets the peak
-/// (whole-run reconstructor: 36.0).
-const DIAGNOSE_WINDOW_MS: u64 = 10;
 
 /// `stream`'s window on a whole-run `.msc` when `--chunk-ms` is not given.
 /// (`stream --skew` settles its offsets on a prefix of the run, so this

@@ -492,7 +492,7 @@ mod tests {
     /// Hand-built scenario: a NAT→VPN chain where the VPN's queue builds
     /// because the NAT released a squeezed burst after an interrupt.
     /// Peak rates: both 1 Mpps (1 µs/packet).
-    fn build_interrupt_scenario() -> (Topology, Reconstruction) {
+    fn build_interrupt_scenario() -> (Topology, Reconstruction, Timelines) {
         let mut b = Topology::builder();
         let nat = b.add_nf(NfKind::Nat, "nat1");
         let vpn = b.add_nf(NfKind::Vpn, "vpn1");
@@ -524,14 +524,14 @@ mod tests {
         c.record_rx(vpn, 7_132_000, &metas[32..]);
         c.record_tx(vpn, 7_132_000, None, &metas[..32]);
         c.record_tx(vpn, 7_164_000, None, &metas[32..]);
-        let recon = reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default());
-        (topo, recon)
+        let (recon, timelines) =
+            reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default()).unwrap();
+        (topo, recon, timelines)
     }
 
     #[test]
     fn interrupt_blame_propagates_to_upstream_nat() {
-        let (topo, recon) = build_interrupt_scenario();
-        let timelines = Timelines::build(&recon);
+        let (topo, recon, timelines) = build_interrupt_scenario();
         let ms = Microscope::new(
             topo,
             vec![1e6, 1e6],
@@ -594,8 +594,8 @@ mod tests {
         c.record_rx(nat, 1_032_100, &metas[32..]);
         c.record_tx(nat, 1_032_100, None, &metas[..32]);
         c.record_tx(nat, 1_064_100, None, &metas[32..]);
-        let recon = reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default());
-        let timelines = Timelines::build(&recon);
+        let (recon, timelines) =
+            reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default()).unwrap();
         let ms = Microscope::new(topo, vec![1e6], DiagnosisConfig::default());
         let victim = Victim {
             trace: 63,
@@ -639,8 +639,8 @@ mod tests {
         c.record_rx(nat, 2_200_000, &metas[32..]);
         c.record_tx(nat, 2_200_000, None, &metas[..32]);
         c.record_tx(nat, 2_900_000, None, &metas[32..]);
-        let recon = reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default());
-        let timelines = Timelines::build(&recon);
+        let (recon, timelines) =
+            reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default()).unwrap();
         let ms = Microscope::new(topo, vec![1e6], DiagnosisConfig::default());
         let victim = Victim {
             trace: 63,
@@ -658,8 +658,7 @@ mod tests {
 
     #[test]
     fn min_score_prunes_noise() {
-        let (topo, recon) = build_interrupt_scenario();
-        let timelines = Timelines::build(&recon);
+        let (topo, recon, timelines) = build_interrupt_scenario();
         let ms = Microscope::new(
             topo,
             vec![1e6, 1e6],

@@ -143,8 +143,8 @@ mod tests {
         c.record_tx(nat, 210_000, Some(vpn), &metas);
         c.record_rx(vpn, 210_000, &metas);
         c.record_tx(vpn, 230_000, None, &metas);
-        let recon = reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default());
-        let timelines = Timelines::build(&recon);
+        let (recon, timelines) =
+            reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default()).unwrap();
 
         let index = DiagnosisIndex::build(&recon, &timelines);
         assert_eq!(index.flow_table.len(), 2);

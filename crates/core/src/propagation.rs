@@ -460,7 +460,7 @@ mod tests {
 
         /// source -> nat -> vpn; the NAT holds 32 packets (emitted over
         /// 3.2 ms) behind a stall and releases them squeezed into ~3 µs.
-        fn squeezed_release() -> (Topology, msc_trace::Reconstruction) {
+        fn squeezed_release() -> (Topology, msc_trace::Reconstruction, Timelines) {
             let mut b = Topology::builder();
             let nat = b.add_nf(NfKind::Nat, "nat1");
             let vpn = b.add_nf(NfKind::Vpn, "vpn1");
@@ -481,14 +481,14 @@ mod tests {
             c.record_tx(nat, 5_003_000, Some(vpn), &metas);
             c.record_rx(vpn, 5_003_000, &metas);
             c.record_tx(vpn, 5_035_000, None, &metas);
-            let recon = reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default());
-            (topo, recon)
+            let (recon, timelines) =
+                reconstruct(&topo, &c.into_bundle(), &ReconstructionConfig::default()).unwrap();
+            (topo, recon, timelines)
         }
 
         #[test]
         fn squeezing_nf_gets_the_share() {
-            let (topo, recon) = squeezed_release();
-            let timelines = Timelines::build(&recon);
+            let (topo, recon, timelines) = squeezed_release();
             let vpn = topo.by_name("vpn1").unwrap();
             let tl = timelines.nf(vpn);
             // The last packet arrives at 5_003_000 and finds the whole batch
@@ -510,8 +510,7 @@ mod tests {
 
         #[test]
         fn shares_sum_to_at_most_one() {
-            let (topo, recon) = squeezed_release();
-            let timelines = Timelines::build(&recon);
+            let (topo, recon, timelines) = squeezed_release();
             let vpn = topo.by_name("vpn1").unwrap();
             let tl = timelines.nf(vpn);
             let qp = tl.queuing_period(5_003_000);
@@ -522,8 +521,7 @@ mod tests {
 
         #[test]
         fn empty_preset_yields_no_shares() {
-            let (topo, recon) = squeezed_release();
-            let timelines = Timelines::build(&recon);
+            let (topo, recon, timelines) = squeezed_release();
             let vpn = topo.by_name("vpn1").unwrap();
             let tl = timelines.nf(vpn);
             let shares = attribute_upstream(&recon, tl, &(0..0), vpn, 1e6);

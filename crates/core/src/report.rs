@@ -153,6 +153,8 @@ mod tests {
             }],
         };
         msc_trace::reconstruct(&topo, &bundle, &msc_trace::ReconstructionConfig::default())
+            .unwrap()
+            .0
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use microscope::{DiagnosisConfig, Microscope};
 use msc_experiments::cli::{write_csv, Args};
 use msc_experiments::scoring::{attribute_event, correct_rate, microscope_rank};
-use msc_trace::{reconstruct, ReconstructionConfig, Timelines};
+use msc_trace::{reconstruct, ReconstructionConfig};
 use nf_sim::{paper_nf_configs, Fault, PacketOutcome, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
 use nf_types::{paper_topology, MICROS, MILLIS, SECONDS};
@@ -118,7 +118,7 @@ fn main() {
     for bits in [16u32, 10, 8] {
         let bundle = mask_bundle(bits);
         for (name, cfg) in &channel_cfgs {
-            let recon = reconstruct(&topo, &bundle, cfg);
+            let (recon, _) = reconstruct(&topo, &bundle, cfg).expect("paper topology");
             let mut wrong = 0u64;
             for (tr, fate) in recon.traces.iter().zip(&out.fates) {
                 let ok = match (&tr.outcome, &fate.outcome) {
@@ -188,8 +188,8 @@ fn main() {
     );
     let packets = gen.generate(0, 160 * MILLIS).finalize(0);
     let out = sim.run(&packets);
-    let recon = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) =
+        reconstruct(&topo, &out.bundle, &ReconstructionConfig::default()).expect("paper topology");
     let rates: Vec<f64> = cfgs.iter().map(|c| c.service.peak_rate_pps()).collect();
 
     println!("\n# B: diagnosis accuracy with and without recursion (§4.3)");

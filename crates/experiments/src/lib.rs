@@ -3,10 +3,11 @@
 //!
 //! The harness ties the whole system together: synthesise traffic
 //! (`nf-traffic`), inject known problems ([`inject`]), simulate the NF
-//! chain (`nf-sim`), reconstruct traces from the collector bundle
-//! (`msc-trace`), run Microscope (`microscope`) and the NetMedic baseline
-//! (`netmedic`, fed by [`netmedic_adapter`]), and score both tools against
-//! the injected ground truth ([`scoring`]).
+//! chain (`nf-sim`), reconstruct traces from the collector bundle with the
+//! windowed engine `microscope diagnose` runs, in its windows
+//! (`msc_trace::reconstruct`), run Microscope (`microscope`) and the
+//! NetMedic baseline (`netmedic`, fed by [`netmedic_adapter`]), and score
+//! both tools against the injected ground truth ([`scoring`]).
 //!
 //! Each `src/bin/*.rs` binary regenerates one figure or table and prints
 //! the same rows/series the paper reports (plus CSV output under

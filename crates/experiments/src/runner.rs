@@ -2,7 +2,7 @@
 
 use crate::inject::InjectionPlan;
 use microscope::{Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope};
-use msc_trace::{reconstruct, Reconstruction, ReconstructionConfig, Timelines};
+use msc_trace::{reconstruct, Reconstruction, ReconstructionConfig};
 use nf_sim::{paper_nf_configs, SimConfig, SimOutput, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig, Schedule};
 use nf_types::{paper_topology, Nanos, Topology, MICROS, MILLIS};
@@ -37,8 +37,8 @@ impl RunSpec {
     }
 }
 
-/// Everything one run produced: simulator ground truth, the offline
-/// reconstruction and Microscope's diagnoses.
+/// Everything one run produced: simulator ground truth, the reconstruction
+/// and Microscope's diagnoses.
 pub struct RunResult {
     /// The topology used.
     pub topology: Topology,
@@ -46,7 +46,8 @@ pub struct RunResult {
     pub peak_rates: Vec<f64>,
     /// Simulator output (ground truth + collector bundle).
     pub out: SimOutput,
-    /// Offline trace reconstruction.
+    /// The traces, reconstructed as `microscope diagnose` reconstructs them
+    /// ([`msc_trace::reconstruct()`]).
     pub recon: Reconstruction,
     /// Microscope diagnoses of all selected victims.
     pub diagnoses: Vec<Diagnosis>,
@@ -99,12 +100,12 @@ pub fn simulate(spec: &RunSpec) -> (Topology, Vec<f64>, SimOutput) {
     (topology, peak_rates, out)
 }
 
-/// Simulates a spec, then reconstructs the traces offline and diagnoses
-/// every victim.
+/// Simulates a spec, then reconstructs the traces with the engine
+/// `microscope diagnose` runs, in its windows, and diagnoses every victim.
 pub fn run_spec(spec: &RunSpec) -> RunResult {
     let (topology, peak_rates, out) = simulate(spec);
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default())
+        .expect("the paper topology has a source edge to every entry NF");
     let ms = Microscope::new(topology.clone(), peak_rates.clone(), spec.diagnosis.clone());
     let diagnoses = ms.diagnose_all(&recon, &timelines);
     RunResult {

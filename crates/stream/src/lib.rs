@@ -1,12 +1,16 @@
 //! Streaming diagnosis engine — the one reconstructor every `microscope`
 //! command runs.
 //!
-//! The whole-run reconstructor (`msc_trace::reconstruct`) reconstructs every
-//! trace from a whole collector bundle in memory; it stays as the oracle
-//! the equivalence suites check this engine against. `diagnose`
-//! and `stream` both feed [`StreamEngine`] the records as a stream of
-//! time-ordered [`msc_collector::BundleChunk`]s, read from either bundle
-//! container by `msc_collector::ChunkSource`:
+//! `diagnose` and `stream` both feed [`StreamEngine`] the records as a
+//! stream of time-ordered [`msc_collector::BundleChunk`]s, read from either
+//! bundle container by `msc_collector::ChunkSource`; the figures, the
+//! examples and the tests reconstruct a bundle in memory through the same
+//! [`msc_trace::WindowedReconstructor`] (`msc_trace::reconstruct`, in
+//! `diagnose`'s windows). The whole-run stages (`EdgeStreams::build` →
+//! `match_all` → `assemble`), which reconstruct every trace from a whole
+//! bundle in memory, have two readers left: the equivalence suites, which
+//! spell them out as the oracle this engine is checked against, and the
+//! frozen benchmark harness.
 //!
 //! * **Windowed reconstruction** — each chunk advances the watermark of a
 //!   [`msc_trace::WindowedReconstructor`], which drives the offline matcher
@@ -302,10 +306,22 @@ mod tests {
     use super::*;
     use microscope::{DiagnosisConfig, LatencyThreshold, Microscope};
     use msc_collector::{chunk_bundle, Collector, CollectorConfig};
-    use msc_trace::{reconstruct, ReconstructionConfig};
+    use msc_trace::{assemble, match_all, EdgeStreams, ReconstructionConfig};
     use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
     use nf_traffic::{CaidaLike, CaidaLikeConfig};
     use nf_types::{paper_topology, MICROS, MILLIS};
+
+    /// The whole-run reconstructor, stage by stage: the oracle the engine
+    /// is compared with.
+    fn whole_run(
+        topology: &Topology,
+        bundle: &TraceBundle,
+        cfg: &ReconstructionConfig,
+    ) -> Reconstruction {
+        let streams = EdgeStreams::build(topology, bundle);
+        let matches = match_all(&streams, topology, cfg);
+        assemble(topology, bundle, streams, &matches)
+    }
 
     fn paper_run(seed: u64, millis: u64) -> (Topology, Vec<f64>, TraceBundle) {
         paper_run_on_clocks(seed, millis, Vec::new())
@@ -357,7 +373,7 @@ mod tests {
     #[test]
     fn streamed_diagnosis_matches_offline() {
         let (topology, rates, bundle) = paper_run(11, 30);
-        let offline = reconstruct(&topology, &bundle, &ReconstructionConfig::default());
+        let offline = whole_run(&topology, &bundle, &ReconstructionConfig::default());
         let off_tl = Timelines::build(&offline);
         let off_engine = Microscope::new(topology.clone(), rates.clone(), dcfg());
         let (off_diag, _) = off_engine.diagnose_all_stats(&offline, &off_tl);
@@ -479,7 +495,7 @@ mod tests {
             matching: skew_cfg().matching,
         };
         let fixed = correct_bundle(bundle, &est.offsets);
-        let recon = reconstruct(topology, &fixed, &cfg);
+        let recon = whole_run(topology, &fixed, &cfg);
         (est, recon)
     }
 

@@ -17,11 +17,18 @@
 //!    dropped packets removed; matching is therefore an ordered alignment,
 //!    which is how the Fig. 9 ambiguity is resolved ([`matching`]).
 //!
-//! The per-rx matching decision exists once ([`matching`]) and is driven two
-//! ways: [`mod@reconstruct`] indexes a whole run and decides every read;
-//! [`windowed`] appends time-ordered chunks to the same columns, decides the
-//! reads its watermark proves stable and drops what it has consumed. Both
-//! return the same [`Reconstruction`] for the same records.
+//! The per-rx matching decision exists once ([`matching`]) and one engine
+//! drives it: [`windowed`] appends time-ordered chunks to the matcher's
+//! columns, decides the reads its watermark proves stable and drops what it
+//! has consumed. `microscope diagnose` and `stream` feed it chunks read from
+//! a file; [`reconstruct()`] feeds it a bundle in memory, cut into
+//! `diagnose`'s [`DIAGNOSE_WINDOW_MS`] windows, and is what the figures, the
+//! examples and the tests call. The whole-run stages
+//! ([`EdgeStreams::build`] → [`match_all`] → [`assemble`], which index a
+//! whole run and decide every read) have two readers left: the equivalence
+//! suites, which spell them out as the engine's independent oracle, and the
+//! frozen benchmark harness. The engine and the stages return the same
+//! [`Reconstruction`] for the same records.
 //!
 //! On top of the per-packet traces, [`timeline`] builds what the diagnosis
 //! core actually consumes: per-NF arrival/read/send timelines and the
@@ -54,8 +61,8 @@ pub use matching::{
     match_downstream, EdgeMatch, EdgeOutcomes, EdgeSends, MatchConfig, MatchOutcome, MatchStats,
 };
 pub use reconstruct::{
-    assemble, match_all, reconstruct, PathTrie, ReconstructedTrace, Reconstruction,
-    ReconstructionConfig, ReconstructionReport, TraceHop, TraceOutcome, PATH_ROOT,
+    assemble, match_all, PathTrie, ReconstructedTrace, Reconstruction, ReconstructionConfig,
+    ReconstructionReport, TraceHop, TraceOutcome, PATH_ROOT,
 };
 pub use skew::{
     correct_bundle, estimate_offsets_refined, estimate_offsets_refined_detailed, SkewConfig,
@@ -63,4 +70,4 @@ pub use skew::{
 };
 pub use streams::{EdgeStreams, NfStreams, RxBatchInfo, TxHop, TxNext};
 pub use timeline::{Arrival, ArrivalKind, NfTimeline, QueuingPeriod, Timelines};
-pub use windowed::{StreamError, WindowedReconstructor};
+pub use windowed::{reconstruct, StreamError, WindowedReconstructor, DIAGNOSE_WINDOW_MS};

@@ -1,4 +1,12 @@
 //! End-to-end trace assembly: source emissions → per-packet journeys.
+//!
+//! The types every reconstructor returns ([`Reconstruction`] and its
+//! parts), and the whole-run reconstructor's last two stages. That
+//! reconstructor is [`EdgeStreams::build`] → [`match_all`] → [`assemble`]
+//! over a whole run in memory; it has no product caller: the equivalence
+//! suites call its stages one by one as the independent oracle of the
+//! windowed engine ([`crate::reconstruct()`]), and so does the benchmark
+//! harness.
 
 use crate::matching::{edge_indexes, match_nf, EdgeMatch, MatchConfig, MatchOutcome};
 use crate::streams::{EdgeStreams, RxBatchInfo, TxNext};
@@ -311,8 +319,9 @@ impl Reconstruction {
     }
 }
 
-/// Stage 2 of [`reconstruct`]: matches every NF against its upstreams, in
-/// NF order, over one set of index tables sized to the widest NF.
+/// Stage 2 of the whole-run reconstructor: matches every NF against its
+/// upstreams, in NF order, over one set of index tables sized to the widest
+/// NF.
 pub fn match_all(
     streams: &EdgeStreams,
     topology: &Topology,
@@ -324,9 +333,9 @@ pub fn match_all(
         .collect()
 }
 
-/// Stages 3+4 of [`reconstruct`]: walks every source emission through the
-/// per-NF match outcomes, assembling traces into the shared hop arena and
-/// interning each trace's path as it goes.
+/// Stages 3+4 of the whole-run reconstructor: walks every source emission
+/// through the per-NF match outcomes, assembling traces into the shared hop
+/// arena and interning each trace's path as it goes.
 pub fn assemble(
     topology: &Topology,
     bundle: &TraceBundle,
@@ -436,20 +445,10 @@ pub fn assemble(
     }
 }
 
-/// Runs matching for every NF and assembles per-packet traces.
-pub fn reconstruct(
-    topology: &Topology,
-    bundle: &TraceBundle,
-    cfg: &ReconstructionConfig,
-) -> Reconstruction {
-    let streams = EdgeStreams::build(topology, bundle);
-    let matches = match_all(&streams, topology, cfg);
-    assemble(topology, bundle, streams, &matches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct;
     use msc_collector::{Collector, CollectorConfig, PacketMeta};
     use nf_types::{NfKind, Proto};
 
@@ -479,7 +478,9 @@ mod tests {
         c.record_tx(NfId(0), 180, Some(NfId(1)), &[m]);
         c.record_rx(NfId(1), 200, &[m]);
         c.record_tx(NfId(1), 250, None, &[m]);
-        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
+        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default())
+            .unwrap()
+            .0;
         assert_eq!(r.traces.len(), 1);
         let tr = &r.traces[0];
         assert_eq!(tr.outcome, TraceOutcome::Delivered(250));
@@ -510,7 +511,9 @@ mod tests {
         // VPN only ever reads packet 2: packet 1 dropped at its ring.
         c.record_rx(NfId(1), 200, &[m2]);
         c.record_tx(NfId(1), 250, None, &[m2]);
-        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
+        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default())
+            .unwrap()
+            .0;
         assert_eq!(
             r.traces[0].outcome,
             TraceOutcome::InferredDrop {
@@ -531,7 +534,9 @@ mod tests {
         c.record_source(100, &m);
         c.record_rx(NfId(0), 150, &[m]);
         // NAT never sent it (in-flight at cutoff).
-        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
+        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default())
+            .unwrap()
+            .0;
         assert_eq!(r.traces[0].outcome, TraceOutcome::Unresolved);
         assert_eq!(r.hops_of(0).len(), 1);
         assert_eq!(r.hops_of(0)[0].sent_ts(), None);
@@ -547,7 +552,9 @@ mod tests {
         c.record_tx(NfId(0), 180, Some(NfId(1)), &[m]);
         c.record_rx(NfId(1), 200, &[m]);
         c.record_tx(NfId(1), 250, None, &[m]);
-        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
+        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default())
+            .unwrap()
+            .0;
         // Hop 0 (at the NAT) was reached via [Source]; hop 1 (at the VPN)
         // via [Source, nat1]; the trace's own id is the whole path.
         assert_eq!(r.path_before(0, 0), PATH_ROOT);
@@ -571,7 +578,9 @@ mod tests {
         c2.record_tx(NfId(0), 180, Some(NfId(1)), &ms);
         c2.record_rx(NfId(1), 200, &ms);
         c2.record_tx(NfId(1), 250, None, &ms);
-        let r2 = reconstruct(&t, &c2.into_bundle(), &ReconstructionConfig::default());
+        let r2 = reconstruct(&t, &c2.into_bundle(), &ReconstructionConfig::default())
+            .unwrap()
+            .0;
         assert_eq!(r2.path_ids[0], r2.path_ids[1]);
         // Root + one path per hop depth.
         assert_eq!(r2.paths.len(), 3);
@@ -618,7 +627,11 @@ mod tests {
             c.record_rx(NfId(1), 200, &[m2]);
             c.record_tx(NfId(1), 250, None, &[m2]);
             let bundle = c.into_bundle();
-            let r = reconstruct(&t, &bundle, &ReconstructionConfig::default());
+            // The whole-run stages, spelled out: the oracle of the windowed
+            // reconstructor below.
+            let streams = EdgeStreams::build(&t, &bundle);
+            let matches = match_all(&streams, &t, &ReconstructionConfig::default());
+            let r = assemble(&t, &bundle, streams, &matches);
             assert_eq!(r.traces[0].outcome, TraceOutcome::Unresolved, "{hostile:?}");
             assert_eq!(r.hops_of(0).len(), 1);
             assert_eq!(r.hops_of(0)[0].sent_ts(), Some(180));
@@ -647,7 +660,9 @@ mod tests {
         c.record_tx(NfId(0), 180, Some(NfId(1)), &[ma, mb]);
         c.record_rx(NfId(1), 200, &[ma, mb]);
         c.record_tx(NfId(1), 250, None, &[ma, mb]);
-        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default());
+        let r = reconstruct(&t, &c.into_bundle(), &ReconstructionConfig::default())
+            .unwrap()
+            .0;
         // Order channel: first-in is first; flows must not be swapped.
         assert_eq!(r.report.flow_mismatches, 0);
         assert_eq!(r.traces[0].flow, fa);

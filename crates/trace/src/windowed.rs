@@ -53,12 +53,13 @@
 
 use crate::matching::{edge_indexes, EdgeIndex, EdgeSends, MatchConfig, NfMatcher, UNMATCHED};
 use crate::reconstruct::{
-    PathTrie, ReconstructedTrace, Reconstruction, ReconstructionReport, TraceHop, TraceOutcome,
+    PathTrie, ReconstructedTrace, Reconstruction, ReconstructionConfig, ReconstructionReport,
+    TraceHop, TraceOutcome,
 };
 use crate::streams::{EdgeSlots, RxBatchInfo};
 use crate::timeline::Timelines;
-use msc_collector::TraceBundle;
-use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology};
+use msc_collector::{chunk_bundle, TraceBundle};
+use nf_types::{FiveTuple, Ipid, Nanos, NfId, NodeId, Topology, MILLIS};
 use std::fmt;
 use std::ops::Range;
 
@@ -125,6 +126,39 @@ impl fmt::Display for StreamError {
 }
 
 impl std::error::Error for StreamError {}
+
+/// The window `microscope diagnose` reads the `.msc` in, with or without
+/// `--skew`, and [`reconstruct`] cuts a bundle in. It sets the engine's
+/// frontier and nothing in the report. Peak RSS on a 2-core VM: on the
+/// 250 ms / 1.4 Mpps recording 10 and 50 ms windows peak alike (93 MiB,
+/// after the frontier is freed); on a 30 ms run one 50 ms window holds the
+/// whole run and peaks at 24.3 MiB, 10 ms windows at 16.6 MiB (the whole-run
+/// reconstructor: 18.6); `diagnose --skew` on a 120 ms / 0.7 Mpps run peaks
+/// at 41.2 MiB with 50 ms windows, 29.9 MiB with 10 ms ones, where the
+/// estimator over the loaded run sets the peak (whole-run reconstructor:
+/// 36.0).
+pub const DIAGNOSE_WINDOW_MS: u64 = 10;
+
+/// Reconstructs a run held in memory as `microscope diagnose` reconstructs
+/// one on disk: the bundle is cut into [`DIAGNOSE_WINDOW_MS`] windows
+/// ([`chunk_bundle`]) and a [`WindowedReconstructor`] consumes them one by
+/// one. Returns the traces and their timelines.
+///
+/// The windows are cut by timestamp, so they always arrive in order; the
+/// errors left are a bundle with another NF count than `topology`
+/// ([`StreamError::TopologyMismatch`]) and a source record whose entry NF
+/// has no source edge ([`StreamError::MissingSourceEdge`]).
+pub fn reconstruct(
+    topology: &Topology,
+    bundle: &TraceBundle,
+    cfg: &ReconstructionConfig,
+) -> Result<(Reconstruction, Timelines), StreamError> {
+    let mut engine = WindowedReconstructor::new(topology, cfg.matching.clone());
+    for chunk in chunk_bundle(bundle, DIAGNOSE_WINDOW_MS * MILLIS) {
+        engine.ingest(&chunk.bundle, chunk.until)?;
+    }
+    Ok(engine.finish())
+}
 
 /// Owner of a send no trace passes through: sent from a tx slot whose rx
 /// entry was unmatched, or matched such a send itself.
@@ -823,9 +857,10 @@ fn gather_in_place<T: Copy>(v: &mut [T], order: &mut [u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reconstruct::{reconstruct, ReconstructionConfig};
+    use crate::reconstruct::{assemble, match_all};
+    use crate::streams::EdgeStreams;
     use msc_collector::{chunk_bundle, Collector, CollectorConfig, PacketMeta};
-    use nf_types::{NfKind, Proto};
+    use nf_types::{NfKind, Proto, SECONDS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
@@ -951,6 +986,17 @@ mod tests {
         c.into_bundle()
     }
 
+    /// The whole-run reconstructor, stage by stage: the oracle the engine
+    /// is compared with.
+    fn whole_run(topo: &Topology, bundle: &TraceBundle, cfg: &MatchConfig) -> Reconstruction {
+        let cfg = ReconstructionConfig {
+            matching: cfg.clone(),
+        };
+        let streams = EdgeStreams::build(topo, bundle);
+        let matches = match_all(&streams, topo, &cfg);
+        assemble(topo, bundle, streams, &matches)
+    }
+
     fn assert_stream_matches_offline(
         topo: &Topology,
         bundle: &TraceBundle,
@@ -958,13 +1004,7 @@ mod tests {
         chunk_ns: Nanos,
         tag: &str,
     ) -> ReconstructionReport {
-        let off = reconstruct(
-            topo,
-            bundle,
-            &ReconstructionConfig {
-                matching: cfg.clone(),
-            },
-        );
+        let off = whole_run(topo, bundle, cfg);
         let off_tl = Timelines::build(&off);
         let mut w = WindowedReconstructor::new(topo, cfg.clone());
         for chunk in chunk_bundle(bundle, chunk_ns) {
@@ -993,6 +1033,12 @@ mod tests {
             },
             MatchConfig {
                 use_order_channel: false,
+                ..Default::default()
+            },
+            // No timing channel: a delay bound longer than any run (the
+            // ablation's "no timing" variant).
+            MatchConfig {
+                delay_bound_ns: 10 * SECONDS,
                 ..Default::default()
             },
         ]
@@ -1391,13 +1437,7 @@ mod tests {
                 lookahead: 3,
                 ..Default::default()
             };
-            let off = reconstruct(
-                &topo,
-                &bundle,
-                &ReconstructionConfig {
-                    matching: cfg.clone(),
-                },
-            );
+            let off = whole_run(&topo, &bundle, &cfg);
             let index = |m: PacketMeta| off.traces.iter().position(|t| t.flow == m.flow).unwrap();
             let (s, y, u) = (index(stalled), index(stray), index(unsent));
             assert_eq!(s, 0);

@@ -5,7 +5,7 @@
 //! This is the §5 correctness claim: 2-byte IPID records plus the three side
 //! channels suffice to rebuild packet journeys across the NF DAG.
 
-use msc_trace::{reconstruct, ReconstructionConfig, Timelines, TraceOutcome};
+use msc_trace::{reconstruct, ReconstructionConfig, TraceOutcome};
 use nf_sim::PacketOutcome;
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig, Schedule};
@@ -29,7 +29,7 @@ fn reconstruction_matches_ground_truth_on_paper_topology() {
     let n = packets.len();
     let out = sim.run(&packets);
 
-    let recon = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default());
+    let (recon, _) = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default()).unwrap();
     assert_eq!(recon.traces.len(), n);
 
     // Every reconstructed journey must agree with ground truth.
@@ -88,7 +88,7 @@ fn reconstruction_survives_interrupts_and_drops() {
     let out = sim.run(&packets);
     let truth_drops = out.fates.iter().filter(|f| f.dropped()).count();
 
-    let recon = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default());
+    let (recon, _) = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default()).unwrap();
     let rec_drops = recon.traces.iter().filter(|t| t.dropped()).count();
     assert_eq!(rec_drops, truth_drops, "inferred drops match ground truth");
     assert_eq!(recon.report.flow_mismatches, 0);
@@ -118,8 +118,7 @@ fn timelines_reflect_queue_buildup_during_interrupt() {
     });
     let packets = caida_schedule(1_200_000.0, 10, 11).finalize(0);
     let out = sim.run(&packets);
-    let recon = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default());
-    let tls = Timelines::build(&recon);
+    let (_, tls) = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default()).unwrap();
 
     // A packet arriving at nat1 just before the stall ends sees a queuing
     // period reaching back towards the stall start.
@@ -208,7 +207,7 @@ fn skew_estimation_recovers_reconstruction_on_multi_server_deployments() {
     // timestamps; give the matcher a tiny slack for it.
     let mut rc = ReconstructionConfig::default();
     rc.matching.negative_slack_ns = 20 * nf_types::MICROS;
-    let recon = reconstruct(&topo, &fixed, &rc);
+    let (recon, _) = reconstruct(&topo, &fixed, &rc).unwrap();
     // After correction the traces must match ground truth again (timestamps
     // may be shifted by the residual estimation error, so compare flows,
     // paths and outcomes rather than absolute times).

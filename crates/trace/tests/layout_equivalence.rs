@@ -334,7 +334,7 @@ fn assert_paths_equal_the_old_index(recon: &Reconstruction) {
 
 fn assert_layout_equals_oracle(topology: &Topology, bundle: &TraceBundle) {
     assert_streams_equal_the_old_layout(topology, bundle);
-    let recon = reconstruct(topology, bundle, &ReconstructionConfig::default());
+    let (recon, _) = reconstruct(topology, bundle, &ReconstructionConfig::default()).unwrap();
     assert_paths_equal_the_old_index(&recon);
 }
 
@@ -368,7 +368,8 @@ fn columns_and_paths_equal_the_old_layout_on_simulated_16_nf_runs() {
             .finalize(0);
         let out = sim.run(&packets);
         assert_layout_equals_oracle(&topology, &out.bundle);
-        let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
+        let (recon, _) =
+            reconstruct(&topology, &out.bundle, &ReconstructionConfig::default()).unwrap();
         assert!(recon.report.delivered > 5_000, "{:?}", recon.report);
         paths_seen += recon.paths.len();
     }

@@ -75,7 +75,8 @@ fn run(topology: &Topology, rate_pps: f64, seed: u64, offsets: Vec<i64>) -> (Tra
 fn delivered_share(topology: &Topology, bundle: &TraceBundle, offsets: &[i64]) -> f64 {
     let mut cfg = ReconstructionConfig::default();
     cfg.matching.negative_slack_ns = 20 * MICROS;
-    let report = reconstruct(topology, &correct_bundle(bundle, offsets), &cfg).report;
+    let (recon, _) = reconstruct(topology, &correct_bundle(bundle, offsets), &cfg).unwrap();
+    let report = recon.report;
     report.delivered as f64 / report.total.max(1) as f64
 }
 

@@ -64,8 +64,8 @@ fn main() {
 
     // Step 1 of the blame game: "is the VPN slow?" — victims DO appear at
     // the VPN (they wait in its queue behind the firewall's bursts).
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default())
+        .expect("every entry NF has a source edge");
     let engine = Microscope::new(topology.clone(), peak_rates, DiagnosisConfig::default());
     let diagnoses = engine.diagnose_all(&recon, &timelines);
     let at_vpn = diagnoses.iter().filter(|d| d.victim.nf == vpn).count();

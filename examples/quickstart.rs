@@ -46,8 +46,8 @@ fn main() {
 
     // 3. Offline diagnosis — Microscope sees ONLY the collector bundle
     //    (batched timestamps + 2-byte IPIDs), not the simulator internals.
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default())
+        .expect("every entry NF has a source edge");
     println!(
         "reconstructed {} traces ({} delivered, {} ambiguous IPIDs resolved)",
         recon.report.total, recon.report.delivered, recon.report.ambiguities

@@ -47,8 +47,8 @@ fn main() {
 
     // Diagnose, then pick a victim at the VPN observed well after the
     // interrupt ended (44 ms) — a packet that never saw the interrupt.
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default())
+        .expect("every entry NF has a source edge");
     let engine = Microscope::new(
         topology.clone(),
         peak_rates.clone(),

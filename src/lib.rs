@@ -14,8 +14,9 @@
 //!   DPDK-style NF chains with fault injection;
 //! * [`collector`] (`msc-collector`) — the ~2-byte/packet runtime
 //!   collector (Table 1, §5);
-//! * [`trace`] (`msc-trace`) — offline trace reconstruction with IPID
-//!   disambiguation, timelines and queuing periods;
+//! * [`trace`] (`msc-trace`) — trace reconstruction with IPID
+//!   disambiguation (one windowed engine, [`trace::reconstruct()`] for a
+//!   bundle in memory), timelines and queuing periods;
 //! * [`stream`] (`msc-stream`) — the streaming engine: windowed
 //!   reconstruction over collector chunk streams with O(window) memory,
 //!   bit-identical to the offline pipeline;
@@ -51,12 +52,14 @@
 //! sim.add_fault(Fault::Interrupt { nf: nat, at: 5 * MILLIS, duration: MILLIS });
 //! let out = sim.run(&packets);
 //!
-//! // Offline: reconstruct traces from the collector bundle and diagnose.
-//! let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-//! let timelines = Timelines::build(&recon);
+//! // Reconstruct traces from the collector bundle, as `microscope diagnose`
+//! // does (the windowed engine in its 10 ms windows), and diagnose.
+//! let (recon, timelines) =
+//!     reconstruct(&topology, &out.bundle, &ReconstructionConfig::default())?;
 //! let engine = Microscope::new(topology, peak_rates, DiagnosisConfig::default());
 //! let diagnoses = engine.diagnose_all(&recon, &timelines);
 //! assert!(!diagnoses.is_empty());
+//! # Ok::<(), microscope_repro::trace::StreamError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -28,8 +28,8 @@ fn run_16nf(rate: f64, millis: u64, seed: u64) -> (Topology, Vec<f64>, Reconstru
         duration: MILLIS,
     });
     let out = sim.run(&packets);
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) =
+        reconstruct(&topology, &out.bundle, &ReconstructionConfig::default()).unwrap();
     (topology, rates, recon, timelines)
 }
 

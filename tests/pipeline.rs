@@ -34,8 +34,8 @@ fn run_paper_chain(
         sim.add_fault(f);
     }
     let out = sim.run(&packets);
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) =
+        reconstruct(&topology, &out.bundle, &ReconstructionConfig::default()).unwrap();
     (topology, rates, out, recon, timelines)
 }
 
@@ -131,8 +131,8 @@ fn burst_victims_blame_the_source_and_patterns_name_the_flow() {
     let packets = Schedule::merge([bg, b]).finalize(0);
     let sim = Simulation::new(topology.clone(), cfgs, SimConfig::default());
     let out = sim.run(&packets);
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
-    let timelines = Timelines::build(&recon);
+    let (recon, timelines) =
+        reconstruct(&topology, &out.bundle, &ReconstructionConfig::default()).unwrap();
     let engine = Microscope::new(topology.clone(), rates, DiagnosisConfig::default());
     let diagnoses = engine.diagnose_all(&recon, &timelines);
 
@@ -264,13 +264,13 @@ fn pipeline_is_deterministic_across_runs_on_16_nf_run() {
     let first_diag = engine.diagnose_all(&first_recon, &first_timelines);
     assert!(!first_diag.is_empty(), "the interrupt must produce victims");
 
-    let recon = reconstruct(&t, &out.bundle, &ReconstructionConfig::default());
+    let (recon, timelines) =
+        reconstruct(&t, &out.bundle, &ReconstructionConfig::default()).unwrap();
     assert_eq!(recon.traces, first_recon.traces);
     assert_eq!(recon.hops, first_recon.hops);
     assert_eq!(recon.report, first_recon.report);
     assert_eq!(recon.paths, first_recon.paths);
     assert_eq!(recon.path_ids, first_recon.path_ids);
-    let timelines = Timelines::build(&recon);
     assert_eq!(timelines, first_timelines);
     assert_eq!(engine.diagnose_all(&recon, &timelines), first_diag);
 }
@@ -298,6 +298,6 @@ fn collector_off_means_no_diagnosis_data_and_no_overhead() {
     let out = sim.run(&packets);
     assert_eq!(out.bundle.packet_appearances(), 0);
     assert!(out.bundle.source_flows.is_empty());
-    let recon = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default());
+    let (recon, _) = reconstruct(&topology, &out.bundle, &ReconstructionConfig::default()).unwrap();
     assert_eq!(recon.traces.len(), 0);
 }

@@ -196,13 +196,13 @@ fn skew_corrected_pipeline_never_underflows() {
             &microscope_repro::trace::SkewConfig::default(),
         );
         let fixed = microscope_repro::trace::correct_bundle(&bundle, &est);
-        let recon = reconstruct(&topo, &fixed, &ReconstructionConfig::default());
+        let (recon, _) = reconstruct(&topo, &fixed, &ReconstructionConfig::default()).unwrap();
         let _ = microscope_repro::diagnosis::find_victims(&recon, &vcfg);
 
         // Path 2: the raw adversarial offsets applied directly — correction
         // pins whole logs to ts = 0, the worst case for underflow.
         let fixed = microscope_repro::trace::correct_bundle(&bundle, &offsets);
-        let recon = reconstruct(&topo, &fixed, &ReconstructionConfig::default());
+        let (recon, _) = reconstruct(&topo, &fixed, &ReconstructionConfig::default()).unwrap();
         let _ = microscope_repro::diagnosis::find_victims(&recon, &vcfg);
     }
 }
@@ -242,7 +242,7 @@ fn chain_reconstruction_is_exact_on_random_workloads() {
             },
         );
         let out = sim.run(&packets);
-        let recon = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default());
+        let (recon, _) = reconstruct(&topo, &out.bundle, &ReconstructionConfig::default()).unwrap();
         assert_eq!(recon.report.flow_mismatches, 0, "{input}");
         for (tr, fate) in recon.traces.iter().zip(&out.fates) {
             assert_eq!(tr.flow, fate.packet.flow, "{input}");

@@ -1,12 +1,13 @@
 //! Streaming-equivalence suite: the streamed pipeline must be a bit-exact
 //! replay of the offline oracle.
 //!
-//! The offline pipeline (`reconstruct` + `Timelines::build` + diagnosis)
-//! stays the ground truth; `StreamEngine` consumes the identical records as
-//! time chunks and must produce an equal `Reconstruction` (traces, hop
-//! arena, report, read batches, back-references, path trie), equal
-//! timelines and equal diagnoses for every seed, chunk size, and cache
-//! setting. Chunk sizes run from far below the read batch spacing (every
+//! The offline pipeline (the whole-run stages `EdgeStreams::build` →
+//! `match_all` → `assemble`, spelled out here, then `Timelines::build` and
+//! diagnosis) stays the ground truth; `StreamEngine` consumes the identical
+//! records as time chunks and must produce an equal `Reconstruction`
+//! (traces, hop arena, report, read batches, back-references, path trie),
+//! equal timelines and equal diagnoses for every seed, chunk size, and
+//! cache setting. Chunk sizes run from far below the read batch spacing (every
 //! chunk splits queues mid-flight) to one chunk holding the whole run.
 //! One input is what `diagnose --skew` streams: a run on skewed clocks, read
 //! raw by an engine given its whole-run offset estimate, which corrects each
@@ -15,8 +16,20 @@
 
 use microscope_repro::prelude::*;
 use microscope_repro::trace::{
-    correct_bundle, estimate_offsets_refined_detailed, MatchConfig, SkewConfig,
+    assemble, correct_bundle, estimate_offsets_refined_detailed, match_all, EdgeStreams,
+    MatchConfig, SkewConfig,
 };
+
+/// The whole-run reconstructor, stage by stage: the oracle.
+fn whole_run(
+    topology: &Topology,
+    bundle: &TraceBundle,
+    cfg: &ReconstructionConfig,
+) -> Reconstruction {
+    let streams = EdgeStreams::build(topology, bundle);
+    let matches = match_all(&streams, topology, cfg);
+    assemble(topology, bundle, streams, &matches)
+}
 
 /// The paper deployment with a long nat2 interrupt, NF `i`'s clock
 /// `clock_offsets_ns[i]` ahead of the source's (none: one clock).
@@ -84,12 +97,18 @@ fn streamed_pipeline_is_bit_identical_to_offline() {
         let cfg = ReconstructionConfig {
             matching: matching.clone(),
         };
-        let offline = reconstruct(&topology, corrected.as_ref().unwrap_or(&bundle), &cfg);
+        let offline = whole_run(&topology, corrected.as_ref().unwrap_or(&bundle), &cfg);
         let off_tl = Timelines::build(&offline);
         assert!(
             offline.report.delivered > 0 && offline.report.inferred_drops > 0,
             "seed {seed}, skew {skew}: run must exercise drops"
         );
+        // What the figures and the tests call: the engine in `diagnose`'s
+        // windows over the bundle in memory.
+        let (recon, timelines) =
+            reconstruct(&topology, corrected.as_ref().unwrap_or(&bundle), &cfg).unwrap();
+        assert_eq!(recon, offline, "seed {seed}, skew {skew}: reconstruct");
+        assert_eq!(timelines, off_tl, "seed {seed}, skew {skew}: reconstruct");
         let oracle = Microscope::new(topology.clone(), rates.clone(), diag_config(true));
         let (off_diag, _) = oracle.diagnose_all_stats(&offline, &off_tl);
         assert!(!off_diag.is_empty(), "seed {seed} produced no victims");
