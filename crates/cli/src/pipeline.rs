@@ -176,7 +176,7 @@ fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBun
 /// which reads exactly like a synchronised clock — `SkewEstimates::notes`
 /// names each such fallback.
 fn estimate(topology: &Topology, bundle: &TraceBundle, hook: Hook) -> SkewEstimates {
-    let est = estimate_offsets_refined_detailed(topology, bundle, &SkewConfig::default());
+    let est = estimate_offsets_refined_detailed(topology, bundle);
     hook("offsets", Produced::Done);
     est
 }

@@ -40,7 +40,7 @@ fn assert_prints(dir: &Path, cmd: &str, extra: &[&str], fixture: &str) {
         .expect("run microscope");
     assert!(out.status.success(), "{cmd} {extra:?} failed: {out:?}");
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
+        .join("tests/fixtures")
         .join(fixture);
     let want = std::fs::read(&path).expect("read golden report");
     assert!(

@@ -598,12 +598,11 @@ impl Cursor {
 /// through a bounded window, so memory holds one chunk plus ≈ 16 KiB per
 /// section, never the file or the run.
 ///
-/// [`WholeRunReader::next_chunk`] yields the windows of `chunk_ns` from the
-/// one holding the earliest record on, the empty ones between records
-/// included; with [`WholeRunReader::skip_empty_windows`] before each, as
-/// [`ChunkSource`] reads, exactly the chunks [`chunk_bundle`] cuts the
-/// loaded bundle into. That rests on each section being in time order,
-/// which the cursors check as they read ([`EncodeError::OutOfOrder`]).
+/// [`WholeRunReader::next_chunk`] yields the windows of `chunk_ns` that hold
+/// a record, from the one holding the earliest on: exactly the chunks
+/// [`chunk_bundle`] cuts the loaded bundle into. That rests on each section
+/// being in time order, which the cursors check as they read
+/// ([`EncodeError::OutOfOrder`]).
 #[derive(Debug)]
 pub struct WholeRunReader<R> {
     r: R,
@@ -684,25 +683,20 @@ impl<R: Read + Seek> WholeRunReader<R> {
         Ok(reader)
     }
 
-    /// Moves the next window up to the one holding the earliest record not
-    /// read yet: a gap in the run then costs one chunk, not one per
-    /// `chunk_ns` of it. The chunks that follow hold what they would have
-    /// held without the skip; only empty ones are left out.
-    pub fn skip_empty_windows(&mut self) {
+    /// The next time window; `Ok(None)` after the one holding the last
+    /// record. The window is the one holding the earliest record not read
+    /// yet, so a gap in the run costs one chunk, not one per `chunk_ns` of
+    /// it; only empty windows are left out.
+    pub fn next_chunk(&mut self) -> Result<Option<BundleChunk>, BundleIoError> {
+        let Some(mut until) = self.until else {
+            return Ok(None);
+        };
         let earliest = cursors(&mut self.logs, &mut self.source)
             .filter_map(|c| c.next)
             .min();
-        if let (Some(until), Some(ts)) = (self.until, earliest) {
-            self.until = Some(until.max(window_end(ts, self.chunk_ns)));
+        if let Some(ts) = earliest {
+            until = until.max(window_end(ts, self.chunk_ns));
         }
-    }
-
-    /// The next time window; `Ok(None)` after the one holding the last
-    /// record.
-    pub fn next_chunk(&mut self) -> Result<Option<BundleChunk>, BundleIoError> {
-        let Some(until) = self.until else {
-            return Ok(None);
-        };
         // A failed read ends the iteration: the cursors are mid-record.
         self.until = None;
         let mut logs = Vec::with_capacity(self.logs.len());
@@ -786,9 +780,8 @@ fn walk_log<R: Read + Seek>(
 #[derive(Debug)]
 pub enum ChunkSource {
     /// A whole-run `.msc`, cut into windows as it is read; the empty
-    /// windows between records are skipped
-    /// ([`WholeRunReader::skip_empty_windows`]), so a file stamped hours
-    /// apart costs a few chunks, not one per window of the gap.
+    /// windows between records are skipped, so a file stamped hours apart
+    /// costs a few chunks, not one per window of the gap.
     Whole(WholeRunReader<std::fs::File>),
     /// A `.mscs`, cut into chunks when it was written.
     Chunked(BundleChunkReader<io::BufReader<std::fs::File>>),
@@ -812,10 +805,7 @@ impl ChunkSource {
     /// The next chunk; `Ok(None)` at the end.
     pub fn next_chunk(&mut self) -> Result<Option<BundleChunk>, BundleIoError> {
         match self {
-            Self::Whole(r) => {
-                r.skip_empty_windows();
-                r.next_chunk()
-            }
+            Self::Whole(r) => r.next_chunk(),
             Self::Chunked(r) => r.next_chunk(),
         }
     }

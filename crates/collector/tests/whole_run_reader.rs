@@ -4,17 +4,16 @@
 //! (`fixtures/run.msc`, and `fixtures/run.mscs` joined back into one run),
 //! on the first moved to the 10 s epoch `record --skew` puts every clock
 //! at, and on an empty bundle, at windows from 1 µs to longer than the run.
-//! The `WholeRunReader` under it yields the empty windows between records
-//! too; skipping them, as `ChunkSource` does, leaves out nothing else. The
-//! reader takes each window as a prefix of every section, which holds only
-//! because a clean recording is time-ordered within each section: that is
-//! checked here too.
+//! The `WholeRunReader` under it skips the empty windows between records,
+//! as `chunk_bundle` does, and leaves out nothing else. The reader takes
+//! each window as a prefix of every section, which holds only because a
+//! clean recording is time-ordered within each section: that is checked
+//! here too.
 
 use msc_collector::{
     chunk_bundle, concat_chunks, read_bundle, write_bundle, BundleChunk, BundleChunkReader,
-    ChunkSource, NfLog, TraceBundle, WholeRunReader,
+    ChunkSource, NfLog, TraceBundle,
 };
-use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const WHOLE: &[u8] = include_bytes!("fixtures/run.msc");
@@ -45,15 +44,6 @@ fn recordings() -> Vec<(&'static str, TraceBundle)> {
         ("run.msc at the 10 s epoch", shifted),
         ("an empty bundle", empty),
     ]
-}
-
-fn read_in_windows(file: &[u8], chunk_ns: u64) -> Vec<BundleChunk> {
-    let mut reader = WholeRunReader::new(Cursor::new(file), chunk_ns).unwrap();
-    let mut chunks = Vec::new();
-    while let Some(chunk) = reader.next_chunk().unwrap() {
-        chunks.push(chunk);
-    }
-    chunks
 }
 
 /// What `diagnose` and `stream` read: `ChunkSource` on the file.
@@ -92,38 +82,10 @@ fn chunk_source_yields_the_chunks_chunk_bundle_cuts() {
     }
 }
 
-fn holds_records(chunk: &BundleChunk) -> bool {
-    let b = &chunk.bundle;
-    let records = b
-        .logs
-        .iter()
-        .map(|l| l.rx.len() + l.tx.len() + l.flows.len());
-    records.sum::<usize>() + b.source_flows.len() > 0
-}
-
-/// The reader without the skip yields the same chunks plus the empty
-/// windows between them; a record 18 minutes past the rest costs one chunk
-/// in `chunk_bundle` and in `ChunkSource`.
+/// A record 18 minutes past the rest costs one chunk in `chunk_bundle` and
+/// in `ChunkSource`.
 #[test]
 fn skipping_empty_windows_leaves_out_only_empty_chunks() {
-    for (name, bundle) in recordings() {
-        let mut file = Vec::new();
-        write_bundle(&mut file, &bundle).unwrap();
-        let loaded = read_bundle(&file[..]).unwrap();
-        for chunk_ns in [1_000, 7_000, 5_000_000] {
-            let kept: Vec<BundleChunk> = read_in_windows(&file, chunk_ns)
-                .into_iter()
-                .enumerate()
-                .filter(|(i, c)| *i == 0 || holds_records(c))
-                .map(|(_, c)| c)
-                .collect();
-            assert_eq!(
-                kept,
-                chunk_bundle(&loaded, chunk_ns),
-                "{name}, {chunk_ns} ns windows"
-            );
-        }
-    }
     let mut late = read_bundle(WHOLE).unwrap();
     late.source_flows.last_mut().unwrap().ts += 1 << 40;
     let mut file = Vec::new();

@@ -260,7 +260,7 @@ impl Skew {
     /// records, and no offset moved by more than the tolerance.
     fn estimate_held(&mut self, topology: &Topology) -> bool {
         let held = concat_chunks(&self.pending);
-        let est = estimate_offsets_refined_detailed(topology, &held, &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(topology, &held);
         let agreed = self.estimate.as_ref().is_some_and(|prev| {
             held.logs.iter().enumerate().all(|(i, log)| {
                 let estimated = prev.available[i] && est.available[i];
@@ -490,7 +490,7 @@ mod tests {
         topology: &Topology,
         bundle: &TraceBundle,
     ) -> (SkewEstimates, Reconstruction) {
-        let est = estimate_offsets_refined_detailed(topology, bundle, &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(topology, bundle);
         let cfg = ReconstructionConfig {
             matching: skew_cfg().matching,
         };

@@ -46,8 +46,9 @@ use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
 const MIN_SAMPLES: usize = 16;
 
 /// Configuration for the estimator. It has no settings — the pass geometry
-/// and the sample floor are this module's constants — but the estimation
-/// functions still take one, so their callers compile unchanged.
+/// and the sample floor are this module's constants — but
+/// [`estimate_offsets_refined`] still takes one, so its callers compile
+/// unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct SkewConfig {}
 
@@ -472,9 +473,9 @@ fn refine<const BIN_NS: i64, const SEARCH_NS: i64>(
 pub fn estimate_offsets_refined(
     topology: &Topology,
     bundle: &TraceBundle,
-    cfg: &SkewConfig,
+    _: &SkewConfig,
 ) -> Vec<TimeDelta> {
-    estimate_offsets_refined_detailed(topology, bundle, cfg).offsets
+    estimate_offsets_refined_detailed(topology, bundle).offsets
 }
 
 /// [`estimate_offsets_refined`] plus per-NF availability: an NF counts as
@@ -483,7 +484,6 @@ pub fn estimate_offsets_refined(
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
     bundle: &TraceBundle,
-    _: &SkewConfig,
 ) -> SkewEstimates {
     let nfs = join_nfs(topology, bundle);
     let mut est = SkewEstimates {
@@ -774,12 +774,11 @@ mod tests {
         // Empty bundle: nothing is estimable, and the API must say so
         // instead of passing the zero fallback off as a measurement.
         let empty = Collector::new(&topo, CollectorConfig::default()).into_bundle();
-        let est = estimate_offsets_refined_detailed(&topo, &empty, &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(&topo, &empty);
         assert_eq!(est.offsets, vec![0, 0]);
         assert_eq!(est.available, vec![false, false]);
 
-        let est =
-            estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo), &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo));
         assert_eq!(est.available, vec![true, true]);
         assert!((est.offsets[0] - 1_000_000).abs() <= 1_000);
     }
@@ -801,8 +800,7 @@ mod tests {
             // nat1 (+1 ms clock) reads and drops everything: vpn1 is idle.
             c.record_rx(NfId(0), t + 1_000 + 1_000_000, &[m]);
         }
-        let est =
-            estimate_offsets_refined_detailed(&topo, &c.into_bundle(), &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(&topo, &c.into_bundle());
         assert_eq!(est.available, vec![true, false]);
         assert!((est.offsets[0] - 1_000_000).abs() <= 1_500, "{est:?}");
         assert_eq!(est.offsets[1], 0);
@@ -810,8 +808,7 @@ mod tests {
             est.notes(&topo),
             vec!["skew estimate unavailable for vpn1; assumed offset 0".to_string()]
         );
-        let full =
-            estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo), &SkewConfig::default());
+        let full = estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo));
         assert!(full.notes(&topo).is_empty(), "{:?}", full.notes(&topo));
     }
 
@@ -838,8 +835,7 @@ mod tests {
             c.record_tx(NfId(0), ts, Some(NfId(1)), &[m]);
             c.record_rx(NfId(1), (ts as i64 + d) as u64, &[m]);
         }
-        let est =
-            estimate_offsets_refined_detailed(&topo, &c.into_bundle(), &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(&topo, &c.into_bundle());
         // nat1 has no source samples; vpn1 is estimated from the spike.
         assert_eq!(est.available, vec![false, true]);
         assert_eq!(est.offsets[1], 5_100);
