@@ -18,8 +18,8 @@
 //! `stream-250ms` run), and DESIGN.md ("Memory: bytes per hop, stage by
 //! stage") explains their rows structure by structure.
 //! `results/mem_stages_skew.txt` is `--skew` on a `record --skew` run (its
-//! header names the command); its `offsets` row is the clock-offset
-//! estimator.
+//! header names the command); the clock-offset estimates run inside the
+//! `push` rows of the windows held until the offsets settle.
 
 #![forbid(unsafe_code)]
 

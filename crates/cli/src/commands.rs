@@ -1,6 +1,6 @@
 //! Subcommand implementations for the `microscope` CLI.
 
-use microscope_cli::pipeline::{self, Deployment, Run};
+use microscope_cli::pipeline::{self, Deployment, Run, Settled};
 use msc_collector::{chunk_bundle, load_bundle, save_bundle, save_bundle_chunked};
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
@@ -24,10 +24,9 @@ commands:
 diagnose and stream run one reconstructor over the bundle in time windows,
 reading the file as they go: diagnose a whole-run .msc in 10 ms windows,
 stream a .msc in --chunk-ms windows (default 50) or a chunked .mscs chunk
-by chunk. They print the same report. diagnose --skew corrects the whole
-run by one clock-offset estimate first; stream --skew holds chunks until
-the estimated offsets settle (at the latest when the stream ends, on
-diagnose --skew's estimate).
+by chunk. They print the same report. With --skew both hold windows until
+the estimated clock offsets settle (at the latest when the run ends, on
+the whole-run estimate), then correct every window by them.
 
 run `microscope <command>` with missing flags to see its specific errors.";
 
@@ -293,8 +292,9 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 }
 
 /// Prints a finished run: the report on stdout, and on stderr how the
-/// bundle was streamed, the skew estimator's fallbacks, reads no upstream
-/// send explains, the step cache and the relation sampling.
+/// bundle was streamed, when the clock offsets settled, the skew
+/// estimator's fallbacks, reads no upstream send explains, the step cache
+/// and the relation sampling.
 fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
     if let Some(s) = &run.streamed {
         eprintln!(
@@ -303,14 +303,14 @@ fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
             s.committed,
             s.working_set_peak / 1024,
         );
-        match s.held_for_offsets {
-            Some(held) if held == s.chunks => eprintln!(
-                "note: clock offsets settled on all {held} chunks: held the whole run and \
-                 corrected by the estimate diagnose --skew makes"
-            ),
-            Some(held) => eprintln!("clock offsets settled after {held} chunks held"),
-            None => {}
-        }
+    }
+    match run.settled {
+        Some(Settled::AtEnd(held)) => eprintln!(
+            "note: clock offsets settled on all {held} chunks: held the whole run and \
+             corrected by the whole-run estimate"
+        ),
+        Some(Settled::After(held)) => eprintln!("clock offsets settled after {held} chunks held"),
+        None => {}
     }
     for note in &run.skew_notes {
         eprintln!("note: {note}");

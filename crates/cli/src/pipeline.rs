@@ -4,9 +4,9 @@
 //! Every command that reports runs one reconstructor, the windowed
 //! [`StreamEngine`], on time chunks read straight from the file
 //! ([`ChunkSource`]: a whole-run `.msc` in windows, a `.mscs` as it was
-//! chunked). `diagnose --skew` first estimates the clock offsets over the
-//! whole run, frees it and hands the estimate to the engine, which corrects
-//! each window as it ingests it. `diagnose`'s windows are
+//! chunked). With `--skew`, `diagnose` and `stream` run one policy: the
+//! engine holds windows until the clock offsets estimated over them settle,
+//! then corrects every window by that estimate. `diagnose`'s windows are
 //! [`DIAGNOSE_WINDOW_MS`] long, the windows `msc_trace::reconstruct` cuts an
 //! in-memory bundle into for the figures and the tests: one engine, one
 //! window size. The whole-run stages (`EdgeStreams::build` →
@@ -24,9 +24,8 @@
 //!
 //! Stage names, in call order:
 //!
-//! * `diagnose` and `stream`: `push 1` … `push N`, `finish`, then the
-//!   diagnosis stages;
-//! * `diagnose --skew`: `load`, `offsets`, then as `diagnose`;
+//! * `diagnose` and `stream`, with or without `--skew`: `push 1` …
+//!   `push N`, `finish`, then the diagnosis stages;
 //! * `skew`: `load`, `offsets`;
 //! * the diagnosis stages: `diagnose`, `relations`, `aggregate`.
 
@@ -34,7 +33,7 @@ use autofocus::{Pattern, PatternConfig};
 use microscope::{
     CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope, SampledRelations,
 };
-use msc_collector::{load_bundle, BundleChunk, BundleIoError, ChunkSource, TraceBundle};
+use msc_collector::{load_bundle, BundleChunk, BundleIoError, ChunkSource};
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
     estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport, SkewConfig,
@@ -46,8 +45,8 @@ use std::fmt;
 use std::path::Path;
 
 /// `stream`'s window on a whole-run `.msc` when `--chunk-ms` is not given.
-/// (`stream --skew` settles its offsets on a prefix of the run, so this
-/// value is part of its report.)
+/// (`--skew` settles its offsets on a prefix of the run, so the window is
+/// part of its report.)
 const STREAM_WINDOW_MS: u64 = 50;
 
 /// The negative slack `--skew` gives the matcher: what is left of a clock
@@ -134,9 +133,15 @@ pub struct Streamed {
     pub committed: usize,
     /// Largest evictable frontier at any chunk boundary, in bytes.
     pub working_set_peak: usize,
-    /// With `--skew`: chunks held until the clock offsets settled. Equal to
-    /// `chunks` when they settled only at the end, on the whole run.
-    pub held_for_offsets: Option<u64>,
+}
+
+/// With `--skew`: when the clock offsets settled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Settled {
+    /// After this many chunks were held; the rest were corrected as read.
+    After(u64),
+    /// Only at the end, on all this many chunks: the whole-run estimate.
+    AtEnd(u64),
 }
 
 /// A finished `diagnose` or `stream`: the report for stdout and the facts
@@ -147,6 +152,8 @@ pub struct Run {
     pub report: Report,
     /// `Some` for `stream`.
     pub streamed: Option<Streamed>,
+    /// `Some` with `--skew`.
+    pub settled: Option<Settled>,
     /// One note per NF whose clock offset is a fallback, not an estimate.
     pub skew_notes: Vec<String>,
     /// Step-cache statistics of the diagnosis pass.
@@ -157,10 +164,13 @@ pub struct Run {
     pub sample_stride: usize,
 }
 
-/// Loads a whole-run bundle and checks it was recorded on `topology`: the
-/// estimator indexes by NF.
-fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBundle, String> {
-    let bundle = load_bundle(path).map_err(|e| format!("load {}: {e}", path.display()))?;
+/// `microscope skew` — clock-offset estimation only: the whole-run
+/// estimate. An NF with no usable samples gets offset 0, which reads exactly
+/// like a synchronised clock — `SkewEstimates::notes` names each such
+/// fallback.
+pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstimates, String> {
+    let bundle = load_bundle(bundle).map_err(|e| format!("load {}: {e}", bundle.display()))?;
+    // The estimator indexes by NF.
     if bundle.logs.len() != topology.len() {
         return Err(StreamError::TopologyMismatch {
             expected: topology.len(),
@@ -169,31 +179,28 @@ fn load_checked(topology: &Topology, path: &Path, hook: Hook) -> Result<TraceBun
         .to_string());
     }
     hook("load", Produced::Done);
-    Ok(bundle)
-}
-
-/// Whole-run clock offsets. An NF with no usable samples gets offset 0,
-/// which reads exactly like a synchronised clock — `SkewEstimates::notes`
-/// names each such fallback.
-fn estimate(topology: &Topology, bundle: &TraceBundle, hook: Hook) -> SkewEstimates {
-    let est = estimate_offsets_refined_detailed(topology, bundle);
+    let est = estimate_offsets_refined_detailed(topology, &[&bundle]);
     hook("offsets", Produced::Done);
-    est
+    Ok(est)
 }
 
-/// `microscope skew` — clock-offset estimation only.
-pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstimates, String> {
-    let bundle = load_checked(topology, bundle, hook)?;
-    Ok(estimate(topology, &bundle, hook))
+/// The engine's configuration. With `skew` it holds chunks until the clock
+/// offsets settle, and matches with [`SKEW_SLACK_NS`] of negative slack for
+/// what the correction leaves of each offset — also the tolerance within
+/// which two successive estimates agree.
+fn engine_config(skew: bool) -> StreamConfig {
+    let mut cfg = StreamConfig::default();
+    if skew {
+        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
+        cfg.skew = Some(SkewConfig::default());
+    }
+    cfg
 }
 
 /// `microscope diagnose` — the whole-run `.msc` read in
-/// [`DIAGNOSE_WINDOW_MS`] windows into the engine.
-///
-/// With `skew`, the clock offsets are first estimated over the whole run,
-/// which is then freed; the engine corrects every window by that estimate
-/// and matches with [`SKEW_SLACK_NS`] of negative slack for what the
-/// correction leaves of each offset.
+/// [`DIAGNOSE_WINDOW_MS`] windows into the engine. With `skew`, the engine
+/// settles the clock offsets on a prefix of those windows, as `stream
+/// --skew` does at its own window.
 pub fn diagnose(
     deployment: &Deployment,
     bundle: &Path,
@@ -202,25 +209,13 @@ pub fn diagnose(
     top: usize,
     hook: Hook,
 ) -> Result<Run, String> {
-    let topology = &deployment.0;
-    let mut cfg = StreamConfig::default();
-    let estimate = if skew {
-        let whole = load_checked(topology, bundle, hook)?;
-        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
-        Some(estimate(topology, &whole, hook))
-    } else {
-        None
-    };
-    let mut engine = StreamEngine::new(topology, cfg);
-    if let Some(est) = estimate {
-        engine.correct_by(est);
-    }
     let path = bundle.display();
     let mut source =
         ChunkSource::open(bundle, DIAGNOSE_WINDOW_MS * MILLIS).map_err(|e| opening(&path, &e))?;
     if let ChunkSource::Chunked(_) = source {
         return Err(opening(&path, &BundleIoError::Chunked));
     }
+    let engine = StreamEngine::new(&deployment.0, engine_config(skew));
     let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
     let mut run = run_engine(deployment, engine, next, quantile, top, hook)?;
     run.streamed = None;
@@ -231,7 +226,8 @@ pub fn diagnose(
 /// container: a chunked `.mscs` chunk by chunk, a whole-run `.msc` in
 /// `chunk_ms` windows (default [`STREAM_WINDOW_MS`]). The report equals
 /// `diagnose`'s; with `skew`, for the offsets the stream settled on (the
-/// whole-run estimate when it ends first).
+/// whole-run estimate when it ends first), which at `diagnose`'s window
+/// are `diagnose --skew`'s.
 pub fn stream(
     deployment: &Deployment,
     bundle: &Path,
@@ -250,14 +246,7 @@ pub fn stream(
              it was recorded (drop the flag, or stream the whole-run .msc)"
         ));
     }
-    let mut cfg = StreamConfig::default();
-    if skew {
-        // The slack `diagnose --skew` gives the matcher; the engine also
-        // takes it as the tolerance within which the offsets settle.
-        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
-        cfg.skew = Some(SkewConfig::default());
-    }
-    let engine = StreamEngine::new(&deployment.0, cfg);
+    let engine = StreamEngine::new(&deployment.0, engine_config(skew));
     let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
     run_engine(deployment, engine, next, quantile, top, hook)
 }
@@ -292,11 +281,10 @@ fn run_engine(
     // The reader and its windows.
     drop(next);
 
-    let mut streamed = Streamed {
+    let streamed = Streamed {
         chunks: engine.chunks(),
         committed: engine.committed(),
         working_set_peak: engine.working_set_peak(),
-        held_for_offsets: None,
     };
     let (mut recon, timelines, skewed) = engine.finish_skewed();
     hook("finish", Produced::Finished(&recon, &timelines));
@@ -305,7 +293,11 @@ fn run_engine(
 
     let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
     if let Some((est, held)) = skewed {
-        streamed.held_for_offsets = Some(held);
+        run.settled = Some(if held == streamed.chunks {
+            Settled::AtEnd(held)
+        } else {
+            Settled::After(held)
+        });
         run.skew_notes = est.notes(&deployment.0);
         run.report.offsets = Some(est.offsets);
     }
@@ -382,6 +374,7 @@ fn diagnose_and_aggregate(
             patterns,
         },
         streamed: None,
+        settled: None,
         skew_notes: Vec::new(),
         cache,
         relations_total,

@@ -9,17 +9,16 @@
 //! equal timelines and equal diagnoses for every seed, chunk size, and
 //! cache setting. Chunk sizes run from far below the read batch spacing (every
 //! chunk splits queues mid-flight) to one chunk holding the whole run.
-//! One input is what `diagnose --skew` streams: a run on skewed clocks, read
-//! raw by an engine given its whole-run offset estimate, which corrects each
-//! chunk and matches with negative slack; the oracle reconstructs the run
-//! corrected by the same estimate.
+//! Skew mode, where the engine settles its offsets on a prefix of the
+//! stream, is held to the same oracle by `msc-stream`'s unit tests
+//! (`a_skewed_stream_that_ends_unsettled_equals_offline`,
+//! `skewed_streams_settle_on_offsets_as_good_as_offline`).
 
 use microscope::{DiagnosisConfig, LatencyThreshold, Microscope};
 use msc_collector::{chunk_bundle, TraceBundle};
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
-    assemble, correct_bundle, estimate_offsets_refined_detailed, match_all, reconstruct,
-    EdgeStreams, MatchConfig, Reconstruction, ReconstructionConfig, Timelines,
+    assemble, match_all, reconstruct, EdgeStreams, Reconstruction, ReconstructionConfig, Timelines,
 };
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
@@ -36,14 +35,8 @@ fn whole_run(
     assemble(topology, bundle, streams, &matches)
 }
 
-/// The paper deployment with a long nat2 interrupt, NF `i`'s clock
-/// `clock_offsets_ns[i]` ahead of the source's (none: one clock).
-fn run_16nf(
-    rate: f64,
-    millis: u64,
-    seed: u64,
-    clock_offsets_ns: Vec<i64>,
-) -> (Topology, Vec<f64>, TraceBundle) {
+/// The paper deployment with a long nat2 interrupt.
+fn run_16nf(rate: f64, millis: u64, seed: u64) -> (Topology, Vec<f64>, TraceBundle) {
     let topology = paper_topology();
     let cfgs = paper_nf_configs(&topology);
     let rates: Vec<f64> = cfgs.iter().map(|c| c.service.peak_rate_pps()).collect();
@@ -55,11 +48,7 @@ fn run_16nf(
         seed,
     );
     let packets = gen.generate(0, millis * MILLIS).finalize(0);
-    let sim_cfg = SimConfig {
-        clock_offsets_ns,
-        ..Default::default()
-    };
-    let mut sim = Simulation::new(topology.clone(), cfgs, sim_cfg);
+    let mut sim = Simulation::new(topology.clone(), cfgs, SimConfig::default());
     let nat2 = topology.by_name("nat2").unwrap();
     // Long enough to overflow nat2's ring at the higher offered rates, so
     // the suite covers inferred drops and flow mismatches, not just the
@@ -85,55 +74,30 @@ fn diag_config(cache: bool) -> DiagnosisConfig {
 
 #[test]
 fn streamed_pipeline_is_bit_identical_to_offline() {
-    // `record --skew`'s clocks: NF `i` runs `(i % 5 - 2)` ms ahead.
-    let skewed: Vec<i64> = (0..16).map(|i| (i % 5 - 2) * MILLIS as i64).collect();
-    for (seed, clocks) in [(11u64, Vec::new()), (42, Vec::new()), (11, skewed)] {
-        let skew = !clocks.is_empty();
-        let (topology, rates, bundle) = run_16nf(1_600_000.0, 20, seed, clocks);
-        let mut matching = MatchConfig::default();
-        if skew {
-            matching.negative_slack_ns = 20 * MICROS;
-        }
-        let estimate = skew.then(|| estimate_offsets_refined_detailed(&topology, &bundle));
-        let corrected = estimate
-            .as_ref()
-            .map(|e| correct_bundle(&bundle, &e.offsets));
-        let cfg = ReconstructionConfig {
-            matching: matching.clone(),
-        };
-        let offline = whole_run(&topology, corrected.as_ref().unwrap_or(&bundle), &cfg);
+    for seed in [11u64, 42] {
+        let (topology, rates, bundle) = run_16nf(1_600_000.0, 20, seed);
+        let cfg = ReconstructionConfig::default();
+        let offline = whole_run(&topology, &bundle, &cfg);
         let off_tl = Timelines::build(&offline);
         assert!(
             offline.report.delivered > 0 && offline.report.inferred_drops > 0,
-            "seed {seed}, skew {skew}: run must exercise drops"
+            "seed {seed}: run must exercise drops"
         );
         // What the figures and the tests call: the engine in `diagnose`'s
         // windows over the bundle in memory.
-        let (recon, timelines) =
-            reconstruct(&topology, corrected.as_ref().unwrap_or(&bundle), &cfg).unwrap();
-        assert_eq!(recon, offline, "seed {seed}, skew {skew}: reconstruct");
-        assert_eq!(timelines, off_tl, "seed {seed}, skew {skew}: reconstruct");
+        let (recon, timelines) = reconstruct(&topology, &bundle, &cfg).unwrap();
+        assert_eq!(recon, offline, "seed {seed}: reconstruct");
+        assert_eq!(timelines, off_tl, "seed {seed}: reconstruct");
         let oracle = Microscope::new(topology.clone(), rates.clone(), diag_config(true));
         let (off_diag, _) = oracle.diagnose_all_stats(&offline, &off_tl);
         assert!(!off_diag.is_empty(), "seed {seed} produced no victims");
 
         for chunk_us in [200u64, 3_000, 11_000, 1_000_000] {
             for cache in [true, false] {
-                let tag = format!("seed {seed}, skew {skew}, chunk {chunk_us} us, cache {cache}");
-                let stream_cfg = StreamConfig {
-                    matching: matching.clone(),
-                    skew: None,
-                };
-                let mut engine = StreamEngine::new(&topology, stream_cfg);
-                if let Some(est) = &estimate {
-                    engine.correct_by(est.clone());
-                }
+                let tag = format!("seed {seed}, chunk {chunk_us} us, cache {cache}");
+                let mut engine = StreamEngine::new(&topology, StreamConfig::default());
                 let chunks = chunk_bundle(&bundle, chunk_us * MICROS);
-                // Clocks up to 2 ms behind put records just below the 10 s
-                // clock epoch.
-                if !skew {
-                    assert_eq!(chunks.len() == 1, chunk_us == 1_000_000, "{tag}");
-                }
+                assert_eq!(chunks.len() == 1, chunk_us == 1_000_000, "{tag}");
                 for chunk in chunks {
                     engine.push_chunk(&chunk).expect("chunk fits topology");
                 }
@@ -156,7 +120,7 @@ fn working_set_stays_bounded_as_the_run_grows() {
     let chunk = 4 * MILLIS;
     let mut peaks = Vec::new();
     for millis in [10u64, 40] {
-        let (topology, _, bundle) = run_16nf(1_000_000.0, millis, 13, Vec::new());
+        let (topology, _, bundle) = run_16nf(1_000_000.0, millis, 13);
         let mut engine = StreamEngine::new(&topology, StreamConfig::default());
         for c in chunk_bundle(&bundle, chunk) {
             engine.push_chunk(&c).expect("chunk fits topology");

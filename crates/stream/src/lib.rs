@@ -20,9 +20,8 @@
 //!   than the run length.
 //! * **Optional skew correction** — with [`StreamConfig::skew`] set, chunks
 //!   are held until the clock offsets estimated over them settle, then all
-//!   corrected by that one estimate ([`StreamEngine::push_chunk`]); an
-//!   engine given an estimate up front ([`StreamEngine::correct_by`]) holds
-//!   nothing and corrects every chunk by it.
+//!   corrected by that one estimate ([`StreamEngine::push_chunk`]). This is
+//!   `--skew` in both `diagnose` and `stream`.
 //!
 //! Chunks must arrive in time order, each once: a chunk whose `until` does
 //! not exceed the previous one's, or that carries a record from before it,
@@ -33,7 +32,7 @@
 //! the whole-run reconstructor's on the concatenated bundle, and the
 //! equivalence suites compare the two whole. In skew mode
 //! that holds for the offsets the stream settled on; one that ends unsettled
-//! estimates over all it holds, the whole-run estimate of `diagnose --skew`.
+//! estimates over all it holds: the whole-run estimate.
 
 #![forbid(unsafe_code)]
 // The panic-surface gate (DESIGN.md §6): operator-facing code returns typed
@@ -50,7 +49,7 @@
     )
 )]
 
-use msc_collector::{concat_chunks, BundleChunk, FlowRecord, TraceBundle};
+use msc_collector::{BundleChunk, FlowRecord, TraceBundle};
 use msc_trace::{
     correct_bundle, estimate_offsets_refined_detailed, MatchConfig, Reconstruction,
     ReconstructionReport, SkewConfig, SkewEstimates, StreamError, Timelines, WindowedReconstructor,
@@ -109,26 +108,12 @@ impl StreamEngine {
         }
     }
 
-    /// Corrects every chunk by `estimate`, made before the stream starts
-    /// (`diagnose --skew`'s whole-run estimate), instead of holding chunks
-    /// until an estimate over them settles: the engine starts in the state
-    /// a skew-mode engine reaches once its offsets have settled, with no
-    /// chunk held. Call it before the first chunk.
-    pub fn correct_by(&mut self, estimate: SkewEstimates) {
-        assert_eq!(self.chunks, 0, "offsets are given before the first chunk");
-        self.skew = Some(Skew {
-            estimate: Some(estimate),
-            settled: Some(0),
-            ..Default::default()
-        });
-    }
-
     /// Consumes one chunk: checks it follows the previous one (on the raw
     /// timestamps) and advances the reconstruction watermark.
     ///
     /// In skew mode the chunk is held until the clock offsets settle. They
     /// are estimated over the held chunks, again whenever those have doubled,
-    /// by the estimator `diagnose --skew` runs on the whole bundle; when two
+    /// by the estimator `microscope skew` runs on the whole bundle; when two
     /// successive estimates agree the later one is final, and the held chunks
     /// and every later one are corrected by it and ingested.
     pub fn push_chunk(&mut self, chunk: &BundleChunk) -> Result<(), StreamError> {
@@ -255,16 +240,18 @@ impl Skew {
         *pending_bytes
     }
 
-    /// Estimates the offsets over the held chunks. True when that settles
-    /// them: this estimate and the one before both cover every NF that has
-    /// records, and no offset moved by more than the tolerance.
+    /// Estimates the offsets over the held chunks, read where they lie.
+    /// True when that settles them: this estimate and the one before both
+    /// cover every NF, and no offset moved by more than the tolerance. An NF
+    /// with no traffic yet keeps the chunks held: settled, it would be
+    /// corrected by the fallback 0 once its traffic starts.
     fn estimate_held(&mut self, topology: &Topology) -> bool {
-        let held = concat_chunks(&self.pending);
+        let held: Vec<&TraceBundle> = self.pending.iter().map(|c| &c.bundle).collect();
         let est = estimate_offsets_refined_detailed(topology, &held);
         let agreed = self.estimate.as_ref().is_some_and(|prev| {
-            held.logs.iter().enumerate().all(|(i, log)| {
-                let estimated = prev.available[i] && est.available[i];
-                (estimated || log.packet_appearances() == 0)
+            (0..est.offsets.len()).all(|i| {
+                prev.available[i]
+                    && est.available[i]
                     && est.offsets[i].abs_diff(prev.offsets[i]) <= self.tolerance
             })
         });
@@ -485,12 +472,13 @@ mod tests {
         }
     }
 
-    /// `diagnose --skew`: one estimate over the whole run, one correction.
+    /// The oracle of skew mode: one estimate over the whole run, one
+    /// correction, the whole-run reconstructor.
     fn offline_skewed(
         topology: &Topology,
         bundle: &TraceBundle,
     ) -> (SkewEstimates, Reconstruction) {
-        let est = estimate_offsets_refined_detailed(topology, bundle);
+        let est = estimate_offsets_refined_detailed(topology, &[bundle]);
         let cfg = ReconstructionConfig {
             matching: skew_cfg().matching,
         };
@@ -528,36 +516,6 @@ mod tests {
             assert_eq!(est, whole, "chunk_ms={chunk_ms}");
             assert_eq!(recon, offline, "chunk_ms={chunk_ms}");
             assert_eq!(timelines, off_tl, "chunk_ms={chunk_ms}");
-        }
-    }
-
-    /// `diagnose --skew`: the whole-run estimate handed to the engine before
-    /// its first chunk; every raw chunk is corrected as it is ingested.
-    #[test]
-    fn an_engine_given_the_whole_run_estimate_equals_offline() {
-        let topology = paper_topology();
-        for step_ms in [1, 4] {
-            let clocks = spread_clocks(&topology, step_ms * MILLIS as i64);
-            let (_, _, bundle) = paper_run_on_clocks(9, 30, clocks);
-            let (whole, offline) = offline_skewed(&topology, &bundle);
-            let off_tl = Timelines::build(&offline);
-            // 1 000 ms: one chunk holds the whole run.
-            for chunk_ms in [1, 10, 50, 1_000] {
-                let what = format!("{step_ms} ms clocks, {chunk_ms} ms chunks");
-                let cfg = StreamConfig {
-                    matching: skew_cfg().matching,
-                    skew: None,
-                };
-                let mut engine = StreamEngine::new(&topology, cfg);
-                engine.correct_by(whole.clone());
-                for chunk in chunk_bundle(&bundle, chunk_ms * MILLIS) {
-                    engine.push_chunk(&chunk).expect("chunk fits topology");
-                }
-                let (recon, timelines, skew) = engine.finish_skewed();
-                assert_eq!(skew, Some((whole.clone(), 0)), "{what}");
-                assert_eq!(recon, offline, "{what}");
-                assert_eq!(timelines, off_tl, "{what}");
-            }
         }
     }
 

@@ -162,6 +162,7 @@ fn sort_by_key(keyed: &mut Vec<Keyed>, spare: &mut Vec<Keyed>, bits: u32) {
 /// every group holds one trigram's sends on one edge and its reads at the
 /// NF, each side in time order and on the clock it was recorded on.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct JoinedNf {
     /// The NF's reads, grouped by trigram.
     reads: Vec<Nanos>,
@@ -172,6 +173,7 @@ struct JoinedNf {
 /// One edge's part of a [`JoinedNf`]: one group per trigram that both the
 /// edge's sends and the NF's reads hold.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct JoinedEdge {
     /// Per group, its sends' timestamps.
     sends: Vec<Nanos>,
@@ -221,27 +223,22 @@ impl JoinedNf {
 }
 
 /// Every NF of the topology joined with its upstream edges on trigram,
-/// built once per estimate, in `NfId` order.
-fn join_nfs(topology: &Topology, bundle: &TraceBundle) -> Vec<JoinedNf> {
-    assert!(
-        u32::try_from(bundle.source_flows.len()).is_ok(),
-        "source records must fit u32"
-    );
-    let entry: Vec<NfId> = bundle
-        .source_flows
-        .iter()
-        .map(|f| topology.entry_for(&f.flow))
-        .collect();
+/// built once per estimate, in `NfId` order. The run comes as consecutive
+/// pieces (the chunks a stream holds, or one whole bundle): each stream — an
+/// NF's reads, its sends to one NF, the source's records — runs on from one
+/// piece into the next as in their concatenation, so trigrams span the seams.
+fn join_nfs(topology: &Topology, run: &[&TraceBundle]) -> Vec<JoinedNf> {
+    let source = || run.iter().flat_map(|b| &b.source_flows);
+    let flows: usize = run.iter().map(|b| b.source_flows.len()).sum();
+    assert!(u32::try_from(flows).is_ok(), "source records must fit u32");
+    let entry: Vec<NfId> = source().map(|f| topology.entry_for(&f.flow)).collect();
+    let logs = |nf: NfId| run.iter().filter_map(move |b| b.logs.get(nf.0 as usize));
     let (mut reads, mut sends, mut spare) = (Vec::new(), Vec::new(), Vec::new());
     let mut nfs = Vec::with_capacity(topology.len());
     for nf in topology.nfs() {
         let down = nf.id;
-        let Some(log) = bundle.logs.get(down.0 as usize) else {
-            nfs.push(JoinedNf::default());
-            continue;
-        };
         reads.clear();
-        let rx = log.rx.iter();
+        let rx = logs(down).flat_map(|l| l.rx.iter());
         let rx = rx.flat_map(|b| b.ipids.iter().map(move |&id| (b.ts, id)));
         push_keyed(rx, 0, 0, &mut reads);
         sort_by_key(&mut reads, &mut spare, 48);
@@ -253,8 +250,7 @@ fn join_nfs(topology: &Topology, bundle: &TraceBundle) -> Vec<JoinedNf> {
             let tag = slot as u64;
             match up {
                 NodeId::Source => {
-                    let sent = bundle.source_flows.iter().zip(&entry);
-                    let sent = sent.filter(|&(_, &e)| e == down);
+                    let sent = source().zip(&entry).filter(|&(_, &e)| e == down);
                     push_keyed(
                         sent.map(|(f, _)| (f.ts, f.ipid)),
                         slot_bits,
@@ -263,8 +259,8 @@ fn join_nfs(topology: &Topology, bundle: &TraceBundle) -> Vec<JoinedNf> {
                     );
                 }
                 NodeId::Nf(u) => {
-                    let tx = bundle.logs.get(u.0 as usize).map(|l| l.tx.iter());
-                    let sent = tx.into_iter().flatten().filter(|b| b.to == Some(down));
+                    let tx = logs(u).flat_map(|l| l.tx.iter());
+                    let sent = tx.filter(|b| b.to == Some(down));
                     let sent = sent.flat_map(|b| b.ipids.iter().map(move |&id| (b.ts, id)));
                     push_keyed(sent, slot_bits, tag, &mut sends);
                 }
@@ -475,17 +471,19 @@ pub fn estimate_offsets_refined(
     bundle: &TraceBundle,
     _: &SkewConfig,
 ) -> Vec<TimeDelta> {
-    estimate_offsets_refined_detailed(topology, bundle).offsets
+    estimate_offsets_refined_detailed(topology, &[bundle]).offsets
 }
 
-/// [`estimate_offsets_refined`] plus per-NF availability: an NF counts as
-/// estimated when a pass found a coherent spike on one of its edges —
-/// which is what tells a refined zero from the zero fallback.
+/// [`estimate_offsets_refined`] plus per-NF availability, over a run given
+/// as consecutive pieces — equal to the estimate over their concatenation
+/// (a whole run is `&[&bundle]`). An NF counts as estimated when a pass
+/// found a coherent spike on one of its edges — which is what tells a
+/// refined zero from the zero fallback.
 pub fn estimate_offsets_refined_detailed(
     topology: &Topology,
-    bundle: &TraceBundle,
+    run: &[&TraceBundle],
 ) -> SkewEstimates {
-    let nfs = join_nfs(topology, bundle);
+    let nfs = join_nfs(topology, run);
     let mut est = SkewEstimates {
         offsets: vec![0; topology.len()],
         available: vec![false; topology.len()],
@@ -515,8 +513,10 @@ pub fn correct_bundle(bundle: &TraceBundle, offsets: &[TimeDelta]) -> TraceBundl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msc_collector::{Collector, CollectorConfig, PacketMeta};
-    use nf_types::{FiveTuple, NfKind, Proto};
+    use msc_collector::{chunk_bundle, concat_chunks, Collector, CollectorConfig, PacketMeta};
+    use nf_sim::{paper_nf_configs, SimConfig, Simulation};
+    use nf_traffic::{CaidaLike, CaidaLikeConfig};
+    use nf_types::{paper_topology, FiveTuple, NfKind, PacketId, Proto, MILLIS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -555,6 +555,68 @@ mod tests {
             want.sort_by_key(|&(key, _)| key);
             sort_by_key(&mut keyed, &mut spare, bits);
             assert_eq!(keyed, want, "case {case}");
+        }
+    }
+
+    /// The estimate over a run's consecutive pieces equals the estimate over
+    /// their concatenation, and so does the join it passes over — trigrams
+    /// span the seams — for the whole run and for a prefix, as a stream holds
+    /// it. (The estimate alone would not show a seam mishandled: a few
+    /// trigrams lost per seam leave the offsets as they are.) The run is the
+    /// paper deployment on `record --skew`'s clocks, silent from 12 to 17 ms
+    /// so that the cuts skip empty windows, and a record-free piece leads and
+    /// sits mid-run.
+    #[test]
+    fn the_estimate_over_pieces_equals_the_estimate_over_their_concatenation() {
+        let topology = paper_topology();
+        let clocks = (0..topology.len() as i64)
+            .map(|i| (i % 5 - 2) * MILLIS as i64)
+            .collect();
+        let config = CaidaLikeConfig {
+            rate_pps: 0.7e6,
+            ..Default::default()
+        };
+        let mut packets = CaidaLike::new(config, 3)
+            .generate(0, 30 * MILLIS)
+            .finalize(0);
+        packets.retain(|p| !(12 * MILLIS..17 * MILLIS).contains(&p.created_at));
+        // The simulator takes consecutive ids.
+        for (i, p) in packets.iter_mut().enumerate() {
+            p.id = PacketId(i as u64);
+        }
+        let sim = Simulation::new(
+            topology.clone(),
+            paper_nf_configs(&topology),
+            SimConfig {
+                seed: 3,
+                record_fates: false,
+                clock_offsets_ns: clocks,
+                ..Default::default()
+            },
+        );
+        let bundle = sim.run(&packets).bundle;
+        let empty = Collector::new(&topology, CollectorConfig::default()).into_bundle();
+        for ms in [1, 7, 10, 50] {
+            let chunks = chunk_bundle(&bundle, ms * MILLIS);
+            for held in [chunks.len().div_ceil(2), chunks.len()] {
+                let held = &chunks[..held];
+                let mut pieces: Vec<&TraceBundle> = held.iter().map(|c| &c.bundle).collect();
+                pieces.insert(pieces.len() / 2, &empty);
+                pieces.insert(0, &empty);
+                let concat = concat_chunks(held);
+                let whole = estimate_offsets_refined_detailed(&topology, &[&concat]);
+                let what = format!("{ms} ms cuts, {} of {} held", held.len(), chunks.len());
+                assert!(
+                    join_nfs(&topology, &pieces) == join_nfs(&topology, &[&concat]),
+                    "{what}: join"
+                );
+                assert!(whole.available.iter().any(|&a| a), "{what}: {whole:?}");
+                assert_eq!(
+                    estimate_offsets_refined_detailed(&topology, &pieces),
+                    whole,
+                    "{what}"
+                );
+            }
         }
     }
 
@@ -774,11 +836,11 @@ mod tests {
         // Empty bundle: nothing is estimable, and the API must say so
         // instead of passing the zero fallback off as a measurement.
         let empty = Collector::new(&topo, CollectorConfig::default()).into_bundle();
-        let est = estimate_offsets_refined_detailed(&topo, &empty);
+        let est = estimate_offsets_refined_detailed(&topo, &[&empty]);
         assert_eq!(est.offsets, vec![0, 0]);
         assert_eq!(est.available, vec![false, false]);
 
-        let est = estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo));
+        let est = estimate_offsets_refined_detailed(&topo, &[&skewed_bundle(&topo)]);
         assert_eq!(est.available, vec![true, true]);
         assert!((est.offsets[0] - 1_000_000).abs() <= 1_000);
     }
@@ -800,7 +862,7 @@ mod tests {
             // nat1 (+1 ms clock) reads and drops everything: vpn1 is idle.
             c.record_rx(NfId(0), t + 1_000 + 1_000_000, &[m]);
         }
-        let est = estimate_offsets_refined_detailed(&topo, &c.into_bundle());
+        let est = estimate_offsets_refined_detailed(&topo, &[&c.into_bundle()]);
         assert_eq!(est.available, vec![true, false]);
         assert!((est.offsets[0] - 1_000_000).abs() <= 1_500, "{est:?}");
         assert_eq!(est.offsets[1], 0);
@@ -808,7 +870,7 @@ mod tests {
             est.notes(&topo),
             vec!["skew estimate unavailable for vpn1; assumed offset 0".to_string()]
         );
-        let full = estimate_offsets_refined_detailed(&topo, &skewed_bundle(&topo));
+        let full = estimate_offsets_refined_detailed(&topo, &[&skewed_bundle(&topo)]);
         assert!(full.notes(&topo).is_empty(), "{:?}", full.notes(&topo));
     }
 
@@ -835,7 +897,7 @@ mod tests {
             c.record_tx(NfId(0), ts, Some(NfId(1)), &[m]);
             c.record_rx(NfId(1), (ts as i64 + d) as u64, &[m]);
         }
-        let est = estimate_offsets_refined_detailed(&topo, &c.into_bundle());
+        let est = estimate_offsets_refined_detailed(&topo, &[&c.into_bundle()]);
         // nat1 has no source samples; vpn1 is estimated from the spike.
         assert_eq!(est.available, vec![false, true]);
         assert_eq!(est.offsets[1], 5_100);

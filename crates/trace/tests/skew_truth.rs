@@ -88,7 +88,7 @@ fn offsets_match_the_truth_at(rate_pps: f64) {
         for seed in 1..=SEEDS {
             let truth: Vec<i64> = (0..topology.len()).map(|i| offset(i, seed)).collect();
             let (bundle, simulated) = run(&topology, rate_pps, seed, truth.clone());
-            let est = estimate_offsets_refined_detailed(&topology, &bundle);
+            let est = estimate_offsets_refined_detailed(&topology, &[&bundle]);
             let what = format!("{pattern}, seed {seed} at {} Mpps", rate_pps / 1e6);
             let worst = est
                 .offsets
