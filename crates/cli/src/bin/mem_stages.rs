@@ -1,25 +1,24 @@
-//! Resident memory of `microscope diagnose` (with `--stream`, of
-//! `microscope stream`; with `--skew`, of `microscope diagnose --skew`),
-//! stage by stage.
+//! Resident memory of `microscope diagnose`, stage by stage.
 //!
 //! ```text
 //! microscope record --out DIR --millis 250 --rate 1.4 --chunk-ms 50 \
 //!     --interrupt nat2:60:2000 --interrupt fw3:125:2000 --interrupt vpn1:190:2000
-//! mem_stages DIR [--stream | --skew]
+//! mem_stages DIR [--stream] [--skew]
 //! ```
 //!
 //! Runs the CLI's own pipeline (`microscope_cli::pipeline`) on `DIR/run.msc`
-//! (`--stream`: `DIR/run.mscs`) with a stage hook that reads `VmRSS` /
-//! `VmHWM` from `/proc/self/status` and the fault and CPU counters from
-//! `/proc/self/stat` — so the rows are the stages of the command itself, in
-//! a process that never held a simulator page. The table goes to stdout;
+//! (`--stream`: `DIR/run.mscs`; `--skew`: as `diagnose --skew`) with a stage
+//! hook that reads `VmRSS` / `VmHWM` from `/proc/self/status` and the fault
+//! and CPU counters from `/proc/self/stat` — so the rows are the stages of
+//! the command itself, in a process that never held a simulator page. The
+//! table goes to stdout under a header naming the command and the file;
 //! `results/mem_stages.txt` and `results/mem_stages_stream.txt` are the
-//! first two modes on the recording above (the benchmark's `offline-250ms` /
-//! `stream-250ms` run), and DESIGN.md ("Memory: bytes per hop, stage by
-//! stage") explains their rows structure by structure.
-//! `results/mem_stages_skew.txt` is `--skew` on a `record --skew` run (its
-//! header names the command); the clock-offset estimates run inside the
-//! `push` rows of the windows held until the offsets settle.
+//! `.msc` and the `.mscs` of the recording above (the benchmark's
+//! `offline-250ms` / `stream-250ms` run), and DESIGN.md ("Memory: bytes per
+//! hop, stage by stage") explains their rows structure by structure.
+//! `results/mem_stages_skew.txt` is `--skew` on a `record --skew` run; the
+//! clock-offset estimates run inside the `push` rows of the windows held
+//! until the offsets settle.
 
 #![forbid(unsafe_code)]
 
@@ -35,11 +34,18 @@ use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        [dir] => probe(Path::new(dir), Mode::Diagnose),
-        [dir, "--stream"] | ["--stream", dir] => probe(Path::new(dir), Mode::Stream),
-        [dir, "--skew"] | ["--skew", dir] => probe(Path::new(dir), Mode::Skew),
-        _ => Err("usage: mem_stages DIR [--stream | --skew] \
+    let (switches, dirs): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    let known = switches.iter().all(|s| ["--stream", "--skew"].contains(s));
+    let result = match dirs[..] {
+        [dir] if known => probe(
+            Path::new(dir),
+            switches.contains(&"--stream"),
+            switches.contains(&"--skew"),
+        ),
+        _ => Err("usage: mem_stages DIR [--stream] [--skew] \
              (DIR: a `microscope record --out` directory)"
             .to_string()),
     };
@@ -50,17 +56,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Which command's pipeline to run.
-#[derive(Clone, Copy)]
-enum Mode {
-    /// `diagnose` on `run.msc`.
-    Diagnose,
-    /// `stream` on `run.mscs`.
-    Stream,
-    /// `diagnose --skew` on `run.msc`.
-    Skew,
 }
 
 /// `VmRSS` and `VmHWM` of this process, in MB.
@@ -133,19 +128,17 @@ impl Stages {
     }
 }
 
-/// Runs `mode`'s command on the recording in `dir` with the CLI's default
-/// flags, one row per stage, then the input / output / `size_of` footer
-/// counted from what the stages lent the hook.
-fn probe(dir: &Path, mode: Mode) -> Result<(), String> {
+/// Runs `diagnose` (with `skew`, `diagnose --skew`) on the recording in
+/// `dir` — its `.mscs` when `chunked` — with the CLI's default flags, one
+/// row per stage, then the input / output / `size_of` footer counted from
+/// what the stages lent the hook.
+fn probe(dir: &Path, chunked: bool, skew: bool) -> Result<(), String> {
     let mut stages = Stages::new(&format!(" {:>11}", "frontier_MB"));
     let topology = dir.join("topology.txt");
     let path = topology.display();
     let text = std::fs::read_to_string(&topology).map_err(|e| format!("read {path}: {e}"))?;
     let deployment = parse_topology(&text).map_err(|e| format!("{path}: {e}"))?;
-    let bundle = dir.join(match mode {
-        Mode::Stream => "run.mscs",
-        Mode::Diagnose | Mode::Skew => "run.msc",
-    });
+    let bundle = dir.join(if chunked { "run.mscs" } else { "run.msc" });
     let file_mb = std::fs::metadata(&bundle).map_or(0, |m| m.len()) as f64 / 1e6;
     stages.row("start", "");
 
@@ -172,11 +165,7 @@ fn probe(dir: &Path, mode: Mode) -> Result<(), String> {
         }
         _ => stages.row(stage, ""),
     };
-    let run = match mode {
-        Mode::Stream => pipeline::stream(&deployment, &bundle, None, false, 0.99, 10, &mut hook),
-        Mode::Diagnose => pipeline::diagnose(&deployment, &bundle, false, 0.99, 10, &mut hook),
-        Mode::Skew => pipeline::diagnose(&deployment, &bundle, true, 0.99, 10, &mut hook),
-    }?;
+    let run = pipeline::diagnose(&deployment, &bundle, None, skew, 0.99, 10, &mut hook)?;
 
     let _ = write!(
         input,
@@ -208,11 +197,7 @@ fn probe(dir: &Path, mode: Mode) -> Result<(), String> {
     );
     print!(
         "# resident memory of `microscope {}` on {}, stage by stage\n{out}",
-        match mode {
-            Mode::Diagnose => "diagnose",
-            Mode::Stream => "stream",
-            Mode::Skew => "diagnose --skew",
-        },
+        if skew { "diagnose --skew" } else { "diagnose" },
         bundle.display()
     );
     Ok(())

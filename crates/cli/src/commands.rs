@@ -2,6 +2,7 @@
 
 use microscope_cli::pipeline::{self, Deployment, Run, Settled};
 use msc_collector::{chunk_bundle, load_bundle, save_bundle, save_bundle_chunked};
+use msc_trace::MatchConfig;
 use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
 use nf_types::{emit_topology, paper_topology, parse_topology, MICROS, MILLIS};
@@ -16,17 +17,16 @@ commands:
   record   --out DIR [--millis N] [--rate MPPS] [--seed S]
            [--interrupt NF:AT_MS:LEN_US]... [--skew] [--chunk-ms N]
   inspect  --bundle FILE
-  diagnose --topology FILE --bundle FILE [--quantile Q] [--top N] [--skew]
-  stream   --topology FILE --bundle FILE [--chunk-ms N] [--quantile Q]
+  diagnose --topology FILE --bundle FILE [--chunk-ms N] [--quantile Q]
            [--top N] [--skew]
+  stream   another name for diagnose
   skew     --topology FILE --bundle FILE
 
-diagnose and stream run one reconstructor over the bundle in time windows,
-reading the file as they go: diagnose a whole-run .msc in 10 ms windows,
-stream a .msc in --chunk-ms windows (default 50) or a chunked .mscs chunk
-by chunk. They print the same report. With --skew both hold windows until
-the estimated clock offsets settle (at the latest when the run ends, on
-the whole-run estimate), then correct every window by them.
+diagnose reads the bundle in time windows as it goes: a whole-run .msc in
+--chunk-ms windows (default 10), a chunked .mscs chunk by chunk. With --skew
+it holds windows until the estimated clock offsets settle (at the latest
+when the run ends, on the whole-run estimate), then corrects every window by
+them. skew reads the same windows until the offsets settle and prints them.
 
 run `microscope <command>` with missing flags to see its specific errors.";
 
@@ -291,85 +291,76 @@ pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     })
 }
 
-/// Prints a finished run: the report on stdout, and on stderr how the
-/// bundle was streamed, when the clock offsets settled, the skew
-/// estimator's fallbacks, reads no upstream send explains, the step cache
-/// and the relation sampling.
+/// Prints a finished run: the report on stdout, and [`stderr_lines`] on
+/// stderr.
 fn print_run(run: &Run, out: &mut dyn Write) -> Result<(), String> {
-    if let Some(s) = &run.streamed {
-        eprintln!(
-            "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB",
-            s.chunks,
-            s.committed,
-            s.working_set_peak / 1024,
-        );
+    for line in stderr_lines(run) {
+        eprintln!("{line}");
     }
+    emit(out, |out| write!(out, "{}", run.report))
+}
+
+/// What a finished run says on stderr: how the bundle was streamed, when
+/// the clock offsets settled, the skew estimator's fallbacks, reads no
+/// upstream send explains, the step cache and the relation sampling.
+fn stderr_lines(run: &Run) -> Vec<String> {
+    let s = &run.streamed;
+    let mut lines = vec![format!(
+        "streamed {} chunks: {} traces committed pre-finish, peak working set {} KiB",
+        s.chunks,
+        s.committed,
+        s.working_set_peak / 1024,
+    )];
     match run.settled {
-        Some(Settled::AtEnd(held)) => eprintln!(
+        Some(Settled::AtEnd(held)) => lines.push(format!(
             "note: clock offsets settled on all {held} chunks: held the whole run and \
              corrected by the whole-run estimate"
-        ),
-        Some(Settled::After(held)) => eprintln!("clock offsets settled after {held} chunks held"),
+        )),
+        Some(Settled::After(held)) => {
+            lines.push(format!("clock offsets settled after {held} chunks held"));
+        }
         None => {}
     }
-    for note in &run.skew_notes {
-        eprintln!("note: {note}");
-    }
+    lines.extend(run.skew_notes.iter().map(|note| format!("note: {note}")));
     let recon = &run.report.reconstruction;
     if recon.unmatched_rx > 0 {
-        // Seen on a topology with an edge missing, and on unsynchronised
-        // clocks read without --skew; on no clean recording.
+        // Seen on a topology with an edge missing, on unsynchronised clocks
+        // read without --skew, and where an NF stalled past the bound; on no
+        // clean recording.
         let clocks = match run.report.offsets {
             Some(_) => "",
             None => ", and on one clock (if not: --skew)",
         };
-        eprintln!(
+        let bound_ms = MatchConfig::default().delay_bound_ns / MILLIS;
+        lines.push(format!(
             "note: {} packets were read at an NF that no upstream send explains ({} of {} \
-             traces unresolved): was the bundle recorded on this topology{clocks}?",
+             traces unresolved): was the bundle recorded on this topology{clocks}? An NF that \
+             stalls for longer than the {bound_ms} ms matching delay bound also leaves such reads",
             recon.unmatched_rx, recon.unresolved, recon.total
-        );
+        ));
     }
     let cache = &run.cache;
     if cache.hits + cache.misses > 0 {
-        eprintln!(
+        lines.push(format!(
             "step cache: {} hits / {} misses ({:.1}% hit rate, {} periods)",
             cache.hits,
             cache.misses,
             cache.hit_rate() * 100.0,
             cache.entries
-        );
+        ));
     }
     if run.sample_stride > 1 {
-        eprintln!(
+        lines.push(format!(
             "note: sampling {} of {} causal relations for aggregation (1/{})",
             run.report.relations, run.relations_total, run.sample_stride
-        );
+        ));
     }
-    emit(out, |out| write!(out, "{}", run.report))
+    lines
 }
 
-/// `microscope diagnose` — the whole pipeline on saved artifacts.
+/// `microscope diagnose` (and `microscope stream`, another name for it) —
+/// the whole pipeline on saved artifacts, read in time windows.
 pub fn diagnose(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let f = Flags::parse(args, &["topology", "bundle", "quantile", "top"], &["skew"])?;
-    let quantile = f.quantile()?;
-    let top: usize = f.num("top", 10)?;
-    let deployment = load_deployment(f.require("topology")?)?;
-    let bundle = Path::new(f.require("bundle")?);
-    let run = pipeline::diagnose(
-        &deployment,
-        bundle,
-        f.has("skew"),
-        quantile,
-        top,
-        &mut |_, _| {},
-    )?;
-    print_run(&run, out)
-}
-
-/// `microscope stream` — the streaming pipeline: consume the bundle as a
-/// sequence of time chunks with O(window) reconstruction state, then print
-/// the same report as `diagnose`.
-pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(
         args,
         &["topology", "bundle", "chunk-ms", "quantile", "top"],
@@ -380,7 +371,7 @@ pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let top: usize = f.num("top", 10)?;
     let deployment = load_deployment(f.require("topology")?)?;
     let bundle = Path::new(f.require("bundle")?);
-    let run = pipeline::stream(
+    let run = pipeline::diagnose(
         &deployment,
         bundle,
         chunk_ms,
@@ -392,7 +383,8 @@ pub fn stream(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     print_run(&run, out)
 }
 
-/// `microscope skew` — clock-offset estimation only.
+/// `microscope skew` — clock-offset estimation only: the offsets
+/// `diagnose --skew` settles on.
 pub fn skew(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let f = Flags::parse(args, &["topology", "bundle"], &[])?;
     let (topology, _) = load_deployment(f.require("topology")?)?;
@@ -428,9 +420,6 @@ mod tests {
     }
     fn diagnose(args: &[String]) -> Result<(), String> {
         super::diagnose(args, &mut io::sink())
-    }
-    fn stream(args: &[String]) -> Result<(), String> {
-        super::stream(args, &mut io::sink())
     }
     fn skew(args: &[String]) -> Result<(), String> {
         super::skew(args, &mut io::sink())
@@ -489,28 +478,24 @@ mod tests {
     fn undefined_flags_and_out_of_range_values_are_errors_naming_the_flag() {
         let files = ["--topology", "/nonexistent", "--bundle", "/nope"];
         let [topo, _, mscs] = recorded("chunk_ms_on_mscs");
-        type Cmd = fn(&[String], &mut dyn Write) -> Result<(), String>;
-        let mut cases: Vec<(Cmd, Vec<&str>)> = vec![
-            (super::diagnose, vec!["--threads", "4"]),
-            (super::diagnose, vec!["--threshold", "3"]),
-            (super::diagnose, vec!["--no-cache"]),
-            (super::stream, vec!["--bogus"]),
-            (super::stream, vec!["--chunk-ms", "0"]),
-            (super::stream, vec!["--chunk-ms", "-5"]),
-            (super::stream, vec!["--chunk-ms", "18446744073710"]),
+        let mut cases: Vec<Vec<&str>> = vec![
+            vec!["--threads", "4"],
+            vec!["--threshold", "3"],
+            vec!["--no-cache"],
+            vec!["--bogus"],
+            vec!["--chunk-ms", "0"],
+            vec!["--chunk-ms", "-5"],
+            vec!["--chunk-ms", "18446744073710"],
             // A .mscs was chunked at record time: the flag would be ignored.
-            (
-                super::stream,
-                vec!["--chunk-ms", "5", "--topology", &topo, "--bundle", &mscs],
-            ),
+            vec!["--chunk-ms", "5", "--topology", &topo, "--bundle", &mscs],
         ];
         for q in ["nan", "-1", "0", "1", "1.5", "inf", "x"] {
-            cases.push((super::diagnose, vec!["--quantile", q]));
-            cases.push((super::stream, vec!["--quantile", q]));
+            cases.push(vec!["--quantile", q]);
         }
-        for (cmd, extra) in cases {
+        for extra in cases {
             let mut stdout = Vec::new();
-            let err = cmd(&s(&[&files[..], &extra[..]].concat()), &mut stdout).unwrap_err();
+            let args = s(&[&files[..], &extra[..]].concat());
+            let err = super::diagnose(&args, &mut stdout).unwrap_err();
             assert!(err.contains(extra[0]), "{extra:?}: {err}");
             assert!(
                 !err.contains("/nonexistent"),
@@ -585,11 +570,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_round_trip_both_formats() {
+    fn diagnose_round_trip_both_formats() {
         let [topo, whole, chunked] = recorded("streamtest");
         // Both containers are read chunk by chunk. Both must run the full
         // report.
-        stream(&s(&[
+        diagnose(&s(&[
             "--topology",
             &topo,
             "--bundle",
@@ -598,7 +583,7 @@ mod tests {
             "3",
         ]))
         .unwrap();
-        stream(&s(&[
+        diagnose(&s(&[
             "--topology",
             &topo,
             "--bundle",
@@ -609,9 +594,9 @@ mod tests {
             "3",
         ]))
         .unwrap();
-        // The offline commands take whole bundles only, and say so.
+        // `inspect` takes whole bundles only, and says what reads the other.
         let err = inspect(&s(&["--bundle", &chunked])).unwrap_err();
-        assert!(err.contains("chunked") && err.contains("stream"), "{err}");
+        assert!(err.contains("chunked") && err.contains("diagnose"), "{err}");
     }
 
     #[test]
@@ -625,12 +610,13 @@ mod tests {
             .collect();
         let more = format!("{text}nf vpn5 vpn 632911\nedge mon1 vpn5\n");
         type Cmd = fn(&[String], &mut dyn Write) -> Result<(), String>;
-        let modes: [(&str, Cmd, &str, &[&str]); 5] = [
+        let modes: [(&str, Cmd, &str, &[&str]); 6] = [
             ("diagnose", super::diagnose, &msc, &[]),
             ("diagnose --skew", super::diagnose, &msc, &["--skew"]),
             ("skew", super::skew, &msc, &[]),
-            ("stream .msc", super::stream, &msc, &[]),
-            ("stream .mscs", super::stream, &mscs, &[]),
+            ("diagnose .mscs", super::diagnose, &mscs, &[]),
+            ("diagnose --skew .mscs", super::diagnose, &mscs, &["--skew"]),
+            ("skew .mscs", super::skew, &mscs, &[]),
         ];
         for (nfs, text) in [(15, fewer), (17, more)] {
             let wrong = format!("{topo}.{nfs}");
@@ -646,6 +632,40 @@ mod tests {
                 assert!(stdout.is_empty(), "{mode}, {nfs}-NF topology wrote stdout");
             }
         }
+    }
+
+    /// An NF stalled past the matcher's delay bound reads its ring long
+    /// after the sends that filled it: the note on those reads names the
+    /// stall and the bound, not only the topology and the clocks.
+    #[test]
+    fn a_stall_past_the_delay_bound_is_named_in_the_note() {
+        let dir = std::env::temp_dir().join("msc_cli_long_stall");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_string_lossy().to_string();
+        // nat2 stalls 60 ms from the start, past the 50 ms bound.
+        let args = ["--millis", "40", "--rate", "0.3", "--seed", "1"];
+        record(&s(&[
+            &["--out", &out][..],
+            &args,
+            &["--interrupt", "nat2:0:60000"],
+        ]
+        .concat()))
+        .unwrap();
+        let deployment = load_deployment(&format!("{out}/topology.txt")).unwrap();
+        let bundle = dir.join("run.msc");
+        let run = pipeline::diagnose(&deployment, &bundle, None, false, 0.99, 10, &mut |_, _| {});
+        let run = run.unwrap();
+        assert!(run.report.reconstruction.unmatched_rx > 0);
+        let bound_ms = MatchConfig::default().delay_bound_ns / MILLIS;
+        let stall = format!("stalls for longer than the {bound_ms} ms matching delay bound");
+        let notes: Vec<String> = stderr_lines(&run)
+            .into_iter()
+            .filter(|l| l.contains("no upstream send explains"))
+            .collect();
+        assert!(
+            notes.len() == 1 && notes[0].contains(&stall) && notes[0].contains("50 ms"),
+            "{notes:?}"
+        );
     }
 
     #[test]

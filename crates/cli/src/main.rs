@@ -2,28 +2,29 @@
 //!
 //! ```text
 //! microscope record   --out DIR [--millis N] [--rate MPPS] [--seed S]
-//!                     [--interrupt NF:MS:US]... [--skew]
+//!                     [--interrupt NF:MS:US]... [--skew] [--chunk-ms N]
 //!     Simulate the paper's 16-NF deployment, write DIR/topology.txt and
-//!     DIR/run.msc (the collector bundle an operator would have).
+//!     DIR/run.msc (the collector bundle an operator would have; with
+//!     --chunk-ms also DIR/run.mscs, the same records in chunks).
 //!
 //! microscope inspect  --bundle FILE
 //!     Print bundle statistics (packets, batches, bytes/packet, per NF).
 //!
-//! microscope diagnose --topology FILE --bundle FILE [--quantile Q]
-//!                     [--top N] [--skew]
+//! microscope diagnose --topology FILE --bundle FILE [--chunk-ms N]
+//!                     [--quantile Q] [--top N] [--skew]
 //!     Reconstruct traces, select tail victims, run the queue-based
 //!     diagnosis and print ranked culprits + aggregated causal patterns.
+//!     The bundle is read as a stream of time chunks, with O(window)
+//!     reconstruction state: a whole-run .msc in --chunk-ms windows
+//!     (default 10), a chunked .mscs chunk by chunk. With --skew, chunks
+//!     are held until the estimated clock offsets settle.
 //!
-//! microscope stream   --topology FILE --bundle FILE [--chunk-ms N]
-//!                     [--quantile Q] [--top N] [--skew]
-//!     Consume the bundle as a stream of time chunks (chunked .mscs files
-//!     chunk by chunk, whole .msc bundles read from the file in windows),
-//!     reconstructing with O(window) state, and print the same report as
-//!     diagnose. With --skew, chunks are held until the estimated clock
-//!     offsets settle.
+//! microscope stream   ...
+//!     Another name for diagnose.
 //!
 //! microscope skew     --topology FILE --bundle FILE
-//!     Estimate per-NF clock offsets from the records alone (§7).
+//!     Estimate per-NF clock offsets from the records alone (§7): the
+//!     offsets diagnose --skew settles on, read from the same windows.
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,8 +46,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "record" => commands::record(rest, out),
         "inspect" => commands::inspect(rest, out),
-        "diagnose" => commands::diagnose(rest, out),
-        "stream" => commands::stream(rest, out),
+        "diagnose" | "stream" => commands::diagnose(rest, out),
         "skew" => commands::skew(rest, out),
         "help" | "--help" | "-h" => commands::help(out),
         other => Err(format!("unknown command {other:?}\n{}", commands::USAGE)),

@@ -1,17 +1,16 @@
-//! The `diagnose` / `diagnose --skew` / `stream` / `skew` call sequences —
-//! bundle file → report — written once.
+//! The `diagnose` / `skew` call sequences — bundle file → report — written
+//! once. (`stream` is another name for `diagnose`.)
 //!
-//! Every command that reports runs one reconstructor, the windowed
-//! [`StreamEngine`], on time chunks read straight from the file
-//! ([`ChunkSource`]: a whole-run `.msc` in windows, a `.mscs` as it was
-//! chunked). With `--skew`, `diagnose` and `stream` run one policy: the
-//! engine holds windows until the clock offsets estimated over them settle,
-//! then corrects every window by that estimate. `diagnose`'s windows are
-//! [`DIAGNOSE_WINDOW_MS`] long, the windows `msc_trace::reconstruct` cuts an
-//! in-memory bundle into for the figures and the tests: one engine, one
-//! window size. The whole-run stages (`EdgeStreams::build` →
-//! `match_all` → `assemble`) are not called here: they are the oracle the
-//! equivalence suites compare the engine with.
+//! Both run one reconstructor, the windowed [`StreamEngine`], on time chunks
+//! read straight from the file ([`ChunkSource`]: a whole-run `.msc` in
+//! windows, [`DIAGNOSE_WINDOW_MS`] long unless `--chunk-ms` says otherwise,
+//! a `.mscs` as it was chunked). With `--skew` the engine holds windows until
+//! the clock offsets estimated over them settle, then corrects every window
+//! by that estimate; `skew` stops there and returns the estimate. The
+//! in-memory `msc_trace::reconstruct` the figures and the tests run cuts its
+//! bundle into the same windows: one engine, one window size. The whole-run
+//! stages (`EdgeStreams::build` → `match_all` → `assemble`) are not called
+//! here: they are the oracle the equivalence suites compare the engine with.
 //!
 //! Each function takes the parsed deployment, the bundle path and the values
 //! of the command's flags and calls the stages one at a time with the
@@ -24,30 +23,25 @@
 //!
 //! Stage names, in call order:
 //!
-//! * `diagnose` and `stream`, with or without `--skew`: `push 1` …
-//!   `push N`, `finish`, then the diagnosis stages;
-//! * `skew`: `load`, `offsets`;
-//! * the diagnosis stages: `diagnose`, `relations`, `aggregate`.
+//! * `diagnose`, with or without `--skew`: `push 1` … `push N`, `finish`,
+//!   then the diagnosis stages `diagnose`, `relations`, `aggregate`;
+//! * `skew`: `push 1` … `push K`, where the offsets settled after chunk K,
+//!   or every push and `finish` when they settled only at the end.
 
 use autofocus::{Pattern, PatternConfig};
 use microscope::{
     CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope, SampledRelations,
 };
-use msc_collector::{load_bundle, BundleChunk, BundleIoError, ChunkSource};
+use msc_collector::ChunkSource;
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
     estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport, SkewConfig,
-    SkewEstimates, StreamError, Timelines, DIAGNOSE_WINDOW_MS,
+    SkewEstimates, Timelines, DIAGNOSE_WINDOW_MS,
 };
 use nf_types::{Nanos, NodeId, TimeDelta, Topology, MICROS, MILLIS};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-
-/// `stream`'s window on a whole-run `.msc` when `--chunk-ms` is not given.
-/// (`--skew` settles its offsets on a prefix of the run, so the window is
-/// part of its report.)
-const STREAM_WINDOW_MS: u64 = 50;
 
 /// The negative slack `--skew` gives the matcher: what is left of a clock
 /// offset after the correction.
@@ -61,7 +55,7 @@ pub type Hook<'a> = &'a mut dyn FnMut(&str, Produced<'_>);
 
 /// What a stage just produced, lent to the [`Hook`].
 pub enum Produced<'a> {
-    /// `load`, `offsets`, `relations`, `aggregate`: nothing is lent.
+    /// `relations`, `aggregate`: nothing is lent.
     Done,
     /// `push N`: the engine after its N-th chunk (that chunk already freed).
     Engine(&'a StreamEngine),
@@ -71,8 +65,8 @@ pub enum Produced<'a> {
     Diagnoses(&'a [Diagnosis]),
 }
 
-/// The report both `diagnose` and `stream` print; [`fmt::Display`] renders
-/// it, so the two commands stay byte-identical on equal reconstructions.
+/// The report `diagnose` prints; [`fmt::Display`] renders it, so runs with
+/// equal reconstructions print the same bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The estimated clock offsets, when `--skew` corrected by them.
@@ -124,7 +118,7 @@ impl fmt::Display for Report {
     }
 }
 
-/// What only `stream` knows about a run.
+/// How a run streamed through the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Streamed {
     /// Chunks consumed.
@@ -144,14 +138,14 @@ pub enum Settled {
     AtEnd(u64),
 }
 
-/// A finished `diagnose` or `stream`: the report for stdout and the facts
-/// the CLI renders on stderr.
+/// A finished `diagnose`: the report for stdout and the facts the CLI
+/// renders on stderr.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// What stdout carries.
     pub report: Report,
-    /// `Some` for `stream`.
-    pub streamed: Option<Streamed>,
+    /// How the bundle streamed.
+    pub streamed: Streamed,
     /// `Some` with `--skew`.
     pub settled: Option<Settled>,
     /// One note per NF whose clock offset is a fallback, not an estimate.
@@ -164,24 +158,25 @@ pub struct Run {
     pub sample_stride: usize,
 }
 
-/// `microscope skew` — clock-offset estimation only: the whole-run
-/// estimate. An NF with no usable samples gets offset 0, which reads exactly
-/// like a synchronised clock — `SkewEstimates::notes` names each such
-/// fallback.
+/// `microscope skew` — clock-offset estimation only: the offsets
+/// `diagnose --skew` settles on, from the same windows of either container.
+/// Reading stops when they settle; a run that ends first settles on the
+/// whole-run estimate, as `diagnose` does. An NF with no usable samples gets
+/// offset 0, which reads exactly like a synchronised clock —
+/// `SkewEstimates::notes` names each such fallback.
 pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstimates, String> {
-    let bundle = load_bundle(bundle).map_err(|e| format!("load {}: {e}", bundle.display()))?;
-    // The estimator indexes by NF.
-    if bundle.logs.len() != topology.len() {
-        return Err(StreamError::TopologyMismatch {
-            expected: topology.len(),
-            got: bundle.logs.len(),
+    let mut source = open(bundle, None)?;
+    let mut engine = StreamEngine::new(topology, engine_config(true));
+    while push_next(&mut source, bundle, &mut engine, hook)? {
+        if let Some(est) = engine.settled() {
+            return Ok(est.clone());
         }
-        .to_string());
     }
-    hook("load", Produced::Done);
-    let est = estimate_offsets_refined_detailed(topology, &[&bundle]);
-    hook("offsets", Produced::Done);
-    Ok(est)
+    drop(source);
+    let (recon, timelines, skewed) = engine.finish_skewed();
+    hook("finish", Produced::Finished(&recon, &timelines));
+    // No records at all: nothing to estimate from.
+    Ok(skewed.map_or_else(|| estimate_offsets_refined_detailed(topology, &[]), |s| s.0))
 }
 
 /// The engine's configuration. With `skew` it holds chunks until the clock
@@ -197,38 +192,13 @@ fn engine_config(skew: bool) -> StreamConfig {
     cfg
 }
 
-/// `microscope diagnose` — the whole-run `.msc` read in
-/// [`DIAGNOSE_WINDOW_MS`] windows into the engine. With `skew`, the engine
-/// settles the clock offsets on a prefix of those windows, as `stream
-/// --skew` does at its own window.
+/// `microscope diagnose` (alias `stream`) — either container into the
+/// engine: a chunked `.mscs` chunk by chunk, a whole-run `.msc` in
+/// `chunk_ms` windows (default [`DIAGNOSE_WINDOW_MS`]). With `skew`, the
+/// engine settles the clock offsets on a prefix of those chunks (on all of
+/// them when the run ends first: the whole-run estimate) and corrects every
+/// chunk by them.
 pub fn diagnose(
-    deployment: &Deployment,
-    bundle: &Path,
-    skew: bool,
-    quantile: f64,
-    top: usize,
-    hook: Hook,
-) -> Result<Run, String> {
-    let path = bundle.display();
-    let mut source =
-        ChunkSource::open(bundle, DIAGNOSE_WINDOW_MS * MILLIS).map_err(|e| opening(&path, &e))?;
-    if let ChunkSource::Chunked(_) = source {
-        return Err(opening(&path, &BundleIoError::Chunked));
-    }
-    let engine = StreamEngine::new(&deployment.0, engine_config(skew));
-    let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
-    let mut run = run_engine(deployment, engine, next, quantile, top, hook)?;
-    run.streamed = None;
-    Ok(run)
-}
-
-/// `microscope stream` — the same engine as [`diagnose`] over either
-/// container: a chunked `.mscs` chunk by chunk, a whole-run `.msc` in
-/// `chunk_ms` windows (default [`STREAM_WINDOW_MS`]). The report equals
-/// `diagnose`'s; with `skew`, for the offsets the stream settled on (the
-/// whole-run estimate when it ends first), which at `diagnose`'s window
-/// are `diagnose --skew`'s.
-pub fn stream(
     deployment: &Deployment,
     bundle: &Path,
     chunk_ms: Option<u64>,
@@ -237,49 +207,11 @@ pub fn stream(
     top: usize,
     hook: Hook,
 ) -> Result<Run, String> {
-    let path = bundle.display();
-    let chunk_ns = chunk_ms.unwrap_or(STREAM_WINDOW_MS) * MILLIS;
-    let mut source = ChunkSource::open(bundle, chunk_ns).map_err(|e| opening(&path, &e))?;
-    if let (ChunkSource::Chunked(_), Some(ms)) = (&source, chunk_ms) {
-        return Err(format!(
-            "--chunk-ms {ms} has no effect on {path}: a .mscs file was cut into chunks when \
-             it was recorded (drop the flag, or stream the whole-run .msc)"
-        ));
-    }
-    let engine = StreamEngine::new(&deployment.0, engine_config(skew));
-    let next = move || source.next_chunk().map_err(|e| reading(&path, &e));
-    run_engine(deployment, engine, next, quantile, top, hook)
-}
-
-fn opening(path: &impl fmt::Display, e: &BundleIoError) -> String {
-    format!("open {path}: {e}")
-}
-
-fn reading(path: &impl fmt::Display, e: &BundleIoError) -> String {
-    format!("read {path}: {e}")
-}
-
-/// Pushes every chunk `next` yields into `engine` — each chunk freed
-/// before the hook looks — then drains the engine and runs the diagnosis
-/// stages on what it reconstructed.
-fn run_engine(
-    deployment: &Deployment,
-    mut engine: StreamEngine,
-    mut next: impl FnMut() -> Result<Option<BundleChunk>, String>,
-    quantile: f64,
-    top: usize,
-    hook: Hook,
-) -> Result<Run, String> {
-    while let Some(chunk) = next()? {
-        engine.push_chunk(&chunk).map_err(|e| e.to_string())?;
-        drop(chunk);
-        hook(
-            &format!("push {}", engine.chunks()),
-            Produced::Engine(&engine),
-        );
-    }
+    let mut source = open(bundle, chunk_ms)?;
+    let mut engine = StreamEngine::new(&deployment.0, engine_config(skew));
+    while push_next(&mut source, bundle, &mut engine, hook)? {}
     // The reader and its windows.
-    drop(next);
+    drop(source);
 
     let streamed = Streamed {
         chunks: engine.chunks(),
@@ -291,7 +223,9 @@ fn run_engine(
     // The timelines hold what the diagnosis reads of the read batches.
     drop(std::mem::take(&mut recon.reads));
 
-    let mut run = diagnose_and_aggregate(deployment, &recon, &timelines, quantile, top, hook);
+    let mut run = diagnose_and_aggregate(
+        deployment, &recon, &timelines, streamed, quantile, top, hook,
+    );
     if let Some((est, held)) = skewed {
         run.settled = Some(if held == streamed.chunks {
             Settled::AtEnd(held)
@@ -301,8 +235,44 @@ fn run_engine(
         run.skew_notes = est.notes(&deployment.0);
         run.report.offsets = Some(est.offsets);
     }
-    run.streamed = Some(streamed);
     Ok(run)
+}
+
+/// Opens `bundle` for reading in `chunk_ms` windows (default
+/// [`DIAGNOSE_WINDOW_MS`]); a window length for a `.mscs`, which was cut
+/// into chunks when it was recorded, is an error.
+fn open(bundle: &Path, chunk_ms: Option<u64>) -> Result<ChunkSource, String> {
+    let path = bundle.display();
+    let chunk_ns = chunk_ms.unwrap_or(DIAGNOSE_WINDOW_MS) * MILLIS;
+    let source = ChunkSource::open(bundle, chunk_ns).map_err(|e| format!("open {path}: {e}"))?;
+    if let (ChunkSource::Chunked(_), Some(ms)) = (&source, chunk_ms) {
+        return Err(format!(
+            "--chunk-ms {ms} has no effect on {path}: a .mscs file was cut into chunks when \
+             it was recorded (drop the flag, or read the whole-run .msc)"
+        ));
+    }
+    Ok(source)
+}
+
+/// Reads the next chunk of `bundle` into `engine` and, the chunk freed,
+/// shows the hook the engine after it. False at the end of the file.
+fn push_next(
+    source: &mut ChunkSource,
+    bundle: &Path,
+    engine: &mut StreamEngine,
+    hook: Hook,
+) -> Result<bool, String> {
+    let next = source.next_chunk();
+    let Some(chunk) = next.map_err(|e| format!("read {}: {e}", bundle.display()))? else {
+        return Ok(false);
+    };
+    engine.push_chunk(&chunk).map_err(|e| e.to_string())?;
+    drop(chunk);
+    hook(
+        &format!("push {}", engine.chunks()),
+        Produced::Engine(engine),
+    );
+    Ok(true)
 }
 
 /// The diagnosis stages: victims, recursive diagnosis,
@@ -311,6 +281,7 @@ fn diagnose_and_aggregate(
     (topology, rates): &Deployment,
     recon: &Reconstruction,
     timelines: &Timelines,
+    streamed: Streamed,
     quantile: f64,
     top: usize,
     hook: Hook,
@@ -373,7 +344,7 @@ fn diagnose_and_aggregate(
             patterns_total,
             patterns,
         },
-        streamed: None,
+        streamed,
         settled: None,
         skew_notes: Vec::new(),
         cache,

@@ -1,6 +1,6 @@
 //! The §6.2 accuracy check on the path an operator runs: inject known
 //! problems, write the files `microscope record` writes, diagnose them with
-//! `pipeline::diagnose` and `pipeline::stream` exactly as the CLI does
+//! `pipeline::diagnose` on both containers exactly as the CLI does
 //! (`--quantile 0.99`, `--top 10`, the 5 000-victim cap), and score the
 //! diagnoses the `diagnose` stage hands its hook against the simulator's
 //! journal — on five seeds, each with its own floor, and pooled.
@@ -103,15 +103,15 @@ fn ranks(seed: u64, dir: &Path) -> [Vec<usize>; 3] {
         save_bundle_chunked(&dir.join(format!("run_{ms}.mscs")), &chunks).expect("write .mscs");
     }
 
-    // What `microscope diagnose` / `stream` run on them.
+    // What `microscope diagnose` runs on them.
     let text = std::fs::read_to_string(&topo_path).expect("read topology");
     let deployment = parse_topology(&text).expect("parse topology");
     let (offline, diagnoses) =
-        watched(|h| pipeline::diagnose(&deployment, &msc, false, QUANTILE, TOP, h));
+        watched(|h| pipeline::diagnose(&deployment, &msc, None, false, QUANTILE, TOP, h));
     for ms in CHUNK_MS {
         let mscs = dir.join(format!("run_{ms}.mscs"));
         let (streamed, streamed_diagnoses) =
-            watched(|h| pipeline::stream(&deployment, &mscs, None, false, QUANTILE, TOP, h));
+            watched(|h| pipeline::diagnose(&deployment, &mscs, None, false, QUANTILE, TOP, h));
         assert_eq!(streamed.report, offline.report, "seed {seed}, {ms} ms");
         assert!(
             streamed_diagnoses == diagnoses,
@@ -119,7 +119,7 @@ fn ranks(seed: u64, dir: &Path) -> [Vec<usize>; 3] {
         );
     }
     let (_, skew_diagnoses) =
-        watched(|h| pipeline::diagnose(&deployment, &skewed_msc, true, QUANTILE, TOP, h));
+        watched(|h| pipeline::diagnose(&deployment, &skewed_msc, None, true, QUANTILE, TOP, h));
 
     // §7: IPID-based reconstruction can occasionally fail; under burst-
     // induced ring overflows we tolerate a sub-0.01% mismatch rate.

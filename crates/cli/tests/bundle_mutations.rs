@@ -1,12 +1,11 @@
 //! Mutations of the other operator input, the bundle bytes: every
 //! truncation of the two golden recordings, every bit of every log header's
-//! NF id, and seeded single-bit flips anywhere, run through `diagnose` (the
-//! `.msc`) or `stream` (the `.mscs`) on the paper topology — the `.msc`
-//! mutants also through the two commands that estimate clock offsets,
-//! `diagnose --skew` and `skew` (every 64th truncation). Each mutant must
-//! come back as a report or an error, never a panic — and a log whose NF id
-//! no longer matches its position must be an error, not a run that indexes
-//! the wrong NF's state by that id.
+//! NF id, and seeded single-bit flips anywhere, run through `diagnose` on the
+//! paper topology — and, in both containers, through the two commands that
+//! estimate clock offsets, `diagnose --skew` and `skew` (every 64th
+//! truncation). Each mutant must come back as a report or an error, never a
+//! panic — and a log whose NF id no longer matches its position must be an
+//! error, not a run that indexes the wrong NF's state by that id.
 
 use microscope_cli::pipeline;
 use msc_collector::{chunk_bundle, read_bundle, save_bundle, save_bundle_chunked};
@@ -62,31 +61,20 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
     let (mut mutants, mut panicked, mut accepted) = (0, Vec::new(), Vec::new());
     for (clean, chunked) in [(WHOLE, false), (CHUNKED, true)] {
         let path = dir.join(if chunked { "run.mscs" } else { "run.msc" });
-        // Whether each command returned `Ok` — `stream` on a `.mscs`;
-        // `diagnose` on a `.msc`, and with `skew` also `diagnose --skew`
-        // and `skew`. `None` if one panicked.
+        // Whether each command returned `Ok` — `diagnose`, and with `skew`
+        // also `diagnose --skew` and `skew`. `None` if one panicked.
         let mut run = |label: String, bytes: &[u8], skew: bool| {
             mutants += 1;
             std::fs::write(&path, bytes).unwrap();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
-                if chunked {
-                    return vec![pipeline::stream(
-                        &deployment,
-                        &path,
-                        None,
-                        false,
-                        0.99,
-                        10,
-                        quiet,
-                    )
-                    .is_ok()];
-                }
-                let mut ok =
-                    vec![pipeline::diagnose(&deployment, &path, false, 0.99, 10, quiet).is_ok()];
+                let diagnose = |skew| {
+                    let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
+                    pipeline::diagnose(&deployment, &path, None, skew, 0.99, 10, quiet).is_ok()
+                };
+                let mut ok = vec![diagnose(false)];
                 if skew {
-                    ok.push(pipeline::diagnose(&deployment, &path, true, 0.99, 10, quiet).is_ok());
-                    ok.push(pipeline::skew(&deployment.0, &path, quiet).is_ok());
+                    ok.push(diagnose(true));
+                    ok.push(pipeline::skew(&deployment.0, &path, &mut |_, _| {}).is_ok());
                 }
                 ok
             }));
@@ -144,8 +132,8 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
 /// it, since nothing follows it. `diagnose --skew` used to cut the
 /// corrected run into one chunk per 10 ms of that span and abort when an
 /// allocation failed. Now every command that estimates clock offsets comes
-/// back with a report or an error, and pushes at most one chunk more than
-/// on the clean file.
+/// back with a report or an error, and `diagnose --skew`, at its default
+/// window and at 50 ms, pushes at most one chunk more than on the clean file.
 #[test]
 fn a_record_days_past_the_rest_costs_one_chunk_with_skew() {
     let deployment = deployment();
@@ -169,13 +157,15 @@ fn a_record_days_past_the_rest_costs_one_chunk_with_skew() {
         pipeline::skew(&deployment.0, path, quiet).expect("skew");
     }
     let diagnose = |path: &std::path::Path| {
-        pushes(&|hook| pipeline::diagnose(&deployment, path, true, 0.99, 10, hook).is_ok())
+        pushes(&|hook| pipeline::diagnose(&deployment, path, None, true, 0.99, 10, hook).is_ok())
     };
-    let stream = |path: &std::path::Path| {
-        pushes(&|hook| pipeline::stream(&deployment, path, None, true, 0.99, 10, hook).is_ok())
+    let at_50_ms = |path: &std::path::Path| {
+        pushes(&|hook| {
+            pipeline::diagnose(&deployment, path, Some(50), true, 0.99, 10, hook).is_ok()
+        })
     };
     let (clean_diagnosed, late_diagnosed) = (diagnose(&clean), diagnose(&mutant));
-    let (clean_streamed, late_streamed) = (stream(&clean), stream(&mutant));
+    let (clean_streamed, late_streamed) = (at_50_ms(&clean), at_50_ms(&mutant));
     let _ = std::fs::remove_dir_all(&dir);
     assert!(clean_diagnosed.1 && clean_streamed.1);
     assert!(
@@ -184,14 +174,14 @@ fn a_record_days_past_the_rest_costs_one_chunk_with_skew() {
     );
     assert!(
         late_streamed.0 <= clean_streamed.0 + 1,
-        "stream --skew: {late_streamed:?} against {clean_streamed:?} on the clean file"
+        "--chunk-ms 50: {late_streamed:?} against {clean_streamed:?} on the clean file"
     );
 }
 
 /// A log whose read batches go back in time — which the engine's `admit`
 /// would take as the NF's oldest record first — is an error naming the NF
-/// and the section from `diagnose` on the `.msc` and from `stream` on a
-/// `.mscs` holding the run in one chunk, not a report.
+/// and the section from `diagnose` on the `.msc` and on a `.mscs` holding
+/// the run in one chunk, not a report.
 #[test]
 fn a_section_that_goes_back_in_time_is_an_error_in_both_containers() {
     let deployment = parse_topology(&emit_topology(&paper_topology(), &[1e6; 16])).unwrap();
@@ -206,10 +196,10 @@ fn a_section_that_goes_back_in_time_is_an_error_in_both_containers() {
     save_bundle_chunked(&mscs, &chunk_bundle(&bundle, u64::MAX)).unwrap();
 
     let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
-    let diagnosed = pipeline::diagnose(&deployment, &msc, false, 0.99, 10, quiet);
-    let streamed = pipeline::stream(&deployment, &mscs, None, false, 0.99, 10, quiet);
+    let diagnosed = pipeline::diagnose(&deployment, &msc, None, false, 0.99, 10, quiet);
+    let streamed = pipeline::diagnose(&deployment, &mscs, None, false, 0.99, 10, quiet);
     let _ = std::fs::remove_dir_all(&dir);
-    for (mode, result) in [("diagnose .msc", diagnosed), ("stream .mscs", streamed)] {
+    for (mode, result) in [("diagnose .msc", diagnosed), ("diagnose .mscs", streamed)] {
         let err = result.expect_err(mode);
         assert!(
             err.contains("the rx section of NF 3 goes back in time"),

@@ -1,8 +1,8 @@
 //! A source host's 16-bit IPID counter wraps from 65 535 to 0 right at a
 //! window boundary: the two packets either side of the wrap are read into
-//! different chunks by every window length. `stream` must still diagnose
-//! exactly what `diagnose` does, byte for byte, at 1, 5 and 50 ms windows,
-//! from the whole-run file and from files chunked at record time.
+//! different chunks by every window length. `diagnose` must print the same
+//! report, byte for byte, at its default 10 ms and at 1, 5 and 50 ms
+//! windows, from the whole-run file and from files chunked at record time.
 
 use microscope_cli::pipeline::{self, Deployment, Produced, Report};
 use msc_collector::{chunk_bundle, save_bundle, save_bundle_chunked};
@@ -23,15 +23,13 @@ const CHUNK_MS: [u64; 3] = [1, 5, 50];
 /// O(edges) — every packet the simulator delivered.
 const DELIVERED: u64 = 58_522;
 
-/// The report `diagnose` (no window) or `stream` prints on `bundle`.
-fn report(deployment: &Deployment, bundle: &Path, window_ms: Option<Option<u64>>) -> Report {
+/// The report `diagnose --chunk-ms` prints on `bundle` (no `chunk_ms`: its
+/// default window on a `.msc`, the recorded chunks of a `.mscs`).
+fn report(deployment: &Deployment, bundle: &Path, chunk_ms: Option<u64>) -> Report {
     let hook = &mut |_: &str, _: Produced<'_>| {};
-    match window_ms {
-        None => pipeline::diagnose(deployment, bundle, false, 0.99, 10, hook),
-        Some(ms) => pipeline::stream(deployment, bundle, ms, false, 0.99, 10, hook),
-    }
-    .expect("pipeline run")
-    .report
+    pipeline::diagnose(deployment, bundle, chunk_ms, false, 0.99, 10, hook)
+        .expect("pipeline run")
+        .report
 }
 
 #[test]
@@ -98,7 +96,7 @@ fn ipid_wrap_at_a_window_seam_streams_like_offline() {
         wrap[1].ts
     );
 
-    // The files `microscope record` writes, read as `diagnose` and `stream`.
+    // The files `microscope record` writes, read as `diagnose` reads them.
     let dir = std::env::temp_dir().join(format!("msc_cli_ipid_wrap_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let msc = dir.join("run.msc");
@@ -109,9 +107,9 @@ fn ipid_wrap_at_a_window_seam_streams_like_offline() {
     for ms in CHUNK_MS {
         let mscs = dir.join(format!("run_{ms}.mscs"));
         save_bundle_chunked(&mscs, &chunk_bundle(&out.bundle, ms * MILLIS)).expect("write .mscs");
-        let from_msc = report(&deployment, &msc, Some(Some(ms))).to_string();
+        let from_msc = report(&deployment, &msc, Some(ms)).to_string();
         assert_eq!(from_msc, stdout, "{ms} ms windows of the .msc");
-        let from_mscs = report(&deployment, &mscs, Some(None)).to_string();
+        let from_mscs = report(&deployment, &mscs, None).to_string();
         assert_eq!(from_mscs, stdout, "the .mscs chunked at {ms} ms");
     }
     let recon = offline.reconstruction;

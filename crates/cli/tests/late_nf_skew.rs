@@ -4,8 +4,9 @@
 //! no records in the held prefix has no estimate, only the fallback 0: were
 //! the offsets settled without it, its later records would be corrected by 0
 //! and read milliseconds off its true clock, and the traces through it lost.
-//! Both `diagnose --skew` and `stream --skew --chunk-ms 10` must give that NF
-//! its true offset and reconstruct every packet the simulator delivered.
+//! `diagnose --skew`, at its default window and with `--chunk-ms 10` given,
+//! must give that NF its true offset and reconstruct every packet the
+//! simulator delivered.
 
 use microscope_cli::pipeline::{self, Run, Settled};
 use msc_collector::save_bundle;
@@ -69,10 +70,10 @@ fn an_nf_whose_traffic_starts_late_gets_its_true_offset() {
     let deployment = parse_topology(&emit_topology(&topology, &rates)).expect("topology text");
 
     let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
-    let diagnosed = pipeline::diagnose(&deployment, &msc, true, 0.99, 10, quiet);
-    let streamed = pipeline::stream(&deployment, &msc, Some(10), true, 0.99, 10, quiet);
+    let diagnosed = pipeline::diagnose(&deployment, &msc, None, true, 0.99, 10, quiet);
+    let windowed = pipeline::diagnose(&deployment, &msc, Some(10), true, 0.99, 10, quiet);
     let _ = std::fs::remove_dir_all(&dir);
-    for (what, run) in [("diagnose --skew", diagnosed), ("stream --skew", streamed)] {
+    for (what, run) in [("diagnose --skew", diagnosed), ("--chunk-ms 10", windowed)] {
         let run: Run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
         let r = &run.report.reconstruction;
         assert_eq!(run.report.offsets.as_ref(), Some(&clocks), "{what}");

@@ -2,12 +2,13 @@
 //! call order — they are the rows of `results/mem_stages*.txt` — and a run
 //! that is watched returns what an unwatched one does:
 //!
-//! * `diagnose`, and `stream` on either container, with or without
-//!   `--skew`: `push 1` … `push N`, `finish`, `diagnose`, `relations`,
-//!   `aggregate`;
-//! * `skew`: `load`, `offsets`.
+//! * `diagnose` on either container, with or without `--skew`: `push 1` …
+//!   `push N`, `finish`, `diagnose`, `relations`, `aggregate`;
+//! * `skew`: `push 1` … `push K`, K the chunk after which `diagnose --skew`
+//!   settled its offsets (or every push and `finish`, where it settled only
+//!   at the end).
 
-use microscope_cli::pipeline::{self, Hook, Run};
+use microscope_cli::pipeline::{self, Hook, Run, Settled};
 use nf_types::parse_topology;
 use std::process::Command;
 
@@ -22,27 +23,19 @@ fn watched(run: impl Fn(Hook<'_>) -> Result<Run, String>) -> (Vec<String>, Run) 
     (names, seen)
 }
 
-/// The names after `before` — the stages of a run through the engine:
-/// `push 1` … `push N`, `finish`, then the diagnosis stages. Returns N.
-fn assert_engine_stages(names: &[String], before: &[&str]) -> usize {
-    let (head, rest) = names.split_at(before.len());
-    assert_eq!(head, before);
-    let chunks = rest.iter().take_while(|n| n.starts_with("push ")).count();
+/// A run's names: `push 1` … `push N`, one per chunk, `finish`, then the
+/// diagnosis stages.
+fn assert_engine_stages(names: &[String], run: &Run) {
+    let chunks = names.iter().take_while(|n| n.starts_with("push ")).count();
     assert!(chunks >= 2, "{chunks} chunks");
-    for (i, name) in rest[..chunks].iter().enumerate() {
+    assert_eq!(chunks as u64, run.streamed.chunks);
+    for (i, name) in names[..chunks].iter().enumerate() {
         assert_eq!(*name, format!("push {}", i + 1));
     }
     assert_eq!(
-        &rest[chunks..],
+        &names[chunks..],
         ["finish", "diagnose", "relations", "aggregate"]
     );
-    chunks
-}
-
-/// A `stream` run's names: the engine's stages, one push per chunk.
-fn assert_streamed(names: &[String], run: &Run) {
-    let chunks = run.streamed.expect("a streamed run").chunks;
-    assert_eq!(assert_engine_stages(names, &[]) as u64, chunks);
 }
 
 #[test]
@@ -50,7 +43,7 @@ fn the_hook_sees_the_documented_stages_in_order_and_changes_nothing() {
     let dir = std::env::temp_dir().join(format!("msc_cli_stage_hook_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let record = Command::new(env!("CARGO_BIN_EXE_microscope"))
-        // 60 ms: two of `diagnose`'s 50 ms windows.
+        // 60 ms: six of `diagnose`'s 10 ms windows.
         .args(["record", "--millis", "60", "--rate", "1.0", "--seed", "7"])
         .args(["--interrupt", "nat2:8:800", "--chunk-ms", "10", "--out"])
         .arg(&dir)
@@ -61,27 +54,37 @@ fn the_hook_sees_the_documented_stages_in_order_and_changes_nothing() {
     let deployment = parse_topology(&text).expect("parse topology");
     let (msc, mscs) = (dir.join("run.msc"), dir.join("run.mscs"));
 
-    let (names, offline) = watched(|h| pipeline::diagnose(&deployment, &msc, false, 0.99, 10, h));
-    assert_engine_stages(&names, &[]);
+    let (names, offline) =
+        watched(|h| pipeline::diagnose(&deployment, &msc, None, false, 0.99, 10, h));
+    assert_engine_stages(&names, &offline);
 
-    let (names, _) = watched(|h| pipeline::diagnose(&deployment, &msc, true, 0.99, 10, h));
-    assert_engine_stages(&names, &[]);
+    let (names, skewed) =
+        watched(|h| pipeline::diagnose(&deployment, &msc, None, true, 0.99, 10, h));
+    assert_engine_stages(&names, &skewed);
 
     let (names, streamed) =
-        watched(|h| pipeline::stream(&deployment, &mscs, None, false, 0.99, 10, h));
-    assert_streamed(&names, &streamed);
+        watched(|h| pipeline::diagnose(&deployment, &mscs, None, false, 0.99, 10, h));
+    assert_engine_stages(&names, &streamed);
     assert_eq!(streamed.report, offline.report);
 
     let (names, streamed) =
-        watched(|h| pipeline::stream(&deployment, &msc, Some(10), false, 0.99, 10, h));
-    assert_streamed(&names, &streamed);
+        watched(|h| pipeline::diagnose(&deployment, &msc, Some(5), false, 0.99, 10, h));
+    assert_engine_stages(&names, &streamed);
     assert_eq!(streamed.report, offline.report);
 
+    // `skew` reads `diagnose --skew`'s windows up to the one its offsets
+    // settled on.
     let mut names = Vec::new();
     pipeline::skew(&deployment.0, &msc, &mut |stage, _| {
         names.push(stage.to_string())
     })
     .expect("skew");
-    assert_eq!(names, ["load", "offsets"]);
+    let pushes = |n: u64| (1..=n).map(|i| format!("push {i}"));
+    let expected: Vec<String> = match skewed.settled {
+        Some(Settled::After(held)) => pushes(held).collect(),
+        Some(Settled::AtEnd(held)) => pushes(held).chain(["finish".to_string()]).collect(),
+        None => panic!("diagnose --skew reports when its offsets settled"),
+    };
+    assert_eq!(names, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Mutations of the one operator-written input, the deployment description:
 //! every mutant of the `topology.txt` that `record` writes is either refused
-//! by `parse_topology` with a typed error or carried through `diagnose` and
-//! `stream` on the recorded bundle without a panic, to one report — and a
+//! by `parse_topology` with a typed error or carried through `diagnose` on
+//! both recorded containers without a panic, to one report — and a
 //! description that lost an edge the bundle's packets crossed is visible in
 //! the run (`unmatched_rx`, the condition of the CLI's "recorded on this
 //! topology?" note), where the description `record` wrote is not.
@@ -11,18 +11,19 @@ use nf_types::parse_topology;
 use std::path::Path;
 use std::process::Command;
 
-/// `diagnose` and `stream` on `text`, when it parses: what both made of it.
+/// `diagnose` on the `.msc` and on the `.mscs` with `text`, when it parses:
+/// what both made of it.
 /// A panic in either is the test's failure; the mutant's name is on stderr
 /// just before it.
 fn run_both(label: &str, text: &str, msc: &Path, mscs: &Path) -> Option<Result<Run, String>> {
     eprintln!("mutant: {label}");
     let deployment = parse_topology(text).ok()?;
-    let offline = pipeline::diagnose(&deployment, msc, false, 0.99, 10, &mut |_, _| {});
-    let streamed = pipeline::stream(&deployment, mscs, None, false, 0.99, 10, &mut |_, _| {});
+    let offline = pipeline::diagnose(&deployment, msc, None, false, 0.99, 10, &mut |_, _| {});
+    let streamed = pipeline::diagnose(&deployment, mscs, None, false, 0.99, 10, &mut |_, _| {});
     match (&offline, &streamed) {
         (Ok(a), Ok(b)) => assert_eq!(a.report, b.report, "{label}"),
         (Err(_), Err(_)) => {}
-        _ => panic!("{label}: diagnose {offline:?}, stream {streamed:?}"),
+        _ => panic!("{label}: diagnose .msc {offline:?}, diagnose .mscs {streamed:?}"),
     }
     Some(offline)
 }

@@ -89,7 +89,7 @@ impl fmt::Display for BundleIoError {
             BundleIoError::BadMagic => write!(f, "not a Microscope bundle (bad magic)"),
             BundleIoError::Chunked => write!(
                 f,
-                "a time-chunked bundle (.mscs), not a whole-run one: `microscope stream` reads it"
+                "a time-chunked bundle (.mscs), not a whole-run one: `microscope diagnose` reads it"
             ),
             BundleIoError::BadVersion(v) => write!(f, "unsupported bundle version {v}"),
             BundleIoError::Log(e @ EncodeError::OutOfOrder { .. }) => write!(f, "{e}"),
@@ -1207,7 +1207,7 @@ mod tests {
         let err = read_bundle(&chunked[..]).unwrap_err();
         assert!(matches!(err, BundleIoError::Chunked), "{err}");
         let msg = err.to_string();
-        assert!(msg.contains("chunked") && msg.contains("stream"), "{msg}");
+        assert!(msg.contains("chunked") && msg.contains("diagnose"), "{msg}");
         let mut buf = Vec::new();
         write_bundle(&mut buf, &sample_bundle()).unwrap();
         buf[4] = 99; // version

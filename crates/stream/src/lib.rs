@@ -1,9 +1,9 @@
 //! Streaming diagnosis engine — the one reconstructor every `microscope`
 //! command runs.
 //!
-//! `diagnose` and `stream` both feed [`StreamEngine`] the records as a
-//! stream of time-ordered [`msc_collector::BundleChunk`]s, read from either
-//! bundle container by `msc_collector::ChunkSource`; the figures, the
+//! `diagnose` (alias `stream`) and `skew` feed [`StreamEngine`] the records
+//! as a stream of time-ordered [`msc_collector::BundleChunk`]s, read from
+//! either bundle container by `msc_collector::ChunkSource`; the figures, the
 //! examples and the tests reconstruct a bundle in memory through the same
 //! [`msc_trace::WindowedReconstructor`] (`msc_trace::reconstruct`, in
 //! `diagnose`'s windows). The whole-run stages (`EdgeStreams::build` →
@@ -21,7 +21,8 @@
 //! * **Optional skew correction** — with [`StreamConfig::skew`] set, chunks
 //!   are held until the clock offsets estimated over them settle, then all
 //!   corrected by that one estimate ([`StreamEngine::push_chunk`]). This is
-//!   `--skew` in both `diagnose` and `stream`.
+//!   `diagnose --skew`; `skew` reads until the offsets settle
+//!   ([`StreamEngine::settled`]) and prints them.
 //!
 //! Chunks must arrive in time order, each once: a chunk whose `until` does
 //! not exceed the previous one's, or that carries a record from before it,
@@ -112,8 +113,8 @@ impl StreamEngine {
     /// timestamps) and advances the reconstruction watermark.
     ///
     /// In skew mode the chunk is held until the clock offsets settle. They
-    /// are estimated over the held chunks, again whenever those have doubled,
-    /// by the estimator `microscope skew` runs on the whole bundle; when two
+    /// are estimated over the held chunks, again whenever those have doubled
+    /// (`estimate_offsets_refined_detailed`, read where they lie); when two
     /// successive estimates agree the later one is final, and the held chunks
     /// and every later one are corrected by it and ingested.
     pub fn push_chunk(&mut self, chunk: &BundleChunk) -> Result<(), StreamError> {
@@ -169,6 +170,17 @@ impl StreamEngine {
     /// Chunks consumed so far.
     pub fn chunks(&self) -> u64 {
         self.chunks
+    }
+
+    /// In skew mode, once the clock offsets have settled mid-stream: the
+    /// estimate every chunk is corrected by. `None` while they are unsettled
+    /// (a stream that ends so settles in [`finish_skewed`]) and without skew
+    /// mode.
+    ///
+    /// [`finish_skewed`]: StreamEngine::finish_skewed
+    pub fn settled(&self) -> Option<&SkewEstimates> {
+        let skew = self.skew.as_ref()?;
+        skew.settled.and(skew.estimate.as_ref())
     }
 
     /// Approximate bytes held by the evictable frontier right now: the
@@ -595,6 +607,7 @@ mod tests {
             engine.push_chunk(chunk).expect("chunk fits topology");
             // Nothing is ingested while the offsets are unsettled.
             if engine.report().total == 0 {
+                assert!(engine.settled().is_none());
                 held += chunk_bytes(&chunk.bundle);
                 held_chunks += 1;
                 assert_eq!(engine.working_set(), held, "held bytes are counted");
@@ -611,8 +624,14 @@ mod tests {
             engine.working_set(),
             plain.working_set()
         );
+        let settled = engine.settled().cloned().expect("settled mid-stream");
         let (.., skew) = engine.finish_skewed();
+        let (est, held) = skew.expect("settled");
+        assert_eq!(
+            est, settled,
+            "finish keeps the estimate the stream settled on"
+        );
         // The chunk that settled the offsets was held too.
-        assert_eq!(skew.expect("settled").1, held_chunks + 1);
+        assert_eq!(held, held_chunks + 1);
     }
 }
