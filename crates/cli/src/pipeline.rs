@@ -1,12 +1,15 @@
 //! The `diagnose` / `skew` call sequences — bundle file → report — written
 //! once. (`stream` is another name for `diagnose`.)
 //!
-//! Both run one reconstructor, the windowed [`StreamEngine`], on time chunks
-//! read straight from the file ([`ChunkSource`]: a whole-run `.msc` in
-//! windows, [`DIAGNOSE_WINDOW_MS`] long unless `--chunk-ms` says otherwise,
-//! a `.mscs` as it was chunked). With `--skew` the engine holds windows until
-//! the clock offsets estimated over them settle, then corrects every window
-//! by that estimate; `skew` stops there and returns the estimate. The
+//! Both read time chunks straight from the file ([`ChunkSource`]: a
+//! whole-run `.msc` in windows, [`DIAGNOSE_WINDOW_MS`] long unless
+//! `--chunk-ms` says otherwise, a `.mscs` as it was chunked). `diagnose` runs
+//! them through one reconstructor, the windowed [`StreamEngine`]; with
+//! `--skew` the engine holds windows until the clock offsets estimated over
+//! them settle ([`OffsetSettler`]), then corrects every window by that
+//! estimate. `skew` checks the same windows as the engine does
+//! ([`ChunkOrder`]) and hands them to the same settler, and reconstructs
+//! nothing: it returns the estimate `diagnose --skew` corrects by. The
 //! in-memory `msc_trace::reconstruct` the figures and the tests run cuts its
 //! bundle into the same windows: one engine, one window size. The whole-run
 //! stages (`EdgeStreams::build` → `match_all` → `assemble`) are not called
@@ -26,7 +29,8 @@
 //! * `diagnose`, with or without `--skew`: `push 1` … `push N`, `finish`,
 //!   then the diagnosis stages `diagnose`, `relations`, `aggregate`;
 //! * `skew`: `push 1` … `push K`, where the offsets settled after chunk K,
-//!   or every push and `finish` when they settled only at the end.
+//!   or every chunk of a run that ends before they settle. There is no
+//!   `finish`: nothing is reconstructed.
 
 use autofocus::{Pattern, PatternConfig};
 use microscope::{
@@ -35,8 +39,8 @@ use microscope::{
 use msc_collector::ChunkSource;
 use msc_stream::{StreamConfig, StreamEngine};
 use msc_trace::{
-    estimate_offsets_refined_detailed, Reconstruction, ReconstructionReport, SkewConfig,
-    SkewEstimates, Timelines, DIAGNOSE_WINDOW_MS,
+    ChunkOrder, OffsetSettler, Reconstruction, ReconstructionReport, SkewEstimates, Timelines,
+    DIAGNOSE_WINDOW_MS,
 };
 use nf_types::{Nanos, NodeId, TimeDelta, Topology, MICROS, MILLIS};
 use std::collections::BTreeMap;
@@ -55,9 +59,10 @@ pub type Hook<'a> = &'a mut dyn FnMut(&str, Produced<'_>);
 
 /// What a stage just produced, lent to the [`Hook`].
 pub enum Produced<'a> {
-    /// `relations`, `aggregate`: nothing is lent.
+    /// `relations`, `aggregate` and `skew`'s `push N`: nothing is lent.
     Done,
-    /// `push N`: the engine after its N-th chunk (that chunk already freed).
+    /// `diagnose`'s `push N`: the engine after its N-th chunk (that chunk
+    /// already freed).
     Engine(&'a StreamEngine),
     /// `finish`: the drained engine's traces and timelines.
     Finished(&'a Reconstruction, &'a Timelines),
@@ -159,37 +164,29 @@ pub struct Run {
 }
 
 /// `microscope skew` — clock-offset estimation only: the offsets
-/// `diagnose --skew` settles on, from the same windows of either container.
-/// Reading stops when they settle; a run that ends first settles on the
-/// whole-run estimate, as `diagnose` does. An NF with no usable samples gets
-/// offset 0, which reads exactly like a synchronised clock —
-/// `SkewEstimates::notes` names each such fallback.
+/// `diagnose --skew` settles on, from the same windows of either container,
+/// checked as `diagnose` checks them ([`ChunkOrder`]) and held by the same
+/// [`OffsetSettler`]. Reading stops when they settle; a run that ends first
+/// settles on the whole-run estimate, as `diagnose` does. Nothing is
+/// corrected or reconstructed. An NF with no usable samples gets offset 0,
+/// which reads exactly like a synchronised clock — `SkewEstimates::notes`
+/// names each such fallback.
 pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstimates, String> {
     let mut source = open(bundle, None)?;
-    let mut engine = StreamEngine::new(topology, engine_config(true));
-    while push_next(&mut source, bundle, &mut engine, hook)? {
-        if let Some(est) = engine.settled() {
-            return Ok(est.clone());
+    let mut order = ChunkOrder::new(topology);
+    let mut settler = OffsetSettler::new(SKEW_SLACK_NS);
+    let read = |e| format!("read {}: {e}", bundle.display());
+    while let Some(chunk) = source.next_chunk().map_err(read)? {
+        order
+            .admit(&chunk.bundle, chunk.until)
+            .map_err(|e| e.to_string())?;
+        let settled = settler.hold(topology, chunk);
+        hook(&format!("push {}", settler.held()), Produced::Done);
+        if settled {
+            break;
         }
     }
-    drop(source);
-    let (recon, timelines, skewed) = engine.finish_skewed();
-    hook("finish", Produced::Finished(&recon, &timelines));
-    // No records at all: nothing to estimate from.
-    Ok(skewed.map_or_else(|| estimate_offsets_refined_detailed(topology, &[]), |s| s.0))
-}
-
-/// The engine's configuration. With `skew` it holds chunks until the clock
-/// offsets settle, and matches with [`SKEW_SLACK_NS`] of negative slack for
-/// what the correction leaves of each offset — also the tolerance within
-/// which two successive estimates agree.
-fn engine_config(skew: bool) -> StreamConfig {
-    let mut cfg = StreamConfig::default();
-    if skew {
-        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
-        cfg.skew = Some(SkewConfig::default());
-    }
-    cfg
+    Ok(settler.finish(topology))
 }
 
 /// `microscope diagnose` (alias `stream`) — either container into the
@@ -208,7 +205,17 @@ pub fn diagnose(
     hook: Hook,
 ) -> Result<Run, String> {
     let mut source = open(bundle, chunk_ms)?;
-    let mut engine = StreamEngine::new(&deployment.0, engine_config(skew));
+    // With `skew` the engine holds chunks until the clock offsets settle,
+    // and matches with negative slack for what the correction leaves of
+    // each offset — also the tolerance within which two estimates agree.
+    let mut cfg = StreamConfig {
+        skew,
+        ..Default::default()
+    };
+    if skew {
+        cfg.matching.negative_slack_ns = SKEW_SLACK_NS;
+    }
+    let mut engine = StreamEngine::new(&deployment.0, cfg);
     while push_next(&mut source, bundle, &mut engine, hook)? {}
     // The reader and its windows.
     drop(source);

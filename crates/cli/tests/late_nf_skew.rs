@@ -6,7 +6,8 @@
 //! and read milliseconds off its true clock, and the traces through it lost.
 //! `diagnose --skew`, at its default window and with `--chunk-ms 10` given,
 //! must give that NF its true offset and reconstruct every packet the
-//! simulator delivered.
+//! simulator delivered; `skew`, which runs the same settle policy without
+//! the engine, must print the same true offsets.
 
 use microscope_cli::pipeline::{self, Run, Settled};
 use msc_collector::save_bundle;
@@ -72,7 +73,11 @@ fn an_nf_whose_traffic_starts_late_gets_its_true_offset() {
     let quiet = &mut |_: &str, _: pipeline::Produced<'_>| {};
     let diagnosed = pipeline::diagnose(&deployment, &msc, None, true, 0.99, 10, quiet);
     let windowed = pipeline::diagnose(&deployment, &msc, Some(10), true, 0.99, 10, quiet);
+    let estimated = pipeline::skew(&topology, &msc, quiet);
     let _ = std::fs::remove_dir_all(&dir);
+    let estimated = estimated.expect("skew");
+    assert_eq!(estimated.offsets, clocks, "skew");
+    assert!(estimated.notes(&topology).is_empty(), "skew: {estimated:?}");
     for (what, run) in [("diagnose --skew", diagnosed), ("--chunk-ms 10", windowed)] {
         let run: Run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
         let r = &run.report.reconstruction;

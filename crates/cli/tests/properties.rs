@@ -192,8 +192,7 @@ fn skew_corrected_pipeline_never_underflows() {
         };
         // Path 1: the estimator's own offsets (whatever it makes of the
         // adversarial clocks).
-        let est =
-            msc_trace::estimate_offsets_refined(&topo, &bundle, &msc_trace::SkewConfig::default());
+        let est = msc_trace::estimate_offsets_refined_detailed(&topo, &[&bundle]).offsets;
         let fixed = msc_trace::correct_bundle(&bundle, &est);
         let (recon, _) = reconstruct(&topo, &fixed, &ReconstructionConfig::default()).unwrap();
         let _ = microscope::find_victims(&recon, &vcfg);

@@ -31,8 +31,8 @@
 //!
 //! Every record with timestamp `< until` (and `>=` the previous chunk's
 //! `until`) lives in the chunk; per-NF batch order is preserved, so the
-//! concatenation of all chunks reproduces the original bundle record for
-//! record ([`chunk_bundle`] + [`concat_chunks`] round-trip, tested below).
+//! chunks' sections, one after the other, are the original bundle's record
+//! for record ([`chunk_bundle`] keeps every record, tested below).
 //! [`BundleChunkReader`] iterates a chunked file holding one chunk in
 //! memory at a time.
 //!
@@ -261,7 +261,7 @@ pub struct BundleChunk {
 ///
 /// Batches are assigned by their batch timestamp and source/flow records by
 /// their record timestamp; relative order within every log is preserved, so
-/// [`concat_chunks`] reproduces the input exactly. Every boundary is a
+/// the chunks' sections, one after the other, are the input's. Every boundary is a
 /// multiple of `chunk_ns`, and only the windows that hold a record become
 /// chunks — the windows [`ChunkSource`] reads a whole-run file in — so a
 /// run on clocks far from 0 (`record --skew` puts every clock at a 10 s
@@ -341,32 +341,6 @@ pub fn chunk_bundle(bundle: &TraceBundle, chunk_ns: Nanos) -> Vec<BundleChunk> {
         chunks[slot(&mut at, f.ts)].bundle.source_flows.push(*f);
     }
     chunks
-}
-
-/// Re-joins chunks into a whole-run bundle (the inverse of
-/// [`chunk_bundle`] for chunks in time order).
-pub fn concat_chunks(chunks: &[BundleChunk]) -> TraceBundle {
-    let Some(first) = chunks.first() else {
-        return TraceBundle {
-            logs: Vec::new(),
-            source_flows: Vec::new(),
-        };
-    };
-    let mut out = first.bundle.clone();
-    for c in &chunks[1..] {
-        for (log, part) in out.logs.iter_mut().zip(&c.bundle.logs) {
-            for b in part.rx.iter() {
-                log.rx.push(b.ts, b.ipids.iter().copied());
-            }
-            for b in part.tx.iter() {
-                log.tx.push(b.ts, b.to, b.ipids.iter().copied());
-            }
-            log.flows.extend(part.flows.iter().copied());
-        }
-        out.source_flows
-            .extend(c.bundle.source_flows.iter().copied());
-    }
-    out
 }
 
 /// Serialises a chunk sequence to any writer in the `"MSCS"` container.
@@ -875,6 +849,23 @@ mod tests {
         assert_eq!(back, bundle);
     }
 
+    /// The chunks' sections, one after the other, are `bundle`'s, record
+    /// for record.
+    fn assert_keeps_every_record(chunks: &[BundleChunk], bundle: &TraceBundle, what: &str) {
+        for (i, log) in bundle.logs.iter().enumerate() {
+            let parts = || chunks.iter().map(move |c| &c.bundle.logs[i]);
+            assert!(parts().all(|part| part.nf == log.nf), "{what}: log {i}");
+            let rx = parts().flat_map(|part| part.rx.iter());
+            assert!(rx.eq(log.rx.iter()), "{what}: rx of log {i}");
+            let tx = parts().flat_map(|part| part.tx.iter());
+            assert!(tx.eq(log.tx.iter()), "{what}: tx of log {i}");
+            let flows = parts().flat_map(|part| &part.flows);
+            assert!(flows.eq(&log.flows), "{what}: flows of log {i}");
+        }
+        let source = chunks.iter().flat_map(|c| &c.bundle.source_flows);
+        assert!(source.eq(&bundle.source_flows), "{what}: source flows");
+    }
+
     #[test]
     fn chunk_concat_reproduces_original() {
         let bundle = sample_bundle();
@@ -895,7 +886,7 @@ mod tests {
                 }
                 prev = c.until;
             }
-            assert_eq!(concat_chunks(&chunks), bundle, "chunk_ns={chunk_ns}");
+            assert_keeps_every_record(&chunks, &bundle, &format!("chunk_ns={chunk_ns}"));
         }
     }
 
@@ -930,7 +921,7 @@ mod tests {
                 !chunks[0].bundle.source_flows.is_empty(),
                 "leading empty chunk"
             );
-            assert_eq!(concat_chunks(&chunks), shifted, "chunk_ns={chunk_ns}");
+            assert_keeps_every_record(&chunks, &shifted, &format!("chunk_ns={chunk_ns}"));
         }
         // A run whose first record is in chunk 0 still starts at chunk 0.
         assert_eq!(chunk_bundle(&base, 7_000)[0].until, 7_000);
@@ -970,7 +961,7 @@ mod tests {
         };
         let chunks = chunk_bundle(&bundle, 1_000);
         assert_eq!(chunks.len(), 1);
-        assert_eq!(concat_chunks(&chunks), bundle);
+        assert_eq!(chunks[0].bundle, bundle);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod encode;
 pub mod records;
 
 pub use bundle_io::{
-    chunk_bundle, concat_chunks, load_bundle, read_bundle, save_bundle, save_bundle_chunked,
-    write_bundle, write_bundle_chunked, BundleChunk, BundleChunkReader, BundleIoError, ChunkSource,
+    chunk_bundle, load_bundle, read_bundle, save_bundle, save_bundle_chunked, write_bundle,
+    write_bundle_chunked, BundleChunk, BundleChunkReader, BundleIoError, ChunkSource,
     WholeRunReader,
 };
 pub use collector::{Collector, CollectorConfig, NfLog, TraceBundle};

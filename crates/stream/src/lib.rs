@@ -1,9 +1,9 @@
 //! Streaming diagnosis engine — the one reconstructor every `microscope`
-//! command runs.
+//! command that reconstructs runs.
 //!
-//! `diagnose` (alias `stream`) and `skew` feed [`StreamEngine`] the records
-//! as a stream of time-ordered [`msc_collector::BundleChunk`]s, read from
-//! either bundle container by `msc_collector::ChunkSource`; the figures, the
+//! `diagnose` (alias `stream`) feeds [`StreamEngine`] the records as a stream
+//! of time-ordered [`msc_collector::BundleChunk`]s, read from either bundle
+//! container by `msc_collector::ChunkSource`; the figures, the
 //! examples and the tests reconstruct a bundle in memory through the same
 //! [`msc_trace::WindowedReconstructor`] (`msc_trace::reconstruct`, in
 //! `diagnose`'s windows). The whole-run stages (`EdgeStreams::build` →
@@ -18,11 +18,12 @@
 //!   forwards the decided packets NF by NF and drops the consumed prefix of
 //!   every column, so peak memory is bounded by the in-flight window rather
 //!   than the run length.
-//! * **Optional skew correction** — with [`StreamConfig::skew`] set, chunks
-//!   are held until the clock offsets estimated over them settle, then all
-//!   corrected by that one estimate ([`StreamEngine::push_chunk`]). This is
-//!   `diagnose --skew`; `skew` reads until the offsets settle
-//!   ([`StreamEngine::settled`]) and prints them.
+//! * **Optional skew correction** — with [`StreamConfig::skew`] set, each
+//!   chunk goes to an [`msc_trace::OffsetSettler`], which holds it until the
+//!   clock offsets estimated over the held chunks settle; then the held
+//!   chunks and every later one are corrected by that one estimate and
+//!   ingested ([`StreamEngine::push_chunk`]). This is `diagnose --skew`;
+//!   `skew` runs the settler alone and reconstructs nothing.
 //!
 //! Chunks must arrive in time order, each once: a chunk whose `until` does
 //! not exceed the previous one's, or that carries a record from before it,
@@ -50,12 +51,12 @@
     )
 )]
 
-use msc_collector::{BundleChunk, FlowRecord, TraceBundle};
+use msc_collector::BundleChunk;
 use msc_trace::{
-    correct_bundle, estimate_offsets_refined_detailed, MatchConfig, Reconstruction,
-    ReconstructionReport, SkewConfig, SkewEstimates, StreamError, Timelines, WindowedReconstructor,
+    correct_bundle, MatchConfig, OffsetSettler, Reconstruction, SkewEstimates, StreamError,
+    Timelines, WindowedReconstructor,
 };
-use nf_types::{Ipid, Nanos, NfId, TimeDelta, Topology};
+use nf_types::{TimeDelta, Topology};
 
 /// Configuration for a [`StreamEngine`].
 #[derive(Debug, Clone, Default)]
@@ -63,26 +64,18 @@ pub struct StreamConfig {
     /// Matcher configuration (delay bound, lookahead, order channel...);
     /// must equal the offline run's for bit-identity.
     pub matching: MatchConfig,
-    /// Enable clock-offset estimation and correction. `None` (default)
-    /// trusts the timestamps.
-    pub skew: Option<SkewConfig>,
+    /// Estimate the clock offsets and correct every chunk by them. Off by
+    /// default: the timestamps are trusted.
+    pub skew: bool,
 }
 
 /// Skew mode's state.
-#[derive(Default)]
-struct Skew {
-    /// Two successive estimates this close agree: the residual skew the
-    /// matcher is told to tolerate.
-    tolerance: Nanos,
-    /// Chunks admitted but not ingested yet, and their bytes.
-    pending: Vec<BundleChunk>,
-    pending_bytes: usize,
-    /// The latest estimate over `pending`, and `pending_bytes` at the time.
-    estimate: Option<SkewEstimates>,
-    estimated_bytes: usize,
-    /// Set once `estimate` is final and every chunk is corrected by it: how
-    /// many chunks were held until then.
-    settled: Option<u64>,
+enum Skew {
+    /// The chunks held until the clock offsets settle.
+    Holding(OffsetSettler),
+    /// The offsets every chunk is corrected by, and how many chunks were
+    /// held until they settled.
+    Settled(SkewEstimates, u64),
 }
 
 /// Incremental diagnosis engine over a stream of collector chunks.
@@ -97,12 +90,10 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// An engine expecting chunks recorded on `topology`.
     pub fn new(topology: &Topology, cfg: StreamConfig) -> Self {
+        let settler = OffsetSettler::new(cfg.matching.negative_slack_ns);
         Self {
             topology: topology.clone(),
-            skew: cfg.skew.map(|_| Skew {
-                tolerance: cfg.matching.negative_slack_ns,
-                ..Default::default()
-            }),
+            skew: cfg.skew.then_some(Skew::Holding(settler)),
             recon: WindowedReconstructor::new(topology, cfg.matching),
             chunks: 0,
             working_set_peak: 0,
@@ -112,54 +103,41 @@ impl StreamEngine {
     /// Consumes one chunk: checks it follows the previous one (on the raw
     /// timestamps) and advances the reconstruction watermark.
     ///
-    /// In skew mode the chunk is held until the clock offsets settle. They
-    /// are estimated over the held chunks, again whenever those have doubled
-    /// (`estimate_offsets_refined_detailed`, read where they lie); when two
-    /// successive estimates agree the later one is final, and the held chunks
-    /// and every later one are corrected by it and ingested.
+    /// In skew mode the chunk goes to the [`OffsetSettler`]; once the clock
+    /// offsets settle, the held chunks and every later one are corrected by
+    /// them and ingested.
     pub fn push_chunk(&mut self, chunk: &BundleChunk) -> Result<(), StreamError> {
         self.recon.admit(&chunk.bundle, chunk.until)?;
-        if let Some(skew) = &mut self.skew {
-            if let (Some(_), Some(est)) = (skew.settled, &skew.estimate) {
-                ingest_corrected(&mut self.recon, &est.offsets, chunk)?;
-            } else {
-                skew.pending_bytes += chunk_bytes(&chunk.bundle);
-                skew.pending.push(chunk.clone());
-                let doubled = skew.pending_bytes >= 2 * skew.estimated_bytes;
-                if skew.pending_bytes > 0 && doubled && skew.estimate_held(&self.topology) {
-                    self.settle()?;
+        match &mut self.skew {
+            None => self.recon.advance(&chunk.bundle, chunk.until)?,
+            Some(Skew::Settled(est, _)) => ingest_corrected(&mut self.recon, &est.offsets, chunk)?,
+            Some(Skew::Holding(settler)) => {
+                if settler.hold(&self.topology, chunk.clone()) {
+                    self.ingest_held()?;
                 }
             }
-        } else {
-            self.recon.advance(&chunk.bundle, chunk.until)?;
         }
         self.chunks += 1;
         self.working_set_peak = self.working_set_peak.max(self.working_set());
         Ok(())
     }
 
-    /// Makes the latest estimate final and ingests the held chunks by it.
-    fn settle(&mut self) -> Result<(), StreamError> {
-        let Some(skew) = &mut self.skew else {
+    /// Takes the settler's offsets as final and ingests the held chunks
+    /// corrected by them.
+    fn ingest_held(&mut self) -> Result<(), StreamError> {
+        let Some(Skew::Holding(settler)) = &mut self.skew else {
             return Ok(());
         };
-        skew.settled = Some(skew.pending.len() as u64);
-        let offsets = skew.estimate.as_ref().map_or(&[][..], |e| &e.offsets);
-        for chunk in skew.pending.drain(..) {
-            ingest_corrected(&mut self.recon, offsets, &chunk)?;
-            skew.pending_bytes -= chunk_bytes(&chunk.bundle);
+        let est = settler.finish(&self.topology);
+        let held = settler.held() as u64;
+        for (chunk, still_held) in settler.drain() {
+            ingest_corrected(&mut self.recon, &est.offsets, &chunk)?;
             // The frontier fills while the held prefix empties.
-            let frontier = self.recon.working_set() + skew.pending_bytes;
+            let frontier = self.recon.working_set() + still_held;
             self.working_set_peak = self.working_set_peak.max(frontier);
         }
+        self.skew = Some(Skew::Settled(est, held));
         Ok(())
-    }
-
-    /// Reconstruction counters so far (totals settle at [`finish`]).
-    ///
-    /// [`finish`]: StreamEngine::finish
-    pub fn report(&self) -> &ReconstructionReport {
-        self.recon.report()
     }
 
     /// Traces whose outcome is final so far.
@@ -170,17 +148,6 @@ impl StreamEngine {
     /// Chunks consumed so far.
     pub fn chunks(&self) -> u64 {
         self.chunks
-    }
-
-    /// In skew mode, once the clock offsets have settled mid-stream: the
-    /// estimate every chunk is corrected by. `None` while they are unsettled
-    /// (a stream that ends so settles in [`finish_skewed`]) and without skew
-    /// mode.
-    ///
-    /// [`finish_skewed`]: StreamEngine::finish_skewed
-    pub fn settled(&self) -> Option<&SkewEstimates> {
-        let skew = self.skew.as_ref()?;
-        skew.settled.and(skew.estimate.as_ref())
     }
 
     /// Approximate bytes held by the evictable frontier right now: the
@@ -196,7 +163,12 @@ impl StreamEngine {
             chunks: _,
             working_set_peak: _,
         } = self;
-        recon.working_set() + skew.as_ref().map_or(0, Skew::bytes)
+        let held = match skew {
+            Some(Skew::Holding(settler)) => settler.bytes(),
+            // Fixed: one offset per NF.
+            Some(Skew::Settled(..)) | None => 0,
+        };
+        recon.working_set() + held
     }
 
     /// Largest frontier observed at any chunk boundary — the quantity that
@@ -214,62 +186,22 @@ impl StreamEngine {
 
     /// [`finish`], plus the offsets a skew-mode stream was corrected by and
     /// how many chunks were held until they settled. A stream that ends
-    /// unsettled settles here, on the estimate over everything it holds —
-    /// all its chunks: the whole-run estimate.
+    /// unsettled settles here, on what [`OffsetSettler::finish`] returns:
+    /// the estimate over all its chunks, the whole-run estimate.
     ///
     /// [`finish`]: StreamEngine::finish
     pub fn finish_skewed(mut self) -> (Reconstruction, Timelines, Option<(SkewEstimates, u64)>) {
-        if let Some(skew) = &mut self.skew {
-            if skew.settled.is_none() && !skew.pending.is_empty() {
-                if skew.estimate.is_none() || skew.estimated_bytes != skew.pending_bytes {
-                    skew.estimate_held(&self.topology);
-                }
-                // Ingesting fails only on a source record whose entry NF has
-                // no source edge, and `Topology::build` gives every entry one.
-                assert!(self.settle().is_ok(), "held chunks fit the topology");
-            }
+        if matches!(&self.skew, Some(Skew::Holding(s)) if s.held() > 0) {
+            // Ingesting fails only on a source record whose entry NF has no
+            // source edge, and `Topology::build` gives every entry one.
+            assert!(self.ingest_held().is_ok(), "held chunks fit the topology");
         }
-        let skew = self.skew.and_then(|s| Some((s.estimate?, s.settled?)));
+        let skew = match self.skew {
+            Some(Skew::Settled(est, held)) => Some((est, held)),
+            _ => None,
+        };
         let (recon, timelines) = self.recon.finish();
         (recon, timelines, skew)
-    }
-}
-
-impl Skew {
-    /// Bytes of the chunks held while the offsets are unsettled.
-    fn bytes(&self) -> usize {
-        let Self {
-            // Drained into the reconstructor when the offsets settle (at
-            // the latest by `finish`); counted by `pending_bytes` until then.
-            pending: _,
-            pending_bytes,
-            // Fixed: one offset per NF.
-            estimate: _,
-            tolerance: _,
-            estimated_bytes: _,
-            settled: _,
-        } = self;
-        *pending_bytes
-    }
-
-    /// Estimates the offsets over the held chunks, read where they lie.
-    /// True when that settles them: this estimate and the one before both
-    /// cover every NF, and no offset moved by more than the tolerance. An NF
-    /// with no traffic yet keeps the chunks held: settled, it would be
-    /// corrected by the fallback 0 once its traffic starts.
-    fn estimate_held(&mut self, topology: &Topology) -> bool {
-        let held: Vec<&TraceBundle> = self.pending.iter().map(|c| &c.bundle).collect();
-        let est = estimate_offsets_refined_detailed(topology, &held);
-        let agreed = self.estimate.as_ref().is_some_and(|prev| {
-            (0..est.offsets.len()).all(|i| {
-                prev.available[i]
-                    && est.available[i]
-                    && est.offsets[i].abs_diff(prev.offsets[i]) <= self.tolerance
-            })
-        });
-        self.estimated_bytes = self.pending_bytes;
-        self.estimate = Some(est);
-        agreed
     }
 }
 
@@ -287,25 +219,14 @@ fn ingest_corrected(
     recon.advance(&corrected, chunk.until.saturating_sub(guard.unsigned_abs()))
 }
 
-/// Approximate heap bytes of a chunk's records.
-fn chunk_bytes(bundle: &TraceBundle) -> usize {
-    use std::mem::size_of;
-    let batch = size_of::<Nanos>() + size_of::<u32>();
-    let logs = bundle.logs.iter().map(|l| {
-        (l.rx.len() + l.tx.len()) * batch
-            + l.tx.len() * size_of::<Option<NfId>>()
-            + l.packet_appearances() * size_of::<Ipid>()
-            + l.flows.len() * size_of::<FlowRecord>()
-    });
-    logs.sum::<usize>() + bundle.source_flows.len() * size_of::<FlowRecord>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use microscope::{DiagnosisConfig, LatencyThreshold, Microscope};
-    use msc_collector::{chunk_bundle, Collector, CollectorConfig};
-    use msc_trace::{assemble, match_all, EdgeStreams, ReconstructionConfig};
+    use msc_collector::{chunk_bundle, Collector, CollectorConfig, TraceBundle};
+    use msc_trace::{
+        assemble, estimate_offsets_refined_detailed, match_all, EdgeStreams, ReconstructionConfig,
+    };
     use nf_sim::{paper_nf_configs, Fault, SimConfig, Simulation};
     use nf_traffic::{CaidaLike, CaidaLikeConfig};
     use nf_types::{paper_topology, MICROS, MILLIS};
@@ -429,7 +350,7 @@ mod tests {
     fn out_of_order_chunks_are_refused_with_and_without_skew() {
         let (topology, _, bundle) = paper_run(3, 12);
         let chunks = chunk_bundle(&bundle, 4 * MILLIS);
-        for skew in [None, Some(SkewConfig::default())] {
+        for skew in [false, true] {
             let cfg = StreamConfig {
                 skew,
                 ..Default::default()
@@ -451,9 +372,9 @@ mod tests {
                 "{err}"
             );
             assert_eq!(engine.chunks(), 2, "a refused chunk is not counted");
-            if cfg.skew.is_some() {
+            if cfg.skew {
                 // Refused on arrival, while every chunk is still held.
-                assert_eq!(engine.report().total, 0);
+                assert_eq!(engine.recon.report().total, 0);
                 assert!(
                     engine.working_set() > StreamEngine::new(&topology, cfg.clone()).working_set()
                 );
@@ -480,7 +401,7 @@ mod tests {
                 negative_slack_ns: 20 * MICROS,
                 ..Default::default()
             },
-            skew: Some(SkewConfig::default()),
+            skew: true,
         }
     }
 
@@ -594,26 +515,39 @@ mod tests {
         }
 
         let mut engine = StreamEngine::new(&topology, skew_cfg());
+        // The same policy on its own: it holds the same chunks and settles
+        // on the same one.
+        let mut settler = OffsetSettler::new(skew_cfg().matching.negative_slack_ns);
         // A record-free chunk is held like any other and weighs nothing.
         let quiet = BundleChunk {
             until: chunks[0].until - 2 * MILLIS,
             bundle: Collector::new(&topology, CollectorConfig::default()).into_bundle(),
         };
         engine.push_chunk(&quiet).expect("a record-free chunk");
+        assert!(!settler.hold(&topology, quiet));
         assert_eq!(engine.working_set(), idle);
 
-        let (mut held, mut held_chunks) = (idle, 1);
+        let (mut held, mut settled) = (idle, None);
         for chunk in &chunks {
             engine.push_chunk(chunk).expect("chunk fits topology");
-            // Nothing is ingested while the offsets are unsettled.
-            if engine.report().total == 0 {
-                assert!(engine.settled().is_none());
-                held += chunk_bytes(&chunk.bundle);
-                held_chunks += 1;
-                assert_eq!(engine.working_set(), held, "held bytes are counted");
+            if settled.is_some() {
+                continue;
+            }
+            if settler.hold(&topology, chunk.clone()) {
+                settled = Some((settler.finish(&topology), settler.held() as u64));
+            } else {
+                // Nothing is ingested while the offsets are unsettled, and
+                // the held bytes are counted.
+                assert_eq!(engine.recon.report().total, 0);
+                held = idle + settler.bytes();
+                assert_eq!(engine.working_set(), held);
             }
         }
-        assert!(engine.report().total > 0, "the offsets settle mid-stream");
+        assert!(
+            engine.recon.report().total > 0,
+            "the offsets settle mid-stream"
+        );
+        assert!(held > idle);
         assert!(engine.working_set_peak() >= held);
         // Settled, the engine holds the reconstructor's frontier and nothing
         // else; the watermark lag keeps 2 of the 30 ms longer than `plain`.
@@ -624,14 +558,10 @@ mod tests {
             engine.working_set(),
             plain.working_set()
         );
-        let settled = engine.settled().cloned().expect("settled mid-stream");
         let (.., skew) = engine.finish_skewed();
-        let (est, held) = skew.expect("settled");
-        assert_eq!(
-            est, settled,
-            "finish keeps the estimate the stream settled on"
-        );
-        // The chunk that settled the offsets was held too.
-        assert_eq!(held, held_chunks + 1);
+        assert!(settled.is_some(), "the settler settles mid-stream");
+        // Finish keeps the estimate the stream settled on, and the chunk
+        // that settled it was held too.
+        assert_eq!(skew, settled);
     }
 }

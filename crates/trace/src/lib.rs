@@ -65,9 +65,11 @@ pub use reconstruct::{
     ReconstructionReport, TraceHop, TraceOutcome, PATH_ROOT,
 };
 pub use skew::{
-    correct_bundle, estimate_offsets_refined, estimate_offsets_refined_detailed, SkewConfig,
-    SkewEstimates,
+    correct_bundle, estimate_offsets_refined, estimate_offsets_refined_detailed, OffsetSettler,
+    SkewConfig, SkewEstimates,
 };
 pub use streams::{EdgeStreams, NfStreams, RxBatchInfo, TxHop, TxNext};
 pub use timeline::{Arrival, ArrivalKind, NfTimeline, QueuingPeriod, Timelines};
-pub use windowed::{reconstruct, StreamError, WindowedReconstructor, DIAGNOSE_WINDOW_MS};
+pub use windowed::{
+    reconstruct, ChunkOrder, StreamError, WindowedReconstructor, DIAGNOSE_WINDOW_MS,
+};

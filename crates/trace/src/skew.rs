@@ -39,16 +39,17 @@
 //! in time order (DESIGN.md §4) and a pass walks each group's reads with two
 //! cursors, binning only the pairs inside its window.
 
-use msc_collector::TraceBundle;
+use msc_collector::{BundleChunk, FlowRecord, TraceBundle};
 use nf_types::{Ipid, Nanos, NfId, NodeId, TimeDelta, Topology};
 
 /// Minimum pairs an edge must bin in a pass before its spike is trusted.
 const MIN_SAMPLES: usize = 16;
 
-/// Configuration for the estimator. It has no settings — the pass geometry
-/// and the sample floor are this module's constants — but
-/// [`estimate_offsets_refined`] still takes one, so its callers compile
-/// unchanged.
+/// The estimator has no settings — the pass geometry and the sample floor
+/// are this module's constants. This empty type and
+/// [`estimate_offsets_refined`], which takes it, are kept only for the frozen
+/// benchmark harness, which calls them; everything else calls
+/// [`estimate_offsets_refined_detailed`].
 #[derive(Debug, Clone, Default)]
 pub struct SkewConfig {}
 
@@ -466,6 +467,9 @@ fn refine<const BIN_NS: i64, const SEARCH_NS: i64>(
 /// shrink the bin width 100 µs → 1 µs, reaching the microsecond-level
 /// accuracy the paper says reconstruction needs (it cites PTP/Huygens for
 /// the same job).
+///
+/// Kept only for the frozen benchmark harness (see [`SkewConfig`]): it is
+/// `estimate_offsets_refined_detailed(topology, &[bundle]).offsets`.
 pub fn estimate_offsets_refined(
     topology: &Topology,
     bundle: &TraceBundle,
@@ -494,6 +498,110 @@ pub fn estimate_offsets_refined_detailed(
     est
 }
 
+/// The settle policy of `diagnose --skew` and `skew`: each chunk is held;
+/// the offsets are estimated over the held chunks each time their bytes
+/// double, and settle when two successive estimates both cover every NF and
+/// agree within the tolerance — an NF with no traffic yet keeps the chunks
+/// held. A run that ends first takes the estimate over all it held.
+#[derive(Debug, Default)]
+pub struct OffsetSettler {
+    /// Two successive estimates this close agree: the residual skew the
+    /// matcher is told to tolerate.
+    tolerance: Nanos,
+    /// The chunks held, and their bytes.
+    held: Vec<BundleChunk>,
+    bytes: usize,
+    /// The latest estimate over `held`, and `bytes` at the time.
+    estimate: Option<SkewEstimates>,
+    estimated_bytes: usize,
+}
+
+impl OffsetSettler {
+    /// A settler whose estimates agree within `tolerance`.
+    pub fn new(tolerance: Nanos) -> Self {
+        Self {
+            tolerance,
+            ..Default::default()
+        }
+    }
+
+    /// Holds `chunk`; true when the offsets settle on it, which
+    /// [`Self::finish`] then returns.
+    pub fn hold(&mut self, topology: &Topology, chunk: BundleChunk) -> bool {
+        self.bytes += chunk_bytes(&chunk.bundle);
+        self.held.push(chunk);
+        if self.bytes == 0 || self.bytes < 2 * self.estimated_bytes {
+            return false;
+        }
+        let est = self.finish(topology);
+        let agreed = self.estimate.as_ref().is_some_and(|prev| {
+            (0..est.offsets.len()).all(|i| {
+                prev.available[i]
+                    && est.available[i]
+                    && est.offsets[i].abs_diff(prev.offsets[i]) <= self.tolerance
+            })
+        });
+        self.estimated_bytes = self.bytes;
+        self.estimate = Some(est);
+        agreed
+    }
+
+    /// The offsets: the estimate over everything held, read where it lies
+    /// (the latest estimate, if nothing was held since). Before
+    /// [`Self::drain`]: what is drained is no longer held.
+    pub fn finish(&self, topology: &Topology) -> SkewEstimates {
+        match &self.estimate {
+            Some(est) if self.estimated_bytes == self.bytes => est.clone(),
+            _ => {
+                let run: Vec<&TraceBundle> = self.held.iter().map(|c| &c.bundle).collect();
+                estimate_offsets_refined_detailed(topology, &run)
+            }
+        }
+    }
+
+    /// How many chunks are held.
+    pub fn held(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Bytes of the chunks held.
+    pub fn bytes(&self) -> usize {
+        let Self {
+            // Counted by `bytes` until they are drained.
+            held: _,
+            bytes,
+            // Fixed: one offset per NF.
+            estimate: _,
+            tolerance: _,
+            estimated_bytes: _,
+        } = self;
+        *bytes
+    }
+
+    /// Hands the held chunks out in order, each with the bytes still held
+    /// after it.
+    pub fn drain(&mut self) -> impl Iterator<Item = (BundleChunk, usize)> + '_ {
+        let bytes = &mut self.bytes;
+        self.held.drain(..).map(move |chunk| {
+            *bytes -= chunk_bytes(&chunk.bundle);
+            (chunk, *bytes)
+        })
+    }
+}
+
+/// Approximate heap bytes of a chunk's records.
+fn chunk_bytes(bundle: &TraceBundle) -> usize {
+    use std::mem::size_of;
+    let batch = size_of::<Nanos>() + size_of::<u32>();
+    let logs = bundle.logs.iter().map(|l| {
+        (l.rx.len() + l.tx.len()) * batch
+            + l.tx.len() * size_of::<Option<NfId>>()
+            + l.packet_appearances() * size_of::<Ipid>()
+            + l.flows.len() * size_of::<FlowRecord>()
+    });
+    logs.sum::<usize>() + bundle.source_flows.len() * size_of::<FlowRecord>()
+}
+
 /// Rewrites a bundle onto the source clock by subtracting the per-NF
 /// offsets from every record timestamp.
 pub fn correct_bundle(bundle: &TraceBundle, offsets: &[TimeDelta]) -> TraceBundle {
@@ -513,7 +621,7 @@ pub fn correct_bundle(bundle: &TraceBundle, offsets: &[TimeDelta]) -> TraceBundl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msc_collector::{chunk_bundle, concat_chunks, Collector, CollectorConfig, PacketMeta};
+    use msc_collector::{chunk_bundle, Collector, CollectorConfig, PacketMeta};
     use nf_sim::{paper_nf_configs, SimConfig, Simulation};
     use nf_traffic::{CaidaLike, CaidaLikeConfig};
     use nf_types::{paper_topology, FiveTuple, NfKind, PacketId, Proto, MILLIS};
@@ -603,7 +711,12 @@ mod tests {
                 let mut pieces: Vec<&TraceBundle> = held.iter().map(|c| &c.bundle).collect();
                 pieces.insert(pieces.len() / 2, &empty);
                 pieces.insert(0, &empty);
-                let concat = concat_chunks(held);
+                // The held prefix as one bundle: the run's first window
+                // as long as the prefix.
+                let until = held[held.len() - 1].until;
+                let concat = chunk_bundle(&bundle, until).swap_remove(0);
+                assert_eq!(concat.until, until);
+                let concat = concat.bundle;
                 let whole = estimate_offsets_refined_detailed(&topology, &[&concat]);
                 let what = format!("{ms} ms cuts, {} of {} held", held.len(), chunks.len());
                 assert!(
@@ -773,7 +886,7 @@ mod tests {
     fn offsets_recovered_within_service_time_tolerance() {
         let topo = chain();
         let bundle = skewed_bundle(&topo);
-        let offsets = estimate_offsets_refined(&topo, &bundle, &SkewConfig::default());
+        let offsets = estimate_offsets_refined_detailed(&topo, &[&bundle]).offsets;
         // Tolerance: the minimal queueing/service slack baked into the
         // samples (1 µs per hop here).
         assert!(
@@ -798,7 +911,7 @@ mod tests {
         let vpn_rx = bundle.log(NfId(1)).rx.ts()[0];
         assert!(vpn_rx < nat_tx, "sanity: raw bundle is acausal");
 
-        let offsets = estimate_offsets_refined(&topo, &bundle, &SkewConfig::default());
+        let offsets = estimate_offsets_refined_detailed(&topo, &[&bundle]).offsets;
         let fixed = correct_bundle(&bundle, &offsets);
         let nat_tx = fixed.log(NfId(0)).tx.ts()[0];
         let vpn_rx = fixed.log(NfId(1)).rx.ts()[0];
@@ -824,7 +937,7 @@ mod tests {
             c.record_rx(NfId(1), t + 1_500, &[m]);
             c.record_tx(NfId(1), t + 3_000, None, &[m]);
         }
-        let offsets = estimate_offsets_refined(&topo, &c.into_bundle(), &SkewConfig::default());
+        let offsets = estimate_offsets_refined_detailed(&topo, &[&c.into_bundle()]).offsets;
         for o in offsets {
             assert!(o.abs() < 2_000, "offset {o}");
         }
@@ -933,7 +1046,7 @@ mod tests {
         // Tolerance: the estimator's floor is the minimum queueing delay on
         // the path (a constant 1 µs per hop here) — that bias is inherent,
         // the scan must not add anything on top of it.
-        let est = estimate_offsets_refined(&topo, &bundle, &SkewConfig::default());
+        let est = estimate_offsets_refined_detailed(&topo, &[&bundle]).offsets;
         assert!((est[0] - off[0]).abs() <= 1_500, "nat offset {}", est[0]);
         assert!((est[1] - off[1]).abs() <= 2_500, "vpn offset {}", est[1]);
     }

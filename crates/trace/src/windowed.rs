@@ -305,6 +305,64 @@ impl NfState {
     }
 }
 
+/// The check every chunk of a stream passes before anything reads it: it
+/// carries one log per NF of the topology and follows the chunks before it.
+#[derive(Debug, Clone)]
+pub struct ChunkOrder {
+    nfs: usize,
+    /// Boundary of the last chunk admitted.
+    boundary: Option<Nanos>,
+}
+
+impl ChunkOrder {
+    /// The check for chunks recorded on `topology`.
+    pub fn new(topology: &Topology) -> Self {
+        Self {
+            nfs: topology.len(),
+            boundary: None,
+        }
+    }
+
+    /// Checks that a chunk has one log per NF and follows the ones before
+    /// it — `until` exceeds the previous boundary and no record is older
+    /// than that boundary — and makes `until` the new boundary. Per-node
+    /// logs are time-ordered (the bundle readers refuse one that is not,
+    /// `EncodeError::OutOfOrder`), so the first record of each is its
+    /// oldest: O(NFs).
+    pub fn admit(&mut self, bundle: &TraceBundle, until: Nanos) -> Result<(), StreamError> {
+        if bundle.logs.len() != self.nfs {
+            return Err(StreamError::TopologyMismatch {
+                expected: self.nfs,
+                got: bundle.logs.len(),
+            });
+        }
+        if let Some(watermark) = self.boundary {
+            let oldest = bundle.logs.iter().flat_map(|log| {
+                let first = [
+                    log.rx.ts().first().copied(),
+                    log.tx.ts().first().copied(),
+                    log.flows.first().map(|f| f.ts),
+                ];
+                first
+                    .into_iter()
+                    .flatten()
+                    .map(|ts| (NodeId::Nf(log.nf), ts))
+            });
+            let source = bundle.source_flows.first().map(|f| (NodeId::Source, f.ts));
+            let late = oldest.chain(source).find(|&(_, ts)| ts < watermark);
+            if until <= watermark || late.is_some() {
+                return Err(StreamError::OutOfOrderChunk {
+                    until,
+                    watermark,
+                    late,
+                });
+            }
+        }
+        self.boundary = Some(until);
+        Ok(())
+    }
+}
+
 /// The incremental reconstructor. Feed time-ordered chunks with
 /// [`Self::ingest`], then [`Self::finish`] for the reconstruction and
 /// timelines — equal to the offline pipeline over the concatenated chunks.
@@ -317,8 +375,8 @@ pub struct WindowedReconstructor {
     /// One edge index per upstream slot of the widest NF, rebuilt over an
     /// NF's undecided edge tails whenever that NF has reads to decide.
     index: Vec<EdgeIndex>,
-    /// Boundary of the last chunk admitted.
-    boundary: Option<Nanos>,
+    /// The NF count and boundary of the last chunk admitted.
+    order: ChunkOrder,
     /// Ingestion watermark: every record with `ts < watermark` is in.
     watermark: Nanos,
     // Retained (non-evictable) diagnosis substrate.
@@ -370,7 +428,7 @@ impl WindowedReconstructor {
             nfs,
             index: edge_indexes(slots.fan_in()),
             slots,
-            boundary: None,
+            order: ChunkOrder::new(topology),
             watermark: 0,
             traces: Vec::new(),
             hops: Vec::new(),
@@ -391,42 +449,10 @@ impl WindowedReconstructor {
         self.advance(bundle, until)
     }
 
-    /// Checks that a chunk follows the ones before it — `until` exceeds the
-    /// previous boundary and no record is older than that boundary — and
-    /// makes `until` the new boundary. Per-node logs are time-ordered (the
-    /// bundle readers refuse one that is not, `EncodeError::OutOfOrder`), so
-    /// the first record of each is its oldest: O(NFs).
+    /// Checks that a chunk fits the topology and follows the ones before
+    /// it ([`ChunkOrder::admit`]).
     pub fn admit(&mut self, bundle: &TraceBundle, until: Nanos) -> Result<(), StreamError> {
-        if bundle.logs.len() != self.nfs.len() {
-            return Err(StreamError::TopologyMismatch {
-                expected: self.nfs.len(),
-                got: bundle.logs.len(),
-            });
-        }
-        if let Some(watermark) = self.boundary {
-            let oldest = bundle.logs.iter().flat_map(|log| {
-                let first = [
-                    log.rx.ts().first().copied(),
-                    log.tx.ts().first().copied(),
-                    log.flows.first().map(|f| f.ts),
-                ];
-                first
-                    .into_iter()
-                    .flatten()
-                    .map(|ts| (NodeId::Nf(log.nf), ts))
-            });
-            let source = bundle.source_flows.first().map(|f| (NodeId::Source, f.ts));
-            let late = oldest.chain(source).find(|&(_, ts)| ts < watermark);
-            if until <= watermark || late.is_some() {
-                return Err(StreamError::OutOfOrderChunk {
-                    until,
-                    watermark,
-                    late,
-                });
-            }
-        }
-        self.boundary = Some(until);
-        Ok(())
+        self.order.admit(bundle, until)
     }
 
     /// Appends an admitted chunk's records — or a time-corrected copy of
@@ -582,7 +608,7 @@ impl WindowedReconstructor {
             hops: _,
             reads: _,
             report: _,
-            boundary: _,
+            order: _,
             watermark: _,
             flushed: _,
             complete: _,

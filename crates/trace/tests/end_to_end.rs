@@ -175,7 +175,7 @@ fn bytes_per_packet_is_near_two_at_saturation() {
 
 #[test]
 fn skew_estimation_recovers_reconstruction_on_multi_server_deployments() {
-    use msc_trace::{correct_bundle, estimate_offsets_refined, SkewConfig};
+    use msc_trace::{correct_bundle, estimate_offsets_refined_detailed};
 
     let topo = paper_topology();
     let cfgs = paper_nf_configs(&topo);
@@ -195,7 +195,7 @@ fn skew_estimation_recovers_reconstruction_on_multi_server_deployments() {
     let out = sim.run(&packets);
 
     // Estimate offsets from the skewed records alone and correct.
-    let est = estimate_offsets_refined(&topo, &out.bundle, &SkewConfig::default());
+    let est = estimate_offsets_refined_detailed(&topo, &[&out.bundle]).offsets;
     for (nf, (&true_off, &est_off)) in offsets.iter().zip(&est).enumerate() {
         assert!(
             (true_off - est_off).abs() < 5_000,
