@@ -12,7 +12,7 @@
 //! ```
 
 use microscope::{DiagnosisConfig, Microscope};
-use msc_experiments::build_history;
+use msc_experiments::netmedic_adapter::build_history;
 use msc_trace::{reconstruct, ReconstructionConfig};
 use netmedic::{NetMedic, NetMedicConfig};
 use nf_sim::{Fault, ScenarioBuilder, SimConfig, Simulation};

@@ -13,9 +13,10 @@
 use microscope::Diagnosis;
 use microscope_cli::pipeline::{self, Hook, Produced, Run};
 use msc_collector::{chunk_bundle, save_bundle, save_bundle_chunked, TraceBundle};
-use msc_experiments::runner::{candidate_flows, simulate};
+use msc_experiments::inject::{InjectionPlan, PlanConfig};
+use msc_experiments::netmedic_adapter::build_history;
+use msc_experiments::runner::{candidate_flows, simulate, RunSpec};
 use msc_experiments::scoring::{correct_rate, score_run};
-use msc_experiments::{build_history, InjectionPlan, PlanConfig, RunSpec};
 use netmedic::{NetMedic, NetMedicConfig};
 use nf_types::{emit_topology, paper_topology, parse_topology, MILLIS};
 use std::path::Path;

@@ -168,14 +168,15 @@ fn microscope_beats_netmedic_with_ground_truth_attribution() {
     // The §6.2 comparison in miniature, using the experiment harness's
     // event attribution (victims are matched to injected events, then each
     // tool's rank of the true culprit is taken).
-    use msc_experiments::scoring::correct_rate;
-    use msc_experiments::{build_history, score_run};
-    use msc_experiments::{InjectionPlan, PlanConfig, RunSpec};
+    use msc_experiments::inject::{InjectionPlan, PlanConfig};
+    use msc_experiments::netmedic_adapter::build_history;
+    use msc_experiments::runner::{candidate_flows, run_spec, RunSpec};
+    use msc_experiments::scoring::{correct_rate, score_run};
     use netmedic::{NetMedic, NetMedicConfig};
 
     let mut spec = RunSpec::new(180 * MILLIS, 1_200_000.0, 13);
     spec.diagnosis.victims.max_victims = Some(400);
-    let flows = msc_experiments::runner::candidate_flows(spec.rate_pps, spec.seed);
+    let flows = candidate_flows(spec.rate_pps, spec.seed);
     spec.plan = InjectionPlan::random(
         &paper_topology(),
         spec.duration,
@@ -188,7 +189,7 @@ fn microscope_beats_netmedic_with_ground_truth_attribution() {
         },
         spec.seed,
     );
-    let run = msc_experiments::run_spec(&spec);
+    let run = run_spec(&spec);
     let nm = NetMedic::new(run.topology.clone(), NetMedicConfig::default());
     let hist = build_history(
         &run.out,

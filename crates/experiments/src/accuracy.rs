@@ -1,11 +1,12 @@
 //! Shared driver for the §6.2 accuracy experiments (Figs. 11–13, §6.3).
 
+use crate::cli::Params;
 use crate::inject::{InjectionPlan, PlanConfig};
 use crate::netmedic_adapter::build_history;
 use crate::runner::{candidate_flows, run_spec, RunResult, RunSpec};
 use crate::scoring::{score_run, ScoredVictim};
 use netmedic::{NetMedic, NetMedicConfig};
-use nf_types::{paper_topology, Nanos};
+use nf_types::{paper_topology, Nanos, MILLIS};
 
 /// Runs the standard accuracy experiment: paper topology, CAIDA-like
 /// background, randomised injections, Microscope + NetMedic scoring.
@@ -16,21 +17,16 @@ pub struct AccuracyRun {
     pub scored: Vec<ScoredVictim>,
 }
 
-/// Executes one accuracy run.
-pub fn accuracy_run(
-    duration: Nanos,
-    rate_pps: f64,
-    seed: u64,
-    plan_cfg: &PlanConfig,
-    max_victims: usize,
-    nm_window: Nanos,
-) -> AccuracyRun {
-    let mut spec = RunSpec::new(duration, rate_pps, seed);
+/// Executes one accuracy run, NetMedic correlating over its best window
+/// (10 ms, Fig. 13).
+pub fn accuracy_run(p: &Params, plan_cfg: &PlanConfig, max_victims: usize) -> AccuracyRun {
+    let (duration, seed) = (p.duration_ns(), p.seed);
+    let mut spec = RunSpec::new(duration, p.rate_pps(), seed);
     spec.diagnosis.victims.max_victims = Some(max_victims);
-    let flows = candidate_flows(rate_pps, seed);
+    let flows = candidate_flows(p.rate_pps(), seed);
     spec.plan = InjectionPlan::random(&paper_topology(), duration, &flows, plan_cfg, seed);
     let run = run_spec(&spec);
-    let scored = rescore_with_window(&run, nm_window);
+    let scored = rescore_with_window(&run, 10 * MILLIS);
     AccuracyRun { run, scored }
 }
 

@@ -1,23 +1,19 @@
-//! Minimal command-line parsing shared by the experiment binaries.
-//!
-//! All binaries accept the same knobs:
+//! The command line of the `figures` binary and the files it writes.
 //!
 //! ```text
-//! --millis N    simulated run length in milliseconds
-//! --rate R      aggregate offered rate in Mpps (e.g. 1.2)
-//! --seed S      RNG seed
-//! --out DIR     CSV output directory (default: results)
+//! figures [NAME ...] [--millis N] [--rate R] [--seed S] [--out DIR]
 //! ```
 //!
-//! Parsing and CSV writing are fallible at the library layer
-//! ([`Args::try_parse_from`], [`try_write_csv`]) so failures carry typed
-//! context; the binary-facing wrappers ([`Args::parse`], [`write_csv`])
-//! surface that context on stderr and exit instead of panicking.
+//! `NAME`s are figure names ([`crate::figures::FIGURES`]); none runs them
+//! all. `--millis` (simulated run length) and `--rate` (aggregate offered
+//! rate in Mpps) override every named figure's default size; `--seed`
+//! defaults to 42 and `--out` to `results`.
 
+use crate::figures::{Figure, Spec, FIGURES};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// A failure while parsing experiment arguments or writing CSV output.
+/// A failure while parsing the command line or writing a figure's files.
 #[derive(Debug)]
 pub enum CliError {
     /// A flag was given without its value.
@@ -31,8 +27,8 @@ pub enum CliError {
         /// What was actually given.
         got: String,
     },
-    /// Unrecognised argument.
-    UnknownFlag(String),
+    /// Unrecognised flag or figure name.
+    UnknownArg(String),
     /// `--help` was requested; the payload is the rendered usage text.
     Help(String),
     /// A filesystem operation failed, tagged with the path involved.
@@ -53,7 +49,7 @@ impl fmt::Display for CliError {
             CliError::BadValue { flag, want, got } => {
                 write!(f, "{flag} takes {want}, got {got:?}")
             }
-            CliError::UnknownFlag(a) => write!(f, "unknown argument {a}"),
+            CliError::UnknownArg(a) => write!(f, "unknown argument {a}"),
             CliError::Help(usage) => write!(f, "{usage}"),
             CliError::Io { what, path, source } => {
                 write!(f, "{what} {}: {source}", path.display())
@@ -62,16 +58,9 @@ impl fmt::Display for CliError {
     }
 }
 
-impl std::error::Error for CliError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CliError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-fn exit_with(e: &CliError) -> ! {
+/// Prints a command-line failure (or the usage text, for `--help`) to
+/// stderr and exits: status 0 for `--help`, 2 otherwise.
+pub fn exit_with(e: &CliError) -> ! {
     if let CliError::Help(usage) = e {
         eprintln!("{usage}");
         std::process::exit(0);
@@ -80,86 +69,33 @@ fn exit_with(e: &CliError) -> ! {
     std::process::exit(2);
 }
 
-/// Parsed common arguments.
-#[derive(Debug, Clone)]
+/// The parsed command line.
+#[derive(Debug)]
 pub struct Args {
+    /// The figures to run, in order.
+    pub figures: Vec<&'static Spec>,
+    /// `--millis`: overrides each figure's run length.
+    millis: Option<u64>,
+    /// `--rate`: overrides each figure's offered rate, in Mpps.
+    rate_mpps: Option<f64>,
+    /// Seed.
+    seed: u64,
+    /// Output directory.
+    pub out: PathBuf,
+}
+
+/// The size one figure runs at: its defaults under the flags.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Params {
     /// Simulated duration in milliseconds.
     pub millis: u64,
     /// Offered rate in Mpps.
     pub rate_mpps: f64,
     /// Seed.
     pub seed: u64,
-    /// CSV output directory.
-    pub out: PathBuf,
 }
 
-impl Args {
-    /// Parses `std::env::args`, with per-binary defaults. On error, prints
-    /// the typed failure and usage to stderr and exits with status 2.
-    pub fn parse(default_millis: u64, default_rate_mpps: f64) -> Args {
-        match Self::try_parse_from(default_millis, default_rate_mpps, std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => exit_with(&e),
-        }
-    }
-
-    /// Fallible parsing from an arbitrary argument iterator.
-    pub fn try_parse_from<I>(
-        default_millis: u64,
-        default_rate_mpps: f64,
-        argv: I,
-    ) -> Result<Args, CliError>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let mut args = Args {
-            millis: default_millis,
-            rate_mpps: default_rate_mpps,
-            seed: 42,
-            out: PathBuf::from("results"),
-        };
-        let mut it = argv.into_iter();
-        while let Some(a) = it.next() {
-            let mut val =
-                |flag: &'static str| it.next().ok_or(CliError::MissingValue(flag.to_string()));
-            match a.as_str() {
-                "--millis" => {
-                    let v = val("--millis")?;
-                    args.millis = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--millis",
-                        want: "an integer",
-                        got: v,
-                    })?;
-                }
-                "--rate" => {
-                    let v = val("--rate")?;
-                    args.rate_mpps = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--rate",
-                        want: "a float (Mpps)",
-                        got: v,
-                    })?;
-                }
-                "--seed" => {
-                    let v = val("--seed")?;
-                    args.seed = v.parse().map_err(|_| CliError::BadValue {
-                        flag: "--seed",
-                        want: "an integer",
-                        got: v,
-                    })?;
-                }
-                "--out" => args.out = PathBuf::from(val("--out")?),
-                "--help" | "-h" => {
-                    return Err(CliError::Help(format!(
-                        "options: --millis N  --rate MPPS  --seed S  --out DIR\n\
-                         defaults: --millis {default_millis} --rate {default_rate_mpps} --seed 42 --out results"
-                    )));
-                }
-                other => return Err(CliError::UnknownFlag(other.to_string())),
-            }
-        }
-        Ok(args)
-    }
-
+impl Params {
     /// Duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.millis * nf_types::MILLIS
@@ -169,49 +105,95 @@ impl Args {
     pub fn rate_pps(&self) -> f64 {
         self.rate_mpps * 1e6
     }
+}
 
-    /// Ensures the output directory exists and returns the path of a CSV
-    /// file inside it. Exits with status 2 if the directory can't be made.
-    pub fn csv_path(&self, name: &str) -> PathBuf {
-        match self.try_csv_path(name) {
-            Ok(p) => p,
-            Err(e) => exit_with(&e),
+impl Args {
+    /// Parses figure names and flags from an argument iterator.
+    pub fn try_parse_from<I>(argv: I) -> Result<Args, CliError>
+    where
+        I: IntoIterator<Item = String>,
+    {
+        let mut args = Args {
+            figures: Vec::new(),
+            millis: None,
+            rate_mpps: None,
+            seed: 42,
+            out: PathBuf::from("results"),
+        };
+        let mut it = argv.into_iter();
+        while let Some(a) = it.next() {
+            let mut val = |flag: &'static str| {
+                it.next()
+                    .ok_or_else(|| CliError::MissingValue(flag.to_string()))
+            };
+            match a.as_str() {
+                "--millis" => {
+                    args.millis = Some(parse("--millis", "an integer", val("--millis")?)?)
+                }
+                "--rate" => {
+                    args.rate_mpps = Some(parse("--rate", "a float (Mpps)", val("--rate")?)?)
+                }
+                "--seed" => args.seed = parse("--seed", "an integer", val("--seed")?)?,
+                "--out" => args.out = PathBuf::from(val("--out")?),
+                "--help" | "-h" => return Err(CliError::Help(usage())),
+                name => match FIGURES.iter().find(|s| s.name == name) {
+                    Some(spec) => args.figures.push(spec),
+                    None => return Err(CliError::UnknownArg(name.to_string())),
+                },
+            }
         }
+        if args.figures.is_empty() {
+            args.figures = FIGURES.iter().collect();
+        }
+        Ok(args)
     }
 
-    /// Fallible variant of [`Args::csv_path`].
-    pub fn try_csv_path(&self, name: &str) -> Result<PathBuf, CliError> {
-        std::fs::create_dir_all(&self.out).map_err(|source| CliError::Io {
-            what: "create output dir",
-            path: self.out.clone(),
-            source,
-        })?;
-        Ok(self.out.join(name))
+    /// The size `spec` runs at.
+    pub fn params(&self, spec: &Spec) -> Params {
+        Params {
+            millis: self.millis.unwrap_or(spec.millis),
+            rate_mpps: self.rate_mpps.unwrap_or(spec.rate_mpps),
+            seed: self.seed,
+        }
     }
 }
 
-/// Writes rows to a CSV file (first row = header). Exits with status 2 on
-/// I/O failure, naming the path that failed.
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) {
-    if let Err(e) = try_write_csv(path, header, rows) {
-        exit_with(&e);
-    }
+fn parse<T: std::str::FromStr>(
+    flag: &'static str,
+    want: &'static str,
+    got: String,
+) -> Result<T, CliError> {
+    got.parse()
+        .map_err(|_| CliError::BadValue { flag, want, got })
 }
 
-/// Fallible variant of [`write_csv`].
-pub fn try_write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> Result<(), CliError> {
-    use std::io::Write;
-    let io = |what: &'static str| {
-        move |source: std::io::Error| CliError::Io {
-            what,
-            path: path.to_path_buf(),
-            source,
-        }
+fn usage() -> String {
+    let mut u = String::from(
+        "usage: figures [NAME ...] [--millis N] [--rate MPPS] [--seed S] [--out DIR]\n\
+         runs every figure when no NAME is given; defaults: --seed 42 --out results\n\
+         figures (default --millis / --rate):",
+    );
+    for s in &FIGURES {
+        u += &format!(
+            "\n  {:<20} {:>5} ms  {} Mpps",
+            s.name, s.millis, s.rate_mpps
+        );
+    }
+    u
+}
+
+/// Writes a figure as `<name>.txt` (its stdout) and its CSVs into `dir`,
+/// creating `dir`.
+pub fn try_write_figure(dir: &Path, name: &str, fig: &Figure) -> Result<(), CliError> {
+    let io = |what: &'static str, path: PathBuf| {
+        move |source: std::io::Error| CliError::Io { what, path, source }
     };
-    let mut f = std::fs::File::create(path).map_err(io("create csv"))?;
-    writeln!(f, "{}", header.join(",")).map_err(io("write csv header"))?;
-    for r in rows {
-        writeln!(f, "{}", r.join(",")).map_err(io("write csv row"))?;
+    std::fs::create_dir_all(dir).map_err(io("create output dir", dir.to_path_buf()))?;
+    let txt = dir.join(format!("{name}.txt"));
+    std::fs::write(&txt, &fig.stdout).map_err(io("write", txt.clone()))?;
+    for (name, text) in &fig.csvs {
+        let path = dir.join(name);
+        std::fs::write(&path, text).map_err(io("write csv", path.clone()))?;
     }
     Ok(())
 }
@@ -226,62 +208,75 @@ mod tests {
 
     #[test]
     fn defaults_and_conversions() {
-        let a = Args {
-            millis: 500,
-            rate_mpps: 1.2,
-            seed: 1,
-            out: PathBuf::from("/tmp/x"),
-        };
-        assert_eq!(a.duration_ns(), 500_000_000);
-        assert!((a.rate_pps() - 1.2e6).abs() < 1e-3);
+        let a = Args::try_parse_from(argv(&["fig11", "table2"])).unwrap();
+        let names: Vec<&str> = a.figures.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["fig11", "table2"]);
+        let p = a.params(a.figures[1]);
+        assert_eq!(
+            p,
+            Params {
+                millis: 1_500,
+                rate_mpps: 2.1,
+                seed: 42
+            }
+        );
+        assert_eq!(p.duration_ns(), 1_500_000_000);
+        assert!((p.rate_pps() - 2.1e6).abs() < 1e-3);
+        let all = Args::try_parse_from(argv(&[])).unwrap();
+        assert_eq!(all.figures.len(), FIGURES.len());
+        assert_eq!(all.out, PathBuf::from("results"));
     }
 
     #[test]
     fn try_parse_overrides_defaults() {
-        let a = Args::try_parse_from(
-            5,
-            0.5,
-            argv(&[
-                "--millis", "20", "--rate", "1.5", "--seed", "7", "--out", "/tmp/o",
-            ]),
-        )
+        let a = Args::try_parse_from(argv(&[
+            "--millis", "20", "fig01", "--rate", "1.5", "--seed", "7", "--out", "/tmp/o",
+        ]))
         .unwrap();
-        assert_eq!(a.millis, 20);
-        assert!((a.rate_mpps - 1.5).abs() < 1e-9);
-        assert_eq!(a.seed, 7);
+        assert_eq!(
+            a.params(a.figures[0]),
+            Params {
+                millis: 20,
+                rate_mpps: 1.5,
+                seed: 7
+            }
+        );
         assert_eq!(a.out, PathBuf::from("/tmp/o"));
     }
 
     #[test]
     fn try_parse_reports_typed_errors() {
-        match Args::try_parse_from(5, 0.5, argv(&["--millis"])) {
+        match Args::try_parse_from(argv(&["--millis"])) {
             Err(CliError::MissingValue(f)) => assert_eq!(f, "--millis"),
             other => panic!("want MissingValue, got {other:?}"),
         }
-        match Args::try_parse_from(5, 0.5, argv(&["--seed", "many"])) {
+        match Args::try_parse_from(argv(&["--seed", "many"])) {
             Err(CliError::BadValue { flag, got, .. }) => {
                 assert_eq!(flag, "--seed");
                 assert_eq!(got, "many");
             }
             other => panic!("want BadValue, got {other:?}"),
         }
-        match Args::try_parse_from(5, 0.5, argv(&["--frobnicate"])) {
-            Err(CliError::UnknownFlag(f)) => assert_eq!(f, "--frobnicate"),
-            other => panic!("want UnknownFlag, got {other:?}"),
+        for unknown in ["--frobnicate", "fig99"] {
+            match Args::try_parse_from(argv(&[unknown])) {
+                Err(CliError::UnknownArg(f)) => assert_eq!(f, unknown),
+                other => panic!("want UnknownArg, got {other:?}"),
+            }
         }
-        match Args::try_parse_from(5, 0.5, argv(&["-h"])) {
-            Err(CliError::Help(u)) => assert!(u.contains("--millis 5")),
+        match Args::try_parse_from(argv(&["-h"])) {
+            Err(CliError::Help(u)) => assert!(u.contains("--millis N") && u.contains("1200 ms")),
             other => panic!("want Help, got {other:?}"),
         }
     }
 
     #[test]
     fn try_write_csv_surfaces_io_context() {
-        let path = PathBuf::from("/nonexistent-dir-for-msc-test/x.csv");
-        match try_write_csv(&path, &["a"], &[]) {
+        // A directory under a file cannot be made, not even by root.
+        let dir = PathBuf::from("/dev/null/msc-test");
+        match try_write_figure(&dir, "x", &Figure::default()) {
             Err(e @ CliError::Io { what, .. }) => {
-                assert_eq!(what, "create csv");
-                assert!(e.to_string().contains("/nonexistent-dir-for-msc-test"));
+                assert_eq!(what, "create output dir");
+                assert!(e.to_string().contains("/dev/null/msc-test"));
             }
             other => panic!("want Io error, got {other:?}"),
         }

@@ -9,22 +9,19 @@
 //! NetMedic baseline (`netmedic`, fed by [`netmedic_adapter`]), and score
 //! both tools against the injected ground truth ([`scoring`]).
 //!
-//! Each `src/bin/*.rs` binary regenerates one figure or table and prints
-//! the same rows/series the paper reports (plus CSV output under
-//! `results/`).
+//! Each figure or table is a function in [`figures`] that returns the rows
+//! and series the paper reports and its CSVs. The `figures` binary runs
+//! them by name, or all of them, and writes each as `<name>.txt` plus its
+//! CSVs under `results/`; `tests/golden.rs` checks every one against
+//! checked-in goldens.
 
 #![forbid(unsafe_code)]
 
-pub mod accuracy;
+mod accuracy;
 pub mod cli;
+pub mod figures;
 pub mod inject;
 pub mod netmedic_adapter;
 pub mod runner;
 pub mod scoring;
-pub mod series;
-
-pub use cli::Args;
-pub use inject::{InjectionPlan, PlanConfig};
-pub use netmedic_adapter::build_history;
-pub use runner::{run_spec, RunResult, RunSpec};
-pub use scoring::{rank_cdf, score_run, ScoredVictim};
+mod series;

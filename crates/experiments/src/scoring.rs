@@ -14,31 +14,29 @@ use nf_types::{Interval, Nanos, NodeId, MILLIS};
 /// One victim scored against ground truth.
 #[derive(Debug, Clone)]
 pub struct ScoredVictim {
-    /// When the victim was observed.
-    pub observed_ts: Nanos,
     /// Index of the ground-truth event in the journal.
-    pub event_idx: usize,
+    event_idx: usize,
     /// Ground-truth event kind ("burst" / "interrupt" / "bug").
-    pub event_kind: &'static str,
+    pub(crate) event_kind: &'static str,
     /// Rank of the true culprit in Microscope's list (1 = top).
     pub microscope_rank: usize,
     /// Rank of the true culprit in NetMedic's list (1 = top).
     pub netmedic_rank: usize,
     /// Hops between the culprit node and the victim NF (0 = local), for
     /// the §6.3 propagation-distance analysis.
-    pub hops: usize,
+    pub(crate) hops: usize,
     /// Time gap between culprit activity and victim observation (Fig. 15).
-    pub gap_ns: Nanos,
+    pub(crate) gap_ns: Nanos,
 }
 
 /// How long after an event ends its queues can still be hurting packets.
 /// Fig. 15 shows gaps up to ~91 ms; 100 ms of slack covers it.
-pub const INFLUENCE_SLACK: Nanos = 100 * MILLIS;
+const INFLUENCE_SLACK: Nanos = 100 * MILLIS;
 
 /// Attributes a victim to the injected event most plausibly responsible:
 /// the latest event whose window started at or before the observation and
 /// whose influence (window + slack) still covers it.
-pub fn attribute_event(
+pub(crate) fn attribute_event(
     events: &[InjectedEvent],
     observed_ts: Nanos,
 ) -> Option<(usize, &InjectedEvent)> {
@@ -79,7 +77,7 @@ fn culprit_matches(
 
 /// Rank (1-based) of the true culprit in a Microscope diagnosis;
 /// `list_len + 1` when absent.
-pub fn microscope_rank(d: &Diagnosis, event: &InjectedEvent) -> usize {
+pub(crate) fn microscope_rank(d: &Diagnosis, event: &InjectedEvent) -> usize {
     d.culprits
         .iter()
         .position(|c| culprit_matches(event, c.node, c.kind, c.window))
@@ -87,7 +85,7 @@ pub fn microscope_rank(d: &Diagnosis, event: &InjectedEvent) -> usize {
 }
 
 /// Rank (1-based) of the true culprit node in a NetMedic ranking.
-pub fn netmedic_rank(ranked: &[netmedic::RankedComponent], event: &InjectedEvent) -> usize {
+fn netmedic_rank(ranked: &[netmedic::RankedComponent], event: &InjectedEvent) -> usize {
     let want = event.culprit_node();
     ranked
         .iter()
@@ -97,7 +95,7 @@ pub fn netmedic_rank(ranked: &[netmedic::RankedComponent], event: &InjectedEvent
 
 /// Hop distance in the NF DAG from the culprit node to the victim NF
 /// (0 when the culprit *is* the victim NF; 1 for a direct upstream...).
-pub fn hop_distance(
+pub(crate) fn hop_distance(
     topology: &nf_types::Topology,
     culprit: NodeId,
     victim: nf_types::NfId,
@@ -123,12 +121,7 @@ pub fn hop_distance(
             }
         }
     }
-    let d = dist[idx(culprit)];
-    if d == usize::MAX {
-        usize::MAX
-    } else {
-        d
-    }
+    dist[idx(culprit)]
 }
 
 /// Scores every diagnosed victim of a run on `topology` against the
@@ -150,7 +143,6 @@ pub fn score_run(
         let nm_ranked = nm.diagnose(hist, d.victim.nf, d.victim.observed_ts);
         let gap = d.victim.observed_ts.saturating_sub(event.window().start);
         out.push(ScoredVictim {
-            observed_ts: d.victim.observed_ts,
             event_idx,
             event_kind: event.kind_str(),
             microscope_rank: microscope_rank(d, event),
@@ -166,7 +158,7 @@ pub fn score_run(
 /// event (bursts create orders of magnitude more victims than interrupts)
 /// does not drown the others in the overall accuracy figures. Victims of
 /// each event are evenly subsampled over time.
-pub fn balance_by_event(scored: &[ScoredVictim], per_event: usize) -> Vec<ScoredVictim> {
+pub(crate) fn balance_by_event(scored: &[ScoredVictim], per_event: usize) -> Vec<ScoredVictim> {
     use std::collections::BTreeMap;
     let mut by_event: BTreeMap<usize, Vec<&ScoredVictim>> = BTreeMap::new();
     for s in scored {
@@ -188,7 +180,7 @@ pub fn balance_by_event(scored: &[ScoredVictim], per_event: usize) -> Vec<Scored
 
 /// The Fig. 11 CDF: sorted ranks, reported as (cumulative % of victims,
 /// rank at that percentile).
-pub fn rank_cdf(ranks: &[usize]) -> Vec<(f64, usize)> {
+pub(crate) fn rank_cdf(ranks: &[usize]) -> Vec<(f64, usize)> {
     let mut sorted: Vec<usize> = ranks.to_vec();
     sorted.sort_unstable();
     sorted
