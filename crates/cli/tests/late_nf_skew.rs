@@ -13,7 +13,7 @@ use microscope_cli::pipeline::{self, Run, Settled};
 use msc_collector::save_bundle;
 use nf_sim::{ScenarioBuilder, SimConfig, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
-use nf_types::{emit_topology, parse_topology, NfKind, PacketId, MILLIS};
+use nf_types::{emit_topology, parse_topology, NfKind, Packet, PacketId, MILLIS};
 
 /// The branch NF stays idle this long: three of `diagnose`'s windows.
 const IDLE_MS: u64 = 30;
@@ -39,14 +39,13 @@ fn an_nf_whose_traffic_starts_late_gets_its_true_offset() {
     );
     let mut packets = gen.generate(0, 120 * MILLIS).finalize(0);
     let route = &cfgs[nat.0 as usize].route;
-    packets.retain(|p| p.created_at >= IDLE_MS * MILLIS || route.next_hop(&p.flow) != Some(fw2));
+    let to_fw2 = |p: &Packet| route.next_hop(&p.flow, p.flow.stable_hash()) == Some(fw2);
+    packets.retain(|p| p.created_at >= IDLE_MS * MILLIS || !to_fw2(p));
     // The simulator takes consecutive ids.
     for (i, p) in packets.iter_mut().enumerate() {
         p.id = PacketId(i as u64);
     }
-    let late = packets
-        .iter()
-        .filter(|p| route.next_hop(&p.flow) == Some(fw2));
+    let late = packets.iter().filter(|p| to_fw2(p));
     assert!(
         late.map(|p| p.created_at).min() >= Some(IDLE_MS * MILLIS),
         "fw2 is idle for the first {IDLE_MS} ms"

@@ -103,7 +103,7 @@ pub(super) fn fig02(p: &Params) -> Figure {
     // Flow A's worst throughput bucket after the interrupt.
     let min_a = a_tp
         .iter()
-        .filter(|&&(t, _)| t > 1_300 * MICROS)
+        .filter(|&&(t, _)| t >= 1_300 * MICROS)
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
         .copied()
         .unwrap_or((0, 0.0));

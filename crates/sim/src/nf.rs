@@ -30,13 +30,15 @@ pub enum RoutePolicy {
 }
 
 impl RoutePolicy {
-    /// Resolves the next hop for `flow`. `None` means the packet exits.
-    pub fn next_hop(&self, flow: &FiveTuple) -> Option<NfId> {
+    /// Resolves the next hop for `flow`, whose `stable_hash()` is `hash`.
+    /// `None` means the packet exits.
+    pub fn next_hop(&self, flow: &FiveTuple, hash: u64) -> Option<NfId> {
+        debug_assert_eq!(hash, flow.stable_hash());
         match self {
             RoutePolicy::Fixed(nf) => Some(*nf),
             RoutePolicy::HashAcross(nfs) => {
                 assert!(!nfs.is_empty(), "HashAcross with no targets");
-                Some(nfs[(flow.stable_hash() % nfs.len() as u64) as usize])
+                Some(nfs[(hash % nfs.len() as u64) as usize])
             }
             RoutePolicy::FirewallSplit {
                 rule,
@@ -47,7 +49,7 @@ impl RoutePolicy {
                 assert!(!set.is_empty(), "FirewallSplit with empty target set");
                 // Use a different hash stream than the NAT level so the two
                 // levels of balancing are independent.
-                Some(set[(flow.stable_hash().rotate_left(17) % set.len() as u64) as usize])
+                Some(set[(hash.rotate_left(17) % set.len() as u64) as usize])
             }
             RoutePolicy::Exit => None,
         }
@@ -86,15 +88,19 @@ mod tests {
         FiveTuple::new(0x0a000001, 0x14000001, sport, 80, Proto::TCP)
     }
 
+    fn hop(r: &RoutePolicy, f: FiveTuple) -> Option<NfId> {
+        r.next_hop(&f, f.stable_hash())
+    }
+
     #[test]
     fn fixed_route() {
         let r = RoutePolicy::Fixed(NfId(3));
-        assert_eq!(r.next_hop(&flow(1)), Some(NfId(3)));
+        assert_eq!(hop(&r, flow(1)), Some(NfId(3)));
     }
 
     #[test]
     fn exit_route() {
-        assert_eq!(RoutePolicy::Exit.next_hop(&flow(1)), None);
+        assert_eq!(hop(&RoutePolicy::Exit, flow(1)), None);
     }
 
     #[test]
@@ -102,8 +108,8 @@ mod tests {
         let r = RoutePolicy::HashAcross(vec![NfId(0), NfId(1), NfId(2)]);
         let mut seen = std::collections::HashSet::new();
         for sport in 0..200 {
-            let a = r.next_hop(&flow(sport)).unwrap();
-            let b = r.next_hop(&flow(sport)).unwrap();
+            let a = hop(&r, flow(sport)).unwrap();
+            let b = hop(&r, flow(sport)).unwrap();
             assert_eq!(a, b, "not flow-stable");
             seen.insert(a);
         }
@@ -124,8 +130,8 @@ mod tests {
             monitors: vec![NfId(10)],
             vpns: vec![NfId(20), NfId(21)],
         };
-        assert_eq!(r.next_hop(&flow(1050)), Some(NfId(10)));
-        let out = r.next_hop(&flow(5000)).unwrap();
+        assert_eq!(hop(&r, flow(1050)), Some(NfId(10)));
+        let out = hop(&r, flow(5000)).unwrap();
         assert!(out == NfId(20) || out == NfId(21));
     }
 }

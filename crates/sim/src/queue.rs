@@ -19,13 +19,16 @@ pub struct DropRecord {
 }
 
 /// An entry sitting in an input ring: the packet plus its enqueue time
-/// (ground truth for queueing-delay accounting).
+/// (ground truth for queueing-delay accounting) and its flow hash.
 #[derive(Debug, Clone, Copy)]
 pub struct Queued {
     /// The packet.
     pub packet: Packet,
     /// When it was enqueued.
     pub enqueued_at: Nanos,
+    /// `packet.flow.stable_hash()`, computed once at emission: every
+    /// routing decision along the path reuses it.
+    pub hash: u64,
 }
 
 /// A bounded drop-tail FIFO with length-series sampling.
@@ -77,8 +80,9 @@ impl PacketQueue {
         self.capacity
     }
 
-    /// Enqueues `packet` at time `at`. Returns `false` (a drop) when full.
-    pub fn push(&mut self, packet: Packet, at: Nanos) -> bool {
+    /// Enqueues `packet`, whose flow hashes to `hash`, at time `at`.
+    /// Returns `false` (a drop) when full.
+    pub fn push(&mut self, packet: Packet, hash: u64, at: Nanos) -> bool {
         self.maybe_sample(at);
         if self.items.len() >= self.capacity {
             self.dropped += 1;
@@ -87,17 +91,20 @@ impl PacketQueue {
         self.items.push_back(Queued {
             packet,
             enqueued_at: at,
+            hash,
         });
         self.enqueued += 1;
         self.max_len = self.max_len.max(self.items.len());
         true
     }
 
-    /// Dequeues up to `max` packets at time `at` (one DPDK rx burst).
-    pub fn pop_batch(&mut self, max: usize, at: Nanos) -> Vec<Queued> {
+    /// Dequeues up to `max` packets at time `at` (one DPDK rx burst) into
+    /// `out`, replacing what it held.
+    pub fn pop_batch(&mut self, max: usize, at: Nanos, out: &mut Vec<Queued>) {
         self.maybe_sample(at);
         let n = max.min(self.items.len());
-        self.items.drain(..n).collect()
+        out.clear();
+        out.extend(self.items.drain(..n));
     }
 
     fn maybe_sample(&mut self, at: Nanos) {
@@ -129,13 +136,19 @@ mod tests {
         Packet::new(id, FiveTuple::new(1, 2, 3, 4, Proto::UDP), 64, 0)
     }
 
+    fn pop(q: &mut PacketQueue, max: usize, at: Nanos) -> Vec<Queued> {
+        let mut out = Vec::new();
+        q.pop_batch(max, at, &mut out);
+        out
+    }
+
     #[test]
     fn fifo_batching() {
         let mut q = PacketQueue::new(8, None);
         for i in 0..5 {
-            assert!(q.push(pkt(i), i * 10));
+            assert!(q.push(pkt(i), 0, i * 10));
         }
-        let b = q.pop_batch(3, 100);
+        let b = pop(&mut q, 3, 100);
         assert_eq!(b.len(), 3);
         assert_eq!(b[0].packet.id.0, 0);
         assert_eq!(b[2].packet.id.0, 2);
@@ -146,9 +159,9 @@ mod tests {
     #[test]
     fn drop_tail_when_full() {
         let mut q = PacketQueue::new(2, None);
-        assert!(q.push(pkt(0), 0));
-        assert!(q.push(pkt(1), 0));
-        assert!(!q.push(pkt(2), 0));
+        assert!(q.push(pkt(0), 0, 0));
+        assert!(q.push(pkt(1), 0, 0));
+        assert!(!q.push(pkt(2), 0, 0));
         assert_eq!(q.dropped, 1);
         assert_eq!(q.enqueued, 2);
         assert_eq!(q.len(), 2);
@@ -157,18 +170,18 @@ mod tests {
     #[test]
     fn batch_larger_than_queue_drains_it() {
         let mut q = PacketQueue::new(8, None);
-        q.push(pkt(0), 0);
-        let b = q.pop_batch(32, 1);
+        q.push(pkt(0), 0, 0);
+        let b = pop(&mut q, 32, 1);
         assert_eq!(b.len(), 1);
         assert!(q.is_empty());
-        assert!(q.pop_batch(32, 2).is_empty());
+        assert!(pop(&mut q, 32, 2).is_empty());
     }
 
     #[test]
     fn series_sampling_is_rate_limited() {
         let mut q = PacketQueue::new(100, Some(100));
         for i in 0..50u64 {
-            q.push(pkt(i), i * 10); // 10 ns apart, sample every 100 ns
+            q.push(pkt(i), 0, i * 10); // 10 ns apart, sample every 100 ns
         }
         let s = q.series();
         assert!(s.len() <= 6, "{} samples", s.len());
@@ -180,9 +193,9 @@ mod tests {
     fn max_len_tracked() {
         let mut q = PacketQueue::new(10, None);
         for i in 0..7u64 {
-            q.push(pkt(i), 0);
+            q.push(pkt(i), 0, 0);
         }
-        q.pop_batch(5, 1);
+        pop(&mut q, 5, 1);
         assert_eq!(q.max_len, 7);
     }
 }
