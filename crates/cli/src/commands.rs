@@ -26,7 +26,8 @@ diagnose reads the bundle in time windows as it goes: a whole-run .msc in
 --chunk-ms windows (default 10), a chunked .mscs chunk by chunk. With --skew
 it holds windows until the estimated clock offsets settle (at the latest
 when the run ends, on the whole-run estimate), then corrects every window by
-them. skew reads the same windows until the offsets settle and prints them.
+them. skew holds the same windows until the offsets settle and prints them;
+like diagnose, it refuses a file whose chunks are out of order.
 
 run `microscope <command>` with missing flags to see its specific errors.";
 

@@ -166,8 +166,9 @@ pub struct Run {
 /// `microscope skew` — clock-offset estimation only: the offsets
 /// `diagnose --skew` settles on, from the same windows of either container,
 /// checked as `diagnose` checks them ([`ChunkOrder`]) and held by the same
-/// [`OffsetSettler`]. Reading stops when they settle; a run that ends first
-/// settles on the whole-run estimate, as `diagnose` does. Nothing is
+/// [`OffsetSettler`]. Once they settle, the rest of the file is only
+/// checked, so `skew` refuses every file `diagnose` refuses; a run that ends
+/// first settles on the whole-run estimate, as `diagnose` does. Nothing is
 /// corrected or reconstructed. An NF with no usable samples gets offset 0,
 /// which reads exactly like a synchronised clock — `SkewEstimates::notes`
 /// names each such fallback.
@@ -175,18 +176,24 @@ pub fn skew(topology: &Topology, bundle: &Path, hook: Hook) -> Result<SkewEstima
     let mut source = open(bundle, None)?;
     let mut order = ChunkOrder::new(topology);
     let mut settler = OffsetSettler::new(SKEW_SLACK_NS);
+    let mut settled = None;
     let read = |e| format!("read {}: {e}", bundle.display());
     while let Some(chunk) = source.next_chunk().map_err(read)? {
         order
             .admit(&chunk.bundle, chunk.until)
             .map_err(|e| e.to_string())?;
-        let settled = settler.hold(topology, chunk);
+        if settled.is_some() {
+            continue;
+        }
+        let done = settler.hold(topology, chunk);
         hook(&format!("push {}", settler.held()), Produced::Done);
-        if settled {
-            break;
+        if done {
+            settled = Some(settler.finish(topology));
+            // The estimate is made: free what it was made over.
+            settler.drain().for_each(drop);
         }
     }
-    Ok(settler.finish(topology))
+    Ok(settled.unwrap_or_else(|| settler.finish(topology)))
 }
 
 /// `microscope diagnose` (alias `stream`) — either container into the

@@ -4,8 +4,9 @@
 //! paper topology — and, in both containers, through the two commands that
 //! estimate clock offsets, `diagnose --skew` and `skew` (every 64th
 //! truncation). Each mutant must come back as a report or an error, never a
-//! panic — and a log whose NF id no longer matches its position must be an
-//! error, not a run that indexes the wrong NF's state by that id.
+//! panic, and from every command alike — and a log whose NF id no longer
+//! matches its position must be an error, not a run that indexes the wrong
+//! NF's state by that id.
 
 use microscope_cli::pipeline;
 use msc_collector::{chunk_bundle, read_bundle, save_bundle, save_bundle_chunked};
@@ -59,10 +60,12 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let (mut mutants, mut panicked, mut accepted) = (0, Vec::new(), Vec::new());
+    let mut disagree = Vec::new();
     for (clean, chunked) in [(WHOLE, false), (CHUNKED, true)] {
         let path = dir.join(if chunked { "run.mscs" } else { "run.msc" });
         // Whether each command returned `Ok` — `diagnose`, and with `skew`
-        // also `diagnose --skew` and `skew`. `None` if one panicked.
+        // also `diagnose --skew` and `skew`, which must all agree. `None`
+        // if one panicked.
         let mut run = |label: String, bytes: &[u8], skew: bool| {
             mutants += 1;
             std::fs::write(&path, bytes).unwrap();
@@ -78,7 +81,11 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
                 }
                 ok
             }));
-            result.map_err(|_| panicked.push(label)).ok()
+            let ok = result.map_err(|_| panicked.push(label.clone())).ok();
+            if ok.as_ref().is_some_and(|ok| ok.iter().any(|&x| x != ok[0])) {
+                disagree.push(label);
+            }
+            ok
         };
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let clean_run = run(format!("{name} clean"), clean, true).unwrap_or_default();
@@ -124,6 +131,12 @@ fn no_bundle_mutant_panics_and_a_misplaced_log_is_refused() {
     assert!(
         accepted.is_empty(),
         "a misplaced log was accepted: {accepted:?}"
+    );
+    assert!(
+        disagree.is_empty(),
+        "{} mutants accepted by one command and refused by another: {:?}",
+        disagree.len(),
+        &disagree[..disagree.len().min(20)]
     );
 }
 

@@ -16,12 +16,15 @@
 //! O(log n) lookup via a per-IPID position index). One candidate ⇒ match.
 //! Multiple candidates ⇒ the Fig. 9 situation: bounded lookahead plays each
 //! choice forward and keeps the one that leaves more of the *following* rx
-//! entries alignable. Sends skipped behind a same-edge match are inferred
-//! drops; sends never reached stay unresolved (in flight at the end of the
-//! run).
+//! entries alignable. The earliest-send default's playout is kept as a
+//! plan that later entries commit from, so an entry is played once however
+//! many collisions before it look at it. Sends skipped behind a same-edge
+//! match are inferred drops; sends never reached stay unresolved (in flight
+//! at the end of the run).
 
 use crate::streams::EdgeStreams;
 use nf_types::{Ipid, Nanos, NfId, NodeId, Topology};
+use std::collections::VecDeque;
 
 /// Size of the IPID value space (`Ipid` is `u16`): the per-edge index is a
 /// dense counting-sort table over all 2^16 values.
@@ -367,10 +370,11 @@ impl EdgeState {
 /// offsets, so it stays valid while the edge's consumed prefix is dropped;
 /// it goes stale only when sends are appended.
 ///
-/// Each run's `begin` doubles as a lazily-advancing per-IPID cursor: the
-/// first entry of that run not yet behind the edge's committed `cursor`.
-/// Entries before it are consumed for good (the edge cursor never moves
-/// back), so each run entry is skipped at most once over the whole match.
+/// Each run's `begin` doubles as a lazily-advancing per-IPID hint: no entry
+/// before it is at or past the edge's committed `cursor`. A commit moves
+/// the matched IPID's hint past the matched position
+/// ([`EdgeIndex::consume`]); the edge cursor never moves back, so each run
+/// entry is stepped over at most once over the whole match.
 pub(crate) struct EdgeIndex {
     /// Positions and send timestamps grouped by IPID.
     runs: IpidRuns,
@@ -418,37 +422,27 @@ impl EdgeIndex {
             + indexed.capacity() * size_of::<Ipid>()
     }
 
-    /// First position `>= cursor` (the edge's committed cursor) with
-    /// `ipid`, sent at or before `read_ts` and within the delay bound.
-    /// Advances the per-IPID cursor past consumed entries (amortized O(1)
-    /// over a whole match). Returns the position and its send timestamp.
-    fn candidate(
-        &mut self,
-        cursor: usize,
-        ipid: Ipid,
-        read_ts: Nanos,
-        cfg: &MatchConfig,
-    ) -> Option<(usize, Nanos)> {
+    /// Moves `ipid`'s hint past the entries before `cursor`, the edge's
+    /// committed cursor once a read with `ipid` has matched below it.
+    fn consume(&mut self, cursor: usize, ipid: Ipid) {
         let run = &mut self.runs.run[ipid as usize];
         let mut c = run.begin;
         while c < run.end && (self.runs.pos[c as usize] as usize) < cursor {
             c += 1;
         }
         run.begin = c;
-        if c == run.end {
-            return None;
-        }
-        let sent = self.runs.ts[c as usize];
-        window_ok(sent, read_ts, cfg).then_some((self.runs.pos[c as usize] as usize, sent))
     }
 
-    /// Same from a speculative `cursor` at or past the committed one
-    /// (lookahead): the first unconsumed run entry at or past `cursor`,
-    /// window-checked.
+    /// First position `>= cursor` with `ipid` — `cursor` the edge's
+    /// committed cursor or a speculative one past it — if it was sent at or
+    /// before `read_ts` and within the delay bound. Returns the position and
+    /// its send timestamp.
     ///
-    /// This is the single hottest lookup of the whole pipeline (once per
-    /// edge per rx step of every lookahead playout). Speculative cursors
-    /// sit at most a playout's worth of matches past the committed per-IPID
+    /// The matcher's one index lookup: per edge, once for every step of the
+    /// plan (each read is played once, however many collisions look at it),
+    /// for every step of a non-default candidate's playout, and for the
+    /// candidates of a collision whose default the plan does not settle.
+    /// Cursors sit at most a playout's worth of matches past the per-IPID
     /// hint, so the galloping lower bound lands in 1–3 probes for the
     /// common case instead of the ~log₂(tail) a plain binary search pays on
     /// these long, heavily-reused IPID runs.
@@ -498,6 +492,46 @@ fn window_ok(sent: Nanos, read_ts: Nanos, cfg: &MatchConfig) -> bool {
         && read_ts.saturating_sub(sent) <= cfg.delay_bound_ns
 }
 
+/// One greedy step of a playout: the earliest-send candidate of one read
+/// over every upstream edge — `(send ts, edge slot, position)`, the lowest
+/// key on a tie — and how many edges had a candidate at all.
+#[derive(Clone, Copy)]
+struct Step {
+    best: Option<(Nanos, usize, usize)>,
+    candidates: usize,
+}
+
+impl Step {
+    /// Plays the read (`read_ts`, `ipid`) from the per-edge `cursors`,
+    /// moving the chosen edge's cursor past its candidate.
+    #[inline]
+    fn play(
+        index: &[EdgeIndex],
+        cursors: &mut [usize],
+        read_ts: Nanos,
+        ipid: Ipid,
+        cfg: &MatchConfig,
+    ) -> Self {
+        let mut step = Step {
+            best: None,
+            candidates: 0,
+        };
+        for (slot, ix) in index.iter().enumerate() {
+            if let Some((pos, sent)) = ix.candidate_from(cursors[slot], ipid, read_ts, cfg) {
+                step.candidates += 1;
+                let key = (sent, slot, pos);
+                if step.best.is_none_or(|b| key < b) {
+                    step.best = Some(key);
+                }
+            }
+        }
+        if let Some((_, slot, pos)) = step.best {
+            cursors[slot] = pos + 1;
+        }
+        step
+    }
+}
+
 /// Greedy alignment score used to break collisions: with the given per-edge
 /// cursors, how many of the next `depth` rx entries match greedily
 /// (earliest-send candidate, no nested ambiguity handling)?
@@ -525,34 +559,34 @@ fn lookahead_score(
             return score;
         }
         remaining -= 1;
-        let mut best: Option<(Nanos, usize, usize)> = None; // (ts, edge, pos)
-        for (e_idx, ix) in index.iter().enumerate() {
-            if let Some((pos, sent)) = ix.candidate_from(cursors[e_idx], ipid, read_ts, cfg) {
-                let key = (sent, e_idx, pos);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        if let Some((_, e_idx, pos)) = best {
+        if Step::play(index, cursors, read_ts, ipid, cfg)
+            .best
+            .is_some()
+        {
             score += 1;
-            cursors[e_idx] = pos + 1;
         }
     }
     score
 }
 
 /// The resumable matcher of one downstream NF: its committed state on each
-/// upstream edge in slot order, the running tallies, and the buffers
-/// [`Self::decide`] reuses so the per-rx step never allocates. The sends
-/// themselves ([`EdgeSends`]) and the index over them stay with the driver.
-/// Both reconstructors drive it: offline indexes the whole run and decides
-/// every rx entry in one go; the streaming one appends a chunk, decides the
-/// prefix its watermark proves stable and comes back with the next chunk.
+/// upstream edge in slot order, the running tallies, the greedy plan ahead
+/// of the committed cursors, and the buffers [`Self::decide`] reuses so the
+/// per-rx step never allocates. The sends themselves ([`EdgeSends`]) and the
+/// index over them stay with the driver. Both reconstructors drive it:
+/// offline indexes the whole run and decides every rx entry in one go; the
+/// streaming one appends a chunk, decides the prefix its watermark proves
+/// stable and comes back with the next chunk.
 pub(crate) struct NfMatcher {
     /// Upstream edges in slot order ([`Topology::upstream_nodes`] order).
     pub(crate) edges: Vec<EdgeState>,
     pub(crate) stats: MatchStats,
+    /// The greedy steps of the reads from the next undecided one on, played
+    /// from the committed cursors: the default playout of every ambiguity
+    /// among them. Valid while commits follow it; a flip clears it.
+    plan: VecDeque<Step>,
+    /// The per-edge cursors after the last step of `plan`.
+    plan_cursors: Vec<usize>,
     /// (send ts, edge slot, pos) candidates for the current rx entry.
     cands: Vec<(Nanos, usize, usize)>,
     /// Speculative per-edge cursors for one lookahead playout.
@@ -565,8 +599,10 @@ impl NfMatcher {
         let Self {
             edges,
             stats: _,
-            // Fixed: cleared per rx entry, at most one entry per upstream
-            // edge.
+            // Fixed: at most `lookahead + 1` steps, one cursor and at most
+            // one candidate per upstream edge.
+            plan: _,
+            plan_cursors: _,
             cands: _,
             cursors: _,
         } = self;
@@ -578,8 +614,28 @@ impl NfMatcher {
         Self {
             edges: (0..n_edges).map(|_| EdgeState::default()).collect(),
             stats: MatchStats::default(),
+            plan: VecDeque::new(),
+            plan_cursors: Vec::with_capacity(n_edges),
             cands: Vec::with_capacity(n_edges),
             cursors: Vec::with_capacity(n_edges),
+        }
+    }
+
+    /// Plays the plan on until it holds `len` steps: those of the entries
+    /// `rx_ts` / `rx_ipid` start with, the plan's first entry on.
+    fn extend_plan(
+        &mut self,
+        index: &[EdgeIndex],
+        rx_ts: &[Nanos],
+        rx_ipid: &[Ipid],
+        len: usize,
+        cfg: &MatchConfig,
+    ) {
+        while self.plan.len() < len {
+            let j = self.plan.len();
+            let cursors = &mut self.plan_cursors;
+            let step = Step::play(index, cursors, rx_ts[j], rx_ipid[j], cfg);
+            self.plan.push_back(step);
         }
     }
 
@@ -591,6 +647,11 @@ impl NfMatcher {
     /// `matched`, the edge cursor, the tallies. Positions the cursor jumps
     /// over stay [`UNMATCHED`] behind it: inferred drops. Returns the chosen
     /// `(edge slot, position)`, `None` when no edge has an eligible send.
+    ///
+    /// Entries are decided in order, each once: the plan's first step is
+    /// entry `k`'s. The default candidate's playout is the plan itself, so
+    /// an entry the plan covers costs no lookup, and the other candidates
+    /// are played only when the plan falls short of a perfect score.
     pub(crate) fn decide(
         &mut self,
         index: &mut [EdgeIndex],
@@ -603,40 +664,53 @@ impl NfMatcher {
         let (read_ts, ipid) = (rx_ts[k], rx_ipid[k]);
         let (rest_ts, rest_ipid) = (&rx_ts[k + 1..], &rx_ipid[k + 1..]);
         let index = &mut index[..self.edges.len()];
-        // One candidate per upstream edge at most.
-        self.cands.clear();
-        for (slot, (e, ix)) in self.edges.iter().zip(index.iter_mut()).enumerate() {
-            if let Some((pos, sent)) = ix.candidate(e.cursor, ipid, read_ts, cfg) {
-                // Capacity is the edge count, reserved at construction.
-                self.cands.push((sent, slot, pos));
-            }
+        if self.plan.is_empty() {
+            self.plan_cursors.clear();
+            self.plan_cursors
+                .extend(self.edges.iter().map(|e| e.cursor));
         }
-        let chosen = match self.cands.len() {
-            0 => {
-                self.stats.unmatched_rx += 1;
-                return None;
-            }
-            1 => self.cands[0],
-            _ => {
+        self.extend_plan(index, &rx_ts[k..], &rx_ipid[k..], 1, cfg);
+        let step = self.plan[0];
+        // The plan now starts at entry `k + 1`, the default's playout.
+        self.plan.pop_front();
+        let chosen = match (step.candidates, step.best) {
+            (_, None) => None,
+            (1, only) => only,
+            // Earliest send is the FIFO-plausible default...
+            (_, Some(default)) if !cfg.use_order_channel => {
+                // Ablated: no lookahead, timing only.
                 self.stats.ambiguities += 1;
-                // Earliest send is the FIFO-plausible default...
-                self.cands.sort_unstable();
-                let default = self.cands[0];
-                if !cfg.use_order_channel {
-                    // Ablated: no lookahead, timing only.
-                    default
-                } else {
-                    // ...but let bounded lookahead overrule it (Fig. 9).
-                    let mut best = default;
-                    let mut best_score = None;
-                    // Playout scores never exceed the rx entries actually
-                    // available, so a candidate that aligns every one of
-                    // them cannot be strictly beaten — stop playing the
-                    // rest (they could at most tie, which never flips the
-                    // selection).
-                    let max_achievable = cfg.lookahead.min(rest_ts.len());
-                    for &cand in &self.cands {
-                        if best_score == Some(max_achievable) {
+                Some(default)
+            }
+            // ...but let bounded lookahead overrule it (Fig. 9).
+            (_, Some(default)) => {
+                self.stats.ambiguities += 1;
+                // Playout scores never exceed the rx entries actually
+                // available, so a candidate that aligns every one of them
+                // cannot be strictly beaten — the others are played only
+                // while the best falls short (they could at most tie, which
+                // never flips the selection).
+                let max_achievable = cfg.lookahead.min(rest_ts.len());
+                self.extend_plan(index, rest_ts, rest_ipid, max_achievable, cfg);
+                let mut best = default;
+                let mut best_score = self
+                    .plan
+                    .range(..max_achievable)
+                    .filter(|s| s.best.is_some())
+                    .count();
+                if best_score < max_achievable {
+                    self.cands.clear();
+                    for (slot, (e, ix)) in self.edges.iter().zip(index.iter()).enumerate() {
+                        if let Some((pos, sent)) = ix.candidate_from(e.cursor, ipid, read_ts, cfg) {
+                            // Capacity is the edge count, reserved at
+                            // construction.
+                            self.cands.push((sent, slot, pos));
+                        }
+                    }
+                    self.cands.sort_unstable();
+                    debug_assert_eq!(self.cands.first(), Some(&default));
+                    for &cand in &self.cands[1..] {
+                        if best_score == max_achievable {
                             break;
                         }
                         self.cursors.clear();
@@ -649,21 +723,28 @@ impl NfMatcher {
                             rest_ipid,
                             cfg.lookahead,
                             cfg,
-                            best_score.unwrap_or(0),
+                            best_score,
                         );
-                        if best_score.is_none_or(|b| s > b) {
-                            best_score = Some(s);
+                        if s > best_score {
+                            best_score = s;
                             best = cand;
                         }
                     }
-                    if best != default {
-                        self.stats.ambiguity_flips += 1;
-                    }
-                    best
                 }
+                if best != default {
+                    self.stats.ambiguity_flips += 1;
+                    // The plan played the default: it no longer follows
+                    // from the committed cursors.
+                    self.plan.clear();
+                }
+                Some(best)
             }
         };
-        let (_, slot, pos) = chosen;
+        let Some((_, slot, pos)) = chosen else {
+            self.stats.unmatched_rx += 1;
+            return None;
+        };
+        index[slot].consume(pos + 1, ipid);
         let e = &mut self.edges[slot];
         e.matched[pos - e.base] = (rx_base + k) as u32;
         e.cursor = pos + 1;

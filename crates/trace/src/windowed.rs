@@ -40,7 +40,10 @@
 //!    still arrive has `ts >= W` and fails the timing window for all reads
 //!    the decision may consult — so deciding now equals deciding with the
 //!    full run in hand. (Single-upstream NFs have no ambiguity and need no
-//!    lookahead margin.)
+//!    lookahead margin.) The matcher's plan, the greedy steps it already
+//!    played for the reads after the last decision, is kept across chunks
+//!    for the same reason: a step is only played for a read within
+//!    `lookahead` of a stable decision, so no later send changes it.
 //! 2. **A trace is a pure function of the decisions.** Hops are appended
 //!    to the arena's *tail* in forwarding order, each tagged with its trace;
 //!    a trace's own hops come out in path order. Once the traces whose
@@ -1042,6 +1045,82 @@ mod tests {
         off.report
     }
 
+    /// Flips the engine committed while chunks were still coming: decided
+    /// in a round that left reads buffered, so the plan the flipped
+    /// decision cleared was played over reads of later chunks too.
+    fn flips_before_finish(
+        topo: &Topology,
+        bundle: &TraceBundle,
+        cfg: &MatchConfig,
+        chunk_ns: Nanos,
+    ) -> u64 {
+        let mut w = WindowedReconstructor::new(topo, cfg.clone());
+        for chunk in chunk_bundle(bundle, chunk_ns) {
+            w.ingest(&chunk.bundle, chunk.until).unwrap();
+        }
+        w.nfs
+            .iter()
+            .map(|st| st.matcher.stats.ambiguity_flips)
+            .sum()
+    }
+
+    /// `motifs` rounds of IPID collisions on [`diamond`], reads 1 µs apart:
+    /// nat1 sends `c, a`, then nat0 sends `c, a, b`, and the VPN reads
+    /// `c, a, b, a, c`. The first read's default (nat1's `c`, the earliest
+    /// send) ties the alternative and stands, and its playout becomes the
+    /// plan; the second read's default leaves the second `a` unexplained,
+    /// so the lookahead flips it to nat0's `a` and clears that plan. With
+    /// 1 µs chunks every read is a chunk of its own: the flip is decided a
+    /// round after the plan it clears was played.
+    fn flip_motifs(topo: &Topology, motifs: u16) -> TraceBundle {
+        let mut c = Collector::new(topo, CollectorConfig::default());
+        // A flow entering at each NAT.
+        let flow_into = |nf: NfId| {
+            (0..)
+                .map(|p| FiveTuple::new(1, 2, p, 4, Proto::UDP))
+                .find(|f| topo.entry_for(f) == nf)
+                .unwrap()
+        };
+        for i in 0..motifs {
+            let t = 1_000 + u64::from(i) * 10_000;
+            for (nat, ipids) in [
+                (1u16, &[3 * i, 3 * i + 1][..]),
+                (0, &[3 * i, 3 * i + 1, 3 * i + 2]),
+            ] {
+                let flow = flow_into(NfId(nat));
+                let batch: Vec<PacketMeta> = ipids
+                    .iter()
+                    .map(|&ipid| PacketMeta { ipid, flow })
+                    .collect();
+                let sent = t + 10 * u64::from(2 - nat);
+                for m in &batch {
+                    c.record_source(sent - 5, m);
+                }
+                c.record_rx(NfId(nat), sent - 2, &batch);
+                c.record_tx(NfId(nat), sent, Some(NfId(2)), &batch);
+            }
+            let at = |k: u64| t + 5_000 + 1_000 * k;
+            for (k, (nat, ipid)) in [
+                (1, 3 * i),
+                (1, 3 * i + 1),
+                (0, 3 * i + 2),
+                (0, 3 * i + 1),
+                (0, 3 * i),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let m = PacketMeta {
+                    ipid,
+                    flow: flow_into(NfId(nat)),
+                };
+                c.record_rx(NfId(2), at(k as u64), &[m]);
+                c.record_tx(NfId(2), at(k as u64) + 100, None, &[m]);
+            }
+        }
+        c.into_bundle()
+    }
+
     fn sweep_configs() -> Vec<MatchConfig> {
         vec![
             MatchConfig::default(),
@@ -1112,6 +1191,34 @@ mod tests {
             "ambiguities: {}",
             totals.ambiguities
         );
+    }
+
+    #[test]
+    fn streamed_equals_offline_when_flips_span_chunks() {
+        let topo = diamond();
+        let bundle = flip_motifs(&topo, 40);
+        for cfg in &sweep_configs() {
+            for chunk_ns in [1_000, 2_500, 60_000, Nanos::MAX] {
+                let tag = format!("motifs chunk {chunk_ns} lookahead {}", cfg.lookahead);
+                assert_stream_matches_offline(&topo, &bundle, cfg, chunk_ns, &tag);
+            }
+        }
+        let cfg = MatchConfig {
+            lookahead: 3,
+            ..Default::default()
+        };
+        let streams = EdgeStreams::build(&topo, &bundle);
+        let rcfg = ReconstructionConfig {
+            matching: cfg.clone(),
+        };
+        let vpn = match_all(&streams, &topo, &rcfg)[2].stats;
+        // Two collisions a motif; the second flips. After the flip the
+        // second `a` is nat1's, which the cleared plan had left unmatched,
+        // and only the last `c` finds no send.
+        let counts = (vpn.ambiguities, vpn.ambiguity_flips, vpn.unmatched_rx);
+        assert_eq!(counts, (80, 40, 40));
+        // Each is committed before `finish`, while the chunks come.
+        assert_eq!(flips_before_finish(&topo, &bundle, &cfg, 1_000), 40);
     }
 
     #[test]

@@ -322,6 +322,7 @@ fn dense_matcher_equals_naive_reference_on_random_merges() {
     let mut total_ambiguities = 0u64;
     let mut total_drops = 0u64;
     let mut total_unmatched = 0u64;
+    let mut total_flips = 0u64;
     for seed in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(0x9e3779b97f4a7c15 ^ (seed * 0x1234567));
         let n_up = 2 + (seed % 3) as usize; // 2..=4 upstream edges
@@ -353,11 +354,15 @@ fn dense_matcher_equals_naive_reference_on_random_merges() {
         total_ambiguities += m.stats.ambiguities;
         total_drops += m.stats.inferred_drops;
         total_unmatched += m.stats.unmatched_rx;
+        total_flips += m.stats.ambiguity_flips;
     }
     // The generator must actually exercise the interesting paths.
     assert!(total_ambiguities > 100, "collisions: {total_ambiguities}");
     assert!(total_drops > 50, "drops: {total_drops}");
     assert!(total_unmatched > 10, "unmatched: {total_unmatched}");
+    // A flip throws away the greedy plan the default played; only a flip
+    // shows that the plan is rebuilt from the committed cursors after it.
+    assert!(total_flips > 50, "flips: {total_flips}");
 }
 
 #[test]
